@@ -116,20 +116,12 @@ class LogisticFit:
     objective_path: tuple[float, ...] = field(repr=False, default=())
 
 
-def _expit(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def fit_logistic(
     design: LabeledDesign,
     ridge: float = DEFAULT_RIDGE,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
+    start: np.ndarray | None = None,
 ) -> LogisticFit:
     """Ridge-penalized logistic regression by IRLS.
 
@@ -138,37 +130,53 @@ def fit_logistic(
     decrease, so the objective path is non-decreasing.  A singular system
     bumps the ridge by 10x (up to three times) before giving up with
     ``converged=False``; the last iterate is always returned.
+
+    ``start`` is an optional initial ``[intercept, *weights]``.  It is used
+    only when its penalized objective beats that of the all-zero start;
+    otherwise the fit is exactly the one without it.
     """
     if ridge < 0.0:
         raise ValueError("ridge strength must be nonnegative")
     y = np.asarray(design.labels, dtype=float)
-    classes = np.unique(y)
-    if not np.array_equal(classes, [0.0, 1.0]):
-        raise ValueError("design must contain both classes")
+    n_obs = np.count_nonzero(y == 0.0)
+    n_sim = np.count_nonzero(y == 1.0)
+    if n_obs == 0 or n_sim == 0 or n_obs + n_sim != y.size:
+        raise ValueError("design must contain both classes, labelled 0 and 1")
     X = design.features
     n, d = X.shape
-    A = np.hstack([np.ones((n, 1)), X])
-    beta = np.zeros(d + 1)
+    A = np.empty((n, d + 1))
+    A[:, 0] = 1.0
+    A[:, 1:] = X
     lam = float(ridge)
 
-    def objective(b: np.ndarray) -> float:
-        eta = A @ b
-        ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
-        return ll - 0.5 * lam * float(b[1:] @ b[1:])
+    def objective(eta: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+        """Penalized log-likelihood at linear predictor ``eta = A @ b``, and ln(1 + e^eta)."""
+        soft = np.logaddexp(0.0, eta)
+        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:]), soft
 
-    obj = objective(beta)
+    beta = np.zeros(d + 1)
+    eta = np.zeros(n)
+    obj, soft = objective(eta, beta)
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != beta.shape:
+            raise ValueError(f"start has shape {start.shape}, expected {beta.shape}")
+        start_eta = A @ start
+        start_obj, start_soft = objective(start_eta, start)
+        if start_obj > obj:
+            beta, eta, obj, soft = start, start_eta, start_obj, start_soft
     path = [obj]
     converged = False
     bumps = 0
     iterations = 0
+    diagonal = np.arange(1, d + 1)
     while iterations < max_iter:
-        eta = A @ beta
-        p = _expit(eta)
+        p = np.exp(eta - soft)
         w = p * (1.0 - p)
         grad = A.T @ (y - p)
         grad[1:] -= lam * beta[1:]
         hess = A.T @ (w[:, None] * A)
-        hess[1:, 1:] += lam * np.eye(d)
+        hess[diagonal, diagonal] += lam
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -176,23 +184,24 @@ def fit_logistic(
                 break
             bumps += 1
             lam = lam * 10.0 if lam > 0.0 else 1e-6
-            obj = objective(beta)
+            obj, soft = objective(eta, beta)
             continue
         iterations += 1
+        a_delta = A @ delta
         step = 1.0
         accepted = False
         for _ in range(30):
+            cand_eta = eta + step * a_delta
             cand = beta + step * delta
-            cand_obj = objective(cand)
+            cand_obj, cand_soft = objective(cand_eta, cand)
             if cand_obj >= obj - 1e-12:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        change = float(np.max(np.abs(cand - beta)))
-        beta = cand
-        obj = cand_obj
+        change = step * float(np.max(np.abs(delta)))
+        beta, eta, obj, soft = cand, cand_eta, cand_obj, cand_soft
         path.append(obj)
         if change < tol:
             converged = True
@@ -255,14 +264,31 @@ def cv_log_odds(
 
     target_raw = raw_obs if score == "observed" else raw_sim
     out = np.full(target_raw.shape[0], np.nan)
+    fit = prev_design = None
     for j in range(k):
-        train_obs = np.setdiff1d(np.arange(len(observed)), folds_obs[j])
-        train_sim = np.setdiff1d(np.arange(len(simulated)), folds_sim[j])
+        train_obs = np.ones(len(observed), dtype=bool)
+        train_obs[folds_obs[j]] = False
+        train_sim = np.ones(len(simulated), dtype=bool)
+        train_sim[folds_sim[j]] = False
         raw_train = np.vstack([raw_obs[train_obs], raw_sim[train_sim]])
-        labels = np.concatenate([np.zeros(train_obs.size), np.ones(train_sim.size)])
+        labels = np.concatenate(
+            [np.zeros(np.count_nonzero(train_obs)), np.ones(np.count_nonzero(train_sim))]
+        )
         feats, mu, sd = _standardize(raw_train)
         design = LabeledDesign(features=feats, labels=labels, mean=mu, sd=sd)
-        fit = fit_logistic(design, ridge=ridge)
+        # Warm start from the previous fold's decision function, carried
+        # through raw feature space into this fold's standardization.
+        # Copying the standardized coefficients is not the same start: near
+        # separation a small shift in mean/sd makes it far worse than
+        # beta = 0 and the line search stalls there, which is also why
+        # fit_logistic ignores a start that does not beat beta = 0.
+        start = None
+        if fit is not None:
+            w_raw = fit.weights / prev_design.sd
+            c = fit.intercept - w_raw @ prev_design.mean
+            start = np.concatenate([[c + w_raw @ mu], w_raw * sd])
+        fit = fit_logistic(design, ridge=ridge, start=start)
+        prev_design = design
         held = folds_obs[j] if score == "observed" else folds_sim[j]
         out[held] = log_odds(fit, design.transform(target_raw[held]))
     return out

@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 
+import carmen.discriminator
+from carmen.cli import ScenarioConfig
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
 from carmen.discriminator import (
     FeatureMap,
     LabeledDesign,
+    _fold_indices,
     build_design,
     cv_log_odds,
     fit_logistic,
     log_odds,
 )
 from carmen.numerics import RngStream
+from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
 
 
@@ -117,6 +121,57 @@ class TestFitLogistic:
         with pytest.raises(ValueError):
             fit_logistic(design)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 1.0], [0.0, 1.0, math.nan, 1.0]],
+        ids=["one-class", "label-2", "label-nan"],
+    )
+    def test_labels_must_be_0_and_1(self, labels):
+        design = LabeledDesign(np.zeros((4, 1)), np.array(labels), np.zeros(1), np.ones(1))
+        with pytest.raises(ValueError):
+            fit_logistic(design)
+
+
+def _overlapping_design() -> LabeledDesign:
+    g = RngStream(55).generator()
+    feats = np.concatenate([g.normal(-0.5, 1.0, (300, 2)), g.normal(0.5, 1.0, (300, 2))])
+    labels = np.concatenate([np.zeros(300), np.ones(300)])
+    mu, sd = feats.mean(axis=0), feats.std(axis=0)
+    return LabeledDesign((feats - mu) / sd, labels, mu, sd)
+
+
+class TestWarmStart:
+    def test_start_worse_than_zero_gives_cold_fit(self):
+        design = _overlapping_design()
+        cold = fit_logistic(design)
+        warm = fit_logistic(design, start=np.array([3.0, -20.0, 20.0]))
+        assert warm.intercept == cold.intercept
+        assert np.array_equal(warm.weights, cold.weights)
+        assert (warm.iterations, warm.converged, warm.ridge) == (cold.iterations, cold.converged, cold.ridge)
+        assert warm.objective_path == cold.objective_path
+
+    def test_start_at_optimum_stays_there(self):
+        design = _overlapping_design()
+        cold = fit_logistic(design)
+        assert cold.converged and cold.iterations > 2
+        warm = fit_logistic(design, start=np.concatenate([[cold.intercept], cold.weights]))
+        assert warm.converged and warm.iterations <= 2
+        assert warm.intercept == pytest.approx(cold.intercept, abs=1e-8)
+        assert np.allclose(warm.weights, cold.weights, rtol=0.0, atol=1e-8)
+
+    def test_objective_path_non_decreasing_from_start(self):
+        design = _overlapping_design()
+        start = np.array([0.1, 0.2, 0.2])
+        cold = fit_logistic(design)
+        warm = fit_logistic(design, start=start)
+        path = np.array(warm.objective_path)
+        assert path[0] > cold.objective_path[0]  # the start was taken
+        assert np.all(np.diff(path) >= -1e-12)
+
+    def test_start_shape_checked(self):
+        with pytest.raises(ValueError):
+            fit_logistic(_overlapping_design(), start=np.zeros(2))
+
 
 class TestLogOdds:
     def test_zero_fit_is_zero(self):
@@ -209,6 +264,69 @@ class TestCvLogOdds:
         a = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
         b = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
         assert np.array_equal(a, b)
+
+    def test_near_separable_counts_match_cold_folds(self):
+        # poisson-betabinom, seed 7, grid point 11 (t ~ 6.25e-7) of a
+        # full-curve run, rebuilt as run_scenario and curve() draw it.
+        # The x..x4 classes are nearly separable there, with standardized
+        # weights near 900.  Starting each fold from the previous fold's
+        # standardized coefficients stalled the line search and turned
+        # this sum from about -1358 into +23272.
+        cfg = ScenarioConfig(scenario="poisson-betabinom", seed=7, full_curve=True)
+        binding = cfg.binding()
+        rng = RngStream(cfg.seed)
+        data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
+        x_update, x_valid = data.split(cfg.n_update)
+        t = float(TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count).values[11])
+        assert t == pytest.approx(6.25e-7, rel=1e-3)
+        post = temper_update(binding.model, SufficientStats.from_dataset(x_update), t)
+        point = rng.substream(1).substream(_SUB_GRID_BASE + 11)
+        sim = predictive_sample(post, point.substream(1), len(x_valid))
+        fm = FeatureMap(binding.features)
+        vals = cv_log_odds(x_valid, sim, fm, cfg.folds, cfg.ridge, point.substream(2))
+
+        # reference: every fold fitted from beta = 0
+        raw_obs, raw_sim = fm.matrix(x_valid), fm.matrix(sim)
+        g = point.substream(2).generator()
+        folds_obs = _fold_indices(len(x_valid), cfg.folds, g)
+        folds_sim = _fold_indices(len(sim), cfg.folds, g)
+        ref = np.full(len(x_valid), np.nan)
+        for held_obs, held_sim in zip(folds_obs, folds_sim):
+            train_obs = np.delete(raw_obs, held_obs, axis=0)
+            train_sim = np.delete(raw_sim, held_sim, axis=0)
+            raw = np.vstack([train_obs, train_sim])
+            labels = np.concatenate([np.zeros(len(train_obs)), np.ones(len(train_sim))])
+            mu, sd = raw.mean(axis=0), raw.std(axis=0)
+            sd = np.where(sd > 0.0, sd, 1.0)
+            design = LabeledDesign((raw - mu) / sd, labels, mu, sd)
+            fit = fit_logistic(design, ridge=cfg.ridge)
+            ref[held_obs] = log_odds(fit, design.transform(raw_obs[held_obs]))
+        assert ref.sum() < -1000.0
+        assert np.max(np.abs(vals - ref)) < 1e-5
+
+    @pytest.mark.parametrize("t, share", [(1e-6, 1.0), (1e-3, 0.5)], ids=["matched", "separated"])
+    def test_warm_folds_take_no_more_iterations(self, monkeypatch, t, share):
+        iterations = []
+        fit = carmen.discriminator.fit_logistic
+
+        def recording(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        model = GaussianKnownVarModel(0.1, 0.0, 9.9)
+        truth = GaussianTruth(0.0, 3.01)
+        xu = truth.sample(RngStream(67), 1000)
+        xv = truth.sample(RngStream(68), 1000)
+        post = temper_update(model, SufficientStats.from_dataset(xu), t)
+        sim = predictive_sample(post, RngStream(69), 1000)
+        k = 10
+        cv_log_odds(xv, sim, FeatureMap(("x", "x2")), k, 1e-6, RngStream(70))
+        assert len(iterations) == k
+        cold, warm = iterations[0], iterations[1:]
+        assert max(warm) <= cold
+        assert sum(warm) <= share * (k - 1) * cold
 
     def test_degenerate_folds_rejected(self):
         obs = Dataset(np.arange(5.0))
