@@ -23,7 +23,7 @@ from .conjugate import (
 )
 from .data import Dataset
 from .discriminator import FeatureMap, LabeledDesign, LogisticFit, build_design, cv_log_odds, fit_logistic, log_odds
-from .numerics import RngStream, log_gamma, normal_cdf, reg_incomplete_beta, sample, student_t_cdf
+from .numerics import RngStream, log_gamma, normal_cdf, reg_incomplete_beta, student_t_cdf
 from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
 from .tempering import TemperingCurve, TemperingGrid, curve, optimize_t
 from .testing import MisspecTestResult, t_test_logz, wilcoxon_signed_rank
@@ -47,7 +47,6 @@ __all__ = [
     "reg_incomplete_beta",
     "student_t_cdf",
     "normal_cdf",
-    "sample",
     "Dataset",
     "SufficientStats",
     "GaussianKnownVarModel",

@@ -186,8 +186,7 @@ def _build_family(registry: dict, family: str, params: dict, kind: str):
     unknown = set(params) - set(names)
     if unknown:
         raise ValueError(f"unknown {kind} parameters {sorted(unknown)} for {family!r}")
-    kwargs = {k: (int(v) if k == "trials" else float(v)) for k, v in params.items()}
-    return cls(**kwargs)
+    return cls(**{k: float(v) for k, v in params.items()})
 
 
 @dataclass(frozen=True)
@@ -202,6 +201,7 @@ class ScenarioResult:
     t_stat: float
     df: int
     p_value: float
+    test_method: str
     true_logz_sum: float | None
     true_logz_mean: float | None
     reverse_logz_sum: float | None
@@ -222,7 +222,7 @@ class ScenarioResult:
                 "statistic": self.t_stat,
                 "df": self.df,
                 "p_value": self.p_value,
-                "method": "t-test",
+                "method": self.test_method,
             },
             "true_log_ratio": (
                 None
@@ -253,6 +253,7 @@ class ScenarioResult:
             t_stat=d["test"]["statistic"],
             df=d["test"]["df"],
             p_value=d["test"]["p_value"],
+            test_method=d["test"]["method"],
             true_logz_sum=None if true_lr is None else true_lr["sum"],
             true_logz_mean=None if true_lr is None else true_lr["mean"],
             reverse_logz_sum=None if rev_lr is None else rev_lr["sum"],
@@ -312,6 +313,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         t_stat=test.statistic,
         df=test.df,
         p_value=test.p_value,
+        test_method=test.method,
         true_logz_sum=None if tc.true_at_t_star is None else tc.true_at_t_star.sum,
         true_logz_mean=None if tc.true_at_t_star is None else tc.true_at_t_star.mean,
         reverse_logz_sum=None if tc.reverse_at_t_star is None else tc.reverse_at_t_star.sum,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numerics import RngStream, log_gamma
+from .numerics import RngStream, log_gamma, require_finite_fields
 
 
 def _check_t(t: float) -> float:
@@ -83,6 +83,7 @@ class GaussianKnownVarModel:
     prior_sd: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if not (self.noise_sd > 0.0 and self.prior_sd > 0.0):
             raise ValueError("noise_sd and prior_sd must be positive")
 
@@ -141,6 +142,7 @@ class PoissonGammaModel:
     rate: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if not (self.shape > 0.0 and self.rate > 0.0):
             raise ValueError("shape and rate must be positive")
 
@@ -205,6 +207,7 @@ class NIGRegressionModel:
     scale: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if not (self.precision_scale > 0.0 and self.shape > 0.0 and self.scale > 0.0):
             raise ValueError("precision_scale, shape and scale must be positive")
 

@@ -1,4 +1,4 @@
-"""Special functions and seeded sampling primitives.
+"""Special functions, seeded random streams and parameter checks.
 
 Everything downstream (conjugate updates, truth samplers, the classifier
 cross-validation splits) draws randomness through :class:`RngStream` so that
@@ -8,7 +8,7 @@ whole pipelines are reproducible bit for bit from a single 64-bit seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -196,82 +196,9 @@ def normal_cdf(x):
     return out
 
 
-def _require_positive(value: float, name: str) -> float:
-    v = float(value)
-    if not (np.isfinite(v) and v > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return v
-
-
-def sample(dist: str, rng: RngStream, n: int, **params) -> np.ndarray:
-    """Draw ``n`` i.i.d. values from a named distribution.
-
-    Supported names and parameters:
-
-    ==========  =========================================
-    normal      loc, scale
-    laplace     loc, scale
-    gamma       shape, rate
-    poisson     rate
-    negbinom    r, p        (pmf ~ (1-p)^r p^x, mean r p/(1-p))
-    beta        a, b
-    betabinom   a, b, trials
-    studentt    df, loc, scale
-    ==========  =========================================
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = rng.generator()
-    if dist == "normal":
-        scale = _require_positive(params.pop("scale"), "scale")
-        loc = float(params.pop("loc"))
-        _reject_extras(dist, params)
-        return g.normal(loc, scale, size=n)
-    if dist == "laplace":
-        scale = _require_positive(params.pop("scale"), "scale")
-        loc = float(params.pop("loc"))
-        _reject_extras(dist, params)
-        return g.laplace(loc, scale, size=n)
-    if dist == "gamma":
-        shape = _require_positive(params.pop("shape"), "shape")
-        rate = _require_positive(params.pop("rate"), "rate")
-        _reject_extras(dist, params)
-        return g.gamma(shape, 1.0 / rate, size=n)
-    if dist == "poisson":
-        rate = _require_positive(params.pop("rate"), "rate")
-        _reject_extras(dist, params)
-        return g.poisson(rate, size=n).astype(float)
-    if dist == "negbinom":
-        r = _require_positive(params.pop("r"), "r")
-        p = float(params.pop("p"))
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {p!r}")
-        _reject_extras(dist, params)
-        # numpy's p is the per-trial success probability: complement of ours
-        return g.negative_binomial(r, 1.0 - p, size=n).astype(float)
-    if dist == "beta":
-        a = _require_positive(params.pop("a"), "a")
-        b = _require_positive(params.pop("b"), "b")
-        _reject_extras(dist, params)
-        return g.beta(a, b, size=n)
-    if dist == "betabinom":
-        a = _require_positive(params.pop("a"), "a")
-        b = _require_positive(params.pop("b"), "b")
-        trials = int(params.pop("trials"))
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        _reject_extras(dist, params)
-        probs = g.beta(a, b, size=n)
-        return g.binomial(trials, probs).astype(float)
-    if dist == "studentt":
-        df = _require_positive(params.pop("df"), "df")
-        scale = _require_positive(params.pop("scale", 1.0), "scale")
-        loc = float(params.pop("loc", 0.0))
-        _reject_extras(dist, params)
-        return loc + scale * g.standard_t(df, size=n)
-    raise ValueError(f"unknown distribution {dist!r}")
-
-
-def _reject_extras(dist: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unexpected parameters for {dist!r}: {sorted(params)}")
+def require_finite_fields(obj) -> None:
+    """Raise ValueError naming the first dataclass field of ``obj`` that is not a finite number."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")

@@ -10,6 +10,7 @@ diagnostics along the same grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .discriminator import DEFAULT_RIDGE, FeatureMap
 from .numerics import RngStream
 from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
 from .testing import MisspecTestResult, t_test_logz
-from .truths import TruthSpec, true_log_ratio
+from .truths import TruthSpec, truth_logpdf
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -76,6 +77,19 @@ class TStarResult:
     at_boundary: bool
 
 
+def _update_stats(x_update: Dataset, x_valid: Dataset) -> SufficientStats:
+    if len(x_update) == 0 or len(x_valid) == 0:
+        raise ValueError("both data partitions must be non-empty")
+    return SufficientStats.from_dataset(x_update)
+
+
+def _scorer(model: Model, stats: SufficientStats, x_valid: Dataset) -> Callable[[float], float]:
+    def score(t: float) -> float:
+        return float(predictive_logpdf(temper_update(model, stats, t), x_valid).sum())
+
+    return score
+
+
 def optimize_t(model: Model, x_update: Dataset, x_valid: Dataset, grid: TemperingGrid) -> TStarResult:
     """Tempering level maximizing the validation log predictive score.
 
@@ -83,15 +97,13 @@ def optimize_t(model: Model, x_update: Dataset, x_valid: Dataset, grid: Temperin
     the bracket around the best grid point (absolute tolerance 1e-3 on
     log10 t).  A maximum at a grid edge is returned as-is and flagged.
     """
-    if len(x_update) == 0 or len(x_valid) == 0:
-        raise ValueError("both data partitions must be non-empty")
-    stats = SufficientStats.from_dataset(x_update)
-
-    def score(t: float) -> float:
-        return float(predictive_logpdf(temper_update(model, stats, t), x_valid).sum())
-
+    score = _scorer(model, _update_stats(x_update, x_valid), x_valid)
     ts = grid.values
-    scores = np.array([score(t) for t in ts])
+    return _refine(score, ts, np.array([score(t) for t in ts]))
+
+
+def _refine(score: Callable[[float], float], ts: np.ndarray, scores: np.ndarray) -> TStarResult:
+    """Golden-section refinement around the best of the grid ``scores`` at levels ``ts``."""
     best = int(np.argmax(scores))
     if best == 0 or best == len(ts) - 1:
         return TStarResult(t_star=float(ts[best]), log_predictive=float(scores[best]), at_boundary=True)
@@ -157,23 +169,26 @@ def curve(
 ) -> TemperingCurve:
     """Diagnostics along the tempering grid plus the headline result at t*.
 
-    The analytic log ratio is evaluated at every grid point whenever the
-    truth is known.  Classifier-based estimates along the whole grid cost
-    one cross-validated fit per point and are opt-in via ``full_curve``;
-    the estimate at t* is always computed.  A grid point that fails is
-    recorded with missing fields rather than aborting the run.
+    One pass over the grid evaluates each level's predictive density
+    once; its sum is both the t* search's grid score and the curve's log
+    predictive, and, less the truth density (evaluated once per call),
+    the analytic log ratio.  Classifier-based estimates along the whole
+    grid cost one cross-validated fit per point and are opt-in via
+    ``full_curve``; the estimate at t* is always computed.  A level whose
+    predictive cannot be evaluated aborts the run, since t* needs every
+    level; any later failure at a level is recorded with missing fields.
     """
-    opt = optimize_t(model, x_update, x_valid, grid)
-    stats = SufficientStats.from_dataset(x_update)
-
+    stats = _update_stats(x_update, x_valid)
+    truth_lp = None if truth is None else truth_logpdf(truth, x_valid)
+    ts = grid.values
+    scores = np.empty(ts.size)
     points: list[CurvePoint] = []
-    for i, t in enumerate(grid.values):
+    for i, t in enumerate(ts):
+        post = temper_update(model, stats, float(t))
+        lp_vec = predictive_logpdf(post, x_valid)
+        scores[i] = lp = float(lp_vec.sum())
         try:
-            post = temper_update(model, stats, float(t))
-            lp = float(predictive_logpdf(post, x_valid).sum())
-            true_sum = None
-            if truth is not None:
-                true_sum = float(true_log_ratio(post, truth, x_valid).sum)
+            true_sum = None if truth_lp is None else float((lp_vec - truth_lp).sum())
             approx_sum = t_stat = p_value = None
             if full_curve:
                 est = estimate_log_ratio(
@@ -196,12 +211,15 @@ def curve(
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             points.append(CurvePoint(t=float(t), log_predictive=None))
 
+    opt = _refine(_scorer(model, stats, x_valid), ts, scores)
     post_star = temper_update(model, stats, opt.t_star)
     est_star = estimate_log_ratio(
         post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), n_sim=n_sim, ridge=ridge
     )
     test_star = t_test_logz(est_star)
-    true_star = true_log_ratio(post_star, truth, x_valid) if truth is not None else None
+    true_star = None
+    if truth_lp is not None:
+        true_star = LogRatioEstimate.from_per_point(predictive_logpdf(post_star, x_valid) - truth_lp)
     reverse_star = None
     if reverse:
         reverse_star = estimate_reverse_log_ratio(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .conjugate import TemperedPosterior, predictive_logpdf
 from .data import Dataset
-from .numerics import RngStream, log_beta, log_gamma, normal_cdf
+from .numerics import RngStream, log_beta, log_gamma, normal_cdf, require_finite_fields
 from .ratio import LogRatioEstimate
 
 
@@ -24,6 +24,7 @@ class GaussianTruth:
     sd: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.sd <= 0.0:
             raise ValueError("sd must be positive")
 
@@ -41,6 +42,7 @@ class LaplaceTruth:
     scale: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
 
@@ -60,6 +62,7 @@ class NegBinomialTruth:
     p: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.r <= 0.0 or not 0.0 < self.p < 1.0:
             raise ValueError("need r > 0 and p in (0, 1)")
 
@@ -86,6 +89,10 @@ class BetaBinomialTruth:
     trials: int
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
+        if self.trials != int(self.trials):
+            raise ValueError(f"trials must be a whole number, got {self.trials!r}")
+        object.__setattr__(self, "trials", int(self.trials))
         if self.a <= 0.0 or self.b <= 0.0 or self.trials < 1:
             raise ValueError("need a, b > 0 and trials >= 1")
 
@@ -121,6 +128,7 @@ class TNoiseRegressionTruth:
     scale: float = 1.22
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.df <= 0.0 or self.scale <= 0.0:
             raise ValueError("df and scale must be positive")
 
@@ -149,6 +157,7 @@ class SigmoidRegressionTruth:
     noise_sd: float = 0.1
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.noise_sd <= 0.0:
             raise ValueError("noise_sd must be positive")
 

@@ -1,5 +1,6 @@
 """Scenario runner, output files, config handling, and the CLI itself."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -62,9 +63,12 @@ class TestRunScenario:
 
     def test_result_dict_round_trip(self):
         res = run_scenario(ScenarioConfig(scenario="poisson-nb", seed=5, **FAST))
-        d = json.loads(json.dumps(res.to_dict()))
-        back = ScenarioResult.from_dict(d)
-        assert back.to_dict() == res.to_dict()
+        assert res.to_dict()["test"]["method"] == res.test_method == "t-test"
+        for result in (res, dataclasses.replace(res, test_method="wilcoxon")):
+            d = json.loads(json.dumps(result.to_dict()))
+            back = ScenarioResult.from_dict(d)
+            assert back == result
+            assert back.to_dict() == result.to_dict()
 
     def test_config_echo_reruns_identically(self):
         res = run_scenario(ScenarioConfig(scenario="reg-tnoise", seed=7, **FAST))
@@ -160,6 +164,36 @@ class TestConfigFile:
         cfg_file.write_text("bogus = 3")
         with pytest.raises(ValueError):
             load_config_file(cfg_file)
+
+    @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
+    def test_betabinom_trials_whole_number(self, tmp_path, capsys, trials, ok):
+        cfg_file = tmp_path / "bb.cfg"
+        cfg_file.write_text(
+            "\n".join(
+                [
+                    "scenario = custom",
+                    "seed = 1",
+                    "model = poisson-gamma",
+                    "model.shape = 3.0",
+                    "model.rate = 0.05",
+                    "truth = betabinom",
+                    "truth.a = 41.75",
+                    "truth.b = 78.25",
+                    f"truth.trials = {trials}",
+                    "features = x, x2",
+                ]
+            )
+        )
+        cfg = ScenarioConfig.from_dict(load_config_file(cfg_file))
+        if ok:
+            assert cfg.binding().truth.trials == 80
+        else:
+            with pytest.raises(ValueError, match="trials must be a whole number"):
+                cfg.binding()
+            # the CLI rejects it before any work, naming the parameter
+            assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+            assert "trials must be a whole number" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 class TestMain:

@@ -1,5 +1,6 @@
 """Tempered conjugate updates against closed forms and quadrature oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,15 @@ class TestTemperUpdate:
     def test_inconsistent_stats_rejected(self):
         with pytest.raises(ValueError):
             SufficientStats(n=10, sum_x=100.0, sum_xx=1.0)
+
+    @pytest.mark.parametrize(
+        "model,name",
+        [(m, f.name) for m in (GAUSS, POIS, NIG) for f in dataclasses.fields(m)],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, model, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            dataclasses.replace(model, **{name: bad})
 
 
 class TestPredictive:

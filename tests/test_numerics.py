@@ -1,4 +1,4 @@
-"""Special functions and the seeded sampling layer."""
+"""Special functions, seeded random streams and parameter checks."""
 
 import math
 
@@ -10,7 +10,6 @@ from carmen.numerics import (
     log_gamma,
     normal_cdf,
     reg_incomplete_beta,
-    sample,
     student_t_cdf,
 )
 
@@ -157,42 +156,3 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
 
-
-class TestSample:
-    def test_normal_mean(self):
-        draws = sample("normal", RngStream(1), 100000, loc=0.0, scale=1.0)
-        assert abs(draws.mean()) < 0.013  # 4 standard errors
-
-    def test_gamma_mean(self):
-        draws = sample("gamma", RngStream(2), 100000, shape=3.0, rate=0.05)
-        se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - 60.0) < 4 * se
-
-    def test_laplace_variance(self):
-        draws = sample("laplace", RngStream(3), 100000, loc=0.0, scale=2.13)
-        assert draws.var() == pytest.approx(2 * 2.13**2, rel=0.05)
-
-    @pytest.mark.parametrize(
-        "dist,params,mean",
-        [
-            ("poisson", {"rate": 7.0}, 7.0),
-            ("negbinom", {"r": 63.0, "p": 0.488}, 63.0 * 0.488 / 0.512),
-            ("beta", {"a": 2.0, "b": 6.0}, 0.25),
-            ("betabinom", {"a": 41.75, "b": 78.25, "trials": 80}, 80 * 41.75 / 120.0),
-            ("studentt", {"df": 5.0, "loc": 1.0, "scale": 2.0}, 1.0),
-        ],
-    )
-    def test_means_within_four_se(self, dist, params, mean):
-        draws = sample(dist, RngStream(4), 100000, **params)
-        se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - mean) < 4 * se
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            sample("normal", RngStream(0), 10, loc=0.0, scale=-1.0)
-        with pytest.raises(ValueError):
-            sample("negbinom", RngStream(0), 10, r=3.0, p=1.5)
-        with pytest.raises(ValueError):
-            sample("nope", RngStream(0), 10)
-        with pytest.raises(ValueError):
-            sample("normal", RngStream(0), 0, loc=0.0, scale=1.0)

@@ -5,21 +5,43 @@ import math
 import numpy as np
 import pytest
 
+from carmen import tempering
 from carmen.conjugate import (
     GaussianKnownVarModel,
     NIGRegressionModel,
     SufficientStats,
     log_tempered_predictive,
+    predictive_logpdf,
     temper_update,
 )
 from carmen.discriminator import FeatureMap
 from carmen.numerics import RngStream
 from carmen.ratio import estimate_log_ratio
-from carmen.tempering import TemperingGrid, curve, optimize_t
-from carmen.truths import GaussianTruth, SigmoidRegressionTruth
+from carmen.tempering import CurvePoint, TemperingGrid, curve, optimize_t
+from carmen.truths import GaussianTruth, SigmoidRegressionTruth, true_log_ratio
 
 GAUSS = GaussianKnownVarModel(0.1, 0.0, 9.9)
 NIG = NIGRegressionModel(0.0, 1.0, 2.0, 2.0)
+GAUSS_FM = FeatureMap(("x", "x2"))
+SIGMOID_FM = FeatureMap(("y", "abs_y", "y2", "yx", "abs_yx", "yx2"))
+
+
+def _gauss_data(seed, n):
+    truth = GaussianTruth(0.0, 3.01)
+    return truth, truth.sample(RngStream(seed), n), truth.sample(RngStream(seed + 1), n)
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``carmen.tempering.<name>`` by a wrapper that logs its calls."""
+    calls = []
+    original = getattr(tempering, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tempering, name, counted)
+    return calls
 
 
 class TestTemperingGrid:
@@ -158,3 +180,83 @@ class TestCurve:
         b = curve(GAUSS, truth, xu, xv, grid, fm, 5, RngStream(224))
         assert a.t_star == b.t_star
         assert np.array_equal(a.estimate_at_t_star.per_point, b.estimate_at_t_star.per_point)
+
+
+class TestSingleGridPass:
+    def test_one_predictive_per_level_and_one_truth_density(self, monkeypatch):
+        truth, xu, xv = _gauss_data(230, 300)
+        grid = TemperingGrid.log_uniform(1e-8, 1.0, 12)
+        predictive = _count_calls(monkeypatch, "predictive_logpdf")
+        optimize_t(GAUSS, xu, xv, grid)
+        search = len(predictive)  # grid scan plus golden-section refinement
+        assert search > len(grid)
+        predictive.clear()
+        density = _count_calls(monkeypatch, "truth_logpdf")
+        curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(232))
+        assert len(predictive) == search + 1  # plus the exact ratio at t*
+        assert len(density) == 1
+
+    @pytest.mark.parametrize(
+        "model,truth,fm,seed,boundary",
+        [
+            (GAUSS, GaussianTruth(0.0, 3.01), GAUSS_FM, 200, False),
+            (NIG, SigmoidRegressionTruth(), SIGMOID_FM, 204, True),
+        ],
+        ids=["gauss-interior", "sigmoid-boundary"],
+    )
+    def test_headline_matches_optimize_t(self, model, truth, fm, seed, boundary):
+        # the data of TestOptimizeT's interior and boundary cases
+        xu = truth.sample(RngStream(seed), 1000)
+        xv = truth.sample(RngStream(seed + 1), 1000)
+        grid = TemperingGrid.log_uniform()
+        opt = optimize_t(model, xu, xv, grid)
+        tc = curve(model, truth, xu, xv, grid, fm, 5, RngStream(235))
+        assert opt.at_boundary is boundary
+        assert tc.t_star == opt.t_star
+        assert tc.t_star_boundary == opt.at_boundary
+        assert tc.log_predictive_at_t_star == opt.log_predictive
+
+    def test_columns_match_public_functions_exactly(self):
+        truth, xu, xv = _gauss_data(236, 300)
+        grid = TemperingGrid.log_uniform(1e-8, 1.0, 12)
+        tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(238))
+        stats = SufficientStats.from_dataset(xu)
+        for p in tc.points:
+            post = temper_update(GAUSS, stats, p.t)
+            assert p.log_predictive == float(predictive_logpdf(post, xv).sum())
+            assert p.logz_true_sum == true_log_ratio(post, truth, xv).sum
+        exact = true_log_ratio(temper_update(GAUSS, stats, tc.t_star), truth, xv)
+        assert np.array_equal(tc.true_at_t_star.per_point, exact.per_point)
+
+    def test_classifier_failure_blanks_only_its_row(self, monkeypatch):
+        truth, xu, xv = _gauss_data(239, 200)
+        grid = TemperingGrid.log_uniform(1e-7, 1.0, 5)
+        args = (GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(241))
+        clean = curve(*args, full_curve=True)
+        failing_t = float(grid.values[1])
+        original = tempering.estimate_log_ratio
+
+        def fail_at_one_level(post, *rest, **kwargs):
+            if post.t == failing_t:
+                raise RuntimeError("forced classifier failure")
+            return original(post, *rest, **kwargs)
+
+        monkeypatch.setattr(tempering, "estimate_log_ratio", fail_at_one_level)
+        forced = curve(*args, full_curve=True)
+        assert forced.points[1] == CurvePoint(t=failing_t, log_predictive=None)
+        assert forced.points[:1] + forced.points[2:] == clean.points[:1] + clean.points[2:]
+        assert forced.t_star == clean.t_star
+
+    def test_predictive_failure_at_a_level_aborts(self, monkeypatch):
+        truth, xu, xv = _gauss_data(242, 200)
+        grid = TemperingGrid.log_uniform(1e-7, 1.0, 5)
+        original = tempering.predictive_logpdf
+
+        def fail_at_one_level(post, data):
+            if post.t == float(grid.values[2]):
+                raise ValueError("forced predictive failure")
+            return original(post, data)
+
+        monkeypatch.setattr(tempering, "predictive_logpdf", fail_at_one_level)
+        with pytest.raises(ValueError, match="forced predictive failure"):
+            curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(244))

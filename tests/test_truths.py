@@ -1,5 +1,6 @@
 """Truth samplers, their exact densities, and the analytic log ratio."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,22 @@ class TestSamplers:
             NegBinomialTruth(63.0, 1.2)
         with pytest.raises(ValueError):
             BetaBinomialTruth(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "truth,name",
+        [(t, f.name) for t in ALL_TRUTHS for f in dataclasses.fields(t)],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, truth, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            dataclasses.replace(truth, **{name: bad})
+
+    def test_trials_must_be_whole(self):
+        with pytest.raises(ValueError, match="trials must be a whole number"):
+            BetaBinomialTruth(41.75, 78.25, 80.5)
+        whole = BetaBinomialTruth(41.75, 78.25, 80.0)
+        assert whole == BetaBinomialTruth(41.75, 78.25, 80)
+        assert type(whole.trials) is int
 
 
 class TestLogpdf:
