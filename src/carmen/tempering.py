@@ -10,12 +10,11 @@ diagnostics along the same grid.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import Model, SufficientStats, predictive_logpdf, temper_update
+from .conjugate import Model, SufficientStats, TemperedPredictive
 from .data import Dataset
 from .discriminator import DEFAULT_RIDGE, FeatureMap
 from .numerics import RngStream
@@ -77,17 +76,15 @@ class TStarResult:
     at_boundary: bool
 
 
-def _update_stats(x_update: Dataset, x_valid: Dataset) -> SufficientStats:
+def _predictive(model: Model, x_update: Dataset, x_valid: Dataset) -> TemperedPredictive:
     if len(x_update) == 0 or len(x_valid) == 0:
         raise ValueError("both data partitions must be non-empty")
-    return SufficientStats.from_dataset(x_update)
+    return TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
 
 
-def _scorer(model: Model, stats: SufficientStats, x_valid: Dataset) -> Callable[[float], float]:
-    def score(t: float) -> float:
-        return float(predictive_logpdf(temper_update(model, stats, t), x_valid).sum())
-
-    return score
+def _score(pred: TemperedPredictive, t: float) -> float:
+    ((_, lp_vec),) = pred.levels([t])
+    return float(lp_vec.sum())
 
 
 def optimize_t(model: Model, x_update: Dataset, x_valid: Dataset, grid: TemperingGrid) -> TStarResult:
@@ -97,13 +94,14 @@ def optimize_t(model: Model, x_update: Dataset, x_valid: Dataset, grid: Temperin
     the bracket around the best grid point (absolute tolerance 1e-3 on
     log10 t).  A maximum at a grid edge is returned as-is and flagged.
     """
-    score = _scorer(model, _update_stats(x_update, x_valid), x_valid)
+    pred = _predictive(model, x_update, x_valid)
     ts = grid.values
-    return _refine(score, ts, np.array([score(t) for t in ts]))
+    return _refine(pred, ts, np.array([float(lp_vec.sum()) for _, lp_vec in pred.levels(ts)]))
 
 
-def _refine(score: Callable[[float], float], ts: np.ndarray, scores: np.ndarray) -> TStarResult:
-    """Golden-section refinement around the best of the grid ``scores`` at levels ``ts``."""
+def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> TStarResult:
+    """Golden-section refinement around the best of the grid ``scores`` at levels ``ts``,
+    scoring each new level with a one-level ``pred`` call."""
     best = int(np.argmax(scores))
     if best == 0 or best == len(ts) - 1:
         return TStarResult(t_star=float(ts[best]), log_predictive=float(scores[best]), at_boundary=True)
@@ -112,17 +110,17 @@ def _refine(score: Callable[[float], float], ts: np.ndarray, scores: np.ndarray)
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = score(10.0**c)
-    fd = score(10.0**d)
+    fc = _score(pred, 10.0**c)
+    fd = _score(pred, 10.0**d)
     while b - a > 1e-3:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = score(10.0**c)
+            fc = _score(pred, 10.0**c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = score(10.0**d)
+            fd = _score(pred, 10.0**d)
     u = c if fc >= fd else d
     fu = max(fc, fd)
     # never return a refinement worse than the best grid point
@@ -169,23 +167,22 @@ def curve(
 ) -> TemperingCurve:
     """Diagnostics along the tempering grid plus the headline result at t*.
 
-    One pass over the grid evaluates each level's predictive density
-    once; its sum is both the t* search's grid score and the curve's log
-    predictive, and, less the truth density (evaluated once per call),
-    the analytic log ratio.  Classifier-based estimates along the whole
-    grid cost one cross-validated fit per point and are opt-in via
-    ``full_curve``; the estimate at t* is always computed.  A level whose
-    predictive cannot be evaluated aborts the run, since t* needs every
-    level; any later failure at a level is recorded with missing fields.
+    One batched pass over the grid evaluates each level's predictive
+    density once; its sum is both the t* search's grid score and the
+    curve's log predictive, and, less the truth density (evaluated once
+    per call), the analytic log ratio.  Classifier-based estimates along
+    the whole grid cost one cross-validated fit per point and are opt-in
+    via ``full_curve``; the estimate at t* is always computed.  A level
+    whose predictive cannot be evaluated aborts the run, since t* needs
+    every level; any later failure at a level is recorded with missing
+    fields.
     """
-    stats = _update_stats(x_update, x_valid)
+    pred = _predictive(model, x_update, x_valid)
     truth_lp = None if truth is None else truth_logpdf(truth, x_valid)
     ts = grid.values
     scores = np.empty(ts.size)
     points: list[CurvePoint] = []
-    for i, t in enumerate(ts):
-        post = temper_update(model, stats, float(t))
-        lp_vec = predictive_logpdf(post, x_valid)
+    for i, (post, lp_vec) in enumerate(pred.levels(ts)):
         scores[i] = lp = float(lp_vec.sum())
         try:
             true_sum = None if truth_lp is None else float((lp_vec - truth_lp).sum())
@@ -200,7 +197,7 @@ def curve(
                 p_value = res.p_value
             points.append(
                 CurvePoint(
-                    t=float(t),
+                    t=post.t,
                     log_predictive=lp,
                     logz_true_sum=true_sum,
                     logz_approx_sum=approx_sum,
@@ -209,17 +206,17 @@ def curve(
                 )
             )
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
-            points.append(CurvePoint(t=float(t), log_predictive=None))
+            points.append(CurvePoint(t=post.t, log_predictive=None))
 
-    opt = _refine(_scorer(model, stats, x_valid), ts, scores)
-    post_star = temper_update(model, stats, opt.t_star)
+    opt = _refine(pred, ts, scores)
+    ((post_star, lp_star),) = pred.levels([opt.t_star])
     est_star = estimate_log_ratio(
         post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), n_sim=n_sim, ridge=ridge
     )
     test_star = t_test_logz(est_star)
     true_star = None
     if truth_lp is not None:
-        true_star = LogRatioEstimate.from_per_point(predictive_logpdf(post_star, x_valid) - truth_lp)
+        true_star = LogRatioEstimate.from_per_point(lp_star - truth_lp)
     reverse_star = None
     if reverse:
         reverse_star = estimate_reverse_log_ratio(

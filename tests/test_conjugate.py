@@ -10,19 +10,23 @@ from scipy import integrate
 from carmen.conjugate import (
     GaussianKnownVarModel,
     NIGRegressionModel,
+    NIGRegressionPosterior,
     PoissonGammaModel,
+    PoissonGammaPosterior,
     SufficientStats,
+    TemperedPredictive,
     log_tempered_predictive,
     predictive_logpdf,
     predictive_sample,
     temper_update,
 )
 from carmen.data import Dataset
-from carmen.numerics import RngStream
+from carmen.numerics import RngStream, log_gamma
 from carmen.truths import (
     BetaBinomialTruth,
     GaussianTruth,
     NegBinomialTruth,
+    SigmoidRegressionTruth,
     TNoiseRegressionTruth,
 )
 
@@ -133,6 +137,96 @@ class TestPredictive:
         post = temper_update(POIS, SufficientStats(n=0), 0.0)
         with pytest.raises(ValueError):
             post.predictive_logpdf(-1.0)
+
+    @pytest.mark.parametrize(
+        "bad,cause",
+        [(2.5, "whole numbers"), (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite")],
+        ids=["non-integral", "nan", "inf", "-inf"],
+    )
+    def test_bad_count_rejected_where_it_enters(self, bad, cause):
+        counts = np.array([3.0, bad, 1.0])
+        post = temper_update(POIS, SufficientStats(n=0), 0.0)
+        with pytest.raises(ValueError, match=rf"^counts must be {cause}, got"):
+            post.predictive_logpdf(counts)
+        stats = SufficientStats.from_dataset(Dataset(np.array([2.0, 4.0])))
+        with pytest.raises(ValueError, match=rf"^counts must be {cause}, got"):
+            TemperedPredictive(POIS, stats, Dataset(counts))
+
+
+def _direct_logpdf(post, data):
+    """The Poisson and NIG predictives written out over every point, one expression each."""
+    if isinstance(post, PoissonGammaPosterior):
+        x, r = data.values, post.shape
+        return (
+            log_gamma(x + r) - log_gamma(r) - log_gamma(x + 1.0)
+            + r * math.log(post.rate / (1.0 + post.rate))
+            + x * math.log(1.0 / (1.0 + post.rate))
+        )
+    assert isinstance(post, NIGRegressionPosterior)
+    x, y, df = data.covariates, data.values, 2.0 * post.shape
+    s = np.sqrt((post.scale / post.shape) * (1.0 + x * x / post.coef_precision))
+    z = (y - post.coef * x) / s
+    return (
+        log_gamma(0.5 * (df + 1.0)) - log_gamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+        - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+    ) - np.log(s)
+
+
+def _small_counts():
+    counts = Dataset(RngStream(34).generator().poisson(0.7, size=300).astype(float))
+    assert np.any(counts.values == 0.0)
+    return counts
+
+
+# one call with the default 50-level grid, then single levels: the grid's
+# ends, the prior and two levels off the grid
+_LEVEL_CALLS = [np.logspace(-8.0, 0.0, 50)] + [[t] for t in (1e-8, 1.0, 0.0, 3.3e-5, 0.123)]
+
+
+class TestTemperedPredictive:
+    """Each row of a batched call is the per-level predictive, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model,update,valid",
+        [
+            (GAUSS, GaussianTruth(0.0, 3.01).sample(RngStream(30), 300),
+             GaussianTruth(0.0, 3.01).sample(RngStream(31), 300)),
+            (POIS, NegBinomialTruth(63.0, 0.488).sample(RngStream(32), 1000),
+             NegBinomialTruth(63.0, 0.488).sample(RngStream(33), 300)),
+            (POIS, BetaBinomialTruth(41.75, 78.25, 80).sample(RngStream(32), 1000),
+             BetaBinomialTruth(41.75, 78.25, 80).sample(RngStream(33), 300)),
+            (POIS, NegBinomialTruth(63.0, 0.488).sample(RngStream(32), 1000), _small_counts()),
+            (POIS, NegBinomialTruth(63.0, 0.488).sample(RngStream(32), 1000), Dataset(np.full(40, 7.0))),
+            (NIG, TNoiseRegressionTruth(3.0, 1.22).sample(RngStream(35), 300),
+             TNoiseRegressionTruth(3.0, 1.22).sample(RngStream(36), 300)),
+            (NIG, SigmoidRegressionTruth().sample(RngStream(37), 300),
+             SigmoidRegressionTruth().sample(RngStream(38), 300)),
+        ],
+        ids=["gauss", "poisson-nb", "poisson-betabinom", "counts-with-zeros", "counts-all-equal",
+             "reg-tnoise", "reg-sigmoid"],
+    )
+    def test_rows_equal_per_level_predictive_bitwise(self, model, update, valid):
+        stats = SufficientStats.from_dataset(update)
+        pred = TemperedPredictive(model, stats, valid)
+        for ts in _LEVEL_CALLS:
+            got = list(pred.levels(ts))
+            assert len(got) == len(ts)
+            for t, (post, row) in zip(ts, got):
+                ref_post = temper_update(model, stats, float(t))
+                ref = predictive_logpdf(ref_post, valid)
+                assert post == ref_post
+                assert row.shape == (len(valid),)
+                assert row.tobytes() == ref.tobytes()
+                assert row.sum().tobytes() == ref.sum().tobytes()
+                if model is not GAUSS:
+                    assert ref.tobytes() == _direct_logpdf(ref_post, valid).tobytes()
+
+    def test_one_level_scalar_input(self):
+        post = temper_update(POIS, SufficientStats(n=4, sum_x=10.0, sum_xx=30.0), 0.3)
+        assert post.predictive_logpdf(3.0) == float(post.predictive_logpdf(np.array([3.0]))[0])
+        assert isinstance(post.predictive_logpdf(3.0), float)
+        rpost = temper_update(NIG, SufficientStats(n=0), 0.0)
+        assert isinstance(rpost.predictive_logpdf(0.5, 1.0), float)
 
 
 class TestPredictiveSample:

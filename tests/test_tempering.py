@@ -10,6 +10,7 @@ from carmen.conjugate import (
     GaussianKnownVarModel,
     NIGRegressionModel,
     SufficientStats,
+    TemperedPredictive,
     log_tempered_predictive,
     predictive_logpdf,
     temper_update,
@@ -42,6 +43,24 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(tempering, name, counted)
     return calls
+
+
+def _count_predictive(monkeypatch):
+    """Replace ``carmen.tempering.TemperedPredictive`` by a subclass that logs its
+    preparations and the levels of each ``levels`` call."""
+    prepared, calls = [], []
+
+    class Counted(TemperedPredictive):
+        def __init__(self, *args):
+            prepared.append(args)
+            super().__init__(*args)
+
+        def levels(self, ts):
+            calls.append([float(t) for t in ts])
+            return super().levels(ts)
+
+    monkeypatch.setattr(tempering, "TemperedPredictive", Counted)
+    return prepared, calls
 
 
 class TestTemperingGrid:
@@ -186,14 +205,18 @@ class TestSingleGridPass:
     def test_one_predictive_per_level_and_one_truth_density(self, monkeypatch):
         truth, xu, xv = _gauss_data(230, 300)
         grid = TemperingGrid.log_uniform(1e-8, 1.0, 12)
-        predictive = _count_calls(monkeypatch, "predictive_logpdf")
+        prepared, calls = _count_predictive(monkeypatch)
         optimize_t(GAUSS, xu, xv, grid)
-        search = len(predictive)  # grid scan plus golden-section refinement
-        assert search > len(grid)
-        predictive.clear()
+        assert len(prepared) == 1
+        assert calls[0] == list(grid.values)  # one call scans the whole grid
+        refine = calls[1:]  # then one one-level call per golden-section step
+        assert refine and all(len(levels) == 1 for levels in refine)
+        prepared.clear()
+        calls.clear()
         density = _count_calls(monkeypatch, "truth_logpdf")
-        curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(232))
-        assert len(predictive) == search + 1  # plus the exact ratio at t*
+        tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(232))
+        assert len(prepared) == 1
+        assert calls == [list(grid.values)] + refine + [[tc.t_star]]  # plus the exact ratio at t*
         assert len(density) == 1
 
     @pytest.mark.parametrize(
@@ -250,13 +273,15 @@ class TestSingleGridPass:
     def test_predictive_failure_at_a_level_aborts(self, monkeypatch):
         truth, xu, xv = _gauss_data(242, 200)
         grid = TemperingGrid.log_uniform(1e-7, 1.0, 5)
-        original = tempering.predictive_logpdf
+        failing_t = float(grid.values[2])
 
-        def fail_at_one_level(post, data):
-            if post.t == float(grid.values[2]):
-                raise ValueError("forced predictive failure")
-            return original(post, data)
+        class Failing(TemperedPredictive):
+            def levels(self, ts):
+                for post, row in super().levels(ts):
+                    if post.t == failing_t:
+                        raise ValueError("forced predictive failure")
+                    yield post, row
 
-        monkeypatch.setattr(tempering, "predictive_logpdf", fail_at_one_level)
+        monkeypatch.setattr(tempering, "TemperedPredictive", Failing)
         with pytest.raises(ValueError, match="forced predictive failure"):
             curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(244))
