@@ -64,7 +64,11 @@ class FeatureMap:
         object.__setattr__(self, "transforms", names)
 
     def matrix(self, data: Dataset) -> np.ndarray:
-        """Raw (unstandardized) feature matrix, one row per datapoint."""
+        """Raw (unstandardized) feature matrix, one row per datapoint.
+
+        The (n, d) result is the transpose of a C-ordered (d, n) array, so
+        ``matrix(data).T`` gives each feature as one contiguous row.
+        """
         if data.is_regression:
             x, y = data.covariates, data.values
         else:
@@ -74,7 +78,7 @@ class FeatureMap:
             if y is None and name in _NEEDS_RESPONSE:
                 raise ValueError(f"transform {name!r} needs regression data")
             cols.append(_TRANSFORMS[name](x, y))
-        return np.column_stack(cols)
+        return np.vstack(cols).T
 
 
 @dataclass(frozen=True)
@@ -91,19 +95,36 @@ class LabeledDesign:
         return (np.atleast_2d(raw) - self.mean) / self.sd
 
 
-def _standardize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mu = raw.mean(axis=0)
-    sd = raw.std(axis=0)
+def _standardized_design(raw_t: np.ndarray, labels: np.ndarray) -> LabeledDesign:
+    """Design from feature-major (d, n) raw features, each feature standardized.
+
+    Mean and sd are reduced along the contiguous rows; a zero-sd feature
+    keeps sd = 1.  ``features`` is the (n, d) transpose of the result.
+    """
+    mu = raw_t.mean(axis=1)
+    sd = raw_t.std(axis=1)
     sd = np.where(sd > 0.0, sd, 1.0)
-    return (raw - mu) / sd, mu, sd
+    feats_t = (raw_t - mu[:, None]) / sd[:, None]
+    return LabeledDesign(features=feats_t.T, labels=labels, mean=mu, sd=sd)
 
 
 def build_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> LabeledDesign:
     """Feature rows for both classes, standardization fitted on the union."""
-    raw = np.vstack([fm.matrix(observed), fm.matrix(simulated)])
+    raw_t = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
     labels = np.concatenate([np.zeros(len(observed)), np.ones(len(simulated))])
-    feats, mu, sd = _standardize(raw)
-    return LabeledDesign(features=feats, labels=labels, mean=mu, sd=sd)
+    return _standardized_design(raw_t, labels)
+
+
+def _softplus_sigmoid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln(1 + e^eta) and the sigmoid 1 / (1 + e^-eta), without overflow.
+
+    The softplus is ``max(eta, 0) + log1p(e^-|eta|)``, where e^-|eta| <= 1.
+    An exponential below about e^-708 is subnormal or zero, which is its
+    correctly rounded value, so that underflow is not flagged.
+    """
+    with np.errstate(under="ignore"):
+        soft = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        return soft, np.exp(eta - soft)
 
 
 @dataclass(frozen=True)
@@ -144,38 +165,38 @@ def fit_logistic(
         raise ValueError("design must contain both classes, labelled 0 and 1")
     X = design.features
     n, d = X.shape
-    A = np.empty((n, d + 1))
-    A[:, 0] = 1.0
-    A[:, 1:] = X
+    # Feature-major design: row 0 is the intercept, row j the j-th feature.
+    AT = np.empty((d + 1, n))
+    AT[0] = 1.0
+    AT[1:] = X.T
     lam = float(ridge)
 
     def objective(eta: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-        """Penalized log-likelihood at linear predictor ``eta = A @ b``, and ln(1 + e^eta)."""
-        soft = np.logaddexp(0.0, eta)
-        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:]), soft
+        """Penalized log-likelihood at linear predictor ``eta = b @ AT``, and the sigmoid of eta."""
+        soft, p = _softplus_sigmoid(eta)
+        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:]), p
 
     beta = np.zeros(d + 1)
     eta = np.zeros(n)
-    obj, soft = objective(eta, beta)
+    obj, p = objective(eta, beta)
     if start is not None:
         start = np.array(start, dtype=float)
         if start.shape != beta.shape:
             raise ValueError(f"start has shape {start.shape}, expected {beta.shape}")
-        start_eta = A @ start
-        start_obj, start_soft = objective(start_eta, start)
+        start_eta = start @ AT
+        start_obj, start_p = objective(start_eta, start)
         if start_obj > obj:
-            beta, eta, obj, soft = start, start_eta, start_obj, start_soft
+            beta, eta, obj, p = start, start_eta, start_obj, start_p
     path = [obj]
     converged = False
     bumps = 0
     iterations = 0
     diagonal = np.arange(1, d + 1)
     while iterations < max_iter:
-        p = np.exp(eta - soft)
         w = p * (1.0 - p)
-        grad = A.T @ (y - p)
+        grad = AT @ (y - p)
         grad[1:] -= lam * beta[1:]
-        hess = A.T @ (w[:, None] * A)
+        hess = (AT * w) @ AT.T
         hess[diagonal, diagonal] += lam
         try:
             delta = np.linalg.solve(hess, grad)
@@ -184,16 +205,16 @@ def fit_logistic(
                 break
             bumps += 1
             lam = lam * 10.0 if lam > 0.0 else 1e-6
-            obj, soft = objective(eta, beta)
+            obj = objective(eta, beta)[0]
             continue
         iterations += 1
-        a_delta = A @ delta
+        a_delta = delta @ AT
         step = 1.0
         accepted = False
         for _ in range(30):
             cand_eta = eta + step * a_delta
             cand = beta + step * delta
-            cand_obj, cand_soft = objective(cand_eta, cand)
+            cand_obj, cand_p = objective(cand_eta, cand)
             if cand_obj >= obj - 1e-12:
                 accepted = True
                 break
@@ -201,7 +222,7 @@ def fit_logistic(
         if not accepted:
             break
         change = step * float(np.max(np.abs(delta)))
-        beta, eta, obj, soft = cand, cand_eta, cand_obj, cand_soft
+        beta, eta, obj, p = cand, cand_eta, cand_obj, cand_p
         path.append(obj)
         if change < tol:
             converged = True
@@ -256,26 +277,26 @@ def cv_log_odds(
     if score not in ("observed", "simulated"):
         raise ValueError(f"score must be 'observed' or 'simulated', got {score!r}")
 
-    raw_obs = fm.matrix(observed)
-    raw_sim = fm.matrix(simulated)
+    # Feature-major (d, n): each fold's columns are gathered row by row.
+    raw_obs = fm.matrix(observed).T
+    raw_sim = fm.matrix(simulated).T
     g = rng.generator()
     folds_obs = _fold_indices(len(observed), k, g)
     folds_sim = _fold_indices(len(simulated), k, g)
 
     target_raw = raw_obs if score == "observed" else raw_sim
-    out = np.full(target_raw.shape[0], np.nan)
+    out = np.full(target_raw.shape[1], np.nan)
     fit = prev_design = None
     for j in range(k):
         train_obs = np.ones(len(observed), dtype=bool)
         train_obs[folds_obs[j]] = False
         train_sim = np.ones(len(simulated), dtype=bool)
         train_sim[folds_sim[j]] = False
-        raw_train = np.vstack([raw_obs[train_obs], raw_sim[train_sim]])
+        raw_train = np.hstack([raw_obs[:, train_obs], raw_sim[:, train_sim]])
         labels = np.concatenate(
             [np.zeros(np.count_nonzero(train_obs)), np.ones(np.count_nonzero(train_sim))]
         )
-        feats, mu, sd = _standardize(raw_train)
-        design = LabeledDesign(features=feats, labels=labels, mean=mu, sd=sd)
+        design = _standardized_design(raw_train, labels)
         # Warm start from the previous fold's decision function, carried
         # through raw feature space into this fold's standardization.
         # Copying the standardized coefficients is not the same start: near
@@ -286,9 +307,9 @@ def cv_log_odds(
         if fit is not None:
             w_raw = fit.weights / prev_design.sd
             c = fit.intercept - w_raw @ prev_design.mean
-            start = np.concatenate([[c + w_raw @ mu], w_raw * sd])
+            start = np.concatenate([[c + w_raw @ design.mean], w_raw * design.sd])
         fit = fit_logistic(design, ridge=ridge, start=start)
         prev_design = design
         held = folds_obs[j] if score == "observed" else folds_sim[j]
-        out[held] = log_odds(fit, design.transform(target_raw[held]))
+        out[held] = log_odds(fit, design.transform(target_raw[:, held].T))
     return out

@@ -183,14 +183,16 @@ def student_t_cdf(x: float, df: float) -> float:
     return tail if x <= 0.0 else 1.0 - tail
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)  # math.erfc elementwise, returning objects
+
+
 def normal_cdf(x):
     """Standard normal CDF, accurate to ~1e-15 absolute via erfc."""
     arr = np.asarray(x, dtype=float)
     if arr.size and np.any(np.isnan(arr)):
         raise ValueError("normal_cdf requires non-NaN input")
     flat = arr.reshape(-1)
-    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in flat])
-    out = out.reshape(arr.shape)
+    out = (0.5 * _ERFC(-flat / math.sqrt(2.0)).astype(float)).reshape(arr.shape)
     if np.ndim(x) == 0:
         return float(out)
     return out

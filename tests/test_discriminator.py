@@ -10,15 +10,19 @@ from carmen.cli import ScenarioConfig
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
 from carmen.discriminator import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     FeatureMap,
     LabeledDesign,
     _fold_indices,
+    _softplus_sigmoid,
     build_design,
     cv_log_odds,
     fit_logistic,
     log_odds,
 )
 from carmen.numerics import RngStream
+from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
 
@@ -62,6 +66,37 @@ class TestFeatureMap:
         design = build_design(obs, sim, FeatureMap(("x",)))
         assert design.features[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
         assert design.features[:, 0].std() == pytest.approx(1.0, rel=1e-12)
+
+    def test_constant_feature_keeps_unit_sd(self):
+        obs = Dataset(np.array([-1.0, 1.0]), np.array([0.0, 4.0]))
+        sim = Dataset(np.array([1.0, -1.0]), np.array([4.0, 0.0]))
+        design = build_design(obs, sim, FeatureMap(("abs_y", "x")))
+        assert np.array_equal(design.sd, [1.0, 2.0])
+        assert np.array_equal(design.features[:, 0], np.zeros(4))
+
+    def test_matrix_is_feature_major(self):
+        raw = FeatureMap(("x", "x2", "x3")).matrix(Dataset(np.array([1.0, 2.0])))
+        assert np.array_equal(raw, [[1.0, 1.0, 1.0], [2.0, 4.0, 8.0]])
+        assert raw.T.flags.c_contiguous
+
+
+class TestSoftplusSigmoid:
+    ETA = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 36.0, -36.0, 40.0, -40.0, 745.0, -745.0, 1000.0, -1000.0])
+
+    def test_matches_logaddexp_and_logistic(self):
+        with np.errstate(over="ignore", under="ignore"):
+            ref_soft = np.logaddexp(0.0, self.ETA)
+            ref_p = 1.0 / (1.0 + np.exp(-self.ETA))
+        with np.errstate(all="raise"):
+            soft, p = _softplus_sigmoid(self.ETA)
+        np.testing.assert_array_max_ulp(soft, ref_soft, maxulp=2)
+        np.testing.assert_array_max_ulp(p, ref_p, maxulp=4)
+
+    def test_saturated_values(self):
+        with np.errstate(all="raise"):
+            soft, p = _softplus_sigmoid(np.array([1000.0, -1000.0]))
+        assert np.array_equal(soft, [1000.0, 0.0])
+        assert np.array_equal(p, [1.0, 0.0])
 
 
 class TestFitLogistic:
@@ -335,3 +370,120 @@ class TestCvLogOdds:
             cv_log_odds(obs, sim, FeatureMap(("x",)), 1, 1e-6, RngStream(0))
         with pytest.raises(ValueError):
             cv_log_odds(obs, sim, FeatureMap(("x",)), 6, 1e-6, RngStream(0))
+
+
+def _row_major_fit(X: np.ndarray, y: np.ndarray, ridge: float, start) -> np.ndarray:
+    """Row-major IRLS as the package ran it before the feature-major layout.
+
+    Same start guard, line search and stopping rule as ``fit_logistic``,
+    but with an (n, d+1) design, ``np.logaddexp`` and ``A.T @ (w * A)``.
+    """
+    n, d = X.shape
+    A = np.column_stack([np.ones(n), X])
+
+    def objective(eta, b):
+        soft = np.logaddexp(0.0, eta)
+        return float(y @ eta - soft.sum()) - 0.5 * ridge * float(b[1:] @ b[1:]), soft
+
+    beta, eta = np.zeros(d + 1), np.zeros(n)
+    obj, soft = objective(eta, beta)
+    if start is not None:
+        start_eta = A @ start
+        start_obj, start_soft = objective(start_eta, start)
+        if start_obj > obj:
+            beta, eta, obj, soft = start, start_eta, start_obj, start_soft
+    diagonal = np.arange(1, d + 1)
+    for _ in range(DEFAULT_MAX_ITER):
+        p = np.exp(eta - soft)
+        grad = A.T @ (y - p)
+        grad[1:] -= ridge * beta[1:]
+        hess = A.T @ ((p * (1.0 - p))[:, None] * A)
+        hess[diagonal, diagonal] += ridge
+        delta = np.linalg.solve(hess, grad)
+        a_delta = A @ delta
+        step = 1.0
+        for _ in range(30):
+            cand_eta, cand = eta + step * a_delta, beta + step * delta
+            cand_obj, cand_soft = objective(cand_eta, cand)
+            if cand_obj >= obj - 1e-12:
+                break
+            step *= 0.5
+        else:
+            break
+        change = step * float(np.max(np.abs(delta)))
+        beta, eta, obj, soft = cand, cand_eta, cand_obj, cand_soft
+        if change < DEFAULT_TOL:
+            break
+    return beta
+
+
+def _row_major_cv(observed, simulated, fm, k, ridge, rng, score):
+    """``cv_log_odds`` on row-major (n, d) features with ``std(axis=0)`` standardization."""
+    raw_obs = np.column_stack(fm.matrix(observed).T)
+    raw_sim = np.column_stack(fm.matrix(simulated).T)
+    g = rng.generator()
+    folds_obs = _fold_indices(len(observed), k, g)
+    folds_sim = _fold_indices(len(simulated), k, g)
+    target = raw_obs if score == "observed" else raw_sim
+    out = np.full(len(target), np.nan)
+    beta = prev = None
+    for held_obs, held_sim in zip(folds_obs, folds_sim):
+        train_obs = np.delete(raw_obs, held_obs, axis=0)
+        train_sim = np.delete(raw_sim, held_sim, axis=0)
+        raw = np.vstack([train_obs, train_sim])
+        labels = np.concatenate([np.zeros(len(train_obs)), np.ones(len(train_sim))])
+        mu, sd = raw.mean(axis=0), raw.std(axis=0)
+        sd = np.where(sd > 0.0, sd, 1.0)
+        start = None
+        if beta is not None:
+            w_raw = beta[1:] / prev[1]
+            c = beta[0] - w_raw @ prev[0]
+            start = np.concatenate([[c + w_raw @ mu], w_raw * sd])
+        beta = _row_major_fit((raw - mu) / sd, labels, ridge, start)
+        prev = (mu, sd)
+        held = held_obs if score == "observed" else held_sim
+        out[held] = beta[0] + ((target[held] - mu) / sd) @ beta[1:]
+    return out
+
+
+class TestFeatureMajorLayout:
+    def test_fit_bitwise_equal_for_c_and_f_ordered_features(self):
+        g = RngStream(90).generator()
+        feats = g.normal(size=(600, 3))
+        eta = 0.8 * feats[:, 0] - 0.4 * feats[:, 1] * feats[:, 2]
+        labels = (g.uniform(size=600) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        by_row, by_col = np.ascontiguousarray(feats), np.asfortranarray(feats)
+        assert not by_col.flags.c_contiguous
+        for start in (None, np.array([0.1, 0.5, -0.2, 0.0])):
+            fits = [
+                fit_logistic(LabeledDesign(f, labels, np.zeros(3), np.ones(3)), start=start)
+                for f in (by_row, by_col)
+            ]
+            a, b = fits
+            assert a.intercept == b.intercept
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert (a.iterations, a.converged, a.ridge) == (b.iterations, b.converged, b.ridge)
+            assert a.objective_path == b.objective_path
+
+    @pytest.mark.parametrize("level", [0, 11, 25, 47])
+    @pytest.mark.parametrize(
+        "scenario",
+        ["gauss-gauss", "gauss-laplace", "poisson-nb", "poisson-betabinom", "reg-tnoise", "reg-sigmoid"],
+    )
+    def test_cv_agrees_with_row_major_reference(self, scenario, level):
+        # One grid level of a seed-0 full-curve run, drawn as run_scenario
+        # and curve() draw it; the observed class is scored at every level.
+        cfg = ScenarioConfig(scenario=scenario, seed=0)
+        binding = cfg.binding()
+        rng = RngStream(cfg.seed)
+        data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
+        x_update, x_valid = data.split(cfg.n_update)
+        t = float(TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count).values[level])
+        post = temper_update(binding.model, SufficientStats.from_dataset(x_update), t)
+        point = rng.substream(1).substream(_SUB_GRID_BASE + level)
+        sim = _simulate(post, x_valid, len(x_valid), point)
+        args = (x_valid, sim, FeatureMap(binding.features), cfg.folds, cfg.ridge, point.substream(2))
+        vals = cv_log_odds(*args)
+        ref = _row_major_cv(*args, score="observed")
+        assert np.all(np.isfinite(vals))
+        assert abs(vals.mean() - ref.mean()) < 1e-7

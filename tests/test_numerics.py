@@ -123,6 +123,35 @@ class TestNormalCdf:
         assert out.shape == xs.shape
         assert np.all(np.diff(out) > 0)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0,
+            -1.25,
+            np.float64(2.5),
+            np.array(0.7),
+            np.array([]),
+            np.array([np.inf, -np.inf]),
+            np.linspace(-40.0, 40.0, 11000).reshape(11, 1000),
+        ],
+        ids=["scalar", "negative", "numpy-scalar", "0-d", "empty", "inf", "grid"],
+    )
+    def test_equals_pointwise_erfc(self, x):
+        arr = np.asarray(x, dtype=float)
+        ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in arr.reshape(-1)], dtype=float)
+        out = normal_cdf(x)
+        if arr.ndim == 0:
+            assert type(out) is float
+            assert out == ref[0]
+        else:
+            assert out.dtype == np.float64
+            assert out.shape == arr.shape
+            assert out.tobytes() == ref.reshape(arr.shape).tobytes()
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            normal_cdf(np.array([0.0, np.nan]))
+
 
 class TestRngStream:
     def test_reproducible_bit_for_bit(self):
