@@ -257,6 +257,23 @@ class TestLogOdds:
         assert np.max(np.abs(base - rescaled)) < 1e-6
 
 
+def _grid_level_draw(scenario: str, seed: int, level: int):
+    """t and the ``cv_log_odds`` arguments of one grid level of a full-curve run.
+
+    The data are drawn as ``run_scenario`` and ``curve()`` draw them.
+    """
+    cfg = ScenarioConfig(scenario=scenario, seed=seed, full_curve=True)
+    binding = cfg.binding()
+    rng = RngStream(cfg.seed)
+    data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
+    x_update, x_valid = data.split(cfg.n_update)
+    t = float(TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count).values[level])
+    post = temper_update(binding.model, SufficientStats.from_dataset(x_update), t)
+    point = rng.substream(1).substream(_SUB_GRID_BASE + level)
+    sim = _simulate(post, x_valid, len(x_valid), point)
+    return t, (x_valid, sim, FeatureMap(binding.features), cfg.folds, cfg.ridge, point.substream(2))
+
+
 class TestCvLogOdds:
     def test_indistinguishable_classes_centered(self):
         obs = Dataset(RngStream(60, 0).generator().normal(size=1000))
@@ -307,24 +324,15 @@ class TestCvLogOdds:
         # weights near 900.  Starting each fold from the previous fold's
         # standardized coefficients stalled the line search and turned
         # this sum from about -1358 into +23272.
-        cfg = ScenarioConfig(scenario="poisson-betabinom", seed=7, full_curve=True)
-        binding = cfg.binding()
-        rng = RngStream(cfg.seed)
-        data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
-        x_update, x_valid = data.split(cfg.n_update)
-        t = float(TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count).values[11])
+        t, (x_valid, sim, fm, k, ridge, cv_rng) = _grid_level_draw("poisson-betabinom", 7, 11)
         assert t == pytest.approx(6.25e-7, rel=1e-3)
-        post = temper_update(binding.model, SufficientStats.from_dataset(x_update), t)
-        point = rng.substream(1).substream(_SUB_GRID_BASE + 11)
-        sim = predictive_sample(post, point.substream(1), len(x_valid))
-        fm = FeatureMap(binding.features)
-        vals = cv_log_odds(x_valid, sim, fm, cfg.folds, cfg.ridge, point.substream(2))
+        vals = cv_log_odds(x_valid, sim, fm, k, ridge, cv_rng)
 
         # reference: every fold fitted from beta = 0
         raw_obs, raw_sim = fm.matrix(x_valid), fm.matrix(sim)
-        g = point.substream(2).generator()
-        folds_obs = _fold_indices(len(x_valid), cfg.folds, g)
-        folds_sim = _fold_indices(len(sim), cfg.folds, g)
+        g = cv_rng.generator()
+        folds_obs = _fold_indices(len(x_valid), k, g)
+        folds_sim = _fold_indices(len(sim), k, g)
         ref = np.full(len(x_valid), np.nan)
         for held_obs, held_sim in zip(folds_obs, folds_sim):
             train_obs = np.delete(raw_obs, held_obs, axis=0)
@@ -334,7 +342,7 @@ class TestCvLogOdds:
             mu, sd = raw.mean(axis=0), raw.std(axis=0)
             sd = np.where(sd > 0.0, sd, 1.0)
             design = LabeledDesign((raw - mu) / sd, labels, mu, sd)
-            fit = fit_logistic(design, ridge=cfg.ridge)
+            fit = fit_logistic(design, ridge=ridge)
             ref[held_obs] = log_odds(fit, design.transform(raw_obs[held_obs]))
         assert ref.sum() < -1000.0
         assert np.max(np.abs(vals - ref)) < 1e-5
@@ -471,18 +479,8 @@ class TestFeatureMajorLayout:
         ["gauss-gauss", "gauss-laplace", "poisson-nb", "poisson-betabinom", "reg-tnoise", "reg-sigmoid"],
     )
     def test_cv_agrees_with_row_major_reference(self, scenario, level):
-        # One grid level of a seed-0 full-curve run, drawn as run_scenario
-        # and curve() draw it; the observed class is scored at every level.
-        cfg = ScenarioConfig(scenario=scenario, seed=0)
-        binding = cfg.binding()
-        rng = RngStream(cfg.seed)
-        data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
-        x_update, x_valid = data.split(cfg.n_update)
-        t = float(TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count).values[level])
-        post = temper_update(binding.model, SufficientStats.from_dataset(x_update), t)
-        point = rng.substream(1).substream(_SUB_GRID_BASE + level)
-        sim = _simulate(post, x_valid, len(x_valid), point)
-        args = (x_valid, sim, FeatureMap(binding.features), cfg.folds, cfg.ridge, point.substream(2))
+        # A full-curve run scores the observed class at every grid level.
+        args = _grid_level_draw(scenario, 0, level)[1]
         vals = cv_log_odds(*args)
         ref = _row_major_cv(*args, score="observed")
         assert np.all(np.isfinite(vals))
