@@ -26,7 +26,7 @@ from .discriminator import FeatureMap, LabeledDesign, LogisticFit, build_design,
 from .numerics import RngStream, log_gamma, normal_cdf, reg_incomplete_beta, student_t_cdf
 from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
 from .tempering import TemperingCurve, TemperingGrid, curve, optimize_t
-from .testing import MisspecTestResult, t_test_logz, wilcoxon_signed_rank
+from .testing import MisspecTestResult, t_test_logz
 from .truths import (
     BetaBinomialTruth,
     GaussianTruth,
@@ -77,7 +77,6 @@ __all__ = [
     "estimate_reverse_log_ratio",
     "MisspecTestResult",
     "t_test_logz",
-    "wilcoxon_signed_rank",
     "TemperingGrid",
     "TemperingCurve",
     "optimize_t",

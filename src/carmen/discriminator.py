@@ -95,17 +95,20 @@ class LabeledDesign:
         return (np.atleast_2d(raw) - self.mean) / self.sd
 
 
-def _standardized_design(raw_t: np.ndarray, labels: np.ndarray) -> LabeledDesign:
-    """Design from feature-major (d, n) raw features, each feature standardized.
+def _standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
+    """Standardize a C-ordered (d, n) block of raw features in place.
 
-    Mean and sd are reduced along the contiguous rows; a zero-sd feature
-    keeps sd = 1.  ``features`` is the (n, d) transpose of the result.
+    Each feature row is centred on its mean, then divided by its sd, taken
+    from the centred row (population divisor); a zero-sd feature keeps
+    sd = 1.  ``features`` is the (n, d) transpose of ``block``, so
+    ``features.T`` is contiguous feature-major.
     """
-    mu = raw_t.mean(axis=1)
-    sd = raw_t.std(axis=1)
+    mu = block.mean(axis=1)
+    block -= mu[:, None]
+    sd = np.sqrt(np.einsum("ij,ij->i", block, block) / block.shape[1])
     sd = np.where(sd > 0.0, sd, 1.0)
-    feats_t = (raw_t - mu[:, None]) / sd[:, None]
-    return LabeledDesign(features=feats_t.T, labels=labels, mean=mu, sd=sd)
+    block /= sd[:, None]
+    return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
 
 
 def build_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> LabeledDesign:
@@ -277,26 +280,31 @@ def cv_log_odds(
     if score not in ("observed", "simulated"):
         raise ValueError(f"score must be 'observed' or 'simulated', got {score!r}")
 
-    # Feature-major (d, n): each fold's columns are gathered row by row.
-    raw_obs = fm.matrix(observed).T
-    raw_sim = fm.matrix(simulated).T
+    # Both classes as one C-ordered (d, n_obs + n_sim) array, observed
+    # first, and the fold of every point.  Each fold's training columns
+    # are gathered in that order into the front of one reused work block,
+    # viewed as a contiguous (d, m) array.
+    n_obs, n_sim = len(observed), len(simulated)
+    raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
+    d = raw.shape[0]
     g = rng.generator()
-    folds_obs = _fold_indices(len(observed), k, g)
-    folds_sim = _fold_indices(len(simulated), k, g)
+    folds_obs = _fold_indices(n_obs, k, g)
+    folds_sim = _fold_indices(n_sim, k, g)
+    fold_of = np.empty(n_obs + n_sim, dtype=np.intp)
+    for j in range(k):
+        fold_of[folds_obs[j]] = j
+        fold_of[n_obs + folds_sim[j]] = j
+    work = np.empty(raw.size)
 
-    target_raw = raw_obs if score == "observed" else raw_sim
+    target_raw = raw[:, :n_obs] if score == "observed" else raw[:, n_obs:]
     out = np.full(target_raw.shape[1], np.nan)
     fit = prev_design = None
     for j in range(k):
-        train_obs = np.ones(len(observed), dtype=bool)
-        train_obs[folds_obs[j]] = False
-        train_sim = np.ones(len(simulated), dtype=bool)
-        train_sim[folds_sim[j]] = False
-        raw_train = np.hstack([raw_obs[:, train_obs], raw_sim[:, train_sim]])
-        labels = np.concatenate(
-            [np.zeros(np.count_nonzero(train_obs)), np.ones(np.count_nonzero(train_sim))]
-        )
-        design = _standardized_design(raw_train, labels)
+        m_obs, m_sim = n_obs - folds_obs[j].size, n_sim - folds_sim[j].size
+        block = work[: d * (m_obs + m_sim)].reshape(d, m_obs + m_sim)
+        np.compress(fold_of != j, raw, axis=1, out=block)
+        labels = np.concatenate([np.zeros(m_obs), np.ones(m_sim)])
+        design = _standardized_design(block, labels)
         # Warm start from the previous fold's decision function, carried
         # through raw feature space into this fold's standardization.
         # Copying the standardized coefficients is not the same start: near

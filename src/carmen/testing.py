@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import normal_cdf, student_t_cdf
+from .numerics import student_t_cdf
 from .ratio import LogRatioEstimate
 
 
@@ -22,7 +20,7 @@ class MisspecTestResult:
     statistic: float
     df: int
     p_value: float
-    method: str  # "t-test" or "wilcoxon"
+    method: str  # "t-test"
 
 
 def t_test_logz(est: LogRatioEstimate) -> MisspecTestResult:
@@ -45,42 +43,3 @@ def t_test_logz(est: LogRatioEstimate) -> MisspecTestResult:
         return MisspecTestResult(statistic=stat, df=df, p_value=0.0 if xbar < 0.0 else 1.0, method="t-test")
     stat = xbar / (s / math.sqrt(est.n))
     return MisspecTestResult(statistic=stat, df=df, p_value=student_t_cdf(stat, df), method="t-test")
-
-
-def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Average ranks (1-based) and the tie correction sum(t^3 - t)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    tie_corr = 0.0
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        count = j - i + 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        if count > 1:
-            tie_corr += count**3 - count
-        i = j + 1
-    return ranks, tie_corr
-
-
-def wilcoxon_signed_rank(est: LogRatioEstimate) -> MisspecTestResult:
-    """One-tailed Wilcoxon signed-rank test of median = 0 against < 0.
-
-    Normal approximation with tie correction and continuity correction;
-    exact zeros are dropped.  If every value is zero, p = 1 by contract.
-    """
-    if est.n < 10:
-        raise ValueError("signed-rank test needs n >= 10 for the normal approximation")
-    v = est.per_point[est.per_point != 0.0]
-    m = v.size
-    if m == 0:
-        return MisspecTestResult(statistic=0.0, df=0, p_value=1.0, method="wilcoxon")
-    ranks, tie_corr = _rank_with_ties(np.abs(v))
-    w_plus = float(ranks[v > 0.0].sum())
-    mean_w = m * (m + 1) / 4.0
-    var_w = m * (m + 1) * (2 * m + 1) / 24.0 - tie_corr / 48.0
-    z = (w_plus - mean_w + 0.5) / math.sqrt(var_w)
-    return MisspecTestResult(statistic=z, df=m, p_value=normal_cdf(z), method="wilcoxon")

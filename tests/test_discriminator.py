@@ -371,6 +371,48 @@ class TestCvLogOdds:
         assert max(warm) <= cold
         assert sum(warm) <= share * (k - 1) * cold
 
+    def test_fold_designs_are_feature_major_complements(self, monkeypatch):
+        designs = []
+        fit = carmen.discriminator.fit_logistic
+
+        def recording(design, **kwargs):
+            # The next fold reuses the work block, so keep copies.
+            designs.append(
+                (design.features.T.flags.c_contiguous, design.features.copy(), design.labels.copy(),
+                 design.mean.copy(), design.sd.copy())
+            )
+            return fit(design, **kwargs)
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        g = RngStream(80).generator()
+        n_obs, n_sim, k = 53, 47, 5
+        # |y| = 1.5 everywhere: a feature that is constant in every fold.
+        obs = Dataset(1.5 * g.choice([-1.0, 1.0], n_obs), g.normal(size=n_obs))
+        sim = Dataset(1.5 * g.choice([-1.0, 1.0], n_sim), g.normal(0.3, 1.2, n_sim))
+        fm = FeatureMap(("abs_y", "x", "yx2"))
+        cv_log_odds(obs, sim, fm, k, 1e-6, RngStream(81))
+        assert len(designs) == k
+
+        raw = np.vstack([fm.matrix(obs), fm.matrix(sim)])
+        fold_rng = RngStream(81).generator()
+        folds_obs = _fold_indices(n_obs, k, fold_rng)
+        folds_sim = _fold_indices(n_sim, k, fold_rng)
+        held_out = np.zeros(n_obs + n_sim, dtype=int)
+        for j, (c_ordered, feats, labels, mu, sd) in enumerate(designs):
+            assert c_ordered
+            m_obs, m_sim = n_obs - folds_obs[j].size, n_sim - folds_sim[j].size
+            assert np.array_equal(labels, np.concatenate([np.zeros(m_obs), np.ones(m_sim)]))
+            train = np.ones(n_obs + n_sim, dtype=bool)
+            train[folds_obs[j]] = False
+            train[n_obs + folds_sim[j]] = False
+            held_out[~train] += 1
+            assert np.array_equal(feats, (raw[train] - mu) / sd)
+            assert np.allclose(mu, raw[train].mean(axis=0), rtol=1e-12, atol=1e-12)
+            assert np.allclose(feats.mean(axis=0), 0.0, rtol=0.0, atol=1e-12)
+            assert sd[0] == 1.0 and np.array_equal(feats[:, 0], np.zeros(m_obs + m_sim))
+            assert np.allclose(feats[:, 1:].std(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
+
     def test_degenerate_folds_rejected(self):
         obs = Dataset(np.arange(5.0))
         sim = Dataset(np.arange(5.0))

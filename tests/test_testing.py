@@ -1,13 +1,11 @@
 """Misspecification tests on per-point log ratios."""
 
-import math
-
 import numpy as np
 import pytest
 
 from carmen.numerics import RngStream
 from carmen.ratio import LogRatioEstimate
-from carmen.testing import t_test_logz, wilcoxon_signed_rank
+from carmen.testing import t_test_logz
 
 
 def _est(values) -> LogRatioEstimate:
@@ -73,37 +71,3 @@ class TestTTest:
         v = g.normal(-0.1, 1.0, size=64)
         res = t_test_logz(_est(v))
         assert res.p_value == pytest.approx(student_t_cdf(res.statistic, res.df), rel=1e-14)
-
-
-class TestWilcoxon:
-    def test_symmetric_null_is_central(self):
-        g = RngStream(5).generator()
-        res = wilcoxon_signed_rank(_est(g.normal(size=1000)))
-        assert 0.3 < res.p_value < 0.7
-        assert res.method == "wilcoxon"
-
-    def test_all_negative_ones(self):
-        res = wilcoxon_signed_rank(_est(-np.ones(100)))
-        assert res.p_value < 1e-6
-
-    def test_negative_location_detected(self):
-        g = RngStream(6).generator()
-        res = wilcoxon_signed_rank(_est(g.normal(-0.05, 1.0, size=10000)))
-        assert res.p_value < 0.01
-
-    def test_all_zeros_p_one(self):
-        res = wilcoxon_signed_rank(_est(np.zeros(20)))
-        assert res.p_value == 1.0
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank(_est(np.ones(5)))
-
-    def test_matches_scipy(self):
-        from scipy import stats
-
-        g = RngStream(7).generator()
-        v = g.normal(-0.2, 1.0, size=80)
-        res = wilcoxon_signed_rank(_est(v))
-        ref = stats.wilcoxon(v, alternative="less", correction=True, method="approx")
-        assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-6)
