@@ -16,6 +16,7 @@ from carmen.discriminator import (
     LabeledDesign,
     _fold_indices,
     _softplus_sigmoid,
+    _standardized_design,
     build_design,
     cv_log_odds,
     fit_logistic,
@@ -78,6 +79,27 @@ class TestFeatureMap:
         raw = FeatureMap(("x", "x2", "x3")).matrix(Dataset(np.array([1.0, 2.0])))
         assert np.array_equal(raw, [[1.0, 1.0, 1.0], [2.0, 4.0, 8.0]])
         assert raw.T.flags.c_contiguous
+
+    def test_standardized_design_works_in_place(self):
+        g = RngStream(91).generator()
+        raw_t = np.ascontiguousarray(g.normal(2.0, 3.0, size=(3, 40)))
+        block = raw_t.copy()
+        design = _standardized_design(block, np.repeat([0.0, 1.0], 20))
+        assert np.shares_memory(design.features, block)
+        assert design.features.T.flags.c_contiguous
+        assert np.array_equal(design.mean, raw_t.mean(axis=1))
+        assert np.allclose(design.sd, raw_t.std(axis=1), rtol=1e-14, atol=0.0)
+        ref = (raw_t - design.mean[:, None]) / design.sd[:, None]
+        assert np.allclose(block, ref, rtol=0.0, atol=1e-14)
+
+    def test_standardization_exact_under_large_offset(self):
+        # sd is taken from the centred rows, so a large common offset
+        # leaves it exact: population sd of (-1, 0, 1, 0) is sqrt(1/2).
+        block = 1e9 + np.array([[-1.0, 0.0, 1.0, 0.0]])
+        design = _standardized_design(block, np.array([0.0, 0.0, 1.0, 1.0]))
+        assert design.mean[0] == 1e9
+        assert design.sd[0] == math.sqrt(0.5)
+        assert np.array_equal(design.features[:, 0], np.array([-1.0, 0.0, 1.0, 0.0]) / math.sqrt(0.5))
 
 
 class TestSoftplusSigmoid:
@@ -289,6 +311,16 @@ class TestCvLogOdds:
         assert vals.shape == (97,)
         assert np.all(np.isfinite(vals))
 
+    def test_every_simulated_point_scored_once(self):
+        # Unequal classes: the simulated points sit behind the observed
+        # ones in the gathered block.
+        obs = Dataset(RngStream(62, 0).generator().normal(size=97))
+        sim = Dataset(RngStream(62, 1).generator().normal(0.5, 1.0, size=103))
+        args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(63))
+        vals = cv_log_odds(*args, score="simulated")
+        assert vals.shape == (103,)
+        assert np.allclose(vals, _row_major_cv(*args, score="simulated"), rtol=1e-8, atol=1e-8)
+
     def test_k2_and_k10_agree_within_noise(self):
         obs = Dataset(RngStream(64, 0).generator().normal(size=1000))
         sim = Dataset(RngStream(64, 1).generator().normal(0.15, 1.0, size=1000))
@@ -413,6 +445,12 @@ class TestCvLogOdds:
             assert np.allclose(feats[:, 1:].std(axis=0), 1.0, rtol=0.0, atol=1e-12)
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
 
+    def test_unknown_score_rejected(self):
+        obs = Dataset(np.arange(10.0))
+        sim = Dataset(np.arange(10.0) + 0.5)
+        with pytest.raises(ValueError, match="score"):
+            cv_log_odds(obs, sim, FeatureMap(("x",)), 2, 1e-6, RngStream(0), score="both")
+
     def test_degenerate_folds_rejected(self):
         obs = Dataset(np.arange(5.0))
         sim = Dataset(np.arange(5.0))
@@ -527,3 +565,15 @@ class TestFeatureMajorLayout:
         ref = _row_major_cv(*args, score="observed")
         assert np.all(np.isfinite(vals))
         assert abs(vals.mean() - ref.mean()) < 1e-7
+
+    @pytest.mark.parametrize("scenario", ["gauss-gauss", "poisson-nb", "reg-sigmoid"])
+    def test_simulated_scoring_agrees_with_row_major_reference(self, scenario):
+        # A reverse-KL run scores the simulated class, the tail of the block.
+        args = _grid_level_draw(scenario, 1, 25)[1]
+        vals = cv_log_odds(*args, score="simulated")
+        ref = _row_major_cv(*args, score="simulated")
+        assert vals.shape == (len(args[1]),)
+        assert np.all(np.isfinite(vals))
+        # Near separation the simulated scores reach hundreds of nats, so
+        # the bound scales with them.
+        assert abs(vals.mean() - ref.mean()) < 1e-7 * max(1.0, abs(ref.mean()))
