@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -268,6 +269,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     binding = cfg.binding()
     if cfg.n_update < 2 * cfg.folds or cfg.n_validate < 2 * cfg.folds:
         raise ValueError("n_update and n_validate must each be at least 2*folds")
+    if not 0.0 <= cfg.ridge < math.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {cfg.ridge!r}")
 
     rng = RngStream(cfg.seed)
     data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)

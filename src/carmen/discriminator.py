@@ -9,6 +9,7 @@ the density-ratio estimates in :mod:`carmen.ratio`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ _LN_CLAMP = 1e-12  # |v| floor before taking logs, keeps ln-features total
 DEFAULT_RIDGE = 1e-6
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-8
+_LN2 = math.log(2.0)  # softplus(0), correctly rounded
 
 
 def _ln_abs(v: np.ndarray) -> np.ndarray:
@@ -118,16 +120,60 @@ def build_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> Label
     return _standardized_design(raw_t, labels)
 
 
-def _softplus_sigmoid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _softplus_sigmoid(
+    eta: np.ndarray, soft: np.ndarray | None = None, sig: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """ln(1 + e^eta) and the sigmoid 1 / (1 + e^-eta), without overflow.
 
-    The softplus is ``max(eta, 0) + log1p(e^-|eta|)``, where e^-|eta| <= 1.
-    An exponential below about e^-708 is subnormal or zero, which is its
-    correctly rounded value, so that underflow is not flagged.
+    The softplus is ``max(eta, 0) + log1p(e^-|eta|)``, where e^-|eta| <= 1,
+    and the sigmoid is ``exp(eta - softplus)``.  They are written into
+    ``soft`` and ``sig``, which are allocated when not given.  An
+    exponential below about e^-708 is subnormal or zero, which is its
+    correctly rounded value, so callers run this with underflow ignored.
     """
-    with np.errstate(under="ignore"):
-        soft = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-        return soft, np.exp(eta - soft)
+    if soft is None:
+        soft = np.empty_like(eta)
+    if sig is None:
+        sig = np.empty_like(eta)
+    np.abs(eta, out=soft)
+    np.negative(soft, out=soft)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    np.maximum(eta, 0.0, out=sig)
+    np.add(sig, soft, out=soft)
+    np.subtract(eta, soft, out=sig)
+    np.exp(sig, out=sig)
+    return soft, sig
+
+
+class IrlsWorkspace:
+    """The arrays an IRLS fit of up to ``capacity`` points on ``d`` features writes into.
+
+    One workspace serves any number of fits, one after another, so that a
+    cross-validated fit allocates (and the OS faults in) its large arrays
+    once rather than on every fold and iteration.  Each fit overwrites
+    all of it.  ``design(n)`` is the contiguous (d+1, n) design of an
+    n-point fit: row 0 the intercept's ones, rows 1..d the standardized
+    features, which a caller may write there before the fit.
+    """
+
+    def __init__(self, d: int, capacity: int) -> None:
+        self.d = d
+        self.capacity = capacity
+        self._design = np.empty((d + 1) * capacity)
+        self._weighted = np.empty((d + 1) * capacity)
+        self._vectors = np.empty((7, capacity))
+
+    def design(self, n: int) -> np.ndarray:
+        return self._design[: (self.d + 1) * n].reshape(self.d + 1, n)
+
+    def weighted(self, n: int) -> np.ndarray:
+        """(d+1, n) buffer for the design scaled by the IRLS weights."""
+        return self._weighted[: (self.d + 1) * n].reshape(self.d + 1, n)
+
+    def vectors(self, n: int) -> np.ndarray:
+        """Seven (n,) buffers, one per row."""
+        return self._vectors[:, :n]
 
 
 @dataclass(frozen=True)
@@ -140,12 +186,14 @@ class LogisticFit:
     objective_path: tuple[float, ...] = field(repr=False, default=())
 
 
+@np.errstate(under="ignore")  # see _softplus_sigmoid
 def fit_logistic(
     design: LabeledDesign,
     ridge: float = DEFAULT_RIDGE,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
+    workspace: IrlsWorkspace | None = None,
 ) -> LogisticFit:
     """Ridge-penalized logistic regression by IRLS.
 
@@ -158,9 +206,16 @@ def fit_logistic(
     ``start`` is an optional initial ``[intercept, *weights]``.  It is used
     only when its penalized objective beats that of the all-zero start;
     otherwise the fit is exactly the one without it.
+
+    ``workspace`` holds the fit's large arrays; a fit without one
+    allocates its own.  Either way the result is the same.
     """
-    if ridge < 0.0:
-        raise ValueError("ridge strength must be nonnegative")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     y = np.asarray(design.labels, dtype=float)
     n_obs = np.count_nonzero(y == 0.0)
     n_sim = np.count_nonzero(y == 1.0)
@@ -168,38 +223,58 @@ def fit_logistic(
         raise ValueError("design must contain both classes, labelled 0 and 1")
     X = design.features
     n, d = X.shape
+    if workspace is None:
+        workspace = IrlsWorkspace(d, n)
+    elif workspace.d != d or workspace.capacity < n:
+        raise ValueError(
+            f"workspace holds {workspace.capacity} points of {workspace.d} features, "
+            f"the design {n} of {d}"
+        )
     # Feature-major design: row 0 is the intercept, row j the j-th feature.
-    AT = np.empty((d + 1, n))
+    # The features are copied in unless they already are rows 1..d.
+    AT = workspace.design(n)
     AT[0] = 1.0
-    AT[1:] = X.T
+    rows = AT[1:]
+    if X.T.ctypes.data != rows.ctypes.data or X.T.strides != rows.strides:
+        rows[...] = X.T
+    weighted = workspace.weighted(n)
+    eta, cand_eta, soft, p, cand_p, scratch, a_delta = workspace.vectors(n)
     lam = float(ridge)
 
-    def objective(eta: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-        """Penalized log-likelihood at linear predictor ``eta = b @ AT``, and the sigmoid of eta."""
-        soft, p = _softplus_sigmoid(eta)
-        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:]), p
+    def value(eta: np.ndarray, b: np.ndarray) -> float:
+        """Penalized log-likelihood at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
+        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:])
 
+    def objective(eta: np.ndarray, b: np.ndarray, sig: np.ndarray) -> float:
+        """``value`` at eta, writing the sigmoid of eta into ``sig``."""
+        _softplus_sigmoid(eta, soft, sig)
+        return value(eta, b)
+
+    # At beta = 0, softplus(0) = ln 2 and sigmoid(0) = 1/2 exactly.
     beta = np.zeros(d + 1)
-    eta = np.zeros(n)
-    obj, p = objective(eta, beta)
+    eta.fill(0.0)
+    soft.fill(_LN2)
+    p.fill(0.5)
+    obj = value(eta, beta)
     if start is not None:
         start = np.array(start, dtype=float)
         if start.shape != beta.shape:
             raise ValueError(f"start has shape {start.shape}, expected {beta.shape}")
-        start_eta = start @ AT
-        start_obj, start_p = objective(start_eta, start)
+        np.matmul(start, AT, out=cand_eta)
+        start_obj = objective(cand_eta, start, cand_p)
         if start_obj > obj:
-            beta, eta, obj, p = start, start_eta, start_obj, start_p
+            beta, obj = start, start_obj
+            eta, cand_eta, p, cand_p = cand_eta, eta, cand_p, p
     path = [obj]
     converged = False
     bumps = 0
     iterations = 0
     diagonal = np.arange(1, d + 1)
     while iterations < max_iter:
-        w = p * (1.0 - p)
-        grad = AT @ (y - p)
+        grad = AT @ np.subtract(y, p, out=scratch)
         grad[1:] -= lam * beta[1:]
-        hess = (AT * w) @ AT.T
+        w = np.multiply(p, np.subtract(1.0, p, out=scratch), out=scratch)
+        hess = np.multiply(AT, w, out=weighted) @ AT.T
         hess[diagonal, diagonal] += lam
         try:
             delta = np.linalg.solve(hess, grad)
@@ -208,16 +283,16 @@ def fit_logistic(
                 break
             bumps += 1
             lam = lam * 10.0 if lam > 0.0 else 1e-6
-            obj = objective(eta, beta)[0]
+            obj = objective(eta, beta, cand_p)
             continue
         iterations += 1
-        a_delta = delta @ AT
+        np.matmul(delta, AT, out=a_delta)
         step = 1.0
         accepted = False
         for _ in range(30):
-            cand_eta = eta + step * a_delta
+            np.add(eta, np.multiply(a_delta, step, out=cand_eta), out=cand_eta)
             cand = beta + step * delta
-            cand_obj, cand_p = objective(cand_eta, cand)
+            cand_obj = objective(cand_eta, cand, cand_p)
             if cand_obj >= obj - 1e-12:
                 accepted = True
                 break
@@ -225,7 +300,8 @@ def fit_logistic(
         if not accepted:
             break
         change = step * float(np.max(np.abs(delta)))
-        beta, eta, obj, p = cand, cand_eta, cand_obj, cand_p
+        beta, obj = cand, cand_obj
+        eta, cand_eta, p, cand_p = cand_eta, eta, cand_p, p
         path.append(obj)
         if change < tol:
             converged = True
@@ -282,8 +358,9 @@ def cv_log_odds(
 
     # Both classes as one C-ordered (d, n_obs + n_sim) array, observed
     # first, and the fold of every point.  Each fold's training columns
-    # are gathered in that order into the front of one reused work block,
-    # viewed as a contiguous (d, m) array.
+    # are gathered in that order straight into the feature rows of the
+    # design in one workspace, sized for the largest training fold, that
+    # all k fits share.
     n_obs, n_sim = len(observed), len(simulated)
     raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
     d = raw.shape[0]
@@ -294,14 +371,15 @@ def cv_log_odds(
     for j in range(k):
         fold_of[folds_obs[j]] = j
         fold_of[n_obs + folds_sim[j]] = j
-    work = np.empty(raw.size)
+    held_sizes = [fo.size + fs.size for fo, fs in zip(folds_obs, folds_sim)]
+    workspace = IrlsWorkspace(d, n_obs + n_sim - min(held_sizes))
 
     target_raw = raw[:, :n_obs] if score == "observed" else raw[:, n_obs:]
     out = np.full(target_raw.shape[1], np.nan)
     fit = prev_design = None
     for j in range(k):
         m_obs, m_sim = n_obs - folds_obs[j].size, n_sim - folds_sim[j].size
-        block = work[: d * (m_obs + m_sim)].reshape(d, m_obs + m_sim)
+        block = workspace.design(m_obs + m_sim)[1:]
         np.compress(fold_of != j, raw, axis=1, out=block)
         labels = np.concatenate([np.zeros(m_obs), np.ones(m_sim)])
         design = _standardized_design(block, labels)
@@ -316,7 +394,7 @@ def cv_log_odds(
             w_raw = fit.weights / prev_design.sd
             c = fit.intercept - w_raw @ prev_design.mean
             start = np.concatenate([[c + w_raw @ design.mean], w_raw * design.sd])
-        fit = fit_logistic(design, ridge=ridge, start=start)
+        fit = fit_logistic(design, ridge=ridge, start=start, workspace=workspace)
         prev_design = design
         held = folds_obs[j] if score == "observed" else folds_sim[j]
         out[held] = log_odds(fit, design.transform(target_raw[:, held].T))

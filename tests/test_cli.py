@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from carmen.cli import (
     main,
     run_scenario,
 )
+from carmen.truths import GaussianTruth
 
 FAST = dict(n_update=120, n_validate=120, folds=5, grid_lo=1e-7, grid_hi=1.0, grid_count=6)
 
@@ -60,6 +62,18 @@ class TestRunScenario:
     def test_counts_must_cover_folds(self):
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=0, n_update=15, folds=10))
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -1e-6])
+    def test_bad_ridge_rejected_before_sampling(self, monkeypatch, ridge):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(GaussianTruth, "sample", sample)
+        cfg = ScenarioConfig(
+            scenario="gauss-gauss", seed=0, ridge=ridge, n_update=100, n_validate=100, grid_count=5, folds=5
+        )
+        with pytest.raises(ValueError, match="ridge"):
+            run_scenario(cfg)
 
     def test_result_dict_round_trip(self):
         res = run_scenario(ScenarioConfig(scenario="poisson-nb", seed=5, **FAST))
@@ -231,6 +245,12 @@ class TestMain:
         code = main(["run", "--scenario", "bogus", "--seed", "1", "--out", str(tmp_path)])
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_ridge_exits_nonzero(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "gauss-gauss", "--seed", "0", "--ridge", "nan", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: ridge" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_missing_seed_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", "gauss-gauss", "--out", str(tmp_path)])

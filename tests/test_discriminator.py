@@ -1,6 +1,7 @@
 """Feature maps, the IRLS logistic fit, and cross-validated log-odds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from carmen.discriminator import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FeatureMap,
+    IrlsWorkspace,
     LabeledDesign,
     _fold_indices,
     _softplus_sigmoid,
@@ -109,16 +111,31 @@ class TestSoftplusSigmoid:
         with np.errstate(over="ignore", under="ignore"):
             ref_soft = np.logaddexp(0.0, self.ETA)
             ref_p = 1.0 / (1.0 + np.exp(-self.ETA))
-        with np.errstate(all="raise"):
+        with np.errstate(all="raise", under="ignore"):
             soft, p = _softplus_sigmoid(self.ETA)
         np.testing.assert_array_max_ulp(soft, ref_soft, maxulp=2)
         np.testing.assert_array_max_ulp(p, ref_p, maxulp=4)
 
     def test_saturated_values(self):
-        with np.errstate(all="raise"):
+        with np.errstate(all="raise", under="ignore"):
             soft, p = _softplus_sigmoid(np.array([1000.0, -1000.0]))
         assert np.array_equal(soft, [1000.0, 0.0])
         assert np.array_equal(p, [1.0, 0.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1800, 18000])
+    def test_zero_start_is_filled_exactly(self, n):
+        # fit_logistic fills softplus(0) = ln 2 and sigmoid(0) = 1/2 instead
+        # of evaluating them; both must be the evaluated values, bit for bit.
+        with np.errstate(all="raise", under="ignore"):
+            soft, p = _softplus_sigmoid(np.zeros(n))
+        assert soft.tobytes() == np.full(n, math.log(2.0)).tobytes()
+        assert p.tobytes() == np.full(n, 0.5).tobytes()
+        if n >= 2:
+            labels = (np.arange(n) % 2).astype(float)
+            feats = RngStream(96).generator().normal(size=(n, 2))
+            fit = fit_logistic(LabeledDesign(feats, labels, np.zeros(2), np.ones(2)), max_iter=1)
+            evaluated = float(labels @ np.zeros(n) - soft.sum()) - 0.5 * 1e-6 * 0.0
+            assert np.float64(fit.objective_path[0]).tobytes() == np.float64(evaluated).tobytes()
 
 
 class TestFitLogistic:
@@ -172,6 +189,41 @@ class TestFitLogistic:
         eta = fit.intercept + design.features @ fit.weights
         probs = 1.0 / (1.0 + np.exp(-eta))
         assert probs.mean() == pytest.approx(0.5, abs=1e-6)
+
+    def test_saturated_fit_flags_nothing(self):
+        # A start that saturates every sigmoid makes exp underflow, in the
+        # start's objective and again after the ridge bumps; the fit runs
+        # under one errstate that ignores exactly that.
+        feats = np.concatenate([-np.ones(20), np.ones(20)])[:, None]
+        labels = np.concatenate([np.zeros(20), np.ones(20)])
+        design = LabeledDesign(feats, labels, np.zeros(1), np.ones(1))
+        with np.errstate(all="raise"):
+            fit = fit_logistic(design, start=np.array([0.0, 1000.0]))
+        assert fit.weights[0] == 1000.0
+        assert fit.ridge > 1e-6 and not fit.converged
+
+    @pytest.mark.parametrize(
+        "setting, name",
+        [
+            (dict(ridge=math.nan), "ridge"),
+            (dict(ridge=math.inf), "ridge"),
+            (dict(ridge=-1e-6), "ridge"),
+            (dict(max_iter=0), "max_iter"),
+            (dict(tol=0.0), "tol"),
+            (dict(tol=-1e-8), "tol"),
+            (dict(tol=math.nan), "tol"),
+            (dict(tol=math.inf), "tol"),
+        ],
+    )
+    def test_bad_settings_rejected(self, setting, name):
+        with pytest.raises(ValueError, match=name):
+            fit_logistic(_overlapping_design(), **setting)
+
+    def test_workspace_must_fit_the_design(self):
+        design = _overlapping_design()
+        for workspace in (IrlsWorkspace(3, 600), IrlsWorkspace(2, 599)):
+            with pytest.raises(ValueError, match="workspace"):
+                fit_logistic(design, workspace=workspace)
 
     def test_needs_both_classes(self):
         design = LabeledDesign(np.zeros((5, 1)), np.zeros(5), np.zeros(1), np.ones(1))
@@ -577,3 +629,60 @@ class TestFeatureMajorLayout:
         # Near separation the simulated scores reach hundreds of nats, so
         # the bound scales with them.
         assert abs(vals.mean() - ref.mean()) < 1e-7 * max(1.0, abs(ref.mean()))
+
+
+def _fit_bytes(fit) -> tuple:
+    """Every ``LogisticFit`` field, floats as their bytes."""
+    floats = np.array([fit.intercept, fit.ridge, *fit.objective_path])
+    return floats.tobytes(), fit.weights.tobytes(), fit.converged, fit.iterations
+
+
+class TestIrlsWorkspace:
+    def test_shared_workspace_fits_equal_fresh_fits(self, monkeypatch):
+        records = []
+
+        def recording(design, **kwargs):
+            workspace = kwargs["workspace"]
+            fresh_design = LabeledDesign(design.features.copy(), design.labels, design.mean, design.sd)
+            fit = fit_logistic(design, **kwargs)
+            del kwargs["workspace"]
+            fresh = fit_logistic(fresh_design, **kwargs)
+            records.append((design.features.shape[0], workspace, fit, _fit_bytes(fit), fresh))
+            return fit
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        g = RngStream(97).generator()
+        obs = Dataset(g.normal(size=1003))
+        sim = Dataset(g.normal(0.3, 1.2, 997))
+        cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(98))
+        sizes = [r[0] for r in records]
+        workspace = records[0][1]
+        assert len(records) == 10 and len(set(sizes)) > 1
+        assert all(r[1] is workspace for r in records)
+        assert workspace.capacity == max(sizes)
+        buffers = (workspace.design(max(sizes)), workspace.weighted(max(sizes)), workspace.vectors(max(sizes)))
+        for _, _, fit, at_return, fresh in records:
+            # Later folds overwrote the whole workspace; this fit is as it was returned.
+            assert _fit_bytes(fit) == at_return
+            assert _fit_bytes(fit) == _fit_bytes(fresh)
+            assert not any(np.shares_memory(fit.weights, b) for b in buffers)
+
+    def test_prepared_fit_allocates_no_n_vectors(self):
+        n, d = 40_000, 3
+        g = RngStream(99).generator()
+        workspace = IrlsWorkspace(d, n)
+        rows = workspace.design(n)[1:]
+        rows[...] = g.normal(size=(d, n))
+        eta = 0.8 * rows[0] - 0.5 * rows[1]
+        labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        design = LabeledDesign(rows.T, labels, np.zeros(d), np.ones(d))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit = fit_logistic(design, start=np.full(d + 1, 0.1), workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and fit.iterations > 2
+        # Less than one float64 n-vector over the whole fit.
+        assert peak - before < 8 * n
