@@ -231,12 +231,10 @@ def fit_logistic(
             f"the design {n} of {d}"
         )
     # Feature-major design: row 0 is the intercept, row j the j-th feature.
-    # The features are copied in unless they already are rows 1..d.
+    # Copying the features in is a no-op when they already are rows 1..d.
     AT = workspace.design(n)
     AT[0] = 1.0
-    rows = AT[1:]
-    if X.T.ctypes.data != rows.ctypes.data or X.T.strides != rows.strides:
-        rows[...] = X.T
+    AT[1:] = X.T
     weighted = workspace.weighted(n)
     eta, cand_eta, soft, p, cand_p, scratch, a_delta = workspace.vectors(n)
     lam = float(ridge)
