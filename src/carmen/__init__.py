@@ -16,16 +16,14 @@ from .conjugate import (
     NIGRegressionModel,
     PoissonGammaModel,
     SufficientStats,
-    log_tempered_predictive,
-    predictive_logpdf,
     predictive_sample,
     temper_update,
 )
 from .data import Dataset
-from .discriminator import FeatureMap, LabeledDesign, LogisticFit, build_design, cv_log_odds, fit_logistic, log_odds
+from .discriminator import FeatureMap, LabeledDesign, LogisticFit, cv_log_odds, fit_logistic, log_odds
 from .numerics import RngStream, log_gamma, normal_cdf, reg_incomplete_beta, student_t_cdf
 from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
-from .tempering import TemperingCurve, TemperingGrid, curve, optimize_t
+from .tempering import TemperingCurve, TemperingGrid, curve
 from .testing import MisspecTestResult, t_test_logz
 from .truths import (
     BetaBinomialTruth,
@@ -34,9 +32,7 @@ from .truths import (
     NegBinomialTruth,
     SigmoidRegressionTruth,
     TNoiseRegressionTruth,
-    true_log_ratio,
     truth_logpdf,
-    truth_sample,
 )
 from .cli import ScenarioConfig, ScenarioResult, emit_outputs, run_scenario
 
@@ -53,22 +49,17 @@ __all__ = [
     "PoissonGammaModel",
     "NIGRegressionModel",
     "temper_update",
-    "predictive_logpdf",
     "predictive_sample",
-    "log_tempered_predictive",
     "GaussianTruth",
     "LaplaceTruth",
     "NegBinomialTruth",
     "BetaBinomialTruth",
     "TNoiseRegressionTruth",
     "SigmoidRegressionTruth",
-    "truth_sample",
     "truth_logpdf",
-    "true_log_ratio",
     "FeatureMap",
     "LabeledDesign",
     "LogisticFit",
-    "build_design",
     "fit_logistic",
     "log_odds",
     "cv_log_odds",
@@ -79,7 +70,6 @@ __all__ = [
     "t_test_logz",
     "TemperingGrid",
     "TemperingCurve",
-    "optimize_t",
     "curve",
     "ScenarioConfig",
     "ScenarioResult",

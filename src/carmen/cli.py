@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .conjugate import (
     NIGRegressionModel,
     PoissonGammaModel,
 )
-from .data import Dataset
 from .discriminator import DEFAULT_RIDGE, FeatureMap
 from .numerics import RngStream
 from .tempering import (
@@ -88,18 +87,30 @@ SCENARIOS: dict[str, ScenarioBinding] = {
 }
 
 _MODEL_FAMILIES = {
-    "gaussian": (GaussianKnownVarModel, ("noise_sd", "prior_mean", "prior_sd")),
-    "poisson-gamma": (PoissonGammaModel, ("shape", "rate")),
-    "nig-regression": (NIGRegressionModel, ("coef_mean", "precision_scale", "shape", "scale")),
+    "gaussian": GaussianKnownVarModel,
+    "poisson-gamma": PoissonGammaModel,
+    "nig-regression": NIGRegressionModel,
 }
 
 _TRUTH_FAMILIES = {
-    "gaussian": (GaussianTruth, ("mean", "sd")),
-    "laplace": (LaplaceTruth, ("loc", "scale")),
-    "negbinom": (NegBinomialTruth, ("r", "p")),
-    "betabinom": (BetaBinomialTruth, ("a", "b", "trials")),
-    "reg-tnoise": (TNoiseRegressionTruth, ("df", "scale")),
-    "reg-sigmoid": (SigmoidRegressionTruth, ("amplitude", "steepness", "noise_sd")),
+    "gaussian": GaussianTruth,
+    "laplace": LaplaceTruth,
+    "negbinom": NegBinomialTruth,
+    "betabinom": BetaBinomialTruth,
+    "reg-tnoise": TNoiseRegressionTruth,
+    "reg-sigmoid": SigmoidRegressionTruth,
+}
+
+# Fields that only a custom scenario reads.
+_CUSTOM_FIELDS = ("model_family", "model_params", "truth_family", "truth_params", "features")
+
+# How from_dict coerces a value, by the annotation of its field; other fields take it as is.
+_COERCE = {
+    "int": int,
+    "float": float,
+    "bool": bool,
+    "dict": dict,
+    "tuple[str, ...] | None": lambda v: tuple(v) if v else None,
 }
 
 
@@ -124,6 +135,11 @@ class ScenarioConfig:
 
     def binding(self) -> ScenarioBinding:
         if self.scenario in SCENARIOS:
+            custom = [name for name in _CUSTOM_FIELDS if getattr(self, name)]
+            if custom:
+                raise ValueError(
+                    f"{', '.join(custom)} apply only to custom scenarios, not to {self.scenario!r}"
+                )
             return SCENARIOS[self.scenario]
         if self.scenario != "custom":
             raise ValueError(
@@ -160,33 +176,22 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        return cls(
-            scenario=d["scenario"],
-            seed=int(d["seed"]),
-            n_update=int(d.get("n_update", 1000)),
-            n_validate=int(d.get("n_validate", 1000)),
-            folds=int(d.get("folds", 10)),
-            ridge=float(d.get("ridge", DEFAULT_RIDGE)),
-            grid_lo=float(d.get("grid_lo", DEFAULT_GRID_LO)),
-            grid_hi=float(d.get("grid_hi", DEFAULT_GRID_HI)),
-            grid_count=int(d.get("grid_count", DEFAULT_GRID_COUNT)),
-            full_curve=bool(d.get("full_curve", False)),
-            reverse_kl=bool(d.get("reverse_kl", False)),
-            model_family=d.get("model_family"),
-            model_params=dict(d.get("model_params", {})),
-            truth_family=d.get("truth_family"),
-            truth_params=dict(d.get("truth_params", {})),
-            features=tuple(d["features"]) if d.get("features") else None,
-        )
+        """Config from the keys of ``d`` that name fields; absent fields keep their defaults."""
+        return cls(**{
+            f.name: _COERCE.get(f.type, lambda v: v)(d[f.name]) for f in fields(cls) if f.name in d
+        })
 
 
 def _build_family(registry: dict, family: str, params: dict, kind: str):
     if family not in registry:
         raise ValueError(f"unknown {kind} family {family!r}; choose from {', '.join(registry)}")
-    cls, names = registry[family]
-    unknown = set(params) - set(names)
+    cls = registry[family]
+    unknown = set(params) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {kind} parameters {sorted(unknown)} for {family!r}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    if missing:
+        raise ValueError(f"missing {kind} parameters {missing} for {family!r}")
     return cls(**{k: float(v) for k, v in params.items()})
 
 
@@ -267,6 +272,8 @@ class ScenarioResult:
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Execute one scenario end to end, deterministically in the seed."""
     binding = cfg.binding()
+    if cfg.folds < 2:
+        raise ValueError(f"folds must be >= 2, got {cfg.folds!r}")
     if cfg.n_update < 2 * cfg.folds or cfg.n_validate < 2 * cfg.folds:
         raise ValueError("n_update and n_validate must each be at least 2*folds")
     if not 0.0 <= cfg.ridge < math.inf:
@@ -376,7 +383,8 @@ def load_config_file(path: str | Path) -> dict:
     Recognized keys mirror the run options (scenario, seed, n_update,
     n_validate, folds, ridge, grid, full_curve, reverse_kl, features)
     plus ``model``/``truth`` family selectors and dotted parameters such
-    as ``model.noise_sd`` or ``truth.scale``.
+    as ``model.noise_sd`` or ``truth.scale``.  Errors name the file, the
+    line and the key.
     """
     out: dict = {"model_params": {}, "truth_params": {}}
     text = Path(path).read_text()
@@ -387,31 +395,38 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "model":
-            out["model_family"] = value
-        elif key == "truth":
-            out["truth_family"] = value
-        elif key.startswith("model."):
-            out["model_params"][key[len("model."):]] = float(value)
-        elif key.startswith("truth."):
-            out["truth_params"][key[len("truth."):]] = float(value)
-        elif key == "features":
-            out["features"] = tuple(s.strip() for s in value.split(",") if s.strip())
-        elif key in ("seed", "n_update", "n_validate", "folds", "grid_count"):
-            out[key] = int(value)
-        elif key in ("ridge", "grid_lo", "grid_hi"):
-            out[key] = float(value)
-        elif key == "grid":
-            out["grid_lo"], out["grid_hi"], out["grid_count"] = _parse_grid(value)
-        elif key in ("full_curve", "reverse_kl"):
-            if value.lower() not in _CONFIG_BOOL:
-                raise ValueError(f"{path}:{lineno}: {key} must be true or false")
-            out[key] = _CONFIG_BOOL[value.lower()]
-        elif key == "scenario":
-            out["scenario"] = value
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            _read_config_value(out, key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
+
+
+def _read_config_value(out: dict, key: str, value: str) -> None:
+    if key == "model":
+        out["model_family"] = value
+    elif key == "truth":
+        out["truth_family"] = value
+    elif key.startswith("model."):
+        out["model_params"][key[len("model."):]] = float(value)
+    elif key.startswith("truth."):
+        out["truth_params"][key[len("truth."):]] = float(value)
+    elif key == "features":
+        out["features"] = tuple(s.strip() for s in value.split(",") if s.strip())
+    elif key in ("seed", "n_update", "n_validate", "folds", "grid_count"):
+        out[key] = int(value)
+    elif key in ("ridge", "grid_lo", "grid_hi"):
+        out[key] = float(value)
+    elif key == "grid":
+        out["grid_lo"], out["grid_hi"], out["grid_count"] = _parse_grid(value)
+    elif key in ("full_curve", "reverse_kl"):
+        if value.lower() not in _CONFIG_BOOL:
+            raise ValueError("must be true or false")
+        out[key] = _CONFIG_BOOL[value.lower()]
+    elif key == "scenario":
+        out["scenario"] = value
+    else:
+        raise ValueError("unknown key")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -436,45 +451,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    base: dict = {}
-    if args.config:
-        base = load_config_file(args.config)
-    if args.scenario is not None:
-        base["scenario"] = args.scenario
-    if args.seed is not None:
-        base["seed"] = args.seed
-    for key in ("n_update", "n_validate", "folds", "ridge"):
+    base = load_config_file(args.config) if args.config else {}
+    for key in ("scenario", "seed", "n_update", "n_validate", "folds", "ridge", "full_curve", "reverse_kl"):
         v = getattr(args, key)
         if v is not None:
             base[key] = v
     if args.grid is not None:
         base["grid_lo"], base["grid_hi"], base["grid_count"] = _parse_grid(args.grid)
-    for key in ("full_curve", "reverse_kl"):
-        v = getattr(args, key)
-        if v is not None:
-            base[key] = v
     if "scenario" not in base:
         raise ValueError("a scenario is required (--scenario or a config file)")
     if "seed" not in base:
         raise ValueError("a seed is required (--seed or a config file)")
-    cfg = ScenarioConfig(
-        scenario=base["scenario"],
-        seed=base["seed"],
-        n_update=base.get("n_update", 1000),
-        n_validate=base.get("n_validate", 1000),
-        folds=base.get("folds", 10),
-        ridge=base.get("ridge", DEFAULT_RIDGE),
-        grid_lo=base.get("grid_lo", DEFAULT_GRID_LO),
-        grid_hi=base.get("grid_hi", DEFAULT_GRID_HI),
-        grid_count=base.get("grid_count", DEFAULT_GRID_COUNT),
-        full_curve=base.get("full_curve", False),
-        reverse_kl=base.get("reverse_kl", False),
-        model_family=base.get("model_family"),
-        model_params=base.get("model_params", {}),
-        truth_family=base.get("truth_family"),
-        truth_params=base.get("truth_params", {}),
-        features=base.get("features"),
-    )
+    cfg = ScenarioConfig.from_dict(base)
     cfg.binding()  # validate early so bad configs fail before any work
     return cfg
 

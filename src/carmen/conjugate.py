@@ -124,11 +124,6 @@ class GaussianPosterior:
         mus = g.normal(self.mean, self.sd, size=n)
         return Dataset(g.normal(mus, self.noise_sd))
 
-    def param_logpdf(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        out = 0.5 * np.log(self.precision / (2.0 * np.pi)) - 0.5 * self.precision * (mu - self.mean) ** 2
-        return float(out) if out.ndim == 0 else out
-
 
 # ---------------------------------------------------------------------------
 # Poisson counts with conjugate gamma prior on the rate
@@ -173,16 +168,6 @@ class PoissonGammaPosterior:
         g = rng.generator()
         lams = g.gamma(self.shape, 1.0 / self.rate, size=n)
         return Dataset(g.poisson(lams).astype(float))
-
-    def param_logpdf(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        if np.any(lam <= 0):
-            raise ValueError("rate parameter must be positive")
-        out = (
-            self.shape * math.log(self.rate) - log_gamma(self.shape)
-            + (self.shape - 1.0) * np.log(lam) - self.rate * lam
-        )
-        return float(out) if out.ndim == 0 else out
 
 
 class _CountTerms:
@@ -281,20 +266,6 @@ class NIGRegressionPosterior:
         y = theta * x + g.normal(0.0, np.sqrt(sigma_sq))
         return Dataset(y, covariates=x)
 
-    def param_logpdf(self, theta, sigma_sq):
-        theta = np.asarray(theta, dtype=float)
-        sigma_sq = np.asarray(sigma_sq, dtype=float)
-        if np.any(sigma_sq <= 0):
-            raise ValueError("sigma_sq must be positive")
-        ig = (
-            self.shape * math.log(self.scale) - log_gamma(self.shape)
-            - (self.shape + 1.0) * np.log(sigma_sq) - self.scale / sigma_sq
-        )
-        cond_var = sigma_sq / self.coef_precision
-        norm = -0.5 * (np.log(2.0 * np.pi * cond_var) + (theta - self.coef) ** 2 / cond_var)
-        out = ig + norm
-        return float(out) if np.ndim(out) == 0 else out
-
 
 class _RegressionTerms:
     """The t-independent per-point terms of the Student-t predictive of ``y`` given ``x``."""
@@ -341,22 +312,14 @@ def temper_update(model: Model, stats: SufficientStats, t: float) -> TemperedPos
     return model.posterior(stats, t)
 
 
-def predictive_logpdf(post: TemperedPosterior, data: Dataset) -> np.ndarray:
-    """Per-point log predictive density/mass of ``data`` under ``post``."""
-    if isinstance(post, NIGRegressionPosterior):
-        if data.covariates is None:
-            raise ValueError("regression predictive requires covariates")
-        return np.asarray(post.predictive_logpdf(data.covariates, data.values))
-    return np.asarray(post.predictive_logpdf(data.values))
-
-
 class TemperedPredictive:
     """Per-point log predictive of fixed ``data`` under ``model`` tempered on fixed ``stats``.
 
     Built once per run, it computes the per-point terms that do not depend
     on the tempering level; each :meth:`levels` call then scores a vector
-    of levels.  Row i of a call is bitwise equal to
-    ``predictive_logpdf(temper_update(model, stats, ts[i]), data)``.
+    of levels.  Row i of a call is bitwise equal to the one-level
+    ``predictive_logpdf`` method of ``temper_update(model, stats, ts[i])``
+    on ``data``.
     """
 
     def __init__(self, model: Model, stats: SufficientStats, data: Dataset) -> None:
@@ -388,16 +351,3 @@ def predictive_sample(
     if covariates is not None:
         raise ValueError("covariates are only meaningful for regression models")
     return post.predictive_sample(rng, n)
-
-
-def log_tempered_predictive(model: Model, x_update: Dataset, x_valid: Dataset, t: float) -> float:
-    """Log predictive score of ``x_valid`` after a power-``t`` update on ``x_update``.
-
-    Computed as the sum of one-point predictive log densities under the
-    fixed tempered posterior (no sequential re-conditioning on the
-    validation points).
-    """
-    if len(x_update) == 0 or len(x_valid) == 0:
-        raise ValueError("both data partitions must be non-empty")
-    post = temper_update(model, SufficientStats.from_dataset(x_update), t)
-    return float(predictive_logpdf(post, x_valid).sum())

@@ -113,13 +113,6 @@ def _standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign
     return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
 
 
-def build_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> LabeledDesign:
-    """Feature rows for both classes, standardization fitted on the union."""
-    raw_t = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
-    labels = np.concatenate([np.zeros(len(observed)), np.ones(len(simulated))])
-    return _standardized_design(raw_t, labels)
-
-
 def _softplus_sigmoid(
     eta: np.ndarray, soft: np.ndarray | None = None, sig: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

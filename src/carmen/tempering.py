@@ -76,32 +76,18 @@ class TStarResult:
     at_boundary: bool
 
 
-def _predictive(model: Model, x_update: Dataset, x_valid: Dataset) -> TemperedPredictive:
-    if len(x_update) == 0 or len(x_valid) == 0:
-        raise ValueError("both data partitions must be non-empty")
-    return TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
-
-
 def _score(pred: TemperedPredictive, t: float) -> float:
     ((_, lp_vec),) = pred.levels([t])
     return float(lp_vec.sum())
 
 
-def optimize_t(model: Model, x_update: Dataset, x_valid: Dataset, grid: TemperingGrid) -> TStarResult:
-    """Tempering level maximizing the validation log predictive score.
-
-    Coarse grid scan, then golden-section refinement on log10(t) inside
-    the bracket around the best grid point (absolute tolerance 1e-3 on
-    log10 t).  A maximum at a grid edge is returned as-is and flagged.
-    """
-    pred = _predictive(model, x_update, x_valid)
-    ts = grid.values
-    return _refine(pred, ts, np.array([float(lp_vec.sum()) for _, lp_vec in pred.levels(ts)]))
-
-
 def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> TStarResult:
-    """Golden-section refinement around the best of the grid ``scores`` at levels ``ts``,
-    scoring each new level with a one-level ``pred`` call."""
+    """Golden-section refinement around the best of the grid ``scores`` at levels ``ts``.
+
+    Each new level is scored with a one-level ``pred`` call, inside the
+    bracket around the best grid point, to an absolute tolerance of 1e-3
+    on log10 t.  A maximum at a grid edge is returned as-is and flagged.
+    """
     best = int(np.argmax(scores))
     if best == 0 or best == len(ts) - 1:
         return TStarResult(t_star=float(ts[best]), log_predictive=float(scores[best]), at_boundary=True)
@@ -177,7 +163,7 @@ def curve(
     every level; any later failure at a level is recorded with missing
     fields.
     """
-    pred = _predictive(model, x_update, x_valid)
+    pred = TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
     truth_lp = None if truth is None else truth_logpdf(truth, x_valid)
     ts = grid.values
     scores = np.empty(ts.size)

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import TemperedPosterior, predictive_logpdf
 from .data import Dataset
 from .numerics import RngStream, log_beta, log_gamma, normal_cdf, require_finite_fields
-from .ratio import LogRatioEstimate
 
 
 @dataclass(frozen=True)
@@ -187,21 +185,9 @@ TruthSpec = (
 _REGRESSION_TRUTHS = (TNoiseRegressionTruth, SigmoidRegressionTruth)
 
 
-def truth_sample(spec: TruthSpec, rng: RngStream, n: int) -> Dataset:
-    """n i.i.d. draws from the named truth (covariates first for regression)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return spec.sample(rng, n)
-
-
 def truth_logpdf(spec: TruthSpec, data: Dataset) -> np.ndarray:
     """Exact per-point log density/mass; -inf outside the support."""
     if isinstance(spec, _REGRESSION_TRUTHS) and not data.is_regression:
         raise ValueError("regression truths need covariates")
     return np.asarray(spec.logpdf(data))
 
-
-def true_log_ratio(post: TemperedPosterior, spec: TruthSpec, x_valid: Dataset) -> LogRatioEstimate:
-    """Exact per-point log p_model(x) - log p_truth(x) over the validation set."""
-    per_point = predictive_logpdf(post, x_valid) - truth_logpdf(spec, x_valid)
-    return LogRatioEstimate.from_per_point(per_point)

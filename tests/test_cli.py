@@ -45,6 +45,21 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="nope", seed=0).binding()
 
+    @pytest.mark.parametrize(
+        "custom",
+        [
+            dict(features=("x",)),
+            dict(model_family="gaussian"),
+            dict(model_params={"noise_sd": 0.2}),
+            dict(truth_family="laplace", truth_params={"scale": 2.0}),
+        ],
+        ids=["features", "model", "model-params", "truth"],
+    )
+    def test_named_scenario_rejects_custom_fields(self, custom):
+        cfg = ScenarioConfig(scenario="gauss-gauss", seed=0, **custom)
+        with pytest.raises(ValueError, match=rf"^{', '.join(custom)} apply only to custom scenarios"):
+            cfg.binding()
+
 
 class TestRunScenario:
     def test_fast_run_shape(self):
@@ -63,17 +78,20 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=0, n_update=15, folds=10))
 
-    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -1e-6])
-    def test_bad_ridge_rejected_before_sampling(self, monkeypatch, ridge):
+    @pytest.mark.parametrize(
+        "name,value",
+        [("ridge", math.nan), ("ridge", math.inf), ("ridge", -1e-6), ("folds", 1), ("folds", 0)],
+    )
+    def test_bad_setting_rejected_before_sampling(self, monkeypatch, name, value):
         def sample(*args, **kwargs):
             raise AssertionError("sampled before the config was checked")
 
         monkeypatch.setattr(GaussianTruth, "sample", sample)
         cfg = ScenarioConfig(
-            scenario="gauss-gauss", seed=0, ridge=ridge, n_update=100, n_validate=100, grid_count=5, folds=5
+            scenario="gauss-gauss", seed=0, n_update=100, n_validate=100, grid_count=5, folds=5
         )
-        with pytest.raises(ValueError, match="ridge"):
-            run_scenario(cfg)
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            run_scenario(dataclasses.replace(cfg, **{name: value}))
 
     def test_result_dict_round_trip(self):
         res = run_scenario(ScenarioConfig(scenario="poisson-nb", seed=5, **FAST))
@@ -178,6 +196,42 @@ class TestConfigFile:
         cfg_file.write_text("bogus = 3")
         with pytest.raises(ValueError):
             load_config_file(cfg_file)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("folds", "2.5"), ("model.noise_sd", "abc"), ("grid", "1e-7:1.0"), ("full_curve", "maybe"), ("bogus", "3")],
+    )
+    def test_bad_value_names_file_line_and_key(self, tmp_path, key, value):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"scenario = custom\n# a comment\n{key} = {value}\n")
+        with pytest.raises(ValueError) as info:
+            load_config_file(cfg_file)
+        assert str(info.value).startswith(f"{cfg_file}:3: {key}: ")
+
+    def test_missing_family_parameters_named(self, tmp_path, capsys):
+        cfg_file = tmp_path / "missing.cfg"
+        cfg_file.write_text(
+            "\n".join(
+                [
+                    "scenario = custom",
+                    "seed = 1",
+                    "model = gaussian",
+                    "model.noise_sd = 0.1",
+                    "truth = reg-tnoise",
+                    "truth.scale = 1.5",
+                    "features = x, x2",
+                ]
+            )
+        )
+        cfg = ScenarioConfig.from_dict(load_config_file(cfg_file))
+        with pytest.raises(ValueError, match=r"^missing model parameters \['prior_mean', 'prior_sd'\] for 'gaussian'$"):
+            cfg.binding()
+        # a field with a default (the t-noise truth's df) stays optional
+        optional = dataclasses.replace(cfg, model_params={"noise_sd": 0.1, "prior_mean": 0.0, "prior_sd": 9.9})
+        assert optional.binding().truth.df == 3.0
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert "missing model parameters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
     def test_betabinom_trials_whole_number(self, tmp_path, capsys, trials, ok):

@@ -15,8 +15,6 @@ from carmen.conjugate import (
     PoissonGammaPosterior,
     SufficientStats,
     TemperedPredictive,
-    log_tempered_predictive,
-    predictive_logpdf,
     predictive_sample,
     temper_update,
 )
@@ -29,6 +27,7 @@ from carmen.truths import (
     SigmoidRegressionTruth,
     TNoiseRegressionTruth,
 )
+from oracles import predictive_logpdf
 
 GAUSS = GaussianKnownVarModel(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9)
 POIS = PoissonGammaModel(shape=3.0, rate=0.05)
@@ -264,21 +263,26 @@ class TestPredictiveSample:
             predictive_sample(post, RngStream(0), 10)
 
 
+def _scores(model, xu, xv, ts):
+    """Validation log predictive score at each level of ``ts`` after a power-t update on ``xu``."""
+    pred = TemperedPredictive(model, SufficientStats.from_dataset(xu), xv)
+    return [float(row.sum()) for _, row in pred.levels(ts)]
+
+
 class TestLogTemperedPredictive:
     def test_t_zero_equals_prior_score(self):
         xu = GaussianTruth(0.0, 3.01).sample(RngStream(20), 100)
         xv = GaussianTruth(0.0, 3.01).sample(RngStream(21), 100)
         prior_post = temper_update(GAUSS, SufficientStats(n=0), 0.0)
         expected = float(predictive_logpdf(prior_post, xv).sum())
-        assert log_tempered_predictive(GAUSS, xu, xv, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert _scores(GAUSS, xu, xv, [0.0]) == [pytest.approx(expected, rel=1e-14)]
 
     def test_gaussian_setup_maximized_near_1e6(self):
         truth = GaussianTruth(0.0, 3.01)
         xu = truth.sample(RngStream(22), 1000)
         xv = truth.sample(RngStream(23), 1000)
         ts = np.logspace(-8, 0, 120)
-        scores = [log_tempered_predictive(GAUSS, xu, xv, float(t)) for t in ts]
-        t_best = ts[int(np.argmax(scores))]
+        t_best = ts[int(np.argmax(_scores(GAUSS, xu, xv, ts)))]
         assert 9.5e-7 / 3 <= t_best <= 9.5e-7 * 3
 
     def test_poisson_setup_maximized_near_1e3(self):
@@ -286,8 +290,7 @@ class TestLogTemperedPredictive:
         xu = truth.sample(RngStream(24), 1000)
         xv = truth.sample(RngStream(25), 1000)
         ts = np.logspace(-6, 0, 120)
-        scores = [log_tempered_predictive(POIS, xu, xv, float(t)) for t in ts]
-        t_best = ts[int(np.argmax(scores))]
+        t_best = ts[int(np.argmax(_scores(POIS, xu, xv, ts)))]
         assert 1.0e-3 / 3 <= t_best <= 1.0e-3 * 3
 
 

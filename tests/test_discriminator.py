@@ -19,7 +19,6 @@ from carmen.discriminator import (
     _fold_indices,
     _softplus_sigmoid,
     _standardized_design,
-    build_design,
     cv_log_odds,
     fit_logistic,
     log_odds,
@@ -30,9 +29,16 @@ from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
 
 
+def _labeled_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> LabeledDesign:
+    """Feature rows for both classes, standardization fitted on the union."""
+    raw_t = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
+    labels = np.concatenate([np.zeros(len(observed)), np.ones(len(simulated))])
+    return _standardized_design(raw_t, labels)
+
+
 class TestFeatureMap:
     def test_bookkeeping(self):
-        design = build_design(
+        design = _labeled_design(
             Dataset(np.array([1.0, 2.0])), Dataset(np.array([3.0, 4.0])), FeatureMap(("x",))
         )
         assert design.features.shape == (4, 1)
@@ -66,14 +72,14 @@ class TestFeatureMap:
     def test_standardization_on_union(self):
         obs = Dataset(np.array([1.0, 2.0, 3.0]))
         sim = Dataset(np.array([5.0, 6.0, 7.0]))
-        design = build_design(obs, sim, FeatureMap(("x",)))
+        design = _labeled_design(obs, sim, FeatureMap(("x",)))
         assert design.features[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
         assert design.features[:, 0].std() == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_feature_keeps_unit_sd(self):
         obs = Dataset(np.array([-1.0, 1.0]), np.array([0.0, 4.0]))
         sim = Dataset(np.array([1.0, -1.0]), np.array([4.0, 0.0]))
-        design = build_design(obs, sim, FeatureMap(("abs_y", "x")))
+        design = _labeled_design(obs, sim, FeatureMap(("abs_y", "x")))
         assert np.array_equal(design.sd, [1.0, 2.0])
         assert np.array_equal(design.features[:, 0], np.zeros(4))
 
@@ -298,7 +304,7 @@ class TestLogOdds:
         g = RngStream(53).generator()
         obs = Dataset(g.normal(-1.0, 1.0, 4000))
         sim = Dataset(g.normal(1.0, 1.0, 4000))
-        design = build_design(obs, sim, FeatureMap(("x",)))
+        design = _labeled_design(obs, sim, FeatureMap(("x",)))
         fit = fit_logistic(design)
         mid = design.transform(np.array([[0.0]]))
         assert abs(log_odds(fit, mid[0])) < 0.15

@@ -1,4 +1,4 @@
-"""Tempering grids, the t* optimizer, and diagnostic curves."""
+"""Tempering grids, the t* search, and diagnostic curves."""
 
 import math
 
@@ -11,15 +11,14 @@ from carmen.conjugate import (
     NIGRegressionModel,
     SufficientStats,
     TemperedPredictive,
-    log_tempered_predictive,
-    predictive_logpdf,
     temper_update,
 )
 from carmen.discriminator import FeatureMap
 from carmen.numerics import RngStream
 from carmen.ratio import estimate_log_ratio
-from carmen.tempering import CurvePoint, TemperingGrid, curve, optimize_t
-from carmen.truths import GaussianTruth, SigmoidRegressionTruth, true_log_ratio
+from carmen.tempering import CurvePoint, TemperingGrid, curve
+from carmen.truths import GaussianTruth, SigmoidRegressionTruth
+from oracles import exact_log_ratio, predictive_logpdf
 
 GAUSS = GaussianKnownVarModel(0.1, 0.0, 9.9)
 NIG = NIGRegressionModel(0.0, 1.0, 2.0, 2.0)
@@ -63,6 +62,34 @@ def _count_predictive(monkeypatch):
     return prepared, calls
 
 
+class _ReferencePredictive:
+    """Scores each level on its own with the posterior's one-level ``predictive_logpdf``
+    method, and logs the levels of each ``levels`` call."""
+
+    def __init__(self, model, x_update, x_valid):
+        self.model, self.x_valid = model, x_valid
+        self.stats = SufficientStats.from_dataset(x_update)
+        self.calls = []
+
+    def levels(self, ts):
+        self.calls.append([float(t) for t in ts])
+        for t in ts:
+            post = temper_update(self.model, self.stats, float(t))
+            yield post, predictive_logpdf(post, self.x_valid)
+
+
+def _reference_t_star(model, x_update, x_valid, grid):
+    """The t* search done level by level: grid scores, then ``tempering._refine``."""
+    ref = _ReferencePredictive(model, x_update, x_valid)
+    scores = np.array([float(lp.sum()) for _, lp in ref.levels(grid.values)])
+    return tempering._refine(ref, grid.values, scores), ref.calls[1:]
+
+
+def _t_star_curve(model, fm, x_update, x_valid, grid):
+    """``curve`` with no truth and no classifier curve: the t* search and its headline."""
+    return curve(model, None, x_update, x_valid, grid, fm, 5, RngStream(0))
+
+
 class TestTemperingGrid:
     def test_log_uniform(self):
         grid = TemperingGrid.log_uniform(1e-8, 1.0, 50)
@@ -88,47 +115,51 @@ class TestTemperingGrid:
 
 
 class TestOptimizeT:
+    """The t* search, through the ``curve`` headline."""
+
     def test_gaussian_setup_lands_near_1e6(self):
         truth = GaussianTruth(0.0, 3.01)
         xu = truth.sample(RngStream(200), 1000)
         xv = truth.sample(RngStream(201), 1000)
-        res = optimize_t(GAUSS, xu, xv, TemperingGrid.log_uniform())
-        assert 3e-7 <= res.t_star <= 3e-6
-        assert not res.at_boundary
+        tc = _t_star_curve(GAUSS, GAUSS_FM, xu, xv, TemperingGrid.log_uniform())
+        assert 3e-7 <= tc.t_star <= 3e-6
+        assert not tc.t_star_boundary
 
     def test_refined_beats_every_grid_point(self):
         truth = GaussianTruth(0.0, 3.01)
         xu = truth.sample(RngStream(202), 500)
         xv = truth.sample(RngStream(203), 500)
         grid = TemperingGrid.log_uniform(1e-8, 1.0, 25)
-        res = optimize_t(GAUSS, xu, xv, grid)
+        tc = _t_star_curve(GAUSS, GAUSS_FM, xu, xv, grid)
+        stats = SufficientStats.from_dataset(xu)
         for t in grid.values:
-            assert res.log_predictive >= log_tempered_predictive(GAUSS, xu, xv, float(t)) - 1e-9
+            score = float(predictive_logpdf(temper_update(GAUSS, stats, float(t)), xv).sum())
+            assert tc.log_predictive_at_t_star >= score - 1e-9
 
     def test_sigmoid_setup_hits_boundary(self):
         truth = SigmoidRegressionTruth()
         xu = truth.sample(RngStream(204), 1000)
         xv = truth.sample(RngStream(205), 1000)
-        res = optimize_t(NIG, xu, xv, TemperingGrid.log_uniform())
-        assert res.t_star == 1.0
-        assert res.at_boundary
+        tc = _t_star_curve(NIG, SIGMOID_FM, xu, xv, TemperingGrid.log_uniform())
+        assert tc.t_star == 1.0
+        assert tc.t_star_boundary
 
     def test_variance_matching_oracle(self):
         # the optimal level solves 1/(1/s0^2 + t n/sigma0^2) + sigma0^2 = truth var
         truth = GaussianTruth(0.0, 3.01)
         xu = truth.sample(RngStream(206), 1000)
         xv = truth.sample(RngStream(207), 1000)
-        res = optimize_t(GAUSS, xu, xv, TemperingGrid.log_uniform())
-        matched = 1.0 / (1.0 / 9.9**2 + res.t_star * 1000.0 / 0.01) + 0.01
+        tc = _t_star_curve(GAUSS, GAUSS_FM, xu, xv, TemperingGrid.log_uniform())
+        matched = 1.0 / (1.0 / 9.9**2 + tc.t_star * 1000.0 / 0.01) + 0.01
         assert matched == pytest.approx(3.01**2, rel=0.2)
 
     def test_single_point_grid(self):
         truth = GaussianTruth(0.0, 3.01)
         xu = truth.sample(RngStream(208), 100)
         xv = truth.sample(RngStream(209), 100)
-        res = optimize_t(GAUSS, xu, xv, TemperingGrid(np.array([1.0])))
-        assert res.t_star == 1.0
-        assert res.at_boundary
+        tc = _t_star_curve(GAUSS, GAUSS_FM, xu, xv, TemperingGrid(np.array([1.0])))
+        assert tc.t_star == 1.0
+        assert tc.t_star_boundary
 
 
 class TestCurve:
@@ -205,17 +236,14 @@ class TestSingleGridPass:
     def test_one_predictive_per_level_and_one_truth_density(self, monkeypatch):
         truth, xu, xv = _gauss_data(230, 300)
         grid = TemperingGrid.log_uniform(1e-8, 1.0, 12)
-        prepared, calls = _count_predictive(monkeypatch)
-        optimize_t(GAUSS, xu, xv, grid)
-        assert len(prepared) == 1
-        assert calls[0] == list(grid.values)  # one call scans the whole grid
-        refine = calls[1:]  # then one one-level call per golden-section step
+        _, refine = _reference_t_star(GAUSS, xu, xv, grid)
+        # one one-level call per golden-section step
         assert refine and all(len(levels) == 1 for levels in refine)
-        prepared.clear()
-        calls.clear()
+        prepared, calls = _count_predictive(monkeypatch)
         density = _count_calls(monkeypatch, "truth_logpdf")
         tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(232))
         assert len(prepared) == 1
+        assert calls[0] == list(grid.values)  # one call scans the whole grid
         assert calls == [list(grid.values)] + refine + [[tc.t_star]]  # plus the exact ratio at t*
         assert len(density) == 1
 
@@ -232,7 +260,7 @@ class TestSingleGridPass:
         xu = truth.sample(RngStream(seed), 1000)
         xv = truth.sample(RngStream(seed + 1), 1000)
         grid = TemperingGrid.log_uniform()
-        opt = optimize_t(model, xu, xv, grid)
+        opt, _ = _reference_t_star(model, xu, xv, grid)
         tc = curve(model, truth, xu, xv, grid, fm, 5, RngStream(235))
         assert opt.at_boundary is boundary
         assert tc.t_star == opt.t_star
@@ -247,8 +275,8 @@ class TestSingleGridPass:
         for p in tc.points:
             post = temper_update(GAUSS, stats, p.t)
             assert p.log_predictive == float(predictive_logpdf(post, xv).sum())
-            assert p.logz_true_sum == true_log_ratio(post, truth, xv).sum
-        exact = true_log_ratio(temper_update(GAUSS, stats, tc.t_star), truth, xv)
+            assert p.logz_true_sum == exact_log_ratio(post, truth, xv).sum
+        exact = exact_log_ratio(temper_update(GAUSS, stats, tc.t_star), truth, xv)
         assert np.array_equal(tc.true_at_t_star.per_point, exact.per_point)
 
     def test_classifier_failure_blanks_only_its_row(self, monkeypatch):

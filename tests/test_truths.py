@@ -16,10 +16,9 @@ from carmen.truths import (
     NegBinomialTruth,
     SigmoidRegressionTruth,
     TNoiseRegressionTruth,
-    true_log_ratio,
     truth_logpdf,
-    truth_sample,
 )
+from oracles import exact_log_ratio
 
 ALL_TRUTHS = [
     GaussianTruth(0.0, 3.01),
@@ -33,15 +32,15 @@ ALL_TRUTHS = [
 
 class TestSamplers:
     def test_gaussian_sd(self):
-        data = truth_sample(GaussianTruth(0.0, 3.01), RngStream(0), 100000)
+        data = GaussianTruth(0.0, 3.01).sample(RngStream(0), 100000)
         assert data.values.std() == pytest.approx(3.01, rel=0.02)
 
     def test_betabinom_mean(self):
-        data = truth_sample(BetaBinomialTruth(41.75, 78.25, 80), RngStream(1), 100000)
+        data = BetaBinomialTruth(41.75, 78.25, 80).sample(RngStream(1), 100000)
         assert data.values.mean() == pytest.approx(80 * 41.75 / 120.0, rel=0.02)
 
     def test_negbinom_mean(self):
-        data = truth_sample(NegBinomialTruth(63.0, 0.488), RngStream(2), 100000)
+        data = NegBinomialTruth(63.0, 0.488).sample(RngStream(2), 100000)
         assert data.values.mean() == pytest.approx(63.0 * 0.488 / 0.512, rel=0.02)
 
     def test_sigmoid_zero_covariate_centered(self):
@@ -50,18 +49,18 @@ class TestSamplers:
 
     def test_sigmoid_band(self):
         truth = SigmoidRegressionTruth()
-        data = truth_sample(truth, RngStream(3), 100000)
+        data = truth.sample(RngStream(3), 100000)
         resid = np.abs(data.values - truth.mean_fn(data.covariates))
         assert np.mean(resid <= 5 * 0.1) >= 0.9999
 
     def test_regression_covariates_in_unit_interval(self):
-        data = truth_sample(TNoiseRegressionTruth(), RngStream(4), 10000)
+        data = TNoiseRegressionTruth().sample(RngStream(4), 10000)
         assert data.covariates.min() >= -1.0
         assert data.covariates.max() <= 1.0
 
     def test_n_validation(self):
-        with pytest.raises(ValueError):
-            truth_sample(GaussianTruth(0.0, 1.0), RngStream(0), 0)
+        with pytest.raises(ValueError, match="non-empty"):
+            GaussianTruth(0.0, 1.0).sample(RngStream(0), 0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -120,7 +119,7 @@ class TestLogpdf:
     def test_sampler_density_consistency(self, truth):
         # empirical mean log-likelihood of draws matches its own expectation
         # (negative entropy) within 4 standard errors
-        data = truth_sample(truth, RngStream(99), 100000)
+        data = truth.sample(RngStream(99), 100000)
         lp = truth_logpdf(truth, data)
         half = lp[:50000], lp[50000:]
         se = lp.std(ddof=1) / math.sqrt(lp.size / 2)
@@ -136,8 +135,8 @@ class TestTrueLogRatio:
             1e-3,
         )
         truth = NegBinomialTruth(63.0, 0.488)
-        xv = truth_sample(truth, RngStream(7), 20000)
-        est = true_log_ratio(post, truth, xv)
+        xv = truth.sample(RngStream(7), 20000)
+        est = exact_log_ratio(post, truth, xv)
         assert abs(est.mean) < 0.003
 
     def test_single_matching_point_is_zero(self):
@@ -148,7 +147,7 @@ class TestTrueLogRatio:
         )
         truth = NegBinomialTruth(63.0, 1.0 / 2.05)
         xv = Dataset(np.array([60.0]))
-        est = true_log_ratio(post, truth, xv)
+        est = exact_log_ratio(post, truth, xv)
         assert est.n == 1
         assert est.sum == pytest.approx(0.0, abs=1e-10)
 
@@ -157,12 +156,12 @@ class TestTrueLogRatio:
 
         model = GaussianKnownVarModel(0.1, 0.0, 9.9)
         truth = LaplaceTruth(0.0, 2.13)
-        xu = truth_sample(truth, RngStream(8), 1000)
-        xv = truth_sample(truth, RngStream(9), 1000)
+        xu = truth.sample(RngStream(8), 1000)
+        xv = truth.sample(RngStream(9), 1000)
         stats = SufficientStats.from_dataset(xu)
         ts = np.logspace(-8, 0, 80)
         sums = [
-            true_log_ratio(temper_update(model, stats, float(t)), truth, xv).sum for t in ts
+            exact_log_ratio(temper_update(model, stats, float(t)), truth, xv).sum for t in ts
         ]
         best = max(sums)
         assert -71.8 * 1.3 <= best <= -71.8 * 0.7
@@ -184,9 +183,9 @@ class TestTrueLogRatio:
             m = PoissonGammaModel(3.0, 0.05)
         else:
             m = GaussianKnownVarModel(0.1, 0.0, 9.9)
-        xu = truth_sample(truth, RngStream(40), 1000)
-        xv = truth_sample(truth, RngStream(41), 10000)
+        xu = truth.sample(RngStream(40), 1000)
+        xv = truth.sample(RngStream(41), 10000)
         post = temper_update(m, SufficientStats.from_dataset(xu), t)
-        est = true_log_ratio(post, truth, xv)
+        est = exact_log_ratio(post, truth, xv)
         se = est.std_error()
         assert est.mean < 3 * se
