@@ -215,19 +215,21 @@ class TestConfigFile:
                 [
                     "scenario = custom",
                     "seed = 1",
-                    "model = gaussian",
-                    "model.noise_sd = 0.1",
+                    "model = nig-regression",
+                    "model.coef_mean = 0.0",
                     "truth = reg-tnoise",
                     "truth.scale = 1.5",
-                    "features = x, x2",
+                    "features = y2, yx",
                 ]
             )
         )
         cfg = ScenarioConfig.from_dict(load_config_file(cfg_file))
-        with pytest.raises(ValueError, match=r"^missing model parameters \['prior_mean', 'prior_sd'\] for 'gaussian'$"):
+        missing = r"^missing model parameters \['precision_scale', 'shape', 'scale'\] for 'nig-regression'$"
+        with pytest.raises(ValueError, match=missing):
             cfg.binding()
         # a field with a default (the t-noise truth's df) stays optional
-        optional = dataclasses.replace(cfg, model_params={"noise_sd": 0.1, "prior_mean": 0.0, "prior_sd": 9.9})
+        params = {"coef_mean": 0.0, "precision_scale": 1.0, "shape": 2.0, "scale": 2.0}
+        optional = dataclasses.replace(cfg, model_params=params)
         assert optional.binding().truth.df == 3.0
         assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
         assert "missing model parameters" in capsys.readouterr().err
