@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,15 @@ from .conjugate import (
     NIGRegressionModel,
     PoissonGammaModel,
 )
-from .discriminator import DEFAULT_RIDGE, FeatureMap
+from .discriminator import DEFAULT_RIDGE, RESPONSE_TRANSFORMS, FeatureMap
 from .numerics import RngStream
+from .ratio import LogRatioEstimate
 from .tempering import (
     DEFAULT_GRID_COUNT,
     DEFAULT_GRID_HI,
     DEFAULT_GRID_LO,
+    CurvePoint,
+    TemperingCurve,
     TemperingGrid,
     curve,
 )
@@ -150,29 +154,21 @@ class ScenarioConfig:
             raise ValueError("custom scenarios need a model, a truth and features")
         model = _build_family(_MODEL_FAMILIES, self.model_family, self.model_params, "model")
         truth = _build_family(_TRUTH_FAMILIES, self.truth_family, self.truth_params, "truth")
+        kinds = (
+            f"model {self.model_family!r} ({model.kind} data), "
+            f"truth {self.truth_family!r} ({truth.kind} data)"
+        )
+        if model.kind != truth.kind:
+            raise ValueError(f"the model and the truth take different kinds of data: {kinds}")
+        unsuited = [f for f in self.features if f in RESPONSE_TRANSFORMS and truth.kind != "regression"]
+        if unsuited:
+            raise ValueError(f"features {unsuited} need regression data: {kinds}")
         return ScenarioBinding(model=model, truth=truth, features=tuple(self.features))
 
     def to_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "n_update": self.n_update,
-            "n_validate": self.n_validate,
-            "folds": self.folds,
-            "ridge": self.ridge,
-            "grid_lo": self.grid_lo,
-            "grid_hi": self.grid_hi,
-            "grid_count": self.grid_count,
-            "full_curve": self.full_curve,
-            "reverse_kl": self.reverse_kl,
-        }
-        if self.scenario == "custom":
-            d["model_family"] = self.model_family
-            d["model_params"] = dict(self.model_params)
-            d["truth_family"] = self.truth_family
-            d["truth_params"] = dict(self.truth_params)
-            d["features"] = list(self.features or ())
-        return d
+        """The config echoed in summary.json; the custom fields only for a custom scenario."""
+        skip = () if self.scenario == "custom" else _CUSTOM_FIELDS
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -197,76 +193,11 @@ def _build_family(registry: dict, family: str, params: dict, kind: str):
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """One run: its config, the ``TemperingCurve`` that ``curve`` returned, and version metadata."""
+
     config: ScenarioConfig
-    t_star: float
-    t_star_boundary: bool
-    log_predictive_at_t_star: float
-    logz_sum: float
-    logz_mean: float
-    logz_n: int
-    t_stat: float
-    df: int
-    p_value: float
-    test_method: str
-    true_logz_sum: float | None
-    true_logz_mean: float | None
-    reverse_logz_sum: float | None
-    reverse_logz_mean: float | None
-    curve_rows: tuple[dict, ...]
+    curve: TemperingCurve
     meta: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.config.scenario,
-            "seed": self.config.seed,
-            "config": self.config.to_dict(),
-            "t_star": self.t_star,
-            "t_star_at_boundary": self.t_star_boundary,
-            "log_predictive_at_t_star": self.log_predictive_at_t_star,
-            "log_ratio": {"sum": self.logz_sum, "mean": self.logz_mean, "n": self.logz_n},
-            "test": {
-                "statistic": self.t_stat,
-                "df": self.df,
-                "p_value": self.p_value,
-                "method": self.test_method,
-            },
-            "true_log_ratio": (
-                None
-                if self.true_logz_sum is None
-                else {"sum": self.true_logz_sum, "mean": self.true_logz_mean}
-            ),
-            "reverse_log_ratio": (
-                None
-                if self.reverse_logz_sum is None
-                else {"sum": self.reverse_logz_sum, "mean": self.reverse_logz_mean}
-            ),
-            "curve": [dict(row) for row in self.curve_rows],
-            "meta": dict(self.meta),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioResult":
-        true_lr = d.get("true_log_ratio")
-        rev_lr = d.get("reverse_log_ratio")
-        return cls(
-            config=ScenarioConfig.from_dict(d["config"]),
-            t_star=d["t_star"],
-            t_star_boundary=d["t_star_at_boundary"],
-            log_predictive_at_t_star=d["log_predictive_at_t_star"],
-            logz_sum=d["log_ratio"]["sum"],
-            logz_mean=d["log_ratio"]["mean"],
-            logz_n=d["log_ratio"]["n"],
-            t_stat=d["test"]["statistic"],
-            df=d["test"]["df"],
-            p_value=d["test"]["p_value"],
-            test_method=d["test"]["method"],
-            true_logz_sum=None if true_lr is None else true_lr["sum"],
-            true_logz_mean=None if true_lr is None else true_lr["mean"],
-            reverse_logz_sum=None if rev_lr is None else rev_lr["sum"],
-            reverse_logz_mean=None if rev_lr is None else rev_lr["mean"],
-            curve_rows=tuple(dict(row) for row in d["curve"]),
-            meta=dict(d["meta"]),
-        )
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -286,68 +217,46 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     fm = FeatureMap(binding.features)
 
     tc = curve(
-        binding.model,
-        binding.truth,
-        x_update,
-        x_valid,
-        grid,
-        fm,
-        cfg.folds,
-        rng.substream(1),
-        ridge=cfg.ridge,
-        full_curve=cfg.full_curve,
-        reverse=cfg.reverse_kl,
+        binding.model, binding.truth, x_update, x_valid, grid, fm, cfg.folds, rng.substream(1),
+        ridge=cfg.ridge, full_curve=cfg.full_curve, reverse=cfg.reverse_kl,
     )
 
-    rows = tuple(
-        {
-            "t": p.t,
-            "log_predictive": p.log_predictive,
-            "logz_approx_sum": p.logz_approx_sum,
-            "logz_true_sum": p.logz_true_sum,
-            "t_stat": p.t_stat,
-            "p_value": p.p_value,
-        }
-        for p in tc.points
-    )
-    est = tc.estimate_at_t_star
-    test = tc.test_at_t_star
-    return ScenarioResult(
-        config=cfg,
-        t_star=tc.t_star,
-        t_star_boundary=tc.t_star_boundary,
-        log_predictive_at_t_star=tc.log_predictive_at_t_star,
-        logz_sum=est.sum,
-        logz_mean=est.mean,
-        logz_n=est.n,
-        t_stat=test.statistic,
-        df=test.df,
-        p_value=test.p_value,
-        test_method=test.method,
-        true_logz_sum=None if tc.true_at_t_star is None else tc.true_at_t_star.sum,
-        true_logz_mean=None if tc.true_at_t_star is None else tc.true_at_t_star.mean,
-        reverse_logz_sum=None if tc.reverse_at_t_star is None else tc.reverse_at_t_star.sum,
-        reverse_logz_mean=None if tc.reverse_at_t_star is None else tc.reverse_at_t_star.mean,
-        curve_rows=rows,
-        meta={"package": "carmen", "version": __version__, "numpy": np.__version__},
-    )
+    meta = {"package": "carmen", "version": __version__, "numpy": np.__version__}
+    return ScenarioResult(config=cfg, curve=tc, meta=meta)
 
 
-# CSV header uses the wire names; row dicts carry the same fields lowercased
-_CSV_COLUMNS = (
-    ("t", "t"),
-    ("log_predictive", "log_predictive"),
-    ("logZ_approx_sum", "logz_approx_sum"),
-    ("logZ_true_sum", "logz_true_sum"),
-    ("t_stat", "t_stat"),
-    ("p_value", "p_value"),
-)
+# The wire order of the curve columns; the CSV header spells logz as logZ.
+_CURVE_FIELDS = tuple(f.name for f in fields(CurvePoint))
+_curve_row = attrgetter(*_CURVE_FIELDS)
+_CSV_HEADER = ",".join(name.replace("logz", "logZ") for name in _CURVE_FIELDS)
+
+
+def _sum_mean(est: LogRatioEstimate | None) -> dict | None:
+    return None if est is None else {"sum": est.sum, "mean": est.mean}
+
+
+def _summary(result: ScenarioResult, rows: list[tuple]) -> dict:
+    """The summary.json document of ``result``, whose curve points give ``rows``."""
+    tc, cfg = result.curve, result.config
+    est, test = tc.estimate_at_t_star, tc.test_at_t_star
+    return {
+        "scenario": cfg.scenario,
+        "seed": cfg.seed,
+        "config": cfg.to_dict(),
+        "t_star": tc.t_star,
+        "t_star_at_boundary": tc.t_star_boundary,
+        "log_predictive_at_t_star": tc.log_predictive_at_t_star,
+        "log_ratio": {"sum": est.sum, "mean": est.mean, "n": est.n},
+        "test": {f.name: getattr(test, f.name) for f in fields(test)},
+        "true_log_ratio": _sum_mean(tc.true_at_t_star),
+        "reverse_log_ratio": _sum_mean(tc.reverse_at_t_star),
+        "curve": [dict(zip(_CURVE_FIELDS, row)) for row in rows],
+        "meta": result.meta,
+    }
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".10g")
+    return "" if value is None else format(float(value), ".10g")
 
 
 def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Path]:
@@ -355,12 +264,11 @@ def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Pat
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        rows = [_curve_row(p) for p in result.curve.points]
         json_path = out / "summary.json"
-        json_path.write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+        json_path.write_text(json.dumps(_summary(result, rows), indent=2) + "\n")
         csv_path = out / "curve.csv"
-        lines = [",".join(name for name, _ in _CSV_COLUMNS)]
-        for row in sorted(result.curve_rows, key=lambda r: r["t"]):
-            lines.append(",".join(_fmt(row[key]) for _, key in _CSV_COLUMNS))
+        lines = [_CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
         csv_path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write outputs under {out}: {exc}") from exc
@@ -375,6 +283,18 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 _CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in _CONFIG_BOOL:
+        raise ValueError("must be true or false")
+    return _CONFIG_BOOL[value.lower()]
+
+
+# The config fields that a config-file key or a flag sets directly, with the
+# parser of a config-file value, by the field's annotation.
+_PARSE = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_SCALAR_FIELDS = {f.name: _PARSE[f.type] for f in fields(ScenarioConfig) if f.type in _PARSE}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -413,18 +333,10 @@ def _read_config_value(out: dict, key: str, value: str) -> None:
         out["truth_params"][key[len("truth."):]] = float(value)
     elif key == "features":
         out["features"] = tuple(s.strip() for s in value.split(",") if s.strip())
-    elif key in ("seed", "n_update", "n_validate", "folds", "grid_count"):
-        out[key] = int(value)
-    elif key in ("ridge", "grid_lo", "grid_hi"):
-        out[key] = float(value)
+    elif key in _SCALAR_FIELDS:
+        out[key] = _SCALAR_FIELDS[key](value)
     elif key == "grid":
         out["grid_lo"], out["grid_hi"], out["grid_count"] = _parse_grid(value)
-    elif key in ("full_curve", "reverse_kl"):
-        if value.lower() not in _CONFIG_BOOL:
-            raise ValueError("must be true or false")
-        out[key] = _CONFIG_BOOL[value.lower()]
-    elif key == "scenario":
-        out["scenario"] = value
     else:
         raise ValueError("unknown key")
 
@@ -452,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     base = load_config_file(args.config) if args.config else {}
-    for key in ("scenario", "seed", "n_update", "n_validate", "folds", "ridge", "full_curve", "reverse_kl"):
-        v = getattr(args, key)
+    for key in _SCALAR_FIELDS:
+        v = getattr(args, key, None)  # the grid fields have no flags: --grid sets all three
         if v is not None:
             base[key] = v
     if args.grid is not None:
@@ -485,16 +397,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         result = run_scenario(cfg)
         json_path, csv_path = emit_outputs(result, args.out)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
+    tc = result.curve
     print(
-        f"{cfg.scenario} seed={cfg.seed}: t*={result.t_star:.6g}"
-        f"{' (boundary)' if result.t_star_boundary else ''}"
-        f" logZ={result.logz_sum:.4f} p={result.p_value:.4g}"
+        f"{cfg.scenario} seed={cfg.seed}: t*={tc.t_star:.6g}"
+        f"{' (boundary)' if tc.t_star_boundary else ''}"
+        f" logZ={tc.estimate_at_t_star.sum:.4f} p={tc.test_at_t_star.p_value:.4g}"
     )
     print(f"wrote {json_path} and {csv_path}")
     return 0

@@ -4,6 +4,8 @@ Three exponential-family models are supported, each with a closed-form
 power update: the likelihood contribution enters every sufficient
 statistic scaled by the tempering level ``t`` in [0, 1].  ``t = 0``
 returns the prior exactly and ``t = 1`` is the standard Bayes update.
+Each model declares the ``kind`` of data it describes: "real" values,
+"count" values or "regression" (response, covariate) pairs.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class SufficientStats:
 class GaussianKnownVarModel:
     """x ~ N(mu, noise_sd^2) with mu ~ N(prior_mean, prior_sd^2)."""
 
+    kind = "real"
     noise_sd: float
     prior_mean: float
     prior_sd: float
@@ -134,6 +137,7 @@ class GaussianPosterior:
 class PoissonGammaModel:
     """x ~ Poisson(lam) with lam ~ Gamma(shape, rate)."""
 
+    kind = "count"
     shape: float
     rate: float
 
@@ -217,6 +221,7 @@ class NIGRegressionModel:
     """y ~ N(theta*x, sigma^2); theta | sigma^2 ~ N(coef_mean, sigma^2/precision_scale),
     sigma^2 ~ InvGamma(shape, scale)."""
 
+    kind = "regression"
     coef_mean: float
     precision_scale: float
     shape: float

@@ -47,7 +47,8 @@ _TRANSFORMS = {
     "yx2": lambda x, y: (y * x) ** 2,
 }
 
-_NEEDS_RESPONSE = {"y", "abs_y", "y2", "ln_abs_y", "yx", "abs_yx", "yx2"}
+# The transforms that read the response y, so only regression data has them.
+RESPONSE_TRANSFORMS = frozenset({"y", "abs_y", "y2", "ln_abs_y", "yx", "abs_yx", "yx2"})
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class FeatureMap:
             x, y = data.values, None
         cols = []
         for name in self.transforms:
-            if y is None and name in _NEEDS_RESPONSE:
+            if y is None and name in RESPONSE_TRANSFORMS:
                 raise ValueError(f"transform {name!r} needs regression data")
             cols.append(_TRANSFORMS[name](x, y))
         return np.vstack(cols).T

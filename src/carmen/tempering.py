@@ -117,10 +117,12 @@ def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> TSt
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One grid level's diagnostics; the field order is the order of the written columns."""
+
     t: float
     log_predictive: float | None
-    logz_true_sum: float | None = None
     logz_approx_sum: float | None = None
+    logz_true_sum: float | None = None
     t_stat: float | None = None
     p_value: float | None = None
 
@@ -185,8 +187,8 @@ def curve(
                 CurvePoint(
                     t=post.t,
                     log_predictive=lp,
-                    logz_true_sum=true_sum,
                     logz_approx_sum=approx_sum,
+                    logz_true_sum=true_sum,
                     t_stat=t_stat,
                     p_value=p_value,
                 )

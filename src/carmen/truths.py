@@ -2,7 +2,9 @@
 
 Every truth pairs a sampler with its closed-form log density so the
 analytical log ratio against a model predictive can be computed as an
-oracle alongside the classifier-based estimate.
+oracle alongside the classifier-based estimate.  Each truth declares the
+``kind`` of data it generates: "real" values, "count" values or
+"regression" (response, covariate) pairs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .numerics import RngStream, log_beta, log_gamma, normal_cdf, require_finite
 
 @dataclass(frozen=True)
 class GaussianTruth:
+    kind = "real"
     mean: float
     sd: float
 
@@ -36,6 +39,7 @@ class GaussianTruth:
 
 @dataclass(frozen=True)
 class LaplaceTruth:
+    kind = "real"
     loc: float
     scale: float
 
@@ -56,6 +60,7 @@ class LaplaceTruth:
 class NegBinomialTruth:
     """Counts with pmf proportional to (1-p)^r p^x, so the mean is r p/(1-p)."""
 
+    kind = "count"
     r: float
     p: float
 
@@ -82,6 +87,7 @@ class NegBinomialTruth:
 
 @dataclass(frozen=True)
 class BetaBinomialTruth:
+    kind = "count"
     a: float
     b: float
     trials: int
@@ -122,6 +128,7 @@ def _uniform_covariates(g: np.random.Generator, n: int) -> np.ndarray:
 class TNoiseRegressionTruth:
     """y = x + Student-t noise; density is conditional on the covariate."""
 
+    kind = "regression"
     df: float = 3.0
     scale: float = 1.22
 
@@ -150,6 +157,7 @@ class TNoiseRegressionTruth:
 class SigmoidRegressionTruth:
     """y = amplitude*(Phi(steepness*x) - 1/2) + Gaussian noise."""
 
+    kind = "regression"
     amplitude: float = 5.0
     steepness: float = 10.0
     noise_sd: float = 0.1
@@ -182,12 +190,10 @@ TruthSpec = (
     | SigmoidRegressionTruth
 )
 
-_REGRESSION_TRUTHS = (TNoiseRegressionTruth, SigmoidRegressionTruth)
-
 
 def truth_logpdf(spec: TruthSpec, data: Dataset) -> np.ndarray:
     """Exact per-point log density/mass; -inf outside the support."""
-    if isinstance(spec, _REGRESSION_TRUTHS) and not data.is_regression:
+    if spec.kind == "regression" and not data.is_regression:
         raise ValueError("regression truths need covariates")
     return np.asarray(spec.logpdf(data))
 

@@ -47,13 +47,14 @@ def _report(num: int, name: str, ok: bool, detail: str) -> str:
 
 
 def _grid_max(result, column: str) -> float:
-    return max(row[column] for row in result.curve_rows if row[column] is not None)
+    values = [getattr(p, column) for p in result.curve.points]
+    return max(v for v in values if v is not None)
 
 
 def test_criterion_01_gauss_gauss_t_star_and_p():
     results, elapsed = _batch("gauss-gauss")
-    med_t = float(np.median([r.t_star for r in results]))
-    med_p = float(np.median([r.p_value for r in results]))
+    med_t = float(np.median([r.curve.t_star for r in results]))
+    med_p = float(np.median([r.curve.test_at_t_star.p_value for r in results]))
     worst = max(elapsed)
     ok = 3e-7 <= med_t <= 3e-6 and med_p > 0.05 and worst < 120.0
     line = _report(
@@ -68,7 +69,7 @@ def test_criterion_01_gauss_gauss_t_star_and_p():
 
 def test_criterion_02_gauss_laplace_detection_and_bias():
     results, _ = _batch("gauss-laplace", full_curve=True)
-    n_small_p = sum(r.p_value < 1e-3 for r in results)
+    n_small_p = sum(r.curve.test_at_t_star.p_value < 1e-3 for r in results)
     true_maxima = [_grid_max(r, "logz_true_sum") for r in results]
     apx_maxima = [_grid_max(r, "logz_approx_sum") for r in results]
     med_true = float(np.median(true_maxima))
@@ -86,9 +87,9 @@ def test_criterion_02_gauss_laplace_detection_and_bias():
 
 def test_criterion_03_poisson_nb_well_specified():
     results, _ = _batch("poisson-nb")
-    med_t = float(np.median([r.t_star for r in results]))
-    med_p = float(np.median([r.p_value for r in results]))
-    med_abs_mean = float(np.median([abs(r.logz_mean) for r in results]))
+    med_t = float(np.median([r.curve.t_star for r in results]))
+    med_p = float(np.median([r.curve.test_at_t_star.p_value for r in results]))
+    med_abs_mean = float(np.median([abs(r.curve.estimate_at_t_star.mean) for r in results]))
     ok = 3e-4 <= med_t <= 3e-3 and med_p > 0.5 and med_abs_mean <= 0.01
     line = _report(
         3,
@@ -126,11 +127,11 @@ def test_criterion_04_poisson_betabinom_detection():
         data = binding.truth.sample(RngStream(cfg.seed).substream(0), cfg.n_update + n_v)
         x_update, x_valid = data.split(cfg.n_update)
         stats = SufficientStats.from_dataset(x_update)
-        for row in r.curve_rows:
-            post = temper_update(binding.model, stats, row["t"])
+        for row in r.curve.points:
+            post = temper_update(binding.model, stats, row.t)
             kl, sd = betabinom_predictive_kl(post, binding.truth)
             spread = math.sqrt(n_v) * sd
-            true_sum, apx_sum, p = row["logz_true_sum"], row["logz_approx_sum"], row["p_value"]
+            true_sum, apx_sum, p = row.logz_true_sum, row.logz_approx_sum, row.p_value
             n_points += 1
             z = math.inf if true_sum is None else abs(true_sum + n_v * kl) / spread
             worst_z = max(worst_z, z)
@@ -142,14 +143,15 @@ def test_criterion_04_poisson_betabinom_detection():
                     and apx_sum < -30.0
                     and p < 1e-6
                 )
-        post_star = temper_update(binding.model, stats, r.t_star)
+        post_star = temper_update(binding.model, stats, r.curve.t_star)
         exact = betabinom_log_ratio(post_star, binding.truth, x_valid.values)
         # relative to the summed magnitudes: the sum itself can cancel to ~0
         scale = float(np.abs(exact).sum())
-        n_same_data += abs(float(exact.sum()) - r.true_logz_sum) <= 1e-9 * scale
+        n_same_data += abs(float(exact.sum()) - r.curve.true_at_t_star.sum) <= 1e-9 * scale
         p_exact = t_test_logz(LogRatioEstimate.from_per_point(exact)).p_value
-        n_agree += (r.p_value < 1e-6) == (p_exact < 1e-6)
-        p_pairs.append(f"{r.p_value:.2g}/{p_exact:.2g}")
+        p_star = r.curve.test_at_t_star.p_value
+        n_agree += (p_star < 1e-6) == (p_exact < 1e-6)
+        p_pairs.append(f"{p_star:.2g}/{p_exact:.2g}")
     ok = (
         n_same_data == len(results)
         and worst_z <= 5.0
@@ -172,8 +174,8 @@ def test_criterion_04_poisson_betabinom_detection():
 
 def test_criterion_05_reg_tnoise_borderline():
     results, _ = _batch("reg-tnoise")
-    med_p = float(np.median([r.p_value for r in results]))
-    med_t = float(np.median([r.t_star for r in results]))
+    med_p = float(np.median([r.curve.test_at_t_star.p_value for r in results]))
+    med_t = float(np.median([r.curve.t_star for r in results]))
     ok = med_p < 0.1 and med_t < 0.1
     line = _report(
         5,
@@ -186,12 +188,12 @@ def test_criterion_05_reg_tnoise_borderline():
 
 def test_criterion_06_reg_sigmoid_boundary_and_uniform_rejection():
     results, _ = _batch("reg-sigmoid", full_curve=True)
-    n_boundary = sum(r.t_star == 1.0 and r.t_star_boundary for r in results)
+    n_boundary = sum(r.curve.t_star == 1.0 and r.curve.t_star_boundary for r in results)
     worst_p = max(
-        row["p_value"]
+        row.p_value
         for r in results
-        for row in r.curve_rows
-        if row["p_value"] is not None
+        for row in r.curve.points
+        if row.p_value is not None
     )
     ok = n_boundary >= 8 and worst_p < 1e-6
     line = _report(

@@ -19,7 +19,9 @@ from carmen.cli import (
     main,
     run_scenario,
 )
-from carmen.truths import GaussianTruth
+from carmen.discriminator import RESPONSE_TRANSFORMS
+from carmen.tempering import CurvePoint
+from carmen.truths import GaussianTruth, TNoiseRegressionTruth
 
 FAST = dict(n_update=120, n_validate=120, folds=5, grid_lo=1e-7, grid_hi=1.0, grid_count=6)
 
@@ -40,6 +42,11 @@ class TestScenarioRegistry:
         assert (b.model.noise_sd, b.model.prior_mean, b.model.prior_sd) == (0.1, 0.0, 9.9)
         assert (b.truth.mean, b.truth.sd) == (0.0, 3.01)
         assert b.features == ("x", "x2")
+
+    def test_named_scenarios_pair_matching_kinds(self):
+        for b in SCENARIOS.values():
+            assert b.model.kind == b.truth.kind
+            assert b.truth.kind == "regression" or not RESPONSE_TRANSFORMS & set(b.features)
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
@@ -64,15 +71,16 @@ class TestScenarioRegistry:
 class TestRunScenario:
     def test_fast_run_shape(self):
         res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, **FAST))
-        assert len(res.curve_rows) == 6
-        assert res.logz_n == 120
-        assert 0.0 <= res.p_value <= 1.0
-        assert res.true_logz_sum is not None
-        assert res.reverse_logz_sum is None
+        assert [f.name for f in dataclasses.fields(ScenarioResult)] == ["config", "curve", "meta"]
+        assert len(res.curve.points) == 6
+        assert res.curve.estimate_at_t_star.n == 120
+        assert 0.0 <= res.curve.test_at_t_star.p_value <= 1.0
+        assert res.curve.true_at_t_star is not None
+        assert res.curve.reverse_at_t_star is None
 
     def test_reverse_flag(self):
         res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, reverse_kl=True, **FAST))
-        assert res.reverse_logz_sum is not None
+        assert res.curve.reverse_at_t_star is not None
 
     def test_counts_must_cover_folds(self):
         with pytest.raises(ValueError):
@@ -93,20 +101,28 @@ class TestRunScenario:
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             run_scenario(dataclasses.replace(cfg, **{name: value}))
 
-    def test_result_dict_round_trip(self):
+    def test_result_dict_round_trip(self, tmp_path):
         res = run_scenario(ScenarioConfig(scenario="poisson-nb", seed=5, **FAST))
-        assert res.to_dict()["test"]["method"] == res.test_method == "t-test"
-        for result in (res, dataclasses.replace(res, test_method="wilcoxon")):
-            d = json.loads(json.dumps(result.to_dict()))
-            back = ScenarioResult.from_dict(d)
-            assert back == result
-            assert back.to_dict() == result.to_dict()
+        json_path, _ = emit_outputs(res, tmp_path)
+        text = json_path.read_text()
+        d = json.loads(text)
+        assert json.dumps(d, indent=2) + "\n" == text
+        tc = res.curve
+        assert d["test"]["method"] == tc.test_at_t_star.method == "t-test"
+        assert d["test"]["p_value"] == tc.test_at_t_star.p_value
+        assert (d["t_star"], d["t_star_at_boundary"]) == (tc.t_star, tc.t_star_boundary)
+        est = tc.estimate_at_t_star
+        assert d["log_ratio"] == {"sum": est.sum, "mean": est.mean, "n": 120}
+        assert d["true_log_ratio"] == {"sum": tc.true_at_t_star.sum, "mean": tc.true_at_t_star.mean}
+        assert d["curve"] == [dataclasses.asdict(p) for p in tc.points]
+        assert ScenarioConfig.from_dict(d["config"]) == res.config
 
-    def test_config_echo_reruns_identically(self):
+    def test_config_echo_reruns_identically(self, tmp_path):
         res = run_scenario(ScenarioConfig(scenario="reg-tnoise", seed=7, **FAST))
-        echoed = ScenarioConfig.from_dict(res.to_dict()["config"])
-        res2 = run_scenario(echoed)
-        assert res2.to_dict() == res.to_dict()
+        first = emit_outputs(res, tmp_path / "first")
+        echoed = ScenarioConfig.from_dict(json.loads(first[0].read_text())["config"])
+        second = emit_outputs(run_scenario(echoed), tmp_path / "second")
+        assert [p.read_bytes() for p in second] == [p.read_bytes() for p in first]
 
 
 class TestEmitOutputs:
@@ -124,14 +140,28 @@ class TestEmitOutputs:
         assert ts == sorted(ts)
         summary = json.loads(json_path.read_text())
         assert summary["scenario"] == "gauss-gauss"
+        # the JSON curve rows carry the CSV columns, lower-cased, in the same order
+        assert all(list(row) == lines[0].lower().split(",") for row in summary["curve"])
 
     def test_single_row_curve(self, tmp_path):
         res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, **FAST))
-        d = res.to_dict()
-        d["curve"] = d["curve"][:1]
-        single = ScenarioResult.from_dict(d)
+        single = dataclasses.replace(res, curve=dataclasses.replace(res.curve, points=res.curve.points[:1]))
         _, csv_path = emit_outputs(single, tmp_path / "single")
         assert len(csv_path.read_text().splitlines()) == 2
+
+    def test_failed_grid_point_writes_blanks_and_nulls(self, tmp_path):
+        res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, full_curve=True, **FAST))
+        t = res.curve.points[2].t
+        points = list(res.curve.points)
+        points[2] = CurvePoint(t, None)
+        failed = dataclasses.replace(res, curve=dataclasses.replace(res.curve, points=tuple(points)))
+        json_path, csv_path = emit_outputs(failed, tmp_path)
+        assert csv_path.read_text().splitlines()[3] == format(t, ".10g") + ",,,,,"
+        row = json.loads(json_path.read_text())["curve"][2]
+        assert row == {
+            "t": t, "log_predictive": None, "logz_approx_sum": None, "logz_true_sum": None,
+            "t_stat": None, "p_value": None,
+        }
 
     def test_ten_significant_digits(self, tmp_path):
         res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, **FAST))
@@ -183,7 +213,7 @@ class TestConfigFile:
         cfg = ScenarioConfig.from_dict({**parsed, "scenario": "custom"})
         res = run_scenario(cfg)
         assert res.config.scenario == "custom"
-        assert res.true_logz_sum is not None
+        assert res.curve.true_at_t_star is not None
 
     def test_bad_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -233,6 +263,57 @@ class TestConfigFile:
         assert optional.binding().truth.df == 3.0
         assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
         assert "missing model parameters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model,truth,features,message",
+        [
+            (
+                "gaussian\nmodel.noise_sd = 0.1\nmodel.prior_mean = 0\nmodel.prior_sd = 9.9",
+                "reg-tnoise",
+                "y2, yx",
+                "the model and the truth take different kinds of data: "
+                "model 'gaussian' (real data), truth 'reg-tnoise' (regression data)",
+            ),
+            (
+                "nig-regression\nmodel.coef_mean = 0\nmodel.precision_scale = 1\n"
+                "model.shape = 2\nmodel.scale = 2",
+                "gaussian\ntruth.mean = 0\ntruth.sd = 3",
+                "x, x2",
+                "the model and the truth take different kinds of data: "
+                "model 'nig-regression' (regression data), truth 'gaussian' (real data)",
+            ),
+            (
+                "poisson-gamma\nmodel.shape = 3\nmodel.rate = 0.05",
+                "gaussian\ntruth.mean = 0\ntruth.sd = 3",
+                "x, x2",
+                "the model and the truth take different kinds of data: "
+                "model 'poisson-gamma' (count data), truth 'gaussian' (real data)",
+            ),
+            (
+                "gaussian\nmodel.noise_sd = 0.1\nmodel.prior_mean = 0\nmodel.prior_sd = 9.9",
+                "gaussian\ntruth.mean = 0\ntruth.sd = 3",
+                "x, y2",
+                "features ['y2'] need regression data: "
+                "model 'gaussian' (real data), truth 'gaussian' (real data)",
+            ),
+        ],
+        ids=["gaussian-regtruth", "regression-gausstruth", "counts-gausstruth", "response-feature"],
+    )
+    def test_mismatched_data_kinds_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, model, truth, features, message
+    ):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the data kinds were checked")
+
+        for cls in (GaussianTruth, TNoiseRegressionTruth):
+            monkeypatch.setattr(cls, "sample", sample)
+        cfg_file = tmp_path / "kinds.cfg"
+        cfg_file.write_text(
+            f"scenario = custom\nseed = 1\nmodel = {model}\ntruth = {truth}\nfeatures = {features}\n"
+        )
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
@@ -308,6 +389,13 @@ class TestMain:
         assert "error: ridge" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory")
+        args = ["run", "--scenario", "gauss-gauss", "--seed", "3", "--n-update", "40", "--n-validate", "40"]
+        assert main(args + ["--folds", "4", "--grid", "1e-3:1.0:4", "--out", str(blocker / "sub")]) == 1
+        assert "error: cannot write outputs under" in capsys.readouterr().err
+
     def test_missing_seed_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", "gauss-gauss", "--out", str(tmp_path)])
         assert code != 0
@@ -363,3 +451,10 @@ class TestMain:
         assert code == 0
         summary = json.loads((tmp_path / "custom" / "summary.json").read_text())
         assert summary["config"]["truth_family"] == "negbinom"
+        # the five custom keys follow the shared ones, in this order
+        assert list(summary["config"]) == [
+            "scenario", "seed", "n_update", "n_validate", "folds", "ridge", "grid_lo", "grid_hi",
+            "grid_count", "full_curve", "reverse_kl",
+            "model_family", "model_params", "truth_family", "truth_params", "features",
+        ]
+        assert summary["config"]["features"] == ["x", "x2", "x3", "x4"]

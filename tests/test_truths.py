@@ -108,6 +108,15 @@ class TestLogpdf:
         out = truth_logpdf(bb, Dataset(np.array([81.0, -1.0, 40.0])))
         assert out[0] == -np.inf and out[1] == -np.inf and np.isfinite(out[2])
 
+    @pytest.mark.parametrize("truth", ALL_TRUTHS, ids=lambda t: type(t).__name__)
+    def test_declared_kind_matches_samples(self, truth):
+        data = truth.sample(RngStream(5), 50)
+        assert data.is_regression == (truth.kind == "regression")
+        assert bool(np.all(data.values == np.floor(data.values))) == (truth.kind == "count")
+        if truth.kind == "regression":
+            with pytest.raises(ValueError, match="regression truths need covariates"):
+                truth_logpdf(truth, Dataset(data.values))
+
     def test_tnoise_at_origin(self):
         truth = TNoiseRegressionTruth(df=3.0, scale=1.22)
         data = Dataset(np.array([0.0]), covariates=np.array([0.0]))
