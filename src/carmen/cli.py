@@ -152,6 +152,7 @@ class ScenarioConfig:
             )
         if not (self.model_family and self.truth_family and self.features):
             raise ValueError("custom scenarios need a model, a truth and features")
+        FeatureMap(self.features)  # an unknown feature name fails here, before any sampling
         model = _build_family(_MODEL_FAMILIES, self.model_family, self.model_params, "model")
         truth = _build_family(_TRUTH_FAMILIES, self.truth_family, self.truth_params, "truth")
         kinds = (

@@ -316,6 +316,23 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_feature_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the feature names were checked")
+
+        monkeypatch.setattr(GaussianTruth, "sample", sample)
+        cfg_file = tmp_path / "features.cfg"
+        cfg_file.write_text(
+            "scenario = custom\nseed = 1\n"
+            "model = gaussian\nmodel.noise_sd = 0.1\nmodel.prior_mean = 0\nmodel.prior_sd = 9.9\n"
+            "truth = gaussian\ntruth.mean = 0\ntruth.sd = 3\nfeatures = x, bogus\n"
+        )
+        with pytest.raises(ValueError, match=r"unknown transforms \['bogus'\]"):
+            ScenarioConfig.from_dict(load_config_file(cfg_file)).binding()
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown transforms ['bogus']")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
     def test_betabinom_trials_whole_number(self, tmp_path, capsys, trials, ok):
         cfg_file = tmp_path / "bb.cfg"

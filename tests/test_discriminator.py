@@ -168,11 +168,7 @@ class TestFitLogistic:
         assert abs(fit.weights[1] * 1.0 / sd[1] + 0.7) < 0.1
 
     def test_separable_classes_stay_finite(self):
-        feats = np.concatenate([np.linspace(-3, -1, 25), np.linspace(1, 3, 25)])[:, None]
-        labels = np.concatenate([np.zeros(25), np.ones(25)])
-        mu, sd = feats.mean(axis=0), feats.std(axis=0)
-        design = LabeledDesign((feats - mu) / sd, labels, mu, sd)
-        fit = fit_logistic(design, ridge=1e-6)
+        fit = fit_logistic(_separable_design(), ridge=1e-6)
         assert np.all(np.isfinite(fit.weights))
         assert np.isfinite(fit.intercept)
 
@@ -253,6 +249,69 @@ def _overlapping_design() -> LabeledDesign:
     labels = np.concatenate([np.zeros(300), np.ones(300)])
     mu, sd = feats.mean(axis=0), feats.std(axis=0)
     return LabeledDesign((feats - mu) / sd, labels, mu, sd)
+
+
+def _separable_design() -> LabeledDesign:
+    feats = np.concatenate([np.linspace(-3, -1, 25), np.linspace(1, 3, 25)])[:, None]
+    labels = np.concatenate([np.zeros(25), np.ones(25)])
+    mu, sd = feats.mean(axis=0), feats.std(axis=0)
+    return LabeledDesign((feats - mu) / sd, labels, mu, sd)
+
+
+def _penalized_gradient(design: LabeledDesign, fit) -> np.ndarray:
+    """Gradient of the penalized log-likelihood at a fit's coefficients."""
+    eta = fit.intercept + design.features @ fit.weights
+    resid = design.labels - 1.0 / (1.0 + np.exp(-eta))
+    return np.concatenate([[resid.sum()], design.features.T @ resid - fit.ridge * fit.weights])
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("make", [_overlapping_design, _separable_design])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-4])
+    def test_converged_gradient_below_tol(self, make, tol):
+        design = make()
+        fit = fit_logistic(design, tol=tol)
+        assert fit.converged
+        # The final full step is not evaluated: the path holds the start
+        # and every line-searched step.
+        assert len(fit.objective_path) == fit.iterations
+        n = design.labels.size
+        assert np.linalg.norm(_penalized_gradient(design, fit)) < tol * math.sqrt(n)
+
+    @pytest.mark.parametrize("make", [_overlapping_design, _separable_design])
+    def test_max_iter_stop_is_not_converged(self, make):
+        design = make()
+        full = fit_logistic(design)
+        assert full.converged and full.iterations > 2
+        cut = fit_logistic(design, max_iter=full.iterations - 1)
+        assert not cut.converged
+        assert cut.iterations == full.iterations - 1
+        # The same line-searched steps, without the decrement stop's last one.
+        assert cut.objective_path == full.objective_path
+
+    def test_line_search_that_gives_up_is_not_converged(self, monkeypatch):
+        # Every evaluated objective falls by n below the zero start's, so
+        # no halving of the first step is accepted.
+        softplus_sigmoid = carmen.discriminator._softplus_sigmoid
+
+        def raised(eta, soft=None, sig=None):
+            soft, sig = softplus_sigmoid(eta, soft, sig)
+            soft += 1.0
+            return soft, sig
+
+        monkeypatch.setattr(carmen.discriminator, "_softplus_sigmoid", raised)
+        fit = fit_logistic(_overlapping_design())
+        assert not fit.converged
+        assert fit.iterations == 0 and len(fit.objective_path) == 1
+        assert fit.intercept == 0.0 and not fit.weights.any()
+
+    @pytest.mark.parametrize("scale", [-1e-30, math.nan], ids=["negative", "nan"])
+    def test_negative_or_nan_decrement_is_not_convergence(self, monkeypatch, scale):
+        # Scaling every Newton step makes lambda^2 tiny and negative, or NaN.
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: scale * solve(a, b))
+        fit = fit_logistic(_overlapping_design(), max_iter=5)
+        assert not fit.converged
 
 
 class TestWarmStart:
@@ -407,6 +466,32 @@ class TestCvLogOdds:
         b = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
         assert np.array_equal(a, b)
 
+    def test_near_separable_level_matches_tight_fits(self, monkeypatch):
+        # reg-sigmoid, seed 0, grid level 23 of a full-curve run: where
+        # stopping on the damped step |step * delta| < 1e-8 left a fold
+        # 0.025 from its optimum in the training log-odds.  Each fold's
+        # reference continues from its fit to lambda^2 <= 1e-24 n, close
+        # to the rounding floor of these near-separable designs.
+        fits = []
+        fit_logistic = carmen.discriminator.fit_logistic
+
+        def recording(design, **kwargs):
+            fit = fit_logistic(design, **kwargs)
+            fits.append((design.features.copy(), design.labels.copy(), fit))
+            return fit
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        args = _grid_level_draw("reg-sigmoid", 0, 23)[1]
+        cv_log_odds(*args)
+        assert len(fits) == args[3]
+        for X, y, fit in fits:
+            assert fit.converged
+            beta = np.concatenate([[fit.intercept], fit.weights])
+            ref, stopped = _row_major_fit(X, y, fit.ridge, beta, tol=1e-12)
+            assert stopped
+            eta, ref_eta = beta[0] + X @ beta[1:], ref[0] + X @ ref[1:]
+            assert np.max(np.abs(eta - ref_eta)) < 1e-6
+
     def test_near_separable_counts_match_cold_folds(self):
         # poisson-betabinom, seed 7, grid point 11 (t ~ 6.25e-7) of a
         # full-curve run, rebuilt as run_scenario and curve() draw it.
@@ -518,11 +603,15 @@ class TestCvLogOdds:
             cv_log_odds(obs, sim, FeatureMap(("x",)), 6, 1e-6, RngStream(0))
 
 
-def _row_major_fit(X: np.ndarray, y: np.ndarray, ridge: float, start) -> np.ndarray:
+def _row_major_fit(
+    X: np.ndarray, y: np.ndarray, ridge: float, start, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, bool]:
     """Row-major IRLS as the package ran it before the feature-major layout.
 
-    Same start guard, line search and stopping rule as ``fit_logistic``,
-    but with an (n, d+1) design, ``np.logaddexp`` and ``A.T @ (w * A)``.
+    Same start guard, line search and Newton-decrement stop as
+    ``fit_logistic``, but with an (n, d+1) design, ``np.logaddexp`` and
+    ``A.T @ (w * A)``.  Returns the coefficients and whether the
+    decrement stop ended the fit.
     """
     n, d = X.shape
     A = np.column_stack([np.ones(n), X])
@@ -546,21 +635,20 @@ def _row_major_fit(X: np.ndarray, y: np.ndarray, ridge: float, start) -> np.ndar
         hess = A.T @ ((p * (1.0 - p))[:, None] * A)
         hess[diagonal, diagonal] += ridge
         delta = np.linalg.solve(hess, grad)
+        if 0.0 <= grad @ delta <= n * tol**2:
+            return beta + delta, True
         a_delta = A @ delta
         step = 1.0
         for _ in range(30):
             cand_eta, cand = eta + step * a_delta, beta + step * delta
             cand_obj, cand_soft = objective(cand_eta, cand)
-            if cand_obj >= obj - 1e-12:
+            if cand_obj >= obj - 1e-13 * abs(obj):
                 break
             step *= 0.5
         else:
             break
-        change = step * float(np.max(np.abs(delta)))
         beta, eta, obj, soft = cand, cand_eta, cand_obj, cand_soft
-        if change < DEFAULT_TOL:
-            break
-    return beta
+    return beta, False
 
 
 def _row_major_cv(observed, simulated, fm, k, ridge, rng, score):
@@ -585,7 +673,7 @@ def _row_major_cv(observed, simulated, fm, k, ridge, rng, score):
             w_raw = beta[1:] / prev[1]
             c = beta[0] - w_raw @ prev[0]
             start = np.concatenate([[c + w_raw @ mu], w_raw * sd])
-        beta = _row_major_fit((raw - mu) / sd, labels, ridge, start)
+        beta, _ = _row_major_fit((raw - mu) / sd, labels, ridge, start)
         prev = (mu, sd)
         held = held_obs if score == "observed" else held_sim
         out[held] = beta[0] + ((target[held] - mu) / sd) @ beta[1:]
