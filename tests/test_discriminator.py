@@ -473,21 +473,21 @@ class TestCvLogOdds:
         # reference continues from its fit to lambda^2 <= 1e-24 n, close
         # to the rounding floor of these near-separable designs.
         fits = []
-        fit_logistic = carmen.discriminator.fit_logistic
+        fit = carmen.discriminator.fit_logistic
 
         def recording(design, **kwargs):
-            fit = fit_logistic(design, **kwargs)
-            fits.append((design.features.copy(), design.labels.copy(), fit))
-            return fit
+            result = fit(design, **kwargs)
+            fits.append((design.features.copy(), design.labels.copy(), result))
+            return result
 
         monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
         args = _grid_level_draw("reg-sigmoid", 0, 23)[1]
         cv_log_odds(*args)
         assert len(fits) == args[3]
-        for X, y, fit in fits:
-            assert fit.converged
-            beta = np.concatenate([[fit.intercept], fit.weights])
-            ref, stopped = _row_major_fit(X, y, fit.ridge, beta, tol=1e-12)
+        for X, y, result in fits:
+            assert result.converged
+            beta = np.concatenate([[result.intercept], result.weights])
+            ref, stopped = _row_major_fit(X, y, result.ridge, beta, tol=1e-12)
             assert stopped
             eta, ref_eta = beta[0] + X @ beta[1:], ref[0] + X @ ref[1:]
             assert np.max(np.abs(eta - ref_eta)) < 1e-6
@@ -606,7 +606,7 @@ class TestCvLogOdds:
 def _row_major_fit(
     X: np.ndarray, y: np.ndarray, ridge: float, start, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, bool]:
-    """Row-major IRLS as the package ran it before the feature-major layout.
+    """IRLS on the row-major layout the package used before the feature-major one.
 
     Same start guard, line search and Newton-decrement stop as
     ``fit_logistic``, but with an (n, d+1) design, ``np.logaddexp`` and
