@@ -211,11 +211,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if not 0.0 <= cfg.ridge < math.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {cfg.ridge!r}")
 
+    grid = TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count)
+    fm = FeatureMap(binding.features)
     rng = RngStream(cfg.seed)
     data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
     x_update, x_valid = data.split(cfg.n_update)
-    grid = TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count)
-    fm = FeatureMap(binding.features)
 
     tc = curve(
         binding.model, binding.truth, x_update, x_valid, grid, fm, cfg.folds, rng.substream(1),

@@ -5,7 +5,9 @@ power update: the likelihood contribution enters every sufficient
 statistic scaled by the tempering level ``t`` in [0, 1].  ``t = 0``
 returns the prior exactly and ``t = 1`` is the standard Bayes update.
 Each model declares the ``kind`` of data it describes: "real" values,
-"count" values or "regression" (response, covariate) pairs.
+"count" values or "regression" (response, covariate) pairs.  Every posterior
+scores a :class:`Dataset` with ``predictive_logpdf(data)`` and draws one with
+``predictive_sample(rng, n, like)``, a regression draw at ``like.covariates``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numerics import RngStream, log_gamma, require_finite_fields
+from .numerics import CountTable, RngStream, log_gamma, require_finite_fields
+
+
+def _reject_covariates(like: Dataset | None) -> None:
+    if like is not None and like.covariates is not None:
+        raise ValueError("covariates are only meaningful for regression models")
 
 
 def _check_t(t: float) -> float:
@@ -116,13 +123,12 @@ class GaussianPosterior:
     def predictive_var(self) -> float:
         return self.noise_sd**2 + 1.0 / self.precision
 
-    def predictive_logpdf(self, x):
+    def predictive_logpdf(self, data: Dataset) -> np.ndarray:
         v = self.predictive_var
-        x = np.asarray(x, dtype=float)
-        out = -0.5 * (np.log(2.0 * np.pi * v) + (x - self.mean) ** 2 / v)
-        return float(out) if out.ndim == 0 else out
+        return -0.5 * (np.log(2.0 * np.pi * v) + (data.values - self.mean) ** 2 / v)
 
-    def predictive_sample(self, rng: RngStream, n: int) -> Dataset:
+    def predictive_sample(self, rng: RngStream, n: int, like: Dataset | None = None) -> Dataset:
+        _reject_covariates(like)
         g = rng.generator()
         mus = g.normal(self.mean, self.sd, size=n)
         return Dataset(g.normal(mus, self.noise_sd))
@@ -163,27 +169,26 @@ class PoissonGammaPosterior:
     rate: float
     t: float
 
-    def predictive_logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = next(_CountTerms(x).rows([self])).reshape(x.shape)
-        return float(out) if out.ndim == 0 else out
+    def predictive_logpdf(self, data: Dataset) -> np.ndarray:
+        return next(_CountTerms(data).rows([self]))
 
-    def predictive_sample(self, rng: RngStream, n: int) -> Dataset:
+    def predictive_sample(self, rng: RngStream, n: int, like: Dataset | None = None) -> Dataset:
+        _reject_covariates(like)
         g = rng.generator()
         lams = g.gamma(self.shape, 1.0 / self.rate, size=n)
         return Dataset(g.poisson(lams).astype(float))
 
 
 class _CountTerms:
-    """The t-independent per-point terms of the negative-binomial predictive of counts ``x``.
+    """The t-independent per-point terms of the negative-binomial predictive of counts ``data``.
 
     The predictive is evaluated once per distinct count and gathered back
     to every point, so a row costs a table lookup rather than three
     ``log_gamma`` calls per point.
     """
 
-    def __init__(self, x) -> None:
-        flat = np.asarray(x, dtype=float).reshape(-1)
+    def __init__(self, data: Dataset) -> None:
+        flat = data.values
         bad = flat[~np.isfinite(flat)]
         if bad.size:
             raise ValueError(f"counts must be finite, got {bad[0]!r}")
@@ -192,8 +197,7 @@ class _CountTerms:
         bad = flat[flat != np.floor(flat)]
         if bad.size:
             raise ValueError(f"counts must be whole numbers, got {bad[0]!r}")
-        self.counts, self.inverse = np.unique(flat, return_inverse=True)
-        self.log_factorial = log_gamma(self.counts + 1.0)
+        self.table = CountTable(flat)
 
     def rows(self, posts: Sequence[PoissonGammaPosterior]) -> Iterator[np.ndarray]:
         """One flat row of per-point log masses per posterior, in order."""
@@ -201,14 +205,8 @@ class _CountTerms:
         # per-row math.log, not np.log on the column: np.log moves the last bits
         log_p = np.array([[math.log(p.rate / (1.0 + p.rate))] for p in posts])
         log_q = np.array([[math.log(1.0 / (1.0 + p.rate))] for p in posts])
-        xu = self.counts
-        table = (
-            log_gamma(xu + r) - log_gamma(r) - self.log_factorial
-            + r * log_p
-            + xu * log_q
-        )
-        for row in table:
-            yield row[self.inverse]
+        for row in self.table.negbinom_logpmf(r, log_p, log_q):
+            yield row[self.table.inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +253,13 @@ class NIGRegressionPosterior:
     scale: float
     t: float
 
-    def predictive_logpdf(self, x, y):
-        out = next(_RegressionTerms(x, y).rows([self]))
-        return float(out) if np.ndim(out) == 0 else out
+    def predictive_logpdf(self, data: Dataset) -> np.ndarray:
+        return next(_RegressionTerms(data).rows([self]))
 
-    def predictive_sample(self, rng: RngStream, n: int, covariates) -> Dataset:
-        if covariates is None:
+    def predictive_sample(self, rng: RngStream, n: int, like: Dataset | None = None) -> Dataset:
+        if like is None or like.covariates is None:
             raise ValueError("regression predictive sampling requires covariates")
-        x = np.asarray(covariates, dtype=float)
+        x = like.covariates
         if x.shape != (n,):
             raise ValueError(f"covariates must have shape ({n},), got {x.shape}")
         g = rng.generator()
@@ -273,11 +270,12 @@ class NIGRegressionPosterior:
 
 
 class _RegressionTerms:
-    """The t-independent per-point terms of the Student-t predictive of ``y`` given ``x``."""
+    """The t-independent per-point terms of the Student-t predictive of regression responses."""
 
-    def __init__(self, x, y) -> None:
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+    def __init__(self, data: Dataset) -> None:
+        if data.covariates is None:
+            raise ValueError("regression predictive requires covariates")
+        self.x, self.y = data.covariates, data.values
         self.xx = self.x * self.x
 
     def rows(self, posts: Sequence[NIGRegressionPosterior]) -> Iterator[np.ndarray]:
@@ -300,13 +298,16 @@ class _RegressionTerms:
 class _GaussianTerms:
     """Gaussian predictive rows; each level is cheap, so nothing is shared between them."""
 
-    def __init__(self, x) -> None:
-        self.x = np.asarray(x, dtype=float)
+    def __init__(self, data: Dataset) -> None:
+        self.data = data
 
     def rows(self, posts: Sequence[GaussianPosterior]) -> Iterator[np.ndarray]:
         for p in posts:
-            yield p.predictive_logpdf(self.x)
+            yield p.predictive_logpdf(self.data)
 
+
+# The per-point terms of each kind of data.
+_TERMS = {"real": _GaussianTerms, "count": _CountTerms, "regression": _RegressionTerms}
 
 Model = GaussianKnownVarModel | PoissonGammaModel | NIGRegressionModel
 TemperedPosterior = GaussianPosterior | PoissonGammaPosterior | NIGRegressionPosterior
@@ -330,14 +331,7 @@ class TemperedPredictive:
     def __init__(self, model: Model, stats: SufficientStats, data: Dataset) -> None:
         self.model = model
         self.stats = stats
-        if isinstance(model, NIGRegressionModel):
-            if data.covariates is None:
-                raise ValueError("regression predictive requires covariates")
-            self._terms = _RegressionTerms(data.covariates, data.values)
-        elif isinstance(model, PoissonGammaModel):
-            self._terms = _CountTerms(data.values)
-        else:
-            self._terms = _GaussianTerms(data.values)
+        self._terms = _TERMS[model.kind](data)
 
     def levels(self, ts) -> Iterator[tuple[TemperedPosterior, np.ndarray]]:
         """``(posterior, per-point row)`` for each level of ``ts``, one row alive at a time."""
@@ -346,13 +340,9 @@ class TemperedPredictive:
 
 
 def predictive_sample(
-    post: TemperedPosterior, rng: RngStream, n: int, covariates=None
+    post: TemperedPosterior, rng: RngStream, n: int, like: Dataset | None = None
 ) -> Dataset:
-    """Ancestral draw of ``n`` points from the tempered posterior predictive."""
+    """Ancestral draw of ``n`` predictive points; a regression draw is made at ``like.covariates``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(post, NIGRegressionPosterior):
-        return post.predictive_sample(rng, n, covariates)
-    if covariates is not None:
-        raise ValueError("covariates are only meaningful for regression models")
-    return post.predictive_sample(rng, n)
+    return post.predictive_sample(rng, n, like)

@@ -111,6 +111,19 @@ def log_beta(a, b):
     return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a, float) + np.asarray(b, float))
 
 
+class CountTable:
+    """Distinct values of a count vector; a table over ``counts`` gathers back by ``inverse``."""
+
+    def __init__(self, x) -> None:
+        self.counts, self.inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+        self.log_factorial = log_gamma(self.counts + 1.0)
+
+    def negbinom_logpmf(self, r, log_p, log_q) -> np.ndarray:
+        """ln G(x+r) - ln G(r) - ln x! + r log_p + x log_q per count x; column parameters give rows."""
+        xu = self.counts
+        return log_gamma(xu + r) - log_gamma(r) - self.log_factorial + r * log_p + xu * log_q
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     # continued fraction for the incomplete beta (modified Lentz algorithm)
     qab = a + b

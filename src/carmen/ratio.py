@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import NIGRegressionPosterior, TemperedPosterior, predictive_sample
+from .conjugate import TemperedPosterior, predictive_sample
 from .data import Dataset
 from .discriminator import DEFAULT_RIDGE, FeatureMap, cv_log_odds
 from .numerics import RngStream
@@ -47,14 +47,10 @@ class LogRatioEstimate:
 def _simulate(
     post: TemperedPosterior, x_valid: Dataset, n_sim: int, rng: RngStream
 ) -> Dataset:
-    if isinstance(post, NIGRegressionPosterior):
-        # discriminate conditional response behavior: reuse the observed
-        # covariates, resampled with replacement
-        g = rng.substream(0).generator()
-        idx = g.integers(0, len(x_valid), size=n_sim)
-        covs = x_valid.covariates[idx]
-        return predictive_sample(post, rng.substream(1), n_sim, covariates=covs)
-    return predictive_sample(post, rng.substream(1), n_sim)
+    # a regression draw discriminates conditional response behavior: it
+    # reuses the observed covariates, resampled with replacement
+    idx = rng.substream(0).generator().integers(0, len(x_valid), size=n_sim)
+    return predictive_sample(post, rng.substream(1), n_sim, like=x_valid.take(idx))
 
 
 def estimate_log_ratio(

@@ -40,7 +40,6 @@ class TemperingGrid:
     """Strictly increasing tempering levels in (0, 1]."""
 
     values: np.ndarray
-    spacing: str = "explicit"
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -63,7 +62,7 @@ class TemperingGrid:
             raise ValueError("need 0 < lo < hi <= 1")
         if count < 2:
             raise ValueError("count must be >= 2")
-        return cls(np.logspace(math.log10(lo), math.log10(hi), count), spacing="log-uniform")
+        return cls(np.logspace(math.log10(lo), math.log10(hi), count))
 
     def __len__(self) -> int:
         return self.values.size
@@ -149,7 +148,6 @@ def curve(
     k: int,
     rng: RngStream,
     ridge: float = DEFAULT_RIDGE,
-    n_sim: int | None = None,
     full_curve: bool = False,
     reverse: bool = False,
 ) -> TemperingCurve:
@@ -177,7 +175,7 @@ def curve(
             approx_sum = t_stat = p_value = None
             if full_curve:
                 est = estimate_log_ratio(
-                    post, x_valid, fm, k, rng.substream(_SUB_GRID_BASE + i), n_sim=n_sim, ridge=ridge
+                    post, x_valid, fm, k, rng.substream(_SUB_GRID_BASE + i), ridge=ridge
                 )
                 res = t_test_logz(est)
                 approx_sum = est.sum
@@ -199,7 +197,7 @@ def curve(
     opt = _refine(pred, ts, scores)
     ((post_star, lp_star),) = pred.levels([opt.t_star])
     est_star = estimate_log_ratio(
-        post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), n_sim=n_sim, ridge=ridge
+        post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), ridge=ridge
     )
     test_star = t_test_logz(est_star)
     true_star = None
@@ -208,7 +206,7 @@ def curve(
     reverse_star = None
     if reverse:
         reverse_star = estimate_reverse_log_ratio(
-            post_star, x_valid, fm, k, rng.substream(_SUB_REVERSE), n_sim=n_sim, ridge=ridge
+            post_star, x_valid, fm, k, rng.substream(_SUB_REVERSE), ridge=ridge
         )
 
     return TemperingCurve(

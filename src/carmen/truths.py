@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numerics import RngStream, log_beta, log_gamma, normal_cdf, require_finite_fields
+from .numerics import CountTable, RngStream, log_beta, log_gamma, normal_cdf, require_finite_fields
+
+
+def _normal_logpdf(resid: np.ndarray, sd: float) -> np.ndarray:
+    """Log density of residuals ``resid`` under N(0, sd^2)."""
+    return -0.5 * (np.log(2.0 * np.pi * sd**2) + (resid / sd) ** 2)
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,7 @@ class GaussianTruth:
         return Dataset(rng.generator().normal(self.mean, self.sd, size=n))
 
     def logpdf(self, data: Dataset) -> np.ndarray:
-        x = data.values
-        return -0.5 * (np.log(2.0 * np.pi * self.sd**2) + ((x - self.mean) / self.sd) ** 2)
+        return _normal_logpdf(data.values - self.mean, self.sd)
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,9 @@ class NegBinomialTruth:
         x = data.values
         out = np.full(x.shape, -np.inf)
         ok = x >= 0
-        xs = x[ok]
-        out[ok] = (
-            log_gamma(xs + self.r) - log_gamma(self.r) - log_gamma(xs + 1.0)
-            + self.r * math.log1p(-self.p) + xs * math.log(self.p)
-        )
+        table = CountTable(x[ok])
+        logpmf = table.negbinom_logpmf(self.r, math.log1p(-self.p), math.log(self.p))
+        out[ok] = logpmf[table.inverse]
         return out
 
 
@@ -177,8 +179,7 @@ class SigmoidRegressionTruth:
         return Dataset(y, covariates=x)
 
     def logpdf(self, data: Dataset) -> np.ndarray:
-        resid = data.values - self.mean_fn(data.covariates)
-        return -0.5 * (np.log(2.0 * np.pi * self.noise_sd**2) + (resid / self.noise_sd) ** 2)
+        return _normal_logpdf(data.values - self.mean_fn(data.covariates), self.noise_sd)
 
 
 TruthSpec = (

@@ -7,7 +7,7 @@ points, returning the worst relative error.
 The divergence oracle sums the exact beta-binomial truth against the
 negative-binomial predictive over the truth's finite support.  The exact
 log ratio is computed per level from each posterior's own one-level
-``predictive_logpdf`` method, independently of the batched grid scan.
+``predictive_logpdf(data)`` method, independently of the batched grid scan.
 """
 
 import math
@@ -18,7 +18,6 @@ from scipy import integrate, stats
 from carmen.conjugate import (
     GaussianKnownVarModel,
     NIGRegressionModel,
-    NIGRegressionPosterior,
     PoissonGammaModel,
     PoissonGammaPosterior,
     SufficientStats,
@@ -152,16 +151,9 @@ def nig_posterior_quadrature_relerr(t: float, seed: int = 32, n: int = 20) -> fl
     return max(errs)
 
 
-def predictive_logpdf(post, data: Dataset) -> np.ndarray:
-    """Per-point log predictive of ``data`` from the posterior's own one-level method."""
-    if isinstance(post, NIGRegressionPosterior):
-        return np.asarray(post.predictive_logpdf(data.covariates, data.values))
-    return np.asarray(post.predictive_logpdf(data.values))
-
-
 def exact_log_ratio(post, truth, data: Dataset) -> LogRatioEstimate:
     """Exact per-point log p_predictive(x) - log p_truth(x) over ``data``."""
-    return LogRatioEstimate.from_per_point(predictive_logpdf(post, data) - truth_logpdf(truth, data))
+    return LogRatioEstimate.from_per_point(post.predictive_logpdf(data) - truth_logpdf(truth, data))
 
 
 def nbinom_predictive(post: PoissonGammaPosterior):

@@ -406,6 +406,19 @@ class TestMain:
         assert "error: ridge" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [("0.5:0.1:10", "need 0 < lo < hi <= 1"), ("1e-8:1:1", "count must be >= 2"), ("0:1:5", "need 0 < lo < hi <= 1")],
+    )
+    def test_bad_grid_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, grid, message):
+        sampled = []
+        monkeypatch.setattr(GaussianTruth, "sample", lambda *args: sampled.append(args))
+        args = ["run", "--scenario", "gauss-gauss", "--seed", "0", "--grid", grid, "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sampled == []
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

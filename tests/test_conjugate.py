@@ -27,7 +27,6 @@ from carmen.truths import (
     SigmoidRegressionTruth,
     TNoiseRegressionTruth,
 )
-from oracles import predictive_logpdf
 
 GAUSS = GaussianKnownVarModel(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9)
 POIS = PoissonGammaModel(shape=3.0, rate=0.05)
@@ -106,23 +105,26 @@ class TestPredictive:
     def test_negative_binomial_mass_sums_to_one(self):
         post = temper_update(POIS, SufficientStats(n=1000, sum_x=60000.0, sum_xx=3.7e6), 1e-3)
         xs = np.arange(0, 10001, dtype=float)
-        total = np.exp(post.predictive_logpdf(xs)).sum()
+        total = np.exp(post.predictive_logpdf(Dataset(xs))).sum()
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_prior_predictive_density(self):
         post = temper_update(GAUSS, SufficientStats(n=0), 0.0)
         expected = -0.5 * math.log(2 * math.pi * (0.1**2 + 9.9**2))
-        assert post.predictive_logpdf(0.0) == pytest.approx(expected, rel=1e-12)
+        assert post.predictive_logpdf(Dataset(np.array([0.0])))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gaussian_predictive_integrates_to_one(self):
         post = temper_update(GAUSS, SufficientStats(n=30, sum_x=20.0, sum_xx=100.0), 0.5)
-        total, _ = integrate.quad(lambda x: math.exp(post.predictive_logpdf(x)), -60, 60, limit=300)
+        total, _ = integrate.quad(
+            lambda x: math.exp(post.predictive_logpdf(Dataset(np.array([x])))[0]), -60, 60, limit=300
+        )
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_regression_predictive_integrates_to_one(self):
         post = temper_update(NIG, SufficientStats(n=0), 0.0)
         total, _ = integrate.quad(
-            lambda y: math.exp(post.predictive_logpdf(0.5, y)), -300, 300, limit=500
+            lambda y: math.exp(post.predictive_logpdf(Dataset(np.array([y]), np.array([0.5])))[0]),
+            -300, 300, limit=500,
         )
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -135,7 +137,7 @@ class TestPredictive:
     def test_negative_count_rejected(self):
         post = temper_update(POIS, SufficientStats(n=0), 0.0)
         with pytest.raises(ValueError):
-            post.predictive_logpdf(-1.0)
+            post.predictive_logpdf(Dataset(np.array([-1.0])))
 
     @pytest.mark.parametrize(
         "bad,cause",
@@ -146,7 +148,7 @@ class TestPredictive:
         counts = np.array([3.0, bad, 1.0])
         post = temper_update(POIS, SufficientStats(n=0), 0.0)
         with pytest.raises(ValueError, match=rf"^counts must be {cause}, got"):
-            post.predictive_logpdf(counts)
+            post.predictive_logpdf(Dataset(counts))
         stats = SufficientStats.from_dataset(Dataset(np.array([2.0, 4.0])))
         with pytest.raises(ValueError, match=rf"^counts must be {cause}, got"):
             TemperedPredictive(POIS, stats, Dataset(counts))
@@ -212,7 +214,7 @@ class TestTemperedPredictive:
             assert len(got) == len(ts)
             for t, (post, row) in zip(ts, got):
                 ref_post = temper_update(model, stats, float(t))
-                ref = predictive_logpdf(ref_post, valid)
+                ref = ref_post.predictive_logpdf(valid)
                 assert post == ref_post
                 assert row.shape == (len(valid),)
                 assert row.tobytes() == ref.tobytes()
@@ -220,12 +222,10 @@ class TestTemperedPredictive:
                 if model is not GAUSS:
                     assert ref.tobytes() == _direct_logpdf(ref_post, valid).tobytes()
 
-    def test_one_level_scalar_input(self):
-        post = temper_update(POIS, SufficientStats(n=4, sum_x=10.0, sum_xx=30.0), 0.3)
-        assert post.predictive_logpdf(3.0) == float(post.predictive_logpdf(np.array([3.0]))[0])
-        assert isinstance(post.predictive_logpdf(3.0), float)
-        rpost = temper_update(NIG, SufficientStats(n=0), 0.0)
-        assert isinstance(rpost.predictive_logpdf(0.5, 1.0), float)
+    def test_regression_data_requires_covariates(self):
+        stats = SufficientStats.from_dataset(TNoiseRegressionTruth().sample(RngStream(39), 50))
+        with pytest.raises(ValueError, match="^regression predictive requires covariates$"):
+            TemperedPredictive(NIG, stats, Dataset(np.ones(10)))
 
 
 class TestPredictiveSample:
@@ -241,7 +241,7 @@ class TestPredictiveSample:
 
     def test_regression_zero_covariates_centered(self):
         post = temper_update(NIG, SufficientStats(n=0), 0.0)
-        draws = predictive_sample(post, RngStream(12), 50000, covariates=np.zeros(50000))
+        draws = predictive_sample(post, RngStream(12), 50000, like=Dataset(np.zeros(50000), np.zeros(50000)))
         se = draws.values.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.values.mean()) < 4 * se
 
@@ -262,6 +262,28 @@ class TestPredictiveSample:
         with pytest.raises(ValueError):
             predictive_sample(post, RngStream(0), 10)
 
+    @pytest.mark.parametrize("like", [None, Dataset(np.ones(10))], ids=["no-like", "like-without-covariates"])
+    def test_regression_without_covariates_message(self, like):
+        post = temper_update(NIG, SufficientStats(n=0), 0.0)
+        with pytest.raises(ValueError, match="^regression predictive sampling requires covariates$"):
+            predictive_sample(post, RngStream(0), 10, like=like)
+
+    def test_covariate_count_must_match_draw(self):
+        post = temper_update(NIG, SufficientStats(n=0), 0.0)
+        like = Dataset(np.ones(5), np.zeros(5))
+        with pytest.raises(ValueError, match=r"^covariates must have shape \(10,\), got \(5,\)$"):
+            predictive_sample(post, RngStream(0), 10, like=like)
+
+    @pytest.mark.parametrize("model", [GAUSS, POIS], ids=["gauss", "poisson"])
+    def test_covariates_rejected_on_non_regression_draw(self, model):
+        post = temper_update(model, SufficientStats(n=0), 0.0)
+        like = Dataset(np.ones(10), np.zeros(10))
+        with pytest.raises(ValueError, match="^covariates are only meaningful for regression models$"):
+            predictive_sample(post, RngStream(0), 10, like=like)
+        # a like without covariates is accepted and does not change the draw
+        draws = predictive_sample(post, RngStream(0), 10, like=Dataset(np.ones(10)))
+        assert np.array_equal(draws.values, predictive_sample(post, RngStream(0), 10).values)
+
 
 def _scores(model, xu, xv, ts):
     """Validation log predictive score at each level of ``ts`` after a power-t update on ``xu``."""
@@ -274,7 +296,7 @@ class TestLogTemperedPredictive:
         xu = GaussianTruth(0.0, 3.01).sample(RngStream(20), 100)
         xv = GaussianTruth(0.0, 3.01).sample(RngStream(21), 100)
         prior_post = temper_update(GAUSS, SufficientStats(n=0), 0.0)
-        expected = float(predictive_logpdf(prior_post, xv).sum())
+        expected = float(prior_post.predictive_logpdf(xv).sum())
         assert _scores(GAUSS, xu, xv, [0.0]) == [pytest.approx(expected, rel=1e-14)]
 
     def test_gaussian_setup_maximized_near_1e6(self):
@@ -327,5 +349,5 @@ class TestBetaBinomialKLOracle:
         post = temper_update(POIS, SufficientStats.from_dataset(data), t)
         xs = np.arange(81.0)
         np.testing.assert_allclose(
-            nbinom_predictive(post).logpmf(xs), post.predictive_logpdf(xs), rtol=1e-10, atol=1e-10
+            nbinom_predictive(post).logpmf(xs), post.predictive_logpdf(Dataset(xs)), rtol=1e-10, atol=1e-10
         )
