@@ -20,7 +20,15 @@ from .conjugate import (
     temper_update,
 )
 from .data import Dataset
-from .discriminator import FeatureMap, LabeledDesign, LogisticFit, cv_log_odds, fit_logistic, log_odds
+from .discriminator import (
+    DecisionFunction,
+    FeatureMap,
+    LabeledDesign,
+    LogisticFit,
+    cv_log_odds,
+    fit_logistic,
+    log_odds,
+)
 from .numerics import RngStream, log_gamma, normal_cdf, reg_incomplete_beta, student_t_cdf
 from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
 from .tempering import TemperingCurve, TemperingGrid, curve
@@ -60,6 +68,7 @@ __all__ = [
     "FeatureMap",
     "LabeledDesign",
     "LogisticFit",
+    "DecisionFunction",
     "fit_logistic",
     "log_odds",
     "cv_log_odds",

@@ -93,10 +93,6 @@ class LabeledDesign:
     mean: np.ndarray
     sd: np.ndarray
 
-    def transform(self, raw: np.ndarray) -> np.ndarray:
-        """Standardize held-out raw feature rows with the training parameters."""
-        return (np.atleast_2d(raw) - self.mean) / self.sd
-
 
 def _standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
     """Standardize a C-ordered (d, n) block of raw features in place.
@@ -106,7 +102,7 @@ def _standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign
     sd = 1.  ``features`` is the (n, d) transpose of ``block``, so
     ``features.T`` is contiguous feature-major.
     """
-    mu = block.mean(axis=1)
+    mu = np.add.reduce(block, axis=1) / block.shape[1]  # bitwise block.mean(axis=1)
     block -= mu[:, None]
     sd = np.sqrt(np.einsum("ij,ij->i", block, block) / block.shape[1])
     sd = np.where(sd > 0.0, sd, 1.0)
@@ -155,15 +151,15 @@ class IrlsWorkspace:
         self.d = d
         self.capacity = capacity
         self._design = np.empty((d + 1) * capacity)
-        self._weighted = np.empty((d + 1) * capacity)
+        self._weighted = np.empty((d + 2) * capacity)
         self._vectors = np.empty((7, capacity))
 
     def design(self, n: int) -> np.ndarray:
         return self._design[: (self.d + 1) * n].reshape(self.d + 1, n)
 
     def weighted(self, n: int) -> np.ndarray:
-        """(d+1, n) buffer for the design scaled by the IRLS weights."""
-        return self._weighted[: (self.d + 1) * n].reshape(self.d + 1, n)
+        """(d+2, n) buffer: the design scaled by the IRLS weights, then the residual y - p."""
+        return self._weighted[: (self.d + 2) * n].reshape(self.d + 2, n)
 
     def vectors(self, n: int) -> np.ndarray:
         """Seven (n,) buffers, one per row."""
@@ -178,6 +174,28 @@ class LogisticFit:
     converged: bool
     iterations: int
     objective_path: tuple[float, ...] = field(repr=False, default=())
+
+
+@dataclass(frozen=True)
+class DecisionFunction:
+    """A fitted classifier on raw features: log-odds = intercept + weights @ x.
+
+    A fit's coefficients hold only for the standardization of its own
+    training rows; this form holds for any, so it is the one in which a
+    fit is carried to the next: fold to fold, and call to call.
+    """
+
+    intercept: float
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, fit: LogisticFit, design: LabeledDesign) -> "DecisionFunction":
+        weights = fit.weights / design.sd
+        return cls(float(fit.intercept - weights @ design.mean), weights)
+
+    def start_for(self, design: LabeledDesign) -> np.ndarray:
+        """The same function as ``[intercept, *weights]`` on the design's standardized features."""
+        return np.concatenate([[self.intercept + self.weights @ design.mean], self.weights * design.sd])
 
 
 @np.errstate(under="ignore")  # see _softplus_sigmoid
@@ -240,7 +258,9 @@ def fit_logistic(
     AT = workspace.design(n)
     AT[0] = 1.0
     AT[1:] = X.T
+    # weighted @ AT.T is the Hessian's d+1 rows, then the gradient.
     weighted = workspace.weighted(n)
+    scaled, residual = weighted[: d + 1], weighted[d + 1]
     eta, cand_eta, soft, p, cand_p, scratch, a_delta = workspace.vectors(n)
     lam = float(ridge)
 
@@ -272,13 +292,15 @@ def fit_logistic(
     converged = False
     bumps = 0
     iterations = 0
-    diagonal = np.arange(1, d + 1)
     while iterations < max_iter:
-        grad = AT @ np.subtract(y, p, out=scratch)
-        grad[1:] -= lam * beta[1:]
+        np.subtract(y, p, out=residual)
         w = np.multiply(p, np.subtract(1.0, p, out=scratch), out=scratch)
-        hess = np.multiply(AT, w, out=weighted) @ AT.T
-        hess[diagonal, diagonal] += lam
+        np.multiply(AT, w, out=scaled)
+        products = weighted @ AT.T
+        hess, grad = products[: d + 1], products[d + 1]
+        grad[1:] -= lam * beta[1:]
+        # hess is C-contiguous, so its weight diagonal is every (d+2)-th element from d+2.
+        hess.reshape(-1)[d + 2 :: d + 2] += lam
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -299,13 +321,14 @@ def fit_logistic(
             break
         np.matmul(delta, AT, out=a_delta)
         step = 1.0
+        np.add(eta, a_delta, out=cand_eta)
         for _ in range(30):
-            np.add(eta, np.multiply(a_delta, step, out=cand_eta), out=cand_eta)
             cand = beta + step * delta
             cand_obj = objective(cand_eta, cand, cand_p)
             if cand_obj >= obj - 1e-13 * abs(obj):
                 break
             step *= 0.5
+            np.add(eta, np.multiply(a_delta, step, out=cand_eta), out=cand_eta)
         else:
             break
         iterations += 1
@@ -334,8 +357,13 @@ def log_odds(fit: LogisticFit, rows: np.ndarray):
     return float(out[0]) if single else out
 
 
-def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
-    return [np.sort(f) for f in np.array_split(g.permutation(n), k)]
+def _fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
+    """The fold of each of ``n`` points: one permutation of them, cut into ``k`` near-equal runs."""
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1
+    ids = np.empty(n, dtype=np.intp)
+    ids[g.permutation(n)] = np.repeat(np.arange(k), sizes)
+    return ids
 
 
 def cv_log_odds(
@@ -346,14 +374,20 @@ def cv_log_odds(
     ridge: float,
     rng: RngStream,
     score: str = "observed",
-) -> np.ndarray:
-    """Out-of-fold log-odds for every point of one class.
+    start: DecisionFunction | None = None,
+) -> tuple[np.ndarray, DecisionFunction]:
+    """Out-of-fold log-odds for every point of one class, and the last fold's classifier.
 
     Both classes are partitioned into ``k`` folds (stratified, so each fold
     is class-balanced up to rounding); each fold's points are scored by a
     classifier fitted on the remaining folds, with standardization refit
     on the training rows only.  Returns one value per point of the scored
-    class, aligned with its dataset order.
+    class, aligned with its dataset order, and the last fold's decision
+    function.
+
+    The folds are fitted in order, each started from the previous fold's
+    decision function, and the first from ``start`` when given;
+    ``fit_logistic`` uses a start only when it beats beta = 0.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -366,42 +400,44 @@ def cv_log_odds(
     # first, and the fold of every point.  Each fold's training columns
     # are gathered in that order straight into the feature rows of the
     # design in one workspace, sized for the largest training fold, that
-    # all k fits share.
+    # all k fits share; its labels are a view of one label vector.
     n_obs, n_sim = len(observed), len(simulated)
     raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
     d = raw.shape[0]
     g = rng.generator()
-    folds_obs = _fold_indices(n_obs, k, g)
-    folds_sim = _fold_indices(n_sim, k, g)
-    fold_of = np.empty(n_obs + n_sim, dtype=np.intp)
-    for j in range(k):
-        fold_of[folds_obs[j]] = j
-        fold_of[n_obs + folds_sim[j]] = j
-    held_sizes = [fo.size + fs.size for fo, fs in zip(folds_obs, folds_sim)]
-    workspace = IrlsWorkspace(d, n_obs + n_sim - min(held_sizes))
+    fold_obs = _fold_ids(n_obs, k, g)
+    fold_sim = _fold_ids(n_sim, k, g)
+    fold_of = np.concatenate([fold_obs, fold_sim])
+    held_obs = np.bincount(fold_obs, minlength=k)
+    held_sim = np.bincount(fold_sim, minlength=k)
+    workspace = IrlsWorkspace(d, n_obs + n_sim - int(np.min(held_obs + held_sim)))
+    labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
 
-    target_raw = raw[:, :n_obs] if score == "observed" else raw[:, n_obs:]
-    out = np.full(target_raw.shape[1], np.nan)
-    fit = prev_design = None
+    # Row j holds fold j's decision function [intercept, *weights].
+    # Warm starts go through raw feature space into each fold's
+    # standardization.  Copying the standardized coefficients is not the
+    # same start: near separation a small shift in mean/sd makes it far
+    # worse than beta = 0 and the line search stalls there, which is also
+    # why fit_logistic ignores a start that does not beat beta = 0.
+    coef = np.empty((k, d + 1))
+    decision = start
     for j in range(k):
-        m_obs, m_sim = n_obs - folds_obs[j].size, n_sim - folds_sim[j].size
+        m_obs, m_sim = n_obs - held_obs[j], n_sim - held_sim[j]
         block = workspace.design(m_obs + m_sim)[1:]
         np.compress(fold_of != j, raw, axis=1, out=block)
-        labels = np.concatenate([np.zeros(m_obs), np.ones(m_sim)])
-        design = _standardized_design(block, labels)
-        # Warm start from the previous fold's decision function, carried
-        # through raw feature space into this fold's standardization.
-        # Copying the standardized coefficients is not the same start: near
-        # separation a small shift in mean/sd makes it far worse than
-        # beta = 0 and the line search stalls there, which is also why
-        # fit_logistic ignores a start that does not beat beta = 0.
-        start = None
-        if fit is not None:
-            w_raw = fit.weights / prev_design.sd
-            c = fit.intercept - w_raw @ prev_design.mean
-            start = np.concatenate([[c + w_raw @ design.mean], w_raw * design.sd])
-        fit = fit_logistic(design, ridge=ridge, start=start, workspace=workspace)
-        prev_design = design
-        held = folds_obs[j] if score == "observed" else folds_sim[j]
-        out[held] = log_odds(fit, design.transform(target_raw[:, held].T))
-    return out
+        design = _standardized_design(block, labels[n_obs - m_obs : n_obs + m_sim])
+        fit = fit_logistic(
+            design,
+            ridge=ridge,
+            start=None if decision is None else decision.start_for(design),
+            workspace=workspace,
+        )
+        decision = DecisionFunction.of(fit, design)
+        coef[j, 0] = decision.intercept
+        coef[j, 1:] = decision.weights
+
+    if score == "observed":
+        target, rows = raw[:, :n_obs], coef[fold_obs]
+    else:
+        target, rows = raw[:, n_obs:], coef[fold_sim]
+    return rows[:, 0] + np.einsum("ij,ji->i", rows[:, 1:], target), decision

@@ -10,32 +10,39 @@ model predictive, conditional on what the classifier can discriminate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conjugate import TemperedPosterior, predictive_sample
 from .data import Dataset
-from .discriminator import DEFAULT_RIDGE, FeatureMap, cv_log_odds
+from .discriminator import DEFAULT_RIDGE, DecisionFunction, FeatureMap, cv_log_odds
 from .numerics import RngStream
 
 
 @dataclass(frozen=True)
 class LogRatioEstimate:
-    """Per-point log-ratio values with their sum, mean and count."""
+    """Per-point log-ratio values with their sum, mean and count.
+
+    A classifier-based estimate also keeps its last fold's ``decision``
+    function, which a later estimate can start from.
+    """
 
     per_point: np.ndarray
     sum: float
     mean: float
     n: int
+    decision: DecisionFunction | None = field(default=None, repr=False)
 
     @classmethod
-    def from_per_point(cls, values: np.ndarray) -> "LogRatioEstimate":
+    def from_per_point(
+        cls, values: np.ndarray, decision: DecisionFunction | None = None
+    ) -> "LogRatioEstimate":
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("per-point values must be a non-empty 1-D array")
         total = float(values.sum())
-        return cls(per_point=values, sum=total, mean=total / values.size, n=values.size)
+        return cls(per_point=values, sum=total, mean=total / values.size, n=values.size, decision=decision)
 
     def std_error(self) -> float:
         """Standard error of the mean (n-1 divisor)."""
@@ -61,13 +68,15 @@ def estimate_log_ratio(
     rng: RngStream,
     n_sim: int | None = None,
     ridge: float = DEFAULT_RIDGE,
+    start: DecisionFunction | None = None,
 ) -> LogRatioEstimate:
     """Estimated log p_model/p_truth at each validation point.
 
     Simulates ``n_sim`` points from the posterior predictive (default:
     as many as there are validation points), trains the cross-validated
-    classifier, and converts out-of-fold log-odds into density log-ratios
-    with the class-prior offset ln(n_obs/n_sim).
+    classifier, its first fold started from ``start`` when given, and
+    converts out-of-fold log-odds into density log-ratios with the
+    class-prior offset ln(n_obs/n_sim).
     """
     n_obs = len(x_valid)
     if n_sim is None:
@@ -75,8 +84,8 @@ def estimate_log_ratio(
     if n_sim < k:
         raise ValueError("n_sim must be at least the number of folds")
     simulated = _simulate(post, x_valid, n_sim, rng)
-    odds = cv_log_odds(x_valid, simulated, fm, k, ridge, rng.substream(2))
-    return LogRatioEstimate.from_per_point(odds + math.log(n_obs / n_sim))
+    odds, decision = cv_log_odds(x_valid, simulated, fm, k, ridge, rng.substream(2), start=start)
+    return LogRatioEstimate.from_per_point(odds + math.log(n_obs / n_sim), decision)
 
 
 def estimate_reverse_log_ratio(
@@ -87,6 +96,7 @@ def estimate_reverse_log_ratio(
     rng: RngStream,
     n_sim: int | None = None,
     ridge: float = DEFAULT_RIDGE,
+    start: DecisionFunction | None = None,
 ) -> LogRatioEstimate:
     """Same pipeline scored on the simulated points instead.
 
@@ -99,5 +109,7 @@ def estimate_reverse_log_ratio(
     if n_sim < k:
         raise ValueError("n_sim must be at least the number of folds")
     simulated = _simulate(post, x_valid, n_sim, rng)
-    odds = cv_log_odds(x_valid, simulated, fm, k, ridge, rng.substream(2), score="simulated")
-    return LogRatioEstimate.from_per_point(-(odds + math.log(n_obs / n_sim)))
+    odds, decision = cv_log_odds(
+        x_valid, simulated, fm, k, ridge, rng.substream(2), score="simulated", start=start
+    )
+    return LogRatioEstimate.from_per_point(-(odds + math.log(n_obs / n_sim)), decision)

@@ -162,12 +162,20 @@ def curve(
     whose predictive cannot be evaluated aborts the run, since t* needs
     every level; any later failure at a level is recorded with missing
     fields.
+
+    The classifier fits of a run form one chain: each grid level's
+    cross-validated fit starts from the last good level's decision
+    function, the estimate at t* from the one carried at the grid level
+    nearest t* (in log t), and the reverse estimate from the estimate at
+    t*.  So the levels are fitted in order.
     """
     pred = TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
     truth_lp = None if truth is None else truth_logpdf(truth, x_valid)
     ts = grid.values
     scores = np.empty(ts.size)
     points: list[CurvePoint] = []
+    decision = None  # the last good level's classifier
+    carried = []  # the classifier carried out of each level
     for i, (post, lp_vec) in enumerate(pred.levels(ts)):
         scores[i] = lp = float(lp_vec.sum())
         try:
@@ -175,12 +183,13 @@ def curve(
             approx_sum = t_stat = p_value = None
             if full_curve:
                 est = estimate_log_ratio(
-                    post, x_valid, fm, k, rng.substream(_SUB_GRID_BASE + i), ridge=ridge
+                    post, x_valid, fm, k, rng.substream(_SUB_GRID_BASE + i), ridge=ridge, start=decision
                 )
                 res = t_test_logz(est)
                 approx_sum = est.sum
                 t_stat = res.statistic
                 p_value = res.p_value
+                decision = est.decision
             points.append(
                 CurvePoint(
                     t=post.t,
@@ -193,11 +202,13 @@ def curve(
             )
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             points.append(CurvePoint(t=post.t, log_predictive=None))
+        carried.append(decision)
 
     opt = _refine(pred, ts, scores)
     ((post_star, lp_star),) = pred.levels([opt.t_star])
+    nearest = int(np.argmin(np.abs(np.log(ts) - math.log(opt.t_star))))
     est_star = estimate_log_ratio(
-        post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), ridge=ridge
+        post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), ridge=ridge, start=carried[nearest]
     )
     test_star = t_test_logz(est_star)
     true_star = None
@@ -206,7 +217,7 @@ def curve(
     reverse_star = None
     if reverse:
         reverse_star = estimate_reverse_log_ratio(
-            post_star, x_valid, fm, k, rng.substream(_SUB_REVERSE), ridge=ridge
+            post_star, x_valid, fm, k, rng.substream(_SUB_REVERSE), ridge=ridge, start=est_star.decision
         )
 
     return TemperingCurve(

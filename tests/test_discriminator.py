@@ -13,10 +13,11 @@ from carmen.data import Dataset
 from carmen.discriminator import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    DecisionFunction,
     FeatureMap,
     IrlsWorkspace,
     LabeledDesign,
-    _fold_indices,
+    _fold_ids,
     _softplus_sigmoid,
     _standardized_design,
     cv_log_odds,
@@ -27,6 +28,12 @@ from carmen.numerics import RngStream
 from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
+
+
+def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
+    """The folds ``cv_log_odds`` cuts: one permutation of the n points, split by
+    ``np.array_split`` into k near-equal runs, each run sorted."""
+    return [np.sort(f) for f in np.array_split(g.permutation(n), k)]
 
 
 def _labeled_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> LabeledDesign:
@@ -365,7 +372,7 @@ class TestLogOdds:
         sim = Dataset(g.normal(1.0, 1.0, 4000))
         design = _labeled_design(obs, sim, FeatureMap(("x",)))
         fit = fit_logistic(design)
-        mid = design.transform(np.array([[0.0]]))
+        mid = (np.array([[0.0]]) - design.mean) / design.sd
         assert abs(log_odds(fit, mid[0])) < 0.15
 
     def test_dimension_mismatch(self):
@@ -389,7 +396,7 @@ class TestLogOdds:
             mu, sd = raw.mean(axis=0), raw.std(axis=0)
             design = LabeledDesign((raw - mu) / sd, labels, mu, sd)
             fit = fit_logistic(design, ridge=0.0)
-            return log_odds(fit, design.transform(holdout * scale + shift))
+            return log_odds(fit, (holdout * scale + shift - mu) / sd)
 
         base = fit_and_score(1.0, 0.0)
         rescaled = fit_and_score(np.array([3.0, 0.2]), np.array([-1.0, 7.0]))
@@ -417,14 +424,14 @@ class TestCvLogOdds:
     def test_indistinguishable_classes_centered(self):
         obs = Dataset(RngStream(60, 0).generator().normal(size=1000))
         sim = Dataset(RngStream(60, 1).generator().normal(size=1000))
-        vals = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(61))
+        vals, _ = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(61))
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) < 3 * se
 
     def test_every_point_scored_once(self):
         obs = Dataset(RngStream(62, 0).generator().normal(size=97))
         sim = Dataset(RngStream(62, 1).generator().normal(size=103))
-        vals = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(63))
+        vals, _ = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(63))
         assert vals.shape == (97,)
         assert np.all(np.isfinite(vals))
 
@@ -434,7 +441,7 @@ class TestCvLogOdds:
         obs = Dataset(RngStream(62, 0).generator().normal(size=97))
         sim = Dataset(RngStream(62, 1).generator().normal(0.5, 1.0, size=103))
         args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(63))
-        vals = cv_log_odds(*args, score="simulated")
+        vals, _ = cv_log_odds(*args, score="simulated")
         assert vals.shape == (103,)
         assert np.allclose(vals, _row_major_cv(*args, score="simulated"), rtol=1e-8, atol=1e-8)
 
@@ -442,8 +449,8 @@ class TestCvLogOdds:
         obs = Dataset(RngStream(64, 0).generator().normal(size=1000))
         sim = Dataset(RngStream(64, 1).generator().normal(0.15, 1.0, size=1000))
         fm = FeatureMap(("x", "x2"))
-        v2 = cv_log_odds(obs, sim, fm, 2, 1e-6, RngStream(65))
-        v10 = cv_log_odds(obs, sim, fm, 10, 1e-6, RngStream(66))
+        v2, _ = cv_log_odds(obs, sim, fm, 2, 1e-6, RngStream(65))
+        v10, _ = cv_log_odds(obs, sim, fm, 10, 1e-6, RngStream(66))
         band = 3 * math.sqrt(v2.var(ddof=1) / v2.size + v10.var(ddof=1) / v10.size)
         assert abs(v2.mean() - v10.mean()) < band
 
@@ -455,15 +462,15 @@ class TestCvLogOdds:
         xv = truth.sample(RngStream(68), 1000)
         post = temper_update(model, SufficientStats.from_dataset(xu), 1e-6)
         sim = predictive_sample(post, RngStream(69), 1000)
-        vals = cv_log_odds(xv, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(70))
+        vals, _ = cv_log_odds(xv, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(70))
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) < 4 * se
 
     def test_deterministic(self):
         obs = Dataset(RngStream(71, 0).generator().normal(size=100))
         sim = Dataset(RngStream(71, 1).generator().normal(size=100))
-        a = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
-        b = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
+        a, _ = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
+        b, _ = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
         assert np.array_equal(a, b)
 
     def test_near_separable_level_matches_tight_fits(self, monkeypatch):
@@ -501,7 +508,7 @@ class TestCvLogOdds:
         # this sum from about -1358 into +23272.
         t, (x_valid, sim, fm, k, ridge, cv_rng) = _grid_level_draw("poisson-betabinom", 7, 11)
         assert t == pytest.approx(6.25e-7, rel=1e-3)
-        vals = cv_log_odds(x_valid, sim, fm, k, ridge, cv_rng)
+        vals, _ = cv_log_odds(x_valid, sim, fm, k, ridge, cv_rng)
 
         # reference: every fold fitted from beta = 0
         raw_obs, raw_sim = fm.matrix(x_valid), fm.matrix(sim)
@@ -518,7 +525,7 @@ class TestCvLogOdds:
             sd = np.where(sd > 0.0, sd, 1.0)
             design = LabeledDesign((raw - mu) / sd, labels, mu, sd)
             fit = fit_logistic(design, ridge=ridge)
-            ref[held_obs] = log_odds(fit, design.transform(raw_obs[held_obs]))
+            ref[held_obs] = log_odds(fit, (raw_obs[held_obs] - mu) / sd)
         assert ref.sum() < -1000.0
         assert np.max(np.abs(vals - ref)) < 1e-5
 
@@ -587,6 +594,66 @@ class TestCvLogOdds:
             assert sd[0] == 1.0 and np.array_equal(feats[:, 0], np.zeros(m_obs + m_sim))
             assert np.allclose(feats[:, 1:].std(axis=0), 1.0, rtol=0.0, atol=1e-12)
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
+
+    def test_fold_ids_are_the_array_split_folds(self):
+        for n, k in [(10, 2), (97, 5), (103, 10), (1000, 10), (11, 11)]:
+            ids = _fold_ids(n, k, RngStream(82, n).generator())
+            folds = _fold_indices(n, k, RngStream(82, n).generator())
+            assert [np.flatnonzero(ids == j).tolist() for j in range(k)] == [f.tolist() for f in folds]
+
+    @pytest.mark.parametrize("score", ["observed", "simulated"])
+    @pytest.mark.parametrize(
+        "scenario, seed, level", [("reg-sigmoid", 0, 23), ("poisson-betabinom", 7, 11)],
+        ids=["reg-sigmoid", "poisson-betabinom"],
+    )
+    def test_start_from_previous_level_matches_cold_call(self, monkeypatch, scenario, seed, level, score):
+        # Nearly separable levels of a full-curve run, where last-bit
+        # changes moved the simulated-class mean by up to 6.4e-5 nat/pt.
+        # A run starts each level's first fold from the previous level's
+        # last fold; the result must be the cold call's.
+        _, previous = cv_log_odds(*_grid_level_draw(scenario, seed, level - 1)[1])
+        args = _grid_level_draw(scenario, seed, level)[1]
+        fits = _record_fits(monkeypatch)
+        cold, _ = cv_log_odds(*args, score=score)
+        warm, _ = cv_log_odds(*args, score=score, start=previous)
+        k = args[3]
+        assert len(fits) == 2 * k
+        assert all(fit.converged for _, fit in fits)
+        # The carried start beat beta = 0, so the first warm fold began elsewhere.
+        assert fits[k][1].objective_path[0] > fits[0][1].objective_path[0]
+        assert np.max(np.abs(warm - cold)) <= 1e-5
+        assert abs(warm.mean() - cold.mean()) <= 1e-7 * max(1.0, abs(cold.mean()))
+
+    def test_start_worse_than_zero_is_ignored(self, monkeypatch):
+        obs = Dataset(RngStream(83, 0).generator().normal(size=300))
+        sim = Dataset(RngStream(83, 1).generator().normal(0.5, 1.5, size=300))
+        args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(84))
+        _, decision = cv_log_odds(*args)
+        fits = _record_fits(monkeypatch)
+        cold, _ = cv_log_odds(*args)
+        negated = DecisionFunction(-decision.intercept, -decision.weights)
+        warm, _ = cv_log_odds(*args, start=negated)
+        assert fits[5][0] is not None and fits[0][0] is None
+        assert _fit_bytes(fits[5][1]) == _fit_bytes(fits[0][1])
+        assert np.array_equal(warm, cold)
+
+    def test_returns_last_folds_decision_function(self, monkeypatch):
+        designs = []
+        fit = carmen.discriminator.fit_logistic
+
+        def recording(design, **kwargs):
+            result = fit(design, **kwargs)
+            designs.append((design.mean.copy(), design.sd.copy(), result))
+            return result
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        obs = Dataset(RngStream(85, 0).generator().normal(size=200))
+        sim = Dataset(RngStream(85, 1).generator().normal(0.4, 1.2, size=200))
+        _, decision = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 4, 1e-6, RngStream(86))
+        mean, sd, last = designs[-1]
+        x = np.array([[0.3, 0.09], [-2.0, 4.0]])
+        expected = log_odds(last, (x - mean) / sd)
+        assert np.allclose(decision.intercept + x @ decision.weights, expected, rtol=0.0, atol=1e-12)
 
     def test_unknown_score_rejected(self):
         obs = Dataset(np.arange(10.0))
@@ -707,7 +774,7 @@ class TestFeatureMajorLayout:
     def test_cv_agrees_with_row_major_reference(self, scenario, level):
         # A full-curve run scores the observed class at every grid level.
         args = _grid_level_draw(scenario, 0, level)[1]
-        vals = cv_log_odds(*args)
+        vals, _ = cv_log_odds(*args)
         ref = _row_major_cv(*args, score="observed")
         assert np.all(np.isfinite(vals))
         assert abs(vals.mean() - ref.mean()) < 1e-7
@@ -716,13 +783,27 @@ class TestFeatureMajorLayout:
     def test_simulated_scoring_agrees_with_row_major_reference(self, scenario):
         # A reverse-KL run scores the simulated class, the tail of the block.
         args = _grid_level_draw(scenario, 1, 25)[1]
-        vals = cv_log_odds(*args, score="simulated")
+        vals, _ = cv_log_odds(*args, score="simulated")
         ref = _row_major_cv(*args, score="simulated")
         assert vals.shape == (len(args[1]),)
         assert np.all(np.isfinite(vals))
         # Near separation the simulated scores reach hundreds of nats, so
         # the bound scales with them.
         assert abs(vals.mean() - ref.mean()) < 1e-7 * max(1.0, abs(ref.mean()))
+
+
+def _record_fits(monkeypatch) -> list:
+    """Route ``cv_log_odds``'s fits through a wrapper that keeps each fit's start and result."""
+    fits = []
+    fit = carmen.discriminator.fit_logistic
+
+    def recording(design, **kwargs):
+        result = fit(design, **kwargs)
+        fits.append((kwargs.get("start"), result))
+        return result
+
+    monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    return fits
 
 
 def _fit_bytes(fit) -> tuple:

@@ -67,7 +67,7 @@ class TestEstimateLogRatio:
         # score the duplicated rows directly through the cv machinery
         from carmen.discriminator import cv_log_odds
 
-        vals = cv_log_odds(obs, Dataset(values.copy()), FeatureMap(("x", "x2")), 5, 1e-6, RngStream(103))
+        vals, _ = cv_log_odds(obs, Dataset(values.copy()), FeatureMap(("x", "x2")), 5, 1e-6, RngStream(103))
         assert abs(vals.mean()) < 0.2
         assert np.max(np.abs(vals)) < 1.0
 

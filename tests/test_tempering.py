@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import carmen.discriminator
 from carmen import tempering
 from carmen.conjugate import (
     GaussianKnownVarModel,
@@ -312,3 +313,62 @@ class TestSingleGridPass:
         monkeypatch.setattr(tempering, "TemperedPredictive", Failing)
         with pytest.raises(ValueError, match="forced predictive failure"):
             curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(244))
+
+
+class TestClassifierChain:
+    """The cross-validated fits of a run start each from the one before."""
+
+    def test_one_cold_fit_per_run(self, monkeypatch):
+        starts = []
+        fit = carmen.discriminator.fit_logistic
+
+        def recording(design, **kwargs):
+            starts.append(kwargs.get("start"))
+            return fit(design, **kwargs)
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        truth, xu, xv = _gauss_data(245, 200)
+        grid = TemperingGrid.log_uniform(1e-7, 1.0, 5)
+        curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(247), full_curve=True, reverse=True)
+        # Five grid levels, the estimate at t* and the reverse one, five folds each.
+        assert len(starts) == (5 + 2) * 5
+        assert [i for i, start in enumerate(starts) if start is None] == [0]
+
+    def test_failed_level_is_skipped_by_the_chain(self, monkeypatch):
+        truth, xu, xv = _gauss_data(248, 200)
+        grid = TemperingGrid.log_uniform(1e-7, 1.0, 5)
+        failing_t = float(grid.values[1])
+        calls = []  # (t, start, estimate or None), one per classifier estimate
+        forward, reverse = tempering.estimate_log_ratio, tempering.estimate_reverse_log_ratio
+
+        def recorded(original):
+            def call(post, *rest, start=None, **kwargs):
+                calls.append((post.t, start, None))
+                if post.t == failing_t:
+                    raise RuntimeError("forced classifier failure")
+                est = original(post, *rest, start=start, **kwargs)
+                calls[-1] = (post.t, start, est)
+                return est
+
+            return call
+
+        monkeypatch.setattr(tempering, "estimate_log_ratio", recorded(forward))
+        monkeypatch.setattr(tempering, "estimate_reverse_log_ratio", recorded(reverse))
+        tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(250), full_curve=True, reverse=True)
+        assert tc.points[1] == CurvePoint(t=failing_t, log_predictive=None)
+        assert len(calls) == 5 + 2
+        levels = calls[:5]
+        decisions = [est.decision if est is not None else None for _, _, est in levels]
+        assert levels[0][1] is None
+        assert levels[1][1] is decisions[0]
+        assert levels[2][1] is decisions[0]  # the last good level's, not the failed one's
+        assert levels[3][1] is decisions[2] and levels[4][1] is decisions[3]
+        # The estimate at t* starts from the classifier carried at the
+        # grid level nearest t*, and the reverse estimate from it.
+        carried = [decisions[0], decisions[0], decisions[2], decisions[3], decisions[4]]
+        nearest = int(np.argmin(np.abs(np.log(grid.values) - math.log(tc.t_star))))
+        (t_star, star_start, est_star), (_, reverse_start, est_reverse) = calls[5:]
+        assert t_star == tc.t_star and star_start is carried[nearest]
+        assert est_star is not None and reverse_start is est_star.decision
+        assert est_reverse.sum == tc.reverse_at_t_star.sum
+
