@@ -27,7 +27,6 @@ from .discriminator import (
     LogisticFit,
     cv_log_odds,
     fit_logistic,
-    log_odds,
 )
 from .numerics import RngStream, log_gamma, normal_cdf, reg_incomplete_beta, student_t_cdf
 from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
@@ -70,7 +69,6 @@ __all__ = [
     "LogisticFit",
     "DecisionFunction",
     "fit_logistic",
-    "log_odds",
     "cv_log_odds",
     "LogRatioEstimate",
     "estimate_log_ratio",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numerics import CountTable, RngStream, log_gamma, require_finite_fields
+from .numerics import CountTable, RngStream, log_gamma, require_finite_fields, require_gaussian_scales
 
 
 def _reject_covariates(like: Dataset | None) -> None:
@@ -95,8 +95,7 @@ class GaussianKnownVarModel:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
-        if not (self.noise_sd > 0.0 and self.prior_sd > 0.0):
-            raise ValueError("noise_sd and prior_sd must be positive")
+        require_gaussian_scales(self, "noise_sd", "prior_sd")
 
     def posterior(self, stats: SufficientStats, t: float) -> "GaussianPosterior":
         t = _check_t(t)

@@ -346,17 +346,6 @@ def fit_logistic(
     )
 
 
-def log_odds(fit: LogisticFit, rows: np.ndarray):
-    """ln(P(sim | x) / P(obs | x)) for standardized feature rows."""
-    rows = np.asarray(rows, dtype=float)
-    single = rows.ndim == 1
-    rows = np.atleast_2d(rows)
-    if rows.shape[1] != fit.weights.size:
-        raise ValueError(f"row dimension {rows.shape[1]} != fit dimension {fit.weights.size}")
-    out = fit.intercept + rows @ fit.weights
-    return float(out[0]) if single else out
-
-
 def _fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
     """The fold of each of ``n`` points: one permutation of them, cut into ``k`` near-equal runs."""
     sizes = np.full(k, n // k)

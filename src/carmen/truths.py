@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numerics import CountTable, RngStream, log_beta, log_gamma, normal_cdf, require_finite_fields
+from .numerics import (
+    CountTable, RngStream, log_beta, log_gamma, normal_cdf, require_finite_fields, require_gaussian_scales,
+)
 
 
 def _normal_logpdf(resid: np.ndarray, sd: float) -> np.ndarray:
@@ -31,8 +33,7 @@ class GaussianTruth:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
-        if self.sd <= 0.0:
-            raise ValueError("sd must be positive")
+        require_gaussian_scales(self, "sd")
 
     def sample(self, rng: RngStream, n: int) -> Dataset:
         return Dataset(rng.generator().normal(self.mean, self.sd, size=n))
@@ -111,12 +112,13 @@ class BetaBinomialTruth:
         x = data.values
         out = np.full(x.shape, -np.inf)
         ok = (x >= 0) & (x <= self.trials)
-        xs = x[ok]
-        m = float(self.trials)
-        out[ok] = (
-            log_gamma(m + 1.0) - log_gamma(xs + 1.0) - log_gamma(m - xs + 1.0)
-            + log_beta(xs + self.a, m - xs + self.b) - log_beta(self.a, self.b)
+        table = CountTable(x[ok])
+        xu, m = table.counts, float(self.trials)
+        logpmf = (
+            log_gamma(m + 1.0) - table.log_factorial - log_gamma(m - xu + 1.0)
+            + log_beta(xu + self.a, m - xu + self.b) - log_beta(self.a, self.b)
         )
+        out[ok] = logpmf[table.inverse]
         return out
 
 
@@ -166,8 +168,7 @@ class SigmoidRegressionTruth:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
-        if self.noise_sd <= 0.0:
-            raise ValueError("noise_sd must be positive")
+        require_gaussian_scales(self, "noise_sd")
 
     def mean_fn(self, x) -> np.ndarray:
         return self.amplitude * (normal_cdf(self.steepness * np.asarray(x, float)) - 0.5)

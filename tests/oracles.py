@@ -8,6 +8,9 @@ The divergence oracle sums the exact beta-binomial truth against the
 negative-binomial predictive over the truth's finite support.  The exact
 log ratio is computed per level from each posterior's own one-level
 ``predictive_logpdf(data)`` method, independently of the batched grid scan.
+A fit's log-odds on standardized rows are scored directly from its
+coefficients, independently of the raw-feature rows that cross-validation
+scores from.
 """
 
 import math
@@ -24,6 +27,7 @@ from carmen.conjugate import (
     temper_update,
 )
 from carmen.data import Dataset
+from carmen.discriminator import LogisticFit
 from carmen.numerics import RngStream, log_gamma
 from carmen.ratio import LogRatioEstimate
 from carmen.truths import (
@@ -182,3 +186,14 @@ def betabinom_predictive_kl(
     mean = float(np.sum(pmf * log_ratio))
     var = float(np.sum(pmf * (log_ratio - mean) ** 2))
     return -mean, math.sqrt(var)
+
+
+def log_odds(fit: LogisticFit, rows: np.ndarray):
+    """ln(P(sim | x) / P(obs | x)) for standardized feature rows."""
+    rows = np.asarray(rows, dtype=float)
+    single = rows.ndim == 1
+    rows = np.atleast_2d(rows)
+    if rows.shape[1] != fit.weights.size:
+        raise ValueError(f"row dimension {rows.shape[1]} != fit dimension {fit.weights.size}")
+    out = fit.intercept + rows @ fit.weights
+    return float(out[0]) if single else out

@@ -333,6 +333,27 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error: unknown transforms ['bogus']")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "model,truth,field",
+        [
+            ("model.noise_sd = 0.1\nmodel.prior_sd = 1e-200", "truth.sd = 3", "prior_sd"),
+            ("model.noise_sd = 1e-170\nmodel.prior_sd = 9.9", "truth.sd = 3", "noise_sd"),
+            ("model.noise_sd = 1e200\nmodel.prior_sd = 9.9", "truth.sd = 3", "noise_sd"),
+            ("model.noise_sd = 0.1\nmodel.prior_sd = 9.9", "truth.sd = 1e-200", "sd"),
+        ],
+        ids=["prior_sd-underflow", "noise_sd-subnormal", "noise_sd-overflow", "truth-sd-underflow"],
+    )
+    def test_gaussian_scale_without_normal_square_rejected(self, tmp_path, capsys, model, truth, field):
+        # each square is 0, subnormal or inf: rejected before any work, naming the field
+        cfg_file = tmp_path / "scale.cfg"
+        cfg_file.write_text(
+            "scenario = custom\nseed = 1\nmodel = gaussian\nmodel.prior_mean = 0\n"
+            f"{model}\ntruth = gaussian\ntruth.mean = 0\n{truth}\nfeatures = x, x2\n"
+        )
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be positive with a normal float square")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
     def test_betabinom_trials_whole_number(self, tmp_path, capsys, trials, ok):
         cfg_file = tmp_path / "bb.cfg"

@@ -22,12 +22,12 @@ from carmen.discriminator import (
     _standardized_design,
     cv_log_odds,
     fit_logistic,
-    log_odds,
 )
 from carmen.numerics import RngStream
 from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
+from oracles import log_odds
 
 
 def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:

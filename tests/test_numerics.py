@@ -1,10 +1,12 @@
 """Special functions, seeded random streams and parameter checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from carmen.conjugate import GaussianKnownVarModel
 from carmen.numerics import (
     RngStream,
     log_gamma,
@@ -12,11 +14,15 @@ from carmen.numerics import (
     reg_incomplete_beta,
     student_t_cdf,
 )
+from carmen.truths import GaussianTruth, SigmoidRegressionTruth
 
 
 class TestLogGamma:
     def test_gamma_of_one_is_zero(self):
-        assert abs(log_gamma(1.0)) < 1e-12
+        # exactly zero, as is ln G(2)
+        assert log_gamma(1.0) == 0.0
+        assert log_gamma(2.0) == 0.0
+        assert np.array_equal(log_gamma(np.array([1.0, 2.0])), [0.0, 0.0])
 
     def test_half_is_log_sqrt_pi(self):
         # ln sqrt(pi), high-precision reference
@@ -26,9 +32,11 @@ class TestLogGamma:
         assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-12)
 
     def test_relative_error_across_range(self):
-        for x in np.logspace(-3, 6, 200):
-            ref = math.lgamma(float(x))
-            assert abs(log_gamma(float(x)) - ref) <= 1e-12 * max(1.0, abs(ref))
+        from scipy.special import gammaln
+
+        xs = np.logspace(-300, 300, 601)
+        ref = gammaln(xs)
+        assert np.all(np.abs(log_gamma(xs) - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
     def test_recurrence(self):
         rng = np.random.default_rng(0)
@@ -38,16 +46,34 @@ class TestLogGamma:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_vectorized_matches_scalar(self):
-        xs = np.array([0.01, 0.4, 1.0, 7.3, 1234.5])
+        # bitwise: both paths are math.lgamma
+        xs = np.array([1e-300, 0.01, 0.4, 1.0, 7.3, 1234.5, 1e300])
         out = log_gamma(xs)
-        assert out.shape == xs.shape
-        for i, x in enumerate(xs):
-            assert out[i] == pytest.approx(log_gamma(float(x)), rel=1e-14)
+        assert out.dtype == float and out.shape == xs.shape
+        assert [float(v) for v in out] == [log_gamma(float(x)) for x in xs]
+
+    def test_two_dimensional_input_keeps_shape(self):
+        # the (levels, counts) grid that CountTable.negbinom_logpmf evaluates
+        grid = np.arange(1.0, 4.0)[:, None] + np.arange(5.0)[None, :]
+        out = log_gamma(grid)
+        assert out.dtype == float and out.shape == (3, 5)
+        assert out[2, 4] == math.lgamma(7.0)
+
+    def test_zero_dimensional_input_gives_float(self):
+        out = log_gamma(np.array(3.5))
+        assert type(out) is float and out == math.lgamma(3.5)
+        assert type(log_gamma(np.float64(3.5))) is float
+
+    def test_empty_input_gives_empty_float_array(self):
+        out = log_gamma(np.array([]))
+        assert out.dtype == float and out.shape == (0,)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             log_gamma(bad)
+        with pytest.raises(ValueError):
+            log_gamma(np.array([1.0, bad]))
 
 
 class TestRegIncompleteBeta:
@@ -185,3 +211,28 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
 
+
+
+# Every Gaussian scale field with a valid value; the squares of these scales
+# are the variances their densities and updates divide by.
+_GAUSSIAN_SCALES = [
+    (GaussianKnownVarModel(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9), "noise_sd"),
+    (GaussianKnownVarModel(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9), "prior_sd"),
+    (GaussianTruth(0.0, 3.01), "sd"),
+    (SigmoidRegressionTruth(), "noise_sd"),
+]
+_SCALE_IDS = [f"{type(spec).__name__}.{name}" for spec, name in _GAUSSIAN_SCALES]
+
+
+class TestGaussianScales:
+    @pytest.mark.parametrize("spec,name", _GAUSSIAN_SCALES, ids=_SCALE_IDS)
+    @pytest.mark.parametrize("bad", [1e-200, 1e-160, 1e200, 0.0, -1.0])
+    def test_scale_without_a_normal_square_rejected(self, spec, name, bad):
+        # 1e-200 squares to 0, 1e-160 to a subnormal and 1e200 to inf
+        with pytest.raises(ValueError, match=rf"^{name} must be positive with a normal float square"):
+            dataclasses.replace(spec, **{name: bad})
+
+    @pytest.mark.parametrize("spec,name", _GAUSSIAN_SCALES, ids=_SCALE_IDS)
+    @pytest.mark.parametrize("ok", [1.5e-154, 1e154])
+    def test_extreme_normal_squares_accepted(self, spec, name, ok):
+        assert getattr(dataclasses.replace(spec, **{name: ok}), name) == ok

@@ -107,6 +107,9 @@ class TestLogpdf:
         bb = BetaBinomialTruth(41.75, 78.25, 80)
         out = truth_logpdf(bb, Dataset(np.array([81.0, -1.0, 40.0])))
         assert out[0] == -np.inf and out[1] == -np.inf and np.isfinite(out[2])
+        # no count in the support leaves an empty CountTable
+        none_inside = truth_logpdf(bb, Dataset(np.array([81.0, -1.0, 200.0])))
+        assert none_inside.shape == (3,) and np.all(none_inside == -np.inf)
 
     @pytest.mark.parametrize("truth", ALL_TRUTHS, ids=lambda t: type(t).__name__)
     def test_declared_kind_matches_samples(self, truth):
