@@ -29,7 +29,7 @@ from .discriminator import (
     fit_logistic,
 )
 from .numerics import RngStream, log_gamma, normal_cdf, reg_incomplete_beta, student_t_cdf
-from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
+from .ratio import LogRatioEstimate, estimate_log_ratio
 from .tempering import TemperingCurve, TemperingGrid, curve
 from .testing import MisspecTestResult, t_test_logz
 from .truths import (
@@ -72,7 +72,6 @@ __all__ = [
     "cv_log_odds",
     "LogRatioEstimate",
     "estimate_log_ratio",
-    "estimate_reverse_log_ratio",
     "MisspecTestResult",
     "t_test_logz",
     "TemperingGrid",

@@ -277,10 +277,11 @@ def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Pat
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be lo:hi:count, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = text.split(":")
+        return float(lo), float(hi), int(count)
+    except ValueError:
+        raise ValueError(f"grid must be lo:hi:count, got {text!r}") from None
 
 
 _CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

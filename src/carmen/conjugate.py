@@ -333,9 +333,16 @@ class TemperedPredictive:
         self._terms = _TERMS[model.kind](data)
 
     def levels(self, ts) -> Iterator[tuple[TemperedPosterior, np.ndarray]]:
-        """``(posterior, per-point row)`` for each level of ``ts``, one row alive at a time."""
+        """``(posterior, per-point row)`` for each level of ``ts``, one row alive at a time.
+
+        A row that overflows holds infinities or NaNs, without a warning; the caller decides.
+        """
         posts = [temper_update(self.model, self.stats, float(t)) for t in ts]
-        return zip(posts, self._terms.rows(posts))
+        rows = self._terms.rows(posts)
+        for post in posts:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                row = next(rows)
+            yield post, row
 
 
 def predictive_sample(

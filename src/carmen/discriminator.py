@@ -362,17 +362,16 @@ def cv_log_odds(
     k: int,
     ridge: float,
     rng: RngStream,
-    score: str = "observed",
     start: DecisionFunction | None = None,
 ) -> tuple[np.ndarray, DecisionFunction]:
-    """Out-of-fold log-odds for every point of one class, and the last fold's classifier.
+    """Out-of-fold log-odds for every point of both classes, and the last fold's classifier.
 
     Both classes are partitioned into ``k`` folds (stratified, so each fold
     is class-balanced up to rounding); each fold's points are scored by a
     classifier fitted on the remaining folds, with standardization refit
-    on the training rows only.  Returns one value per point of the scored
-    class, aligned with its dataset order, and the last fold's decision
-    function.
+    on the training rows only.  Returns one value per point, the observed
+    points first and then the simulated ones, each class in its dataset
+    order, and the last fold's decision function.
 
     The folds are fitted in order, each started from the previous fold's
     decision function, and the first from ``start`` when given;
@@ -382,8 +381,6 @@ def cv_log_odds(
         raise ValueError("k must be >= 2")
     if len(observed) < k or len(simulated) < k:
         raise ValueError("each class needs at least k points")
-    if score not in ("observed", "simulated"):
-        raise ValueError(f"score must be 'observed' or 'simulated', got {score!r}")
 
     # Both classes as one C-ordered (d, n_obs + n_sim) array, observed
     # first, and the fold of every point.  Each fold's training columns
@@ -425,8 +422,5 @@ def cv_log_odds(
         coef[j, 0] = decision.intercept
         coef[j, 1:] = decision.weights
 
-    if score == "observed":
-        target, rows = raw[:, :n_obs], coef[fold_obs]
-    else:
-        target, rows = raw[:, n_obs:], coef[fold_sim]
-    return rows[:, 0] + np.einsum("ij,ji->i", rows[:, 1:], target), decision
+    rows = coef[fold_of]
+    return rows[:, 0] + np.einsum("ij,ji->i", rows[:, 1:], raw), decision

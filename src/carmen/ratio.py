@@ -4,7 +4,8 @@ A probabilistic classifier trained to separate model simulations from
 observed data yields, through its out-of-fold log-odds, per-point
 estimates of log p_model(x) - log p_truth(x).  Their negated mean
 estimates the KL divergence from the data-generating process to the
-model predictive, conditional on what the classifier can discriminate.
+model predictive, conditional on what the classifier can discriminate;
+the same fits, scored at the simulated points, estimate the reverse one.
 """
 
 from __future__ import annotations
@@ -69,14 +70,19 @@ def estimate_log_ratio(
     n_sim: int | None = None,
     ridge: float = DEFAULT_RIDGE,
     start: DecisionFunction | None = None,
-) -> LogRatioEstimate:
-    """Estimated log p_model/p_truth at each validation point.
+) -> tuple[LogRatioEstimate, LogRatioEstimate]:
+    """Forward and reverse log-ratio estimates from one cross-validated classifier.
 
     Simulates ``n_sim`` points from the posterior predictive (default:
     as many as there are validation points), trains the cross-validated
     classifier, its first fold started from ``start`` when given, and
     converts out-of-fold log-odds into density log-ratios with the
-    class-prior offset ln(n_obs/n_sim).
+    class-prior offset ln(n_obs/n_sim).  The forward estimate is
+    log p_model/p_truth at each validation point; its mean estimates
+    -KL(truth || model).  The reverse estimate is the same log-ratio at
+    each simulated point with its sign flipped, so its mean estimates
+    -KL(model || truth) in the same orientation.  Both carry the last
+    fold's decision function.
     """
     n_obs = len(x_valid)
     if n_sim is None:
@@ -85,31 +91,8 @@ def estimate_log_ratio(
         raise ValueError("n_sim must be at least the number of folds")
     simulated = _simulate(post, x_valid, n_sim, rng)
     odds, decision = cv_log_odds(x_valid, simulated, fm, k, ridge, rng.substream(2), start=start)
-    return LogRatioEstimate.from_per_point(odds + math.log(n_obs / n_sim), decision)
-
-
-def estimate_reverse_log_ratio(
-    post: TemperedPosterior,
-    x_valid: Dataset,
-    fm: FeatureMap,
-    k: int,
-    rng: RngStream,
-    n_sim: int | None = None,
-    ridge: float = DEFAULT_RIDGE,
-    start: DecisionFunction | None = None,
-) -> LogRatioEstimate:
-    """Same pipeline scored on the simulated points instead.
-
-    The sign is flipped so the mean estimates the negated reverse KL,
-    -KL(model || truth), mirroring the forward estimate's orientation.
-    """
-    n_obs = len(x_valid)
-    if n_sim is None:
-        n_sim = n_obs
-    if n_sim < k:
-        raise ValueError("n_sim must be at least the number of folds")
-    simulated = _simulate(post, x_valid, n_sim, rng)
-    odds, decision = cv_log_odds(
-        x_valid, simulated, fm, k, ridge, rng.substream(2), score="simulated", start=start
+    odds += math.log(n_obs / n_sim)
+    return (
+        LogRatioEstimate.from_per_point(odds[:n_obs], decision),
+        LogRatioEstimate.from_per_point(-odds[n_obs:], decision),
     )
-    return LogRatioEstimate.from_per_point(-(odds + math.log(n_obs / n_sim)), decision)

@@ -18,7 +18,7 @@ from .conjugate import Model, SufficientStats, TemperedPredictive
 from .data import Dataset
 from .discriminator import DEFAULT_RIDGE, FeatureMap
 from .numerics import RngStream
-from .ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
+from .ratio import LogRatioEstimate, estimate_log_ratio
 from .testing import MisspecTestResult, t_test_logz
 from .truths import TruthSpec, truth_logpdf
 
@@ -45,9 +45,10 @@ class TemperingGrid:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("grid must be a non-empty 1-D array")
-        if np.any(v <= 0.0) or np.any(v > 1.0):
+        # written so that a NaN, which fails every comparison, fails them too
+        if not np.all((v > 0.0) & (v <= 1.0)):
             raise ValueError("grid values must lie in (0, 1]")
-        if v.size > 1 and np.any(np.diff(v) <= 0.0):
+        if not np.all(np.diff(v) > 0.0):
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "values", v)
 
@@ -75,9 +76,18 @@ class TStarResult:
     at_boundary: bool
 
 
+def _level_score(t: float, lp_vec: np.ndarray) -> float:
+    """The sum of level ``t``'s per-point log predictive; t* cannot be chosen if it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lp = float(lp_vec.sum())
+    if not math.isfinite(lp):
+        raise ValueError(f"the log predictive of the validation data at tempering level t={t:.6g} is {lp}")
+    return lp
+
+
 def _score(pred: TemperedPredictive, t: float) -> float:
-    ((_, lp_vec),) = pred.levels([t])
-    return float(lp_vec.sum())
+    ((post, lp_vec),) = pred.levels([t])
+    return _level_score(post.t, lp_vec)
 
 
 def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> TStarResult:
@@ -159,9 +169,9 @@ def curve(
     per call), the analytic log ratio.  Classifier-based estimates along
     the whole grid cost one cross-validated fit per point and are opt-in
     via ``full_curve``; the estimate at t* is always computed.  A level
-    whose predictive cannot be evaluated aborts the run, since t* needs
-    every level; any later failure at a level is recorded with missing
-    fields.
+    whose log predictive cannot be evaluated, or is not finite, aborts
+    the run, since t* needs every level; any later failure at a level
+    is recorded with missing fields.
 
     The classifier fits of a run form one chain: each grid level's
     cross-validated fit starts from the last good level's decision
@@ -177,12 +187,12 @@ def curve(
     decision = None  # the last good level's classifier
     carried = []  # the classifier carried out of each level
     for i, (post, lp_vec) in enumerate(pred.levels(ts)):
-        scores[i] = lp = float(lp_vec.sum())
+        scores[i] = lp = _level_score(post.t, lp_vec)
         try:
             true_sum = None if truth_lp is None else float((lp_vec - truth_lp).sum())
             approx_sum = t_stat = p_value = None
             if full_curve:
-                est = estimate_log_ratio(
+                est, _ = estimate_log_ratio(
                     post, x_valid, fm, k, rng.substream(_SUB_GRID_BASE + i), ridge=ridge, start=decision
                 )
                 res = t_test_logz(est)
@@ -207,7 +217,7 @@ def curve(
     opt = _refine(pred, ts, scores)
     ((post_star, lp_star),) = pred.levels([opt.t_star])
     nearest = int(np.argmin(np.abs(np.log(ts) - math.log(opt.t_star))))
-    est_star = estimate_log_ratio(
+    est_star, _ = estimate_log_ratio(
         post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), ridge=ridge, start=carried[nearest]
     )
     test_star = t_test_logz(est_star)
@@ -216,7 +226,7 @@ def curve(
         true_star = LogRatioEstimate.from_per_point(lp_star - truth_lp)
     reverse_star = None
     if reverse:
-        reverse_star = estimate_reverse_log_ratio(
+        _, reverse_star = estimate_log_ratio(
             post_star, x_valid, fm, k, rng.substream(_SUB_REVERSE), ridge=ridge, start=est_star.decision
         )
 

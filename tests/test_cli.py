@@ -20,7 +20,7 @@ from carmen.cli import (
     run_scenario,
 )
 from carmen.discriminator import RESPONSE_TRANSFORMS
-from carmen.tempering import CurvePoint
+from carmen.tempering import CurvePoint, TemperingGrid
 from carmen.truths import GaussianTruth, TNoiseRegressionTruth
 
 FAST = dict(n_update=120, n_validate=120, folds=5, grid_lo=1e-7, grid_hi=1.0, grid_count=6)
@@ -354,6 +354,24 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(f"error: {field} must be positive with a normal float square")
         assert not (tmp_path / "out").exists()
 
+    def test_level_without_finite_log_predictive_rejected(self, tmp_path, capsys):
+        # noise_sd**2 is a normal float, but above t ~ 7.9e-4 the predictive
+        # variance is so small that the squared residuals overflow: those
+        # levels' log predictive is -inf, so t* cannot be chosen.  The suite
+        # turns any RuntimeWarning into an error, so none may escape either.
+        cfg_file = tmp_path / "overflow.cfg"
+        cfg_file.write_text(
+            "scenario = custom\nseed = 0\nn_update = 100\nn_validate = 100\n"
+            "model = gaussian\nmodel.noise_sd = 1.5e-154\nmodel.prior_mean = 0\nmodel.prior_sd = 1\n"
+            "truth = gaussian\ntruth.mean = 0\ntruth.sd = 1\nfeatures = x, x2\n"
+        )
+        t = TemperingGrid.log_uniform().values[30]
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the log predictive of the validation data at tempering level t={t:.6g} is -inf\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
     def test_betabinom_trials_whole_number(self, tmp_path, capsys, trials, ok):
         cfg_file = tmp_path / "bb.cfg"
@@ -429,7 +447,13 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "grid,message",
-        [("0.5:0.1:10", "need 0 < lo < hi <= 1"), ("1e-8:1:1", "count must be >= 2"), ("0:1:5", "need 0 < lo < hi <= 1")],
+        [
+            ("0.5:0.1:10", "need 0 < lo < hi <= 1"),
+            ("1e-8:1:1", "count must be >= 2"),
+            ("0:1:5", "need 0 < lo < hi <= 1"),
+            ("1e-8:1:50.5", "grid must be lo:hi:count, got '1e-8:1:50.5'"),
+            ("a:1:5", "grid must be lo:hi:count, got 'a:1:5'"),
+        ],
     )
     def test_bad_grid_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, grid, message):
         sampled = []

@@ -424,7 +424,8 @@ class TestCvLogOdds:
     def test_indistinguishable_classes_centered(self):
         obs = Dataset(RngStream(60, 0).generator().normal(size=1000))
         sim = Dataset(RngStream(60, 1).generator().normal(size=1000))
-        vals, _ = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(61))
+        odds, _ = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(61))
+        vals = odds[: len(obs)]
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) < 3 * se
 
@@ -432,7 +433,7 @@ class TestCvLogOdds:
         obs = Dataset(RngStream(62, 0).generator().normal(size=97))
         sim = Dataset(RngStream(62, 1).generator().normal(size=103))
         vals, _ = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(63))
-        assert vals.shape == (97,)
+        assert vals.shape == (97 + 103,)
         assert np.all(np.isfinite(vals))
 
     def test_every_simulated_point_scored_once(self):
@@ -441,16 +442,16 @@ class TestCvLogOdds:
         obs = Dataset(RngStream(62, 0).generator().normal(size=97))
         sim = Dataset(RngStream(62, 1).generator().normal(0.5, 1.0, size=103))
         args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(63))
-        vals, _ = cv_log_odds(*args, score="simulated")
-        assert vals.shape == (103,)
-        assert np.allclose(vals, _row_major_cv(*args, score="simulated"), rtol=1e-8, atol=1e-8)
+        vals, _ = cv_log_odds(*args)
+        assert vals[97:].shape == (103,)
+        assert np.allclose(vals, _row_major_cv(*args), rtol=1e-8, atol=1e-8)
 
     def test_k2_and_k10_agree_within_noise(self):
         obs = Dataset(RngStream(64, 0).generator().normal(size=1000))
         sim = Dataset(RngStream(64, 1).generator().normal(0.15, 1.0, size=1000))
         fm = FeatureMap(("x", "x2"))
-        v2, _ = cv_log_odds(obs, sim, fm, 2, 1e-6, RngStream(65))
-        v10, _ = cv_log_odds(obs, sim, fm, 10, 1e-6, RngStream(66))
+        v2 = cv_log_odds(obs, sim, fm, 2, 1e-6, RngStream(65))[0][:1000]
+        v10 = cv_log_odds(obs, sim, fm, 10, 1e-6, RngStream(66))[0][:1000]
         band = 3 * math.sqrt(v2.var(ddof=1) / v2.size + v10.var(ddof=1) / v10.size)
         assert abs(v2.mean() - v10.mean()) < band
 
@@ -462,7 +463,8 @@ class TestCvLogOdds:
         xv = truth.sample(RngStream(68), 1000)
         post = temper_update(model, SufficientStats.from_dataset(xu), 1e-6)
         sim = predictive_sample(post, RngStream(69), 1000)
-        vals, _ = cv_log_odds(xv, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(70))
+        odds, _ = cv_log_odds(xv, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(70))
+        vals = odds[: len(xv)]
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) < 4 * se
 
@@ -508,7 +510,8 @@ class TestCvLogOdds:
         # this sum from about -1358 into +23272.
         t, (x_valid, sim, fm, k, ridge, cv_rng) = _grid_level_draw("poisson-betabinom", 7, 11)
         assert t == pytest.approx(6.25e-7, rel=1e-3)
-        vals, _ = cv_log_odds(x_valid, sim, fm, k, ridge, cv_rng)
+        odds, _ = cv_log_odds(x_valid, sim, fm, k, ridge, cv_rng)
+        vals = odds[: len(x_valid)]
 
         # reference: every fold fitted from beta = 0
         raw_obs, raw_sim = fm.matrix(x_valid), fm.matrix(sim)
@@ -601,12 +604,11 @@ class TestCvLogOdds:
             folds = _fold_indices(n, k, RngStream(82, n).generator())
             assert [np.flatnonzero(ids == j).tolist() for j in range(k)] == [f.tolist() for f in folds]
 
-    @pytest.mark.parametrize("score", ["observed", "simulated"])
     @pytest.mark.parametrize(
         "scenario, seed, level", [("reg-sigmoid", 0, 23), ("poisson-betabinom", 7, 11)],
         ids=["reg-sigmoid", "poisson-betabinom"],
     )
-    def test_start_from_previous_level_matches_cold_call(self, monkeypatch, scenario, seed, level, score):
+    def test_start_from_previous_level_matches_cold_call(self, monkeypatch, scenario, seed, level):
         # Nearly separable levels of a full-curve run, where last-bit
         # changes moved the simulated-class mean by up to 6.4e-5 nat/pt.
         # A run starts each level's first fold from the previous level's
@@ -614,15 +616,17 @@ class TestCvLogOdds:
         _, previous = cv_log_odds(*_grid_level_draw(scenario, seed, level - 1)[1])
         args = _grid_level_draw(scenario, seed, level)[1]
         fits = _record_fits(monkeypatch)
-        cold, _ = cv_log_odds(*args, score=score)
-        warm, _ = cv_log_odds(*args, score=score, start=previous)
+        cold, _ = cv_log_odds(*args)
+        warm, _ = cv_log_odds(*args, start=previous)
         k = args[3]
         assert len(fits) == 2 * k
         assert all(fit.converged for _, fit in fits)
         # The carried start beat beta = 0, so the first warm fold began elsewhere.
         assert fits[k][1].objective_path[0] > fits[0][1].objective_path[0]
         assert np.max(np.abs(warm - cold)) <= 1e-5
-        assert abs(warm.mean() - cold.mean()) <= 1e-7 * max(1.0, abs(cold.mean()))
+        n_obs = len(args[0])
+        for half in (slice(None, n_obs), slice(n_obs, None)):
+            assert abs(warm[half].mean() - cold[half].mean()) <= 1e-7 * max(1.0, abs(cold[half].mean()))
 
     def test_start_worse_than_zero_is_ignored(self, monkeypatch):
         obs = Dataset(RngStream(83, 0).generator().normal(size=300))
@@ -654,12 +658,6 @@ class TestCvLogOdds:
         x = np.array([[0.3, 0.09], [-2.0, 4.0]])
         expected = log_odds(last, (x - mean) / sd)
         assert np.allclose(decision.intercept + x @ decision.weights, expected, rtol=0.0, atol=1e-12)
-
-    def test_unknown_score_rejected(self):
-        obs = Dataset(np.arange(10.0))
-        sim = Dataset(np.arange(10.0) + 0.5)
-        with pytest.raises(ValueError, match="score"):
-            cv_log_odds(obs, sim, FeatureMap(("x",)), 2, 1e-6, RngStream(0), score="both")
 
     def test_degenerate_folds_rejected(self):
         obs = Dataset(np.arange(5.0))
@@ -718,15 +716,15 @@ def _row_major_fit(
     return beta, False
 
 
-def _row_major_cv(observed, simulated, fm, k, ridge, rng, score):
+def _row_major_cv(observed, simulated, fm, k, ridge, rng):
     """``cv_log_odds`` on row-major (n, d) features with ``std(axis=0)`` standardization."""
     raw_obs = np.column_stack(fm.matrix(observed).T)
     raw_sim = np.column_stack(fm.matrix(simulated).T)
     g = rng.generator()
     folds_obs = _fold_indices(len(observed), k, g)
     folds_sim = _fold_indices(len(simulated), k, g)
-    target = raw_obs if score == "observed" else raw_sim
-    out = np.full(len(target), np.nan)
+    out_obs = np.full(len(observed), np.nan)
+    out_sim = np.full(len(simulated), np.nan)
     beta = prev = None
     for held_obs, held_sim in zip(folds_obs, folds_sim):
         train_obs = np.delete(raw_obs, held_obs, axis=0)
@@ -742,9 +740,9 @@ def _row_major_cv(observed, simulated, fm, k, ridge, rng, score):
             start = np.concatenate([[c + w_raw @ mu], w_raw * sd])
         beta, _ = _row_major_fit((raw - mu) / sd, labels, ridge, start)
         prev = (mu, sd)
-        held = held_obs if score == "observed" else held_sim
-        out[held] = beta[0] + ((target[held] - mu) / sd) @ beta[1:]
-    return out
+        out_obs[held_obs] = beta[0] + ((raw_obs[held_obs] - mu) / sd) @ beta[1:]
+        out_sim[held_sim] = beta[0] + ((raw_sim[held_sim] - mu) / sd) @ beta[1:]
+    return np.concatenate([out_obs, out_sim])
 
 
 class TestFeatureMajorLayout:
@@ -766,30 +764,25 @@ class TestFeatureMajorLayout:
             assert (a.iterations, a.converged, a.ridge) == (b.iterations, b.converged, b.ridge)
             assert a.objective_path == b.objective_path
 
-    @pytest.mark.parametrize("level", [0, 11, 25, 47])
+    @pytest.mark.parametrize("seed, level", [(0, 0), (0, 11), (0, 25), (0, 47), (1, 25)])
     @pytest.mark.parametrize(
         "scenario",
         ["gauss-gauss", "gauss-laplace", "poisson-nb", "poisson-betabinom", "reg-tnoise", "reg-sigmoid"],
     )
-    def test_cv_agrees_with_row_major_reference(self, scenario, level):
-        # A full-curve run scores the observed class at every grid level.
-        args = _grid_level_draw(scenario, 0, level)[1]
+    def test_cv_agrees_with_row_major_reference(self, scenario, seed, level):
+        # A full-curve run reads the observed class at every grid level, a
+        # reverse-KL run the simulated class, the tail of the block.
+        args = _grid_level_draw(scenario, seed, level)[1]
         vals, _ = cv_log_odds(*args)
-        ref = _row_major_cv(*args, score="observed")
+        ref = _row_major_cv(*args)
+        n_obs, n_sim = len(args[0]), len(args[1])
+        assert vals.shape == (n_obs + n_sim,)
         assert np.all(np.isfinite(vals))
-        assert abs(vals.mean() - ref.mean()) < 1e-7
-
-    @pytest.mark.parametrize("scenario", ["gauss-gauss", "poisson-nb", "reg-sigmoid"])
-    def test_simulated_scoring_agrees_with_row_major_reference(self, scenario):
-        # A reverse-KL run scores the simulated class, the tail of the block.
-        args = _grid_level_draw(scenario, 1, 25)[1]
-        vals, _ = cv_log_odds(*args, score="simulated")
-        ref = _row_major_cv(*args, score="simulated")
-        assert vals.shape == (len(args[1]),)
-        assert np.all(np.isfinite(vals))
+        assert abs(vals[:n_obs].mean() - ref[:n_obs].mean()) < 1e-7
         # Near separation the simulated scores reach hundreds of nats, so
         # the bound scales with them.
-        assert abs(vals.mean() - ref.mean()) < 1e-7 * max(1.0, abs(ref.mean()))
+        sim, ref_sim = vals[n_obs:].mean(), ref[n_obs:].mean()
+        assert abs(sim - ref_sim) < 1e-7 * max(1.0, abs(ref_sim))
 
 
 def _record_fits(monkeypatch) -> list:

@@ -1,4 +1,4 @@
-"""The classifier-driven log-ratio estimator, forward and reverse."""
+"""The classifier-driven log-ratio estimator, forward and reverse from one call."""
 
 import math
 
@@ -14,7 +14,7 @@ from carmen.conjugate import (
 from carmen.data import Dataset
 from carmen.discriminator import FeatureMap
 from carmen.numerics import RngStream
-from carmen.ratio import LogRatioEstimate, estimate_log_ratio, estimate_reverse_log_ratio
+from carmen.ratio import LogRatioEstimate, estimate_log_ratio
 from carmen.truths import GaussianTruth, NegBinomialTruth
 from oracles import exact_log_ratio
 
@@ -57,7 +57,7 @@ class TestEstimateLogRatio:
         )
         truth = NegBinomialTruth(63.0, 1.0 / 2.05)
         xv = truth.sample(RngStream(100), 1000)
-        est = estimate_log_ratio(post, xv, FeatureMap(("x", "x2", "x3", "x4")), 10, RngStream(101))
+        est, _ = estimate_log_ratio(post, xv, FeatureMap(("x", "x2", "x3", "x4")), 10, RngStream(101))
         assert abs(est.sum) < 3.0
 
     def test_duplicated_data_near_zero(self):
@@ -67,7 +67,8 @@ class TestEstimateLogRatio:
         # score the duplicated rows directly through the cv machinery
         from carmen.discriminator import cv_log_odds
 
-        vals, _ = cv_log_odds(obs, Dataset(values.copy()), FeatureMap(("x", "x2")), 5, 1e-6, RngStream(103))
+        odds, _ = cv_log_odds(obs, Dataset(values.copy()), FeatureMap(("x", "x2")), 5, 1e-6, RngStream(103))
+        vals = odds[: len(obs)]
         assert abs(vals.mean()) < 0.2
         assert np.max(np.abs(vals)) < 1.0
 
@@ -76,8 +77,7 @@ class TestEstimateLogRatio:
         truth = GaussianTruth(0.0, 2.0)
         xv = truth.sample(RngStream(104), 2000)
         fm = FeatureMap(("x", "x2"))
-        fwd = estimate_log_ratio(post, xv, fm, 10, RngStream(105))
-        rev = estimate_reverse_log_ratio(post, xv, fm, 10, RngStream(105))
+        fwd, rev = estimate_log_ratio(post, xv, fm, 10, RngStream(105))
         assert -fwd.mean == pytest.approx(KL_FORWARD, rel=0.3)
         assert -rev.mean == pytest.approx(KL_REVERSE, rel=0.3)
         assert fwd.mean < 0.0 and rev.mean < 0.0
@@ -87,19 +87,23 @@ class TestEstimateLogRatio:
         post = _unit_gaussian_posterior()
         xv = GaussianTruth(0.0, 1.3).sample(RngStream(106), 800)
         fm = FeatureMap(("x", "x2"))
-        est1 = estimate_log_ratio(post, xv, fm, 10, RngStream(107), n_sim=800)
-        est2 = estimate_log_ratio(post, xv, fm, 10, RngStream(108), n_sim=1600)
+        est1, _ = estimate_log_ratio(post, xv, fm, 10, RngStream(107), n_sim=800)
+        est2, rev2 = estimate_log_ratio(post, xv, fm, 10, RngStream(108), n_sim=1600)
         band = 3 * math.sqrt(est1.std_error() ** 2 + est2.std_error() ** 2)
         assert abs(est1.mean - est2.mean) < band
+        # one call scores both classes: 800 observed and 1600 simulated points
+        assert (est2.n, rev2.n) == (800, 1600)
+        assert rev2.decision is est2.decision
 
     def test_deterministic(self):
         post = _unit_gaussian_posterior()
         xv = GaussianTruth(0.0, 2.0).sample(RngStream(109), 300)
         fm = FeatureMap(("x", "x2"))
-        a = estimate_log_ratio(post, xv, fm, 5, RngStream(110))
-        b = estimate_log_ratio(post, xv, fm, 5, RngStream(110))
-        assert np.array_equal(a.per_point, b.per_point)
-        assert a.sum == b.sum
+        a_fwd, a_rev = estimate_log_ratio(post, xv, fm, 5, RngStream(110))
+        b_fwd, b_rev = estimate_log_ratio(post, xv, fm, 5, RngStream(110))
+        for a, b in ((a_fwd, b_fwd), (a_rev, b_rev)):
+            assert np.array_equal(a.per_point, b.per_point)
+            assert a.sum == b.sum
 
     def test_tracks_oracle_near_optimum(self):
         # around the matched tempering level the classifier estimate stays
@@ -113,7 +117,7 @@ class TestEstimateLogRatio:
         fm = FeatureMap(("x", "x2"))
         for i, t in enumerate((3e-7, 1e-6, 3e-6)):
             post = temper_update(model, stats, t)
-            approx = estimate_log_ratio(
+            approx, _ = estimate_log_ratio(
                 post, xv, fm, 10, RngStream(113).substream(i), n_sim=30000
             )
             exact = exact_log_ratio(post, truth, xv)
@@ -125,7 +129,7 @@ class TestEstimateLogRatio:
         xu = truth.sample(RngStream(111), 1000)
         xv = truth.sample(RngStream(112), 1000)
         post = temper_update(model, SufficientStats.from_dataset(xu), 1e-6)
-        approx = estimate_log_ratio(post, xv, FeatureMap(("x", "x2")), 10, RngStream(118))
+        approx, _ = estimate_log_ratio(post, xv, FeatureMap(("x", "x2")), 10, RngStream(118))
         exact = exact_log_ratio(post, truth, xv)
         assert abs(approx.mean - exact.mean) <= 0.01
 
@@ -143,6 +147,6 @@ class TestEstimateLogRatio:
         xv = truth.sample(RngStream(116), 200)
         model = NIGRegressionModel(0.0, 1.0, 2.0, 2.0)
         post = temper_update(model, SufficientStats.from_dataset(xv), 0.01)
-        est = estimate_log_ratio(post, xv, FeatureMap(("abs_y", "y2", "ln_abs_y", "yx")), 5, RngStream(117))
+        est, _ = estimate_log_ratio(post, xv, FeatureMap(("abs_y", "y2", "ln_abs_y", "yx")), 5, RngStream(117))
         assert est.n == 200
         assert np.all(np.isfinite(est.per_point))

@@ -110,6 +110,8 @@ class TestTemperingGrid:
             TemperingGrid(np.array([0.5, 0.2]))
         with pytest.raises(ValueError):
             TemperingGrid(np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match=r"lie in \(0, 1\]"):
+            TemperingGrid(np.array([0.1, np.nan, 0.5]))
         with pytest.raises(ValueError):
             TemperingGrid.log_uniform(1e-2, 1e-3, 10)
 
@@ -213,7 +215,7 @@ class TestCurve:
         sums, bands = [], []
         for i, t in enumerate(grid.values):
             post = temper_update(NIG, stats, float(t))
-            est = estimate_log_ratio(post, xv, fm, 5, RngStream(221).substream(i))
+            est, _ = estimate_log_ratio(post, xv, fm, 5, RngStream(221).substream(i))
             sums.append(est.sum)
             bands.append(est.std_error() * est.n)
         for i in range(len(sums) - 1):
@@ -338,27 +340,23 @@ class TestClassifierChain:
         truth, xu, xv = _gauss_data(248, 200)
         grid = TemperingGrid.log_uniform(1e-7, 1.0, 5)
         failing_t = float(grid.values[1])
-        calls = []  # (t, start, estimate or None), one per classifier estimate
-        forward, reverse = tempering.estimate_log_ratio, tempering.estimate_reverse_log_ratio
+        calls = []  # (t, start, (forward, reverse) or None), one per classifier call
+        original = tempering.estimate_log_ratio
 
-        def recorded(original):
-            def call(post, *rest, start=None, **kwargs):
-                calls.append((post.t, start, None))
-                if post.t == failing_t:
-                    raise RuntimeError("forced classifier failure")
-                est = original(post, *rest, start=start, **kwargs)
-                calls[-1] = (post.t, start, est)
-                return est
+        def recorded(post, *rest, start=None, **kwargs):
+            calls.append((post.t, start, None))
+            if post.t == failing_t:
+                raise RuntimeError("forced classifier failure")
+            ests = original(post, *rest, start=start, **kwargs)
+            calls[-1] = (post.t, start, ests)
+            return ests
 
-            return call
-
-        monkeypatch.setattr(tempering, "estimate_log_ratio", recorded(forward))
-        monkeypatch.setattr(tempering, "estimate_reverse_log_ratio", recorded(reverse))
+        monkeypatch.setattr(tempering, "estimate_log_ratio", recorded)
         tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(250), full_curve=True, reverse=True)
         assert tc.points[1] == CurvePoint(t=failing_t, log_predictive=None)
         assert len(calls) == 5 + 2
         levels = calls[:5]
-        decisions = [est.decision if est is not None else None for _, _, est in levels]
+        decisions = [ests[0].decision if ests is not None else None for _, _, ests in levels]
         assert levels[0][1] is None
         assert levels[1][1] is decisions[0]
         assert levels[2][1] is decisions[0]  # the last good level's, not the failed one's
@@ -367,7 +365,7 @@ class TestClassifierChain:
         # grid level nearest t*, and the reverse estimate from it.
         carried = [decisions[0], decisions[0], decisions[2], decisions[3], decisions[4]]
         nearest = int(np.argmin(np.abs(np.log(grid.values) - math.log(tc.t_star))))
-        (t_star, star_start, est_star), (_, reverse_start, est_reverse) = calls[5:]
+        (t_star, star_start, (est_star, _)), (_, reverse_start, (_, est_reverse)) = calls[5:]
         assert t_star == tc.t_star and star_start is carried[nearest]
         assert est_star is not None and reverse_start is est_star.decision
         assert est_reverse.sum == tc.reverse_at_t_star.sum
