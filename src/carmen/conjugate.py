@@ -301,8 +301,11 @@ class _GaussianTerms:
         self.data = data
 
     def rows(self, posts: Sequence[GaussianPosterior]) -> Iterator[np.ndarray]:
+        """One row per posterior; a residual too large for a tiny predictive variance gives -inf, unwarned."""
         for p in posts:
-            yield p.predictive_logpdf(self.data)
+            with np.errstate(over="ignore"):
+                row = p.predictive_logpdf(self.data)
+            yield row
 
 
 # The per-point terms of each kind of data.
@@ -333,16 +336,9 @@ class TemperedPredictive:
         self._terms = _TERMS[model.kind](data)
 
     def levels(self, ts) -> Iterator[tuple[TemperedPosterior, np.ndarray]]:
-        """``(posterior, per-point row)`` for each level of ``ts``, one row alive at a time.
-
-        A row that overflows holds infinities or NaNs, without a warning; the caller decides.
-        """
+        """``(posterior, per-point row)`` for each level of ``ts``, one row alive at a time."""
         posts = [temper_update(self.model, self.stats, float(t)) for t in ts]
-        rows = self._terms.rows(posts)
-        for post in posts:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                row = next(rows)
-            yield post, row
+        return zip(posts, self._terms.rows(posts))
 
 
 def predictive_sample(
