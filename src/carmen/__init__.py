@@ -39,7 +39,6 @@ from .truths import (
     NegBinomialTruth,
     SigmoidRegressionTruth,
     TNoiseRegressionTruth,
-    truth_logpdf,
 )
 from .cli import ScenarioConfig, ScenarioResult, emit_outputs, run_scenario
 
@@ -63,7 +62,6 @@ __all__ = [
     "BetaBinomialTruth",
     "TNoiseRegressionTruth",
     "SigmoidRegressionTruth",
-    "truth_logpdf",
     "FeatureMap",
     "LabeledDesign",
     "LogisticFit",

@@ -108,15 +108,6 @@ _TRUTH_FAMILIES = {
 # Fields that only a custom scenario reads.
 _CUSTOM_FIELDS = ("model_family", "model_params", "truth_family", "truth_params", "features")
 
-# How from_dict coerces a value, by the annotation of its field; other fields take it as is.
-_COERCE = {
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "dict": dict,
-    "tuple[str, ...] | None": lambda v: tuple(v) if v else None,
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -136,6 +127,9 @@ class ScenarioConfig:
     truth_family: str | None = None
     truth_params: dict = field(default_factory=dict)
     features: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "features", tuple(self.features) if self.features else None)
 
     def binding(self) -> ScenarioBinding:
         if self.scenario in SCENARIOS:
@@ -174,9 +168,7 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         """Config from the keys of ``d`` that name fields; absent fields keep their defaults."""
-        return cls(**{
-            f.name: _COERCE.get(f.type, lambda v: v)(d[f.name]) for f in fields(cls) if f.name in d
-        })
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _build_family(registry: dict, family: str, params: dict, kind: str):

@@ -187,16 +187,10 @@ class _CountTerms:
     """
 
     def __init__(self, data: Dataset) -> None:
-        flat = data.values
-        bad = flat[~np.isfinite(flat)]
+        self.table = CountTable(data.values)
+        bad = data.values[~self.table.support]
         if bad.size:
-            raise ValueError(f"counts must be finite, got {bad[0]!r}")
-        if np.any(flat < 0):
-            raise ValueError("counts must be nonnegative")
-        bad = flat[flat != np.floor(flat)]
-        if bad.size:
-            raise ValueError(f"counts must be whole numbers, got {bad[0]!r}")
-        self.table = CountTable(flat)
+            raise ValueError(f"counts must be whole numbers >= 0, got {float(bad[0])}")
 
     def rows(self, posts: Sequence[PoissonGammaPosterior]) -> Iterator[np.ndarray]:
         """One flat row of per-point log masses per posterior, in order."""
@@ -205,7 +199,7 @@ class _CountTerms:
         log_p = np.array([[math.log(p.rate / (1.0 + p.rate))] for p in posts])
         log_q = np.array([[math.log(1.0 / (1.0 + p.rate))] for p in posts])
         for row in self.table.negbinom_logpmf(r, log_p, log_q):
-            yield row[self.table.inverse]
+            yield self.table.gather(row)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ class Dataset:
 
     ``values`` holds the observed values (or regression responses);
     ``covariates`` is present only for regression data and is aligned
-    with ``values``.
+    with ``values``.  Both must be finite.
     """
 
     values: np.ndarray
@@ -29,6 +29,10 @@ class Dataset:
             if cov.shape != vals.shape:
                 raise ValueError("covariates must align with values")
             object.__setattr__(self, "covariates", cov)
+        for name in ("values", "covariates"):
+            arr = getattr(self, name)
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])}")
 
     def __len__(self) -> int:
         return self.values.size

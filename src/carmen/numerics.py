@@ -84,11 +84,22 @@ def log_beta(a, b):
 
 
 class CountTable:
-    """Distinct values of a count vector; a table over ``counts`` gathers back by ``inverse``."""
+    """Distinct values of the finite vector ``x`` on its ``support``, the whole counts in [0, hi].
 
-    def __init__(self, x) -> None:
-        self.counts, self.inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+    A table over ``counts`` goes back to every point of ``x`` by :meth:`gather`.
+    """
+
+    def __init__(self, x, hi: float = math.inf) -> None:
+        x = np.asarray(x, dtype=float)
+        self.support = (x >= 0.0) & (x <= hi) & (np.floor(x) == x)
+        self.counts, self.inverse = np.unique(x[self.support], return_inverse=True)
         self.log_factorial = log_gamma(self.counts + 1.0)
+
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """The entry of ``table`` for each point's count; -inf off the support."""
+        out = np.full(self.support.shape, -np.inf)
+        out[self.support] = table[self.inverse]
+        return out
 
     def negbinom_logpmf(self, r, log_p, log_q) -> np.ndarray:
         """ln G(x+r) - ln G(r) - ln x! + r log_p + x log_q per count x; column parameters give rows."""

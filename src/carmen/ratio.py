@@ -45,12 +45,6 @@ class LogRatioEstimate:
         total = float(values.sum())
         return cls(per_point=values, sum=total, mean=total / values.size, n=values.size, decision=decision)
 
-    def std_error(self) -> float:
-        """Standard error of the mean (n-1 divisor)."""
-        if self.n < 2:
-            return float("nan")
-        return float(self.per_point.std(ddof=1) / math.sqrt(self.n))
-
 
 def _simulate(
     post: TemperedPosterior, x_valid: Dataset, n_sim: int, rng: RngStream

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import Model, SufficientStats, TemperedPredictive
+from .conjugate import Model, SufficientStats, TemperedPosterior, TemperedPredictive
 from .data import Dataset
 from .discriminator import DEFAULT_RIDGE, FeatureMap
 from .numerics import RngStream
 from .ratio import LogRatioEstimate, estimate_log_ratio
 from .testing import MisspecTestResult, t_test_logz
-from .truths import TruthSpec, truth_logpdf
+from .truths import TruthSpec
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -69,59 +69,48 @@ class TemperingGrid:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class TStarResult:
-    t_star: float
-    log_predictive: float
-    at_boundary: bool
-
-
-def _level_score(t: float, lp_vec: np.ndarray) -> float:
-    """The sum of level ``t``'s per-point log predictive; t* cannot be chosen if it is not finite."""
+def _level_score(post: TemperedPosterior, lp_vec: np.ndarray) -> float:
+    """The sum of a level's per-point log predictive; t* cannot be chosen if it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         lp = float(lp_vec.sum())
     if not math.isfinite(lp):
-        raise ValueError(f"the log predictive of the validation data at tempering level t={t:.6g} is {lp}")
+        raise ValueError(f"the log predictive of the validation data at tempering level t={post.t:.6g} is {lp}")
     return lp
 
 
-def _score(pred: TemperedPredictive, t: float) -> float:
-    ((post, lp_vec),) = pred.levels([t])
-    return _level_score(post.t, lp_vec)
-
-
-def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> TStarResult:
+def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> tuple[float, float, bool]:
     """Golden-section refinement around the best of the grid ``scores`` at levels ``ts``.
 
     Each new level is scored with a one-level ``pred`` call, inside the
     bracket around the best grid point, to an absolute tolerance of 1e-3
-    on log10 t.  A maximum at a grid edge is returned as-is and flagged.
+    on log10 t.  Returns ``(t_star, log_predictive, at_boundary)``: a
+    maximum at a grid edge is returned as-is and flagged.
     """
     best = int(np.argmax(scores))
     if best == 0 or best == len(ts) - 1:
-        return TStarResult(t_star=float(ts[best]), log_predictive=float(scores[best]), at_boundary=True)
+        return float(ts[best]), float(scores[best]), True
 
     lo, hi = math.log10(ts[best - 1]), math.log10(ts[best + 1])
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = _score(pred, 10.0**c)
-    fd = _score(pred, 10.0**d)
+    fc = _level_score(*next(pred.levels([10.0**c])))
+    fd = _level_score(*next(pred.levels([10.0**d])))
     while b - a > 1e-3:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = _score(pred, 10.0**c)
+            fc = _level_score(*next(pred.levels([10.0**c])))
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = _score(pred, 10.0**d)
+            fd = _level_score(*next(pred.levels([10.0**d])))
     u = c if fc >= fd else d
     fu = max(fc, fd)
     # never return a refinement worse than the best grid point
     if fu >= scores[best]:
-        return TStarResult(t_star=float(10.0**u), log_predictive=float(fu), at_boundary=False)
-    return TStarResult(t_star=float(ts[best]), log_predictive=float(scores[best]), at_boundary=False)
+        return float(10.0**u), float(fu), False
+    return float(ts[best]), float(scores[best]), False
 
 
 @dataclass(frozen=True)
@@ -180,14 +169,14 @@ def curve(
     t*.  So the levels are fitted in order.
     """
     pred = TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
-    truth_lp = None if truth is None else truth_logpdf(truth, x_valid)
+    truth_lp = None if truth is None else truth.logpdf(x_valid)
     ts = grid.values
     scores = np.empty(ts.size)
     points: list[CurvePoint] = []
     decision = None  # the last good level's classifier
     carried = []  # the classifier carried out of each level
     for i, (post, lp_vec) in enumerate(pred.levels(ts)):
-        scores[i] = lp = _level_score(post.t, lp_vec)
+        scores[i] = lp = _level_score(post, lp_vec)
         try:
             true_sum = None if truth_lp is None else float((lp_vec - truth_lp).sum())
             approx_sum = t_stat = p_value = None
@@ -214,9 +203,9 @@ def curve(
             points.append(CurvePoint(t=post.t, log_predictive=None))
         carried.append(decision)
 
-    opt = _refine(pred, ts, scores)
-    ((post_star, lp_star),) = pred.levels([opt.t_star])
-    nearest = int(np.argmin(np.abs(np.log(ts) - math.log(opt.t_star))))
+    t_star, lp_at_t_star, at_boundary = _refine(pred, ts, scores)
+    ((post_star, lp_star),) = pred.levels([t_star])
+    nearest = int(np.argmin(np.abs(np.log(ts) - math.log(t_star))))
     est_star, _ = estimate_log_ratio(
         post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), ridge=ridge, start=carried[nearest]
     )
@@ -232,9 +221,9 @@ def curve(
 
     return TemperingCurve(
         points=tuple(points),
-        t_star=opt.t_star,
-        t_star_boundary=opt.at_boundary,
-        log_predictive_at_t_star=opt.log_predictive,
+        t_star=t_star,
+        t_star_boundary=at_boundary,
+        log_predictive_at_t_star=lp_at_t_star,
         estimate_at_t_star=est_star,
         test_at_t_star=test_star,
         true_at_t_star=true_star,

@@ -1,6 +1,7 @@
 """Benchmark data-generating processes with exact log densities.
 
-Every truth pairs a sampler with its closed-form log density so the
+Every truth pairs a sampler with its closed-form log density,
+``logpdf(data)`` per point and -inf off its support, so the
 analytical log ratio against a model predictive can be computed as an
 oracle alongside the classifier-based estimate.  Each truth declares the
 ``kind`` of data it generates: "real" values, "count" values or
@@ -79,13 +80,8 @@ class NegBinomialTruth:
         return Dataset(draws.astype(float))
 
     def logpdf(self, data: Dataset) -> np.ndarray:
-        x = data.values
-        out = np.full(x.shape, -np.inf)
-        ok = x >= 0
-        table = CountTable(x[ok])
-        logpmf = table.negbinom_logpmf(self.r, math.log1p(-self.p), math.log(self.p))
-        out[ok] = logpmf[table.inverse]
-        return out
+        table = CountTable(data.values)
+        return table.gather(table.negbinom_logpmf(self.r, math.log1p(-self.p), math.log(self.p)))
 
 
 @dataclass(frozen=True)
@@ -109,17 +105,18 @@ class BetaBinomialTruth:
         return Dataset(g.binomial(self.trials, probs).astype(float))
 
     def logpdf(self, data: Dataset) -> np.ndarray:
-        x = data.values
-        out = np.full(x.shape, -np.inf)
-        ok = (x >= 0) & (x <= self.trials)
-        table = CountTable(x[ok])
+        table = CountTable(data.values, hi=self.trials)
         xu, m = table.counts, float(self.trials)
-        logpmf = (
+        return table.gather(
             log_gamma(m + 1.0) - table.log_factorial - log_gamma(m - xu + 1.0)
             + log_beta(xu + self.a, m - xu + self.b) - log_beta(self.a, self.b)
         )
-        out[ok] = logpmf[table.inverse]
-        return out
+
+
+def _covariates(data: Dataset) -> np.ndarray:
+    if data.covariates is None:
+        raise ValueError("regression truths need covariates")
+    return data.covariates
 
 
 def _uniform_covariates(g: np.random.Generator, n: int) -> np.ndarray:
@@ -148,7 +145,7 @@ class TNoiseRegressionTruth:
         return Dataset(y, covariates=x)
 
     def logpdf(self, data: Dataset) -> np.ndarray:
-        z = (data.values - data.covariates) / self.scale
+        z = (data.values - _covariates(data)) / self.scale
         df = self.df
         return (
             log_gamma(0.5 * (df + 1.0)) - log_gamma(0.5 * df)
@@ -180,7 +177,7 @@ class SigmoidRegressionTruth:
         return Dataset(y, covariates=x)
 
     def logpdf(self, data: Dataset) -> np.ndarray:
-        return _normal_logpdf(data.values - self.mean_fn(data.covariates), self.noise_sd)
+        return _normal_logpdf(data.values - self.mean_fn(_covariates(data)), self.noise_sd)
 
 
 TruthSpec = (
@@ -191,11 +188,3 @@ TruthSpec = (
     | TNoiseRegressionTruth
     | SigmoidRegressionTruth
 )
-
-
-def truth_logpdf(spec: TruthSpec, data: Dataset) -> np.ndarray:
-    """Exact per-point log density/mass; -inf outside the support."""
-    if spec.kind == "regression" and not data.is_regression:
-        raise ValueError("regression truths need covariates")
-    return np.asarray(spec.logpdf(data))
-

@@ -4,8 +4,10 @@ Each posterior check normalizes likelihood^t x prior by adaptive
 quadrature and compares scipy's closed form of the tempered posterior,
 taken from the posterior's own parameters, against it at five parameter
 points, returning the worst relative error.
-The divergence oracle sums the exact beta-binomial truth against the
-negative-binomial predictive over the truth's finite support.  The exact
+The divergence oracles sum the exact beta-binomial truth against the
+negative-binomial predictive over the truth's finite support, and give
+KL(truth || predictive) in closed form for a Gaussian predictive against
+a Gaussian or Laplace truth.  The exact
 log ratio is computed per level from each posterior's own one-level
 ``predictive_logpdf(data)`` method, independently of the batched grid scan.
 A fit's log-odds on standardized rows are scored directly from its
@@ -20,6 +22,7 @@ from scipy import integrate, stats
 
 from carmen.conjugate import (
     GaussianKnownVarModel,
+    GaussianPosterior,
     NIGRegressionModel,
     PoissonGammaModel,
     PoissonGammaPosterior,
@@ -33,9 +36,9 @@ from carmen.ratio import LogRatioEstimate
 from carmen.truths import (
     BetaBinomialTruth,
     GaussianTruth,
+    LaplaceTruth,
     NegBinomialTruth,
     TNoiseRegressionTruth,
-    truth_logpdf,
 )
 
 GAUSS_MODEL = GaussianKnownVarModel(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9)
@@ -157,7 +160,12 @@ def nig_posterior_quadrature_relerr(t: float, seed: int = 32, n: int = 20) -> fl
 
 def exact_log_ratio(post, truth, data: Dataset) -> LogRatioEstimate:
     """Exact per-point log p_predictive(x) - log p_truth(x) over ``data``."""
-    return LogRatioEstimate.from_per_point(post.predictive_logpdf(data) - truth_logpdf(truth, data))
+    return LogRatioEstimate.from_per_point(post.predictive_logpdf(data) - truth.logpdf(data))
+
+
+def std_error(est: LogRatioEstimate) -> float:
+    """Standard error of the mean of ``est``'s per-point values (n-1 divisor)."""
+    return float(est.per_point.std(ddof=1) / math.sqrt(est.n))
 
 
 def nbinom_predictive(post: PoissonGammaPosterior):
@@ -186,6 +194,21 @@ def betabinom_predictive_kl(
     mean = float(np.sum(pmf * log_ratio))
     var = float(np.sum(pmf * (log_ratio - mean) ** 2))
     return -mean, math.sqrt(var)
+
+
+def gaussian_predictive_kl(post: GaussianPosterior, truth: GaussianTruth | LaplaceTruth) -> float:
+    """Exact KL(truth || N(post.mean, post.predictive_var)) for a Gaussian or Laplace truth.
+
+    With v the predictive variance and m the predictive mean less the
+    truth's center, KL(N(0, s^2) || N(m, v)) = ln(v/s^2)/2 + (s^2 + m^2)/(2v) - 1/2
+    and KL(Laplace(0, b) || N(m, v)) = ln(2 pi v)/2 + (2b^2 + m^2)/(2v) - 1 - ln(2b).
+    """
+    v = post.predictive_var
+    if isinstance(truth, GaussianTruth):
+        s2, m = truth.sd**2, post.mean - truth.mean
+        return 0.5 * math.log(v / s2) + (s2 + m * m) / (2.0 * v) - 0.5
+    b, m = truth.scale, post.mean - truth.loc
+    return 0.5 * math.log(2.0 * math.pi * v) + (2.0 * b * b + m * m) / (2.0 * v) - 1.0 - math.log(2.0 * b)
 
 
 def log_odds(fit: LogisticFit, rows: np.ndarray):

@@ -16,7 +16,7 @@ from carmen.discriminator import FeatureMap
 from carmen.numerics import RngStream
 from carmen.ratio import LogRatioEstimate, estimate_log_ratio
 from carmen.truths import GaussianTruth, NegBinomialTruth
-from oracles import exact_log_ratio
+from oracles import exact_log_ratio, std_error
 
 # closed-form Gaussian KL divergences for the N(0,1) model vs N(0,4) truth:
 # KL(truth||model) = ln(1/2) + 4/2 - 1/2, KL(model||truth) = ln 2 + 1/8 - 1/2
@@ -89,7 +89,7 @@ class TestEstimateLogRatio:
         fm = FeatureMap(("x", "x2"))
         est1, _ = estimate_log_ratio(post, xv, fm, 10, RngStream(107), n_sim=800)
         est2, rev2 = estimate_log_ratio(post, xv, fm, 10, RngStream(108), n_sim=1600)
-        band = 3 * math.sqrt(est1.std_error() ** 2 + est2.std_error() ** 2)
+        band = 3 * math.sqrt(std_error(est1) ** 2 + std_error(est2) ** 2)
         assert abs(est1.mean - est2.mean) < band
         # one call scores both classes: 800 observed and 1600 simulated points
         assert (est2.n, rev2.n) == (800, 1600)

@@ -14,12 +14,13 @@ from carmen.conjugate import (
     TemperedPredictive,
     temper_update,
 )
+from carmen.data import Dataset
 from carmen.discriminator import FeatureMap
 from carmen.numerics import RngStream
 from carmen.ratio import estimate_log_ratio
 from carmen.tempering import CurvePoint, TemperingGrid, curve
 from carmen.truths import GaussianTruth, SigmoidRegressionTruth
-from oracles import exact_log_ratio
+from oracles import exact_log_ratio, std_error
 
 GAUSS = GaussianKnownVarModel(0.1, 0.0, 9.9)
 NIG = NIGRegressionModel(0.0, 1.0, 2.0, 2.0)
@@ -32,16 +33,16 @@ def _gauss_data(seed, n):
     return truth, truth.sample(RngStream(seed), n), truth.sample(RngStream(seed + 1), n)
 
 
-def _count_calls(monkeypatch, name):
-    """Replace ``carmen.tempering.<name>`` by a wrapper that logs its calls."""
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.<name>`` by a wrapper that logs its calls."""
     calls = []
-    original = getattr(tempering, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(tempering, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -217,10 +218,18 @@ class TestCurve:
             post = temper_update(NIG, stats, float(t))
             est, _ = estimate_log_ratio(post, xv, fm, 5, RngStream(221).substream(i))
             sums.append(est.sum)
-            bands.append(est.std_error() * est.n)
+            bands.append(std_error(est) * est.n)
         for i in range(len(sums) - 1):
             slack = 3.0 * math.sqrt(bands[i] ** 2 + bands[i + 1] ** 2)
             assert sums[i + 1] >= sums[i] - slack
+
+    def test_nan_in_validation_data_fails_at_dataset(self):
+        truth, xu, xv = _gauss_data(225, 150)
+        values = xv.values.copy()
+        values[7] = np.nan
+        grid = TemperingGrid.log_uniform(1e-7, 1.0, 4)
+        with pytest.raises(ValueError, match=r"^values must be finite, got nan$"):
+            curve(GAUSS, truth, xu, Dataset(values), grid, GAUSS_FM, 5, RngStream(0))
 
     def test_curve_deterministic(self):
         truth = GaussianTruth(0.0, 3.01)
@@ -242,7 +251,7 @@ class TestSingleGridPass:
         # one one-level call per golden-section step
         assert refine and all(len(levels) == 1 for levels in refine)
         prepared, calls = _count_predictive(monkeypatch)
-        density = _count_calls(monkeypatch, "truth_logpdf")
+        density = _count_calls(monkeypatch, GaussianTruth, "logpdf")
         tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(232))
         assert len(prepared) == 1
         assert calls[0] == list(grid.values)  # one call scans the whole grid
@@ -262,12 +271,12 @@ class TestSingleGridPass:
         xu = truth.sample(RngStream(seed), 1000)
         xv = truth.sample(RngStream(seed + 1), 1000)
         grid = TemperingGrid.log_uniform()
-        opt, _ = _reference_t_star(model, xu, xv, grid)
+        (t_star, log_predictive, at_boundary), _ = _reference_t_star(model, xu, xv, grid)
         tc = curve(model, truth, xu, xv, grid, fm, 5, RngStream(235))
-        assert opt.at_boundary is boundary
-        assert tc.t_star == opt.t_star
-        assert tc.t_star_boundary == opt.at_boundary
-        assert tc.log_predictive_at_t_star == opt.log_predictive
+        assert at_boundary is boundary
+        assert tc.t_star == t_star
+        assert tc.t_star_boundary == at_boundary
+        assert tc.log_predictive_at_t_star == log_predictive
 
     def test_columns_match_public_functions_exactly(self):
         truth, xu, xv = _gauss_data(236, 300)

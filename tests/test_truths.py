@@ -16,9 +16,8 @@ from carmen.truths import (
     NegBinomialTruth,
     SigmoidRegressionTruth,
     TNoiseRegressionTruth,
-    truth_logpdf,
 )
-from oracles import exact_log_ratio
+from oracles import GAUSS_MODEL, exact_log_ratio, gaussian_predictive_kl, std_error
 
 ALL_TRUTHS = [
     GaussianTruth(0.0, 3.01),
@@ -90,26 +89,36 @@ class TestSamplers:
 class TestLogpdf:
     def test_laplace_mode(self):
         data = Dataset(np.array([0.0]))
-        lp = truth_logpdf(LaplaceTruth(0.0, 2.13), data)
+        lp = LaplaceTruth(0.0, 2.13).logpdf(data)
         assert lp[0] == pytest.approx(math.log(1.0 / (2 * 2.13)), rel=1e-14)
 
     def test_negbinom_mass_sums_to_one(self):
         truth = NegBinomialTruth(63.0, 0.488)
         xs = Dataset(np.arange(0, 10001, dtype=float))
-        assert np.exp(truth_logpdf(truth, xs)).sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.exp(truth.logpdf(xs)).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_betabinom_mass_sums_to_one(self):
         truth = BetaBinomialTruth(41.75, 78.25, 80)
         xs = Dataset(np.arange(0, 81, dtype=float))
-        assert np.exp(truth_logpdf(truth, xs)).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(truth.logpdf(xs)).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_outside_support_is_minus_inf(self):
         bb = BetaBinomialTruth(41.75, 78.25, 80)
-        out = truth_logpdf(bb, Dataset(np.array([81.0, -1.0, 40.0])))
+        out = bb.logpdf(Dataset(np.array([81.0, -1.0, 40.0])))
         assert out[0] == -np.inf and out[1] == -np.inf and np.isfinite(out[2])
         # no count in the support leaves an empty CountTable
-        none_inside = truth_logpdf(bb, Dataset(np.array([81.0, -1.0, 200.0])))
+        none_inside = bb.logpdf(Dataset(np.array([81.0, -1.0, 200.0])))
         assert none_inside.shape == (3,) and np.all(none_inside == -np.inf)
+
+    @pytest.mark.parametrize(
+        "truth,mass_at_81",
+        [(NegBinomialTruth(63.0, 0.488), True), (BetaBinomialTruth(41.75, 78.25, 80), False)],
+        ids=["negbinom", "betabinom"],
+    )
+    def test_only_whole_counts_in_range_have_mass(self, truth, mass_at_81):
+        out = truth.logpdf(Dataset(np.array([2.5, 40.5, -1.0, -0.5, 40.0, 81.0])))
+        assert np.all(out[:4] == -np.inf) and np.isfinite(out[4])
+        assert np.isfinite(out[5]) == mass_at_81  # 81 is above the beta-binomial's trials
 
     @pytest.mark.parametrize("truth", ALL_TRUTHS, ids=lambda t: type(t).__name__)
     def test_declared_kind_matches_samples(self, truth):
@@ -118,21 +127,21 @@ class TestLogpdf:
         assert bool(np.all(data.values == np.floor(data.values))) == (truth.kind == "count")
         if truth.kind == "regression":
             with pytest.raises(ValueError, match="regression truths need covariates"):
-                truth_logpdf(truth, Dataset(data.values))
+                truth.logpdf(Dataset(data.values))
 
     def test_tnoise_at_origin(self):
         truth = TNoiseRegressionTruth(df=3.0, scale=1.22)
         data = Dataset(np.array([0.0]), covariates=np.array([0.0]))
         # Student-t(3) scaled density at zero, closed form
         expected = math.lgamma(2.0) - math.lgamma(1.5) - 0.5 * math.log(3 * math.pi) - math.log(1.22)
-        assert truth_logpdf(truth, data)[0] == pytest.approx(expected, rel=1e-12)
+        assert truth.logpdf(data)[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("truth", ALL_TRUTHS, ids=lambda t: type(t).__name__)
     def test_sampler_density_consistency(self, truth):
         # empirical mean log-likelihood of draws matches its own expectation
         # (negative entropy) within 4 standard errors
         data = truth.sample(RngStream(99), 100000)
-        lp = truth_logpdf(truth, data)
+        lp = truth.logpdf(data)
         half = lp[:50000], lp[50000:]
         se = lp.std(ddof=1) / math.sqrt(lp.size / 2)
         assert abs(half[0].mean() - half[1].mean()) < 4 * math.sqrt(2) * se
@@ -178,6 +187,18 @@ class TestTrueLogRatio:
         best = max(sums)
         assert -71.8 * 1.3 <= best <= -71.8 * 0.7
 
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 1.0])
+    @pytest.mark.parametrize(
+        "truth", [GaussianTruth(0.0, 3.01), LaplaceTruth(0.0, 2.13)], ids=["gauss", "laplace"]
+    )
+    def test_mean_log_ratio_is_minus_closed_form_kl(self, truth, t):
+        # the scenario's predictive against 200,000 truth draws: the mean
+        # exact log ratio estimates -KL(truth || predictive)
+        stats = SufficientStats.from_dataset(truth.sample(RngStream(50), 1000))
+        post = temper_update(GAUSS_MODEL, stats, t)
+        est = exact_log_ratio(post, truth, truth.sample(RngStream(51), 200000))
+        assert abs(est.mean + gaussian_predictive_kl(post, truth)) < 4 * std_error(est)
+
     @pytest.mark.parametrize(
         "truth,model,t",
         [
@@ -199,5 +220,4 @@ class TestTrueLogRatio:
         xv = truth.sample(RngStream(41), 10000)
         post = temper_update(m, SufficientStats.from_dataset(xu), t)
         est = exact_log_ratio(post, truth, xv)
-        se = est.std_error()
-        assert est.mean < 3 * se
+        assert est.mean < 3 * std_error(est)
