@@ -167,8 +167,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        """Config from the keys of ``d`` that name fields; absent fields keep their defaults."""
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        """Config from the keys of ``d`` that name fields, each scalar typed by ``_SCALAR_FIELDS``."""
+        return cls(**{
+            f.name: _SCALAR_FIELDS.get(f.name, lambda v: v)(d[f.name]) for f in fields(cls) if f.name in d
+        })
 
 
 def _build_family(registry: dict, family: str, params: dict, kind: str):
@@ -279,10 +281,11 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 _CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() not in _CONFIG_BOOL:
+def _parse_bool(value) -> bool:
+    key = str(value).lower()  # a bool from JSON reads as "true" or "false"
+    if key not in _CONFIG_BOOL:
         raise ValueError("must be true or false")
-    return _CONFIG_BOOL[value.lower()]
+    return _CONFIG_BOOL[key]
 
 
 # The config fields that a config-file key or a flag sets directly, with the

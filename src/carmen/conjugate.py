@@ -199,7 +199,7 @@ class _CountTerms:
         log_p = np.array([[math.log(p.rate / (1.0 + p.rate))] for p in posts])
         log_q = np.array([[math.log(1.0 / (1.0 + p.rate))] for p in posts])
         for row in self.table.negbinom_logpmf(r, log_p, log_q):
-            yield self.table.gather(row)
+            yield row[self.table.inverse]  # every point is on the support (checked above)
 
 
 # ---------------------------------------------------------------------------

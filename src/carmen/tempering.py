@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import Model, SufficientStats, TemperedPosterior, TemperedPredictive
+from .conjugate import Model, SufficientStats, TemperedPredictive
 from .data import Dataset
 from .discriminator import DEFAULT_RIDGE, FeatureMap
 from .numerics import RngStream
@@ -69,12 +69,12 @@ class TemperingGrid:
         return self.values.size
 
 
-def _level_score(post: TemperedPosterior, lp_vec: np.ndarray) -> float:
-    """The sum of a level's per-point log predictive; t* cannot be chosen if it is not finite."""
+def _level_score(t: float, lp_vec: np.ndarray) -> float:
+    """The sum of level ``t``'s per-point log predictive; t* cannot be chosen if it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         lp = float(lp_vec.sum())
     if not math.isfinite(lp):
-        raise ValueError(f"the log predictive of the validation data at tempering level t={post.t:.6g} is {lp}")
+        raise ValueError(f"the log predictive of the validation data at tempering level t={t:.6g} is {lp}")
     return lp
 
 
@@ -90,21 +90,24 @@ def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> tup
     if best == 0 or best == len(ts) - 1:
         return float(ts[best]), float(scores[best]), True
 
+    def score(log10_t: float) -> float:
+        ((post, lp_vec),) = pred.levels([10.0**log10_t])
+        return _level_score(post.t, lp_vec)
+
     lo, hi = math.log10(ts[best - 1]), math.log10(ts[best + 1])
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = _level_score(*next(pred.levels([10.0**c])))
-    fd = _level_score(*next(pred.levels([10.0**d])))
+    fc, fd = score(c), score(d)
     while b - a > 1e-3:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = _level_score(*next(pred.levels([10.0**c])))
+            fc = score(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = _level_score(*next(pred.levels([10.0**d])))
+            fd = score(d)
     u = c if fc >= fd else d
     fu = max(fc, fd)
     # never return a refinement worse than the best grid point
@@ -176,7 +179,7 @@ def curve(
     decision = None  # the last good level's classifier
     carried = []  # the classifier carried out of each level
     for i, (post, lp_vec) in enumerate(pred.levels(ts)):
-        scores[i] = lp = _level_score(post, lp_vec)
+        scores[i] = lp = _level_score(post.t, lp_vec)
         try:
             true_sum = None if truth_lp is None else float((lp_vec - truth_lp).sum())
             approx_sum = t_stat = p_value = None

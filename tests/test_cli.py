@@ -124,6 +124,16 @@ class TestRunScenario:
         second = emit_outputs(run_scenario(echoed), tmp_path / "second")
         assert [p.read_bytes() for p in second] == [p.read_bytes() for p in first]
 
+    def test_from_dict_types_scalars_by_field(self):
+        cfg = ScenarioConfig.from_dict({
+            "scenario": "gauss-gauss", "seed": 3.0, "grid_count": 8.0, "folds": 5.0,
+            "grid_hi": 1, "ridge": 0, "full_curve": True, "reverse_kl": "false", "features": ["x"],
+        })
+        typed = {"seed": 3, "grid_count": 8, "folds": 5, "grid_hi": 1.0, "ridge": 0.0,
+                 "full_curve": True, "reverse_kl": False, "features": ("x",)}
+        for name, value in typed.items():
+            assert (type(getattr(cfg, name)), getattr(cfg, name)) == (type(value), value), name
+
 
 class TestEmitOutputs:
     def test_files_and_header(self, tmp_path):
