@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .numerics import RngStream
+from .numerics import CountTable, RngStream
 
 _LN_CLAMP = 1e-12  # |v| floor before taking logs, keeps ln-features total
 
@@ -86,28 +86,44 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class LabeledDesign:
-    """Standardized feature rows with class labels (simulated = 1)."""
+    """Standardized feature rows with class labels (simulated = 1).
+
+    Row i stands for ``counts[i]`` points with that row's features and
+    label; without ``counts`` every row is one point.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
+    counts: np.ndarray | None = None
 
 
-def _standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
+def _standardized_design(
+    block: np.ndarray, labels: np.ndarray, counts: np.ndarray | None = None
+) -> LabeledDesign:
     """Standardize a C-ordered (d, n) block of raw features in place.
 
     Each feature row is centred on its mean, then divided by its sd, taken
     from the centred row (population divisor); a zero-sd feature keeps
-    sd = 1.  ``features`` is the (n, d) transpose of ``block``, so
-    ``features.T`` is contiguous feature-major.
+    sd = 1.  With ``counts``, column i stands for ``counts[i]`` points and
+    both moments are those of the points.  ``features`` is the (n, d)
+    transpose of ``block``, so ``features.T`` is contiguous feature-major.
     """
-    mu = np.add.reduce(block, axis=1) / block.shape[1]  # bitwise block.mean(axis=1)
-    block -= mu[:, None]
-    sd = np.sqrt(np.einsum("ij,ij->i", block, block) / block.shape[1])
+    if counts is None:
+        total = block.shape[1]
+        mu = np.add.reduce(block, axis=1) / total  # bitwise block.mean(axis=1)
+        block -= mu[:, None]
+        sq = np.einsum("ij,ij->i", block, block)
+    else:
+        total = counts.sum()
+        mu = block @ counts / total
+        block -= mu[:, None]
+        sq = np.einsum("ij,ij,j->i", block, block, counts)
+    sd = np.sqrt(sq / total)
     sd = np.where(sd > 0.0, sd, 1.0)
     block /= sd[:, None]
-    return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
+    return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd, counts=counts)
 
 
 def _softplus_sigmoid(
@@ -144,7 +160,8 @@ class IrlsWorkspace:
     once rather than on every fold and iteration.  Each fit overwrites
     all of it.  ``design(n)`` is the contiguous (d+1, n) design of an
     n-point fit: row 0 the intercept's ones, rows 1..d the standardized
-    features, which a caller may write there before the fit.
+    features, and ``counts(n)`` the points each column stands for; a
+    caller may write both there before the fit.
     """
 
     def __init__(self, d: int, capacity: int) -> None:
@@ -152,18 +169,21 @@ class IrlsWorkspace:
         self.capacity = capacity
         self._design = np.empty((d + 1) * capacity)
         self._weighted = np.empty((d + 2) * capacity)
-        self._vectors = np.empty((7, capacity))
+        self._vectors = np.empty((9, capacity))
 
     def design(self, n: int) -> np.ndarray:
         return self._design[: (self.d + 1) * n].reshape(self.d + 1, n)
 
+    def counts(self, n: int) -> np.ndarray:
+        return self._vectors[8, :n]
+
     def weighted(self, n: int) -> np.ndarray:
-        """(d+2, n) buffer: the design scaled by the IRLS weights, then the residual y - p."""
+        """(d+2, n) buffer: the design scaled by the IRLS weights, then the residual c (y - p)."""
         return self._weighted[: (self.d + 2) * n].reshape(self.d + 2, n)
 
     def vectors(self, n: int) -> np.ndarray:
-        """Seven (n,) buffers, one per row."""
-        return self._vectors[:, :n]
+        """Eight (n,) buffers, one per row."""
+        return self._vectors[:8, :n]
 
 
 @dataclass(frozen=True)
@@ -209,7 +229,10 @@ def fit_logistic(
 ) -> LogisticFit:
     """Ridge-penalized logistic regression by IRLS.
 
-    The penalty applies to the weights only, never the intercept.  Each
+    The penalty applies to the weights only, never the intercept.  A
+    design row with count c enters the log-likelihood c times, so a
+    design with counts fits as the same rows repeated; n is the number
+    of points, the sum of the counts.  Each
     Newton step delta has the decrement lambda^2 = grad @ delta (Boyd &
     Vandenberghe, *Convex Optimization*, 9.5.1); sqrt(lambda^2 / n) is the
     weighted RMS change the step would make to the linear predictor.  When
@@ -246,6 +269,10 @@ def fit_logistic(
         raise ValueError("design must contain both classes, labelled 0 and 1")
     X = design.features
     n, d = X.shape
+    if design.counts is not None:
+        counts = np.asarray(design.counts, dtype=float)
+        if counts.shape != (n,) or not np.all((counts > 0.0) & (counts < math.inf)):
+            raise ValueError(f"design needs one finite positive count per row, got shape {counts.shape}")
     if workspace is None:
         workspace = IrlsWorkspace(d, n)
     elif workspace.d != d or workspace.capacity < n:
@@ -254,19 +281,36 @@ def fit_logistic(
             f"the design {n} of {d}"
         )
     # Feature-major design: row 0 is the intercept, row j the j-th feature.
-    # Copying the features in is a no-op when they already are rows 1..d.
+    # Copying the features and counts in is a no-op when they already are
+    # the workspace's.
     AT = workspace.design(n)
     AT[0] = 1.0
     AT[1:] = X.T
-    # weighted @ AT.T is the Hessian's d+1 rows, then the gradient.
+    eta, cand_eta, soft, p, cand_p, scratch, a_delta, cy = workspace.vectors(n)
+    # Each sum over points weighs a row by its count c: the log-likelihood
+    # sum c (y eta - softplus eta), the gradient sum c (y - p) a and the
+    # Hessian sum c p (1 - p) a a^T.  Without counts c is 1 and every
+    # product by it is skipped, which leaves the fit bit for bit as it was
+    # and saves two passes over the rows per step.
+    if design.counts is None:
+        c, cy, points = None, y, n
+    else:
+        c = workspace.counts(n)
+        c[...] = counts
+        cy, points = np.multiply(c, y, out=cy), float(c.sum())
     weighted = workspace.weighted(n)
     scaled, residual = weighted[: d + 1], weighted[d + 1]
-    eta, cand_eta, soft, p, cand_p, scratch, a_delta = workspace.vectors(n)
+    # weighted @ AT.T is the Hessian's d+1 rows, then the gradient.  This
+    # OpenBLAS build (0.3.31) multiplies in its small-matrix kernel only up
+    # to M*N*K = 1e6; beyond that bound the Hessian and the gradient are
+    # faster as two products (at d = 6, n = 18,000: 148 against 345 us).
+    split = (d + 2) * (d + 1) * n > 1e6
     lam = float(ridge)
 
     def value(eta: np.ndarray, b: np.ndarray) -> float:
         """Penalized log-likelihood at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
-        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:])
+        c_soft = soft if c is None else np.multiply(soft, c, out=soft)
+        return float(cy @ eta - c_soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:])
 
     def objective(eta: np.ndarray, b: np.ndarray, sig: np.ndarray) -> float:
         """``value`` at eta, writing the sigmoid of eta into ``sig``."""
@@ -293,11 +337,16 @@ def fit_logistic(
     bumps = 0
     iterations = 0
     while iterations < max_iter:
-        np.subtract(y, p, out=residual)
-        w = np.multiply(p, np.subtract(1.0, p, out=scratch), out=scratch)
+        # c p, then the weights c p (1 - p) and the residual c y - c p
+        c_p = p if c is None else np.multiply(c, p, out=residual)
+        w = np.multiply(c_p, np.subtract(1.0, p, out=scratch), out=scratch)
+        np.subtract(cy, c_p, out=residual)
         np.multiply(AT, w, out=scaled)
-        products = weighted @ AT.T
-        hess, grad = products[: d + 1], products[d + 1]
+        if split:
+            hess, grad = scaled @ AT.T, AT @ residual
+        else:
+            products = weighted @ AT.T
+            hess, grad = products[: d + 1], products[d + 1]
         grad[1:] -= lam * beta[1:]
         # hess is C-contiguous, so its weight diagonal is every (d+2)-th element from d+2.
         hess.reshape(-1)[d + 2 :: d + 2] += lam
@@ -314,7 +363,7 @@ def fit_logistic(
         # of squares of the step's change to eta (plus its ridge term), and
         # twice the gain the quadratic model predicts for the full step.
         decrement = float(grad @ delta)
-        if 0.0 <= decrement <= n * tol * tol:
+        if 0.0 <= decrement <= points * tol * tol:
             beta += delta
             iterations += 1
             converged = True
@@ -355,6 +404,33 @@ def _fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
     return ids
 
 
+def _count_table(data: Dataset) -> CountTable | None:
+    """The distinct values of univariate data whose every value is a whole count, else None."""
+    if data.is_regression:
+        return None
+    table = CountTable(data.values)
+    return table if table.support.all() else None
+
+
+def _class_columns(
+    table: CountTable | None, raw: np.ndarray, fold_ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One class's (d, C) training columns, and the (k, C) training points each stands for per fold.
+
+    With a count table the columns are the class's distinct counts, and
+    one ``bincount`` of (fold, count) pairs gives every fold's points
+    per count; without, the columns are the points ``raw``, each 1
+    outside its own fold.
+    """
+    if table is None:
+        return raw, (np.arange(k)[:, None] != fold_ids).astype(float)
+    u = table.counts.size
+    columns = np.empty((raw.shape[0], u))
+    columns[:, table.inverse] = raw
+    held = np.bincount(fold_ids * u + table.inverse, minlength=k * u).reshape(k, u)
+    return columns, (held.sum(axis=0) - held).astype(float)
+
+
 def cv_log_odds(
     observed: Dataset,
     simulated: Dataset,
@@ -371,7 +447,9 @@ def cv_log_odds(
     classifier fitted on the remaining folds, with standardization refit
     on the training rows only.  Returns one value per point, the observed
     points first and then the simulated ones, each class in its dataset
-    order, and the last fold's decision function.
+    order, and the last fold's decision function.  A univariate class of
+    whole counts is fitted on its distinct counts, each weighted by the
+    training points that take it, which is the fit on its points.
 
     The folds are fitted in order, each started from the previous fold's
     decision function, and the first from ``start`` when given;
@@ -383,10 +461,14 @@ def cv_log_odds(
         raise ValueError("each class needs at least k points")
 
     # Both classes as one C-ordered (d, n_obs + n_sim) array, observed
-    # first, and the fold of every point.  Each fold's training columns
-    # are gathered in that order straight into the feature rows of the
-    # design in one workspace, sized for the largest training fold, that
-    # all k fits share; its labels are a view of one label vector.
+    # first, and the fold of every point.  A fold trains on the columns of
+    # ``columns`` it keeps, gathered in order straight into the feature rows
+    # of the design in one workspace, sized for the largest training fold,
+    # that all k fits share; its labels are a view of one label vector.
+    # Without a count class the columns are the points and a fold keeps
+    # those outside it.  A class of whole counts contributes its distinct
+    # counts instead: ``train[j]`` holds the training points per column,
+    # and a fold keeps the columns with any.
     n_obs, n_sim = len(observed), len(simulated)
     raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
     d = raw.shape[0]
@@ -394,9 +476,19 @@ def cv_log_odds(
     fold_obs = _fold_ids(n_obs, k, g)
     fold_sim = _fold_ids(n_sim, k, g)
     fold_of = np.concatenate([fold_obs, fold_sim])
-    held_obs = np.bincount(fold_obs, minlength=k)
-    held_sim = np.bincount(fold_sim, minlength=k)
-    workspace = IrlsWorkspace(d, n_obs + n_sim - int(np.min(held_obs + held_sim)))
+    tables = (_count_table(observed), _count_table(simulated))
+    if all(table is None for table in tables):
+        columns, train = raw, None
+        m_obs = n_obs - np.bincount(fold_obs, minlength=k)
+        m_sim = n_sim - np.bincount(fold_sim, minlength=k)
+    else:
+        (cols_obs, train_obs), (cols_sim, train_sim) = (
+            _class_columns(table, part, folds, k)
+            for table, part, folds in zip(tables, (raw[:, :n_obs], raw[:, n_obs:]), (fold_obs, fold_sim))
+        )
+        columns, train = np.hstack([cols_obs, cols_sim]), np.hstack([train_obs, train_sim])
+        m_obs, m_sim = np.count_nonzero(train_obs, axis=1), np.count_nonzero(train_sim, axis=1)
+    workspace = IrlsWorkspace(d, int(np.max(m_obs + m_sim)))
     labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
 
     # Row j holds fold j's decision function [intercept, *weights].
@@ -408,10 +500,15 @@ def cv_log_odds(
     coef = np.empty((k, d + 1))
     decision = start
     for j in range(k):
-        m_obs, m_sim = n_obs - held_obs[j], n_sim - held_sim[j]
-        block = workspace.design(m_obs + m_sim)[1:]
-        np.compress(fold_of != j, raw, axis=1, out=block)
-        design = _standardized_design(block, labels[n_obs - m_obs : n_obs + m_sim])
+        m = m_obs[j] + m_sim[j]
+        block = workspace.design(m)[1:]
+        if train is None:
+            keep, counts = fold_of != j, None
+        else:
+            keep, counts = train[j] > 0.0, workspace.counts(m)
+            np.compress(keep, train[j], out=counts)
+        np.compress(keep, columns, axis=1, out=block)
+        design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]], counts)
         fit = fit_logistic(
             design,
             ridge=ridge,

@@ -12,6 +12,7 @@ from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_
 from carmen.data import Dataset
 from carmen.discriminator import (
     DEFAULT_MAX_ITER,
+    DEFAULT_RIDGE,
     DEFAULT_TOL,
     DecisionFunction,
     FeatureMap,
@@ -354,6 +355,83 @@ class TestWarmStart:
             fit_logistic(_overlapping_design(), start=np.zeros(2))
 
 
+def _counted_design(seed: int, m: int = 80, d: int = 2):
+    """Overlapping classes on m rows with integer counts 1..6, and the same rows repeated by count."""
+    g = RngStream(seed).generator()
+    feats = g.normal(size=(m, d))
+    eta = 0.9 * feats[:, 0] - 0.4 * feats[:, -1]
+    labels = (g.uniform(size=m) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    counts = g.integers(1, 7, size=m).astype(float)
+    mu, sd = np.zeros(d), np.ones(d)
+    repeat = counts.astype(int)
+    repeated = LabeledDesign(np.repeat(feats, repeat, axis=0), np.repeat(labels, repeat), mu, sd)
+    return LabeledDesign(feats, labels, mu, sd, counts), repeated
+
+
+def _first_decrement(design: LabeledDesign, ridge: float = DEFAULT_RIDGE) -> float:
+    """lambda^2 of the first Newton step from beta = 0, where p = 1/2."""
+    A = np.column_stack([np.ones(len(design.labels)), design.features])
+    c = np.ones(len(design.labels)) if design.counts is None else design.counts
+    grad = A.T @ (c * (design.labels - 0.5))
+    hess = A.T @ ((0.25 * c)[:, None] * A)
+    hess[np.arange(1, A.shape[1]), np.arange(1, A.shape[1])] += ridge
+    return float(grad @ np.linalg.solve(hess, grad))
+
+
+class TestWeightedFit:
+    @pytest.mark.parametrize("start", [None, np.array([0.2, 0.5, -0.1])], ids=["zero", "start"])
+    def test_counts_fit_as_repeated_rows(self, start):
+        weighted, repeated = _counted_design(56)
+        assert len(repeated.labels) > 2 * len(weighted.labels)
+        a, b = fit_logistic(weighted, start=start), fit_logistic(repeated, start=start)
+        assert abs(a.intercept - b.intercept) < 1e-9
+        assert np.max(np.abs(a.weights - b.weights)) < 1e-9
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert a.converged
+
+    def test_decrement_stop_scales_with_total_count(self):
+        # tol is set so that the first step's decrement lies between
+        # columns * tol^2 and sum(c) * tol^2: only a stop that counts the
+        # points takes that step as the last.
+        design, _ = _counted_design(57)
+        columns, points = len(design.labels), float(design.counts.sum())
+        tol = math.sqrt(_first_decrement(design) / points)
+        assert columns * (tol * (1.0 + 1e-6)) ** 2 < _first_decrement(design)
+        stopped = fit_logistic(design, tol=tol * (1.0 + 1e-6))
+        assert (stopped.iterations, stopped.converged) == (1, True)
+        going_on = fit_logistic(design, tol=tol * (1.0 - 1e-6))
+        assert going_on.converged and going_on.iterations > 1
+
+    @pytest.mark.parametrize("n, d", [(600, 2), (18_000, 6)], ids=["one-product", "two-products"])
+    def test_unit_counts_are_the_unweighted_fit(self, n, d):
+        # (d+2)(d+1)n crosses 1e6 at d = 6, n = 18,000, where the Hessian
+        # and gradient come from two products instead of one.
+        g = RngStream(58).generator()
+        feats = g.normal(size=(n, d))
+        eta = 0.8 * feats[:, 0] - 0.4 * feats[:, 1]
+        labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        plain = LabeledDesign(feats, labels, np.zeros(d), np.ones(d))
+        unit = LabeledDesign(feats, labels, np.zeros(d), np.ones(d), np.ones(n))
+        for start in (None, np.full(d + 1, 0.1)):
+            fit = fit_logistic(plain, start=start)
+            assert _fit_bytes(fit_logistic(unit, start=start)) == _fit_bytes(fit)
+            assert _fit_bytes(fit_logistic(unit, start=start, workspace=IrlsWorkspace(d, n))) == _fit_bytes(fit)
+            beta = np.concatenate([[fit.intercept], fit.weights])
+            ref, stopped = _row_major_fit(feats, labels, fit.ridge, beta, tol=1e-12)
+            assert stopped and np.max(np.abs(ref - beta)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.array([1.0, 2.0, 0.0, 1.0]), np.array([1.0, -1.0, 1.0, 1.0]), np.array([1.0, math.nan, 1.0, 1.0]),
+         np.array([1.0, math.inf, 1.0, 1.0]), np.ones(3)],
+        ids=["zero", "negative", "nan", "inf", "shape"],
+    )
+    def test_bad_counts_rejected(self, counts):
+        design = LabeledDesign(np.arange(4.0)[:, None], np.array([0.0, 1.0, 0.0, 1.0]), np.zeros(1), np.ones(1), counts)
+        with pytest.raises(ValueError, match="count"):
+            fit_logistic(design)
+
+
 class TestLogOdds:
     def test_zero_fit_is_zero(self):
         design = LabeledDesign(np.zeros((4, 2)), np.array([0.0, 0, 1, 1]), np.zeros(2), np.ones(2))
@@ -666,6 +744,120 @@ class TestCvLogOdds:
             cv_log_odds(obs, sim, FeatureMap(("x",)), 1, 1e-6, RngStream(0))
         with pytest.raises(ValueError):
             cv_log_odds(obs, sim, FeatureMap(("x",)), 6, 1e-6, RngStream(0))
+
+
+def _designs_with_counts(monkeypatch) -> list:
+    """Route ``cv_log_odds``'s fits through a wrapper that keeps a copy of each fit's design."""
+    designs = []
+    fit = carmen.discriminator.fit_logistic
+
+    def recording(design, **kwargs):
+        counts = None if design.counts is None else design.counts.copy()
+        designs.append((design.features.copy(), design.labels.copy(), design.mean.copy(), design.sd.copy(), counts))
+        return fit(design, **kwargs)
+
+    monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    return designs
+
+
+class TestCountClasses:
+    @pytest.mark.parametrize(
+        "scenario, seed, level",
+        [("poisson-nb", 0, 0), ("poisson-nb", 0, 11), ("poisson-nb", 0, 25), ("poisson-nb", 7, 2),
+         ("poisson-betabinom", 0, 0), ("poisson-betabinom", 0, 25), ("poisson-betabinom", 7, 11),
+         ("poisson-betabinom", 1, 47)],
+    )
+    def test_distinct_counts_match_points(self, monkeypatch, scenario, seed, level):
+        # Near separation (poisson-betabinom at small t) the log-odds reach
+        # 2e4 nats, and even fits converged to lambda^2 <= 1e-20 n differ by
+        # 8e-8 between the two layouts, so the bound scales with the values.
+        args = _grid_level_draw(scenario, seed, level)[1]
+        designs = _designs_with_counts(monkeypatch)
+        counted, _ = cv_log_odds(*args)
+        monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
+        points, _ = cv_log_odds(*args)
+        k, n = args[3], len(args[0]) + len(args[1])
+        assert all(c is not None and c.size < n // 4 for *_, c in designs[:k])
+        assert all(c is None for *_, c in designs[k:])
+        assert np.max(np.abs(counted - points)) <= 1e-9 * max(1.0, np.max(np.abs(points)))
+
+    def test_fold_designs_expand_to_complements(self, monkeypatch):
+        designs = _designs_with_counts(monkeypatch)
+        g = RngStream(87).generator()
+        n_obs, n_sim, k = 53, 47, 5
+        obs = Dataset(g.poisson(3.0, n_obs).astype(float))
+        sim = Dataset(g.poisson(4.0, n_sim).astype(float))
+        fm = FeatureMap(("x", "x2"))
+        cv_log_odds(obs, sim, fm, k, 1e-6, RngStream(88))
+        assert len(designs) == k
+
+        values = np.concatenate([obs.values, sim.values])
+        fold_rng = RngStream(88).generator()
+        folds_obs = _fold_indices(n_obs, k, fold_rng)
+        folds_sim = _fold_indices(n_sim, k, fold_rng)
+        held_out = np.zeros(n_obs + n_sim, dtype=int)
+        for j, (feats, labels, mu, sd, counts) in enumerate(designs):
+            train = np.ones(n_obs + n_sim, dtype=bool)
+            train[folds_obs[j]] = False
+            train[n_obs + folds_sim[j]] = False
+            held_out[~train] += 1
+            for cls, points in ((0.0, values[:n_obs][train[:n_obs]]), (1.0, values[n_obs:][train[n_obs:]])):
+                rows = labels == cls
+                distinct, taken = np.unique(points, return_counts=True)
+                assert np.array_equal(counts[rows], taken)
+                assert np.array_equal(np.repeat(distinct, counts[rows].astype(int)), np.sort(points))
+                assert np.array_equal(feats[rows], (fm.matrix(Dataset(distinct)) - mu) / sd)
+            assert np.array_equal(labels, np.sort(labels))
+            expanded = fm.matrix(Dataset(values[train]))
+            assert np.allclose(mu, expanded.mean(axis=0), rtol=1e-12, atol=1e-12)
+            assert np.allclose(sd, expanded.std(axis=0), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
+
+    def test_count_held_in_one_fold_leaves_its_design(self, monkeypatch):
+        designs = _designs_with_counts(monkeypatch)
+        g = RngStream(89).generator()
+        n, k, lone = 60, 5, 40.0
+        obs_values = g.poisson(3.0, n).astype(float)
+        obs_values[17] = lone
+        obs, sim = Dataset(obs_values), Dataset(g.poisson(4.0, n).astype(float))
+        cv_log_odds(obs, sim, FeatureMap(("x",)), k, 1e-6, RngStream(90))
+        holder = next(j for j, f in enumerate(_fold_indices(n, k, RngStream(90).generator())) if 17 in f)
+        for j, (feats, labels, mu, sd, counts) in enumerate(designs):
+            x = feats[labels == 0.0, 0] * sd[0] + mu[0]
+            has_lone = np.isclose(x, lone, rtol=0.0, atol=1e-9)
+            if j == holder:
+                assert not has_lone.any()
+            else:
+                assert has_lone.sum() == 1 and counts[labels == 0.0][has_lone][0] == 1.0
+
+    def test_count_class_beside_point_class(self, monkeypatch):
+        # Only the class of whole counts goes to its distinct counts; the
+        # other keeps a unit-count column per training point.
+        designs = _designs_with_counts(monkeypatch)
+        g = RngStream(92).generator()
+        obs, sim = Dataset(g.poisson(3.0, 200).astype(float)), Dataset(g.normal(3.0, 2.0, 200))
+        args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(93))
+        mixed, _ = cv_log_odds(*args)
+        monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
+        points, _ = cv_log_odds(*args)
+        assert np.max(np.abs(mixed - points)) <= 1e-9 * max(1.0, np.max(np.abs(points)))
+        for feats, labels, mu, sd, counts in designs[:5]:
+            assert np.array_equal(counts[labels == 1.0], np.ones(160))
+            assert counts[labels == 0.0].sum() == 160 and np.all(counts[labels == 0.0] >= 1.0)
+            assert np.count_nonzero(labels == 0.0) <= np.unique(obs.values).size < 20
+
+    @pytest.mark.parametrize("sim_count", [3.0, 5.0], ids=["same", "apart"])
+    def test_one_constant_count_per_class_stays_finite(self, monkeypatch, sim_count):
+        designs = _designs_with_counts(monkeypatch)
+        obs, sim = Dataset(np.full(20, 3.0)), Dataset(np.full(20, sim_count))
+        vals, decision = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(91))
+        assert np.all(np.isfinite(vals))
+        assert np.isfinite(decision.intercept) and np.all(np.isfinite(decision.weights))
+        assert all(np.array_equal(counts, [16.0, 16.0]) for *_, counts in designs)
+        if sim_count == 3.0:
+            assert np.allclose(vals, 0.0, atol=1e-9)
+        else:
+            assert np.all(vals[20:] > vals[:20])
 
 
 def _row_major_fit(
