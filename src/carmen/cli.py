@@ -254,6 +254,17 @@ def _fmt(value) -> str:
     return "" if value is None else format(float(value), ".10g")
 
 
+def _strict(value):
+    """``value`` with each non-finite float as its curve.csv token ("inf", "-inf", "nan")."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _fmt(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Path]:
     """Write summary.json and curve.csv under ``out_dir``."""
     out = Path(out_dir)
@@ -261,7 +272,8 @@ def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Pat
         out.mkdir(parents=True, exist_ok=True)
         rows = [_curve_row(p) for p in result.curve.points]
         json_path = out / "summary.json"
-        json_path.write_text(json.dumps(_summary(result, rows), indent=2) + "\n")
+        summary = _strict(_summary(result, rows))
+        json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
         csv_path = out / "curve.csv"
         lines = [_CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
         csv_path.write_text("\n".join(lines) + "\n")

@@ -405,7 +405,10 @@ def _fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
 
 
 def _count_table(data: Dataset) -> CountTable | None:
-    """The distinct values of univariate data whose every value is a whole count, else None."""
+    """The distinct values of univariate data whose every value is a whole count, else None.
+
+    A class that is not counts gets None from the support test alone, before any sort.
+    """
     if data.is_regression:
         return None
     table = CountTable(data.values)

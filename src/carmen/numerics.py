@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -87,13 +88,31 @@ class CountTable:
     """Distinct values of the finite vector ``x`` on its ``support``, the whole counts in [0, hi].
 
     A table over ``counts`` goes back to every point of ``x`` by :meth:`gather`.
+    Only the support is computed up front: the values are sorted on the first
+    read of ``counts`` or ``inverse``, and ``log_factorial`` on its first read,
+    so a caller that finds the support wanting pays for nothing else.
     """
 
     def __init__(self, x, hi: float = math.inf) -> None:
-        x = np.asarray(x, dtype=float)
+        self._x = x = np.asarray(x, dtype=float)
         self.support = (x >= 0.0) & (x <= hi) & (np.floor(x) == x)
-        self.counts, self.inverse = np.unique(x[self.support], return_inverse=True)
-        self.log_factorial = log_gamma(self.counts + 1.0)
+
+    @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self._x[self.support], return_inverse=True)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._distinct[0]
+
+    @property
+    def inverse(self) -> np.ndarray:
+        return self._distinct[1]
+
+    @cached_property
+    def log_factorial(self) -> np.ndarray:
+        """ln x! per count."""
+        return log_gamma(self.counts + 1.0)
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """The entry of ``table`` for each point's count; -inf off the support."""

@@ -26,6 +26,14 @@ from carmen.truths import GaussianTruth, TNoiseRegressionTruth
 FAST = dict(n_update=120, n_validate=120, folds=5, grid_lo=1e-7, grid_hi=1.0, grid_count=6)
 
 
+def _load_strict(path: Path):
+    """The JSON document at ``path``, refusing the non-JSON constants NaN, Infinity and -Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestScenarioRegistry:
     def test_six_scenarios_bound(self):
         assert set(SCENARIOS) == {
@@ -172,6 +180,32 @@ class TestEmitOutputs:
             "t": t, "log_predictive": None, "logz_approx_sum": None, "logz_true_sum": None,
             "t_stat": None, "p_value": None,
         }
+
+    def test_non_finite_values_written_as_csv_tokens(self, tmp_path):
+        # A ridge of 1e300 pins every fit at zero: the log ratios are all
+        # equal, so the t statistics are infinite.  summary.json must stay
+        # strict JSON and write each as the token curve.csv writes.
+        out = tmp_path / "ridge"
+        argv = ["run", "--scenario", "poisson-betabinom", "--seed", "3", "--n-update", "4",
+                "--n-validate", "4", "--folds", "2", "--ridge", "1e300", "--full-curve", "--out", str(out)]
+        assert main(argv) == 0
+        summary = _load_strict(out / "summary.json")
+        assert summary["test"]["statistic"] == "inf"
+        lines = (out / "curve.csv").read_text().splitlines()
+        tokens = [line.split(",")[4] for line in lines[1:]]
+        assert {"inf", "-inf"} <= set(tokens)
+        for row, token in zip(summary["curve"], tokens, strict=True):
+            assert row["t_stat"] == token if token in ("inf", "-inf") else isinstance(row["t_stat"], float)
+
+    def test_every_non_finite_field_written_as_its_token(self, tmp_path):
+        res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, full_curve=True, **FAST))
+        points = list(res.curve.points)
+        points[1] = dataclasses.replace(points[1], log_predictive=-math.inf, logz_approx_sum=math.nan)
+        odd = dataclasses.replace(res, curve=dataclasses.replace(res.curve, points=tuple(points)))
+        json_path, csv_path = emit_outputs(odd, tmp_path)
+        row = _load_strict(json_path)["curve"][1]
+        assert (row["log_predictive"], row["logz_approx_sum"]) == ("-inf", "nan")
+        assert csv_path.read_text().splitlines()[2].split(",")[1:3] == ["-inf", "nan"]
 
     def test_ten_significant_digits(self, tmp_path):
         res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, **FAST))

@@ -18,6 +18,7 @@ from carmen.discriminator import (
     FeatureMap,
     IrlsWorkspace,
     LabeledDesign,
+    _count_table,
     _fold_ids,
     _softplus_sigmoid,
     _standardized_design,
@@ -845,6 +846,20 @@ class TestCountClasses:
             assert np.array_equal(counts[labels == 1.0], np.ones(160))
             assert counts[labels == 0.0].sum() == 160 and np.all(counts[labels == 0.0] >= 1.0)
             assert np.count_nonzero(labels == 0.0) <= np.unique(obs.values).size < 20
+
+    def test_class_not_of_counts_gets_no_table_before_any_sort(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique ran")
+
+        g = RngStream(94).generator()
+        counts = Dataset(g.poisson(3.0, 50).astype(float))
+        monkeypatch.setattr(np, "unique", no_sort)
+        for values in (g.normal(size=50), np.array([1.0, 2.5, 3.0]), np.array([1.0, -1.0])):
+            assert _count_table(Dataset(values)) is None
+        assert _count_table(Dataset(g.normal(size=10), covariates=g.normal(size=10))) is None
+        table = _count_table(counts)
+        monkeypatch.undo()
+        assert np.array_equal(table.counts, np.unique(counts.values))
 
     @pytest.mark.parametrize("sim_count", [3.0, 5.0], ids=["same", "apart"])
     def test_one_constant_count_per_class_stays_finite(self, monkeypatch, sim_count):

@@ -8,6 +8,7 @@ import pytest
 
 from carmen.conjugate import GaussianKnownVarModel
 from carmen.numerics import (
+    CountTable,
     RngStream,
     log_gamma,
     normal_cdf,
@@ -74,6 +75,20 @@ class TestLogGamma:
             log_gamma(bad)
         with pytest.raises(ValueError):
             log_gamma(np.array([1.0, bad]))
+
+
+class TestCountTable:
+    def test_sorts_and_takes_log_factorials_on_first_read(self):
+        x = np.array([3.0, 1.0, 3.0, 0.0, 2.5, -1.0, 7.0])
+        table = CountTable(x, hi=5.0)
+        assert np.array_equal(table.support, [True, True, True, True, False, False, False])
+        assert "_distinct" not in vars(table) and "log_factorial" not in vars(table)
+        assert np.array_equal(table.counts, [0.0, 1.0, 3.0])
+        assert np.array_equal(table.inverse, [2, 1, 2, 0])
+        assert "log_factorial" not in vars(table)
+        assert np.array_equal(table.log_factorial, log_gamma(np.array([1.0, 2.0, 4.0])))
+        assert np.array_equal(table.gather(table.log_factorial), [math.lgamma(4.0), 0.0, math.lgamma(4.0),
+                                                                   0.0, -np.inf, -np.inf, -np.inf])
 
 
 class TestRegIncompleteBeta:
