@@ -88,18 +88,19 @@ class CountTable:
     """Distinct values of the finite vector ``x`` on its ``support``, the whole counts in [0, hi].
 
     A table over ``counts`` goes back to every point of ``x`` by :meth:`gather`.
-    Only the support is computed up front: the values are sorted on the first
-    read of ``counts`` or ``inverse``, and ``log_factorial`` on its first read,
-    so a caller that finds the support wanting pays for nothing else.
+    The values are sorted on the first read of ``counts`` or ``inverse``, and
+    ``log_factorial`` is taken on its first read, so a caller that finds the
+    support wanting pays for no sort.
     """
 
     def __init__(self, x, hi: float = math.inf) -> None:
-        self._x = x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         self.support = (x >= 0.0) & (x <= hi) & (np.floor(x) == x)
+        self._on_support = x[self.support]  # a copy: the table does not see later writes to x
 
     @cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.unique(self._x[self.support], return_inverse=True)
+        return np.unique(self._on_support, return_inverse=True)
 
     @property
     def counts(self) -> np.ndarray:

@@ -83,6 +83,7 @@ class TestCountTable:
         table = CountTable(x, hi=5.0)
         assert np.array_equal(table.support, [True, True, True, True, False, False, False])
         assert "_distinct" not in vars(table) and "log_factorial" not in vars(table)
+        x[0] = 4.0  # after construction: the table keeps the values it was given
         assert np.array_equal(table.counts, [0.0, 1.0, 3.0])
         assert np.array_equal(table.inverse, [2, 1, 2, 0])
         assert "log_factorial" not in vars(table)
