@@ -161,7 +161,8 @@ class IrlsWorkspace:
     all of it.  ``design(n)`` is the contiguous (d+1, n) design of an
     n-point fit: row 0 the intercept's ones, rows 1..d the standardized
     features, and ``counts(n)`` the points each column stands for; a
-    caller may write both there before the fit.
+    caller may write both there before the fit.  The two count rows
+    exist only once a counted design asks for them.
     """
 
     def __init__(self, d: int, capacity: int) -> None:
@@ -169,21 +170,28 @@ class IrlsWorkspace:
         self.capacity = capacity
         self._design = np.empty((d + 1) * capacity)
         self._weighted = np.empty((d + 2) * capacity)
-        self._vectors = np.empty((9, capacity))
+        self._vectors = np.empty((6, capacity))
+        self._count_rows: np.ndarray | None = None
 
     def design(self, n: int) -> np.ndarray:
         return self._design[: (self.d + 1) * n].reshape(self.d + 1, n)
 
+    def count_rows(self, n: int) -> np.ndarray:
+        """(2, n) rows of a counted design: the count-weighted labels c y, then the counts c."""
+        if self._count_rows is None:
+            self._count_rows = np.empty((2, self.capacity))
+        return self._count_rows[:, :n]
+
     def counts(self, n: int) -> np.ndarray:
-        return self._vectors[8, :n]
+        return self.count_rows(n)[1]
 
     def weighted(self, n: int) -> np.ndarray:
         """(d+2, n) buffer: the design scaled by the IRLS weights, then the residual c (y - p)."""
         return self._weighted[: (self.d + 2) * n].reshape(self.d + 2, n)
 
     def vectors(self, n: int) -> np.ndarray:
-        """Eight (n,) buffers, one per row."""
-        return self._vectors[:8, :n]
+        """Six (n,) buffers, one per row."""
+        return self._vectors[:, :n]
 
 
 @dataclass(frozen=True)
@@ -286,7 +294,7 @@ def fit_logistic(
     AT = workspace.design(n)
     AT[0] = 1.0
     AT[1:] = X.T
-    eta, cand_eta, soft, p, cand_p, scratch, a_delta, cy = workspace.vectors(n)
+    eta, cand_eta, soft, p, cand_p, a_delta = workspace.vectors(n)
     # Each sum over points weighs a row by its count c: the log-likelihood
     # sum c (y eta - softplus eta), the gradient sum c (y - p) a and the
     # Hessian sum c p (1 - p) a a^T.  Without counts c is 1 and every
@@ -295,11 +303,13 @@ def fit_logistic(
     if design.counts is None:
         c, cy, points = None, y, n
     else:
-        c = workspace.counts(n)
+        cy, c = workspace.count_rows(n)
         c[...] = counts
         cy, points = np.multiply(c, y, out=cy), float(c.sum())
+    # The design's row 0 is all ones, so the weighted design's row 0 is the
+    # IRLS weights c p (1 - p) themselves: they are written there directly.
     weighted = workspace.weighted(n)
-    scaled, residual = weighted[: d + 1], weighted[d + 1]
+    w, scaled, residual = weighted[0], weighted[1 : d + 1], weighted[d + 1]
     # weighted @ AT.T is the Hessian's d+1 rows, then the gradient.  This
     # OpenBLAS build (0.3.31) multiplies in its small-matrix kernel only up
     # to M*N*K = 1e6; beyond that bound the Hessian and the gradient are
@@ -339,11 +349,11 @@ def fit_logistic(
     while iterations < max_iter:
         # c p, then the weights c p (1 - p) and the residual c y - c p
         c_p = p if c is None else np.multiply(c, p, out=residual)
-        w = np.multiply(c_p, np.subtract(1.0, p, out=scratch), out=scratch)
+        np.multiply(c_p, np.subtract(1.0, p, out=w), out=w)
         np.subtract(cy, c_p, out=residual)
-        np.multiply(AT, w, out=scaled)
+        np.multiply(AT[1:], w, out=scaled)
         if split:
-            hess, grad = scaled @ AT.T, AT @ residual
+            hess, grad = weighted[: d + 1] @ AT.T, AT @ residual
         else:
             products = weighted @ AT.T
             hess, grad = products[: d + 1], products[d + 1]
@@ -427,11 +437,91 @@ def _class_columns(
     """
     if table is None:
         return raw, (np.arange(k)[:, None] != fold_ids).astype(float)
+    # A count's features do not depend on which of its points they come
+    # from, so each column is read from one point that takes the count.
     u = table.counts.size
-    columns = np.empty((raw.shape[0], u))
-    columns[:, table.inverse] = raw
+    first = np.empty(u, dtype=np.intp)
+    first[table.inverse] = np.arange(raw.shape[1])
+    columns = raw.take(first, axis=1)
     held = np.bincount(fold_ids * u + table.inverse, minlength=k * u).reshape(k, u)
     return columns, (held.sum(axis=0) - held).astype(float)
+
+
+def _fit_folds(
+    observed: Dataset,
+    simulated: Dataset,
+    raw: np.ndarray,
+    fold_of: np.ndarray,
+    k: int,
+    ridge: float,
+    start: DecisionFunction | None,
+) -> tuple[np.ndarray, DecisionFunction]:
+    """Fit the k folds of ``cv_log_odds`` in order.
+
+    Returns the (k, d+1) table whose row j is fold j's decision function
+    ``[intercept, *weights]``, and the last fold's decision function.
+    Everything the fits share (count tables, training columns, labels and
+    the IRLS workspace) lives only in this call, so it is freed before
+    the held-out points are scored.
+
+    A fold trains on the columns of ``columns`` it keeps, gathered in
+    order straight into the feature rows of the design in one workspace,
+    sized for the largest training fold, that all k fits share; its
+    labels are a view of one label vector.  Without a count class the
+    columns are the points ``raw`` and a fold keeps those outside it.  A
+    class of whole counts contributes its distinct counts instead:
+    ``train[j]`` holds the training points per column, and a fold keeps
+    the columns with any.
+    """
+    n_obs, n_sim = len(observed), len(simulated)
+    d = raw.shape[0]
+    fold_obs, fold_sim = fold_of[:n_obs], fold_of[n_obs:]
+    tables = (_count_table(observed), _count_table(simulated))
+    if all(table is None for table in tables):
+        columns, train = raw, None
+        m_obs = n_obs - np.bincount(fold_obs, minlength=k)
+        m_sim = n_sim - np.bincount(fold_sim, minlength=k)
+    else:
+        (cols_obs, train_obs), (cols_sim, train_sim) = (
+            _class_columns(table, part, folds, k)
+            for table, part, folds in zip(tables, (raw[:, :n_obs], raw[:, n_obs:]), (fold_obs, fold_sim))
+        )
+        columns, train = np.hstack([cols_obs, cols_sim]), np.hstack([train_obs, train_sim])
+        m_obs, m_sim = np.count_nonzero(train_obs, axis=1), np.count_nonzero(train_sim, axis=1)
+    workspace = IrlsWorkspace(d, int(np.max(m_obs + m_sim)))
+    labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
+
+    # Warm starts go through raw feature space into each fold's
+    # standardization.  Copying the standardized coefficients is not the
+    # same start: near separation a small shift in mean/sd makes it far
+    # worse than beta = 0 and the line search stalls there, which is also
+    # why fit_logistic ignores a start that does not beat beta = 0.
+    coef = np.empty((k, d + 1))
+    decision = start
+    for j in range(k):
+        m = m_obs[j] + m_sim[j]
+        block = workspace.design(m)[1:]
+        # np.take with mode="raise" (as np.compress uses) fills a copy of
+        # ``out`` and copies it back, a second block per fold; the indices
+        # are in range, so "clip" gathers straight into the design.
+        if train is None:
+            keep, counts = np.flatnonzero(fold_of != j), None
+        else:
+            keep, counts = np.flatnonzero(train[j] > 0.0), workspace.counts(m)
+            np.take(train[j], keep, out=counts, mode="clip")
+        np.take(columns, keep, axis=1, out=block, mode="clip")
+        del keep  # so that two folds' indices are never held at once
+        design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]], counts)
+        fit = fit_logistic(
+            design,
+            ridge=ridge,
+            start=None if decision is None else decision.start_for(design),
+            workspace=workspace,
+        )
+        decision = DecisionFunction.of(fit, design)
+        coef[j, 0] = decision.intercept
+        coef[j, 1:] = decision.weights
+    return coef, decision
 
 
 def cv_log_odds(
@@ -464,63 +554,20 @@ def cv_log_odds(
         raise ValueError("each class needs at least k points")
 
     # Both classes as one C-ordered (d, n_obs + n_sim) array, observed
-    # first, and the fold of every point.  A fold trains on the columns of
-    # ``columns`` it keeps, gathered in order straight into the feature rows
-    # of the design in one workspace, sized for the largest training fold,
-    # that all k fits share; its labels are a view of one label vector.
-    # Without a count class the columns are the points and a fold keeps
-    # those outside it.  A class of whole counts contributes its distinct
-    # counts instead: ``train[j]`` holds the training points per column,
-    # and a fold keeps the columns with any.
-    n_obs, n_sim = len(observed), len(simulated)
+    # first, and the fold of every point.
     raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
-    d = raw.shape[0]
     g = rng.generator()
-    fold_obs = _fold_ids(n_obs, k, g)
-    fold_sim = _fold_ids(n_sim, k, g)
-    fold_of = np.concatenate([fold_obs, fold_sim])
-    tables = (_count_table(observed), _count_table(simulated))
-    if all(table is None for table in tables):
-        columns, train = raw, None
-        m_obs = n_obs - np.bincount(fold_obs, minlength=k)
-        m_sim = n_sim - np.bincount(fold_sim, minlength=k)
-    else:
-        (cols_obs, train_obs), (cols_sim, train_sim) = (
-            _class_columns(table, part, folds, k)
-            for table, part, folds in zip(tables, (raw[:, :n_obs], raw[:, n_obs:]), (fold_obs, fold_sim))
-        )
-        columns, train = np.hstack([cols_obs, cols_sim]), np.hstack([train_obs, train_sim])
-        m_obs, m_sim = np.count_nonzero(train_obs, axis=1), np.count_nonzero(train_sim, axis=1)
-    workspace = IrlsWorkspace(d, int(np.max(m_obs + m_sim)))
-    labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
+    fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
+    coef, decision = _fit_folds(observed, simulated, raw, fold_of, k, ridge, start)
 
-    # Row j holds fold j's decision function [intercept, *weights].
-    # Warm starts go through raw feature space into each fold's
-    # standardization.  Copying the standardized coefficients is not the
-    # same start: near separation a small shift in mean/sd makes it far
-    # worse than beta = 0 and the line search stalls there, which is also
-    # why fit_logistic ignores a start that does not beat beta = 0.
-    coef = np.empty((k, d + 1))
-    decision = start
-    for j in range(k):
-        m = m_obs[j] + m_sim[j]
-        block = workspace.design(m)[1:]
-        if train is None:
-            keep, counts = fold_of != j, None
-        else:
-            keep, counts = train[j] > 0.0, workspace.counts(m)
-            np.compress(keep, train[j], out=counts)
-        np.compress(keep, columns, axis=1, out=block)
-        design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]], counts)
-        fit = fit_logistic(
-            design,
-            ridge=ridge,
-            start=None if decision is None else decision.start_for(design),
-            workspace=workspace,
-        )
-        decision = DecisionFunction.of(fit, design)
-        coef[j, 0] = decision.intercept
-        coef[j, 1:] = decision.weights
-
-    rows = coef[fold_of]
-    return rows[:, 0] + np.einsum("ij,ji->i", rows[:, 1:], raw), decision
+    # Every point is scored by its fold's decision function, one term at a
+    # time: row j of ``terms`` holds the k folds' coefficients of term j,
+    # gathered per point by its fold (mode="clip", as in the fold loop).
+    # The weighted features are summed in feature order, then the
+    # intercept is added.
+    terms = np.ascontiguousarray(coef.T)
+    odds, term = np.empty(raw.shape[1]), np.empty(raw.shape[1])
+    np.multiply(np.take(terms[1], fold_of, out=odds, mode="clip"), raw[0], out=odds)
+    for weights, feature in zip(terms[2:], raw[1:]):
+        odds += np.multiply(np.take(weights, fold_of, out=term, mode="clip"), feature, out=term)
+    return np.add(np.take(terms[0], fold_of, out=term, mode="clip"), odds, out=odds), decision

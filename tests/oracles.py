@@ -12,7 +12,10 @@ log ratio is computed per level from each posterior's own one-level
 ``predictive_logpdf(data)`` method, independently of the batched grid scan.
 A fit's log-odds on standardized rows are scored directly from its
 coefficients, independently of the raw-feature rows that cross-validation
-scores from.
+scores from, and the out-of-fold log-odds of a cross-validated call by
+one per-point gather of its folds' coefficients and one product.
+The exact nulls are pipelines whose predictive is the truth, so their
+misspecification p-values should be uniform.
 """
 
 import math
@@ -30,7 +33,7 @@ from carmen.conjugate import (
     temper_update,
 )
 from carmen.data import Dataset
-from carmen.discriminator import LogisticFit
+from carmen.discriminator import FeatureMap, LogisticFit
 from carmen.numerics import RngStream, log_gamma
 from carmen.ratio import LogRatioEstimate
 from carmen.truths import (
@@ -220,3 +223,30 @@ def log_odds(fit: LogisticFit, rows: np.ndarray):
         raise ValueError(f"row dimension {rows.shape[1]} != fit dimension {fit.weights.size}")
     out = fit.intercept + rows @ fit.weights
     return float(out[0]) if single else out
+
+
+def fold_scores(coef: np.ndarray, fold_of: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Out-of-fold log-odds: point i scored by row ``fold_of[i]`` of the (k, d+1) table ``coef``.
+
+    ``raw`` is the (d, n) feature block, ``coef[j]`` fold j's decision
+    function ``[intercept, *weights]`` on raw features.
+    """
+    rows = coef[fold_of]
+    return rows[:, 0] + np.einsum("ij,ji->i", rows[:, 1:], raw)
+
+
+# Exact nulls: each posterior predictive *is* its truth (KL = 0).  The
+# Gaussian predictive is N(0.3, 1 + 1/4); the Gamma(20, rate 0.8)
+# predictive is the negative binomial with r = 20 and p = 1/1.8.
+EXACT_NULLS = {
+    "gaussian": (
+        GaussianPosterior(noise_sd=1.0, mean=0.3, precision=4.0, t=1.0),
+        GaussianTruth(0.3, math.sqrt(1.25)),
+        FeatureMap(("x", "x2")),
+    ),
+    "negbinom": (
+        PoissonGammaPosterior(20.0, 0.8, t=1.0),
+        NegBinomialTruth(20.0, 1.0 / 1.8),
+        FeatureMap(("x", "x2", "x3", "x4")),
+    ),
+}

@@ -29,7 +29,7 @@ from carmen.numerics import RngStream
 from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
-from oracles import log_odds
+from oracles import fold_scores, log_odds
 
 
 def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
@@ -1061,3 +1061,105 @@ class TestIrlsWorkspace:
         assert fit.converged and fit.iterations > 2
         # Less than one float64 n-vector over the whole fit.
         assert peak - before < 8 * n
+
+    def test_counted_and_uncounted_fits_share_a_workspace(self):
+        # Counted, uncounted, counted again: the count rows a counted fit
+        # leaves behind change nothing for the next fit.
+        g = RngStream(102).generator()
+        d = 2
+
+        def design(n, counted):
+            feats = g.normal(size=(n, d))
+            eta = 0.7 * feats[:, 0] - 0.4 * feats[:, 1]
+            labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+            counts = g.integers(1, 6, size=n).astype(float) if counted else None
+            return LabeledDesign(feats, labels, np.zeros(d), np.ones(d), counts)
+
+        workspace = IrlsWorkspace(d, 420)
+        for des in (design(300, True), design(420, False), design(250, True)):
+            for start in (None, np.array([0.1, 0.3, -0.2])):
+                shared = fit_logistic(des, start=start, workspace=workspace)
+                fresh = fit_logistic(des, start=start, workspace=IrlsWorkspace(d, des.features.shape[0]))
+                assert _fit_bytes(shared) == _fit_bytes(fresh)
+
+    def test_count_rows_only_for_counted_designs(self, monkeypatch):
+        workspaces = []
+        fit = carmen.discriminator.fit_logistic
+
+        def recording(design, **kwargs):
+            workspaces.append(kwargs["workspace"])
+            return fit(design, **kwargs)
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        g = RngStream(103).generator()
+        fm, k = FeatureMap(("x", "x2")), 5
+        cv_log_odds(Dataset(g.normal(size=200)), Dataset(g.normal(0.3, 1.2, 200)), fm, k, 1e-6, RngStream(104))
+        counts = (Dataset(g.poisson(3.0, 200).astype(float)), Dataset(g.poisson(4.0, 200).astype(float)))
+        cv_log_odds(*counts, fm, k, 1e-6, RngStream(105))
+        assert len(workspaces) == 2 * k
+        assert workspaces[0]._count_rows is None
+        assert workspaces[k]._count_rows is not None
+
+
+def _mixed_layout_draw() -> tuple:
+    g = RngStream(106).generator()
+    obs, sim = Dataset(g.poisson(3.0, 303).astype(float)), Dataset(g.normal(3.0, 2.0, 297))
+    return obs, sim, FeatureMap(("x", "x2", "x3")), 5, 1e-6, RngStream(107)
+
+
+class TestOutOfFoldScoring:
+    @pytest.mark.parametrize(
+        "layout, draw",
+        [("points", lambda: _grid_level_draw("reg-sigmoid", 0, 23)[1]),
+         ("counts", lambda: _grid_level_draw("poisson-betabinom", 7, 11)[1]),
+         ("mixed", _mixed_layout_draw)],
+        ids=["points", "counts", "mixed"],
+    )
+    def test_scores_equal_per_point_gather_and_product(self, monkeypatch, layout, draw):
+        # Near-separable draws (values up to thousands of nats) and a count
+        # class beside a point class: every held-out value is bit for bit
+        # the one-gather-and-einsum score of its fold's decision function.
+        records = []
+        fit = carmen.discriminator.fit_logistic
+
+        def recording(design, **kwargs):
+            result = fit(design, **kwargs)
+            records.append((design.counts is not None, DecisionFunction.of(result, design)))
+            return result
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        observed, simulated, fm, k, ridge, rng = draw()
+        vals, last = cv_log_odds(observed, simulated, fm, k, ridge, rng)
+        assert len(records) == k
+        assert all(counted == (layout != "points") for counted, _ in records)
+        g = rng.generator()
+        fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
+        coef = np.array([[decision.intercept, *decision.weights] for _, decision in records])
+        raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
+        assert vals.tobytes() == fold_scores(coef, fold_of, raw).tobytes()
+        assert last.intercept == coef[-1, 0] and last.weights.tobytes() == coef[-1, 1:].tobytes()
+
+    def test_working_set_is_the_raw_block_and_the_workspace(self):
+        # reg-sigmoid's six features at n_obs = n_sim = 10,000, 10 folds.
+        n, k = 10_000, 10
+        binding = ScenarioConfig(scenario="reg-sigmoid", seed=0).binding()
+        fm = FeatureMap(binding.features)
+        d = len(fm.transforms)
+        assert d == 6
+        observed, simulated = binding.truth.sample(RngStream(108), 2 * n).split(n)
+        few = np.arange(200)
+        cv_log_odds(observed.take(few), simulated.take(few), fm, k, 1e-6, RngStream(109))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cv_log_odds(observed, simulated, fm, k, 1e-6, RngStream(109))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw_block = 8 * d * 2 * n  # 960,000 B, 0.92 MiB
+        m = 2 * (n - n // k)  # the largest training fold: 18,000 points
+        # (d+1)-row design, (d+2)-row weighted design and six vectors: 3,024,000 B, 2.88 MiB
+        workspace = 8 * m * ((d + 1) + (d + 2) + 6)
+        # 4.30 MiB in all.  Fold ids, labels and one fold's training
+        # indices take 0.44 MiB of the allowance.
+        assert peak - before < raw_block + workspace + 2**19

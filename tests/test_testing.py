@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from carmen.numerics import RngStream
-from carmen.ratio import LogRatioEstimate
+from carmen.ratio import LogRatioEstimate, estimate_log_ratio
 from carmen.testing import t_test_logz
+from oracles import EXACT_NULLS
 
 
 def _est(values) -> LogRatioEstimate:
@@ -71,3 +72,34 @@ class TestTTest:
         v = g.normal(-0.1, 1.0, size=64)
         res = t_test_logz(_est(v))
         assert res.p_value == pytest.approx(student_t_cdf(res.statistic, res.df), rel=1e-14)
+
+
+def _ks_uniform(ps: np.ndarray) -> float:
+    sorted_p = np.sort(ps)
+    i = np.arange(1, ps.size + 1)
+    return float(max(np.max(i / ps.size - sorted_p), np.max(sorted_p - (i - 1) / ps.size)))
+
+
+@pytest.mark.parametrize("null", sorted(EXACT_NULLS))
+def test_exact_null_is_not_anti_conservative(null):
+    # The whole pipeline on a predictive that is the truth: 1,000 truth
+    # points, a 10-fold estimate and the t-test, over 400 seeds.  The
+    # per-point values of a fold share one classifier, so they are not
+    # independent and the p-values need not be uniform; this checks only
+    # that the test does not reject a true null too often.
+    post, truth, fm = EXACT_NULLS[null]
+    ps = []
+    for seed in range(400):
+        rng = RngStream(seed)
+        x = truth.sample(rng.substream(0), 1000)
+        est, _ = estimate_log_ratio(post, x, fm, 10, rng.substream(1))
+        ps.append(t_test_logz(est).p_value)
+    ps = np.array(ps)
+    at_05, at_01 = float(np.mean(ps < 0.05)), float(np.mean(ps < 0.01))
+    ok = at_05 <= 0.05
+    line = (
+        f"[exact null {null}] {'PASS' if ok else 'FAIL'}: KS distance of p from uniform "
+        f"{_ks_uniform(ps):.3f} over 400 seeds; rejections at 0.05 {at_05:.4f} (<= 0.05), at 0.01 {at_01:.4f}"
+    )
+    print(line, flush=True)
+    assert ok, line
