@@ -25,26 +25,43 @@ DEFAULT_TOL = 1e-7
 _LN2 = math.log(2.0)  # softplus(0), correctly rounded
 
 
-def _ln_abs(v: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(np.abs(v), _LN_CLAMP))
+# fit_logistic forms the Hessian and the gradient one block of at most
+# GRAM_BLOCK design columns at a time, so its weighted design is
+# (d+2) x GRAM_BLOCK however many points a fit has.  A block's product has
+# M*N*K <= (d+2)(d+1) GRAM_BLOCK, which for d <= 13 stays under the 1e6
+# bound up to which OpenBLAS (0.3.31) multiplies in its small-matrix kernel.
+GRAM_BLOCK = 4096
 
 
-# Each transform maps (x, y) columns to one feature column.  For
-# univariate data the value itself plays the role of x and y is absent.
+def _copy(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.copyto(out, v)
+    return out
+
+
+def _ln_abs(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ln max(|v|, _LN_CLAMP), written into ``out``."""
+    np.abs(v, out=out)
+    return np.log(np.maximum(out, _LN_CLAMP, out=out), out=out)
+
+
+# Each transform writes the feature of the (x, y) columns into ``out``
+# with the ufuncs of its expression (x**2 is np.square, x**3 is
+# np.power(x, 3)), so it is bit for bit that expression.  For univariate
+# data the value itself plays the role of x and y is absent.
 _TRANSFORMS = {
-    "x": lambda x, y: x,
-    "abs_x": lambda x, y: np.abs(x),
-    "x2": lambda x, y: x**2,
-    "x3": lambda x, y: x**3,
-    "x4": lambda x, y: x**4,
-    "ln_abs_x": lambda x, y: _ln_abs(x),
-    "y": lambda x, y: y,
-    "abs_y": lambda x, y: np.abs(y),
-    "y2": lambda x, y: y**2,
-    "ln_abs_y": lambda x, y: _ln_abs(y),
-    "yx": lambda x, y: y * x,
-    "abs_yx": lambda x, y: np.abs(y * x),
-    "yx2": lambda x, y: (y * x) ** 2,
+    "x": lambda x, y, out: _copy(x, out),
+    "abs_x": lambda x, y, out: np.abs(x, out=out),
+    "x2": lambda x, y, out: np.square(x, out=out),
+    "x3": lambda x, y, out: np.power(x, 3, out=out),
+    "x4": lambda x, y, out: np.power(x, 4, out=out),
+    "ln_abs_x": lambda x, y, out: _ln_abs(x, out),
+    "y": lambda x, y, out: _copy(y, out),
+    "abs_y": lambda x, y, out: np.abs(y, out=out),
+    "y2": lambda x, y, out: np.square(y, out=out),
+    "ln_abs_y": lambda x, y, out: _ln_abs(y, out),
+    "yx": lambda x, y, out: np.multiply(y, x, out=out),
+    "abs_yx": lambda x, y, out: np.abs(np.multiply(y, x, out=out), out=out),
+    "yx2": lambda x, y, out: np.square(np.multiply(y, x, out=out), out=out),
 }
 
 # The transforms that read the response y, so only regression data has them.
@@ -66,22 +83,29 @@ class FeatureMap:
             raise ValueError(f"unknown transforms {unknown}; known: {sorted(_TRANSFORMS)}")
         object.__setattr__(self, "transforms", names)
 
+    def columns(self, data: Dataset) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (x, y) columns the transforms read: covariates and values, or the values and None."""
+        if data.is_regression:
+            return data.covariates, data.values
+        for name in self.transforms:
+            if name in RESPONSE_TRANSFORMS:
+                raise ValueError(f"transform {name!r} needs regression data")
+        return data.values, None
+
+    def fill(self, x: np.ndarray, y: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """Write the features of the (x, y) columns into the rows of the (d, n) array ``out``."""
+        for name, row in zip(self.transforms, out):
+            _TRANSFORMS[name](x, y, row)
+        return out
+
     def matrix(self, data: Dataset) -> np.ndarray:
         """Raw (unstandardized) feature matrix, one row per datapoint.
 
         The (n, d) result is the transpose of a C-ordered (d, n) array, so
         ``matrix(data).T`` gives each feature as one contiguous row.
         """
-        if data.is_regression:
-            x, y = data.covariates, data.values
-        else:
-            x, y = data.values, None
-        cols = []
-        for name in self.transforms:
-            if y is None and name in RESPONSE_TRANSFORMS:
-                raise ValueError(f"transform {name!r} needs regression data")
-            cols.append(_TRANSFORMS[name](x, y))
-        return np.vstack(cols).T
+        x, y = self.columns(data)
+        return self.fill(x, y, np.empty((len(self.transforms), len(data)))).T
 
 
 @dataclass(frozen=True)
@@ -161,16 +185,19 @@ class IrlsWorkspace:
     all of it.  ``design(n)`` is the contiguous (d+1, n) design of an
     n-point fit: row 0 the intercept's ones, rows 1..d the standardized
     features, and ``counts(n)`` the points each column stands for; a
-    caller may write both there before the fit.  The two count rows
-    exist only once a counted design asks for them.
+    caller may write both there before the fit, and may use ``vectors(n)``
+    until the fit starts.  The two count rows exist only once a counted
+    design asks for them.  The weighted design holds one block of at most
+    ``block`` = min(capacity, GRAM_BLOCK) columns.
     """
 
     def __init__(self, d: int, capacity: int) -> None:
         self.d = d
         self.capacity = capacity
+        self.block = min(capacity, GRAM_BLOCK)
         self._design = np.empty((d + 1) * capacity)
-        self._weighted = np.empty((d + 2) * capacity)
-        self._vectors = np.empty((6, capacity))
+        self._weighted = np.empty((d + 2) * self.block)
+        self._vectors = np.empty((5, capacity))
         self._count_rows: np.ndarray | None = None
 
     def design(self, n: int) -> np.ndarray:
@@ -186,11 +213,11 @@ class IrlsWorkspace:
         return self.count_rows(n)[1]
 
     def weighted(self, n: int) -> np.ndarray:
-        """(d+2, n) buffer: the design scaled by the IRLS weights, then the residual c (y - p)."""
+        """(d+2, n) buffer for n <= ``block`` columns: IRLS-weighted design columns, then their residual."""
         return self._weighted[: (self.d + 2) * n].reshape(self.d + 2, n)
 
     def vectors(self, n: int) -> np.ndarray:
-        """Six (n,) buffers, one per row."""
+        """Five (n,) buffers, one per row."""
         return self._vectors[:, :n]
 
 
@@ -294,7 +321,7 @@ def fit_logistic(
     AT = workspace.design(n)
     AT[0] = 1.0
     AT[1:] = X.T
-    eta, cand_eta, soft, p, cand_p, a_delta = workspace.vectors(n)
+    eta, cand_eta, soft, p, cand_p = workspace.vectors(n)
     # Each sum over points weighs a row by its count c: the log-likelihood
     # sum c (y eta - softplus eta), the gradient sum c (y - p) a and the
     # Hessian sum c p (1 - p) a a^T.  Without counts c is 1 and every
@@ -306,15 +333,17 @@ def fit_logistic(
         cy, c = workspace.count_rows(n)
         c[...] = counts
         cy, points = np.multiply(c, y, out=cy), float(c.sum())
-    # The design's row 0 is all ones, so the weighted design's row 0 is the
-    # IRLS weights c p (1 - p) themselves: they are written there directly.
-    weighted = workspace.weighted(n)
-    w, scaled, residual = weighted[0], weighted[1 : d + 1], weighted[d + 1]
-    # weighted @ AT.T is the Hessian's d+1 rows, then the gradient.  This
-    # OpenBLAS build (0.3.31) multiplies in its small-matrix kernel only up
-    # to M*N*K = 1e6; beyond that bound the Hessian and the gradient are
-    # faster as two products (at d = 6, n = 18,000: 148 against 345 us).
-    split = (d + 2) * (d + 1) * n > 1e6
+    # The columns of each block of at most ``workspace.block``, its
+    # weighted design (row 0 the IRLS weights c p (1 - p), then the scaled
+    # features, then the residual c y - c p) and the views of the design
+    # and the labels it reads.  The design's row 0 is all ones, so the
+    # weighted design's row 0 is the weights themselves.
+    blocks = []
+    for lo in range(0, n, workspace.block):
+        cols = slice(lo, min(lo + workspace.block, n))
+        weighted = workspace.weighted(cols.stop - lo)
+        blocks.append((cols, weighted, weighted[1 : d + 1], AT[1:, cols], AT[:, cols].T, cy[cols],
+                       None if c is None else c[cols]))
     lam = float(ridge)
 
     def value(eta: np.ndarray, b: np.ndarray) -> float:
@@ -347,16 +376,19 @@ def fit_logistic(
     bumps = 0
     iterations = 0
     while iterations < max_iter:
-        # c p, then the weights c p (1 - p) and the residual c y - c p
-        c_p = p if c is None else np.multiply(c, p, out=residual)
-        np.multiply(c_p, np.subtract(1.0, p, out=w), out=w)
-        np.subtract(cy, c_p, out=residual)
-        np.multiply(AT[1:], w, out=scaled)
-        if split:
-            hess, grad = weighted[: d + 1] @ AT.T, AT @ residual
-        else:
-            products = weighted @ AT.T
-            hess, grad = products[: d + 1], products[d + 1]
+        # The Hessian's d+1 rows, then the gradient, summed over the
+        # blocks: each block's weighted design times its design columns.
+        for i, (cols, weighted, scaled, features, design_t, cy_block, c_block) in enumerate(blocks):
+            w, residual, p_block = weighted[0], weighted[d + 1], p[cols]
+            c_p = p_block if c_block is None else np.multiply(c_block, p_block, out=residual)
+            np.multiply(c_p, np.subtract(1.0, p_block, out=w), out=w)
+            np.subtract(cy_block, c_p, out=residual)
+            np.multiply(features, w, out=scaled)
+            if i == 0:
+                products = weighted @ design_t
+            else:
+                products += weighted @ design_t
+        hess, grad = products[: d + 1], products[d + 1]
         grad[1:] -= lam * beta[1:]
         # hess is C-contiguous, so its weight diagonal is every (d+2)-th element from d+2.
         hess.reshape(-1)[d + 2 :: d + 2] += lam
@@ -378,16 +410,16 @@ def fit_logistic(
             iterations += 1
             converged = True
             break
-        np.matmul(delta, AT, out=a_delta)
         step = 1.0
-        np.add(eta, a_delta, out=cand_eta)
+        np.add(eta, np.matmul(delta, AT, out=cand_eta), out=cand_eta)
         for _ in range(30):
             cand = beta + step * delta
             cand_obj = objective(cand_eta, cand, cand_p)
             if cand_obj >= obj - 1e-13 * abs(obj):
                 break
             step *= 0.5
-            np.add(eta, np.multiply(a_delta, step, out=cand_eta), out=cand_eta)
+            # step is a power of two, so (step delta) @ AT is bit for bit step (delta @ AT).
+            np.add(eta, np.matmul(step * delta, AT, out=cand_eta), out=cand_eta)
         else:
             break
         iterations += 1
@@ -426,31 +458,27 @@ def _count_table(data: Dataset) -> CountTable | None:
 
 
 def _class_columns(
-    table: CountTable | None, raw: np.ndarray, fold_ids: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One class's (d, C) training columns, and the (k, C) training points each stands for per fold.
+    table: CountTable | None, columns: tuple, fold_ids: np.ndarray, k: int
+) -> tuple[tuple, np.ndarray]:
+    """One class's (x, y) training columns, and the (k, C) training points each column stands for per fold.
 
     With a count table the columns are the class's distinct counts, and
-    one ``bincount`` of (fold, count) pairs gives every fold's points
-    per count; without, the columns are the points ``raw``, each 1
-    outside its own fold.
+    one ``bincount`` of (fold, count) pairs gives every fold's points per
+    count; without, the columns are the class's points ``columns``, each
+    1 outside its own fold.
     """
     if table is None:
-        return raw, (np.arange(k)[:, None] != fold_ids).astype(float)
-    # A count's features do not depend on which of its points they come
-    # from, so each column is read from one point that takes the count.
+        return columns, (np.arange(k)[:, None] != fold_ids).astype(float)
     u = table.counts.size
-    first = np.empty(u, dtype=np.intp)
-    first[table.inverse] = np.arange(raw.shape[1])
-    columns = raw.take(first, axis=1)
     held = np.bincount(fold_ids * u + table.inverse, minlength=k * u).reshape(k, u)
-    return columns, (held.sum(axis=0) - held).astype(float)
+    return (table.counts, None), (held.sum(axis=0) - held).astype(float)
 
 
 def _fit_folds(
     observed: Dataset,
     simulated: Dataset,
-    raw: np.ndarray,
+    columns: tuple,
+    fm: FeatureMap,
     fold_of: np.ndarray,
     k: int,
     ridge: float,
@@ -464,30 +492,33 @@ def _fit_folds(
     the IRLS workspace) lives only in this call, so it is freed before
     the held-out points are scored.
 
-    A fold trains on the columns of ``columns`` it keeps, gathered in
-    order straight into the feature rows of the design in one workspace,
-    sized for the largest training fold, that all k fits share; its
-    labels are a view of one label vector.  Without a count class the
-    columns are the points ``raw`` and a fold keeps those outside it.  A
-    class of whole counts contributes its distinct counts instead:
-    ``train[j]`` holds the training points per column, and a fold keeps
-    the columns with any.
+    ``columns`` holds each class's (x, y) data columns.  Both classes'
+    columns are pooled, observed first.  A fold gathers the pooled columns
+    it keeps, in order, into two of the vectors of one workspace, sized
+    for the largest training fold, that all k fits share, and computes
+    its features from them straight into the design rows; its labels are
+    a view of one label vector.  Without a count class a fold keeps the
+    points outside it.  A class of whole counts contributes its distinct
+    counts instead: ``train[j]`` holds the training points per column,
+    and a fold keeps the columns with any.
     """
     n_obs, n_sim = len(observed), len(simulated)
-    d = raw.shape[0]
+    d = len(fm.transforms)
     fold_obs, fold_sim = fold_of[:n_obs], fold_of[n_obs:]
     tables = (_count_table(observed), _count_table(simulated))
     if all(table is None for table in tables):
-        columns, train = raw, None
+        train = None
         m_obs = n_obs - np.bincount(fold_obs, minlength=k)
         m_sim = n_sim - np.bincount(fold_sim, minlength=k)
     else:
         (cols_obs, train_obs), (cols_sim, train_sim) = (
-            _class_columns(table, part, folds, k)
-            for table, part, folds in zip(tables, (raw[:, :n_obs], raw[:, n_obs:]), (fold_obs, fold_sim))
+            _class_columns(table, cols, folds, k)
+            for table, cols, folds in zip(tables, columns, (fold_obs, fold_sim))
         )
-        columns, train = np.hstack([cols_obs, cols_sim]), np.hstack([train_obs, train_sim])
+        columns, train = (cols_obs, cols_sim), np.hstack([train_obs, train_sim])
         m_obs, m_sim = np.count_nonzero(train_obs, axis=1), np.count_nonzero(train_sim, axis=1)
+    # The classes are of one kind, so y is absent from both or from neither.
+    x, y = (None if obs is None else np.concatenate([obs, sim]) for obs, sim in zip(*columns))
     workspace = IrlsWorkspace(d, int(np.max(m_obs + m_sim)))
     labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
 
@@ -500,17 +531,18 @@ def _fit_folds(
     decision = start
     for j in range(k):
         m = m_obs[j] + m_sim[j]
-        block = workspace.design(m)[1:]
-        # np.take with mode="raise" (as np.compress uses) fills a copy of
-        # ``out`` and copies it back, a second block per fold; the indices
-        # are in range, so "clip" gathers straight into the design.
+        # np.take with mode="raise" fills a copy of ``out`` and copies it
+        # back; the indices are in range, so "clip" gathers straight into it.
         if train is None:
             keep, counts = np.flatnonzero(fold_of != j), None
         else:
             keep, counts = np.flatnonzero(train[j] > 0.0), workspace.counts(m)
             np.take(train[j], keep, out=counts, mode="clip")
-        np.take(columns, keep, axis=1, out=block, mode="clip")
+        x_fold, y_fold = workspace.vectors(m)[:2]
+        np.take(x, keep, out=x_fold, mode="clip")
+        y_fold = None if y is None else np.take(y, keep, out=y_fold, mode="clip")
         del keep  # so that two folds' indices are never held at once
+        block = fm.fill(x_fold, y_fold, workspace.design(m)[1:])
         design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]], counts)
         fit = fit_logistic(
             design,
@@ -542,7 +574,8 @@ def cv_log_odds(
     points first and then the simulated ones, each class in its dataset
     order, and the last fold's decision function.  A univariate class of
     whole counts is fitted on its distinct counts, each weighted by the
-    training points that take it, which is the fit on its points.
+    training points that take it, which is the fit on its points.  Both
+    classes must be regression data, or neither.
 
     The folds are fitted in order, each started from the previous fold's
     decision function, and the first from ``start`` when given;
@@ -552,22 +585,33 @@ def cv_log_odds(
         raise ValueError("k must be >= 2")
     if len(observed) < k or len(simulated) < k:
         raise ValueError("each class needs at least k points")
+    if observed.is_regression != simulated.is_regression:
+        kinds = ["regression" if data.is_regression else "univariate" for data in (observed, simulated)]
+        raise ValueError(
+            f"observed and simulated data must be of one kind, got {kinds[0]} observed "
+            f"and {kinds[1]} simulated data"
+        )
+    columns = (fm.columns(observed), fm.columns(simulated))
 
-    # Both classes as one C-ordered (d, n_obs + n_sim) array, observed
-    # first, and the fold of every point.
-    raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
     g = rng.generator()
     fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
-    coef, decision = _fit_folds(observed, simulated, raw, fold_of, k, ridge, start)
+    coef, decision = _fit_folds(observed, simulated, columns, fm, fold_of, k, ridge, start)
 
     # Every point is scored by its fold's decision function, one term at a
     # time: row j of ``terms`` holds the k folds' coefficients of term j,
     # gathered per point by its fold (mode="clip", as in the fold loop).
-    # The weighted features are summed in feature order, then the
-    # intercept is added.
+    # Each feature is computed for both classes, into one buffer, when its
+    # term needs it.  The weighted features are summed in feature order,
+    # then the intercept is added.
     terms = np.ascontiguousarray(coef.T)
-    odds, term = np.empty(raw.shape[1]), np.empty(raw.shape[1])
-    np.multiply(np.take(terms[1], fold_of, out=odds, mode="clip"), raw[0], out=odds)
-    for weights, feature in zip(terms[2:], raw[1:]):
-        odds += np.multiply(np.take(weights, fold_of, out=term, mode="clip"), feature, out=term)
+    n_obs = len(observed)
+    odds, term, feature = (np.empty(n_obs + len(simulated)) for _ in range(3))
+    parts = tuple(zip(columns, (feature[:n_obs], feature[n_obs:])))
+    for j, (name, weights) in enumerate(zip(fm.transforms, terms[1:])):
+        for (x, y), part in parts:
+            _TRANSFORMS[name](x, y, part)
+        if j == 0:
+            np.multiply(np.take(weights, fold_of, out=odds, mode="clip"), feature, out=odds)
+        else:
+            odds += np.multiply(np.take(weights, fold_of, out=term, mode="clip"), feature, out=term)
     return np.add(np.take(terms[0], fold_of, out=term, mode="clip"), odds, out=odds), decision

@@ -13,7 +13,10 @@ log ratio is computed per level from each posterior's own one-level
 A fit's log-odds on standardized rows are scored directly from its
 coefficients, independently of the raw-feature rows that cross-validation
 scores from, and the out-of-fold log-odds of a cross-validated call by
-one per-point gather of its folds' coefficients and one product.
+one per-point gather of its folds' coefficients and one product.  The
+features are the expressions the transforms stand for, and the reference
+cross-validation computes them for every point into one raw block before
+it gathers any fold.
 The exact nulls are pipelines whose predictive is the truth, so their
 misspecification p-values should be uniform.
 """
@@ -33,7 +36,15 @@ from carmen.conjugate import (
     temper_update,
 )
 from carmen.data import Dataset
-from carmen.discriminator import FeatureMap, LogisticFit
+from carmen.discriminator import (
+    DecisionFunction,
+    FeatureMap,
+    LogisticFit,
+    _count_table,
+    _fold_ids,
+    _standardized_design,
+    fit_logistic,
+)
 from carmen.numerics import RngStream, log_gamma
 from carmen.ratio import LogRatioEstimate
 from carmen.truths import (
@@ -233,6 +244,83 @@ def fold_scores(coef: np.ndarray, fold_of: np.ndarray, raw: np.ndarray) -> np.nd
     """
     rows = coef[fold_of]
     return rows[:, 0] + np.einsum("ij,ji->i", rows[:, 1:], raw)
+
+
+def _ln_abs(v: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(np.abs(v), 1e-12))
+
+
+# The expression each transform stands for, of the (x, y) columns; for
+# univariate data x is the value and y is absent.
+FEATURE_EXPRESSIONS = {
+    "x": lambda x, y: x,
+    "abs_x": lambda x, y: np.abs(x),
+    "x2": lambda x, y: x**2,
+    "x3": lambda x, y: x**3,
+    "x4": lambda x, y: x**4,
+    "ln_abs_x": lambda x, y: _ln_abs(x),
+    "y": lambda x, y: y,
+    "abs_y": lambda x, y: np.abs(y),
+    "y2": lambda x, y: y**2,
+    "ln_abs_y": lambda x, y: _ln_abs(y),
+    "yx": lambda x, y: y * x,
+    "abs_yx": lambda x, y: np.abs(y * x),
+    "yx2": lambda x, y: (y * x) ** 2,
+}
+
+
+def raw_features(fm: FeatureMap, data: Dataset) -> np.ndarray:
+    """The (d, n) raw features of ``data`` from ``FEATURE_EXPRESSIONS``, one row per transform."""
+    x, y = (data.covariates, data.values) if data.is_regression else (data.values, None)
+    return np.vstack([FEATURE_EXPRESSIONS[name](x, y) for name in fm.transforms])
+
+
+def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, ridge: float,
+                 rng: RngStream, start: DecisionFunction | None = None):
+    """``cv_log_odds`` computed from one raw (d, n_obs + n_sim) feature block.
+
+    Both classes' features are computed for every point up front.  A class
+    of whole counts keeps one column per distinct count, read from one of
+    its points, weighted per fold by its training points; each fold's
+    columns are copied out of the block, standardized and fitted from the
+    previous fold's decision function, and every point is scored by
+    ``fold_scores``.  Returns the out-of-fold values and the last fold's
+    decision function.
+    """
+    n_obs = len(observed)
+    raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
+    g = rng.generator()
+    fold_of = np.concatenate([_fold_ids(n_obs, k, g), _fold_ids(len(simulated), k, g)])
+    tables = [_count_table(observed), _count_table(simulated)]
+    columns, train, labels = [], [], []
+    for label, table, part, folds in zip(
+        (0.0, 1.0), tables, (raw[:, :n_obs], raw[:, n_obs:]), (fold_of[:n_obs], fold_of[n_obs:])
+    ):
+        if table is None:
+            columns.append(part)
+            train.append(np.arange(k)[:, None] != folds)
+        else:
+            u = table.counts.size
+            first = np.empty(u, dtype=np.intp)
+            first[table.inverse] = np.arange(part.shape[1])
+            columns.append(part[:, first])
+            held = np.bincount(folds * u + table.inverse, minlength=k * u).reshape(k, u)
+            train.append(held.sum(axis=0) - held)
+        labels.append(np.full(columns[-1].shape[1], label))
+    columns, labels = np.hstack(columns), np.concatenate(labels)
+    train = np.hstack(train).astype(float)
+    counted = any(table is not None for table in tables)
+    coef = np.empty((k, raw.shape[0] + 1))
+    decision = start
+    for j in range(k):
+        keep = np.flatnonzero(train[j] > 0.0)
+        design = _standardized_design(
+            np.ascontiguousarray(columns[:, keep]), labels[keep], train[j, keep] if counted else None
+        )
+        fit = fit_logistic(design, ridge=ridge, start=None if decision is None else decision.start_for(design))
+        decision = DecisionFunction.of(fit, design)
+        coef[j, 0], coef[j, 1:] = decision.intercept, decision.weights
+    return fold_scores(coef, fold_of, raw), decision
 
 
 # Exact nulls: each posterior predictive *is* its truth (KL = 0).  The

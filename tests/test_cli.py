@@ -11,12 +11,15 @@ from pathlib import Path
 import pytest
 
 from carmen.cli import (
+    _CURVE_FIELDS,
     SCENARIOS,
     ScenarioConfig,
     ScenarioResult,
     emit_outputs,
     load_config_file,
     main,
+    _json,
+    _summary,
     run_scenario,
 )
 from carmen.discriminator import RESPONSE_TRANSFORMS
@@ -227,6 +230,67 @@ class TestEmitOutputs:
         with pytest.raises(OSError) as err:
             emit_outputs(res, blocker / "sub")
         assert "blocker" in str(err.value)
+
+
+def _strict(value):
+    """``value`` with each non-finite float as its curve.csv token ("inf", "-inf", "nan")."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else format(value, ".10g")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _dumped_summary(result: ScenarioResult) -> bytes:
+    """summary.json as ``json.dumps(indent=2)`` writes the strict document, each curve row an object."""
+    doc = _summary(result, [tuple(getattr(p, name) for name in _CURVE_FIELDS) for p in result.curve.points])
+    doc["curve"] = [dict(zip(_CURVE_FIELDS, row)) for row in doc["curve"]]
+    return (json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n").encode()
+
+
+_CUSTOM = ScenarioConfig(
+    scenario="custom", seed=2, model_family="poisson-gamma", model_params={"shape": 3.0, "rate": 0.05},
+    truth_family="negbinom", truth_params={"r": 63.0, "p": 0.488}, features=("x", "x2"), **FAST,
+)
+_WRITER_CASES = {
+    **{f"{name}-{mode}": ScenarioConfig(scenario=name, seed=4, **flags, **FAST)
+       for name in SCENARIOS
+       for mode, flags in (("tstar", {}), ("full-reverse", {"full_curve": True, "reverse_kl": True}))},
+    "ridge-1e300": ScenarioConfig(scenario="poisson-betabinom", seed=3, n_update=4, n_validate=4, folds=2,
+                                  ridge=1e300, full_curve=True),
+    "custom": _CUSTOM,
+}
+
+
+class TestSummaryWriter:
+    @pytest.mark.parametrize("cfg", list(_WRITER_CASES.values()), ids=list(_WRITER_CASES))
+    def test_bytes_of_json_dumps(self, tmp_path, cfg):
+        result = run_scenario(cfg)
+        json_path, _ = emit_outputs(result, tmp_path)
+        assert json_path.read_bytes() == _dumped_summary(result)
+
+    def test_non_finite_and_missing_curve_values(self, tmp_path):
+        res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, full_curve=True, **FAST))
+        points = list(res.curve.points)
+        points[1] = dataclasses.replace(points[1], log_predictive=-math.inf, logz_approx_sum=math.nan, t_stat=math.inf)
+        points[2] = CurvePoint(points[2].t, None)
+        odd = dataclasses.replace(res, curve=dataclasses.replace(res.curve, points=tuple(points)))
+        json_path, _ = emit_outputs(odd, tmp_path)
+        assert json_path.read_bytes() == _dumped_summary(odd)
+
+    def test_nested_values(self):
+        doc = {
+            "empty": [], "none": {}, "text": 'caf\u00e9 "quoted"\n\ttab\\', "flags": [True, False, None],
+            "numbers": (0, -3, 2**70, 0.1, -0.0, 1e300, 5e-324, math.inf, -math.inf, math.nan),
+            "nested": {"rows": [{"a": [1.5, []]}, [{}]]},
+        }
+        assert _json(doc) == json.dumps(_strict(doc), indent=2, allow_nan=False)
+
+    def test_unknown_leaf_rejected(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _json({"value": object()})
 
 
 class TestConfigFile:

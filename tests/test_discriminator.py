@@ -11,6 +11,8 @@ from carmen.cli import ScenarioConfig
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
 from carmen.discriminator import (
+    _LN_CLAMP,
+    _TRANSFORMS,
     DEFAULT_MAX_ITER,
     DEFAULT_RIDGE,
     DEFAULT_TOL,
@@ -29,7 +31,7 @@ from carmen.numerics import RngStream
 from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
-from oracles import fold_scores, log_odds
+from oracles import FEATURE_EXPRESSIONS, fold_scores, log_odds, raw_block_cv
 
 
 def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
@@ -1139,7 +1141,7 @@ class TestOutOfFoldScoring:
         assert vals.tobytes() == fold_scores(coef, fold_of, raw).tobytes()
         assert last.intercept == coef[-1, 0] and last.weights.tobytes() == coef[-1, 1:].tobytes()
 
-    def test_working_set_is_the_raw_block_and_the_workspace(self):
+    def test_working_set_is_the_workspace_and_the_data_columns(self):
         # reg-sigmoid's six features at n_obs = n_sim = 10,000, 10 folds.
         n, k = 10_000, 10
         binding = ScenarioConfig(scenario="reg-sigmoid", seed=0).binding()
@@ -1156,10 +1158,167 @@ class TestOutOfFoldScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        raw_block = 8 * d * 2 * n  # 960,000 B, 0.92 MiB
         m = 2 * (n - n // k)  # the largest training fold: 18,000 points
-        # (d+1)-row design, (d+2)-row weighted design and six vectors: 3,024,000 B, 2.88 MiB
-        workspace = 8 * m * ((d + 1) + (d + 2) + 6)
-        # 4.30 MiB in all.  Fold ids, labels and one fold's training
-        # indices take 0.44 MiB of the allowance.
-        assert peak - before < raw_block + workspace + 2**19
+        # The (d+1)-row design, the (d+2)-row weighted design of one
+        # 4,096-column block and five vectors: 1,990,144 B, 1.90 MiB.
+        workspace = 8 * ((d + 1) * m + (d + 2) * 4096 + 5 * m)
+        # Both classes' covariate and response columns, pooled: 320,000 B.
+        pooled = 8 * 2 * (2 * n)
+        # 2.70 MiB in all.  Fold ids, labels and one fold's training
+        # indices take 0.44 MiB of the allowance.  The raw (d, 2n) feature
+        # block alone was 0.92 MiB, and a whole-fold weighted design 1.10 MiB.
+        assert peak - before < workspace + pooled + 2**19
+
+
+def _columns_with_edge_values(n: int = 400) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) columns with zeros of both signs, negatives and magnitudes below ``_LN_CLAMP``."""
+    g = RngStream(110).generator()
+    edges = np.array([0.0, -0.0, 1e-13, -1e-13, 5e-324, _LN_CLAMP, -_LN_CLAMP, 1e-12 / 3, -2.5, 1e150, -7.0])
+    x = np.concatenate([g.normal(0.0, 3.0, n), edges])
+    y = np.concatenate([g.normal(1.0, 2.0, n), edges[::-1]])
+    order = g.permutation(x.size)
+    return x[order], y[::-1][order]
+
+
+class TestDataColumnFeatures:
+    def test_transforms_write_the_expressions_bitwise(self):
+        # Whole columns, and a gathered subset written into rows of a
+        # workspace design, as a fold computes its features.
+        assert set(_TRANSFORMS) == set(FEATURE_EXPRESSIONS)
+        x, y = _columns_with_edge_values()
+        keep = np.flatnonzero(RngStream(111).generator().uniform(size=x.size) < 0.7)
+        workspace = IrlsWorkspace(len(_TRANSFORMS), x.size)
+        x_fold, y_fold = workspace.vectors(keep.size)[:2]
+        np.take(x, keep, out=x_fold, mode="clip")
+        np.take(y, keep, out=y_fold, mode="clip")
+        with np.errstate(over="ignore"):  # 1e150 cubed and to the fourth
+            rows = FeatureMap(tuple(_TRANSFORMS)).fill(x_fold, y_fold, workspace.design(keep.size)[1:])
+            for name, row in zip(_TRANSFORMS, rows):
+                expected = FEATURE_EXPRESSIONS[name](x, y)
+                whole = _TRANSFORMS[name](x, y, np.empty(x.size))
+                assert whole.tobytes() == expected.tobytes(), name
+                assert row.tobytes() == expected[keep].tobytes(), name
+
+    def test_matrix_is_the_expressions(self):
+        x, y = _columns_with_edge_values()
+        univariate = ("x", "abs_x", "x2", "x3", "x4", "ln_abs_x")
+        with np.errstate(over="ignore"):
+            for names, data, y_col in ((univariate, Dataset(x), None),
+                                       (tuple(_TRANSFORMS), Dataset(y, covariates=x), y)):
+                expected = np.vstack([FEATURE_EXPRESSIONS[name](x, y_col) for name in names])
+                assert FeatureMap(names).matrix(data).T.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "layout, draw",
+        [("points", lambda: _grid_level_draw("reg-sigmoid", 0, 23)[1]),
+         ("counts", lambda: _grid_level_draw("poisson-betabinom", 7, 11)[1]),
+         ("mixed", _mixed_layout_draw)],
+        ids=["points", "counts", "mixed"],
+    )
+    def test_cv_equals_raw_block_reference(self, layout, draw):
+        # Every training fold here has at most 1,800 points, one Hessian
+        # block, so the values and the carried decision function are the
+        # raw-block computation's bit for bit, cold and from a start.
+        args = draw()
+        for start in (None, cv_log_odds(*args)[1]):
+            vals, last = cv_log_odds(*args, start=start)
+            ref, ref_last = raw_block_cv(*args, start=start)
+            assert vals.tobytes() == ref.tobytes()
+            assert last.intercept == ref_last.intercept
+            assert last.weights.tobytes() == ref_last.weights.tobytes()
+
+    @pytest.mark.parametrize("simulated_kind", ["univariate", "regression"])
+    def test_classes_of_different_kinds_rejected_before_any_allocation(self, simulated_kind):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("folds drawn before the classes were checked")
+
+        g = RngStream(112).generator()
+        n = 5_000
+        regression, univariate = Dataset(g.normal(size=n), covariates=g.normal(size=n)), Dataset(g.normal(size=n))
+        observed, simulated = (regression, univariate) if simulated_kind == "univariate" else (univariate, regression)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match="regression.*univariate|univariate.*regression"):
+                cv_log_odds(observed, simulated, FeatureMap(("x", "x2")), 10, 1e-6, NoDraws())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * n  # less than one float64 column
+
+    def test_response_transform_on_univariate_classes_fails_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the transforms were checked")
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", no_fit)
+        g = RngStream(113).generator()
+        obs, sim = Dataset(g.normal(size=100)), Dataset(g.normal(size=100))
+        with pytest.raises(ValueError, match="'y2' needs regression data"):
+            cv_log_odds(obs, sim, FeatureMap(("x", "y2")), 5, 1e-6, RngStream(114))
+
+
+def _fit_coefficients(fit) -> np.ndarray:
+    return np.concatenate([[fit.intercept], fit.weights])
+
+
+class TestGramBlocks:
+    @pytest.mark.parametrize(
+        "make", [_overlapping_design, _separable_design, lambda: _counted_design(115, m=900)[0]],
+        ids=["overlapping", "separable", "counted"],
+    )
+    def test_blocked_fit_takes_the_same_steps(self, monkeypatch, make):
+        design = make()
+        n = design.features.shape[0]
+        one_block = fit_logistic(design)
+        monkeypatch.setattr(carmen.discriminator, "GRAM_BLOCK", 16)
+        workspace = IrlsWorkspace(design.features.shape[1], n)
+        assert workspace.block == 16 and n > 2 * 16
+        blocked = fit_logistic(design, workspace=workspace)
+        assert (blocked.iterations, blocked.converged, blocked.ridge) == (
+            one_block.iterations, one_block.converged, one_block.ridge)
+        a, b = _fit_coefficients(blocked), _fit_coefficients(one_block)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_blocked_cross_validation_takes_the_same_steps(self, monkeypatch):
+        # reg-sigmoid's six features are strongly correlated (y, y2, yx,
+        # ...), so its Hessians are ill-conditioned and the blocked sums'
+        # rounding reaches the coefficients: 6.8e-12 relative at the
+        # largest over levels 11, 23 and 47, against 1e-14 for gauss-laplace.
+        args = _grid_level_draw("reg-sigmoid", 0, 23)[1]
+        fits = _record_fits(monkeypatch)
+        one_block, _ = cv_log_odds(*args)
+        monkeypatch.setattr(carmen.discriminator, "GRAM_BLOCK", 100)
+        blocked, _ = cv_log_odds(*args)
+        k = args[3]
+        assert len(fits) == 2 * k
+        for (_, a), (_, b) in zip(fits[k:], fits[:k]):
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            coef_a, coef_b = _fit_coefficients(a), _fit_coefficients(b)
+            assert np.max(np.abs(coef_a - coef_b)) <= 1e-10 * np.max(np.abs(coef_b))
+        assert np.max(np.abs(blocked - one_block)) <= 1e-10 * np.max(np.abs(one_block))
+
+    @pytest.mark.parametrize(
+        "scenario, seed, level", [("reg-sigmoid", 0, 23), ("poisson-betabinom", 7, 11)],
+        ids=["reg-sigmoid", "poisson-betabinom"],
+    )
+    def test_halved_step_product_is_the_scaled_product(self, monkeypatch, scenario, seed, level):
+        # Near-separable levels whose fits halve their step.  A halving
+        # computes (step delta) @ AT afresh; step is a power of two, so that
+        # is bit for bit step (delta @ AT), which the line search used to scale.
+        designs = []
+        fit = carmen.discriminator.fit_logistic
+
+        def recording(design, **kwargs):
+            result = fit(design, **kwargs)
+            features = design.features
+            designs.append((np.vstack([np.ones(features.shape[0]), features.T]), _fit_coefficients(result)))
+            return result
+
+        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+        cv_log_odds(*_grid_level_draw(scenario, seed, level)[1])
+        for AT, delta in designs:
+            base = delta @ AT
+            for halvings in range(1, 31):
+                step = 0.5**halvings
+                assert (step * delta @ AT).tobytes() == (step * base).tobytes()
