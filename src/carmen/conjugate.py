@@ -65,18 +65,19 @@ class SufficientStats:
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "SufficientStats":
-        y = data.values
-        if data.covariates is None:
-            return cls(n=len(data), sum_x=float(y.sum()), sum_xx=float((y * y).sum()))
-        x = data.covariates
-        return cls(
-            n=len(data),
-            sum_x=float(x.sum()),
-            sum_xx=float((x * x).sum()),
-            sum_xy=float((x * y).sum()),
-            sum_y=float(y.sum()),
-            sum_yy=float((y * y).sum()),
-        )
+        """The statistics of update data ``data``; a sum that overflows float64 is rejected, naming its terms."""
+        y, x = data.values, data.covariates
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its terms
+            if x is None:
+                sums = [("sum_x", "its values", y.sum()), ("sum_xx", "squares of its values", (y * y).sum())]
+            else:
+                sums = [("sum_x", "its covariates", x.sum()), ("sum_xx", "squares of its covariates", (x * x).sum()),
+                        ("sum_xy", "products of its covariates and values", (x * y).sum()),
+                        ("sum_y", "its values", y.sum()), ("sum_yy", "squares of its values", (y * y).sum())]
+        for _, terms, total in sums:
+            if not math.isfinite(total):
+                raise ValueError(f"update data overflows float64: the sum of {terms} is {total}")
+        return cls(n=len(data), **{name: float(total) for name, _, total in sums})
 
 
 # ---------------------------------------------------------------------------

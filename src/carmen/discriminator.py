@@ -20,8 +20,8 @@ from .numerics import CountTable, RngStream
 _LN_CLAMP = 1e-12  # |v| floor before taking logs, keeps ln-features total
 
 DEFAULT_RIDGE = 1e-6
-DEFAULT_MAX_ITER = 100
-DEFAULT_TOL = 1e-7
+MAX_ITER = 100  # Newton steps before a fit stops unconverged
+TOL = 1e-7  # the decrement stop's weighted RMS change in the linear predictor
 _LN2 = math.log(2.0)  # softplus(0), correctly rounded
 
 
@@ -33,29 +33,25 @@ _LN2 = math.log(2.0)  # softplus(0), correctly rounded
 GRAM_BLOCK = 4096
 
 
-def _copy(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.copyto(out, v)
-    return out
-
-
-def _ln_abs(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _ln_abs(v: np.ndarray, out: np.ndarray) -> None:
     """ln max(|v|, _LN_CLAMP), written into ``out``."""
     np.abs(v, out=out)
-    return np.log(np.maximum(out, _LN_CLAMP, out=out), out=out)
+    np.log(np.maximum(out, _LN_CLAMP, out=out), out=out)
 
 
 # Each transform writes the feature of the (x, y) columns into ``out``
 # with the ufuncs of its expression (x**2 is np.square, x**3 is
-# np.power(x, 3)), so it is bit for bit that expression.  For univariate
-# data the value itself plays the role of x and y is absent.
+# np.power(x, 3)), so it is bit for bit that expression; callers read
+# ``out``, never a return value.  For univariate data the value itself
+# plays the role of x and y is absent.
 _TRANSFORMS = {
-    "x": lambda x, y, out: _copy(x, out),
+    "x": lambda x, y, out: np.copyto(out, x),
     "abs_x": lambda x, y, out: np.abs(x, out=out),
     "x2": lambda x, y, out: np.square(x, out=out),
     "x3": lambda x, y, out: np.power(x, 3, out=out),
     "x4": lambda x, y, out: np.power(x, 4, out=out),
     "ln_abs_x": lambda x, y, out: _ln_abs(x, out),
-    "y": lambda x, y, out: _copy(y, out),
+    "y": lambda x, y, out: np.copyto(out, y),
     "abs_y": lambda x, y, out: np.abs(y, out=out),
     "y2": lambda x, y, out: np.square(y, out=out),
     "ln_abs_y": lambda x, y, out: _ln_abs(y, out),
@@ -97,15 +93,6 @@ class FeatureMap:
         for name, row in zip(self.transforms, out):
             _TRANSFORMS[name](x, y, row)
         return out
-
-    def matrix(self, data: Dataset) -> np.ndarray:
-        """Raw (unstandardized) feature matrix, one row per datapoint.
-
-        The (n, d) result is the transpose of a C-ordered (d, n) array, so
-        ``matrix(data).T`` gives each feature as one contiguous row.
-        """
-        x, y = self.columns(data)
-        return self.fill(x, y, np.empty((len(self.transforms), len(data)))).T
 
 
 @dataclass(frozen=True)
@@ -150,21 +137,14 @@ def _standardized_design(
     return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd, counts=counts)
 
 
-def _softplus_sigmoid(
-    eta: np.ndarray, soft: np.ndarray | None = None, sig: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """ln(1 + e^eta) and the sigmoid 1 / (1 + e^-eta), without overflow.
+def _softplus_sigmoid(eta: np.ndarray, soft: np.ndarray, sig: np.ndarray) -> None:
+    """ln(1 + e^eta) and the sigmoid 1 / (1 + e^-eta), without overflow, written into ``soft`` and ``sig``.
 
     The softplus is ``max(eta, 0) + log1p(e^-|eta|)``, where e^-|eta| <= 1,
-    and the sigmoid is ``exp(eta - softplus)``.  They are written into
-    ``soft`` and ``sig``, which are allocated when not given.  An
-    exponential below about e^-708 is subnormal or zero, which is its
-    correctly rounded value, so callers run this with underflow ignored.
+    and the sigmoid is ``exp(eta - softplus)``.  An exponential below
+    about e^-708 is subnormal or zero, which is its correctly rounded
+    value, so callers run this with underflow ignored.
     """
-    if soft is None:
-        soft = np.empty_like(eta)
-    if sig is None:
-        sig = np.empty_like(eta)
     np.abs(eta, out=soft)
     np.negative(soft, out=soft)
     np.exp(soft, out=soft)
@@ -173,7 +153,6 @@ def _softplus_sigmoid(
     np.add(sig, soft, out=soft)
     np.subtract(eta, soft, out=sig)
     np.exp(sig, out=sig)
-    return soft, sig
 
 
 class IrlsWorkspace:
@@ -184,11 +163,11 @@ class IrlsWorkspace:
     once rather than on every fold and iteration.  Each fit overwrites
     all of it.  ``design(n)`` is the contiguous (d+1, n) design of an
     n-point fit: row 0 the intercept's ones, rows 1..d the standardized
-    features, and ``counts(n)`` the points each column stands for; a
-    caller may write both there before the fit, and may use ``vectors(n)``
-    until the fit starts.  The two count rows exist only once a counted
-    design asks for them.  The weighted design holds one block of at most
-    ``block`` = min(capacity, GRAM_BLOCK) columns.
+    features, and ``count_rows(n)[1]`` the points each column stands for;
+    a caller may write both there before the fit, and may use
+    ``vectors(n)`` until the fit starts.  The two count rows exist only
+    once a counted design asks for them.  The weighted design holds one
+    block of at most ``block`` = min(capacity, GRAM_BLOCK) columns.
     """
 
     def __init__(self, d: int, capacity: int) -> None:
@@ -208,9 +187,6 @@ class IrlsWorkspace:
         if self._count_rows is None:
             self._count_rows = np.empty((2, self.capacity))
         return self._count_rows[:, :n]
-
-    def counts(self, n: int) -> np.ndarray:
-        return self.count_rows(n)[1]
 
     def weighted(self, n: int) -> np.ndarray:
         """(d+2, n) buffer for n <= ``block`` columns: IRLS-weighted design columns, then their residual."""
@@ -257,8 +233,6 @@ class DecisionFunction:
 def fit_logistic(
     design: LabeledDesign,
     ridge: float = DEFAULT_RIDGE,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
     workspace: IrlsWorkspace | None = None,
 ) -> LogisticFit:
@@ -271,7 +245,7 @@ def fit_logistic(
     Newton step delta has the decrement lambda^2 = grad @ delta (Boyd &
     Vandenberghe, *Convex Optimization*, 9.5.1); sqrt(lambda^2 / n) is the
     weighted RMS change the step would make to the linear predictor.  When
-    0 <= lambda^2 <= n * tol^2, the fit takes the full step without
+    0 <= lambda^2 <= n * TOL^2, the fit takes the full step without
     evaluating the objective and returns ``converged=True``; a negative or
     non-finite lambda^2 never does.  Any other step is halved until the
     penalized log-likelihood falls by at most 1e-13 of its magnitude, a
@@ -279,7 +253,7 @@ def fit_logistic(
     line-searched step) is non-decreasing up to rounding.  ``iterations``
     counts the Newton steps taken, the final full step included.
 
-    ``converged=False`` means the fit stopped after ``max_iter`` steps,
+    ``converged=False`` means the fit stopped after ``MAX_ITER`` steps,
     after 30 halvings found no acceptable step, or on a system still
     singular after three 10x ridge bumps.  The last iterate is always
     returned.
@@ -293,10 +267,6 @@ def fit_logistic(
     """
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     y = np.asarray(design.labels, dtype=float)
     n_obs = np.count_nonzero(y == 0.0)
     n_sim = np.count_nonzero(y == 1.0)
@@ -375,7 +345,7 @@ def fit_logistic(
     converged = False
     bumps = 0
     iterations = 0
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         # The Hessian's d+1 rows, then the gradient, summed over the
         # blocks: each block's weighted design times its design columns.
         for i, (cols, weighted, scaled, features, design_t, cy_block, c_block) in enumerate(blocks):
@@ -405,7 +375,7 @@ def fit_logistic(
         # of squares of the step's change to eta (plus its ridge term), and
         # twice the gain the quadratic model predicts for the full step.
         decrement = float(grad @ delta)
-        if 0.0 <= decrement <= points * tol * tol:
+        if 0.0 <= decrement <= points * TOL * TOL:
             beta += delta
             iterations += 1
             converged = True
@@ -457,21 +427,11 @@ def _count_table(data: Dataset) -> CountTable | None:
     return table if table.support.all() else None
 
 
-def _class_columns(
-    table: CountTable | None, columns: tuple, fold_ids: np.ndarray, k: int
-) -> tuple[tuple, np.ndarray]:
-    """One class's (x, y) training columns, and the (k, C) training points each column stands for per fold.
-
-    With a count table the columns are the class's distinct counts, and
-    one ``bincount`` of (fold, count) pairs gives every fold's points per
-    count; without, the columns are the class's points ``columns``, each
-    1 outside its own fold.
-    """
-    if table is None:
-        return columns, (np.arange(k)[:, None] != fold_ids).astype(float)
+def _training_counts(table: CountTable, fold_ids: np.ndarray, k: int) -> np.ndarray:
+    """The (k, u) training points per fold of a count class's u distinct counts, by one ``bincount``."""
     u = table.counts.size
     held = np.bincount(fold_ids * u + table.inverse, minlength=k * u).reshape(k, u)
-    return (table.counts, None), (held.sum(axis=0) - held).astype(float)
+    return (held.sum(axis=0) - held).astype(float)
 
 
 def _fit_folds(
@@ -497,25 +457,25 @@ def _fit_folds(
     it keeps, in order, into two of the vectors of one workspace, sized
     for the largest training fold, that all k fits share, and computes
     its features from them straight into the design rows; its labels are
-    a view of one label vector.  Without a count class a fold keeps the
-    points outside it.  A class of whole counts contributes its distinct
-    counts instead: ``train[j]`` holds the training points per column,
+    a view of one label vector.  A fold keeps the points outside it,
+    unless both classes are whole counts: then each class contributes its
+    distinct counts, ``train[j]`` holds the training points per column,
     and a fold keeps the columns with any.
     """
     n_obs, n_sim = len(observed), len(simulated)
     d = len(fm.transforms)
     fold_obs, fold_sim = fold_of[:n_obs], fold_of[n_obs:]
     tables = (_count_table(observed), _count_table(simulated))
-    if all(table is None for table in tables):
+    if any(table is None for table in tables):
         train = None
         m_obs = n_obs - np.bincount(fold_obs, minlength=k)
         m_sim = n_sim - np.bincount(fold_sim, minlength=k)
     else:
-        (cols_obs, train_obs), (cols_sim, train_sim) = (
-            _class_columns(table, cols, folds, k)
-            for table, cols, folds in zip(tables, columns, (fold_obs, fold_sim))
+        train_obs, train_sim = (
+            _training_counts(table, folds, k) for table, folds in zip(tables, (fold_obs, fold_sim))
         )
-        columns, train = (cols_obs, cols_sim), np.hstack([train_obs, train_sim])
+        columns = tuple((table.counts, None) for table in tables)
+        train = np.hstack([train_obs, train_sim])
         m_obs, m_sim = np.count_nonzero(train_obs, axis=1), np.count_nonzero(train_sim, axis=1)
     # The classes are of one kind, so y is absent from both or from neither.
     x, y = (None if obs is None else np.concatenate([obs, sim]) for obs, sim in zip(*columns))
@@ -536,7 +496,7 @@ def _fit_folds(
         if train is None:
             keep, counts = np.flatnonzero(fold_of != j), None
         else:
-            keep, counts = np.flatnonzero(train[j] > 0.0), workspace.counts(m)
+            keep, counts = np.flatnonzero(train[j] > 0.0), workspace.count_rows(m)[1]
             np.take(train[j], keep, out=counts, mode="clip")
         x_fold, y_fold = workspace.vectors(m)[:2]
         np.take(x, keep, out=x_fold, mode="clip")
@@ -572,10 +532,11 @@ def cv_log_odds(
     classifier fitted on the remaining folds, with standardization refit
     on the training rows only.  Returns one value per point, the observed
     points first and then the simulated ones, each class in its dataset
-    order, and the last fold's decision function.  A univariate class of
-    whole counts is fitted on its distinct counts, each weighted by the
-    training points that take it, which is the fit on its points.  Both
-    classes must be regression data, or neither.
+    order, and the last fold's decision function.  When both classes are
+    univariate whole counts, they are fitted on their distinct counts,
+    each weighted by the training points that take it, which is the fit on
+    their points; otherwise both are fitted on their points.  Both classes
+    must be regression data, or neither.
 
     The folds are fitted in order, each started from the previous fold's
     decision function, and the first from ``start`` when given;

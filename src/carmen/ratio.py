@@ -50,9 +50,12 @@ def _simulate(
     post: TemperedPosterior, x_valid: Dataset, n_sim: int, rng: RngStream
 ) -> Dataset:
     # a regression draw discriminates conditional response behavior: it
-    # reuses the observed covariates, resampled with replacement
-    idx = rng.substream(0).generator().integers(0, len(x_valid), size=n_sim)
-    return predictive_sample(post, rng.substream(1), n_sim, like=x_valid.take(idx))
+    # reuses the observed covariates, resampled with replacement; a draw of
+    # values or counts takes no covariates
+    like = None
+    if x_valid.is_regression:
+        like = x_valid.take(rng.substream(0).generator().integers(0, len(x_valid), size=n_sim))
+    return predictive_sample(post, rng.substream(1), n_sim, like=like)
 
 
 def estimate_log_ratio(

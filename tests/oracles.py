@@ -5,7 +5,8 @@ quadrature and compares scipy's closed form of the tempered posterior,
 taken from the posterior's own parameters, against it at five parameter
 points, returning the worst relative error.
 The divergence oracles sum the exact beta-binomial truth against the
-negative-binomial predictive over the truth's finite support, and give
+negative-binomial predictive over the truth's finite support, sum a
+negative-binomial truth against it over a range whose rest is bounded, and give
 KL(truth || predictive) in closed form for a Gaussian predictive against
 a Gaussian or Laplace truth.  The exact
 log ratio is computed per level from each posterior's own one-level
@@ -210,6 +211,40 @@ def betabinom_predictive_kl(
     return -mean, math.sqrt(var)
 
 
+def nbinom_predictive_kl(post: PoissonGammaPosterior, truth: NegBinomialTruth) -> tuple[float, float]:
+    """Exact KL(truth || predictive) for a negative-binomial truth, and the sd of the per-point log ratio.
+
+    The truth NB(r, p) has pmf f(x) proportional to p^x (x + r - 1 choose x),
+    the predictive NB(s, q) with q = 1/(1 + rate) likewise.  Both moments
+    of the log ratio l = ln f - ln g are series over 0..X, where X is the
+    first count whose truth tail mass P(x > X) is below 1e-20.  The rest
+    is bounded: beyond X each step l(x+1) - l(x) = ln((x+r)/(x+s)) + ln(p/q)
+    moves monotonically towards ln(p/q), so |l(X+1+j)| <= a + B (j+1) with
+    a = |l(X)| and B the larger step magnitude, at X or in the limit; and
+    for r >= 1 the truth's pmf ratio p (x+r)/(x+1) falls with x, so
+    f(X+1+j) <= f(X+1) rho^j with rho its value at X+1.  The rest of the
+    k-th absolute moment is then at most f(X+1) sum_j rho^j (a + B (j+1))^k,
+    a closed form for k = 1, 2, which must stay below 1e-12.
+    """
+    f_dist, g_dist = stats.nbinom(truth.r, 1.0 - truth.p), nbinom_predictive(post)
+    grid = np.arange(int(f_dist.mean() + 60.0 * f_dist.std()))
+    X = int(grid[np.argmax(f_dist.sf(grid) < 1e-20)])
+    xs = np.arange(X + 1)
+    f, log_ratio = f_dist.pmf(xs), f_dist.logpmf(xs) - g_dist.logpmf(xs)
+    mean = float(np.sum(f * log_ratio))
+    var = float(np.sum(f * (log_ratio - mean) ** 2))
+
+    r, s, q = truth.r, post.shape, 1.0 / (1.0 + post.rate)
+    limit = math.log(truth.p / q)
+    a, B = abs(float(log_ratio[-1])), max(abs(math.log((X + r) / (X + s)) + limit), abs(limit))
+    rho, f_next = truth.p * (X + 1 + r) / (X + 2), float(f_dist.pmf(X + 1))
+    assert r >= 1.0 and rho < 1.0, (r, rho)
+    rest_1 = f_next * (a / (1 - rho) + B / (1 - rho) ** 2)
+    rest_2 = f_next * (a * a / (1 - rho) + 2 * a * B / (1 - rho) ** 2 + B * B * (1 + rho) / (1 - rho) ** 3)
+    assert max(rest_1, rest_2) < 1e-12, (X, rest_1, rest_2)
+    return mean, math.sqrt(var)
+
+
 def gaussian_predictive_kl(post: GaussianPosterior, truth: GaussianTruth | LaplaceTruth) -> float:
     """Exact KL(truth || N(post.mean, post.predictive_var)) for a Gaussian or Laplace truth.
 
@@ -279,9 +314,10 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
                  rng: RngStream, start: DecisionFunction | None = None):
     """``cv_log_odds`` computed from one raw (d, n_obs + n_sim) feature block.
 
-    Both classes' features are computed for every point up front.  A class
-    of whole counts keeps one column per distinct count, read from one of
-    its points, weighted per fold by its training points; each fold's
+    Both classes' features are computed for every point up front.  When
+    both classes are whole counts, each keeps one column per distinct
+    count, read from one of its points, weighted per fold by its training
+    points; otherwise each keeps one column per point.  Each fold's
     columns are copied out of the block, standardized and fitted from the
     previous fold's decision function, and every point is scored by
     ``fold_scores``.  Returns the out-of-fold values and the last fold's
@@ -292,6 +328,9 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
     g = rng.generator()
     fold_of = np.concatenate([_fold_ids(n_obs, k, g), _fold_ids(len(simulated), k, g)])
     tables = [_count_table(observed), _count_table(simulated)]
+    counted = all(table is not None for table in tables)
+    if not counted:
+        tables = [None, None]
     columns, train, labels = [], [], []
     for label, table, part, folds in zip(
         (0.0, 1.0), tables, (raw[:, :n_obs], raw[:, n_obs:]), (fold_of[:n_obs], fold_of[n_obs:])
@@ -309,7 +348,6 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
         labels.append(np.full(columns[-1].shape[1], label))
     columns, labels = np.hstack(columns), np.concatenate(labels)
     train = np.hstack(train).astype(float)
-    counted = any(table is not None for table in tables)
     coef = np.empty((k, raw.shape[0] + 1))
     decision = start
     for j in range(k):

@@ -480,6 +480,28 @@ class TestConfigFile:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "model,model_params,truth,truth_params,features",
+        [
+            ("gaussian", dict(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9), "laplace", dict(loc=1e200, scale=1.0),
+             ("x",)),
+            ("nig-regression", dict(coef_mean=0.0, precision_scale=1.0, shape=2.0, scale=2.0), "reg-tnoise",
+             dict(scale=1e170), ("abs_y", "y2", "ln_abs_y", "yx")),
+        ],
+        ids=["laplace-loc-1e200", "reg-tnoise-scale-1e170"],
+    )
+    def test_overflowing_update_data_named(self, model, model_params, truth, truth_params, features):
+        # Each draw is finite, but the sum of their squares overflows: the
+        # run fails on the update data, naming the column, and under the
+        # suite's RuntimeWarning filter no overflow warning escapes first.
+        cfg = ScenarioConfig(
+            scenario="custom", seed=1, model_family=model, model_params=model_params,
+            truth_family=truth, truth_params=truth_params, features=features,
+        )
+        message = "update data overflows float64: the sum of squares of its values is inf"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_scenario(cfg)
+
     @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
     def test_betabinom_trials_whole_number(self, tmp_path, capsys, trials, ok):
         cfg_file = tmp_path / "bb.cfg"

@@ -13,9 +13,9 @@ from carmen.data import Dataset
 from carmen.discriminator import (
     _LN_CLAMP,
     _TRANSFORMS,
-    DEFAULT_MAX_ITER,
     DEFAULT_RIDGE,
-    DEFAULT_TOL,
+    MAX_ITER,
+    TOL,
     DecisionFunction,
     FeatureMap,
     IrlsWorkspace,
@@ -31,7 +31,7 @@ from carmen.numerics import RngStream
 from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
-from oracles import FEATURE_EXPRESSIONS, fold_scores, log_odds, raw_block_cv
+from oracles import FEATURE_EXPRESSIONS, fold_scores, log_odds, raw_block_cv, raw_features
 
 
 def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
@@ -42,9 +42,15 @@ def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
 
 def _labeled_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> LabeledDesign:
     """Feature rows for both classes, standardization fitted on the union."""
-    raw_t = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
+    raw_t = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
     labels = np.concatenate([np.zeros(len(observed)), np.ones(len(simulated))])
     return _standardized_design(raw_t, labels)
+
+
+def _filled(fm: FeatureMap, data: Dataset) -> np.ndarray:
+    """The (d, n) features that ``FeatureMap.fill`` writes for ``data``, one row per transform."""
+    x, y = fm.columns(data)
+    return fm.fill(x, y, np.empty((len(fm.transforms), len(data))))
 
 
 class TestFeatureMap:
@@ -57,22 +63,22 @@ class TestFeatureMap:
 
     def test_raw_polynomials(self):
         fm = FeatureMap(("x", "x2"))
-        raw = fm.matrix(Dataset(np.array([3.0])))
-        assert np.array_equal(raw, [[3.0, 9.0]])
+        raw = _filled(fm, Dataset(np.array([3.0])))
+        assert np.array_equal(raw, [[3.0], [9.0]])
 
     def test_log_clamp_at_zero(self):
         fm = FeatureMap(("ln_abs_x",))
-        raw = fm.matrix(Dataset(np.array([0.0])))
+        raw = _filled(fm, Dataset(np.array([0.0])))
         assert raw[0, 0] == pytest.approx(math.log(1e-12))
 
     def test_regression_transforms(self):
         fm = FeatureMap(("y", "abs_y", "y2", "yx", "abs_yx", "yx2"))
         data = Dataset(np.array([-2.0]), covariates=np.array([0.5]))
-        assert np.allclose(fm.matrix(data), [[-2.0, 2.0, 4.0, -1.0, 1.0, 1.0]])
+        assert np.allclose(_filled(fm, data), [[-2.0], [2.0], [4.0], [-1.0], [1.0], [1.0]])
 
     def test_response_transform_needs_regression_data(self):
         with pytest.raises(ValueError):
-            FeatureMap(("y2",)).matrix(Dataset(np.array([1.0])))
+            FeatureMap(("y2",)).columns(Dataset(np.array([1.0])))
 
     def test_unknown_and_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -94,10 +100,10 @@ class TestFeatureMap:
         assert np.array_equal(design.sd, [1.0, 2.0])
         assert np.array_equal(design.features[:, 0], np.zeros(4))
 
-    def test_matrix_is_feature_major(self):
-        raw = FeatureMap(("x", "x2", "x3")).matrix(Dataset(np.array([1.0, 2.0])))
-        assert np.array_equal(raw, [[1.0, 1.0, 1.0], [2.0, 4.0, 8.0]])
-        assert raw.T.flags.c_contiguous
+    def test_fill_writes_one_feature_per_row(self):
+        out = np.empty((3, 2))
+        assert FeatureMap(("x", "x2", "x3")).fill(np.array([1.0, 2.0]), None, out) is out
+        assert np.array_equal(out, [[1.0, 2.0], [1.0, 4.0], [1.0, 8.0]])
 
     def test_standardized_design_works_in_place(self):
         g = RngStream(91).generator()
@@ -121,6 +127,13 @@ class TestFeatureMap:
         assert np.array_equal(design.features[:, 0], np.array([-1.0, 0.0, 1.0, 0.0]) / math.sqrt(0.5))
 
 
+def _softplus_and_sigmoid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The softplus and sigmoid that ``_softplus_sigmoid`` writes for ``eta``."""
+    soft, sig = np.empty_like(eta), np.empty_like(eta)
+    _softplus_sigmoid(eta, soft, sig)
+    return soft, sig
+
+
 class TestSoftplusSigmoid:
     ETA = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 36.0, -36.0, 40.0, -40.0, 745.0, -745.0, 1000.0, -1000.0])
 
@@ -129,28 +142,29 @@ class TestSoftplusSigmoid:
             ref_soft = np.logaddexp(0.0, self.ETA)
             ref_p = 1.0 / (1.0 + np.exp(-self.ETA))
         with np.errstate(all="raise", under="ignore"):
-            soft, p = _softplus_sigmoid(self.ETA)
+            soft, p = _softplus_and_sigmoid(self.ETA)
         np.testing.assert_array_max_ulp(soft, ref_soft, maxulp=2)
         np.testing.assert_array_max_ulp(p, ref_p, maxulp=4)
 
     def test_saturated_values(self):
         with np.errstate(all="raise", under="ignore"):
-            soft, p = _softplus_sigmoid(np.array([1000.0, -1000.0]))
+            soft, p = _softplus_and_sigmoid(np.array([1000.0, -1000.0]))
         assert np.array_equal(soft, [1000.0, 0.0])
         assert np.array_equal(p, [1.0, 0.0])
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1800, 18000])
-    def test_zero_start_is_filled_exactly(self, n):
+    def test_zero_start_is_filled_exactly(self, monkeypatch, n):
         # fit_logistic fills softplus(0) = ln 2 and sigmoid(0) = 1/2 instead
         # of evaluating them; both must be the evaluated values, bit for bit.
         with np.errstate(all="raise", under="ignore"):
-            soft, p = _softplus_sigmoid(np.zeros(n))
+            soft, p = _softplus_and_sigmoid(np.zeros(n))
         assert soft.tobytes() == np.full(n, math.log(2.0)).tobytes()
         assert p.tobytes() == np.full(n, 0.5).tobytes()
         if n >= 2:
             labels = (np.arange(n) % 2).astype(float)
             feats = RngStream(96).generator().normal(size=(n, 2))
-            fit = fit_logistic(LabeledDesign(feats, labels, np.zeros(2), np.ones(2)), max_iter=1)
+            monkeypatch.setattr(carmen.discriminator, "MAX_ITER", 1)
+            fit = fit_logistic(LabeledDesign(feats, labels, np.zeros(2), np.ones(2)))
             evaluated = float(labels @ np.zeros(n) - soft.sum()) - 0.5 * 1e-6 * 0.0
             assert np.float64(fit.objective_path[0]).tobytes() == np.float64(evaluated).tobytes()
 
@@ -221,11 +235,6 @@ class TestFitLogistic:
             (dict(ridge=math.nan), "ridge"),
             (dict(ridge=math.inf), "ridge"),
             (dict(ridge=-1e-6), "ridge"),
-            (dict(max_iter=0), "max_iter"),
-            (dict(tol=0.0), "tol"),
-            (dict(tol=-1e-8), "tol"),
-            (dict(tol=math.nan), "tol"),
-            (dict(tol=math.inf), "tol"),
         ],
     )
     def test_bad_settings_rejected(self, setting, name):
@@ -278,10 +287,11 @@ def _penalized_gradient(design: LabeledDesign, fit) -> np.ndarray:
 
 class TestConvergence:
     @pytest.mark.parametrize("make", [_overlapping_design, _separable_design])
-    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-4])
-    def test_converged_gradient_below_tol(self, make, tol):
+    @pytest.mark.parametrize("tol", [TOL, 1e-4])
+    def test_converged_gradient_below_tol(self, monkeypatch, make, tol):
         design = make()
-        fit = fit_logistic(design, tol=tol)
+        monkeypatch.setattr(carmen.discriminator, "TOL", tol)
+        fit = fit_logistic(design)
         assert fit.converged
         # The final full step is not evaluated: the path holds the start
         # and every line-searched step.
@@ -290,11 +300,12 @@ class TestConvergence:
         assert np.linalg.norm(_penalized_gradient(design, fit)) < tol * math.sqrt(n)
 
     @pytest.mark.parametrize("make", [_overlapping_design, _separable_design])
-    def test_max_iter_stop_is_not_converged(self, make):
+    def test_max_iter_stop_is_not_converged(self, monkeypatch, make):
         design = make()
         full = fit_logistic(design)
         assert full.converged and full.iterations > 2
-        cut = fit_logistic(design, max_iter=full.iterations - 1)
+        monkeypatch.setattr(carmen.discriminator, "MAX_ITER", full.iterations - 1)
+        cut = fit_logistic(design)
         assert not cut.converged
         assert cut.iterations == full.iterations - 1
         # The same line-searched steps, without the decrement stop's last one.
@@ -305,10 +316,9 @@ class TestConvergence:
         # no halving of the first step is accepted.
         softplus_sigmoid = carmen.discriminator._softplus_sigmoid
 
-        def raised(eta, soft=None, sig=None):
-            soft, sig = softplus_sigmoid(eta, soft, sig)
+        def raised(eta, soft, sig):
+            softplus_sigmoid(eta, soft, sig)
             soft += 1.0
-            return soft, sig
 
         monkeypatch.setattr(carmen.discriminator, "_softplus_sigmoid", raised)
         fit = fit_logistic(_overlapping_design())
@@ -321,7 +331,8 @@ class TestConvergence:
         # Scaling every Newton step makes lambda^2 tiny and negative, or NaN.
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: scale * solve(a, b))
-        fit = fit_logistic(_overlapping_design(), max_iter=5)
+        monkeypatch.setattr(carmen.discriminator, "MAX_ITER", 5)
+        fit = fit_logistic(_overlapping_design())
         assert not fit.converged
 
 
@@ -392,7 +403,7 @@ class TestWeightedFit:
         assert (a.iterations, a.converged) == (b.iterations, b.converged)
         assert a.converged
 
-    def test_decrement_stop_scales_with_total_count(self):
+    def test_decrement_stop_scales_with_total_count(self, monkeypatch):
         # tol is set so that the first step's decrement lies between
         # columns * tol^2 and sum(c) * tol^2: only a stop that counts the
         # points takes that step as the last.
@@ -400,9 +411,11 @@ class TestWeightedFit:
         columns, points = len(design.labels), float(design.counts.sum())
         tol = math.sqrt(_first_decrement(design) / points)
         assert columns * (tol * (1.0 + 1e-6)) ** 2 < _first_decrement(design)
-        stopped = fit_logistic(design, tol=tol * (1.0 + 1e-6))
+        monkeypatch.setattr(carmen.discriminator, "TOL", tol * (1.0 + 1e-6))
+        stopped = fit_logistic(design)
         assert (stopped.iterations, stopped.converged) == (1, True)
-        going_on = fit_logistic(design, tol=tol * (1.0 - 1e-6))
+        monkeypatch.setattr(carmen.discriminator, "TOL", tol * (1.0 - 1e-6))
+        going_on = fit_logistic(design)
         assert going_on.converged and going_on.iterations > 1
 
     @pytest.mark.parametrize("n, d", [(600, 2), (18_000, 6)], ids=["one-product", "two-products"])
@@ -468,8 +481,8 @@ class TestLogOdds:
         obs = Dataset(g.normal(0.0, 1.0, 400))
         sim = Dataset(g.normal(0.5, 1.2, 400))
         fm = FeatureMap(("x", "x2"))
-        raw_obs, raw_sim = fm.matrix(obs), fm.matrix(sim)
-        holdout = fm.matrix(Dataset(g.normal(0.0, 1.0, 50)))
+        raw_obs, raw_sim = raw_features(fm, obs).T, raw_features(fm, sim).T
+        holdout = raw_features(fm, Dataset(g.normal(0.0, 1.0, 50))).T
 
         def fit_and_score(scale, shift):
             raw = np.vstack([raw_obs, raw_sim]) * scale + shift
@@ -595,7 +608,7 @@ class TestCvLogOdds:
         vals = odds[: len(x_valid)]
 
         # reference: every fold fitted from beta = 0
-        raw_obs, raw_sim = fm.matrix(x_valid), fm.matrix(sim)
+        raw_obs, raw_sim = raw_features(fm, x_valid).T, raw_features(fm, sim).T
         g = cv_rng.generator()
         folds_obs = _fold_indices(len(x_valid), k, g)
         folds_sim = _fold_indices(len(sim), k, g)
@@ -659,7 +672,7 @@ class TestCvLogOdds:
         cv_log_odds(obs, sim, fm, k, 1e-6, RngStream(81))
         assert len(designs) == k
 
-        raw = np.vstack([fm.matrix(obs), fm.matrix(sim)])
+        raw = np.hstack([raw_features(fm, obs), raw_features(fm, sim)]).T
         fold_rng = RngStream(81).generator()
         folds_obs = _fold_indices(n_obs, k, fold_rng)
         folds_sim = _fold_indices(n_sim, k, fold_rng)
@@ -809,9 +822,9 @@ class TestCountClasses:
                 distinct, taken = np.unique(points, return_counts=True)
                 assert np.array_equal(counts[rows], taken)
                 assert np.array_equal(np.repeat(distinct, counts[rows].astype(int)), np.sort(points))
-                assert np.array_equal(feats[rows], (fm.matrix(Dataset(distinct)) - mu) / sd)
+                assert np.array_equal(feats[rows], (raw_features(fm, Dataset(distinct)).T - mu) / sd)
             assert np.array_equal(labels, np.sort(labels))
-            expanded = fm.matrix(Dataset(values[train]))
+            expanded = raw_features(fm, Dataset(values[train])).T
             assert np.allclose(mu, expanded.mean(axis=0), rtol=1e-12, atol=1e-12)
             assert np.allclose(sd, expanded.std(axis=0), rtol=1e-12, atol=1e-12)
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
@@ -833,21 +846,23 @@ class TestCountClasses:
             else:
                 assert has_lone.sum() == 1 and counts[labels == 0.0][has_lone][0] == 1.0
 
-    def test_count_class_beside_point_class(self, monkeypatch):
-        # Only the class of whole counts goes to its distinct counts; the
-        # other keeps a unit-count column per training point.
+    def test_count_class_beside_point_class_fits_points(self, monkeypatch):
+        # Distinct counts only when both classes are whole counts: a count
+        # class beside a point class is fitted, like it, one column per
+        # training point, bit for bit as without any count table.
         designs = _designs_with_counts(monkeypatch)
         g = RngStream(92).generator()
         obs, sim = Dataset(g.poisson(3.0, 200).astype(float)), Dataset(g.normal(3.0, 2.0, 200))
+        assert _count_table(obs) is not None and _count_table(sim) is None
         args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(93))
         mixed, _ = cv_log_odds(*args)
         monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
         points, _ = cv_log_odds(*args)
-        assert np.max(np.abs(mixed - points)) <= 1e-9 * max(1.0, np.max(np.abs(points)))
+        assert mixed.tobytes() == points.tobytes()
+        assert len(designs) == 10
         for feats, labels, mu, sd, counts in designs[:5]:
-            assert np.array_equal(counts[labels == 1.0], np.ones(160))
-            assert counts[labels == 0.0].sum() == 160 and np.all(counts[labels == 0.0] >= 1.0)
-            assert np.count_nonzero(labels == 0.0) <= np.unique(obs.values).size < 20
+            assert counts is None
+            assert np.count_nonzero(labels == 0.0) == np.count_nonzero(labels == 1.0) == 160
 
     def test_class_not_of_counts_gets_no_table_before_any_sort(self, monkeypatch):
         def no_sort(*args, **kwargs):
@@ -878,7 +893,7 @@ class TestCountClasses:
 
 
 def _row_major_fit(
-    X: np.ndarray, y: np.ndarray, ridge: float, start, tol: float = DEFAULT_TOL
+    X: np.ndarray, y: np.ndarray, ridge: float, start, tol: float = TOL
 ) -> tuple[np.ndarray, bool]:
     """IRLS on the row-major layout the package used before the feature-major one.
 
@@ -902,7 +917,7 @@ def _row_major_fit(
         if start_obj > obj:
             beta, eta, obj, soft = start, start_eta, start_obj, start_soft
     diagonal = np.arange(1, d + 1)
-    for _ in range(DEFAULT_MAX_ITER):
+    for _ in range(MAX_ITER):
         p = np.exp(eta - soft)
         grad = A.T @ (y - p)
         grad[1:] -= ridge * beta[1:]
@@ -927,8 +942,8 @@ def _row_major_fit(
 
 def _row_major_cv(observed, simulated, fm, k, ridge, rng):
     """``cv_log_odds`` on row-major (n, d) features with ``std(axis=0)`` standardization."""
-    raw_obs = np.column_stack(fm.matrix(observed).T)
-    raw_sim = np.column_stack(fm.matrix(simulated).T)
+    raw_obs = np.column_stack(raw_features(fm, observed))
+    raw_sim = np.column_stack(raw_features(fm, simulated))
     g = rng.generator()
     folds_obs = _fold_indices(len(observed), k, g)
     folds_sim = _fold_indices(len(simulated), k, g)
@@ -1119,8 +1134,9 @@ class TestOutOfFoldScoring:
     )
     def test_scores_equal_per_point_gather_and_product(self, monkeypatch, layout, draw):
         # Near-separable draws (values up to thousands of nats) and a count
-        # class beside a point class: every held-out value is bit for bit
-        # the one-gather-and-einsum score of its fold's decision function.
+        # class beside a point class, which is fitted on points: every
+        # held-out value is bit for bit the one-gather-and-einsum score of
+        # its fold's decision function.
         records = []
         fit = carmen.discriminator.fit_logistic
 
@@ -1133,11 +1149,11 @@ class TestOutOfFoldScoring:
         observed, simulated, fm, k, ridge, rng = draw()
         vals, last = cv_log_odds(observed, simulated, fm, k, ridge, rng)
         assert len(records) == k
-        assert all(counted == (layout != "points") for counted, _ in records)
+        assert all(counted == (layout == "counts") for counted, _ in records)
         g = rng.generator()
         fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
         coef = np.array([[decision.intercept, *decision.weights] for _, decision in records])
-        raw = np.hstack([fm.matrix(observed).T, fm.matrix(simulated).T])
+        raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
         assert vals.tobytes() == fold_scores(coef, fold_of, raw).tobytes()
         assert last.intercept == coef[-1, 0] and last.weights.tobytes() == coef[-1, 1:].tobytes()
 
@@ -1195,18 +1211,19 @@ class TestDataColumnFeatures:
             rows = FeatureMap(tuple(_TRANSFORMS)).fill(x_fold, y_fold, workspace.design(keep.size)[1:])
             for name, row in zip(_TRANSFORMS, rows):
                 expected = FEATURE_EXPRESSIONS[name](x, y)
-                whole = _TRANSFORMS[name](x, y, np.empty(x.size))
+                whole = np.empty(x.size)
+                _TRANSFORMS[name](x, y, whole)
                 assert whole.tobytes() == expected.tobytes(), name
                 assert row.tobytes() == expected[keep].tobytes(), name
 
-    def test_matrix_is_the_expressions(self):
+    def test_fill_of_a_datasets_columns_is_the_expressions(self):
         x, y = _columns_with_edge_values()
         univariate = ("x", "abs_x", "x2", "x3", "x4", "ln_abs_x")
         with np.errstate(over="ignore"):
             for names, data, y_col in ((univariate, Dataset(x), None),
                                        (tuple(_TRANSFORMS), Dataset(y, covariates=x), y)):
                 expected = np.vstack([FEATURE_EXPRESSIONS[name](x, y_col) for name in names])
-                assert FeatureMap(names).matrix(data).T.tobytes() == expected.tobytes()
+                assert _filled(FeatureMap(names), data).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "layout, draw",

@@ -139,6 +139,17 @@ class TestEstimateLogRatio:
         with pytest.raises(ValueError):
             estimate_log_ratio(post, xv, FeatureMap(("x",)), 10, RngStream(115), n_sim=5)
 
+    def test_univariate_simulation_takes_no_covariates(self, monkeypatch):
+        # only a regression draw resamples the validation covariates
+        def take(self, indices):
+            raise AssertionError("Dataset.take called for univariate data")
+
+        monkeypatch.setattr(Dataset, "take", take)
+        post = _unit_gaussian_posterior()
+        xv = GaussianTruth(0.0, 2.0).sample(RngStream(118), 100)
+        est, rev = estimate_log_ratio(post, xv, FeatureMap(("x", "x2")), 5, RngStream(119))
+        assert est.n == rev.n == 100
+
     def test_regression_simulation_reuses_covariates(self):
         from carmen.conjugate import NIGRegressionModel
         from carmen.truths import TNoiseRegressionTruth

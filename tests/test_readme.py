@@ -1,9 +1,11 @@
-"""The README's documented library surface against the package."""
+"""The README's documented library surface and command line against the package."""
 
+import argparse
 import re
 from pathlib import Path
 
 import carmen
+from carmen.cli import ScenarioConfig, _build_parser, load_config_file
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +28,30 @@ def test_library_surface_block_is_all():
     assert len(documented) == len(set(documented)), "the block names a name twice"
     assert set(documented) == set(carmen.__all__) - {"__version__"}
     assert carmen.__all__ == ["__version__", *documented]  # in the block's order
+
+
+def _code_block_after(heading: str, opening: str) -> str:
+    """The first fenced block after ``heading`` whose text starts with ``opening``."""
+    section = README.read_text().split(heading, 1)[1]
+    block = re.search(r"```\n(" + re.escape(opening) + r".*?)```", section, re.S)
+    assert block, f"README has no block starting {opening!r} after {heading!r}"
+    return block.group(1)
+
+
+def test_run_synopsis_names_the_run_options():
+    synopsis = _code_block_after("## Command line", "carmen run").split("carmen list")[0]
+    documented = re.findall(r"--[\w-]+", synopsis)
+    assert len(documented) == len(set(documented)), "the synopsis names an option twice"
+    (subparsers,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run = subparsers.choices["run"]
+    options = {o for a in run._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+    assert set(documented) == options
+
+
+def test_custom_scenario_block_loads_and_binds(tmp_path):
+    cfg_file = tmp_path / "custom.cfg"
+    cfg_file.write_text(_code_block_after("Custom scenarios use", "scenario = custom"))
+    cfg = ScenarioConfig.from_dict(load_config_file(cfg_file))
+    assert cfg.scenario == "custom" and cfg.features
+    binding = cfg.binding()
+    assert (binding.model.kind, binding.truth.kind) == ("real", "real")

@@ -17,7 +17,7 @@ from carmen.truths import (
     SigmoidRegressionTruth,
     TNoiseRegressionTruth,
 )
-from oracles import GAUSS_MODEL, exact_log_ratio, gaussian_predictive_kl, std_error
+from oracles import GAUSS_MODEL, POISSON_MODEL, exact_log_ratio, gaussian_predictive_kl, nbinom_predictive_kl, std_error
 
 ALL_TRUTHS = [
     GaussianTruth(0.0, 3.01),
@@ -198,6 +198,19 @@ class TestTrueLogRatio:
         post = temper_update(GAUSS_MODEL, stats, t)
         est = exact_log_ratio(post, truth, truth.sample(RngStream(51), 200000))
         assert abs(est.mean + gaussian_predictive_kl(post, truth)) < 4 * std_error(est)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 1.0])
+    def test_mean_log_ratio_is_minus_nbinom_series_kl(self, t):
+        # poisson-nb's predictive against 200,000 truth draws: the mean
+        # exact log ratio estimates -KL(truth || predictive), a series with
+        # a bounded rest, and its spread the oracle's sd
+        truth = NegBinomialTruth(63.0, 0.488)
+        stats = SufficientStats.from_dataset(truth.sample(RngStream(50), 1000))
+        post = temper_update(POISSON_MODEL, stats, t)
+        kl, sd = nbinom_predictive_kl(post, truth)
+        est = exact_log_ratio(post, truth, truth.sample(RngStream(51), 200000))
+        assert abs(est.mean + kl) < 4 * std_error(est)
+        assert est.per_point.std() == pytest.approx(sd, rel=0.02)
 
     @pytest.mark.parametrize(
         "truth,model,t",
