@@ -6,9 +6,9 @@ taken from the posterior's own parameters, against it at five parameter
 points, returning the worst relative error.
 The divergence oracles sum the exact beta-binomial truth against the
 negative-binomial predictive over the truth's finite support, sum a
-negative-binomial truth against it over a range whose rest is bounded, and give
-KL(truth || predictive) in closed form for a Gaussian predictive against
-a Gaussian or Laplace truth.  The exact
+negative-binomial truth against it over a range whose rest is bounded,
+and give KL(truth || predictive) in closed form for a Gaussian
+predictive against a Gaussian or Laplace truth.  The exact
 log ratio is computed per level from each posterior's own one-level
 ``predictive_logpdf(data)`` method, independently of the batched grid scan.
 A fit's log-odds on standardized rows are scored directly from its
