@@ -47,7 +47,10 @@ class Dataset:
         return Dataset(self.values[idx], cov)
 
     def split(self, n: int) -> tuple["Dataset", "Dataset"]:
-        """First ``n`` points and the remainder, in order."""
+        """First ``n`` points and the remainder, in order, as views of this dataset's arrays."""
         if not 0 < n < len(self):
             raise ValueError(f"split point {n} outside (0, {len(self)})")
-        return self.take(np.arange(n)), self.take(np.arange(n, len(self)))
+        return tuple(
+            Dataset(self.values[part], None if self.covariates is None else self.covariates[part])
+            for part in (slice(0, n), slice(n, None))
+        )

@@ -165,9 +165,11 @@ class IrlsWorkspace:
     n-point fit: row 0 the intercept's ones, rows 1..d the standardized
     features, and ``count_rows(n)[1]`` the points each column stands for;
     a caller may write both there before the fit, and may use
-    ``vectors(n)`` until the fit starts.  The two count rows exist only
-    once a counted design asks for them.  The weighted design holds one
-    block of at most ``block`` = min(capacity, GRAM_BLOCK) columns.
+    ``vectors(n)`` until the fit starts.  The fit keeps four length-n
+    vectors: the linear predictor, the candidate one, the softplus and the
+    sigmoid.  The two count rows exist only once a counted design asks for
+    them.  The weighted design holds one block of at most ``block`` =
+    min(capacity, GRAM_BLOCK) columns.
     """
 
     def __init__(self, d: int, capacity: int) -> None:
@@ -176,7 +178,7 @@ class IrlsWorkspace:
         self.block = min(capacity, GRAM_BLOCK)
         self._design = np.empty((d + 1) * capacity)
         self._weighted = np.empty((d + 2) * self.block)
-        self._vectors = np.empty((5, capacity))
+        self._vectors = np.empty((4, capacity))
         self._count_rows: np.ndarray | None = None
 
     def design(self, n: int) -> np.ndarray:
@@ -193,7 +195,7 @@ class IrlsWorkspace:
         return self._weighted[: (self.d + 2) * n].reshape(self.d + 2, n)
 
     def vectors(self, n: int) -> np.ndarray:
-        """Five (n,) buffers, one per row."""
+        """Four (n,) buffers, one per row."""
         return self._vectors[:, :n]
 
 
@@ -291,7 +293,10 @@ def fit_logistic(
     AT = workspace.design(n)
     AT[0] = 1.0
     AT[1:] = X.T
-    eta, cand_eta, soft, p, cand_p = workspace.vectors(n)
+    # p holds the sigmoid of eta until the step's Hessian is formed; the
+    # line search then writes each candidate's sigmoid over it, which is
+    # the sigmoid of eta again once the candidate is taken.
+    eta, cand_eta, soft, p = workspace.vectors(n)
     # Each sum over points weighs a row by its count c: the log-likelihood
     # sum c (y eta - softplus eta), the gradient sum c (y - p) a and the
     # Hessian sum c p (1 - p) a a^T.  Without counts c is 1 and every
@@ -330,17 +335,18 @@ def fit_logistic(
     beta = np.zeros(d + 1)
     eta.fill(0.0)
     soft.fill(_LN2)
-    p.fill(0.5)
     obj = value(eta, beta)
     if start is not None:
         start = np.array(start, dtype=float)
         if start.shape != beta.shape:
             raise ValueError(f"start has shape {start.shape}, expected {beta.shape}")
         np.matmul(start, AT, out=cand_eta)
-        start_obj = objective(cand_eta, start, cand_p)
+        start_obj = objective(cand_eta, start, p)
         if start_obj > obj:
             beta, obj = start, start_obj
-            eta, cand_eta, p, cand_p = cand_eta, eta, cand_p, p
+            eta, cand_eta = cand_eta, eta
+    if beta is not start:  # p holds the sigmoid of a taken start, else that of beta = 0
+        p.fill(0.5)
     path = [obj]
     converged = False
     bumps = 0
@@ -369,7 +375,7 @@ def fit_logistic(
                 break
             bumps += 1
             lam = lam * 10.0 if lam > 0.0 else 1e-6
-            obj = objective(eta, beta, cand_p)
+            obj = objective(eta, beta, p)
             continue
         # lambda^2 = grad @ delta = delta @ hess @ delta: the w-weighted sum
         # of squares of the step's change to eta (plus its ridge term), and
@@ -384,7 +390,7 @@ def fit_logistic(
         np.add(eta, np.matmul(delta, AT, out=cand_eta), out=cand_eta)
         for _ in range(30):
             cand = beta + step * delta
-            cand_obj = objective(cand_eta, cand, cand_p)
+            cand_obj = objective(cand_eta, cand, p)
             if cand_obj >= obj - 1e-13 * abs(obj):
                 break
             step *= 0.5
@@ -394,7 +400,7 @@ def fit_logistic(
             break
         iterations += 1
         beta, obj = cand, cand_obj
-        eta, cand_eta, p, cand_p = cand_eta, eta, cand_p, p
+        eta, cand_eta = cand_eta, eta
         path.append(obj)
 
     return LogisticFit(
@@ -434,6 +440,38 @@ def _training_counts(table: CountTable, fold_ids: np.ndarray, k: int) -> np.ndar
     return (held.sum(axis=0) - held).astype(float)
 
 
+def _non_finite_feature(
+    fm: FeatureMap, design: LabeledDesign, x: np.ndarray, y: np.ndarray | None,
+    counts: np.ndarray | None, m_obs: int, fold: int,
+) -> ValueError:
+    """The error of a fold whose standardization is not finite.
+
+    It names the first feature whose mean or sd is not finite, and the
+    class whose training points make it so: a class whose own share of
+    that moment's sum (of the feature's values for the mean, of their
+    squared deviations from the mean for the sd) is not finite, or both
+    classes when only their total is not.  ``x`` and ``y`` are the fold's
+    gathered columns, observed points first.
+    """
+    r = int(np.argmin(np.isfinite(design.mean) & np.isfinite(design.sd)))
+    name = fm.transforms[r]
+    values = np.empty(x.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _TRANSFORMS[name](x, y, values)
+        if math.isfinite(design.mean[r]):
+            moment, value, terms = "sd", design.sd[r], np.square(values - design.mean[r])
+        else:
+            moment, value, terms = "mean", design.mean[r], values
+        if counts is not None:
+            terms = terms * counts
+        shares = (terms[:m_obs].sum(), terms[m_obs:].sum())
+    classes = [cls for cls, share in zip(("observed", "simulated"), shares) if not math.isfinite(share)]
+    return ValueError(
+        f"feature {name!r} of the {' and '.join(classes or ['observed', 'simulated'])} points "
+        f"has a non-finite {moment} ({value}) on the training points of fold {fold}"
+    )
+
+
 def _fit_folds(
     observed: Dataset,
     simulated: Dataset,
@@ -448,37 +486,36 @@ def _fit_folds(
 
     Returns the (k, d+1) table whose row j is fold j's decision function
     ``[intercept, *weights]``, and the last fold's decision function.
-    Everything the fits share (count tables, training columns, labels and
-    the IRLS workspace) lives only in this call, so it is freed before
-    the held-out points are scored.
+    Everything the fits share (count tables, labels and the IRLS
+    workspace) lives only in this call, so it is freed before the
+    held-out points are scored.
 
-    ``columns`` holds each class's (x, y) data columns.  Both classes'
-    columns are pooled, observed first.  A fold gathers the pooled columns
-    it keeps, in order, into two of the vectors of one workspace, sized
-    for the largest training fold, that all k fits share, and computes
-    its features from them straight into the design rows; its labels are
-    a view of one label vector.  A fold keeps the points outside it,
-    unless both classes are whole counts: then each class contributes its
-    distinct counts, ``train[j]`` holds the training points per column,
-    and a fold keeps the columns with any.
+    ``columns`` holds each class's (x, y) data columns.  A fold gathers
+    the columns it keeps of each class, in order, into two of the vectors
+    of one workspace, sized for the largest training fold, that all k fits
+    share: the observed points at the front, the simulated ones behind
+    them.  It computes its features from those vectors straight into the
+    design rows; its labels are a view of one label vector.  A fold keeps
+    the points outside it, unless both classes are whole counts: then each
+    class's columns are its distinct counts, row j of its training table
+    holds the training points per count, and a fold keeps the counts with
+    any.  A fold whose feature means or sds are not finite raises a
+    ``ValueError`` naming the feature and the class.
     """
     n_obs, n_sim = len(observed), len(simulated)
     d = len(fm.transforms)
-    fold_obs, fold_sim = fold_of[:n_obs], fold_of[n_obs:]
+    folds = (fold_of[:n_obs], fold_of[n_obs:])
     tables = (_count_table(observed), _count_table(simulated))
     if any(table is None for table in tables):
-        train = None
-        m_obs = n_obs - np.bincount(fold_obs, minlength=k)
-        m_sim = n_sim - np.bincount(fold_sim, minlength=k)
+        trains = (None, None)
+        m_obs = n_obs - np.bincount(folds[0], minlength=k)
+        m_sim = n_sim - np.bincount(folds[1], minlength=k)
     else:
-        train_obs, train_sim = (
-            _training_counts(table, folds, k) for table, folds in zip(tables, (fold_obs, fold_sim))
-        )
+        trains = tuple(_training_counts(table, f, k) for table, f in zip(tables, folds))
         columns = tuple((table.counts, None) for table in tables)
-        train = np.hstack([train_obs, train_sim])
-        m_obs, m_sim = np.count_nonzero(train_obs, axis=1), np.count_nonzero(train_sim, axis=1)
+        m_obs, m_sim = (np.count_nonzero(train, axis=1) for train in trains)
     # The classes are of one kind, so y is absent from both or from neither.
-    x, y = (None if obs is None else np.concatenate([obs, sim]) for obs, sim in zip(*columns))
+    regression = columns[0][1] is not None
     workspace = IrlsWorkspace(d, int(np.max(m_obs + m_sim)))
     labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
 
@@ -491,19 +528,27 @@ def _fit_folds(
     decision = start
     for j in range(k):
         m = m_obs[j] + m_sim[j]
+        x_fold, y_fold = workspace.vectors(m)[:2]
+        counts = None if trains[0] is None else workspace.count_rows(m)[1]
         # np.take with mode="raise" fills a copy of ``out`` and copies it
         # back; the indices are in range, so "clip" gathers straight into it.
-        if train is None:
-            keep, counts = np.flatnonzero(fold_of != j), None
-        else:
-            keep, counts = np.flatnonzero(train[j] > 0.0), workspace.count_rows(m)[1]
-            np.take(train[j], keep, out=counts, mode="clip")
-        x_fold, y_fold = workspace.vectors(m)[:2]
-        np.take(x, keep, out=x_fold, mode="clip")
-        y_fold = None if y is None else np.take(y, keep, out=y_fold, mode="clip")
-        del keep  # so that two folds' indices are never held at once
-        block = fm.fill(x_fold, y_fold, workspace.design(m)[1:])
-        design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]], counts)
+        parts = (slice(0, m_obs[j]), slice(m_obs[j], m))
+        for (x, y), fold, train, part in zip(columns, folds, trains, parts):
+            if train is None:
+                keep = np.flatnonzero(fold != j)
+            else:
+                keep = np.flatnonzero(train[j] > 0.0)
+                np.take(train[j], keep, out=counts[part], mode="clip")
+            np.take(x, keep, out=x_fold[part], mode="clip")
+            if regression:
+                np.take(y, keep, out=y_fold[part], mode="clip")
+            del keep  # so that two classes' indices are never held at once
+        y_fold = y_fold if regression else None
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
+            block = fm.fill(x_fold, y_fold, workspace.design(m)[1:])
+            design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]], counts)
+        if not all(map(math.isfinite, design.mean.tolist() + design.sd.tolist())):
+            raise _non_finite_feature(fm, design, x_fold, y_fold, counts, m_obs[j], j)
         fit = fit_logistic(
             design,
             ridge=ridge,

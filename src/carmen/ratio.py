@@ -79,7 +79,8 @@ def estimate_log_ratio(
     -KL(truth || model).  The reverse estimate is the same log-ratio at
     each simulated point with its sign flipped, so its mean estimates
     -KL(model || truth) in the same orientation.  Both carry the last
-    fold's decision function.
+    fold's decision function, and each holds its own values, so a caller
+    that keeps one estimate frees the other's.
     """
     n_obs = len(x_valid)
     if n_sim is None:
@@ -90,6 +91,6 @@ def estimate_log_ratio(
     odds, decision = cv_log_odds(x_valid, simulated, fm, k, ridge, rng.substream(2), start=start)
     odds += math.log(n_obs / n_sim)
     return (
-        LogRatioEstimate.from_per_point(odds[:n_obs], decision),
+        LogRatioEstimate.from_per_point(odds[:n_obs].copy(), decision),
         LogRatioEstimate.from_per_point(-odds[n_obs:], decision),
     )

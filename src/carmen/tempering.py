@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import Model, SufficientStats, TemperedPredictive
+from .conjugate import Model, SufficientStats, TemperedPosterior, TemperedPredictive
 from .data import Dataset
 from .discriminator import DEFAULT_RIDGE, FeatureMap
 from .numerics import RngStream
@@ -140,6 +140,33 @@ class TemperingCurve:
     reverse_at_t_star: LogRatioEstimate | None = None
 
 
+def _search(
+    model: Model, truth: TruthSpec | None, x_update: Dataset, x_valid: Dataset, ts: np.ndarray
+) -> tuple[list, tuple[float, float, bool], TemperedPosterior, LogRatioEstimate | None]:
+    """The t* search and the exact log ratios, before any classifier is fitted.
+
+    One batched pass over the grid evaluates each level's predictive
+    density once; its sum is both the t* search's grid score and the
+    curve's log predictive, and, less the truth density (evaluated once
+    per call), the analytic log ratio.  Returns each grid level's
+    ``(posterior, log predictive, exact log-ratio sum or None)``,
+    ``_refine``'s ``(t_star, log_predictive, at_boundary)``, the posterior
+    at t* and the exact estimate there.  The search's per-point arrays
+    live only in this call, so the classifier calls that follow do not
+    hold them.
+    """
+    pred = TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
+    truth_lp = None if truth is None else truth.logpdf(x_valid)
+    levels = [
+        (post, _level_score(post.t, lp_vec), None if truth_lp is None else float((lp_vec - truth_lp).sum()))
+        for post, lp_vec in pred.levels(ts)
+    ]
+    refined = _refine(pred, ts, np.array([lp for _, lp, _ in levels]))
+    ((post_star, lp_star),) = pred.levels([refined[0]])
+    true_star = None if truth_lp is None else LogRatioEstimate.from_per_point(lp_star - truth_lp)
+    return levels, refined, post_star, true_star
+
+
 def curve(
     model: Model,
     truth: TruthSpec | None,
@@ -155,15 +182,14 @@ def curve(
 ) -> TemperingCurve:
     """Diagnostics along the tempering grid plus the headline result at t*.
 
-    One batched pass over the grid evaluates each level's predictive
-    density once; its sum is both the t* search's grid score and the
-    curve's log predictive, and, less the truth density (evaluated once
-    per call), the analytic log ratio.  Classifier-based estimates along
-    the whole grid cost one cross-validated fit per point and are opt-in
-    via ``full_curve``; the estimate at t* is always computed.  A level
-    whose log predictive cannot be evaluated, or is not finite, aborts
-    the run, since t* needs every level; any later failure at a level
-    is recorded with missing fields.
+    The t* search and the exact log ratios come first (``_search``), so
+    the classifier fits that follow hold none of its per-point arrays.
+    Classifier-based estimates along the whole grid cost one
+    cross-validated fit per point and are opt-in via ``full_curve``; the
+    estimate at t* is always computed.  A level whose log predictive
+    cannot be evaluated, or is not finite, aborts the run, since t* needs
+    every level; any later failure at a level is recorded with missing
+    fields.
 
     The classifier fits of a run form one chain: each grid level's
     cross-validated fit starts from the last good level's decision
@@ -171,22 +197,19 @@ def curve(
     nearest t* (in log t), and the reverse estimate from the estimate at
     t*.  So the levels are fitted in order.
     """
-    pred = TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
-    truth_lp = None if truth is None else truth.logpdf(x_valid)
     ts = grid.values
-    scores = np.empty(ts.size)
+    levels, refined, post_star, true_star = _search(model, truth, x_update, x_valid, ts)
+    t_star, lp_at_t_star, at_boundary = refined
     points: list[CurvePoint] = []
     decision = None  # the last good level's classifier
     carried = []  # the classifier carried out of each level
-    for i, (post, lp_vec) in enumerate(pred.levels(ts)):
-        scores[i] = lp = _level_score(post.t, lp_vec)
+    for i, (post, lp, true_sum) in enumerate(levels):
         try:
-            true_sum = None if truth_lp is None else float((lp_vec - truth_lp).sum())
             approx_sum = t_stat = p_value = None
             if full_curve:
-                est, _ = estimate_log_ratio(
+                est = estimate_log_ratio(
                     post, x_valid, fm, k, rng.substream(_SUB_GRID_BASE + i), ridge=ridge, start=decision
-                )
+                )[0]
                 res = t_test_logz(est)
                 approx_sum = est.sum
                 t_stat = res.statistic
@@ -206,16 +229,12 @@ def curve(
             points.append(CurvePoint(t=post.t, log_predictive=None))
         carried.append(decision)
 
-    t_star, lp_at_t_star, at_boundary = _refine(pred, ts, scores)
-    ((post_star, lp_star),) = pred.levels([t_star])
     nearest = int(np.argmin(np.abs(np.log(ts) - math.log(t_star))))
-    est_star, _ = estimate_log_ratio(
+    # Only the forward half is kept, so the reverse half is freed here.
+    est_star = estimate_log_ratio(
         post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), ridge=ridge, start=carried[nearest]
-    )
+    )[0]
     test_star = t_test_logz(est_star)
-    true_star = None
-    if truth_lp is not None:
-        true_star = LogRatioEstimate.from_per_point(lp_star - truth_lp)
     reverse_star = None
     if reverse:
         _, reverse_star = estimate_log_ratio(

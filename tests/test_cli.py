@@ -502,6 +502,31 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize(
+        "loc,features,message",
+        [
+            ("1e100", "x, x2", "feature 'x2' of the observed and simulated points has a non-finite sd (inf)"),
+            ("1e80", "x, x4", "feature 'x4' of the observed and simulated points has a non-finite mean (inf)"),
+        ],
+        ids=["x2-sd", "x4-mean"],
+    )
+    def test_non_finite_feature_named(self, tmp_path, capsys, loc, features, message):
+        # Every draw is finite.  At loc = 1e100 each x2 is finite, but the
+        # squared spread of x2 across the two classes overflows, so its sd
+        # is inf; at loc = 1e80 x4 itself overflows.  Either way the CV
+        # call at t* fails on its first fold, naming the feature and the
+        # classes, before any output is written; under the suite's
+        # RuntimeWarning filter no warning escapes first.
+        cfg_file = tmp_path / "overflow.cfg"
+        cfg_file.write_text(
+            "scenario = custom\nseed = 1\nn_update = 100\nn_validate = 100\nfolds = 5\n"
+            "model = gaussian\nmodel.noise_sd = 0.1\nmodel.prior_mean = 0\nmodel.prior_sd = 9.9\n"
+            f"truth = laplace\ntruth.loc = {loc}\ntruth.scale = 1\nfeatures = {features}\n"
+        )
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message} on the training points of fold 0\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("trials,ok", [("80", True), ("80.0", True), ("80.5", False)])
     def test_betabinom_trials_whole_number(self, tmp_path, capsys, trials, ok):
         cfg_file = tmp_path / "bb.cfg"

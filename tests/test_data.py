@@ -19,3 +19,17 @@ class TestDataset:
         with pytest.raises(ValueError, match=rf"^covariates must be finite, got {bad}$"):
             Dataset(np.array([1.0, 2.0, 3.0]), covariates=np.array([0.5, 0.0, bad]))
 
+
+    @pytest.mark.parametrize("regression", [False, True], ids=["univariate", "regression"])
+    def test_split_halves_are_views_equal_to_takes(self, regression):
+        g = np.random.default_rng(5)
+        data = Dataset(g.normal(size=50), g.normal(size=50) if regression else None)
+        for half, indices in zip(data.split(20), (np.arange(20), np.arange(20, 50))):
+            taken = data.take(indices)
+            assert np.shares_memory(half.values, data.values)
+            assert half.values.tobytes() == taken.values.tobytes()
+            if regression:
+                assert np.shares_memory(half.covariates, data.covariates)
+                assert half.covariates.tobytes() == taken.covariates.tobytes()
+            else:
+                assert half.covariates is None and taken.covariates is None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import carmen.discriminator
-from carmen.cli import ScenarioConfig
+from carmen.cli import ScenarioConfig, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
 from carmen.discriminator import (
@@ -418,10 +418,11 @@ class TestWeightedFit:
         going_on = fit_logistic(design)
         assert going_on.converged and going_on.iterations > 1
 
-    @pytest.mark.parametrize("n, d", [(600, 2), (18_000, 6)], ids=["one-product", "two-products"])
+    @pytest.mark.parametrize("n, d", [(600, 2), (18_000, 6)], ids=["one-block", "five-blocks"])
     def test_unit_counts_are_the_unweighted_fit(self, n, d):
-        # (d+2)(d+1)n crosses 1e6 at d = 6, n = 18,000, where the Hessian
-        # and gradient come from two products instead of one.
+        # The Hessian and gradient are summed over blocks of at most
+        # GRAM_BLOCK = 4,096 columns: 600 columns are one block, 18,000
+        # columns five.
         g = RngStream(58).generator()
         feats = g.normal(size=(n, d))
         eta = 0.8 * feats[:, 0] - 0.4 * feats[:, 1]
@@ -1174,16 +1175,84 @@ class TestOutOfFoldScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m = 2 * (n - n // k)  # the largest training fold: 18,000 points
-        # The (d+1)-row design, the (d+2)-row weighted design of one
-        # 4,096-column block and five vectors: 1,990,144 B, 1.90 MiB.
-        workspace = 8 * ((d + 1) * m + (d + 2) * 4096 + 5 * m)
-        # Both classes' covariate and response columns, pooled: 320,000 B.
-        pooled = 8 * 2 * (2 * n)
-        # 2.70 MiB in all.  Fold ids, labels and one fold's training
-        # indices take 0.44 MiB of the allowance.  The raw (d, 2n) feature
-        # block alone was 0.92 MiB, and a whole-fold weighted design 1.10 MiB.
-        assert peak - before < workspace + pooled + 2**19
+        assert peak - before < _cv_workspace(d, 2 * (n - n // k)) + 2**19
+
+    def test_large_n_run_holds_the_cv_call_and_what_it_still_reads(self):
+        # One reg-sigmoid run at large-n's sizes: 1,000 update and 10,000
+        # validation points, 10 folds, reverse KL on.  Its peak is in the
+        # reverse estimate's CV call.
+        cfg = ScenarioConfig(scenario="reg-sigmoid", seed=0, n_validate=10_000, reverse_kl=True)
+        n_update, n, k = cfg.n_update, cfg.n_validate, cfg.folds
+        run_scenario(ScenarioConfig(scenario="reg-sigmoid", seed=0, n_validate=200, reverse_kl=True))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cv_call = _cv_workspace(6, 2 * (n - n // k)) + 2**19
+        # The sample's covariates and responses, held once: 176,000 B.
+        sample = 8 * 2 * (n_update + n)
+        # The simulated class's covariates and responses: 160,000 B.
+        simulated = 8 * 2 * n
+        # The forward and the exact per-point estimates at t*: 160,000 B.
+        estimates = 8 * 2 * n
+        # 2.80 MiB in all, with 64 KiB for the run's posteriors, curve
+        # points and decision functions.  That leaves no room for what the
+        # classifier calls do not read: the t* search's per-point terms,
+        # truth density and rows, the reverse half of the forward t* call
+        # or a second copy of the sample.
+        assert peak - before < cv_call + sample + simulated + estimates + 2**16
+
+
+def _cv_workspace(d: int, m: int) -> int:
+    """Bytes of the IRLS workspace of a CV call on d features whose largest training fold has m points.
+
+    The (d+1)-row design, the (d+2)-row weighted design of one 4,096-column
+    block and four vectors: at reg-sigmoid's d = 6 and m = 18,000 points,
+    1,846,144 B, 1.76 MiB.  The CV call's allowance of 2**19 B, 0.5 MiB,
+    holds its fold ids and labels (0.31 MiB at 2 x 10,000 points) and one
+    class's training indices, so it leaves no room for a copy of the data
+    columns (0.31 MiB), a fifth vector (0.14 MiB), the raw (d, 2n) feature
+    block (0.92 MiB) or a whole-fold weighted design (1.10 MiB).
+    """
+    return 8 * ((d + 1) * m + (d + 2) * 4096 + 4 * m)
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("kind", ["points", "counts"])
+    @pytest.mark.parametrize("overflowing", ["observed", "simulated"])
+    def test_overflowing_class_named(self, kind, overflowing):
+        # Three values of 1e80 in one class: their x4 overflows to inf, so
+        # the mean of x4 over any training fold that holds one is inf.  The
+        # CV call fails there, naming the feature and that class only, and
+        # under the suite's RuntimeWarning filter no warning escapes first.
+        g = RngStream(112).generator()
+        if kind == "points":
+            plain, big = g.normal(size=60), g.normal(size=60)
+        else:
+            plain, big = g.poisson(3.0, 60).astype(float), g.poisson(3.0, 60).astype(float)
+        big[[5, 25, 45]] = 1e80
+        data = {"observed": Dataset(plain), "simulated": Dataset(plain)}
+        data[overflowing] = Dataset(big)
+        message = (
+            rf"^feature 'x4' of the {overflowing} points has a non-finite mean \(inf\) "
+            r"on the training points of fold \d$"
+        )
+        with pytest.raises(ValueError, match=message):
+            cv_log_odds(data["observed"], data["simulated"], FeatureMap(("x", "x4")), 5, 1e-6, RngStream(113))
+
+    def test_spread_across_classes_names_both(self):
+        # x2 is about 1e200 in one class and 1e198 in the other: each value
+        # is finite, and so is each class's own spread, but every squared
+        # deviation from the mean of both classes overflows, so the sd of
+        # x2 is inf in the share of each class.
+        g = RngStream(114).generator()
+        observed, simulated = Dataset(g.normal(1e100, 1.0, 40)), Dataset(g.normal(1e99, 1.0, 40))
+        message = r"^feature 'x2' of the observed and simulated points has a non-finite sd \(inf\)"
+        with pytest.raises(ValueError, match=message):
+            cv_log_odds(observed, simulated, FeatureMap(("x", "x2")), 4, 1e-6, RngStream(115))
 
 
 def _columns_with_edge_values(n: int = 400) -> tuple[np.ndarray, np.ndarray]:
