@@ -422,9 +422,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         raise ValueError("a scenario is required (--scenario or a config file)")
     if "seed" not in base:
         raise ValueError("a seed is required (--seed or a config file)")
-    cfg = ScenarioConfig.from_dict(base)
-    cfg.binding()  # validate early so bad configs fail before any work
-    return cfg
+    return ScenarioConfig.from_dict(base)
 
 
 def _print_scenarios() -> None:

@@ -39,29 +39,26 @@ class SufficientStats:
     """Sufficient statistics of an update batch.
 
     For univariate families ``sum_x``/``sum_xx`` are moments of the
-    values; for regression they are moments of the covariates and the
-    response sums are carried separately.
+    values; for regression they are moments of the covariates, and
+    ``sum_xy``/``sum_yy`` carry the response.
     """
 
     n: int
     sum_x: float = 0.0
     sum_xx: float = 0.0
     sum_xy: float = 0.0
-    sum_y: float = 0.0
     sum_yy: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        for name in ("sum_x", "sum_xx", "sum_xy", "sum_y", "sum_yy"):
+        for name in ("sum_x", "sum_xx", "sum_xy", "sum_yy"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.n > 0:
-            slack = 1e-9 * max(1.0, abs(self.sum_xx), abs(self.sum_yy))
+            slack = 1e-9 * max(1.0, abs(self.sum_xx))
             if self.sum_xx < self.sum_x**2 / self.n - slack:
                 raise ValueError("sum_xx inconsistent with sum_x")
-            if self.sum_yy < self.sum_y**2 / self.n - slack:
-                raise ValueError("sum_yy inconsistent with sum_y")
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "SufficientStats":
@@ -73,7 +70,7 @@ class SufficientStats:
             else:
                 sums = [("sum_x", "its covariates", x.sum()), ("sum_xx", "squares of its covariates", (x * x).sum()),
                         ("sum_xy", "products of its covariates and values", (x * y).sum()),
-                        ("sum_y", "its values", y.sum()), ("sum_yy", "squares of its values", (y * y).sum())]
+                        ("sum_yy", "squares of its values", (y * y).sum())]
         for _, terms, total in sums:
             if not math.isfinite(total):
                 raise ValueError(f"update data overflows float64: the sum of {terms} is {total}")

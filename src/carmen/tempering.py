@@ -225,7 +225,7 @@ def curve(
                     p_value=p_value,
                 )
             )
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+        except (ValueError, RuntimeError):  # np.linalg.LinAlgError is a ValueError
             points.append(CurvePoint(t=post.t, log_predictive=None))
         carried.append(decision)
 

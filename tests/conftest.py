@@ -1,7 +1,55 @@
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 # allow running the suite without installing the package
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+import carmen.discriminator  # noqa: E402
+from carmen.discriminator import IrlsWorkspace, LabeledDesign, LogisticFit  # noqa: E402
+
+
+@dataclass(frozen=True)
+class WatchedFit:
+    """One ``fit_logistic`` call: its arguments and its result.
+
+    ``design`` is the design as passed.  Its arrays are views of the
+    call's workspace, which later folds overwrite, so ``snapshot`` holds
+    copies of them as they were at the fit.
+    """
+
+    design: LabeledDesign
+    snapshot: LabeledDesign
+    start: np.ndarray | None
+    workspace: IrlsWorkspace | None
+    fit: LogisticFit
+
+
+@pytest.fixture
+def fits(monkeypatch) -> list[WatchedFit]:
+    """Every classifier fit the test makes through ``cv_log_odds``, in order.
+
+    Fits are watched by rebinding ``carmen.discriminator.fit_logistic``:
+    ``bench/tracer.py``, and through it CI's traced bench step, count fits
+    the same way, so ``cv_log_odds`` must call ``fit_logistic`` by its
+    module-level name until the package reports its fits itself.
+    """
+    records = []
+    fit_logistic = carmen.discriminator.fit_logistic
+
+    def recording(design, **kwargs):
+        snapshot = LabeledDesign(
+            design.features.copy(), design.labels.copy(), design.mean.copy(), design.sd.copy(),
+            None if design.counts is None else design.counts.copy(),
+        )
+        result = fit_logistic(design, **kwargs)
+        records.append(WatchedFit(design, snapshot, kwargs.get("start"), kwargs.get("workspace"), result))
+        return result
+
+    monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    return records

@@ -10,7 +10,8 @@ negative-binomial truth against it over a range whose rest is bounded,
 and give KL(truth || predictive) in closed form for a Gaussian
 predictive against a Gaussian or Laplace truth.  The exact
 log ratio is computed per level from each posterior's own one-level
-``predictive_logpdf(data)`` method, independently of the batched grid scan.
+``predictive_logpdf(data)`` method, independently of the batched grid scan,
+and the exact reverse one the same way at the predictive's own draws.
 A fit's log-odds on standardized rows are scored directly from its
 coefficients, independently of the raw-feature rows that cross-validation
 scores from, and the out-of-fold log-odds of a cross-validated call by
@@ -176,6 +177,15 @@ def nig_posterior_quadrature_relerr(t: float, seed: int = 32, n: int = 20) -> fl
 def exact_log_ratio(post, truth, data: Dataset) -> LogRatioEstimate:
     """Exact per-point log p_predictive(x) - log p_truth(x) over ``data``."""
     return LogRatioEstimate.from_per_point(post.predictive_logpdf(data) - truth.logpdf(data))
+
+
+def exact_reverse(post, truth, simulated: Dataset) -> LogRatioEstimate:
+    """Exact per-point log p_truth(x) - log p_predictive(x) at predictive draws ``simulated``.
+
+    Its mean is the sample value of -KL(predictive || truth) that a reverse
+    estimate on the same draws estimates.
+    """
+    return LogRatioEstimate.from_per_point(truth.logpdf(simulated) - post.predictive_logpdf(simulated))
 
 
 def std_error(est: LogRatioEstimate) -> float:

@@ -43,7 +43,7 @@ class TestTemperUpdate:
         ppost = temper_update(POIS, stats, 0.0)
         assert (ppost.shape, ppost.rate) == (3.0, 0.05)
 
-        rstats = SufficientStats(n=10, sum_x=1.0, sum_xx=3.0, sum_xy=2.0, sum_y=4.0, sum_yy=9.0)
+        rstats = SufficientStats(n=10, sum_x=1.0, sum_xx=3.0, sum_xy=2.0, sum_yy=9.0)
         rpost = temper_update(NIG, rstats, 0.0)
         assert (rpost.coef, rpost.coef_precision, rpost.shape, rpost.scale) == (0.0, 1.0, 2.0, 2.0)
 
@@ -90,6 +90,12 @@ class TestTemperUpdate:
     def test_inconsistent_stats_rejected(self):
         with pytest.raises(ValueError):
             SufficientStats(n=10, sum_x=100.0, sum_xx=1.0)
+
+    def test_response_sum_does_not_widen_the_covariate_check(self):
+        # The slack scales with sum_xx alone: sum_xx = 9 against
+        # sum_x**2 / n = 10 was accepted once sum_yy = 1e12 widened it.
+        with pytest.raises(ValueError, match="sum_xx inconsistent with sum_x"):
+            SufficientStats(n=10, sum_x=10.0, sum_xx=9.0, sum_yy=1e12)
 
     @pytest.mark.parametrize(
         "model,name",

@@ -570,25 +570,17 @@ class TestCvLogOdds:
         b, _ = cv_log_odds(obs, sim, FeatureMap(("x",)), 5, 1e-6, RngStream(72))
         assert np.array_equal(a, b)
 
-    def test_near_separable_level_matches_tight_fits(self, monkeypatch):
+    def test_near_separable_level_matches_tight_fits(self, fits):
         # reg-sigmoid, seed 0, grid level 23 of a full-curve run: where
         # stopping on the damped step |step * delta| < 1e-8 left a fold
         # 0.025 from its optimum in the training log-odds.  Each fold's
         # reference continues from its fit to lambda^2 <= 1e-24 n, close
         # to the rounding floor of these near-separable designs.
-        fits = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(design, **kwargs):
-            result = fit(design, **kwargs)
-            fits.append((design.features.copy(), design.labels.copy(), result))
-            return result
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
         args = _grid_level_draw("reg-sigmoid", 0, 23)[1]
         cv_log_odds(*args)
         assert len(fits) == args[3]
-        for X, y, result in fits:
+        for record in fits:
+            X, y, result = record.snapshot.features, record.snapshot.labels, record.fit
             assert result.converged
             beta = np.concatenate([[result.intercept], result.weights])
             ref, stopped = _row_major_fit(X, y, result.ridge, beta, tol=1e-12)
@@ -628,16 +620,7 @@ class TestCvLogOdds:
         assert np.max(np.abs(vals - ref)) < 1e-5
 
     @pytest.mark.parametrize("t, share", [(1e-6, 1.0), (1e-3, 0.5)], ids=["matched", "separated"])
-    def test_warm_folds_take_no_more_iterations(self, monkeypatch, t, share):
-        iterations = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(*args, **kwargs):
-            result = fit(*args, **kwargs)
-            iterations.append(result.iterations)
-            return result
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    def test_warm_folds_take_no_more_iterations(self, fits, t, share):
         model = GaussianKnownVarModel(0.1, 0.0, 9.9)
         truth = GaussianTruth(0.0, 3.01)
         xu = truth.sample(RngStream(67), 1000)
@@ -646,24 +629,13 @@ class TestCvLogOdds:
         sim = predictive_sample(post, RngStream(69), 1000)
         k = 10
         cv_log_odds(xv, sim, FeatureMap(("x", "x2")), k, 1e-6, RngStream(70))
+        iterations = [record.fit.iterations for record in fits]
         assert len(iterations) == k
         cold, warm = iterations[0], iterations[1:]
         assert max(warm) <= cold
         assert sum(warm) <= share * (k - 1) * cold
 
-    def test_fold_designs_are_feature_major_complements(self, monkeypatch):
-        designs = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(design, **kwargs):
-            # The next fold reuses the work block, so keep copies.
-            designs.append(
-                (design.features.T.flags.c_contiguous, design.features.copy(), design.labels.copy(),
-                 design.mean.copy(), design.sd.copy())
-            )
-            return fit(design, **kwargs)
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    def test_fold_designs_are_feature_major_complements(self, fits):
         g = RngStream(80).generator()
         n_obs, n_sim, k = 53, 47, 5
         # |y| = 1.5 everywhere: a feature that is constant in every fold.
@@ -671,15 +643,17 @@ class TestCvLogOdds:
         sim = Dataset(1.5 * g.choice([-1.0, 1.0], n_sim), g.normal(0.3, 1.2, n_sim))
         fm = FeatureMap(("abs_y", "x", "yx2"))
         cv_log_odds(obs, sim, fm, k, 1e-6, RngStream(81))
-        assert len(designs) == k
+        assert len(fits) == k
 
         raw = np.hstack([raw_features(fm, obs), raw_features(fm, sim)]).T
         fold_rng = RngStream(81).generator()
         folds_obs = _fold_indices(n_obs, k, fold_rng)
         folds_sim = _fold_indices(n_sim, k, fold_rng)
         held_out = np.zeros(n_obs + n_sim, dtype=int)
-        for j, (c_ordered, feats, labels, mu, sd) in enumerate(designs):
-            assert c_ordered
+        for j, record in enumerate(fits):
+            assert record.design.features.T.flags.c_contiguous
+            at_fit = record.snapshot
+            feats, labels, mu, sd = at_fit.features, at_fit.labels, at_fit.mean, at_fit.sd
             m_obs, m_sim = n_obs - folds_obs[j].size, n_sim - folds_sim[j].size
             assert np.array_equal(labels, np.concatenate([np.zeros(m_obs), np.ones(m_sim)]))
             train = np.ones(n_obs + n_sim, dtype=bool)
@@ -703,55 +677,46 @@ class TestCvLogOdds:
         "scenario, seed, level", [("reg-sigmoid", 0, 23), ("poisson-betabinom", 7, 11)],
         ids=["reg-sigmoid", "poisson-betabinom"],
     )
-    def test_start_from_previous_level_matches_cold_call(self, monkeypatch, scenario, seed, level):
+    def test_start_from_previous_level_matches_cold_call(self, fits, scenario, seed, level):
         # Nearly separable levels of a full-curve run, where last-bit
         # changes moved the simulated-class mean by up to 6.4e-5 nat/pt.
         # A run starts each level's first fold from the previous level's
         # last fold; the result must be the cold call's.
         _, previous = cv_log_odds(*_grid_level_draw(scenario, seed, level - 1)[1])
         args = _grid_level_draw(scenario, seed, level)[1]
-        fits = _record_fits(monkeypatch)
+        fits.clear()  # watch only the two calls below
         cold, _ = cv_log_odds(*args)
         warm, _ = cv_log_odds(*args, start=previous)
         k = args[3]
         assert len(fits) == 2 * k
-        assert all(fit.converged for _, fit in fits)
+        assert all(record.fit.converged for record in fits)
         # The carried start beat beta = 0, so the first warm fold began elsewhere.
-        assert fits[k][1].objective_path[0] > fits[0][1].objective_path[0]
+        assert fits[k].fit.objective_path[0] > fits[0].fit.objective_path[0]
         assert np.max(np.abs(warm - cold)) <= 1e-5
         n_obs = len(args[0])
         for half in (slice(None, n_obs), slice(n_obs, None)):
             assert abs(warm[half].mean() - cold[half].mean()) <= 1e-7 * max(1.0, abs(cold[half].mean()))
 
-    def test_start_worse_than_zero_is_ignored(self, monkeypatch):
+    def test_start_worse_than_zero_is_ignored(self, fits):
         obs = Dataset(RngStream(83, 0).generator().normal(size=300))
         sim = Dataset(RngStream(83, 1).generator().normal(0.5, 1.5, size=300))
         args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(84))
         _, decision = cv_log_odds(*args)
-        fits = _record_fits(monkeypatch)
+        fits.clear()  # watch only the two calls below
         cold, _ = cv_log_odds(*args)
         negated = DecisionFunction(-decision.intercept, -decision.weights)
         warm, _ = cv_log_odds(*args, start=negated)
-        assert fits[5][0] is not None and fits[0][0] is None
-        assert _fit_bytes(fits[5][1]) == _fit_bytes(fits[0][1])
+        assert fits[5].start is not None and fits[0].start is None
+        assert _fit_bytes(fits[5].fit) == _fit_bytes(fits[0].fit)
         assert np.array_equal(warm, cold)
 
-    def test_returns_last_folds_decision_function(self, monkeypatch):
-        designs = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(design, **kwargs):
-            result = fit(design, **kwargs)
-            designs.append((design.mean.copy(), design.sd.copy(), result))
-            return result
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    def test_returns_last_folds_decision_function(self, fits):
         obs = Dataset(RngStream(85, 0).generator().normal(size=200))
         sim = Dataset(RngStream(85, 1).generator().normal(0.4, 1.2, size=200))
         _, decision = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 4, 1e-6, RngStream(86))
-        mean, sd, last = designs[-1]
+        last = fits[-1]
         x = np.array([[0.3, 0.09], [-2.0, 4.0]])
-        expected = log_odds(last, (x - mean) / sd)
+        expected = log_odds(last.fit, (x - last.snapshot.mean) / last.snapshot.sd)
         assert np.allclose(decision.intercept + x @ decision.weights, expected, rtol=0.0, atol=1e-12)
 
     def test_degenerate_folds_rejected(self):
@@ -763,20 +728,6 @@ class TestCvLogOdds:
             cv_log_odds(obs, sim, FeatureMap(("x",)), 6, 1e-6, RngStream(0))
 
 
-def _designs_with_counts(monkeypatch) -> list:
-    """Route ``cv_log_odds``'s fits through a wrapper that keeps a copy of each fit's design."""
-    designs = []
-    fit = carmen.discriminator.fit_logistic
-
-    def recording(design, **kwargs):
-        counts = None if design.counts is None else design.counts.copy()
-        designs.append((design.features.copy(), design.labels.copy(), design.mean.copy(), design.sd.copy(), counts))
-        return fit(design, **kwargs)
-
-    monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
-    return designs
-
-
 class TestCountClasses:
     @pytest.mark.parametrize(
         "scenario, seed, level",
@@ -784,36 +735,37 @@ class TestCountClasses:
          ("poisson-betabinom", 0, 0), ("poisson-betabinom", 0, 25), ("poisson-betabinom", 7, 11),
          ("poisson-betabinom", 1, 47)],
     )
-    def test_distinct_counts_match_points(self, monkeypatch, scenario, seed, level):
+    def test_distinct_counts_match_points(self, monkeypatch, fits, scenario, seed, level):
         # Near separation (poisson-betabinom at small t) the log-odds reach
         # 2e4 nats, and even fits converged to lambda^2 <= 1e-20 n differ by
         # 8e-8 between the two layouts, so the bound scales with the values.
         args = _grid_level_draw(scenario, seed, level)[1]
-        designs = _designs_with_counts(monkeypatch)
         counted, _ = cv_log_odds(*args)
         monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
         points, _ = cv_log_odds(*args)
         k, n = args[3], len(args[0]) + len(args[1])
-        assert all(c is not None and c.size < n // 4 for *_, c in designs[:k])
-        assert all(c is None for *_, c in designs[k:])
+        counts = [record.snapshot.counts for record in fits]
+        assert all(c is not None and c.size < n // 4 for c in counts[:k])
+        assert all(c is None for c in counts[k:])
         assert np.max(np.abs(counted - points)) <= 1e-9 * max(1.0, np.max(np.abs(points)))
 
-    def test_fold_designs_expand_to_complements(self, monkeypatch):
-        designs = _designs_with_counts(monkeypatch)
+    def test_fold_designs_expand_to_complements(self, fits):
         g = RngStream(87).generator()
         n_obs, n_sim, k = 53, 47, 5
         obs = Dataset(g.poisson(3.0, n_obs).astype(float))
         sim = Dataset(g.poisson(4.0, n_sim).astype(float))
         fm = FeatureMap(("x", "x2"))
         cv_log_odds(obs, sim, fm, k, 1e-6, RngStream(88))
-        assert len(designs) == k
+        assert len(fits) == k
 
         values = np.concatenate([obs.values, sim.values])
         fold_rng = RngStream(88).generator()
         folds_obs = _fold_indices(n_obs, k, fold_rng)
         folds_sim = _fold_indices(n_sim, k, fold_rng)
         held_out = np.zeros(n_obs + n_sim, dtype=int)
-        for j, (feats, labels, mu, sd, counts) in enumerate(designs):
+        for j, record in enumerate(fits):
+            at_fit = record.snapshot
+            feats, labels, mu, sd, counts = at_fit.features, at_fit.labels, at_fit.mean, at_fit.sd, at_fit.counts
             train = np.ones(n_obs + n_sim, dtype=bool)
             train[folds_obs[j]] = False
             train[n_obs + folds_sim[j]] = False
@@ -830,8 +782,7 @@ class TestCountClasses:
             assert np.allclose(sd, expanded.std(axis=0), rtol=1e-12, atol=1e-12)
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
 
-    def test_count_held_in_one_fold_leaves_its_design(self, monkeypatch):
-        designs = _designs_with_counts(monkeypatch)
+    def test_count_held_in_one_fold_leaves_its_design(self, fits):
         g = RngStream(89).generator()
         n, k, lone = 60, 5, 40.0
         obs_values = g.poisson(3.0, n).astype(float)
@@ -839,7 +790,9 @@ class TestCountClasses:
         obs, sim = Dataset(obs_values), Dataset(g.poisson(4.0, n).astype(float))
         cv_log_odds(obs, sim, FeatureMap(("x",)), k, 1e-6, RngStream(90))
         holder = next(j for j, f in enumerate(_fold_indices(n, k, RngStream(90).generator())) if 17 in f)
-        for j, (feats, labels, mu, sd, counts) in enumerate(designs):
+        for j, record in enumerate(fits):
+            at_fit = record.snapshot
+            feats, labels, mu, sd, counts = at_fit.features, at_fit.labels, at_fit.mean, at_fit.sd, at_fit.counts
             x = feats[labels == 0.0, 0] * sd[0] + mu[0]
             has_lone = np.isclose(x, lone, rtol=0.0, atol=1e-9)
             if j == holder:
@@ -847,11 +800,10 @@ class TestCountClasses:
             else:
                 assert has_lone.sum() == 1 and counts[labels == 0.0][has_lone][0] == 1.0
 
-    def test_count_class_beside_point_class_fits_points(self, monkeypatch):
+    def test_count_class_beside_point_class_fits_points(self, monkeypatch, fits):
         # Distinct counts only when both classes are whole counts: a count
         # class beside a point class is fitted, like it, one column per
         # training point, bit for bit as without any count table.
-        designs = _designs_with_counts(monkeypatch)
         g = RngStream(92).generator()
         obs, sim = Dataset(g.poisson(3.0, 200).astype(float)), Dataset(g.normal(3.0, 2.0, 200))
         assert _count_table(obs) is not None and _count_table(sim) is None
@@ -860,9 +812,10 @@ class TestCountClasses:
         monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
         points, _ = cv_log_odds(*args)
         assert mixed.tobytes() == points.tobytes()
-        assert len(designs) == 10
-        for feats, labels, mu, sd, counts in designs[:5]:
-            assert counts is None
+        assert len(fits) == 10
+        for record in fits[:5]:
+            labels = record.snapshot.labels
+            assert record.snapshot.counts is None
             assert np.count_nonzero(labels == 0.0) == np.count_nonzero(labels == 1.0) == 160
 
     def test_class_not_of_counts_gets_no_table_before_any_sort(self, monkeypatch):
@@ -880,13 +833,12 @@ class TestCountClasses:
         assert np.array_equal(table.counts, np.unique(counts.values))
 
     @pytest.mark.parametrize("sim_count", [3.0, 5.0], ids=["same", "apart"])
-    def test_one_constant_count_per_class_stays_finite(self, monkeypatch, sim_count):
-        designs = _designs_with_counts(monkeypatch)
+    def test_one_constant_count_per_class_stays_finite(self, fits, sim_count):
         obs, sim = Dataset(np.full(20, 3.0)), Dataset(np.full(20, sim_count))
         vals, decision = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(91))
         assert np.all(np.isfinite(vals))
         assert np.isfinite(decision.intercept) and np.all(np.isfinite(decision.weights))
-        assert all(np.array_equal(counts, [16.0, 16.0]) for *_, counts in designs)
+        assert all(np.array_equal(record.snapshot.counts, [16.0, 16.0]) for record in fits)
         if sim_count == 3.0:
             assert np.allclose(vals, 0.0, atol=1e-9)
         else:
@@ -1010,20 +962,6 @@ class TestFeatureMajorLayout:
         assert abs(sim - ref_sim) < 1e-7 * max(1.0, abs(ref_sim))
 
 
-def _record_fits(monkeypatch) -> list:
-    """Route ``cv_log_odds``'s fits through a wrapper that keeps each fit's start and result."""
-    fits = []
-    fit = carmen.discriminator.fit_logistic
-
-    def recording(design, **kwargs):
-        result = fit(design, **kwargs)
-        fits.append((kwargs.get("start"), result))
-        return result
-
-    monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
-    return fits
-
-
 def _fit_bytes(fit) -> tuple:
     """Every ``LogisticFit`` field, floats as their bytes."""
     floats = np.array([fit.intercept, fit.ridge, *fit.objective_path])
@@ -1100,23 +1038,15 @@ class TestIrlsWorkspace:
                 fresh = fit_logistic(des, start=start, workspace=IrlsWorkspace(d, des.features.shape[0]))
                 assert _fit_bytes(shared) == _fit_bytes(fresh)
 
-    def test_count_rows_only_for_counted_designs(self, monkeypatch):
-        workspaces = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(design, **kwargs):
-            workspaces.append(kwargs["workspace"])
-            return fit(design, **kwargs)
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    def test_count_rows_only_for_counted_designs(self, fits):
         g = RngStream(103).generator()
         fm, k = FeatureMap(("x", "x2")), 5
         cv_log_odds(Dataset(g.normal(size=200)), Dataset(g.normal(0.3, 1.2, 200)), fm, k, 1e-6, RngStream(104))
         counts = (Dataset(g.poisson(3.0, 200).astype(float)), Dataset(g.poisson(4.0, 200).astype(float)))
         cv_log_odds(*counts, fm, k, 1e-6, RngStream(105))
-        assert len(workspaces) == 2 * k
-        assert workspaces[0]._count_rows is None
-        assert workspaces[k]._count_rows is not None
+        assert len(fits) == 2 * k
+        assert fits[0].workspace._count_rows is None
+        assert fits[k].workspace._count_rows is not None
 
 
 def _mixed_layout_draw() -> tuple:
@@ -1133,27 +1063,19 @@ class TestOutOfFoldScoring:
          ("mixed", _mixed_layout_draw)],
         ids=["points", "counts", "mixed"],
     )
-    def test_scores_equal_per_point_gather_and_product(self, monkeypatch, layout, draw):
+    def test_scores_equal_per_point_gather_and_product(self, fits, layout, draw):
         # Near-separable draws (values up to thousands of nats) and a count
         # class beside a point class, which is fitted on points: every
         # held-out value is bit for bit the one-gather-and-einsum score of
         # its fold's decision function.
-        records = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(design, **kwargs):
-            result = fit(design, **kwargs)
-            records.append((design.counts is not None, DecisionFunction.of(result, design)))
-            return result
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
         observed, simulated, fm, k, ridge, rng = draw()
         vals, last = cv_log_odds(observed, simulated, fm, k, ridge, rng)
-        assert len(records) == k
-        assert all(counted == (layout == "counts") for counted, _ in records)
+        assert len(fits) == k
+        assert all((record.snapshot.counts is not None) == (layout == "counts") for record in fits)
         g = rng.generator()
         fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
-        coef = np.array([[decision.intercept, *decision.weights] for _, decision in records])
+        decisions = [DecisionFunction.of(record.fit, record.snapshot) for record in fits]
+        coef = np.array([[decision.intercept, *decision.weights] for decision in decisions])
         raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
         assert vals.tobytes() == fold_scores(coef, fold_of, raw).tobytes()
         assert last.intercept == coef[-1, 0] and last.weights.tobytes() == coef[-1, 1:].tobytes()
@@ -1366,19 +1288,19 @@ class TestGramBlocks:
         a, b = _fit_coefficients(blocked), _fit_coefficients(one_block)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    def test_blocked_cross_validation_takes_the_same_steps(self, monkeypatch):
+    def test_blocked_cross_validation_takes_the_same_steps(self, monkeypatch, fits):
         # reg-sigmoid's six features are strongly correlated (y, y2, yx,
         # ...), so its Hessians are ill-conditioned and the blocked sums'
         # rounding reaches the coefficients: 6.8e-12 relative at the
         # largest over levels 11, 23 and 47, against 1e-14 for gauss-laplace.
         args = _grid_level_draw("reg-sigmoid", 0, 23)[1]
-        fits = _record_fits(monkeypatch)
         one_block, _ = cv_log_odds(*args)
         monkeypatch.setattr(carmen.discriminator, "GRAM_BLOCK", 100)
         blocked, _ = cv_log_odds(*args)
         k = args[3]
         assert len(fits) == 2 * k
-        for (_, a), (_, b) in zip(fits[k:], fits[:k]):
+        results = [record.fit for record in fits]
+        for a, b in zip(results[k:], results[:k]):
             assert (a.iterations, a.converged) == (b.iterations, b.converged)
             coef_a, coef_b = _fit_coefficients(a), _fit_coefficients(b)
             assert np.max(np.abs(coef_a - coef_b)) <= 1e-10 * np.max(np.abs(coef_b))
@@ -1388,22 +1310,14 @@ class TestGramBlocks:
         "scenario, seed, level", [("reg-sigmoid", 0, 23), ("poisson-betabinom", 7, 11)],
         ids=["reg-sigmoid", "poisson-betabinom"],
     )
-    def test_halved_step_product_is_the_scaled_product(self, monkeypatch, scenario, seed, level):
+    def test_halved_step_product_is_the_scaled_product(self, fits, scenario, seed, level):
         # Near-separable levels whose fits halve their step.  A halving
         # computes (step delta) @ AT afresh; step is a power of two, so that
         # is bit for bit step (delta @ AT), which the line search used to scale.
-        designs = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(design, **kwargs):
-            result = fit(design, **kwargs)
-            features = design.features
-            designs.append((np.vstack([np.ones(features.shape[0]), features.T]), _fit_coefficients(result)))
-            return result
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
         cv_log_odds(*_grid_level_draw(scenario, seed, level)[1])
-        for AT, delta in designs:
+        for record in fits:
+            features = record.snapshot.features
+            AT, delta = np.vstack([np.ones(features.shape[0]), features.T]), _fit_coefficients(record.fit)
             base = delta @ AT
             for halvings in range(1, 31):
                 step = 0.5**halvings

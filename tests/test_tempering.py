@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import carmen.discriminator
 from carmen import tempering
 from carmen.conjugate import (
     GaussianKnownVarModel,
@@ -329,18 +328,11 @@ class TestSingleGridPass:
 class TestClassifierChain:
     """The cross-validated fits of a run start each from the one before."""
 
-    def test_one_cold_fit_per_run(self, monkeypatch):
-        starts = []
-        fit = carmen.discriminator.fit_logistic
-
-        def recording(design, **kwargs):
-            starts.append(kwargs.get("start"))
-            return fit(design, **kwargs)
-
-        monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    def test_one_cold_fit_per_run(self, fits):
         truth, xu, xv = _gauss_data(245, 200)
         grid = TemperingGrid.log_uniform(1e-7, 1.0, 5)
         curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(247), full_curve=True, reverse=True)
+        starts = [record.start for record in fits]
         # Five grid levels, the estimate at t* and the reverse one, five folds each.
         assert len(starts) == (5 + 2) * 5
         assert [i for i, start in enumerate(starts) if start is None] == [0]
