@@ -129,73 +129,53 @@ class CountTable:
 
 def _betacf(a: float, b: float, x: float) -> float:
     # continued fraction for the incomplete beta (modified Lentz algorithm)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c, d = 1.0, 1.0 - qab * x / qap
     if abs(d) < _FPMIN:
         d = _FPMIN
-    d = 1.0 / d
-    h = d
+    h = d = 1.0 / d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd term of step m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 3e-16:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
 
 
-def reg_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
-
-    Continued-fraction evaluation, switching to the symmetric form at
-    x = (a+1)/(a+b+2) for numerical stability.  Absolute error <= 1e-10.
-    """
-    if not (np.isfinite(a) and np.isfinite(b) and a > 0.0 and b > 0.0):
-        raise ValueError("reg_incomplete_beta requires a > 0 and b > 0")
-    if not (np.isfinite(x) and 0.0 <= x <= 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_cdf(x: float, df: float) -> float:
-    """P(T <= x) for Student-t with ``df`` degrees of freedom."""
-    if not np.isfinite(x):
+    """P(T <= x) for Student-t with ``df`` degrees of freedom.
+
+    The lower tail P(T <= -|x|) is I_z(a, b) / 2, the regularized incomplete
+    beta at z = df / (df + x^2), a = df/2 and b = 1/2.  Its continued fraction
+    switches to the symmetric form 1 - I_{1-z}(b, a) at z = (a+1)/(a+b+2) for
+    numerical stability.
+    """
+    if not math.isfinite(x):
         raise ValueError("student_t_cdf requires finite x")
-    if not (np.isfinite(df) and df > 0.0):
+    if not (math.isfinite(df) and df > 0.0):
         raise ValueError("degrees of freedom must be positive")
     z = df / (df + x * x)
-    tail = 0.5 * reg_incomplete_beta(0.5 * df, 0.5, z)
+    if z == 0.0 or z == 1.0:  # x * x overflowed, or vanished beside df: I_z(a, b) is z
+        tail = 0.5 * z
+    else:
+        a, b = 0.5 * df, 0.5
+        front = math.exp(
+            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(z) + b * math.log1p(-z)
+        )
+        if z < (a + 1.0) / (a + b + 2.0):
+            tail = 0.5 * (front * _betacf(a, b, z) / a)
+        else:
+            tail = 0.5 * (1.0 - front * _betacf(b, a, 1.0 - z) / b)
     return tail if x <= 0.0 else 1.0 - tail
 
 

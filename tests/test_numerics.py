@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from carmen.numerics import (
     RngStream,
     log_gamma,
     normal_cdf,
-    reg_incomplete_beta,
     student_t_cdf,
 )
 from carmen.truths import GaussianTruth, SigmoidRegressionTruth
@@ -92,61 +92,80 @@ class TestCountTable:
                                                                    0.0, -np.inf, -np.inf, -np.inf])
 
 
-class TestRegIncompleteBeta:
-    def test_endpoints(self):
-        assert reg_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert reg_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+# The accuracy grid's degrees of freedom: the pipeline's df is n - 1, and
+# 140, 1,000 and 10,000 are validation sizes it runs at.
+_T_DFS = [*range(1, 11), 19, 139, 999, 9999]
+# Twice the worst relative error against scipy.stats.t.cdf when the bounds were
+# set, over the tail grid and the stability-switch points.  It grows with df
+# because the front factor takes lgamma(df/2 + 1/2) - lgamma(df/2), the
+# difference of two numbers near (df/2) ln(df/2).
+_T_TAIL_REL = dict.fromkeys([*range(1, 11), 19, 139], 4e-13) | {999: 4e-12, 9999: 1.3e-10}
 
-    def test_uniform_cdf(self):
-        assert reg_incomplete_beta(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-12)
 
-    def test_symmetry_identity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(500):
-            a, b = rng.uniform(0.05, 200.0, size=2)
-            x = float(rng.uniform(0.0, 1.0))
-            s = reg_incomplete_beta(a, b, x) + reg_incomplete_beta(b, a, 1.0 - x)
-            assert abs(s - 1.0) < 1e-9
+def _t_cdf_against_scipy(t, df):
+    """student_t_cdf and scipy.stats.t.cdf at each t."""
+    from scipy import stats
 
-    def test_against_reference(self):
-        from scipy import special
-
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            a, b = rng.uniform(0.1, 80.0, size=2)
-            x = float(rng.uniform(0.0, 1.0))
-            assert reg_incomplete_beta(a, b, x) == pytest.approx(
-                float(special.betainc(a, b, x)), abs=1e-10
-            )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reg_incomplete_beta(1.0, 1.0, -0.1)
-        with pytest.raises(ValueError):
-            reg_incomplete_beta(1.0, 1.0, 1.1)
-        with pytest.raises(ValueError):
-            reg_incomplete_beta(0.0, 1.0, 0.5)
+    got = np.array([student_t_cdf(float(v), df) for v in t])
+    return got, stats.t.cdf(t, df)
 
 
 class TestStudentTCdf:
-    def test_symmetry_at_zero(self):
-        for df in (1.0, 4.0, 99.0, 1e4):
-            assert student_t_cdf(0.0, df) == pytest.approx(0.5, abs=1e-12)
+    @pytest.mark.parametrize("df", _T_DFS)
+    def test_symmetry_at_zero(self, df):
+        # at +-1e-200, t*t underflows to 0, so z = 1
+        for t in (0.0, 1e-200, -1e-200):
+            assert student_t_cdf(t, df) == 0.5
 
-    def test_reference_values(self):
-        # high-precision reference evaluations
-        assert student_t_cdf(1.0, 99.0) == pytest.approx(0.8401257629, abs=1e-4)
-        assert student_t_cdf(-2.0, 10.0) == pytest.approx(0.0366940174, abs=1e-4)
+    @pytest.mark.parametrize("df", _T_DFS)
+    def test_overflowing_square_gives_exact_tails(self, df):
+        # t*t overflows to inf, so z = 0
+        assert student_t_cdf(-1e200, df) == 0.0
+        assert student_t_cdf(1e200, df) == 1.0
+
+    @pytest.mark.parametrize("df", _T_DFS)
+    def test_tail_accuracy_against_scipy(self, df):
+        # t from -0.5 down to where scipy's p leaves the normal floats; at df = 1
+        # it never does, and the grid stops at 1e154, just short of t*t overflowing
+        from scipy import stats
+
+        t = -np.logspace(math.log10(0.5), 154.0, 7666)
+        t = t[stats.t.cdf(t, df) >= sys.float_info.min]
+        assert t.size >= 90  # 94 at df = 9,999, the fewest
+        got, ref = _t_cdf_against_scipy(t, df)
+        assert np.max(np.abs(got - ref) / ref) <= _T_TAIL_REL[df]
+
+    @pytest.mark.parametrize("df", _T_DFS)
+    def test_centre_accuracy_against_scipy(self, df):
+        # z = df / (df + t*t) keeps t*t only to within about df * eps, so between
+        # 0 and -0.5 the error is absolute and grows like df * eps / |t|
+        t = -np.logspace(-9.0, math.log10(0.5), 436)[:-1]
+        got, ref = _t_cdf_against_scipy(t, df)
+        assert np.all(np.abs(got - ref) <= df * sys.float_info.epsilon / np.abs(t))
+
+    @pytest.mark.parametrize("df", [1, 4, 139, 999])
+    def test_either_side_of_the_stability_switch(self, df):
+        # the lower tail is I_z(a, b) / 2 at a = df/2, b = 1/2, and its continued
+        # fraction turns to the symmetric form at z = (a+1)/(a+b+2): t*t = 3 df / (df+2)
+        a, b = 0.5 * df, 0.5
+        t_switch = -math.sqrt(3.0 * df / (df + 2.0))
+        t = np.array([t_switch * (1.0 + 1e-12), t_switch * (1.0 - 1e-12)])
+        z = df / (df + t * t)
+        assert z[0] < (a + 1.0) / (a + b + 2.0) <= z[1]
+        got, ref = _t_cdf_against_scipy(t, df)
+        assert np.all(np.abs(got - ref) <= _T_TAIL_REL[df] * ref)
 
     def test_normal_limit(self):
         for x in np.linspace(-4.0, 4.0, 17):
             assert abs(student_t_cdf(float(x), 1e6) - normal_cdf(float(x))) < 1e-3
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            student_t_cdf(np.inf, 5.0)
-        with pytest.raises(ValueError):
-            student_t_cdf(0.0, 0.0)
+        for x in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^student_t_cdf requires finite x$"):
+                student_t_cdf(x, 5.0)
+        for df in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^degrees of freedom must be positive$"):
+                student_t_cdf(0.0, df)
 
 
 class TestNormalCdf:
