@@ -11,10 +11,10 @@ across runs with the same configuration and seed.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 
@@ -245,7 +245,7 @@ def _summary(result: ScenarioResult, rows: list[tuple]) -> dict:
         "test": {f.name: getattr(test, f.name) for f in fields(test)},
         "true_log_ratio": _sum_mean(tc.true_at_t_star),
         "reverse_log_ratio": _sum_mean(tc.reverse_at_t_star),
-        "curve": _CurveRows(rows),
+        "curve": [dict(zip(_CURVE_FIELDS, row)) for row in rows],
         "meta": result.meta,
     }
 
@@ -254,55 +254,15 @@ def _fmt(value) -> str:
     return "" if value is None else format(float(value), ".10g")
 
 
-def _json_leaf(value) -> str:
-    """A scalar as ``json.dumps`` writes it, by the C string encoder and ``float.__repr__``.
-
-    A non-finite float is written as the string of its curve.csv token
-    ("inf", "-inf", "nan"), so the document stays strict JSON.
-    """
+def _strict(value):
+    """``value`` with each non-finite float as its curve.csv token ("inf", "-inf", "nan")."""
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else encode_basestring_ascii(_fmt(value))
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-class _CurveRows(list):
-    """Curve rows, each a tuple of values in ``_CURVE_FIELDS`` order, written as JSON objects."""
-
-
-def _curve_row_template(indent: str) -> str:
-    """One curve row's JSON object at ``indent``, with a ``str.format`` field for each value."""
-    keys = (f"{indent}  {encode_basestring_ascii(name)}: {{}}" for name in _CURVE_FIELDS)
-    return indent + "{{\n" + ",\n".join(keys) + "\n" + indent + "}}"
-
-
-def _json(value, indent: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it, each non-finite float as in ``_json_leaf``.
-
-    Curve rows are written through one template, each as the object of
-    ``_CURVE_FIELDS`` and its values.
-    """
-    inner = indent + "  "
+        return value if math.isfinite(value) else _fmt(value)
     if isinstance(value, dict):
-        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, _CurveRows):
-        template = _curve_row_template(inner)
-        items, brackets = [template.format(*map(_json_leaf, row)) for row in value], "[]"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = [inner + _json(v, inner) for v in value], "[]"
-    else:
-        return _json_leaf(value)
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Path]:
@@ -312,7 +272,8 @@ def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Pat
         out.mkdir(parents=True, exist_ok=True)
         rows = [_curve_row(p) for p in result.curve.points]
         json_path = out / "summary.json"
-        json_path.write_text(_json(_summary(result, rows)) + "\n")
+        summary = _strict(_summary(result, rows))
+        json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
         csv_path = out / "curve.csv"
         lines = [_CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
         csv_path.write_text("\n".join(lines) + "\n")

@@ -11,15 +11,13 @@ from pathlib import Path
 import pytest
 
 from carmen.cli import (
-    _CURVE_FIELDS,
     SCENARIOS,
     ScenarioConfig,
     ScenarioResult,
+    _strict,
     emit_outputs,
     load_config_file,
     main,
-    _json,
-    _summary,
     run_scenario,
 )
 from carmen.discriminator import RESPONSE_TRANSFORMS
@@ -232,22 +230,11 @@ class TestEmitOutputs:
         assert "blocker" in str(err.value)
 
 
-def _strict(value):
-    """``value`` with each non-finite float as its curve.csv token ("inf", "-inf", "nan")."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else format(value, ".10g")
-    if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
-
-
-def _dumped_summary(result: ScenarioResult) -> bytes:
-    """summary.json as ``json.dumps(indent=2)`` writes the strict document, each curve row an object."""
-    doc = _summary(result, [tuple(getattr(p, name) for name in _CURVE_FIELDS) for p in result.curve.points])
-    doc["curve"] = [dict(zip(_CURVE_FIELDS, row)) for row in doc["curve"]]
-    return (json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n").encode()
+def _load_dumped(path: Path):
+    """summary.json at ``path``, parsed strictly, after checking its text is ``json.dumps(indent=2)`` of that."""
+    doc = _load_strict(path)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    return doc
 
 
 _CUSTOM = ScenarioConfig(
@@ -269,7 +256,8 @@ class TestSummaryWriter:
     def test_bytes_of_json_dumps(self, tmp_path, cfg):
         result = run_scenario(cfg)
         json_path, _ = emit_outputs(result, tmp_path)
-        assert json_path.read_bytes() == _dumped_summary(result)
+        doc = _load_dumped(json_path)
+        assert doc["curve"] == [_strict(dataclasses.asdict(p)) for p in result.curve.points]
 
     def test_non_finite_and_missing_curve_values(self, tmp_path):
         res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, full_curve=True, **FAST))
@@ -278,19 +266,34 @@ class TestSummaryWriter:
         points[2] = CurvePoint(points[2].t, None)
         odd = dataclasses.replace(res, curve=dataclasses.replace(res.curve, points=tuple(points)))
         json_path, _ = emit_outputs(odd, tmp_path)
-        assert json_path.read_bytes() == _dumped_summary(odd)
+        rows = _load_dumped(json_path)["curve"]
+        assert (rows[1]["log_predictive"], rows[1]["logz_approx_sum"], rows[1]["t_stat"]) == ("-inf", "nan", "inf")
+        assert rows[2] == {
+            "t": points[2].t, "log_predictive": None, "logz_approx_sum": None, "logz_true_sum": None,
+            "t_stat": None, "p_value": None,
+        }
 
     def test_nested_values(self):
+        text = 'caf\u00e9 "quoted"\n\ttab\\'
         doc = {
-            "empty": [], "none": {}, "text": 'caf\u00e9 "quoted"\n\ttab\\', "flags": [True, False, None],
+            "empty": [], "none": {}, "text": text, "flags": [True, False, None],
             "numbers": (0, -3, 2**70, 0.1, -0.0, 1e300, 5e-324, math.inf, -math.inf, math.nan),
-            "nested": {"rows": [{"a": [1.5, []]}, [{}]]},
+            "nested": {"rows": [{"a": [1.5, -math.inf, []]}, ({"b": math.nan},)]},
         }
-        assert _json(doc) == json.dumps(_strict(doc), indent=2, allow_nan=False)
+        expected = {
+            "empty": [], "none": {}, "text": text, "flags": [True, False, None],
+            "numbers": [0, -3, 2**70, 0.1, -0.0, 1e300, 5e-324, "inf", "-inf", "nan"],
+            "nested": {"rows": [{"a": [1.5, "-inf", []]}, [{"b": "nan"}]]},
+        }
+        # repr tells -0.0 from 0.0, True from 1 and a tuple from a list
+        assert repr(_strict(doc)) == repr(expected)
 
-    def test_unknown_leaf_rejected(self):
+    def test_unknown_leaf_rejected(self, tmp_path):
+        res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, **FAST))
+        odd = dataclasses.replace(res, meta={**res.meta, "value": object()})
         with pytest.raises(TypeError, match="not JSON serializable"):
-            _json({"value": object()})
+            emit_outputs(odd, tmp_path)
+        assert not (tmp_path / "summary.json").exists()
 
 
 class TestConfigFile:
