@@ -300,23 +300,36 @@ def _parse_bool(value) -> bool:
     return _CONFIG_BOOL[key]
 
 
-# The config fields that a config-file key or a flag sets directly, with the
-# parser of a config-file value, by the field's annotation.
+# The parser of each scalar config field, by the field's annotation.
 _PARSE = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 _SCALAR_FIELDS = {f.name: _PARSE[f.type] for f in fields(ScenarioConfig) if f.type in _PARSE}
+
+# Each run option is a config-file key and a `run` flag (--n-update sets n_update).
+_RUN_OPTIONS = {
+    "scenario": "scenario name, or 'custom' with --config",
+    "seed": "64-bit unsigned seed",
+    "n_update": "points the tempered update sees (default 1000)",
+    "n_validate": "points that score each tempering level (default 1000)",
+    "folds": "cross-validation folds of the classifier (default 10)",
+    "grid": "tempering grid as lo:hi:count",
+    "ridge": "ridge penalty of the logistic fits",
+    "full_curve": "fit the classifier at every grid level",
+    "reverse_kl": "also estimate the reverse log ratio at t*",
+}
 
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key = value scenario file.
 
-    Recognized keys mirror the run options (scenario, seed, n_update,
-    n_validate, folds, ridge, grid, full_curve, reverse_kl, features)
-    plus ``model``/``truth`` family selectors and dotted parameters such
-    as ``model.noise_sd`` or ``truth.scale``.  Errors name the file, the
-    line and the key.
+    Recognized keys are the ``_RUN_OPTIONS``, ``features``, the
+    ``model``/``truth`` family selectors and dotted parameters such as
+    ``model.noise_sd``.  Errors name the file, the line and the key.
     """
     out: dict = {"model_params": {}, "truth_params": {}}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -324,30 +337,31 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        try:
-            _read_config_value(out, key, value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
+        _read_config_value(out, key, value, where=f"{path}:{lineno}: {key}")
     return out
 
 
-def _read_config_value(out: dict, key: str, value: str) -> None:
-    if key == "model":
-        out["model_family"] = value
-    elif key == "truth":
-        out["truth_family"] = value
-    elif key.startswith("model."):
-        out["model_params"][key[len("model."):]] = float(value)
-    elif key.startswith("truth."):
-        out["truth_params"][key[len("truth."):]] = float(value)
-    elif key == "features":
-        out["features"] = tuple(s.strip() for s in value.split(",") if s.strip())
-    elif key in _SCALAR_FIELDS:
-        out[key] = _SCALAR_FIELDS[key](value)
-    elif key == "grid":
-        out["grid_lo"], out["grid_hi"], out["grid_count"] = _parse_grid(value)
-    else:
-        raise ValueError("unknown key")
+def _read_config_value(out: dict, key: str, value: str, where: str) -> None:
+    """Set the fields that ``key = value`` names in ``out``; an error starts with ``where``."""
+    try:
+        if key == "model":
+            out["model_family"] = value
+        elif key == "truth":
+            out["truth_family"] = value
+        elif key.startswith("model."):
+            out["model_params"][key[len("model."):]] = float(value)
+        elif key.startswith("truth."):
+            out["truth_params"][key[len("truth."):]] = float(value)
+        elif key == "features":
+            out["features"] = tuple(s.strip() for s in value.split(",") if s.strip())
+        elif key == "grid":
+            out["grid_lo"], out["grid_hi"], out["grid_count"] = _parse_grid(value)
+        elif key in _RUN_OPTIONS:
+            out[key] = _SCALAR_FIELDS[key](value)
+        else:
+            raise ValueError("unknown key")
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -355,15 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one scenario and write JSON/CSV outputs")
-    run.add_argument("--scenario", help="scenario name, or 'custom' with --config")
-    run.add_argument("--seed", type=int, help="64-bit unsigned seed")
-    run.add_argument("--n-update", type=int, dest="n_update")
-    run.add_argument("--n-validate", type=int, dest="n_validate")
-    run.add_argument("--folds", type=int)
-    run.add_argument("--grid", help="tempering grid as lo:hi:count")
-    run.add_argument("--ridge", type=float)
-    run.add_argument("--full-curve", action="store_true", default=None, dest="full_curve")
-    run.add_argument("--reverse-kl", action="store_true", default=None, dest="reverse_kl")
+    for key, text in _RUN_OPTIONS.items():  # a bool flag stores the text "true"
+        switch = {"action": "store_const", "const": "true"} if _SCALAR_FIELDS.get(key) is _parse_bool else {}
+        run.add_argument("--" + key.replace("_", "-"), help=text, **switch)
     run.add_argument("--config", help="flat key=value config file (custom scenarios)")
     run.add_argument("--out", required=True, help="output directory")
 
@@ -373,16 +381,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     base = load_config_file(args.config) if args.config else {}
-    for key in _SCALAR_FIELDS:
-        v = getattr(args, key, None)  # the grid fields have no flags: --grid sets all three
-        if v is not None:
-            base[key] = v
-    if args.grid is not None:
-        base["grid_lo"], base["grid_hi"], base["grid_count"] = _parse_grid(args.grid)
-    if "scenario" not in base:
-        raise ValueError("a scenario is required (--scenario or a config file)")
-    if "seed" not in base:
-        raise ValueError("a seed is required (--seed or a config file)")
+    for key in _RUN_OPTIONS:
+        if getattr(args, key) is not None:
+            _read_config_value(base, key, getattr(args, key), where="--" + key.replace("_", "-"))
+    for key in ("scenario", "seed"):
+        if key not in base:
+            raise ValueError(f"a {key} is required (--{key} or a config file)")
     return ScenarioConfig.from_dict(base)
 
 
@@ -395,8 +399,7 @@ def _print_scenarios() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "list":
         _print_scenarios()
         return 0

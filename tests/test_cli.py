@@ -11,9 +11,12 @@ from pathlib import Path
 import pytest
 
 from carmen.cli import (
+    _RUN_OPTIONS,
     SCENARIOS,
     ScenarioConfig,
     ScenarioResult,
+    _build_parser,
+    _config_from_args,
     _strict,
     emit_outputs,
     load_config_file,
@@ -349,6 +352,37 @@ class TestConfigFile:
             load_config_file(cfg_file)
         assert str(info.value).startswith(f"{cfg_file}:3: {key}: ")
 
+    @pytest.mark.parametrize("key", ["grid_lo", "grid_hi", "grid_count"])
+    def test_grid_fields_are_not_keys(self, tmp_path, key):
+        cfg_file = tmp_path / "grid.cfg"
+        cfg_file.write_text(f"{key} = 0.1\n")
+        with pytest.raises(ValueError) as info:
+            load_config_file(cfg_file)
+        assert str(info.value) == f"{cfg_file}:1: {key}: unknown key"
+
+    # A text for each run option that differs from the base config's value.
+    OPTION_TEXT = {
+        "scenario": "reg-tnoise", "seed": "7", "n_update": "300", "n_validate": "200", "folds": "4",
+        "grid": "1e-5:0.5:7", "ridge": "0.25", "full_curve": "true", "reverse_kl": "true",
+    }
+
+    @pytest.mark.parametrize("key", list(_RUN_OPTIONS))
+    def test_flag_and_config_line_agree(self, tmp_path, key):
+        text = self.OPTION_TEXT[key]
+        base = tmp_path / "base.cfg"
+        base.write_text("scenario = gauss-gauss\nseed = 1\n")
+        line = tmp_path / "line.cfg"
+        line.write_text(base.read_text() + f"{key} = {text}\n")
+        flag = ["--" + key.replace("_", "-")] + ([] if text == "true" else [text])
+
+        def config(cfg_file, *flags):
+            args = _build_parser().parse_args(["run", "--config", str(cfg_file), *flags, "--out", "x"])
+            return _config_from_args(args)
+
+        from_flag = config(base, *flag)
+        assert from_flag == config(line)
+        assert from_flag != config(base)
+
     def test_missing_family_parameters_named(self, tmp_path, capsys):
         cfg_file = tmp_path / "missing.cfg"
         cfg_file.write_text(
@@ -609,8 +643,8 @@ class TestMain:
             ("0.5:0.1:10", "need 0 < lo < hi <= 1"),
             ("1e-8:1:1", "count must be >= 2"),
             ("0:1:5", "need 0 < lo < hi <= 1"),
-            ("1e-8:1:50.5", "grid must be lo:hi:count, got '1e-8:1:50.5'"),
-            ("a:1:5", "grid must be lo:hi:count, got 'a:1:5'"),
+            ("1e-8:1:50.5", "--grid: grid must be lo:hi:count, got '1e-8:1:50.5'"),
+            ("a:1:5", "--grid: grid must be lo:hi:count, got 'a:1:5'"),
         ],
     )
     def test_bad_grid_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, grid, message):
@@ -620,6 +654,25 @@ class TestMain:
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sampled == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,text", [("--seed", "abc"), ("--folds", "2.5"), ("--ridge", "x")])
+    def test_bad_flag_value_named_before_sampling(self, tmp_path, capsys, monkeypatch, flag, text):
+        sampled = []
+        monkeypatch.setattr(GaussianTruth, "sample", lambda *args: sampled.append(args))
+        args = ["run", "--scenario", "gauss-gauss", "--seed", "0", flag, text, "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert sampled == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name,reason", [("missing.cfg", "No such file or directory"), ("", "Is a directory")], ids=["missing", "directory"]
+    )
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: cannot read config file {path}: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_out_exits_one(self, tmp_path, capsys):
