@@ -327,9 +327,10 @@ def load_config_file(path: str | Path) -> dict:
     """
     out: dict = {"model_params": {}, "truth_params": {}}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+        with open(path, encoding="utf-8") as f:  # an empty path names no file, where Path("") is "."
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -380,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    base = load_config_file(args.config) if args.config else {}
+    base = {} if args.config is None else load_config_file(args.config)
     for key in _RUN_OPTIONS:
         if getattr(args, key) is not None:
             _read_config_value(base, key, getattr(args, key), where="--" + key.replace("_", "-"))

@@ -190,14 +190,22 @@ class _CountTerms:
         if bad.size:
             raise ValueError(f"counts must be whole numbers >= 0, got {float(bad[0])}")
 
-    def rows(self, posts: Sequence[PoissonGammaPosterior]) -> Iterator[np.ndarray]:
-        """One flat row of per-point log masses per posterior, in order."""
+    def _table(self, posts: Sequence[PoissonGammaPosterior]) -> np.ndarray:
+        """The (levels x distinct counts) table of log masses, one row per posterior."""
         r = np.array([p.shape for p in posts])[:, None]
         # per-row math.log, not np.log on the column: np.log moves the last bits
         log_p = np.array([[math.log(p.rate / (1.0 + p.rate))] for p in posts])
         log_q = np.array([[math.log(1.0 / (1.0 + p.rate))] for p in posts])
-        for row in self.table.negbinom_logpmf(r, log_p, log_q):
+        return self.table.negbinom_logpmf(r, log_p, log_q)
+
+    def rows(self, posts: Sequence[PoissonGammaPosterior]) -> Iterator[np.ndarray]:
+        """One flat row of per-point log masses per posterior, in order."""
+        for row in self._table(posts):
             yield row[self.table.inverse]  # every point is on the support (checked above)
+
+    def sums(self, posts: Sequence[PoissonGammaPosterior]) -> np.ndarray:
+        """Each posterior's summed log mass: its table row weighed by how often each count occurs."""
+        return self._table(posts) @ self.table.multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +293,32 @@ class _RegressionTerms:
                 - 0.5 * (d + 1.0) * np.log1p(z * z / d)
             ) - np.log(s)
 
+    def sums(self, posts: Sequence[NIGRegressionPosterior]) -> np.ndarray:
+        """Each posterior's row, summed; a sum that overflows is left for the caller to reject."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array([row.sum() for row in self.rows(posts)])
+
 
 class _GaussianTerms:
-    """Gaussian predictive rows; each level is cheap, so nothing is shared between them."""
+    """Gaussian predictive rows, and level sums from three statistics of the data.
+
+    A level with predictive N(m, v) sums to -n/2 ln(2 pi v) - (S/2)/v,
+    where S = sum (x - xbar)^2 + n (xbar - m)^2.  The mean xbar is kept as
+    its rounded value plus the mean residual about it, so that xbar - m
+    stays exact to rounding when m is close to xbar.  Halving S before the
+    division makes a level overflow to -inf where the sum of its row does.
+    """
 
     def __init__(self, data: Dataset) -> None:
         self.data = data
+        x = data.values
+        self.n = x.size
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes every level -inf, as in the rows
+            self.mean = float(x.mean())
+            centred = x - self.mean
+            self.mean_residual = float(centred.mean())
+            ss = float(centred @ centred) - self.n * self.mean_residual * self.mean_residual
+        self.centred_ss = math.inf if math.isnan(ss) else ss
 
     def rows(self, posts: Sequence[GaussianPosterior]) -> Iterator[np.ndarray]:
         """One row per posterior; a residual too large for a tiny predictive variance gives -inf, unwarned."""
@@ -298,6 +326,13 @@ class _GaussianTerms:
             with np.errstate(over="ignore"):
                 row = p.predictive_logpdf(self.data)
             yield row
+
+    def sums(self, posts: Sequence[GaussianPosterior]) -> np.ndarray:
+        """Each posterior's summed log density, from the statistics alone."""
+        v = np.array([p.predictive_var for p in posts])
+        shift = (self.mean - np.array([p.mean for p in posts])) + self.mean_residual
+        with np.errstate(over="ignore"):
+            return -0.5 * self.n * np.log(2.0 * np.pi * v) - (0.5 * (self.centred_ss + self.n * shift * shift)) / v
 
 
 # The per-point terms of each kind of data.
@@ -313,13 +348,16 @@ def temper_update(model: Model, stats: SufficientStats, t: float) -> TemperedPos
 
 
 class TemperedPredictive:
-    """Per-point log predictive of fixed ``data`` under ``model`` tempered on fixed ``stats``.
+    """Log predictive of fixed ``data`` under ``model`` tempered on fixed ``stats``.
 
-    Built once per run, it computes the per-point terms that do not depend
-    on the tempering level; each :meth:`levels` call then scores a vector
-    of levels.  Row i of a call is bitwise equal to the one-level
-    ``predictive_logpdf`` method of ``temper_update(model, stats, ts[i])``
-    on ``data``.
+    Built once per run, it computes the terms that do not depend on the
+    tempering level; each call then scores a vector of levels.  Row i of
+    :meth:`levels` is bitwise equal to the one-level ``predictive_logpdf``
+    method of ``temper_update(model, stats, ts[i])`` on ``data``.  Entry i
+    of :meth:`sums` is that row's sum: for regression data the row is
+    built and summed, while a Gaussian sum comes from the data's count,
+    mean and centred sum of squares and a count sum from a table over the
+    distinct counts, so these differ from the row's sum by rounding only.
     """
 
     def __init__(self, model: Model, stats: SufficientStats, data: Dataset) -> None:
@@ -327,10 +365,18 @@ class TemperedPredictive:
         self.stats = stats
         self._terms = _TERMS[model.kind](data)
 
+    def _posteriors(self, ts) -> list[TemperedPosterior]:
+        return [temper_update(self.model, self.stats, float(t)) for t in ts]
+
     def levels(self, ts) -> Iterator[tuple[TemperedPosterior, np.ndarray]]:
         """``(posterior, per-point row)`` for each level of ``ts``, one row alive at a time."""
-        posts = [temper_update(self.model, self.stats, float(t)) for t in ts]
+        posts = self._posteriors(ts)
         return zip(posts, self._terms.rows(posts))
+
+    def sums(self, ts) -> Iterator[tuple[TemperedPosterior, float]]:
+        """``(posterior, summed log predictive)`` for each level of ``ts``; a sum may be -inf or nan."""
+        posts = self._posteriors(ts)
+        return zip(posts, map(float, self._terms.sums(posts)))
 
 
 def predictive_sample(

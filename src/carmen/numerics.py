@@ -111,6 +111,11 @@ class CountTable:
         return self._distinct[1]
 
     @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """How many points on the support hold each count, as floats."""
+        return np.bincount(self.inverse, minlength=self.counts.size).astype(float)
+
+    @cached_property
     def log_factorial(self) -> np.ndarray:
         """ln x! per count."""
         return log_gamma(self.counts + 1.0)

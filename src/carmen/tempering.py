@@ -69,10 +69,8 @@ class TemperingGrid:
         return self.values.size
 
 
-def _level_score(t: float, lp_vec: np.ndarray) -> float:
-    """The sum of level ``t``'s per-point log predictive; t* cannot be chosen if it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lp = float(lp_vec.sum())
+def _level_score(t: float, lp: float) -> float:
+    """Level ``t``'s summed log predictive; t* cannot be chosen if it is not finite."""
     if not math.isfinite(lp):
         raise ValueError(f"the log predictive of the validation data at tempering level t={t:.6g} is {lp}")
     return lp
@@ -81,7 +79,7 @@ def _level_score(t: float, lp_vec: np.ndarray) -> float:
 def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> tuple[float, float, bool]:
     """Golden-section refinement around the best of the grid ``scores`` at levels ``ts``.
 
-    Each new level is scored with a one-level ``pred`` call, inside the
+    Each new level is scored by a one-level ``pred.sums`` call, inside the
     bracket around the best grid point, to an absolute tolerance of 1e-3
     on log10 t.  Returns ``(t_star, log_predictive, at_boundary)``: a
     maximum at a grid edge is returned as-is and flagged.
@@ -91,8 +89,8 @@ def _refine(pred: TemperedPredictive, ts: np.ndarray, scores: np.ndarray) -> tup
         return float(ts[best]), float(scores[best]), True
 
     def score(log10_t: float) -> float:
-        ((post, lp_vec),) = pred.levels([10.0**log10_t])
-        return _level_score(post.t, lp_vec)
+        ((post, lp),) = pred.sums([10.0**log10_t])
+        return _level_score(post.t, lp)
 
     lo, hi = math.log10(ts[best - 1]), math.log10(ts[best + 1])
     a, b = lo, hi
@@ -145,21 +143,22 @@ def _search(
 ) -> tuple[list, tuple[float, float, bool], TemperedPosterior, LogRatioEstimate | None]:
     """The t* search and the exact log ratios, before any classifier is fitted.
 
-    One batched pass over the grid evaluates each level's predictive
-    density once; its sum is both the t* search's grid score and the
-    curve's log predictive, and, less the truth density (evaluated once
-    per call), the analytic log ratio.  Returns each grid level's
-    ``(posterior, log predictive, exact log-ratio sum or None)``,
+    One batched call sums each grid level's predictive density, without
+    building its per-point row; that sum is both the t* search's grid
+    score and the curve's log predictive, and, less the truth density
+    summed once per call, the exact log-ratio sum.  Returns each grid
+    level's ``(posterior, log predictive, exact log-ratio sum or None)``,
     ``_refine``'s ``(t_star, log_predictive, at_boundary)``, the posterior
-    at t* and the exact estimate there.  The search's per-point arrays
-    live only in this call, so the classifier calls that follow do not
-    hold them.
+    at t* and the exact estimate there, the one level whose per-point row
+    is built.  The search's per-point arrays live only in this call, so
+    the classifier calls that follow do not hold them.
     """
     pred = TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
     truth_lp = None if truth is None else truth.logpdf(x_valid)
+    truth_sum = None if truth_lp is None else float(truth_lp.sum())
     levels = [
-        (post, _level_score(post.t, lp_vec), None if truth_lp is None else float((lp_vec - truth_lp).sum()))
-        for post, lp_vec in pred.levels(ts)
+        (post, _level_score(post.t, lp), None if truth_sum is None else lp - truth_sum)
+        for post, lp in pred.sums(ts)
     ]
     refined = _refine(pred, ts, np.array([lp for _, lp, _ in levels]))
     ((post_star, lp_star),) = pred.levels([refined[0]])

@@ -675,6 +675,24 @@ class TestMain:
         assert capsys.readouterr().err == f"error: cannot read config file {path}: {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"\xffscenario = gauss-gauss\nseed = 0\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file {path}: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_config_path_exits_two(self, tmp_path, capsys):
+        # an empty --config is a path that names no file, not an absent option
+        args = ["run", "--config", "", "--scenario", "gauss-gauss", "--seed", "3", "--n-update", "40"]
+        args += ["--n-validate", "40", "--folds", "4", "--grid", "1e-3:1.0:4", "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: cannot read config file : No such file or directory\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

@@ -47,7 +47,7 @@ def _count_calls(monkeypatch, owner, name):
 
 def _count_predictive(monkeypatch):
     """Replace ``carmen.tempering.TemperedPredictive`` by a subclass that logs its
-    preparations and the levels of each ``levels`` call."""
+    preparations and, for each ``sums`` or ``levels`` call, the method and its levels."""
     prepared, calls = [], []
 
     class Counted(TemperedPredictive):
@@ -55,8 +55,12 @@ def _count_predictive(monkeypatch):
             prepared.append(args)
             super().__init__(*args)
 
+        def sums(self, ts):
+            calls.append(("sums", [float(t) for t in ts]))
+            return super().sums(ts)
+
         def levels(self, ts):
-            calls.append([float(t) for t in ts])
+            calls.append(("levels", [float(t) for t in ts]))
             return super().levels(ts)
 
     monkeypatch.setattr(tempering, "TemperedPredictive", Counted)
@@ -64,26 +68,33 @@ def _count_predictive(monkeypatch):
 
 
 class _ReferencePredictive:
-    """Scores each level on its own with the posterior's one-level ``predictive_logpdf``
-    method, and logs the levels of each ``levels`` call."""
+    """Sums each level's per-point row, built by the posterior's one-level
+    ``predictive_logpdf`` method, and logs the levels of each ``sums`` call."""
 
     def __init__(self, model, x_update, x_valid):
         self.model, self.x_valid = model, x_valid
         self.stats = SufficientStats.from_dataset(x_update)
         self.calls = []
 
-    def levels(self, ts):
+    def sums(self, ts):
         self.calls.append([float(t) for t in ts])
         for t in ts:
             post = temper_update(self.model, self.stats, float(t))
-            yield post, post.predictive_logpdf(self.x_valid)
+            yield post, float(post.predictive_logpdf(self.x_valid).sum())
 
 
 def _reference_t_star(model, x_update, x_valid, grid):
-    """The t* search done level by level: grid scores, then ``tempering._refine``."""
+    """The t* search on per-point sums, level by level: grid scores, then ``tempering._refine``."""
     ref = _ReferencePredictive(model, x_update, x_valid)
-    scores = np.array([float(lp.sum()) for _, lp in ref.levels(grid.values)])
+    scores = np.array([lp for _, lp in ref.sums(grid.values)])
     return tempering._refine(ref, grid.values, scores), ref.calls[1:]
+
+
+def _level_sum_t_star(model, x_update, x_valid, grid):
+    """The t* search on ``TemperedPredictive.sums``: grid scores, then ``tempering._refine``."""
+    pred = TemperedPredictive(model, SufficientStats.from_dataset(x_update), x_valid)
+    scores = np.array([lp for _, lp in pred.sums(grid.values)])
+    return tempering._refine(pred, grid.values, scores)
 
 
 def _t_star_curve(model, fm, x_update, x_valid, grid):
@@ -253,8 +264,10 @@ class TestSingleGridPass:
         density = _count_calls(monkeypatch, GaussianTruth, "logpdf")
         tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(232))
         assert len(prepared) == 1
-        assert calls[0] == list(grid.values)  # one call scans the whole grid
-        assert calls == [list(grid.values)] + refine + [[tc.t_star]]  # plus the exact ratio at t*
+        assert calls[0] == ("sums", list(grid.values))  # one call sums the whole grid
+        # then one level sum per golden-section step, and one per-point row,
+        # at t*, for the exact ratio there
+        assert calls == [("sums", list(grid.values))] + [("sums", t) for t in refine] + [("levels", [tc.t_star])]
         assert len(density) == 1
 
     @pytest.mark.parametrize(
@@ -273,19 +286,27 @@ class TestSingleGridPass:
         (t_star, log_predictive, at_boundary), _ = _reference_t_star(model, xu, xv, grid)
         tc = curve(model, truth, xu, xv, grid, fm, 5, RngStream(235))
         assert at_boundary is boundary
+        assert (tc.t_star, tc.log_predictive_at_t_star, tc.t_star_boundary) == _level_sum_t_star(model, xu, xv, grid)
+        # the level sums choose the t* that the per-point sums choose, at a
+        # score within rounding of the per-point one
         assert tc.t_star == t_star
         assert tc.t_star_boundary == at_boundary
-        assert tc.log_predictive_at_t_star == log_predictive
+        assert tc.log_predictive_at_t_star == pytest.approx(log_predictive, rel=1e-13, abs=0.0)
 
     def test_columns_match_public_functions_exactly(self):
         truth, xu, xv = _gauss_data(236, 300)
         grid = TemperingGrid.log_uniform(1e-8, 1.0, 12)
         tc = curve(GAUSS, truth, xu, xv, grid, GAUSS_FM, 5, RngStream(238))
         stats = SufficientStats.from_dataset(xu)
-        for p in tc.points:
-            post = temper_update(GAUSS, stats, p.t)
-            assert p.log_predictive == float(post.predictive_logpdf(xv).sum())
-            assert p.logz_true_sum == exact_log_ratio(post, truth, xv).sum
+        truth_sum = float(truth.logpdf(xv).sum())
+        sums = list(TemperedPredictive(GAUSS, stats, xv).sums(grid.values))
+        assert [p.t for p in tc.points] == [post.t for post, _ in sums]
+        for p, (post, lp) in zip(tc.points, sums):
+            assert p.log_predictive == lp
+            assert p.logz_true_sum == lp - truth_sum
+            # within rounding of the per-point sums
+            assert p.log_predictive == pytest.approx(float(post.predictive_logpdf(xv).sum()), rel=1e-13, abs=0.0)
+            assert p.logz_true_sum == pytest.approx(exact_log_ratio(post, truth, xv).sum, rel=1e-10, abs=0.0)
         exact = exact_log_ratio(temper_update(GAUSS, stats, tc.t_star), truth, xv)
         assert np.array_equal(tc.true_at_t_star.per_point, exact.per_point)
 
@@ -314,11 +335,11 @@ class TestSingleGridPass:
         failing_t = float(grid.values[2])
 
         class Failing(TemperedPredictive):
-            def levels(self, ts):
-                for post, row in super().levels(ts):
+            def sums(self, ts):
+                for post, lp in super().sums(ts):
                     if post.t == failing_t:
                         raise ValueError("forced predictive failure")
-                    yield post, row
+                    yield post, lp
 
         monkeypatch.setattr(tempering, "TemperedPredictive", Failing)
         with pytest.raises(ValueError, match="forced predictive failure"):
