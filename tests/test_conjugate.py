@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from carmen.cli import SCENARIOS
 from carmen.conjugate import (
     GaussianKnownVarModel,
     NIGRegressionModel,
@@ -295,6 +296,57 @@ class TestPredictiveSample:
         # a like without covariates is accepted and does not change the draw
         draws = predictive_sample(post, RngStream(0), 10, like=Dataset(np.ones(10)))
         assert np.array_equal(draws.values, predictive_sample(post, RngStream(0), 10).values)
+
+
+def _assert_sums_match_rows(model, update, valid):
+    """Every level sum of the ``_LEVEL_CALLS`` is its per-point row's sum, within 1e-13 relative."""
+    pred = TemperedPredictive(model, SufficientStats.from_dataset(update), valid)
+    for ts in _LEVEL_CALLS:
+        sums = list(pred.sums(ts))
+        assert len(sums) == len(ts)
+        for (post, lp), (ref_post, row) in zip(sums, pred.levels(ts)):
+            assert post == ref_post
+            assert type(lp) is float
+            assert lp == pytest.approx(float(row.sum()), rel=1e-13, abs=0.0)
+
+
+class TestLevelSums:
+    """A level's sum is the sum of its row, to rounding, without the row for Gaussian and count data."""
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_scenario_default_data(self, scenario):
+        binding = SCENARIOS[scenario]
+        update, valid = binding.truth.sample(RngStream(0).substream(0), 2000).split(1000)
+        _assert_sums_match_rows(binding.model, update, valid)
+
+    @pytest.mark.parametrize(
+        "model,truth",
+        [
+            # the mean of the sum of squares is 1e12 times its spread, and
+            # at t near 1 the predictive mean is within 0.1 of the data mean
+            (GaussianKnownVarModel(noise_sd=1.0, prior_mean=0.0, prior_sd=1e3), GaussianTruth(1e6, 1.0)),
+            (POIS, BetaBinomialTruth(2.0, 2.0, 10000)),  # about 900 distinct counts up to 1e4
+        ],
+        ids=["gauss-at-1e6-sd-1", "counts-to-1e4"],
+    )
+    def test_data_that_defeat_raw_moments(self, model, truth):
+        _assert_sums_match_rows(model, truth.sample(RngStream(40), 1000), truth.sample(RngStream(41), 1000))
+
+    def test_minus_inf_exactly_where_the_row_sum_is(self):
+        # noise_sd**2 is a normal float, but above t ~ 5e-4 the predictive
+        # variance is so small that the rows' squared residuals, or their
+        # sum, overflow: the level sum must be -inf at the same levels
+        model = GaussianKnownVarModel(noise_sd=1.5e-154, prior_mean=0.0, prior_sd=1.0)
+        truth = GaussianTruth(0.0, 1.0)
+        pred = TemperedPredictive(model, SufficientStats.from_dataset(truth.sample(RngStream(42), 100)),
+                                  truth.sample(RngStream(43), 100))
+        ts = np.logspace(-5.0, -2.0, 600)
+        sums = np.array([lp for _, lp in pred.sums(ts)])
+        with np.errstate(over="ignore"):
+            row_sums = np.array([row.sum() for _, row in pred.levels(ts)])
+        assert np.isneginf(row_sums).any() and np.isfinite(row_sums).any()
+        assert np.array_equal(np.isneginf(sums), np.isneginf(row_sums))
+        assert np.isfinite(sums[np.isfinite(row_sums)]).all()
 
 
 def _scores(model, xu, xv, ts):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from carmen import tempering
+from carmen.cli import SCENARIOS
 from carmen.conjugate import (
     GaussianKnownVarModel,
     NIGRegressionModel,
@@ -19,7 +20,13 @@ from carmen.numerics import RngStream
 from carmen.ratio import estimate_log_ratio
 from carmen.tempering import CurvePoint, TemperingGrid, curve
 from carmen.truths import GaussianTruth, SigmoidRegressionTruth
-from oracles import exact_log_ratio, std_error
+from oracles import (
+    betabinom_predictive_kl,
+    exact_log_ratio,
+    gaussian_predictive_kl,
+    nbinom_predictive_kl,
+    std_error,
+)
 
 GAUSS = GaussianKnownVarModel(0.1, 0.0, 9.9)
 NIG = NIGRegressionModel(0.0, 1.0, 2.0, 2.0)
@@ -392,3 +399,72 @@ class TestClassifierChain:
         assert est_star is not None and reverse_start is est_star.decision
         assert est_reverse.sum == tc.reverse_at_t_star.sum
 
+
+# KL(truth || predictive) of a tempered posterior against the truth, in nat/pt
+_PREDICTIVE_KL = {
+    "gauss-gauss": gaussian_predictive_kl,
+    "gauss-laplace": gaussian_predictive_kl,
+    "poisson-nb": lambda post, truth: nbinom_predictive_kl(post, truth)[0],
+    "poisson-betabinom": lambda post, truth: betabinom_predictive_kl(post, truth)[0],
+}
+
+
+def _population_minimum(f, lo=-8.0, hi=0.0):
+    """The smallest value of ``f`` over [lo, hi]: a scan 0.5 apart, then golden
+    section around the best scan point to 1e-4 on the argument."""
+    us = np.linspace(lo, hi, int(round((hi - lo) / 0.5)) + 1)
+    fs = [f(u) for u in us]
+    best = int(np.argmin(fs))
+    a, b = us[max(best - 1, 0)], us[min(best + 1, len(us) - 1)]
+    c, d = b - tempering._INV_PHI * (b - a), a + tempering._INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-4:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - tempering._INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + tempering._INV_PHI * (b - a)
+            fd = f(d)
+    return min(fc, fd, fs[best]), c if fc <= fd else d
+
+
+class TestPopulationRegret:
+    """The validation-chosen t* against the level that minimises the population
+    KL(truth || predictive_t) for the run's own update data.
+
+    Regret is the KL at t* less that minimum, in nat/pt, over data seeds
+    0-9 at the default sizes.  Each bound is three times the largest
+    regret of seeds 0-4, rounded up to one significant figure.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario,bound",
+        [("gauss-gauss", 5e-3), ("gauss-laplace", 2e-2), ("poisson-nb", 3e-3), ("poisson-betabinom", 2e-3)],
+    )
+    def test_t_star_regret(self, scenario, bound):
+        binding, kl = SCENARIOS[scenario], _PREDICTIVE_KL[scenario]
+        grid = TemperingGrid.log_uniform().values
+        regrets, regrets_at_one, offsets = [], [], []
+        for seed in range(10):
+            update, valid = binding.truth.sample(RngStream(seed).substream(0), 2000).split(1000)
+            stats = SufficientStats.from_dataset(update)
+
+            def population_kl(log10_t):
+                return kl(temper_update(binding.model, stats, 10.0**log10_t), binding.truth)
+
+            kl_min, log10_t_pop = _population_minimum(population_kl)
+            _, (t_star, _, _), _, _ = tempering._search(binding.model, None, update, valid, grid)
+            regrets.append(population_kl(math.log10(t_star)) - kl_min)
+            regrets_at_one.append(population_kl(0.0) - kl_min)
+            offsets.append(math.log10(t_star) - log10_t_pop)
+        print(
+            f"{scenario}: regret at t* median {np.median(regrets):.2g}, max {max(regrets):.2g} nat/pt; "
+            f"at t = 1 median {np.median(regrets_at_one):.3g}; "
+            f"log10(t*/t_pop) {min(offsets):+.2f} to {max(offsets):+.2f}"
+        )
+        assert min(regrets) > -1e-9  # the refined minimum is the minimum
+        assert max(regrets) <= bound
+        # t* beats the untempered update on every seed
+        assert all(r < r1 for r, r1 in zip(regrets, regrets_at_one))
