@@ -308,9 +308,9 @@ _SCALAR_FIELDS = {f.name: _PARSE[f.type] for f in fields(ScenarioConfig) if f.ty
 _RUN_OPTIONS = {
     "scenario": "scenario name, or 'custom' with --config",
     "seed": "64-bit unsigned seed",
-    "n_update": "points the tempered update sees (default 1000)",
-    "n_validate": "points that score each tempering level (default 1000)",
-    "folds": "cross-validation folds of the classifier (default 10)",
+    "n_update": "points the tempered update sees",
+    "n_validate": "points that score each tempering level",
+    "folds": "cross-validation folds of the classifier",
     "grid": "tempering grid as lo:hi:count",
     "ridge": "ridge penalty of the logistic fits",
     "full_curve": "fit the classifier at every grid level",
@@ -323,9 +323,11 @@ def load_config_file(path: str | Path) -> dict:
 
     Recognized keys are the ``_RUN_OPTIONS``, ``features``, the
     ``model``/``truth`` family selectors and dotted parameters such as
-    ``model.noise_sd``.  Errors name the file, the line and the key.
+    ``model.noise_sd``.  Errors name the file, the line and the key; a
+    key set twice is an error.
     """
     out: dict = {"model_params": {}, "truth_params": {}}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as f:  # an empty path names no file, where Path("") is "."
             text = f.read()
@@ -338,7 +340,11 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        _read_config_value(out, key, value, where=f"{path}:{lineno}: {key}")
+        where = f"{path}:{lineno}: {key}"
+        if key in first_line:
+            raise ValueError(f"{where}: already set on line {first_line[key]}")
+        first_line[key] = lineno
+        _read_config_value(out, key, value, where)
     return out
 
 
@@ -370,9 +376,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one scenario and write JSON/CSV outputs")
+    defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
+    defaults["grid"] = "{grid_lo}:{grid_hi}:{grid_count}".format(**defaults)
     for key, text in _RUN_OPTIONS.items():  # a bool flag stores the text "true"
         switch = {"action": "store_const", "const": "true"} if _SCALAR_FIELDS.get(key) is _parse_bool else {}
-        run.add_argument("--" + key.replace("_", "-"), help=text, **switch)
+        default = "" if switch or key not in defaults else f" (default {defaults[key]})"
+        run.add_argument("--" + key.replace("_", "-"), help=text + default, **switch)
     run.add_argument("--config", help="flat key=value config file (custom scenarios)")
     run.add_argument("--out", required=True, help="output directory")
 

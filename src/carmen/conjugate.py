@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numerics import CountTable, RngStream, log_gamma, require_finite_fields, require_gaussian_scales
+from .numerics import CountTable, RngStream, require_finite_fields, require_gaussian_scales
 
 
 def _reject_covariates(like: Dataset | None) -> None:
@@ -121,8 +121,7 @@ class GaussianPosterior:
         return self.noise_sd**2 + 1.0 / self.precision
 
     def predictive_logpdf(self, data: Dataset) -> np.ndarray:
-        v = self.predictive_var
-        return -0.5 * (np.log(2.0 * np.pi * v) + (data.values - self.mean) ** 2 / v)
+        return _GaussianTerms(data).row(self)
 
     def predictive_sample(self, rng: RngStream, n: int, like: Dataset | None = None) -> Dataset:
         _reject_covariates(like)
@@ -167,7 +166,7 @@ class PoissonGammaPosterior:
     t: float
 
     def predictive_logpdf(self, data: Dataset) -> np.ndarray:
-        return next(_CountTerms(data).rows([self]))
+        return _CountTerms(data).row(self)
 
     def predictive_sample(self, rng: RngStream, n: int, like: Dataset | None = None) -> Dataset:
         _reject_covariates(like)
@@ -198,10 +197,9 @@ class _CountTerms:
         log_q = np.array([[math.log(1.0 / (1.0 + p.rate))] for p in posts])
         return self.table.negbinom_logpmf(r, log_p, log_q)
 
-    def rows(self, posts: Sequence[PoissonGammaPosterior]) -> Iterator[np.ndarray]:
-        """One flat row of per-point log masses per posterior, in order."""
-        for row in self._table(posts):
-            yield row[self.table.inverse]  # every point is on the support (checked above)
+    def row(self, post: PoissonGammaPosterior) -> np.ndarray:
+        """Each point's log mass under ``post``: its one-level table, gathered to every point."""
+        return self._table([post])[0][self.table.inverse]  # every point is on the support (checked above)
 
     def sums(self, posts: Sequence[PoissonGammaPosterior]) -> np.ndarray:
         """Each posterior's summed log mass: its table row weighed by how often each count occurs."""
@@ -253,7 +251,7 @@ class NIGRegressionPosterior:
     t: float
 
     def predictive_logpdf(self, data: Dataset) -> np.ndarray:
-        return next(_RegressionTerms(data).rows([self]))
+        return _RegressionTerms(data).row(self)
 
     def predictive_sample(self, rng: RngStream, n: int, like: Dataset | None = None) -> Dataset:
         if like is None or like.covariates is None:
@@ -277,30 +275,24 @@ class _RegressionTerms:
         self.x, self.y = data.covariates, data.values
         self.xx = self.x * self.x
 
-    def rows(self, posts: Sequence[NIGRegressionPosterior]) -> Iterator[np.ndarray]:
-        """One row of per-point log densities per posterior, in order.
-
-        Each row is computed as it is taken: a (levels x points) array
-        would hold 4 MB at 10,000 points and measured slower.
-        """
-        df = np.array([2.0 * p.shape for p in posts])
-        log_norm = log_gamma(0.5 * (df + 1.0)) - log_gamma(0.5 * df)
-        for p, d, c in zip(posts, df, log_norm):
-            s = np.sqrt((p.scale / p.shape) * (1.0 + self.xx / p.coef_precision))
-            z = (self.y - p.coef * self.x) / s
-            yield (
-                c - 0.5 * math.log(d * math.pi)
-                - 0.5 * (d + 1.0) * np.log1p(z * z / d)
-            ) - np.log(s)
+    def row(self, post: NIGRegressionPosterior) -> np.ndarray:
+        """Each point's log density under ``post``."""
+        df = 2.0 * post.shape
+        s = np.sqrt((post.scale / post.shape) * (1.0 + self.xx / post.coef_precision))
+        z = (self.y - post.coef * self.x) / s
+        return (
+            math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+            - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+        ) - np.log(s)
 
     def sums(self, posts: Sequence[NIGRegressionPosterior]) -> np.ndarray:
         """Each posterior's row, summed; a sum that overflows is left for the caller to reject."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.array([row.sum() for row in self.rows(posts)])
+            return np.array([self.row(p).sum() for p in posts])
 
 
 class _GaussianTerms:
-    """Gaussian predictive rows, and level sums from three statistics of the data.
+    """The Gaussian predictive per point, and level sums from three statistics of the data.
 
     A level with predictive N(m, v) sums to -n/2 ln(2 pi v) - (S/2)/v,
     where S = sum (x - xbar)^2 + n (xbar - m)^2.  The mean xbar is kept as
@@ -310,8 +302,7 @@ class _GaussianTerms:
     """
 
     def __init__(self, data: Dataset) -> None:
-        self.data = data
-        x = data.values
+        self.values = x = data.values
         self.n = x.size
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes every level -inf, as in the rows
             self.mean = float(x.mean())
@@ -320,12 +311,11 @@ class _GaussianTerms:
             ss = float(centred @ centred) - self.n * self.mean_residual * self.mean_residual
         self.centred_ss = math.inf if math.isnan(ss) else ss
 
-    def rows(self, posts: Sequence[GaussianPosterior]) -> Iterator[np.ndarray]:
-        """One row per posterior; a residual too large for a tiny predictive variance gives -inf, unwarned."""
-        for p in posts:
-            with np.errstate(over="ignore"):
-                row = p.predictive_logpdf(self.data)
-            yield row
+    def row(self, post: GaussianPosterior) -> np.ndarray:
+        """Each point's log density under ``post``; a residual too large for a tiny variance gives -inf, unwarned."""
+        v = post.predictive_var
+        with np.errstate(over="ignore"):
+            return -0.5 * (np.log(2.0 * np.pi * v) + (self.values - post.mean) ** 2 / v)
 
     def sums(self, posts: Sequence[GaussianPosterior]) -> np.ndarray:
         """Each posterior's summed log density, from the statistics alone."""
@@ -351,13 +341,13 @@ class TemperedPredictive:
     """Log predictive of fixed ``data`` under ``model`` tempered on fixed ``stats``.
 
     Built once per run, it computes the terms that do not depend on the
-    tempering level; each call then scores a vector of levels.  Row i of
-    :meth:`levels` is bitwise equal to the one-level ``predictive_logpdf``
-    method of ``temper_update(model, stats, ts[i])`` on ``data``.  Entry i
-    of :meth:`sums` is that row's sum: for regression data the row is
-    built and summed, while a Gaussian sum comes from the data's count,
-    mean and centred sum of squares and a count sum from a table over the
-    distinct counts, so these differ from the row's sum by rounding only.
+    tempering level.  :meth:`row` at level t is bitwise equal to the
+    ``predictive_logpdf`` method of ``temper_update(model, stats, t)`` on
+    ``data``.  :meth:`sums` scores a vector of levels, each entry that
+    level's row summed: for regression data the row is built and summed,
+    while a Gaussian sum comes from the data's count, mean and centred
+    sum of squares and a count sum from a table over the distinct counts,
+    so these differ from the row's sum by rounding only.
     """
 
     def __init__(self, model: Model, stats: SufficientStats, data: Dataset) -> None:
@@ -365,17 +355,14 @@ class TemperedPredictive:
         self.stats = stats
         self._terms = _TERMS[model.kind](data)
 
-    def _posteriors(self, ts) -> list[TemperedPosterior]:
-        return [temper_update(self.model, self.stats, float(t)) for t in ts]
-
-    def levels(self, ts) -> Iterator[tuple[TemperedPosterior, np.ndarray]]:
-        """``(posterior, per-point row)`` for each level of ``ts``, one row alive at a time."""
-        posts = self._posteriors(ts)
-        return zip(posts, self._terms.rows(posts))
+    def row(self, t: float) -> tuple[TemperedPosterior, np.ndarray]:
+        """``(posterior, per-point log predictive)`` at level ``t``."""
+        post = temper_update(self.model, self.stats, float(t))
+        return post, self._terms.row(post)
 
     def sums(self, ts) -> Iterator[tuple[TemperedPosterior, float]]:
         """``(posterior, summed log predictive)`` for each level of ``ts``; a sum may be -inf or nan."""
-        posts = self._posteriors(ts)
+        posts = [temper_update(self.model, self.stats, float(t)) for t in ts]
         return zip(posts, map(float, self._terms.sums(posts)))
 
 

@@ -77,6 +77,9 @@ class FeatureMap:
         unknown = [t for t in names if t not in _TRANSFORMS]
         if unknown:
             raise ValueError(f"unknown transforms {unknown}; known: {sorted(_TRANSFORMS)}")
+        repeated = sorted({t for t in names if names.count(t) > 1})
+        if repeated:
+            raise ValueError(f"transforms {repeated} are repeated; each may appear once")
         object.__setattr__(self, "transforms", names)
 
     def columns(self, data: Dataset) -> tuple[np.ndarray, np.ndarray | None]:

@@ -161,7 +161,7 @@ def _search(
         for post, lp in pred.sums(ts)
     ]
     refined = _refine(pred, ts, np.array([lp for _, lp, _ in levels]))
-    ((post_star, lp_star),) = pred.levels([refined[0]])
+    post_star, lp_star = pred.row(refined[0])
     true_star = None if truth_lp is None else LogRatioEstimate.from_per_point(lp_star - truth_lp)
     return levels, refined, post_star, true_star
 

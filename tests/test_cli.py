@@ -360,6 +360,28 @@ class TestConfigFile:
             load_config_file(cfg_file)
         assert str(info.value) == f"{cfg_file}:1: {key}: unknown key"
 
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("seed = 1", "seed = 2"),
+            ("model.noise_sd = 0.1", "model.noise_sd = 0.2"),
+            ("features = x, x2", "features = x"),
+            ("grid = 1e-7:1.0:6", "grid = 1e-7:1.0:6"),
+        ],
+        ids=["seed", "dotted-parameter", "features", "same-value"],
+    )
+    def test_key_set_twice_rejected(self, tmp_path, capsys, first, second):
+        key = first.split(" = ")[0]
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text(f"scenario = custom\n{first}\n# a comment\nfolds = 5\n{second}\n")
+        message = f"{cfg_file}:5: {key}: already set on line 2"
+        with pytest.raises(ValueError) as info:
+            load_config_file(cfg_file)
+        assert str(info.value) == message
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     # A text for each run option that differs from the base config's value.
     OPTION_TEXT = {
         "scenario": "reg-tnoise", "seed": "7", "n_update": "300", "n_validate": "200", "folds": "4",
@@ -369,10 +391,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("key", list(_RUN_OPTIONS))
     def test_flag_and_config_line_agree(self, tmp_path, key):
         text = self.OPTION_TEXT[key]
-        base = tmp_path / "base.cfg"
-        base.write_text("scenario = gauss-gauss\nseed = 1\n")
-        line = tmp_path / "line.cfg"
-        line.write_text(base.read_text() + f"{key} = {text}\n")
+        base, line = tmp_path / "base.cfg", tmp_path / "line.cfg"
+        lines = {"scenario": "gauss-gauss", "seed": "1"}
+        base.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        line.write_text("".join(f"{k} = {v}\n" for k, v in {**lines, key: text}.items()))  # a key is set once
         flag = ["--" + key.replace("_", "-")] + ([] if text == "true" else [text])
 
         def config(cfg_file, *flags):
@@ -636,6 +658,35 @@ class TestMain:
         assert code == 2
         assert "error: ridge" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_repeated_feature_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the feature names were checked")
+
+        monkeypatch.setattr(GaussianTruth, "sample", sample)
+        cfg_file = tmp_path / "features.cfg"
+        cfg_file.write_text(
+            "scenario = custom\nseed = 1\n"
+            "model = gaussian\nmodel.noise_sd = 0.1\nmodel.prior_mean = 0\nmodel.prior_sd = 9.9\n"
+            "truth = gaussian\ntruth.mean = 0\ntruth.sd = 3\nfeatures = x, x, x2\n"
+        )
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: transforms ['x'] are repeated; each may appear once\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_help_shows_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert not any("default" in help_text for help_text in _RUN_OPTIONS.values())
+        cfg = ScenarioConfig(scenario="gauss-gauss", seed=0)
+        for key, default in [
+            ("n_update", cfg.n_update), ("n_validate", cfg.n_validate), ("folds", cfg.folds), ("ridge", cfg.ridge),
+            ("grid", f"{cfg.grid_lo}:{cfg.grid_hi}:{cfg.grid_count}"),
+        ]:
+            assert f"{_RUN_OPTIONS[key]} (default {default})" in text
+        for key in ("scenario", "seed", "full_curve", "reverse_kl"):
+            assert f"{_RUN_OPTIONS[key]} (default" not in text
 
     @pytest.mark.parametrize(
         "grid,message",

@@ -10,6 +10,7 @@ from scipy import integrate
 from carmen.cli import SCENARIOS
 from carmen.conjugate import (
     GaussianKnownVarModel,
+    GaussianPosterior,
     NIGRegressionModel,
     NIGRegressionPosterior,
     PoissonGammaModel,
@@ -168,7 +169,10 @@ class TestPredictive:
 
 
 def _direct_logpdf(post, data):
-    """The Poisson and NIG predictives written out over every point, one expression each."""
+    """The Gaussian, Poisson and NIG predictives written out over every point, one expression each."""
+    if isinstance(post, GaussianPosterior):
+        v = post.noise_sd**2 + 1.0 / post.precision
+        return -0.5 * (np.log(2.0 * np.pi * v) + (data.values - post.mean) ** 2 / v)
     if isinstance(post, PoissonGammaPosterior):
         x, r = data.values, post.shape
         return (
@@ -198,7 +202,7 @@ _LEVEL_CALLS = [np.logspace(-8.0, 0.0, 50)] + [[t] for t in (1e-8, 1.0, 0.0, 3.3
 
 
 class TestTemperedPredictive:
-    """Each row of a batched call is the per-level predictive, bit for bit."""
+    """The row at each level is the per-level predictive, bit for bit."""
 
     @pytest.mark.parametrize(
         "model,update,valid",
@@ -222,18 +226,14 @@ class TestTemperedPredictive:
     def test_rows_equal_per_level_predictive_bitwise(self, model, update, valid):
         stats = SufficientStats.from_dataset(update)
         pred = TemperedPredictive(model, stats, valid)
-        for ts in _LEVEL_CALLS:
-            got = list(pred.levels(ts))
-            assert len(got) == len(ts)
-            for t, (post, row) in zip(ts, got):
-                ref_post = temper_update(model, stats, float(t))
-                ref = ref_post.predictive_logpdf(valid)
-                assert post == ref_post
-                assert row.shape == (len(valid),)
-                assert row.tobytes() == ref.tobytes()
-                assert row.sum().tobytes() == ref.sum().tobytes()
-                if model is not GAUSS:
-                    assert ref.tobytes() == _direct_logpdf(ref_post, valid).tobytes()
+        for t in np.concatenate(_LEVEL_CALLS):
+            post, row = pred.row(t)
+            ref_post = temper_update(model, stats, float(t))
+            ref = ref_post.predictive_logpdf(valid)
+            assert post == ref_post
+            assert row.shape == (len(valid),)
+            assert row.tobytes() == ref.tobytes()
+            assert ref.tobytes() == _direct_logpdf(ref_post, valid).tobytes()
 
     def test_regression_data_requires_covariates(self):
         stats = SufficientStats.from_dataset(TNoiseRegressionTruth().sample(RngStream(39), 50))
@@ -304,7 +304,8 @@ def _assert_sums_match_rows(model, update, valid):
     for ts in _LEVEL_CALLS:
         sums = list(pred.sums(ts))
         assert len(sums) == len(ts)
-        for (post, lp), (ref_post, row) in zip(sums, pred.levels(ts)):
+        for t, (post, lp) in zip(ts, sums):
+            ref_post, row = pred.row(t)
             assert post == ref_post
             assert type(lp) is float
             assert lp == pytest.approx(float(row.sum()), rel=1e-13, abs=0.0)
@@ -343,7 +344,7 @@ class TestLevelSums:
         ts = np.logspace(-5.0, -2.0, 600)
         sums = np.array([lp for _, lp in pred.sums(ts)])
         with np.errstate(over="ignore"):
-            row_sums = np.array([row.sum() for _, row in pred.levels(ts)])
+            row_sums = np.array([pred.row(t)[1].sum() for t in ts])
         assert np.isneginf(row_sums).any() and np.isfinite(row_sums).any()
         assert np.array_equal(np.isneginf(sums), np.isneginf(row_sums))
         assert np.isfinite(sums[np.isfinite(row_sums)]).all()
@@ -352,7 +353,7 @@ class TestLevelSums:
 def _scores(model, xu, xv, ts):
     """Validation log predictive score at each level of ``ts`` after a power-t update on ``xu``."""
     pred = TemperedPredictive(model, SufficientStats.from_dataset(xu), xv)
-    return [float(row.sum()) for _, row in pred.levels(ts)]
+    return [float(pred.row(t)[1].sum()) for t in ts]
 
 
 class TestLogTemperedPredictive:

@@ -86,6 +86,16 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(())
 
+    @pytest.mark.parametrize(
+        "names,repeated",
+        [(("x", "x", "x2"), "['x']"), (("x2", "x", "x2", "x", "x3"), "['x', 'x2']")],
+        ids=["one", "two"],
+    )
+    def test_repeated_name_rejected(self, names, repeated):
+        with pytest.raises(ValueError) as info:
+            FeatureMap(names)
+        assert str(info.value) == f"transforms {repeated} are repeated; each may appear once"
+
     def test_standardization_on_union(self):
         obs = Dataset(np.array([1.0, 2.0, 3.0]))
         sim = Dataset(np.array([5.0, 6.0, 7.0]))

@@ -54,7 +54,7 @@ def _count_calls(monkeypatch, owner, name):
 
 def _count_predictive(monkeypatch):
     """Replace ``carmen.tempering.TemperedPredictive`` by a subclass that logs its
-    preparations and, for each ``sums`` or ``levels`` call, the method and its levels."""
+    preparations and each ``sums`` or ``row`` call: the method and its levels."""
     prepared, calls = [], []
 
     class Counted(TemperedPredictive):
@@ -66,9 +66,9 @@ def _count_predictive(monkeypatch):
             calls.append(("sums", [float(t) for t in ts]))
             return super().sums(ts)
 
-        def levels(self, ts):
-            calls.append(("levels", [float(t) for t in ts]))
-            return super().levels(ts)
+        def row(self, t):
+            calls.append(("row", float(t)))
+            return super().row(t)
 
     monkeypatch.setattr(tempering, "TemperedPredictive", Counted)
     return prepared, calls
@@ -274,7 +274,7 @@ class TestSingleGridPass:
         assert calls[0] == ("sums", list(grid.values))  # one call sums the whole grid
         # then one level sum per golden-section step, and one per-point row,
         # at t*, for the exact ratio there
-        assert calls == [("sums", list(grid.values))] + [("sums", t) for t in refine] + [("levels", [tc.t_star])]
+        assert calls == [("sums", list(grid.values))] + [("sums", t) for t in refine] + [("row", tc.t_star)]
         assert len(density) == 1
 
     @pytest.mark.parametrize(
