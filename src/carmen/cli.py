@@ -371,6 +371,15 @@ def _read_config_value(out: dict, key: str, value: str, where: str) -> None:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+class _Once(argparse.Action):
+    """Store a flag's value, or a switch's ``const``; a flag given twice is an input error, as a key set twice is."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ValueError(f"{self.option_strings[0]}: already given")
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="carmen")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -379,11 +388,11 @@ def _build_parser() -> argparse.ArgumentParser:
     defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
     defaults["grid"] = "{grid_lo}:{grid_hi}:{grid_count}".format(**defaults)
     for key, text in _RUN_OPTIONS.items():  # a bool flag stores the text "true"
-        switch = {"action": "store_const", "const": "true"} if _SCALAR_FIELDS.get(key) is _parse_bool else {}
+        switch = {"nargs": 0, "const": "true"} if _SCALAR_FIELDS.get(key) is _parse_bool else {}
         default = "" if switch or key not in defaults else f" (default {defaults[key]})"
-        run.add_argument("--" + key.replace("_", "-"), help=text + default, **switch)
-    run.add_argument("--config", help="flat key=value config file (custom scenarios)")
-    run.add_argument("--out", required=True, help="output directory")
+        run.add_argument("--" + key.replace("_", "-"), action=_Once, help=text + default, **switch)
+    run.add_argument("--config", action=_Once, help="flat key=value config file (custom scenarios)")
+    run.add_argument("--out", action=_Once, required=True, help="output directory")
 
     sub.add_parser("list", help="print scenario names and their parameters")
     return parser
@@ -409,11 +418,11 @@ def _print_scenarios() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        _print_scenarios()
-        return 0
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "list":
+            _print_scenarios()
+            return 0
         cfg = _config_from_args(args)
         result = run_scenario(cfg)
         json_path, csv_path = emit_outputs(result, args.out)

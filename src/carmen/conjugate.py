@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -178,9 +179,9 @@ class PoissonGammaPosterior:
 class _CountTerms:
     """The t-independent per-point terms of the negative-binomial predictive of counts ``data``.
 
-    The predictive is evaluated once per distinct count and gathered back
-    to every point, so a row costs a table lookup rather than three
-    ``log_gamma`` calls per point.
+    The predictive is evaluated once per distinct count, by
+    ``CountTable.negbinom_logpmf``, and gathered back to every point, so a
+    row costs a table lookup per point.
     """
 
     def __init__(self, data: Dataset) -> None:
@@ -266,8 +267,21 @@ class NIGRegressionPosterior:
         return Dataset(y, covariates=x)
 
 
+def _student_t_log_norm(df: float) -> float:
+    """ln G((df+1)/2) - ln G(df/2) - ln(df pi)/2, the log-normaliser of a unit-scale Student-t."""
+    return math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+
+
 class _RegressionTerms:
-    """The t-independent per-point terms of the Student-t predictive of regression responses."""
+    """The t-independent per-point terms of the Student-t predictive of regression responses.
+
+    A level with nu = 2 shape, squared scales s^2 = (scale/shape)(1 + x^2/lambda)
+    and residuals e = y - coef x sums to n c(nu) - (nu+1)/2 sum log1p(e^2/s^2/nu)
+    - sum ln(s^2)/2, c the log-normaliser: no square root per point, and one log
+    of s^2 where the row takes ln s.  The squared residual is (e/s^2) e, which
+    overflows where the row's (e/s)^2 does, and ln s^2 overflows where s^2 does,
+    so a level whose row is not finite sums to -inf or nan as well.
+    """
 
     def __init__(self, data: Dataset) -> None:
         if data.covariates is None:
@@ -280,15 +294,21 @@ class _RegressionTerms:
         df = 2.0 * post.shape
         s = np.sqrt((post.scale / post.shape) * (1.0 + self.xx / post.coef_precision))
         z = (self.y - post.coef * self.x) / s
-        return (
-            math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
-            - 0.5 * (df + 1.0) * np.log1p(z * z / df)
-        ) - np.log(s)
+        return (_student_t_log_norm(df) - 0.5 * (df + 1.0) * np.log1p(z * z / df)) - np.log(s)
 
     def sums(self, posts: Sequence[NIGRegressionPosterior]) -> np.ndarray:
-        """Each posterior's row, summed; a sum that overflows is left for the caller to reject."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.array([self.row(p).sum() for p in posts])
+        """Each posterior's summed log density, without its row; a sum that is not finite is left for the caller."""
+        out = np.empty(len(posts))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for i, p in enumerate(posts):
+                nu = 2.0 * p.shape
+                s2 = (p.scale / p.shape) * (1.0 + self.xx / p.coef_precision)
+                e = self.y - p.coef * self.x
+                out[i] = (
+                    self.y.size * _student_t_log_norm(nu)
+                    - 0.5 * (nu + 1.0) * np.log1p(e / s2 * e / nu).sum() - 0.5 * np.log(s2).sum()
+                )
+        return out
 
 
 class _GaussianTerms:
@@ -302,14 +322,18 @@ class _GaussianTerms:
     """
 
     def __init__(self, data: Dataset) -> None:
-        self.values = x = data.values
-        self.n = x.size
+        self.values = data.values
+
+    @cached_property
+    def _moments(self) -> tuple[float, float, float]:
+        """The mean, the mean residual about it and the centred sum of squares, on the first ``sums`` call."""
+        x = self.values
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes every level -inf, as in the rows
-            self.mean = float(x.mean())
-            centred = x - self.mean
-            self.mean_residual = float(centred.mean())
-            ss = float(centred @ centred) - self.n * self.mean_residual * self.mean_residual
-        self.centred_ss = math.inf if math.isnan(ss) else ss
+            mean = float(x.mean())
+            centred = x - mean
+            mean_residual = float(centred.mean())
+            ss = float(centred @ centred) - x.size * mean_residual * mean_residual
+        return mean, mean_residual, math.inf if math.isnan(ss) else ss
 
     def row(self, post: GaussianPosterior) -> np.ndarray:
         """Each point's log density under ``post``; a residual too large for a tiny variance gives -inf, unwarned."""
@@ -319,10 +343,12 @@ class _GaussianTerms:
 
     def sums(self, posts: Sequence[GaussianPosterior]) -> np.ndarray:
         """Each posterior's summed log density, from the statistics alone."""
+        mean, mean_residual, centred_ss = self._moments
+        n = self.values.size
         v = np.array([p.predictive_var for p in posts])
-        shift = (self.mean - np.array([p.mean for p in posts])) + self.mean_residual
+        shift = (mean - np.array([p.mean for p in posts])) + mean_residual
         with np.errstate(over="ignore"):
-            return -0.5 * self.n * np.log(2.0 * np.pi * v) - (0.5 * (self.centred_ss + self.n * shift * shift)) / v
+            return -0.5 * n * np.log(2.0 * np.pi * v) - (0.5 * (centred_ss + n * shift * shift)) / v
 
 
 # The per-point terms of each kind of data.
@@ -344,10 +370,10 @@ class TemperedPredictive:
     tempering level.  :meth:`row` at level t is bitwise equal to the
     ``predictive_logpdf`` method of ``temper_update(model, stats, t)`` on
     ``data``.  :meth:`sums` scores a vector of levels, each entry that
-    level's row summed: for regression data the row is built and summed,
-    while a Gaussian sum comes from the data's count, mean and centred
-    sum of squares and a count sum from a table over the distinct counts,
-    so these differ from the row's sum by rounding only.
+    level's row summed without building it: a Gaussian sum comes from the
+    data's count, mean and centred sum of squares, a count sum from a
+    table over the distinct counts and a regression sum from sums of logs
+    per point, so these differ from the row's sum by rounding only.
     """
 
     def __init__(self, model: Model, stats: SufficientStats, data: Dataset) -> None:

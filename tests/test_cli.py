@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from carmen import numerics
 from carmen.cli import (
     _RUN_OPTIONS,
     SCENARIOS,
@@ -24,6 +26,7 @@ from carmen.cli import (
     run_scenario,
 )
 from carmen.discriminator import RESPONSE_TRANSFORMS
+from carmen.numerics import log_gamma
 from carmen.tempering import CurvePoint, TemperingGrid
 from carmen.truths import GaussianTruth, TNoiseRegressionTruth
 
@@ -616,6 +619,34 @@ class TestConfigFile:
             assert "trials must be a whole number" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "truth_params,grid_tables",
+        [(dict(r=1e6, p=0.999999), 1), (dict(r=63.0, p=0.488), 0)],
+        ids=["counts-near-1e12", "poisson-nb-counts"],
+    )
+    def test_count_levels_take_log_gamma_only_for_sparse_counts(self, monkeypatch, truth_params, grid_tables):
+        # negbinom(r=1e6, p=0.999999) draws counts near 1e12, about one
+        # distinct count per point: too sparse for a dense table, so the grid's
+        # (levels x distinct counts) table is taken by log_gamma.  poisson-nb's
+        # counts are dense, and log_gamma sees only 1-D arrays of counts.
+        shapes = []
+
+        def spy(x):
+            shapes.append(np.shape(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(numerics, "log_gamma", spy)
+        cfg = ScenarioConfig(
+            scenario="custom", seed=1, n_update=200, n_validate=200, folds=5, model_family="poisson-gamma",
+            model_params=dict(shape=3.0, rate=0.05), truth_family="negbinom", truth_params=truth_params,
+            features=("x", "x2", "x3", "x4"),
+        )
+        tc = run_scenario(cfg).curve
+        assert sum(len(s) == 2 and s[0] == cfg.grid_count and s[1] > 1 for s in shapes) == grid_tables
+        assert all(len(s) < 2 or s[0] in (1, cfg.grid_count) for s in shapes)
+        assert math.isfinite(tc.log_predictive_at_t_star) and math.isfinite(tc.true_at_t_star.sum)
+        assert all(math.isfinite(p.log_predictive) for p in tc.points)
+
 
 class TestMain:
     def test_list_command(self, capsys):
@@ -716,6 +747,22 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         assert sampled == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [(["--seed", "2"], "--seed"), (["--full-curve", "--full-curve"], "--full-curve"),
+         (["--out", "first"], "--out")],
+        ids=["seed", "switch", "out"],
+    )
+    def test_flag_given_twice_exits_two(self, tmp_path, capsys, monkeypatch, flags, flag):
+        # the last value used to win silently: --seed 1 --seed 2 ran seed 2
+        sampled = []
+        monkeypatch.setattr(GaussianTruth, "sample", lambda *args: sampled.append(args))
+        flags = [str(tmp_path / f) if f == "first" else f for f in flags]
+        assert main(["run", "--scenario", "gauss-gauss", "--seed", "1", *flags, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: already given\n"
+        assert sampled == []
+        assert sorted(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "name,reason", [("missing.cfg", "No such file or directory"), ("", "Is a directory")], ids=["missing", "directory"]

@@ -175,8 +175,13 @@ def _direct_logpdf(post, data):
         return -0.5 * (np.log(2.0 * np.pi * v) + (data.values - post.mean) ** 2 / v)
     if isinstance(post, PoissonGammaPosterior):
         x, r = data.values, post.shape
+        distinct = np.unique(x)
+        if distinct[-1] <= 16 * distinct.size + 64:  # dense: ln G(x+r) - ln G(r) as the sum of ln(r + j), j < x
+            rising = np.array([np.cumsum(np.log(r + np.arange(int(c))))[-1] if c else 0.0 for c in x])
+        else:
+            rising = log_gamma(x + r) - log_gamma(r)
         return (
-            log_gamma(x + r) - log_gamma(r) - log_gamma(x + 1.0)
+            rising - log_gamma(x + 1.0)
             + r * math.log(post.rate / (1.0 + post.rate))
             + x * math.log(1.0 / (1.0 + post.rate))
         )
@@ -215,13 +220,15 @@ class TestTemperedPredictive:
              BetaBinomialTruth(41.75, 78.25, 80).sample(RngStream(33), 300)),
             (POIS, NegBinomialTruth(63.0, 0.488).sample(RngStream(32), 1000), _small_counts()),
             (POIS, NegBinomialTruth(63.0, 0.488).sample(RngStream(32), 1000), Dataset(np.full(40, 7.0))),
+            (POIS, NegBinomialTruth(1e6, 0.999999).sample(RngStream(32), 1000),
+             NegBinomialTruth(1e6, 0.999999).sample(RngStream(33), 300)),
             (NIG, TNoiseRegressionTruth(3.0, 1.22).sample(RngStream(35), 300),
              TNoiseRegressionTruth(3.0, 1.22).sample(RngStream(36), 300)),
             (NIG, SigmoidRegressionTruth().sample(RngStream(37), 300),
              SigmoidRegressionTruth().sample(RngStream(38), 300)),
         ],
         ids=["gauss", "poisson-nb", "poisson-betabinom", "counts-with-zeros", "counts-all-equal",
-             "reg-tnoise", "reg-sigmoid"],
+             "counts-near-1e12", "reg-tnoise", "reg-sigmoid"],
     )
     def test_rows_equal_per_level_predictive_bitwise(self, model, update, valid):
         stats = SufficientStats.from_dataset(update)
@@ -312,7 +319,7 @@ def _assert_sums_match_rows(model, update, valid):
 
 
 class TestLevelSums:
-    """A level's sum is the sum of its row, to rounding, without the row for Gaussian and count data."""
+    """A level's sum is the sum of its row, to rounding, without building the row."""
 
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     def test_scenario_default_data(self, scenario):
@@ -327,8 +334,9 @@ class TestLevelSums:
             # at t near 1 the predictive mean is within 0.1 of the data mean
             (GaussianKnownVarModel(noise_sd=1.0, prior_mean=0.0, prior_sd=1e3), GaussianTruth(1e6, 1.0)),
             (POIS, BetaBinomialTruth(2.0, 2.0, 10000)),  # about 900 distinct counts up to 1e4
+            (POIS, NegBinomialTruth(1e6, 0.999999)),  # distinct counts near 1e12: the log_gamma table
         ],
-        ids=["gauss-at-1e6-sd-1", "counts-to-1e4"],
+        ids=["gauss-at-1e6-sd-1", "counts-to-1e4", "counts-near-1e12"],
     )
     def test_data_that_defeat_raw_moments(self, model, truth):
         _assert_sums_match_rows(model, truth.sample(RngStream(40), 1000), truth.sample(RngStream(41), 1000))
@@ -348,6 +356,35 @@ class TestLevelSums:
         assert np.isneginf(row_sums).any() and np.isfinite(row_sums).any()
         assert np.array_equal(np.isneginf(sums), np.isneginf(row_sums))
         assert np.isfinite(sums[np.isfinite(row_sums)]).all()
+
+    @pytest.mark.parametrize(
+        "prior_scale,outlier,covariate_scale",
+        [
+            # one response 2e154 off the line: the row's (e/s)^2 overflows at
+            # the levels where s is below about 1.3 (e*e alone overflows at all)
+            (2.0, 2e154, 1.0),
+            # covariates near 100 under a prior scale of 1e305: the squared
+            # scale s^2 overflows at the levels where the shape is still small
+            (1e305, None, 100.0),
+        ],
+        ids=["squared-residual", "squared-scale"],
+    )
+    def test_regression_not_finite_exactly_where_the_row_sum_is(self, prior_scale, outlier, covariate_scale):
+        model = dataclasses.replace(NIG, scale=prior_scale)
+        truth = TNoiseRegressionTruth(3.0, 1.22)
+        valid = truth.sample(RngStream(45), 100)
+        y = valid.values.copy()
+        if outlier is not None:
+            y[0] = outlier
+        pred = TemperedPredictive(model, SufficientStats.from_dataset(truth.sample(RngStream(44), 100)),
+                                  Dataset(y, valid.covariates * covariate_scale))
+        ts = np.logspace(-8.0, 0.0, 400)
+        sums = np.array([lp for _, lp in pred.sums(ts)])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            row_sums = np.array([pred.row(t)[1].sum() for t in ts])
+        assert np.isneginf(row_sums).any() and np.isfinite(row_sums).any()
+        assert np.array_equal(np.isneginf(sums), np.isneginf(row_sums))
+        assert np.array_equal(np.isfinite(sums), np.isfinite(row_sums))
 
 
 def _scores(model, xu, xv, ts):
