@@ -758,11 +758,11 @@ class TestMain:
         # the last value used to win silently: --seed 1 --seed 2 ran seed 2
         sampled = []
         monkeypatch.setattr(GaussianTruth, "sample", lambda *args: sampled.append(args))
-        flags = [str(tmp_path / f) if f == "first" else f for f in flags]
-        assert main(["run", "--scenario", "gauss-gauss", "--seed", "1", *flags, "--out", str(tmp_path / "out")]) == 2
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", "gauss-gauss", "--seed", "1", *flags, "--out", "out"]) == 2
         assert capsys.readouterr().err == f"error: {flag}: already given\n"
         assert sampled == []
-        assert sorted(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "name,reason", [("missing.cfg", "No such file or directory"), ("", "Is a directory")], ids=["missing", "directory"]

@@ -361,7 +361,7 @@ class TestLevelSums:
         "prior_scale,outlier,covariate_scale",
         [
             # one response 2e154 off the line: the row's (e/s)^2 overflows at
-            # the levels where s is below about 1.3 (e*e alone overflows at all)
+            # the levels where s is below about 1.5 (e*e alone overflows at all)
             (2.0, 2e154, 1.0),
             # covariates near 100 under a prior scale of 1e305: the squared
             # scale s^2 overflows at the levels where the shape is still small
