@@ -17,6 +17,7 @@ from carmen.conjugate import (
     PoissonGammaPosterior,
     SufficientStats,
     TemperedPredictive,
+    _GaussianTerms,
     predictive_sample,
     temper_update,
 )
@@ -356,6 +357,16 @@ class TestLevelSums:
         assert np.isneginf(row_sums).any() and np.isfinite(row_sums).any()
         assert np.array_equal(np.isneginf(sums), np.isneginf(row_sums))
         assert np.isfinite(sums[np.isfinite(row_sums)]).all()
+
+    def test_gaussian_moments_taken_on_the_first_sums_call(self):
+        # a one-level row, as predictive_logpdf builds, reads no level statistics
+        data = GaussianTruth(0.0, 3.01).sample(RngStream(46), 100)
+        post = temper_update(GAUSS, SufficientStats.from_dataset(data), 1e-3)
+        terms = _GaussianTerms(data)
+        assert terms.row(post).tobytes() == post.predictive_logpdf(data).tobytes()
+        assert "_moments" not in vars(terms)
+        assert terms.sums([post])[0] == pytest.approx(float(terms.row(post).sum()), rel=1e-13, abs=0.0)
+        assert "_moments" in vars(terms)
 
     @pytest.mark.parametrize(
         "prior_scale,outlier,covariate_scale",
