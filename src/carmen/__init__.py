@@ -20,7 +20,8 @@ from .conjugate import (
     temper_update,
 )
 from .data import Dataset
-from .discriminator import DecisionFunction, FeatureMap, cv_log_odds, fit_logistic
+from .discriminator import FeatureMap, cv_log_odds
+from .logistic import DecisionFunction, fit_logistic
 from .numerics import RngStream
 from .ratio import estimate_log_ratio
 from .tempering import TemperingGrid, curve

@@ -27,7 +27,8 @@ from .conjugate import (
     NIGRegressionModel,
     PoissonGammaModel,
 )
-from .discriminator import DEFAULT_RIDGE, RESPONSE_TRANSFORMS, FeatureMap
+from .discriminator import RESPONSE_TRANSFORMS, FeatureMap
+from .logistic import DEFAULT_RIDGE
 from .numerics import RngStream
 from .ratio import LogRatioEstimate
 from .tempering import (

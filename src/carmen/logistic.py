@@ -1,0 +1,563 @@
+"""Logistic regression by iteratively reweighted least squares.
+
+The fits behind :mod:`carmen.discriminator`'s cross-validation: a small
+ridge penalty on the weights, a Newton-decrement stop and a halving line
+search.  ``fit_logistic`` fits one design of points; ``fit_logistic_folds``
+fits a stack of k designs over shared, count-weighted columns in one loop.
+A fit's coefficients are on its standardized features, and
+``DecisionFunction`` carries them to raw ones.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+DEFAULT_RIDGE = 1e-6
+MAX_ITER = 100  # Newton steps before a fit stops unconverged
+TOL = 1e-7  # the decrement stop's weighted RMS change in the linear predictor
+_LN2 = math.log(2.0)  # softplus(0), correctly rounded
+
+
+# fit_logistic forms the Hessian and the gradient one block of at most
+# GRAM_BLOCK design columns at a time, so its weighted design is
+# (d+2) x GRAM_BLOCK however many points a fit has.  A block's product has
+# M*N*K <= (d+2)(d+1) GRAM_BLOCK, which for d <= 13 stays under the 1e6
+# bound up to which OpenBLAS (0.3.31) multiplies in its small-matrix kernel.
+GRAM_BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class LabeledDesign:
+    """Standardized feature rows with class labels (simulated = 1), one row per point."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray
+
+
+def _standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
+    """Standardize a C-ordered (d, n) block of raw features in place.
+
+    Each feature row is centred on its mean, then divided by its sd, taken
+    from the centred row (population divisor); a zero-sd feature keeps
+    sd = 1.  ``features`` is the (n, d) transpose of ``block``, so
+    ``features.T`` is contiguous feature-major.
+    """
+    total = block.shape[1]
+    mu = np.add.reduce(block, axis=1) / total  # bitwise block.mean(axis=1)
+    block -= mu[:, None]
+    sd = np.sqrt(np.einsum("ij,ij->i", block, block) / total)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    block /= sd[:, None]
+    return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
+
+
+@dataclass(frozen=True)
+class FoldStack:
+    """The k training designs of a cross-validation over one set of weighted columns.
+
+    Column u stands for ``counts[j, u]`` training points of fold j, all
+    with that column's features and label ``labels[u]`` (simulated = 1);
+    a column with count 0 is absent from fold j.  ``design[j]`` is fold
+    j's (d+1, U) design: row 0 the intercept's ones, rows 1..d the
+    features standardized by the count-weighted moments of fold j's
+    points, ``mean[j]`` and ``sd[j]``.
+    """
+
+    design: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray
+
+
+def _fold_stack(raw: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> FoldStack:
+    """Standardize the (d, U) raw features of U columns for each row of the (k, U) ``counts``.
+
+    Fold j's moments are ``_standardized_design``'s over its points: the
+    mean, then the sd of the centred rows (population divisor), a zero sd
+    kept as 1.  A column absent from a fold is zeroed there before its
+    mean is taken, so a feature that is not finite only on the columns a
+    fold lacks leaves that fold's moments finite.
+    """
+    k, u = counts.shape
+    design = np.empty((k, raw.shape[0] + 1, u))
+    design[:, 0] = 1.0
+    rows = design[:, 1:]
+    rows[...] = raw
+    np.copyto(rows, 0.0, where=(counts == 0.0)[:, None, :])
+    total = counts.sum(axis=1)[:, None]
+    mean = np.einsum("kiu,ku->ki", rows, counts) / total
+    rows -= mean[:, :, None]
+    sd = np.sqrt(np.einsum("kiu,kiu,ku->ki", rows, rows, counts) / total)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    rows /= sd[:, :, None]
+    return FoldStack(design, labels, counts, mean, sd)
+
+
+def _softplus_sigmoid(eta: np.ndarray, soft: np.ndarray, sig: np.ndarray) -> None:
+    """ln(1 + e^eta) and the sigmoid 1 / (1 + e^-eta), without overflow, written into ``soft`` and ``sig``.
+
+    The softplus is ``max(eta, 0) + log1p(e^-|eta|)``, where e^-|eta| <= 1,
+    and the sigmoid is ``exp(eta - softplus)``.  An exponential below
+    about e^-708 is subnormal or zero, which is its correctly rounded
+    value, so callers run this with underflow ignored.
+    """
+    np.abs(eta, out=soft)
+    np.negative(soft, out=soft)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    np.maximum(eta, 0.0, out=sig)
+    np.add(sig, soft, out=soft)
+    np.subtract(eta, soft, out=sig)
+    np.exp(sig, out=sig)
+
+
+class IrlsWorkspace:
+    """The arrays an IRLS fit of up to ``capacity`` points on ``d`` features writes into.
+
+    One workspace serves any number of fits, one after another, so that a
+    cross-validated fit allocates (and the OS faults in) its large arrays
+    once rather than on every fold and iteration.  Each fit overwrites
+    all of it.  ``design(n)`` is the contiguous (d+1, n) design of an
+    n-point fit: row 0 the intercept's ones, rows 1..d the standardized
+    features; a caller may write those there before the fit, and may use
+    ``vectors(n)`` until the fit starts.  The fit keeps four length-n
+    vectors: the linear predictor, the candidate one, the softplus and the
+    sigmoid.  The weighted design holds one block of at most ``block`` =
+    min(capacity, GRAM_BLOCK) columns.
+    """
+
+    def __init__(self, d: int, capacity: int) -> None:
+        self.d = d
+        self.capacity = capacity
+        self.block = min(capacity, GRAM_BLOCK)
+        self._design = np.empty((d + 1) * capacity)
+        self._weighted = np.empty((d + 2) * self.block)
+        self._vectors = np.empty((4, capacity))
+
+    def design(self, n: int) -> np.ndarray:
+        return self._design[: (self.d + 1) * n].reshape(self.d + 1, n)
+
+    def weighted(self, n: int) -> np.ndarray:
+        """(d+2, n) buffer for n <= ``block`` columns: IRLS-weighted design columns, then their residual."""
+        return self._weighted[: (self.d + 2) * n].reshape(self.d + 2, n)
+
+    def vectors(self, n: int) -> np.ndarray:
+        """Four (n,) buffers, one per row."""
+        return self._vectors[:, :n]
+
+
+@dataclass(frozen=True)
+class LogisticFit:
+    intercept: float
+    weights: np.ndarray
+    ridge: float
+    converged: bool
+    iterations: int
+    objective_path: tuple[float, ...] = field(repr=False, default=())
+
+
+@dataclass(frozen=True)
+class DecisionFunction:
+    """A fitted classifier on raw features: log-odds = intercept + weights @ x.
+
+    A fit's coefficients hold only for the standardization of its own
+    training rows; this form holds for any, so it is the one in which a
+    fit is carried to the next: fold to fold, and call to call.
+    """
+
+    intercept: float
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, fit: LogisticFit, mean: np.ndarray, sd: np.ndarray) -> "DecisionFunction":
+        """The function of a fit on features standardized by ``mean`` and ``sd``."""
+        weights = fit.weights / sd
+        return cls(float(fit.intercept - weights @ mean), weights)
+
+    def start_for(self, design: LabeledDesign) -> np.ndarray:
+        """The same function as ``[intercept, *weights]`` on the design's standardized features."""
+        return np.concatenate([[self.intercept + self.weights @ design.mean], self.weights * design.sd])
+
+
+@np.errstate(under="ignore")  # see _softplus_sigmoid
+def fit_logistic(
+    design: LabeledDesign,
+    ridge: float = DEFAULT_RIDGE,
+    start: np.ndarray | None = None,
+    workspace: IrlsWorkspace | None = None,
+) -> LogisticFit:
+    """Ridge-penalized logistic regression by IRLS.
+
+    The penalty applies to the weights only, never the intercept.  Each
+    Newton step delta has the decrement lambda^2 = grad @ delta (Boyd &
+    Vandenberghe, *Convex Optimization*, 9.5.1); sqrt(lambda^2 / n) is the
+    weighted RMS change the step would make to the linear predictor.  When
+    0 <= lambda^2 <= n * TOL^2, the fit takes the full step without
+    evaluating the objective and returns ``converged=True``; a negative or
+    non-finite lambda^2 never does.  Any other step is halved until the
+    penalized log-likelihood falls by at most 1e-13 of its magnitude, a
+    rounding allowance, so ``objective_path`` (the start, then each
+    line-searched step) is non-decreasing up to rounding.  ``iterations``
+    counts the Newton steps taken, the final full step included.
+
+    ``converged=False`` means the fit stopped after ``MAX_ITER`` steps,
+    after 30 halvings found no acceptable step, or on a system still
+    singular after three 10x ridge bumps.  The last iterate is always
+    returned.
+
+    ``start`` is an optional initial ``[intercept, *weights]``.  It is used
+    only when its penalized objective beats that of the all-zero start;
+    otherwise the fit is exactly the one without it.
+
+    ``workspace`` holds the fit's large arrays; a fit without one
+    allocates its own.  Either way the result is the same.
+    """
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
+    y = np.asarray(design.labels, dtype=float)
+    n_obs = np.count_nonzero(y == 0.0)
+    n_sim = np.count_nonzero(y == 1.0)
+    if n_obs == 0 or n_sim == 0 or n_obs + n_sim != y.size:
+        raise ValueError("design must contain both classes, labelled 0 and 1")
+    X = design.features
+    n, d = X.shape
+    if workspace is None:
+        workspace = IrlsWorkspace(d, n)
+    elif workspace.d != d or workspace.capacity < n:
+        raise ValueError(
+            f"workspace holds {workspace.capacity} points of {workspace.d} features, "
+            f"the design {n} of {d}"
+        )
+    # Feature-major design: row 0 is the intercept, row j the j-th feature.
+    # Copying the features in is a no-op when they already are the
+    # workspace's.
+    AT = workspace.design(n)
+    AT[0] = 1.0
+    AT[1:] = X.T
+    # p holds the sigmoid of eta until the step's Hessian is formed; the
+    # line search then writes each candidate's sigmoid over it, which is
+    # the sigmoid of eta again once the candidate is taken.
+    eta, cand_eta, soft, p = workspace.vectors(n)
+    # The columns of each block of at most ``workspace.block``, its
+    # weighted design (row 0 the IRLS weights p (1 - p), then the scaled
+    # features, then the residual y - p) and the views of the design and
+    # the labels it reads.  The design's row 0 is all ones, so the
+    # weighted design's row 0 is the weights themselves.
+    blocks = []
+    for lo in range(0, n, workspace.block):
+        cols = slice(lo, min(lo + workspace.block, n))
+        weighted = workspace.weighted(cols.stop - lo)
+        blocks.append((cols, weighted, weighted[1 : d + 1], AT[1:, cols], AT[:, cols].T, y[cols]))
+    lam = float(ridge)
+
+    def value(eta: np.ndarray, b: np.ndarray) -> float:
+        """Penalized log-likelihood at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
+        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:])
+
+    def objective(eta: np.ndarray, b: np.ndarray, sig: np.ndarray) -> float:
+        """``value`` at eta, writing the sigmoid of eta into ``sig``."""
+        _softplus_sigmoid(eta, soft, sig)
+        return value(eta, b)
+
+    # At beta = 0, softplus(0) = ln 2 and sigmoid(0) = 1/2 exactly.
+    beta = np.zeros(d + 1)
+    eta.fill(0.0)
+    soft.fill(_LN2)
+    obj = value(eta, beta)
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != beta.shape:
+            raise ValueError(f"start has shape {start.shape}, expected {beta.shape}")
+        np.matmul(start, AT, out=cand_eta)
+        start_obj = objective(cand_eta, start, p)
+        if start_obj > obj:
+            beta, obj = start, start_obj
+            eta, cand_eta = cand_eta, eta
+    if beta is not start:  # p holds the sigmoid of a taken start, else that of beta = 0
+        p.fill(0.5)
+    path = [obj]
+    converged = False
+    bumps = 0
+    iterations = 0
+    while iterations < MAX_ITER:
+        # The Hessian's d+1 rows, then the gradient, summed over the
+        # blocks: each block's weighted design times its design columns.
+        for i, (cols, weighted, scaled, features, design_t, y_block) in enumerate(blocks):
+            w, residual, p_block = weighted[0], weighted[d + 1], p[cols]
+            np.multiply(p_block, np.subtract(1.0, p_block, out=w), out=w)
+            np.subtract(y_block, p_block, out=residual)
+            np.multiply(features, w, out=scaled)
+            if i == 0:
+                products = weighted @ design_t
+            else:
+                products += weighted @ design_t
+        hess, grad = products[: d + 1], products[d + 1]
+        grad[1:] -= lam * beta[1:]
+        # hess is C-contiguous, so its weight diagonal is every (d+2)-th element from d+2.
+        hess.reshape(-1)[d + 2 :: d + 2] += lam
+        try:
+            delta = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            if bumps >= 3:
+                break
+            bumps += 1
+            lam = lam * 10.0 if lam > 0.0 else 1e-6
+            obj = objective(eta, beta, p)
+            continue
+        # lambda^2 = grad @ delta = delta @ hess @ delta: the w-weighted sum
+        # of squares of the step's change to eta (plus its ridge term), and
+        # twice the gain the quadratic model predicts for the full step.
+        decrement = float(grad @ delta)
+        if 0.0 <= decrement <= n * TOL * TOL:
+            beta += delta
+            iterations += 1
+            converged = True
+            break
+        step = 1.0
+        np.add(eta, np.matmul(delta, AT, out=cand_eta), out=cand_eta)
+        for _ in range(30):
+            cand = beta + step * delta
+            cand_obj = objective(cand_eta, cand, p)
+            if cand_obj >= obj - 1e-13 * abs(obj):
+                break
+            step *= 0.5
+            # step is a power of two, so (step delta) @ AT is bit for bit step (delta @ AT).
+            np.add(eta, np.matmul(step * delta, AT, out=cand_eta), out=cand_eta)
+        else:
+            break
+        iterations += 1
+        beta, obj = cand, cand_obj
+        eta, cand_eta = cand_eta, eta
+        path.append(obj)
+
+    return LogisticFit(
+        intercept=float(beta[0]),
+        weights=beta[1:].copy(),
+        ridge=lam,
+        converged=converged,
+        iterations=iterations,
+        objective_path=tuple(path),
+    )
+
+
+# Underflow: see _softplus_sigmoid.  Overflow: a penalty lam |w|^2 beyond
+# the float range is an objective of -inf, which no start or step can
+# beat, as in fit_logistic, whose penalty is a Python float.
+@np.errstate(under="ignore", over="ignore")
+def fit_logistic_folds(
+    stack: FoldStack, ridge: float = DEFAULT_RIDGE, start: DecisionFunction | None = None
+) -> list[LogisticFit]:
+    """``fit_logistic`` on each fold of ``stack``, all k folds in one IRLS loop.
+
+    Column u enters fold j's log-likelihood ``counts[j, u]`` times, so a
+    fold fits as its points would: the log-likelihood is sum c (y eta -
+    softplus eta), the gradient sum c (y - p) a, the Hessian sum
+    c p (1 - p) a a^T, and the decrement stop's n is the fold's points,
+    sum c.  Each fold keeps ``fit_logistic``'s rules on its own: it starts
+    from ``start``, mapped through its own standardization, only when that
+    beats beta = 0; it stops at 0 <= lambda^2 <= n TOL^2; it halves its
+    step until the penalized objective falls by at most 1e-13 of its
+    magnitude, giving up after 30 halvings; on a singular system it
+    multiplies its own ridge by 10, up to three times; and it stops at
+    ``MAX_ITER`` steps.  Fold j's result is the ``LogisticFit`` on its
+    standardized features.
+
+    Each step runs over the folds that have not stopped, which are kept at
+    the front of the stack: their weighted designs, one stacked product for
+    their Hessians and gradients, one stacked solve, and one line search
+    that evaluates their candidates together.  A fold that stops is moved
+    out of that front, so the fit leaves the folds of ``stack.design`` and
+    ``stack.counts`` in an unspecified order; ``mean`` and ``sd`` are
+    only read.
+    """
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
+    AT, c = stack.design, stack.counts
+    k, d, u = AT.shape[0], AT.shape[1] - 1, AT.shape[2]
+    y = stack.labels
+    if y.shape != (u,) or not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError(f"stack needs one label, 0 or 1, per column, got shape {y.shape}")
+    if c.shape != (k, u) or not np.all((c >= 0.0) & (c < math.inf)):
+        raise ValueError(f"stack needs one finite nonnegative count per fold and column, got shape {c.shape}")
+    cy = c * y
+    points, simulated = c.sum(axis=1), cy.sum(axis=1)
+    if not np.all((simulated > 0.0) & (points > simulated)):
+        raise ValueError("every fold's counts must cover both classes, labelled 0 and 1")
+    limit = points * TOL * TOL  # the decrement stop's bound
+
+    # Per slot: the state of the fold ``fold[slot]``; slots [0, live) run.
+    fold = np.arange(k)
+    beta = np.zeros((k, d + 1))
+    lam = np.full(k, float(ridge))
+    bumps = np.zeros(k, dtype=int)
+    iterations = np.zeros(k, dtype=int)
+    # p holds the sigmoid of eta until the step's Hessians are formed; the
+    # line search then writes each candidate's sigmoid over it.
+    eta, cand_eta, soft, p = np.empty((4, k, u))
+    weighted = np.empty((k, d + 2, u))
+    # Per fold: its result, and its objective path, row i after i line-searched steps.
+    result_beta, result_lam = np.empty((k, d + 1)), np.empty(k)
+    result_iterations, result_converged = np.empty(k, dtype=int), np.zeros(k, dtype=bool)
+    objectives = np.empty((MAX_ITER + 1, k))
+
+    def value(a: int, eta: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Penalized log-likelihoods of slots [0, a) at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
+        return (np.einsum("ij,ij->i", cy[:a], eta) - np.einsum("ij,ij->i", c[:a], soft[:a])
+                - 0.5 * lam[:a] * np.einsum("ij,ij->i", b[:, 1:], b[:, 1:]))
+
+    def stop(stopping: np.ndarray, converged: np.ndarray | None, *temporaries: np.ndarray) -> int:
+        """Record the slots in ``stopping`` as their folds' results and count the rest, ``live``.
+
+        ``converged`` marks the stopping slots that converged (None: none
+        did).  The running slots at or behind ``live`` move into the
+        stopped slots before it, in the state and in each of
+        ``temporaries`` (per-slot arrays of this pass), so only they are
+        copied.
+        """
+        out = np.flatnonzero(stopping)
+        at = fold[out]
+        result_beta[at], result_lam[at], result_iterations[at] = beta[out], lam[out], iterations[out]
+        if converged is not None:
+            result_converged[at] = converged[out]
+        live = stopping.size - out.size
+        holes, movers = out[out < live], np.flatnonzero(~stopping[live:]) + live
+        for array in (AT, c, cy, limit, eta, p, beta, obj, lam, bumps, iterations, fold, *temporaries):
+            array[holes] = array[movers]
+        return live
+
+    # At beta = 0, softplus(0) = ln 2 and sigmoid(0) = 1/2 exactly.
+    eta.fill(0.0)
+    soft.fill(_LN2)
+    p.fill(0.5)
+    obj = value(k, eta, beta)
+    if start is not None:
+        if start.weights.shape != (d,):
+            raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
+        # start.start_for of each fold's standardization
+        starts = np.empty((k, d + 1))
+        starts[:, 0] = start.intercept + stack.mean @ start.weights
+        np.multiply(start.weights, stack.sd, out=starts[:, 1:])
+        np.matmul(starts[:, None, :], AT, out=cand_eta[:, None, :])
+        _softplus_sigmoid(cand_eta, soft, p)
+        start_obj = value(k, cand_eta, starts)
+        taken = start_obj > obj
+        beta[taken] = starts[taken]
+        np.copyto(obj, start_obj, where=taken)
+        np.copyto(eta, cand_eta, where=taken[:, None])
+        np.copyto(p, 0.5, where=~taken[:, None])
+    objectives[0] = obj
+
+    live, passes = k, 0
+    while live:
+        # A fold takes at most one step per pass, so none reaches MAX_ITER before the loop does.
+        if passes >= MAX_ITER:
+            over = iterations[:live] >= MAX_ITER
+            if over.any():
+                live = stop(over, None)
+                if not live:
+                    break
+        passes += 1
+        a = live
+        A, W = AT[:a], weighted[:a]
+        # Rows 0..d of each weighted design are its design times the IRLS
+        # weights c p (1 - p), so row 0 is the weights themselves; row d+1
+        # is the residual c y - c p.  The weights and c p are formed in the
+        # candidate's buffers, which the line search overwrites.  The
+        # product by the weights is an einsum: np.multiply would buffer the
+        # broadcast weights and the strided rows of W in temporaries.
+        c_p, w = cand_eta[:a], soft[:a]
+        np.multiply(c[:a], p[:a], out=c_p)
+        np.multiply(c_p, np.subtract(1.0, p[:a], out=w), out=w)
+        np.subtract(cy[:a], c_p, out=W[:, d + 1])
+        np.einsum("kiu,ku->kiu", A, w, out=W[:, : d + 1])
+        products = np.matmul(W, A.transpose(0, 2, 1))
+        hess, grad = products[:, : d + 1], products[:, d + 1]
+        grad[:, 1:] -= lam[:a, None] * beta[:a, 1:]
+        # Each product is C-contiguous, so its Hessian's weight diagonal is
+        # every (d+2)-th element from d+2.
+        products.reshape(a, -1)[:, d + 2 : (d + 1) ** 2 : d + 2] += lam[:a, None]
+        singular = None
+        try:
+            delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # Solve the systems one by one to find the singular ones.  A
+            # singular fold takes no step: it bumps its ridge, or stops
+            # unconverged after three bumps, and its objective is
+            # re-evaluated under the new ridge by a line search at step 0.
+            delta, singular = np.zeros((a, d + 1)), np.zeros(a, dtype=bool)
+            for s in range(a):
+                try:
+                    delta[s] = np.linalg.solve(hess[s], grad[s])
+                except np.linalg.LinAlgError:
+                    singular[s] = True
+        # lambda^2 = grad @ delta per fold, as in fit_logistic.
+        decrement = np.einsum("ij,ij->i", grad, delta)
+        done = (0.0 <= decrement) & (decrement <= limit[:a])
+        stopping = done
+        if singular is not None:
+            done &= ~singular
+            spent = singular & (bumps[:a] >= 3)
+            bumped = singular & ~spent
+            bumps[:a] += bumped
+            lam[:a] = np.where(bumped, np.where(lam[:a] > 0.0, lam[:a] * 10.0, 1e-6), lam[:a])
+            stopping = done | spent
+        if stopping.any():
+            np.add(beta[:a], delta, out=beta[:a], where=done[:, None])
+            iterations[:a] += done
+            extra = (delta,) if singular is None else (delta, singular)
+            live = a = stop(stopping, done, *extra)
+            if not live:
+                break
+            delta = delta[:a]
+            singular = None if singular is None else singular[:a]
+        A, b = AT[:a], beta[:a]
+        floor = obj[:a] - 1e-13 * np.abs(obj[:a])
+        step, scaled = None, delta
+        for _ in range(30):
+            cand = b + scaled
+            # (step delta) @ A: step is a power of two, so bit for bit step (delta @ A).
+            np.matmul(scaled[:, None, :], A, out=cand_eta[:a, None, :])
+            np.add(eta[:a], cand_eta[:a], out=cand_eta[:a])
+            _softplus_sigmoid(cand_eta[:a], soft[:a], p[:a])
+            cand_obj = value(a, cand_eta[:a], cand)
+            accepted = cand_obj >= floor
+            if singular is not None:
+                accepted |= singular
+            if accepted.all():
+                break
+            step = np.ones(a) if step is None else step
+            step[~accepted] *= 0.5
+            scaled = step[:, None] * delta
+        else:
+            # The folds whose 30th candidate failed stop at their last iterate.
+            extra = (cand, cand_obj, cand_eta) if singular is None else (cand, cand_obj, cand_eta, singular)
+            live = a = stop(~accepted, None, *extra)
+            cand, cand_obj = cand[:a], cand_obj[:a]
+            singular = None if singular is None else singular[:a]
+        beta[:a], obj[:a] = cand, cand_obj
+        eta, cand_eta = cand_eta, eta
+        if singular is None:
+            iterations[:a] += 1
+            objectives[iterations[:a], fold[:a]] = cand_obj
+        else:
+            iterations[:a] += ~singular
+            objectives[iterations[:a][~singular], fold[:a][~singular]] = cand_obj[~singular]
+
+    paths = result_iterations + 1 - result_converged
+    return [
+        LogisticFit(
+            intercept=float(result_beta[j, 0]),
+            weights=result_beta[j, 1:].copy(),
+            ridge=float(result_lam[j]),
+            converged=bool(result_converged[j]),
+            iterations=int(result_iterations[j]),
+            objective_path=tuple(objectives[: paths[j], j].tolist()),
+        )
+        for j in range(k)
+    ]

@@ -17,7 +17,8 @@ import numpy as np
 
 from .conjugate import TemperedPosterior, predictive_sample
 from .data import Dataset
-from .discriminator import DEFAULT_RIDGE, DecisionFunction, FeatureMap, cv_log_odds
+from .discriminator import FeatureMap, cv_log_odds
+from .logistic import DEFAULT_RIDGE, DecisionFunction
 from .numerics import RngStream
 
 

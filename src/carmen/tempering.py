@@ -16,7 +16,8 @@ import numpy as np
 
 from .conjugate import Model, SufficientStats, TemperedPosterior, TemperedPredictive
 from .data import Dataset
-from .discriminator import DEFAULT_RIDGE, FeatureMap
+from .discriminator import FeatureMap
+from .logistic import DEFAULT_RIDGE
 from .numerics import RngStream
 from .ratio import LogRatioEstimate, estimate_log_ratio
 from .testing import MisspecTestResult, t_test_logz

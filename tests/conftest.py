@@ -11,7 +11,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import carmen.discriminator  # noqa: E402
-from carmen.discriminator import IrlsWorkspace, LabeledDesign, LogisticFit  # noqa: E402
+from carmen.logistic import FoldStack, IrlsWorkspace, LabeledDesign, LogisticFit  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,39 @@ def fits(monkeypatch) -> list[WatchedFit]:
     fit_logistic = carmen.discriminator.fit_logistic
 
     def recording(design, **kwargs):
-        snapshot = LabeledDesign(
-            design.features.copy(), design.labels.copy(), design.mean.copy(), design.sd.copy(),
-            None if design.counts is None else design.counts.copy(),
-        )
+        snapshot = LabeledDesign(design.features.copy(), design.labels.copy(), design.mean.copy(), design.sd.copy())
         result = fit_logistic(design, **kwargs)
         records.append(WatchedFit(design, snapshot, kwargs.get("start"), kwargs.get("workspace"), result))
         return result
 
     monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
+    return records
+
+
+@dataclass(frozen=True)
+class WatchedFolds:
+    """One ``fit_logistic_folds`` call: a copy of its stack as passed, its start and its k fits."""
+
+    stack: FoldStack
+    start: object
+    fits: list[LogisticFit]
+
+
+@pytest.fixture
+def fold_fits(monkeypatch) -> list[WatchedFolds]:
+    """Every batched fit of a count class pair that the test makes through ``cv_log_odds``, in order.
+
+    The fit reorders its stack's folds as they stop, so each record holds
+    a copy taken before the fit.
+    """
+    records = []
+    fit_logistic_folds = carmen.discriminator.fit_logistic_folds
+
+    def recording(stack, **kwargs):
+        snapshot = FoldStack(*(np.array(a) for a in (stack.design, stack.labels, stack.counts, stack.mean, stack.sd)))
+        result = fit_logistic_folds(stack, **kwargs)
+        records.append(WatchedFolds(snapshot, kwargs.get("start"), result))
+        return result
+
+    monkeypatch.setattr(carmen.discriminator, "fit_logistic_folds", recording)
     return records

@@ -40,14 +40,14 @@ from carmen.conjugate import (
     temper_update,
 )
 from carmen.data import Dataset
-from carmen.discriminator import (
+from carmen.discriminator import FeatureMap, _count_table, _fold_ids
+from carmen.logistic import (
     DecisionFunction,
-    FeatureMap,
     LogisticFit,
-    _count_table,
-    _fold_ids,
+    _fold_stack,
     _standardized_design,
     fit_logistic,
+    fit_logistic_folds,
 )
 from carmen.numerics import RngStream, log_gamma
 from carmen.ratio import LogRatioEstimate
@@ -332,46 +332,41 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
     Both classes' features are computed for every point up front.  When
     both classes are whole counts, each keeps one column per distinct
     count, read from one of its points, weighted per fold by its training
-    points; otherwise each keeps one column per point.  Each fold's
-    columns are copied out of the block, standardized and fitted from the
-    previous fold's decision function, and every point is scored by
-    ``fold_scores``.  Returns the out-of-fold values and the last fold's
-    decision function.
+    points, and all folds are fitted at once from ``start``.  Otherwise
+    each class keeps one column per point, and each fold's columns are
+    copied out of the block, standardized and fitted from the previous
+    fold's decision function.  Every point is scored by ``fold_scores``.
+    Returns the out-of-fold values and the last fold's decision function.
     """
     n_obs = len(observed)
     raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
     g = rng.generator()
     fold_of = np.concatenate([_fold_ids(n_obs, k, g), _fold_ids(len(simulated), k, g)])
     tables = [_count_table(observed), _count_table(simulated)]
-    counted = all(table is not None for table in tables)
-    if not counted:
-        tables = [None, None]
-    columns, train, labels = [], [], []
-    for label, table, part, folds in zip(
-        (0.0, 1.0), tables, (raw[:, :n_obs], raw[:, n_obs:]), (fold_of[:n_obs], fold_of[n_obs:])
-    ):
-        if table is None:
-            columns.append(part)
-            train.append(np.arange(k)[:, None] != folds)
-        else:
+    parts, folds = (raw[:, :n_obs], raw[:, n_obs:]), (fold_of[:n_obs], fold_of[n_obs:])
+    coef = np.empty((k, raw.shape[0] + 1))
+    if all(table is not None for table in tables):
+        columns, train, labels = [], [], []
+        for label, table, part, fold in zip((0.0, 1.0), tables, parts, folds):
             u = table.counts.size
             first = np.empty(u, dtype=np.intp)
             first[table.inverse] = np.arange(part.shape[1])
             columns.append(part[:, first])
-            held = np.bincount(folds * u + table.inverse, minlength=k * u).reshape(k, u)
+            held = np.bincount(fold * u + table.inverse, minlength=k * u).reshape(k, u)
             train.append(held.sum(axis=0) - held)
-        labels.append(np.full(columns[-1].shape[1], label))
-    columns, labels = np.hstack(columns), np.concatenate(labels)
-    train = np.hstack(train).astype(float)
-    coef = np.empty((k, raw.shape[0] + 1))
+            labels.append(np.full(u, label))
+        stack = _fold_stack(np.hstack(columns), np.concatenate(labels), np.hstack(train).astype(float))
+        for j, fit in enumerate(fit_logistic_folds(stack, ridge=ridge, start=start)):
+            decision = DecisionFunction.of(fit, stack.mean[j], stack.sd[j])
+            coef[j, 0], coef[j, 1:] = decision.intercept, decision.weights
+        return fold_scores(coef, fold_of, raw), decision
+    labels = np.concatenate([np.zeros(n_obs), np.ones(len(simulated))])
     decision = start
     for j in range(k):
-        keep = np.flatnonzero(train[j] > 0.0)
-        design = _standardized_design(
-            np.ascontiguousarray(columns[:, keep]), labels[keep], train[j, keep] if counted else None
-        )
+        keep = np.flatnonzero(fold_of != j)
+        design = _standardized_design(np.ascontiguousarray(raw[:, keep]), labels[keep])
         fit = fit_logistic(design, ridge=ridge, start=None if decision is None else decision.start_for(design))
-        decision = DecisionFunction.of(fit, design)
+        decision = DecisionFunction.of(fit, design.mean, design.sd)
         coef[j, 0], coef[j, 1:] = decision.intercept, decision.weights
     return fold_scores(coef, fold_of, raw), decision
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from carmen.cli import ScenarioConfig, emit_outputs, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, temper_update
-from carmen.discriminator import FeatureMap, LabeledDesign, fit_logistic
+from carmen.discriminator import FeatureMap
+from carmen.logistic import LabeledDesign, fit_logistic
 from carmen.numerics import RngStream
 from carmen.ratio import LogRatioEstimate, estimate_log_ratio
 from carmen.testing import t_test_logz

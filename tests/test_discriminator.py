@@ -7,25 +7,23 @@ import numpy as np
 import pytest
 
 import carmen.discriminator
+import carmen.logistic
 from carmen.cli import ScenarioConfig, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
-from carmen.discriminator import (
-    _LN_CLAMP,
-    _TRANSFORMS,
+from carmen.discriminator import _LN_CLAMP, _TRANSFORMS, FeatureMap, _count_table, _fold_ids, cv_log_odds
+from carmen.logistic import (
     DEFAULT_RIDGE,
     MAX_ITER,
     TOL,
     DecisionFunction,
-    FeatureMap,
+    FoldStack,
     IrlsWorkspace,
     LabeledDesign,
-    _count_table,
-    _fold_ids,
     _softplus_sigmoid,
     _standardized_design,
-    cv_log_odds,
     fit_logistic,
+    fit_logistic_folds,
 )
 from carmen.numerics import RngStream
 from carmen.ratio import _simulate
@@ -173,7 +171,7 @@ class TestSoftplusSigmoid:
         if n >= 2:
             labels = (np.arange(n) % 2).astype(float)
             feats = RngStream(96).generator().normal(size=(n, 2))
-            monkeypatch.setattr(carmen.discriminator, "MAX_ITER", 1)
+            monkeypatch.setattr(carmen.logistic, "MAX_ITER", 1)
             fit = fit_logistic(LabeledDesign(feats, labels, np.zeros(2), np.ones(2)))
             evaluated = float(labels @ np.zeros(n) - soft.sum()) - 0.5 * 1e-6 * 0.0
             assert np.float64(fit.objective_path[0]).tobytes() == np.float64(evaluated).tobytes()
@@ -300,7 +298,7 @@ class TestConvergence:
     @pytest.mark.parametrize("tol", [TOL, 1e-4])
     def test_converged_gradient_below_tol(self, monkeypatch, make, tol):
         design = make()
-        monkeypatch.setattr(carmen.discriminator, "TOL", tol)
+        monkeypatch.setattr(carmen.logistic, "TOL", tol)
         fit = fit_logistic(design)
         assert fit.converged
         # The final full step is not evaluated: the path holds the start
@@ -314,7 +312,7 @@ class TestConvergence:
         design = make()
         full = fit_logistic(design)
         assert full.converged and full.iterations > 2
-        monkeypatch.setattr(carmen.discriminator, "MAX_ITER", full.iterations - 1)
+        monkeypatch.setattr(carmen.logistic, "MAX_ITER", full.iterations - 1)
         cut = fit_logistic(design)
         assert not cut.converged
         assert cut.iterations == full.iterations - 1
@@ -324,13 +322,13 @@ class TestConvergence:
     def test_line_search_that_gives_up_is_not_converged(self, monkeypatch):
         # Every evaluated objective falls by n below the zero start's, so
         # no halving of the first step is accepted.
-        softplus_sigmoid = carmen.discriminator._softplus_sigmoid
+        softplus_sigmoid = carmen.logistic._softplus_sigmoid
 
         def raised(eta, soft, sig):
             softplus_sigmoid(eta, soft, sig)
             soft += 1.0
 
-        monkeypatch.setattr(carmen.discriminator, "_softplus_sigmoid", raised)
+        monkeypatch.setattr(carmen.logistic, "_softplus_sigmoid", raised)
         fit = fit_logistic(_overlapping_design())
         assert not fit.converged
         assert fit.iterations == 0 and len(fit.objective_path) == 1
@@ -341,7 +339,7 @@ class TestConvergence:
         # Scaling every Newton step makes lambda^2 tiny and negative, or NaN.
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: scale * solve(a, b))
-        monkeypatch.setattr(carmen.discriminator, "MAX_ITER", 5)
+        monkeypatch.setattr(carmen.logistic, "MAX_ITER", 5)
         fit = fit_logistic(_overlapping_design())
         assert not fit.converged
 
@@ -379,35 +377,73 @@ class TestWarmStart:
             fit_logistic(_overlapping_design(), start=np.zeros(2))
 
 
-def _counted_design(seed: int, m: int = 80, d: int = 2):
-    """Overlapping classes on m rows with integer counts 1..6, and the same rows repeated by count."""
+def _unit_stack(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> FoldStack:
+    """A stack whose k folds share the (d, U) ``features`` as they are (mean 0, sd 1), weighted by the rows of ``counts``."""
+    k, (d, u) = counts.shape[0], features.shape
+    design = np.empty((k, d + 1, u))
+    design[:, 0], design[:, 1:] = 1.0, features
+    return FoldStack(design, labels, counts, np.zeros((k, d)), np.ones((k, d)))
+
+
+def _counted_design(seed: int, m: int = 80, d: int = 2, k: int = 1):
+    """Overlapping classes on m columns with integer counts 1..6 per fold, and each fold's columns repeated by count.
+
+    Returns the k-fold stack and a list of k designs, one per fold.
+    """
     g = RngStream(seed).generator()
     feats = g.normal(size=(m, d))
     eta = 0.9 * feats[:, 0] - 0.4 * feats[:, -1]
     labels = (g.uniform(size=m) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    counts = g.integers(1, 7, size=m).astype(float)
+    counts = g.integers(1, 7, size=(k, m)).astype(float)
     mu, sd = np.zeros(d), np.ones(d)
-    repeat = counts.astype(int)
-    repeated = LabeledDesign(np.repeat(feats, repeat, axis=0), np.repeat(labels, repeat), mu, sd)
-    return LabeledDesign(feats, labels, mu, sd, counts), repeated
+    repeated = []
+    for row in counts.astype(int):
+        repeated.append(LabeledDesign(np.repeat(feats, row, axis=0), np.repeat(labels, row), mu, sd))
+    return _unit_stack(feats.T, labels, counts), repeated
 
 
-def _first_decrement(design: LabeledDesign, ridge: float = DEFAULT_RIDGE) -> float:
-    """lambda^2 of the first Newton step from beta = 0, where p = 1/2."""
-    A = np.column_stack([np.ones(len(design.labels)), design.features])
-    c = np.ones(len(design.labels)) if design.counts is None else design.counts
-    grad = A.T @ (c * (design.labels - 0.5))
+def _separable_fold_0(stack: FoldStack) -> FoldStack:
+    """``stack`` with fold 0 cut to the columns whose label is the sign of their first feature.
+
+    That fold is separable, so it takes more steps than the others.
+    """
+    stack.counts[0, (stack.design[0, 1] > 0.0) != (stack.labels == 1.0)] = 0.0
+    return stack
+
+
+def _first_decrement(stack: FoldStack, ridge: float = DEFAULT_RIDGE) -> float:
+    """lambda^2 of the first Newton step of fold 0 from beta = 0, where p = 1/2."""
+    A, c = stack.design[0].T, stack.counts[0]
+    grad = A.T @ (c * (stack.labels - 0.5))
     hess = A.T @ ((0.25 * c)[:, None] * A)
     hess[np.arange(1, A.shape[1]), np.arange(1, A.shape[1])] += ridge
     return float(grad @ np.linalg.solve(hess, grad))
 
 
+def _repeated_rows(stack: FoldStack, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fold j's (n, d) features and labels, each column repeated by its count."""
+    repeat = stack.counts[j].astype(int)
+    return np.repeat(stack.design[j, 1:].T, repeat, axis=0), np.repeat(stack.labels, repeat)
+
+
+def _fold_alone(stack: FoldStack, j: int) -> FoldStack:
+    """Fold j of ``stack`` as a stack of its own."""
+    return FoldStack(stack.design[j : j + 1].copy(), stack.labels, stack.counts[j : j + 1].copy(),
+                     stack.mean[j : j + 1], stack.sd[j : j + 1])
+
+
+def _copied(stack: FoldStack) -> FoldStack:
+    """A stack to fit that leaves ``stack`` as it is."""
+    return FoldStack(stack.design.copy(), stack.labels, stack.counts.copy(), stack.mean, stack.sd)
+
+
 class TestWeightedFit:
-    @pytest.mark.parametrize("start", [None, np.array([0.2, 0.5, -0.1])], ids=["zero", "start"])
+    @pytest.mark.parametrize("start", [None, DecisionFunction(0.2, np.array([0.5, -0.1]))], ids=["zero", "start"])
     def test_counts_fit_as_repeated_rows(self, start):
-        weighted, repeated = _counted_design(56)
-        assert len(repeated.labels) > 2 * len(weighted.labels)
-        a, b = fit_logistic(weighted, start=start), fit_logistic(repeated, start=start)
+        stack, (repeated,) = _counted_design(56)
+        assert len(repeated.labels) > 2 * len(stack.labels)
+        (a,) = fit_logistic_folds(stack, start=start)
+        b = fit_logistic(repeated, start=None if start is None else start.start_for(repeated))
         assert abs(a.intercept - b.intercept) < 1e-9
         assert np.max(np.abs(a.weights - b.weights)) < 1e-9
         assert (a.iterations, a.converged) == (b.iterations, b.converged)
@@ -417,46 +453,139 @@ class TestWeightedFit:
         # tol is set so that the first step's decrement lies between
         # columns * tol^2 and sum(c) * tol^2: only a stop that counts the
         # points takes that step as the last.
-        design, _ = _counted_design(57)
-        columns, points = len(design.labels), float(design.counts.sum())
-        tol = math.sqrt(_first_decrement(design) / points)
-        assert columns * (tol * (1.0 + 1e-6)) ** 2 < _first_decrement(design)
-        monkeypatch.setattr(carmen.discriminator, "TOL", tol * (1.0 + 1e-6))
-        stopped = fit_logistic(design)
+        stack, _ = _counted_design(57)
+        columns, points = len(stack.labels), float(stack.counts.sum())
+        tol = math.sqrt(_first_decrement(stack) / points)
+        assert columns * (tol * (1.0 + 1e-6)) ** 2 < _first_decrement(stack)
+        monkeypatch.setattr(carmen.logistic, "TOL", tol * (1.0 + 1e-6))
+        (stopped,) = fit_logistic_folds(_copied(stack))
         assert (stopped.iterations, stopped.converged) == (1, True)
-        monkeypatch.setattr(carmen.discriminator, "TOL", tol * (1.0 - 1e-6))
-        going_on = fit_logistic(design)
+        monkeypatch.setattr(carmen.logistic, "TOL", tol * (1.0 - 1e-6))
+        (going_on,) = fit_logistic_folds(_copied(stack))
         assert going_on.converged and going_on.iterations > 1
 
     @pytest.mark.parametrize("n, d", [(600, 2), (18_000, 6)], ids=["one-block", "five-blocks"])
     def test_unit_counts_are_the_unweighted_fit(self, n, d):
-        # The Hessian and gradient are summed over blocks of at most
-        # GRAM_BLOCK = 4,096 columns: 600 columns are one block, 18,000
-        # columns five.
+        # fit_logistic sums its Hessian over blocks of at most GRAM_BLOCK =
+        # 4,096 columns: 600 columns are one block, 18,000 columns five.
+        # The stack of one fold with unit counts takes the same steps to the
+        # same optimum.
         g = RngStream(58).generator()
         feats = g.normal(size=(n, d))
         eta = 0.8 * feats[:, 0] - 0.4 * feats[:, 1]
         labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         plain = LabeledDesign(feats, labels, np.zeros(d), np.ones(d))
-        unit = LabeledDesign(feats, labels, np.zeros(d), np.ones(d), np.ones(n))
-        for start in (None, np.full(d + 1, 0.1)):
-            fit = fit_logistic(plain, start=start)
-            assert _fit_bytes(fit_logistic(unit, start=start)) == _fit_bytes(fit)
-            assert _fit_bytes(fit_logistic(unit, start=start, workspace=IrlsWorkspace(d, n))) == _fit_bytes(fit)
-            beta = np.concatenate([[fit.intercept], fit.weights])
-            ref, stopped = _row_major_fit(feats, labels, fit.ridge, beta, tol=1e-12)
+        for start in (None, DecisionFunction(0.1, np.full(d, 0.1))):
+            fit = fit_logistic(plain, start=None if start is None else start.start_for(plain))
+            (unit,) = fit_logistic_folds(_unit_stack(feats.T, labels, np.ones((1, n))), start=start)
+            assert (unit.iterations, unit.converged, unit.ridge) == (fit.iterations, fit.converged, fit.ridge)
+            beta = np.concatenate([[unit.intercept], unit.weights])
+            assert np.max(np.abs(beta - np.concatenate([[fit.intercept], fit.weights]))) < 1e-9
+            ref, stopped = _row_major_fit(feats, labels, unit.ridge, beta, tol=1e-12)
             assert stopped and np.max(np.abs(ref - beta)) < 1e-9
 
     @pytest.mark.parametrize(
         "counts",
-        [np.array([1.0, 2.0, 0.0, 1.0]), np.array([1.0, -1.0, 1.0, 1.0]), np.array([1.0, math.nan, 1.0, 1.0]),
+        [np.array([0.0, 2.0, 0.0, 1.0]), np.array([1.0, -1.0, 1.0, 1.0]), np.array([1.0, math.nan, 1.0, 1.0]),
          np.array([1.0, math.inf, 1.0, 1.0]), np.ones(3)],
         ids=["zero", "negative", "nan", "inf", "shape"],
     )
     def test_bad_counts_rejected(self, counts):
-        design = LabeledDesign(np.arange(4.0)[:, None], np.array([0.0, 1.0, 0.0, 1.0]), np.zeros(1), np.ones(1), counts)
+        # Zero counts are allowed, but not so many that a class leaves a fold.
+        stack = _unit_stack(np.arange(4.0)[None, :], np.array([0.0, 1.0, 0.0, 1.0]), np.ones((2, 4)))
+        stack.counts[1, : counts.size] = counts
+        bad = FoldStack(stack.design, stack.labels, stack.counts[:, : counts.size], stack.mean, stack.sd)
         with pytest.raises(ValueError, match="count"):
-            fit_logistic(design)
+            fit_logistic_folds(bad)
+
+    def test_zero_count_leaves_the_column_out(self):
+        # A column with count 0 in a fold fits as that fold without it.
+        stack, _ = _counted_design(59, k=3)
+        stack.counts[1, ::3] = 0.0
+        keep = np.flatnonzero(stack.counts[1] > 0.0)
+        without = FoldStack(stack.design[1:2, :, keep].copy(), stack.labels[keep], stack.counts[1:2, keep].copy(),
+                            stack.mean[1:2], stack.sd[1:2])
+        (alone,) = fit_logistic_folds(without)
+        folded = fit_logistic_folds(_copied(stack))[1]
+        assert (folded.iterations, folded.converged) == (alone.iterations, alone.converged)
+        assert np.max(np.abs(_fit_coefficients(folded) - _fit_coefficients(alone))) < 1e-12
+
+    @pytest.mark.parametrize("start", [None, DecisionFunction(0.2, np.array([0.5, -0.1]))], ids=["zero", "start"])
+    def test_each_fold_is_its_own_fit(self, start):
+        # Fitted together, every fold is bit for bit the fit of its stack alone.
+        stack, repeated = _counted_design(60, k=4)
+        _separable_fold_0(stack)
+        repeated[0] = LabeledDesign(*_repeated_rows(stack, 0), repeated[0].mean, repeated[0].sd)
+        together = fit_logistic_folds(_copied(stack), start=start)
+        assert len({fit.iterations for fit in together}) > 1
+        for j, fit in enumerate(together):
+            (alone,) = fit_logistic_folds(_fold_alone(stack, j), start=start)
+            assert _fit_bytes(fit) == _fit_bytes(alone)
+            # Fold 0 is separable, with weights near 130.
+            points = _fit_coefficients(fit_logistic(repeated[j]))
+            assert np.max(np.abs(_fit_coefficients(fit) - points)) < 1e-9 * max(1.0, np.max(np.abs(points)))
+
+    def test_singular_fold_bumps_only_its_own_ridge(self):
+        # At ridge 0 fold 2's feature is constant on its points, so its
+        # Hessian is singular: it bumps its own ridge to 1e-6 and goes on,
+        # while the other folds keep ridge 0 and the steps they take alone.
+        stack, _ = _counted_design(61, k=4)
+        stack.design[2, 1] = 0.0
+        fits = fit_logistic_folds(_copied(stack), ridge=0.0)
+        assert [fit.ridge for fit in fits] == [0.0, 0.0, 1e-6, 0.0]
+        assert all(fit.converged for fit in fits)
+        for j, fit in enumerate(fits):
+            (alone,) = fit_logistic_folds(_fold_alone(stack, j), ridge=0.0)
+            assert _fit_bytes(fit) == _fit_bytes(alone)
+        assert fits[2].weights[0] == 0.0
+
+    def test_fold_still_singular_after_three_bumps_stops_alone(self):
+        # Fold 1 holds only the 40 separable columns, where the start
+        # saturates every sigmoid: its IRLS weights are all 0, so its system
+        # stays singular through three ridge bumps and it stops there,
+        # unconverged at the start.  The start loses on the other folds,
+        # which hold overlapping columns too, and they fit as they do alone.
+        g = RngStream(64).generator()
+        x = np.concatenate([-np.ones(20), np.ones(20), g.normal(size=40)])
+        labels = np.concatenate([np.zeros(20), np.ones(20), (g.uniform(size=40) < 0.5).astype(float)])
+        counts = np.ones((3, 80))
+        counts[1, 40:] = 0.0
+        stack = _unit_stack(x[None, :], labels, counts)
+        start = DecisionFunction(0.0, np.array([1000.0]))
+        with np.errstate(all="raise"):
+            fits = fit_logistic_folds(_copied(stack), start=start)
+        stuck = fits[1]
+        assert not stuck.converged and stuck.iterations == 0
+        assert stuck.ridge == pytest.approx(1e-3, rel=1e-12) and stuck.weights[0] == 1000.0
+        for j in (0, 2):
+            assert fits[j].converged and fits[j].ridge == DEFAULT_RIDGE
+            (alone,) = fit_logistic_folds(_fold_alone(stack, j), start=start)
+            assert _fit_bytes(fits[j]) == _fit_bytes(alone)
+
+    def test_start_whose_penalty_overflows_is_dropped(self):
+        # At ridge 1e300 a start with weights of 1e5 has a penalty beyond
+        # the float range, an objective of -inf: the start loses to beta = 0
+        # in every fold, and no RuntimeWarning escapes.
+        stack, _ = _counted_design(65, k=2)
+        cold = fit_logistic_folds(_copied(stack), ridge=1e300)
+        warm = fit_logistic_folds(_copied(stack), ridge=1e300, start=DecisionFunction(0.0, np.array([1e5, 1e5])))
+        assert [_fit_bytes(fit) for fit in warm] == [_fit_bytes(fit) for fit in cold]
+
+    def test_fold_cut_at_max_iter_leaves_the_others(self, monkeypatch):
+        stack = _separable_fold_0(_counted_design(63, k=4)[0])
+        full = fit_logistic_folds(_copied(stack))
+        iterations = [fit.iterations for fit in full]
+        assert all(fit.converged for fit in full) and len(set(iterations)) > 1
+        cap = max(iterations) - 1
+        monkeypatch.setattr(carmen.logistic, "MAX_ITER", cap)
+        cut = fit_logistic_folds(_copied(stack))
+        for fit, whole in zip(cut, full):
+            if whole.iterations > cap:
+                assert not fit.converged and fit.iterations == cap
+                # The same line-searched steps, without the decrement stop's last one.
+                assert fit.objective_path == whole.objective_path
+            else:
+                assert _fit_bytes(fit) == _fit_bytes(whole)
 
 
 class TestLogOdds:
@@ -466,7 +595,7 @@ class TestLogOdds:
         assert log_odds(fit, np.zeros(2)) == pytest.approx(0.0, abs=1e-9)
 
     def test_intercept_only(self):
-        from carmen.discriminator import LogisticFit
+        from carmen.logistic import LogisticFit
 
         fit = LogisticFit(math.log(3.0), np.zeros(2), 0.0, True, 1)
         assert log_odds(fit, np.array([5.0, -2.0])) == pytest.approx(math.log(3.0))
@@ -687,21 +816,28 @@ class TestCvLogOdds:
         "scenario, seed, level", [("reg-sigmoid", 0, 23), ("poisson-betabinom", 7, 11)],
         ids=["reg-sigmoid", "poisson-betabinom"],
     )
-    def test_start_from_previous_level_matches_cold_call(self, fits, scenario, seed, level):
+    def test_start_from_previous_level_matches_cold_call(self, fits, fold_fits, scenario, seed, level):
         # Nearly separable levels of a full-curve run, where last-bit
         # changes moved the simulated-class mean by up to 6.4e-5 nat/pt.
-        # A run starts each level's first fold from the previous level's
-        # last fold; the result must be the cold call's.
+        # A run starts each level's first fold (each fold, for count
+        # classes) from the previous level's last fold; the result must be
+        # the cold call's.
         _, previous = cv_log_odds(*_grid_level_draw(scenario, seed, level - 1)[1])
         args = _grid_level_draw(scenario, seed, level)[1]
         fits.clear()  # watch only the two calls below
+        fold_fits.clear()
         cold, _ = cv_log_odds(*args)
         warm, _ = cv_log_odds(*args, start=previous)
         k = args[3]
-        assert len(fits) == 2 * k
-        assert all(record.fit.converged for record in fits)
+        if scenario == "poisson-betabinom":  # count classes: one batched fit of k folds per call
+            assert not fits and len(fold_fits) == 2
+            cold_fits, warm_fits = fold_fits[0].fits, fold_fits[1].fits
+        else:
+            assert not fold_fits and len(fits) == 2 * k
+            cold_fits, warm_fits = [record.fit for record in fits[:k]], [record.fit for record in fits[k:]]
+        assert all(fit.converged for fit in cold_fits + warm_fits)
         # The carried start beat beta = 0, so the first warm fold began elsewhere.
-        assert fits[k].fit.objective_path[0] > fits[0].fit.objective_path[0]
+        assert warm_fits[0].objective_path[0] > cold_fits[0].objective_path[0]
         assert np.max(np.abs(warm - cold)) <= 1e-5
         n_obs = len(args[0])
         for half in (slice(None, n_obs), slice(n_obs, None)):
@@ -745,7 +881,7 @@ class TestCountClasses:
          ("poisson-betabinom", 0, 0), ("poisson-betabinom", 0, 25), ("poisson-betabinom", 7, 11),
          ("poisson-betabinom", 1, 47)],
     )
-    def test_distinct_counts_match_points(self, monkeypatch, fits, scenario, seed, level):
+    def test_distinct_counts_match_points(self, monkeypatch, fits, fold_fits, scenario, seed, level):
         # Near separation (poisson-betabinom at small t) the log-odds reach
         # 2e4 nats, and even fits converged to lambda^2 <= 1e-20 n differ by
         # 8e-8 between the two layouts, so the bound scales with the values.
@@ -754,63 +890,75 @@ class TestCountClasses:
         monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
         points, _ = cv_log_odds(*args)
         k, n = args[3], len(args[0]) + len(args[1])
-        counts = [record.snapshot.counts for record in fits]
-        assert all(c is not None and c.size < n // 4 for c in counts[:k])
-        assert all(c is None for c in counts[k:])
+        # The counted call is one batched fit on fewer than n/4 columns, the point call k fits.
+        ((record,), point_fits) = fold_fits, fits
+        assert record.stack.counts.shape[0] == k and record.stack.counts.shape[1] < n // 4
+        assert len(point_fits) == k
         assert np.max(np.abs(counted - points)) <= 1e-9 * max(1.0, np.max(np.abs(points)))
 
-    def test_fold_designs_expand_to_complements(self, fits):
+    def test_fold_designs_expand_to_complements(self, fits, fold_fits):
         g = RngStream(87).generator()
         n_obs, n_sim, k = 53, 47, 5
         obs = Dataset(g.poisson(3.0, n_obs).astype(float))
         sim = Dataset(g.poisson(4.0, n_sim).astype(float))
         fm = FeatureMap(("x", "x2"))
         cv_log_odds(obs, sim, fm, k, 1e-6, RngStream(88))
-        assert len(fits) == k
+        assert not fits
+        (record,) = fold_fits
 
+        # The columns are each class's distinct counts, the observed ones first.
+        distinct = (np.unique(obs.values), np.unique(sim.values))
+        stack = record.stack
+        assert np.array_equal(stack.labels, np.repeat([0.0, 1.0], [d.size for d in distinct]))
+        assert stack.design.shape == (k, 3, stack.labels.size) and np.all(stack.design[:, 0] == 1.0)
         values = np.concatenate([obs.values, sim.values])
         fold_rng = RngStream(88).generator()
         folds_obs = _fold_indices(n_obs, k, fold_rng)
         folds_sim = _fold_indices(n_sim, k, fold_rng)
         held_out = np.zeros(n_obs + n_sim, dtype=int)
-        for j, record in enumerate(fits):
-            at_fit = record.snapshot
-            feats, labels, mu, sd, counts = at_fit.features, at_fit.labels, at_fit.mean, at_fit.sd, at_fit.counts
+        for j in range(k):
+            feats, mu, sd, counts = stack.design[j, 1:].T, stack.mean[j], stack.sd[j], stack.counts[j]
             train = np.ones(n_obs + n_sim, dtype=bool)
             train[folds_obs[j]] = False
             train[n_obs + folds_sim[j]] = False
             held_out[~train] += 1
-            for cls, points in ((0.0, values[:n_obs][train[:n_obs]]), (1.0, values[n_obs:][train[n_obs:]])):
-                rows = labels == cls
-                distinct, taken = np.unique(points, return_counts=True)
-                assert np.array_equal(counts[rows], taken)
-                assert np.array_equal(np.repeat(distinct, counts[rows].astype(int)), np.sort(points))
-                assert np.array_equal(feats[rows], (raw_features(fm, Dataset(distinct)).T - mu) / sd)
-            assert np.array_equal(labels, np.sort(labels))
+            for cls, points, column in ((0.0, values[:n_obs][train[:n_obs]], distinct[0]),
+                                        (1.0, values[n_obs:][train[n_obs:]], distinct[1])):
+                rows = stack.labels == cls
+                kept, taken = np.unique(points, return_counts=True)
+                assert np.array_equal(column[counts[rows] > 0.0], kept)
+                assert np.array_equal(counts[rows][counts[rows] > 0.0], taken)
+                assert np.array_equal(np.repeat(column, counts[rows].astype(int)), np.sort(points))
+                in_fold = rows & (counts > 0.0)
+                assert np.array_equal(feats[in_fold], (raw_features(fm, Dataset(kept)).T - mu) / sd)
             expanded = raw_features(fm, Dataset(values[train])).T
             assert np.allclose(mu, expanded.mean(axis=0), rtol=1e-12, atol=1e-12)
             assert np.allclose(sd, expanded.std(axis=0), rtol=1e-12, atol=1e-12)
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
 
-    def test_count_held_in_one_fold_leaves_its_design(self, fits):
+    def test_count_held_in_one_fold_leaves_its_design(self, fold_fits):
+        # The lone count's one point is in one fold, so the count weighs 0
+        # there: that fold's moments are those of its other points.
         g = RngStream(89).generator()
         n, k, lone = 60, 5, 40.0
         obs_values = g.poisson(3.0, n).astype(float)
         obs_values[17] = lone
-        obs, sim = Dataset(obs_values), Dataset(g.poisson(4.0, n).astype(float))
-        cv_log_odds(obs, sim, FeatureMap(("x",)), k, 1e-6, RngStream(90))
-        holder = next(j for j, f in enumerate(_fold_indices(n, k, RngStream(90).generator())) if 17 in f)
-        for j, record in enumerate(fits):
-            at_fit = record.snapshot
-            feats, labels, mu, sd, counts = at_fit.features, at_fit.labels, at_fit.mean, at_fit.sd, at_fit.counts
-            x = feats[labels == 0.0, 0] * sd[0] + mu[0]
-            has_lone = np.isclose(x, lone, rtol=0.0, atol=1e-9)
-            if j == holder:
-                assert not has_lone.any()
-            else:
-                assert has_lone.sum() == 1 and counts[labels == 0.0][has_lone][0] == 1.0
+        sim_values = g.poisson(4.0, n).astype(float)
+        cv_log_odds(Dataset(obs_values), Dataset(sim_values), FeatureMap(("x",)), k, 1e-6, RngStream(90))
+        fold_rng = RngStream(90).generator()
+        folds_obs, folds_sim = _fold_indices(n, k, fold_rng), _fold_indices(n, k, fold_rng)
+        holder = next(j for j, f in enumerate(folds_obs) if 17 in f)
+        (record,) = fold_fits
+        stack = record.stack
+        column = int(np.searchsorted(np.unique(obs_values), lone))
+        assert stack.labels[column] == 0.0
+        assert np.array_equal(stack.counts[:, column], np.where(np.arange(k) == holder, 0.0, 1.0))
+        train = np.concatenate([np.delete(obs_values, folds_obs[holder]), np.delete(sim_values, folds_sim[holder])])
+        assert lone not in train
+        assert stack.mean[holder, 0] == pytest.approx(train.mean(), rel=1e-12)
+        assert stack.sd[holder, 0] == pytest.approx(train.std(), rel=1e-12)
 
-    def test_count_class_beside_point_class_fits_points(self, monkeypatch, fits):
+    def test_count_class_beside_point_class_fits_points(self, monkeypatch, fits, fold_fits):
         # Distinct counts only when both classes are whole counts: a count
         # class beside a point class is fitted, like it, one column per
         # training point, bit for bit as without any count table.
@@ -822,10 +970,9 @@ class TestCountClasses:
         monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
         points, _ = cv_log_odds(*args)
         assert mixed.tobytes() == points.tobytes()
-        assert len(fits) == 10
+        assert len(fits) == 10 and not fold_fits
         for record in fits[:5]:
             labels = record.snapshot.labels
-            assert record.snapshot.counts is None
             assert np.count_nonzero(labels == 0.0) == np.count_nonzero(labels == 1.0) == 160
 
     def test_class_not_of_counts_gets_no_table_before_any_sort(self, monkeypatch):
@@ -842,13 +989,33 @@ class TestCountClasses:
         monkeypatch.undo()
         assert np.array_equal(table.counts, np.unique(counts.values))
 
+    @pytest.mark.parametrize("constant_sim", [True, False], ids=["zero-sd", "beside-counts"])
+    def test_single_distinct_count_fits_as_its_points(self, monkeypatch, fold_fits, constant_sim):
+        # An observed class of one distinct count, beside the same constant
+        # (so every feature has sd 0, kept as 1, and standardizes to 0) or
+        # beside varied counts: its one column fits as its 40 points.
+        g = RngStream(95).generator()
+        obs = Dataset(np.full(40, 3.0))
+        sim = Dataset(np.full(40, 3.0) if constant_sim else g.poisson(4.0, 40).astype(float))
+        args = (obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(96))
+        counted, _ = cv_log_odds(*args)
+        (record,) = fold_fits
+        assert np.count_nonzero(record.stack.labels == 0.0) == 1
+        assert all(fit.converged for fit in record.fits)
+        if constant_sim:
+            assert np.all(record.stack.sd == 1.0) and not record.stack.design[:, 1:].any()
+        monkeypatch.setattr(carmen.discriminator, "_count_table", lambda data: None)
+        points, _ = cv_log_odds(*args)
+        assert np.max(np.abs(counted - points)) <= 1e-9 * max(1.0, np.max(np.abs(points)))
+
     @pytest.mark.parametrize("sim_count", [3.0, 5.0], ids=["same", "apart"])
-    def test_one_constant_count_per_class_stays_finite(self, fits, sim_count):
+    def test_one_constant_count_per_class_stays_finite(self, fold_fits, sim_count):
         obs, sim = Dataset(np.full(20, 3.0)), Dataset(np.full(20, sim_count))
         vals, decision = cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 5, 1e-6, RngStream(91))
         assert np.all(np.isfinite(vals))
         assert np.isfinite(decision.intercept) and np.all(np.isfinite(decision.weights))
-        assert all(np.array_equal(record.snapshot.counts, [16.0, 16.0]) for record in fits)
+        (record,) = fold_fits
+        assert np.array_equal(record.stack.counts, np.full((5, 2), 16.0))
         if sim_count == 3.0:
             assert np.allclose(vals, 0.0, atol=1e-9)
         else:
@@ -1028,35 +1195,17 @@ class TestIrlsWorkspace:
         # Less than one float64 n-vector over the whole fit.
         assert peak - before < 8 * n
 
-    def test_counted_and_uncounted_fits_share_a_workspace(self):
-        # Counted, uncounted, counted again: the count rows a counted fit
-        # leaves behind change nothing for the next fit.
-        g = RngStream(102).generator()
-        d = 2
-
-        def design(n, counted):
-            feats = g.normal(size=(n, d))
-            eta = 0.7 * feats[:, 0] - 0.4 * feats[:, 1]
-            labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-            counts = g.integers(1, 6, size=n).astype(float) if counted else None
-            return LabeledDesign(feats, labels, np.zeros(d), np.ones(d), counts)
-
-        workspace = IrlsWorkspace(d, 420)
-        for des in (design(300, True), design(420, False), design(250, True)):
-            for start in (None, np.array([0.1, 0.3, -0.2])):
-                shared = fit_logistic(des, start=start, workspace=workspace)
-                fresh = fit_logistic(des, start=start, workspace=IrlsWorkspace(d, des.features.shape[0]))
-                assert _fit_bytes(shared) == _fit_bytes(fresh)
-
-    def test_count_rows_only_for_counted_designs(self, fits):
+    def test_count_classes_take_no_workspace(self, fits, fold_fits):
+        # Point classes: k fits through one shared workspace.  Count
+        # classes: no fit_logistic call, and one batched fit.
         g = RngStream(103).generator()
         fm, k = FeatureMap(("x", "x2")), 5
         cv_log_odds(Dataset(g.normal(size=200)), Dataset(g.normal(0.3, 1.2, 200)), fm, k, 1e-6, RngStream(104))
         counts = (Dataset(g.poisson(3.0, 200).astype(float)), Dataset(g.poisson(4.0, 200).astype(float)))
         cv_log_odds(*counts, fm, k, 1e-6, RngStream(105))
-        assert len(fits) == 2 * k
-        assert fits[0].workspace._count_rows is None
-        assert fits[k].workspace._count_rows is not None
+        assert len(fits) == k and all(record.workspace is fits[0].workspace for record in fits)
+        (record,) = fold_fits
+        assert len(record.fits) == k
 
 
 def _mixed_layout_draw() -> tuple:
@@ -1073,18 +1222,23 @@ class TestOutOfFoldScoring:
          ("mixed", _mixed_layout_draw)],
         ids=["points", "counts", "mixed"],
     )
-    def test_scores_equal_per_point_gather_and_product(self, fits, layout, draw):
+    def test_scores_equal_per_point_gather_and_product(self, fits, fold_fits, layout, draw):
         # Near-separable draws (values up to thousands of nats) and a count
         # class beside a point class, which is fitted on points: every
         # held-out value is bit for bit the one-gather-and-einsum score of
         # its fold's decision function.
         observed, simulated, fm, k, ridge, rng = draw()
         vals, last = cv_log_odds(observed, simulated, fm, k, ridge, rng)
-        assert len(fits) == k
-        assert all((record.snapshot.counts is not None) == (layout == "counts") for record in fits)
         g = rng.generator()
         fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
-        decisions = [DecisionFunction.of(record.fit, record.snapshot) for record in fits]
+        if layout == "counts":
+            assert not fits
+            (record,) = fold_fits
+            stack = record.stack
+            decisions = [DecisionFunction.of(fit, stack.mean[j], stack.sd[j]) for j, fit in enumerate(record.fits)]
+        else:
+            assert len(fits) == k and not fold_fits
+            decisions = [DecisionFunction.of(record.fit, record.snapshot.mean, record.snapshot.sd) for record in fits]
         coef = np.array([[decision.intercept, *decision.weights] for decision in decisions])
         raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
         assert vals.tobytes() == fold_scores(coef, fold_of, raw).tobytes()
@@ -1282,14 +1436,14 @@ def _fit_coefficients(fit) -> np.ndarray:
 
 class TestGramBlocks:
     @pytest.mark.parametrize(
-        "make", [_overlapping_design, _separable_design, lambda: _counted_design(115, m=900)[0]],
-        ids=["overlapping", "separable", "counted"],
+        "make", [_overlapping_design, _separable_design, lambda: _counted_design(115, m=900)[1][0]],
+        ids=["overlapping", "separable", "repeated"],
     )
     def test_blocked_fit_takes_the_same_steps(self, monkeypatch, make):
         design = make()
         n = design.features.shape[0]
         one_block = fit_logistic(design)
-        monkeypatch.setattr(carmen.discriminator, "GRAM_BLOCK", 16)
+        monkeypatch.setattr(carmen.logistic, "GRAM_BLOCK", 16)
         workspace = IrlsWorkspace(design.features.shape[1], n)
         assert workspace.block == 16 and n > 2 * 16
         blocked = fit_logistic(design, workspace=workspace)
@@ -1305,7 +1459,7 @@ class TestGramBlocks:
         # largest over levels 11, 23 and 47, against 1e-14 for gauss-laplace.
         args = _grid_level_draw("reg-sigmoid", 0, 23)[1]
         one_block, _ = cv_log_odds(*args)
-        monkeypatch.setattr(carmen.discriminator, "GRAM_BLOCK", 100)
+        monkeypatch.setattr(carmen.logistic, "GRAM_BLOCK", 100)
         blocked, _ = cv_log_odds(*args)
         k = args[3]
         assert len(fits) == 2 * k
@@ -1320,10 +1474,12 @@ class TestGramBlocks:
         "scenario, seed, level", [("reg-sigmoid", 0, 23), ("poisson-betabinom", 7, 11)],
         ids=["reg-sigmoid", "poisson-betabinom"],
     )
-    def test_halved_step_product_is_the_scaled_product(self, fits, scenario, seed, level):
+    def test_halved_step_product_is_the_scaled_product(self, fits, fold_fits, scenario, seed, level):
         # Near-separable levels whose fits halve their step.  A halving
         # computes (step delta) @ AT afresh; step is a power of two, so that
-        # is bit for bit step (delta @ AT), which the line search used to scale.
+        # is bit for bit step (delta @ AT), which the line search used to
+        # scale.  The batched fit of count classes takes its k products in
+        # one stacked matmul.
         cv_log_odds(*_grid_level_draw(scenario, seed, level)[1])
         for record in fits:
             features = record.snapshot.features
@@ -1332,3 +1488,11 @@ class TestGramBlocks:
             for halvings in range(1, 31):
                 step = 0.5**halvings
                 assert (step * delta @ AT).tobytes() == (step * base).tobytes()
+        for record in fold_fits:
+            A = record.stack.design
+            delta = np.array([_fit_coefficients(fit) for fit in record.fits])
+            base = np.matmul(delta[:, None, :], A)
+            for halvings in range(1, 31):
+                step = 0.5**halvings
+                assert np.matmul((step * delta)[:, None, :], A).tobytes() == (step * base).tobytes()
+        assert len(fits) + len(fold_fits) == (10 if scenario == "reg-sigmoid" else 1)
