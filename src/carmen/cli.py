@@ -11,8 +11,10 @@ across runs with the same configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
@@ -267,18 +269,31 @@ def _strict(value):
 
 
 def emit_outputs(result: ScenarioResult, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write summary.json and curve.csv under ``out_dir``."""
+    """Write summary.json and curve.csv under ``out_dir`` as a pair.
+
+    Both are written to temporaries beside them (``curve.csv.tmp``,
+    ``summary.json.tmp``), then moved over the old files, the curve first:
+    a failed write leaves the previous pair as it was, and a summary.json
+    is never beside an older curve.csv.  On an ``OSError`` the temporaries
+    are removed.
+    """
     out = Path(out_dir)
+    rows = [_curve_row(p) for p in result.curve.points]
+    lines = [_CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
+    summary = _strict(_summary(result, rows))
+    texts = ("\n".join(lines) + "\n", json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    csv_path, json_path = paths = (out / "curve.csv", out / "summary.json")
+    temporaries = [path.with_name(path.name + ".tmp") for path in paths]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        rows = [_curve_row(p) for p in result.curve.points]
-        json_path = out / "summary.json"
-        summary = _strict(_summary(result, rows))
-        json_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
-        csv_path = out / "curve.csv"
-        lines = [_CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
-        csv_path.write_text("\n".join(lines) + "\n")
+        for temporary, text in zip(temporaries, texts):
+            temporary.write_text(text)
+        for temporary, path in zip(temporaries, paths):
+            os.replace(temporary, path)
     except OSError as exc:
+        for temporary in temporaries:
+            with contextlib.suppress(OSError):  # absent, or not a file of ours (a directory)
+                temporary.unlink()
         raise OSError(f"cannot write outputs under {out}: {exc}") from exc
     return json_path, csv_path
 

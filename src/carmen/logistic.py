@@ -368,12 +368,13 @@ def fit_logistic_folds(
     ``MAX_ITER`` steps.  Fold j's result is the ``LogisticFit`` on its
     standardized features.
 
-    Each step runs over the folds that have not stopped, which are kept at
-    the front of the stack: their weighted designs, one stacked product for
-    their Hessians and gradients, one stacked solve, and one line search
-    that evaluates their candidates together.  A fold that stops is moved
-    out of that front, so the fit leaves the folds of ``stack.design`` and
-    ``stack.counts`` in an unspecified order; ``mean`` and ``sd`` are
+    Fold j keeps its state in row j of each array for the whole fit.  Each
+    pass runs over all k rows: their weighted designs, one stacked product
+    for the Hessians and gradients, one stacked solve, and one line search
+    that evaluates the candidates together.  A ``live`` mask marks the
+    folds that have not stopped, and a ``singular`` mask the live folds
+    whose system the solve could not take; every other row takes a zero
+    step, so a stopped fold's state stays as it stopped.  ``stack`` is
     only read.
     """
     if not 0.0 <= ridge < math.inf:
@@ -391,61 +392,39 @@ def fit_logistic_folds(
         raise ValueError("every fold's counts must cover both classes, labelled 0 and 1")
     limit = points * TOL * TOL  # the decrement stop's bound
 
-    # Per slot: the state of the fold ``fold[slot]``; slots [0, live) run.
-    fold = np.arange(k)
     beta = np.zeros((k, d + 1))
     lam = np.full(k, float(ridge))
-    bumps = np.zeros(k, dtype=int)
-    iterations = np.zeros(k, dtype=int)
+    bumps, iterations = np.zeros((2, k), dtype=int)
+    converged = np.zeros(k, dtype=bool)
     # p holds the sigmoid of eta until the step's Hessians are formed; the
     # line search then writes each candidate's sigmoid over it.
     eta, cand_eta, soft, p = np.empty((4, k, u))
     weighted = np.empty((k, d + 2, u))
-    # Per fold: its result, and its objective path, row i after i line-searched steps.
-    result_beta, result_lam = np.empty((k, d + 1)), np.empty(k)
-    result_iterations, result_converged = np.empty(k, dtype=int), np.zeros(k, dtype=bool)
-    objectives = np.empty((MAX_ITER + 1, k))
+    objectives = np.empty((MAX_ITER + 1, k))  # row i: each fold's objective after i line-searched steps
 
-    def value(a: int, eta: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Penalized log-likelihoods of slots [0, a) at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
-        return (np.einsum("ij,ij->i", cy[:a], eta) - np.einsum("ij,ij->i", c[:a], soft[:a])
-                - 0.5 * lam[:a] * np.einsum("ij,ij->i", b[:, 1:], b[:, 1:]))
-
-    def stop(stopping: np.ndarray, converged: np.ndarray | None, *temporaries: np.ndarray) -> int:
-        """Record the slots in ``stopping`` as their folds' results and count the rest, ``live``.
-
-        ``converged`` marks the stopping slots that converged (None: none
-        did).  The running slots at or behind ``live`` move into the
-        stopped slots before it, in the state and in each of
-        ``temporaries`` (per-slot arrays of this pass), so only they are
-        copied.
-        """
-        out = np.flatnonzero(stopping)
-        at = fold[out]
-        result_beta[at], result_lam[at], result_iterations[at] = beta[out], lam[out], iterations[out]
-        if converged is not None:
-            result_converged[at] = converged[out]
-        live = stopping.size - out.size
-        holes, movers = out[out < live], np.flatnonzero(~stopping[live:]) + live
-        for array in (AT, c, cy, limit, eta, p, beta, obj, lam, bumps, iterations, fold, *temporaries):
-            array[holes] = array[movers]
-        return live
+    def value(eta: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Penalized log-likelihoods at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
+        return (np.einsum("ij,ij->i", cy, eta) - np.einsum("ij,ij->i", c, soft)
+                - 0.5 * lam * np.einsum("ij,ij->i", b[:, 1:], b[:, 1:]))
 
     # At beta = 0, softplus(0) = ln 2 and sigmoid(0) = 1/2 exactly.
     eta.fill(0.0)
     soft.fill(_LN2)
     p.fill(0.5)
-    obj = value(k, eta, beta)
+    obj = value(eta, beta)
     if start is not None:
         if start.weights.shape != (d,):
             raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
-        # start.start_for of each fold's standardization
+        # start.start_for of each fold's standardization.  The einsum sums
+        # each fold's row alone, so a fold's start does not depend on how
+        # many folds are fitted with it; ``stack.mean @ start.weights``
+        # rounds one fold (numpy's dot) unlike several (BLAS gemv).
         starts = np.empty((k, d + 1))
-        starts[:, 0] = start.intercept + stack.mean @ start.weights
+        starts[:, 0] = start.intercept + np.einsum("ij,j->i", stack.mean, start.weights)
         np.multiply(start.weights, stack.sd, out=starts[:, 1:])
         np.matmul(starts[:, None, :], AT, out=cand_eta[:, None, :])
         _softplus_sigmoid(cand_eta, soft, p)
-        start_obj = value(k, cand_eta, starts)
+        start_obj = value(cand_eta, starts)
         taken = start_obj > obj
         beta[taken] = starts[taken]
         np.copyto(obj, start_obj, where=taken)
@@ -453,110 +432,88 @@ def fit_logistic_folds(
         np.copyto(p, 0.5, where=~taken[:, None])
     objectives[0] = obj
 
-    live, passes = k, 0
-    while live:
-        # A fold takes at most one step per pass, so none reaches MAX_ITER before the loop does.
-        if passes >= MAX_ITER:
-            over = iterations[:live] >= MAX_ITER
-            if over.any():
-                live = stop(over, None)
-                if not live:
-                    break
-        passes += 1
-        a = live
-        A, W = AT[:a], weighted[:a]
+    live = iterations < MAX_ITER
+    while live.any():
         # Rows 0..d of each weighted design are its design times the IRLS
         # weights c p (1 - p), so row 0 is the weights themselves; row d+1
         # is the residual c y - c p.  The weights and c p are formed in the
         # candidate's buffers, which the line search overwrites.  The
         # product by the weights is an einsum: np.multiply would buffer the
-        # broadcast weights and the strided rows of W in temporaries.
-        c_p, w = cand_eta[:a], soft[:a]
-        np.multiply(c[:a], p[:a], out=c_p)
-        np.multiply(c_p, np.subtract(1.0, p[:a], out=w), out=w)
-        np.subtract(cy[:a], c_p, out=W[:, d + 1])
-        np.einsum("kiu,ku->kiu", A, w, out=W[:, : d + 1])
-        products = np.matmul(W, A.transpose(0, 2, 1))
+        # broadcast weights and the strided rows of the weighted designs in
+        # temporaries.
+        c_p, w = cand_eta, soft
+        np.multiply(c, p, out=c_p)
+        np.multiply(c_p, np.subtract(1.0, p, out=w), out=w)
+        np.subtract(cy, c_p, out=weighted[:, d + 1])
+        np.einsum("kiu,ku->kiu", AT, w, out=weighted[:, : d + 1])
+        products = np.matmul(weighted, AT.transpose(0, 2, 1))
         hess, grad = products[:, : d + 1], products[:, d + 1]
-        grad[:, 1:] -= lam[:a, None] * beta[:a, 1:]
+        grad[:, 1:] -= lam[:, None] * beta[:, 1:]
         # Each product is C-contiguous, so its Hessian's weight diagonal is
         # every (d+2)-th element from d+2.
-        products.reshape(a, -1)[:, d + 2 : (d + 1) ** 2 : d + 2] += lam[:a, None]
-        singular = None
+        products.reshape(k, -1)[:, d + 2 : (d + 1) ** 2 : d + 2] += lam[:, None]
+        singular = np.zeros(k, dtype=bool)
         try:
             delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            # Solve the systems one by one to find the singular ones.  A
-            # singular fold takes no step: it bumps its ridge, or stops
+            # Solve the live systems one by one to find the singular ones.
+            # A singular fold takes no step: it bumps its ridge, or stops
             # unconverged after three bumps, and its objective is
             # re-evaluated under the new ridge by a line search at step 0.
-            delta, singular = np.zeros((a, d + 1)), np.zeros(a, dtype=bool)
-            for s in range(a):
+            delta = np.zeros((k, d + 1))
+            for j in np.flatnonzero(live):
                 try:
-                    delta[s] = np.linalg.solve(hess[s], grad[s])
+                    delta[j] = np.linalg.solve(hess[j], grad[j])
                 except np.linalg.LinAlgError:
-                    singular[s] = True
+                    singular[j] = True
+            live &= ~singular | (bumps < 3)
+            singular &= live
+            bumps += singular
+            lam[singular] = np.where(lam[singular] > 0.0, lam[singular] * 10.0, 1e-6)
         # lambda^2 = grad @ delta per fold, as in fit_logistic.
         decrement = np.einsum("ij,ij->i", grad, delta)
-        done = (0.0 <= decrement) & (decrement <= limit[:a])
-        stopping = done
-        if singular is not None:
-            done &= ~singular
-            spent = singular & (bumps[:a] >= 3)
-            bumped = singular & ~spent
-            bumps[:a] += bumped
-            lam[:a] = np.where(bumped, np.where(lam[:a] > 0.0, lam[:a] * 10.0, 1e-6), lam[:a])
-            stopping = done | spent
-        if stopping.any():
-            np.add(beta[:a], delta, out=beta[:a], where=done[:, None])
-            iterations[:a] += done
-            extra = (delta,) if singular is None else (delta, singular)
-            live = a = stop(stopping, done, *extra)
-            if not live:
-                break
-            delta = delta[:a]
-            singular = None if singular is None else singular[:a]
-        A, b = AT[:a], beta[:a]
-        floor = obj[:a] - 1e-13 * np.abs(obj[:a])
-        step, scaled = None, delta
+        done = live & ~singular & (0.0 <= decrement) & (decrement <= limit)
+        np.add(beta, delta, out=beta, where=done[:, None])
+        iterations += done
+        converged |= done
+        live &= ~done
+        if not live.any():
+            break
+        # The folds that step this pass; every other row's step is zero.
+        stepping = live & ~singular
+        delta[~stepping] = 0.0
+        floor = obj - 1e-13 * np.abs(obj)
+        step, scaled = 1.0, delta
         for _ in range(30):
-            cand = b + scaled
+            cand = beta + scaled
             # (step delta) @ A: step is a power of two, so bit for bit step (delta @ A).
-            np.matmul(scaled[:, None, :], A, out=cand_eta[:a, None, :])
-            np.add(eta[:a], cand_eta[:a], out=cand_eta[:a])
-            _softplus_sigmoid(cand_eta[:a], soft[:a], p[:a])
-            cand_obj = value(a, cand_eta[:a], cand)
-            accepted = cand_obj >= floor
-            if singular is not None:
-                accepted |= singular
+            np.matmul(scaled[:, None, :], AT, out=cand_eta[:, None, :])
+            np.add(eta, cand_eta, out=cand_eta)
+            _softplus_sigmoid(cand_eta, soft, p)
+            cand_obj = value(cand_eta, cand)
+            accepted = (cand_obj >= floor) | ~stepping
             if accepted.all():
                 break
-            step = np.ones(a) if step is None else step
-            step[~accepted] *= 0.5
+            step = np.where(accepted, step, 0.5 * step)
             scaled = step[:, None] * delta
-        else:
-            # The folds whose 30th candidate failed stop at their last iterate.
-            extra = (cand, cand_obj, cand_eta) if singular is None else (cand, cand_obj, cand_eta, singular)
-            live = a = stop(~accepted, None, *extra)
-            cand, cand_obj = cand[:a], cand_obj[:a]
-            singular = None if singular is None else singular[:a]
-        beta[:a], obj[:a] = cand, cand_obj
+        # A fold whose 30th candidate failed stops at its last iterate.
+        live &= accepted
+        stepping &= accepted
+        np.copyto(beta, cand, where=live[:, None])
+        obj = cand_obj
         eta, cand_eta = cand_eta, eta
-        if singular is None:
-            iterations[:a] += 1
-            objectives[iterations[:a], fold[:a]] = cand_obj
-        else:
-            iterations[:a] += ~singular
-            objectives[iterations[:a][~singular], fold[:a][~singular]] = cand_obj[~singular]
+        iterations += stepping
+        objectives[iterations[stepping], stepping] = cand_obj[stepping]
+        live &= iterations < MAX_ITER
 
-    paths = result_iterations + 1 - result_converged
+    paths = iterations + 1 - converged
     return [
         LogisticFit(
-            intercept=float(result_beta[j, 0]),
-            weights=result_beta[j, 1:].copy(),
-            ridge=float(result_lam[j]),
-            converged=bool(result_converged[j]),
-            iterations=int(result_iterations[j]),
+            intercept=float(beta[j, 0]),
+            weights=beta[j, 1:].copy(),
+            ridge=float(lam[j]),
+            converged=bool(converged[j]),
+            iterations=int(iterations[j]),
             objective_path=tuple(objectives[: paths[j], j].tolist()),
         )
         for j in range(k)

@@ -54,7 +54,7 @@ def fits(monkeypatch) -> list[WatchedFit]:
 
 @dataclass(frozen=True)
 class WatchedFolds:
-    """One ``fit_logistic_folds`` call: a copy of its stack as passed, its start and its k fits."""
+    """One ``fit_logistic_folds`` call: its stack, its start and its k fits."""
 
     stack: FoldStack
     start: object
@@ -63,18 +63,13 @@ class WatchedFolds:
 
 @pytest.fixture
 def fold_fits(monkeypatch) -> list[WatchedFolds]:
-    """Every batched fit of a count class pair that the test makes through ``cv_log_odds``, in order.
-
-    The fit reorders its stack's folds as they stop, so each record holds
-    a copy taken before the fit.
-    """
+    """Every batched fit of a count class pair that the test makes through ``cv_log_odds``, in order."""
     records = []
     fit_logistic_folds = carmen.discriminator.fit_logistic_folds
 
     def recording(stack, **kwargs):
-        snapshot = FoldStack(*(np.array(a) for a in (stack.design, stack.labels, stack.counts, stack.mean, stack.sd)))
         result = fit_logistic_folds(stack, **kwargs)
-        records.append(WatchedFolds(snapshot, kwargs.get("start"), result))
+        records.append(WatchedFolds(stack, kwargs.get("start"), result))
         return result
 
     monkeypatch.setattr(carmen.discriminator, "fit_logistic_folds", recording)

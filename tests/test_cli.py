@@ -227,13 +227,19 @@ class TestEmitOutputs:
         assert j1.read_bytes() == j2.read_bytes()
         assert c1.read_bytes() == c2.read_bytes()
 
-    def test_unwritable_path_raises_oserror(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("file, not a directory")
-        res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, **FAST))
-        with pytest.raises(OSError) as err:
-            emit_outputs(res, blocker / "sub")
-        assert "blocker" in str(err.value)
+    def test_failed_second_write_leaves_the_previous_pair(self, tmp_path):
+        # A directory named like the summary's temporary makes the second of
+        # the two writes fail, after the curve's temporary is written.
+        first, second = (run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=s, full_curve=True, **FAST))
+                         for s in (3, 4))
+        emit_outputs(first, tmp_path)
+        previous = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert set(previous) == {"summary.json", "curve.csv"}  # a write leaves no temporary
+        (tmp_path / "summary.json.tmp").mkdir()
+        with pytest.raises(OSError, match="cannot write outputs under"):
+            emit_outputs(second, tmp_path)
+        assert {path.name for path in tmp_path.iterdir()} == {*previous, "summary.json.tmp"}
+        assert {name: (tmp_path / name).read_bytes() for name in previous} == previous
 
 
 def _load_dumped(path: Path):
@@ -796,7 +802,7 @@ class TestMain:
         blocker.write_text("file, not a directory")
         args = ["run", "--scenario", "gauss-gauss", "--seed", "3", "--n-update", "40", "--n-validate", "40"]
         assert main(args + ["--folds", "4", "--grid", "1e-3:1.0:4", "--out", str(blocker / "sub")]) == 1
-        assert "error: cannot write outputs under" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: cannot write outputs under {blocker / 'sub'}: ")
 
     def test_missing_seed_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--scenario", "gauss-gauss", "--out", str(tmp_path)])

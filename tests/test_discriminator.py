@@ -319,9 +319,15 @@ class TestConvergence:
         # The same line-searched steps, without the decrement stop's last one.
         assert cut.objective_path == full.objective_path
 
-    def test_line_search_that_gives_up_is_not_converged(self, monkeypatch):
-        # Every evaluated objective falls by n below the zero start's, so
-        # no halving of the first step is accepted.
+    @pytest.mark.parametrize(
+        "fit_all",
+        [lambda: [fit_logistic(_overlapping_design())], lambda: fit_logistic_folds(_counted_design(66, k=3))],
+        ids=["points", "folds"],
+    )
+    def test_line_search_that_gives_up_is_not_converged(self, monkeypatch, fit_all):
+        # Every evaluated objective falls by n (a fold's points) below the
+        # zero start's, so no halving of the first step is accepted, and
+        # every fold stops where it started.
         softplus_sigmoid = carmen.logistic._softplus_sigmoid
 
         def raised(eta, soft, sig):
@@ -329,10 +335,10 @@ class TestConvergence:
             soft += 1.0
 
         monkeypatch.setattr(carmen.logistic, "_softplus_sigmoid", raised)
-        fit = fit_logistic(_overlapping_design())
-        assert not fit.converged
-        assert fit.iterations == 0 and len(fit.objective_path) == 1
-        assert fit.intercept == 0.0 and not fit.weights.any()
+        for fit in fit_all():
+            assert not fit.converged
+            assert fit.iterations == 0 and len(fit.objective_path) == 1
+            assert fit.intercept == 0.0 and not fit.weights.any()
 
     @pytest.mark.parametrize("scale", [-1e-30, math.nan], ids=["negative", "nan"])
     def test_negative_or_nan_decrement_is_not_convergence(self, monkeypatch, scale):
@@ -385,21 +391,13 @@ def _unit_stack(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) ->
     return FoldStack(design, labels, counts, np.zeros((k, d)), np.ones((k, d)))
 
 
-def _counted_design(seed: int, m: int = 80, d: int = 2, k: int = 1):
-    """Overlapping classes on m columns with integer counts 1..6 per fold, and each fold's columns repeated by count.
-
-    Returns the k-fold stack and a list of k designs, one per fold.
-    """
+def _counted_design(seed: int, m: int = 80, d: int = 2, k: int = 1) -> FoldStack:
+    """A k-fold stack of overlapping classes on m columns, with integer counts 1..6 per fold."""
     g = RngStream(seed).generator()
     feats = g.normal(size=(m, d))
     eta = 0.9 * feats[:, 0] - 0.4 * feats[:, -1]
     labels = (g.uniform(size=m) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    counts = g.integers(1, 7, size=(k, m)).astype(float)
-    mu, sd = np.zeros(d), np.ones(d)
-    repeated = []
-    for row in counts.astype(int):
-        repeated.append(LabeledDesign(np.repeat(feats, row, axis=0), np.repeat(labels, row), mu, sd))
-    return _unit_stack(feats.T, labels, counts), repeated
+    return _unit_stack(feats.T, labels, g.integers(1, 7, size=(k, m)).astype(float))
 
 
 def _separable_fold_0(stack: FoldStack) -> FoldStack:
@@ -426,42 +424,28 @@ def _repeated_rows(stack: FoldStack, j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(stack.design[j, 1:].T, repeat, axis=0), np.repeat(stack.labels, repeat)
 
 
-def _fold_alone(stack: FoldStack, j: int) -> FoldStack:
-    """Fold j of ``stack`` as a stack of its own."""
-    return FoldStack(stack.design[j : j + 1].copy(), stack.labels, stack.counts[j : j + 1].copy(),
-                     stack.mean[j : j + 1], stack.sd[j : j + 1])
-
-
-def _copied(stack: FoldStack) -> FoldStack:
-    """A stack to fit that leaves ``stack`` as it is."""
-    return FoldStack(stack.design.copy(), stack.labels, stack.counts.copy(), stack.mean, stack.sd)
+def _assert_folds_fit_alone(stack: FoldStack, fits: list, **kwargs) -> None:
+    """Each fold's fit in ``fits`` is bit for bit ``fit_logistic_folds`` of that fold as a stack of its own."""
+    for j, fit in enumerate(fits):
+        alone = FoldStack(stack.design[j : j + 1], stack.labels, stack.counts[j : j + 1], stack.mean[j : j + 1],
+                          stack.sd[j : j + 1])
+        assert _fit_bytes(fit) == _fit_bytes(fit_logistic_folds(alone, **kwargs)[0])
 
 
 class TestWeightedFit:
-    @pytest.mark.parametrize("start", [None, DecisionFunction(0.2, np.array([0.5, -0.1]))], ids=["zero", "start"])
-    def test_counts_fit_as_repeated_rows(self, start):
-        stack, (repeated,) = _counted_design(56)
-        assert len(repeated.labels) > 2 * len(stack.labels)
-        (a,) = fit_logistic_folds(stack, start=start)
-        b = fit_logistic(repeated, start=None if start is None else start.start_for(repeated))
-        assert abs(a.intercept - b.intercept) < 1e-9
-        assert np.max(np.abs(a.weights - b.weights)) < 1e-9
-        assert (a.iterations, a.converged) == (b.iterations, b.converged)
-        assert a.converged
-
     def test_decrement_stop_scales_with_total_count(self, monkeypatch):
         # tol is set so that the first step's decrement lies between
         # columns * tol^2 and sum(c) * tol^2: only a stop that counts the
         # points takes that step as the last.
-        stack, _ = _counted_design(57)
+        stack = _counted_design(57)
         columns, points = len(stack.labels), float(stack.counts.sum())
         tol = math.sqrt(_first_decrement(stack) / points)
         assert columns * (tol * (1.0 + 1e-6)) ** 2 < _first_decrement(stack)
         monkeypatch.setattr(carmen.logistic, "TOL", tol * (1.0 + 1e-6))
-        (stopped,) = fit_logistic_folds(_copied(stack))
+        (stopped,) = fit_logistic_folds(stack)
         assert (stopped.iterations, stopped.converged) == (1, True)
         monkeypatch.setattr(carmen.logistic, "TOL", tol * (1.0 - 1e-6))
-        (going_on,) = fit_logistic_folds(_copied(stack))
+        (going_on,) = fit_logistic_folds(stack)
         assert going_on.converged and going_on.iterations > 1
 
     @pytest.mark.parametrize("n, d", [(600, 2), (18_000, 6)], ids=["one-block", "five-blocks"])
@@ -500,43 +484,56 @@ class TestWeightedFit:
 
     def test_zero_count_leaves_the_column_out(self):
         # A column with count 0 in a fold fits as that fold without it.
-        stack, _ = _counted_design(59, k=3)
+        stack = _counted_design(59, k=3)
         stack.counts[1, ::3] = 0.0
         keep = np.flatnonzero(stack.counts[1] > 0.0)
         without = FoldStack(stack.design[1:2, :, keep].copy(), stack.labels[keep], stack.counts[1:2, keep].copy(),
                             stack.mean[1:2], stack.sd[1:2])
         (alone,) = fit_logistic_folds(without)
-        folded = fit_logistic_folds(_copied(stack))[1]
+        folded = fit_logistic_folds(stack)[1]
         assert (folded.iterations, folded.converged) == (alone.iterations, alone.converged)
         assert np.max(np.abs(_fit_coefficients(folded) - _fit_coefficients(alone))) < 1e-12
 
-    @pytest.mark.parametrize("start", [None, DecisionFunction(0.2, np.array([0.5, -0.1]))], ids=["zero", "start"])
-    def test_each_fold_is_its_own_fit(self, start):
-        # Fitted together, every fold is bit for bit the fit of its stack alone.
-        stack, repeated = _counted_design(60, k=4)
-        _separable_fold_0(stack)
-        repeated[0] = LabeledDesign(*_repeated_rows(stack, 0), repeated[0].mean, repeated[0].sd)
-        together = fit_logistic_folds(_copied(stack), start=start)
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "start"])
+    def test_each_fold_is_its_own_fit(self, warm, d):
+        # Fitted together, every fold is bit for bit the fit of its stack
+        # alone, and the stack is only read.  The last fold is separable and
+        # stops passes after the others, which lie in front of it.  The raw
+        # features are off centre, so each fold maps the start through its
+        # own nonzero mean.
+        unit = _separable_fold_0(_counted_design(60, d=d, k=4))
+        stack = carmen.logistic._fold_stack(3.0 + 2.0 * unit.design[0, 1:], unit.labels, unit.counts[::-1].copy())
+        # Half the log-odds the labels were drawn from, on the raw features.
+        weights = np.zeros(d)
+        weights[0], weights[-1] = 0.225, -0.1
+        start = DecisionFunction(-3.0 * weights.sum(), weights) if warm else None
+        before = [a.tobytes() for a in (stack.design, stack.labels, stack.counts, stack.mean, stack.sd)]
+        together = fit_logistic_folds(stack, start=start)
+        assert [a.tobytes() for a in (stack.design, stack.labels, stack.counts, stack.mean, stack.sd)] == before
         assert len({fit.iterations for fit in together}) > 1
+        _assert_folds_fit_alone(stack, together, start=start)
+        cold = fit_logistic_folds(stack)
         for j, fit in enumerate(together):
-            (alone,) = fit_logistic_folds(_fold_alone(stack, j), start=start)
-            assert _fit_bytes(fit) == _fit_bytes(alone)
-            # Fold 0 is separable, with weights near 130.
-            points = _fit_coefficients(fit_logistic(repeated[j]))
-            assert np.max(np.abs(_fit_coefficients(fit) - points)) < 1e-9 * max(1.0, np.max(np.abs(points)))
+            assert warm == (fit.objective_path[0] > cold[j].objective_path[0])  # the start was taken
+            # The fold's points, each column repeated by its count, take the
+            # same steps to the same fit; the last fold's weights are near 130.
+            points = LabeledDesign(*_repeated_rows(stack, j), stack.mean[j], stack.sd[j])
+            repeated = fit_logistic(points, start=None if start is None else start.start_for(points))
+            assert (fit.iterations, fit.converged) == (repeated.iterations, repeated.converged)
+            scale = max(1.0, np.max(np.abs(_fit_coefficients(repeated))))
+            assert np.max(np.abs(_fit_coefficients(fit) - _fit_coefficients(repeated))) < 1e-9 * scale
 
     def test_singular_fold_bumps_only_its_own_ridge(self):
         # At ridge 0 fold 2's feature is constant on its points, so its
         # Hessian is singular: it bumps its own ridge to 1e-6 and goes on,
         # while the other folds keep ridge 0 and the steps they take alone.
-        stack, _ = _counted_design(61, k=4)
+        stack = _counted_design(61, k=4)
         stack.design[2, 1] = 0.0
-        fits = fit_logistic_folds(_copied(stack), ridge=0.0)
+        fits = fit_logistic_folds(stack, ridge=0.0)
         assert [fit.ridge for fit in fits] == [0.0, 0.0, 1e-6, 0.0]
         assert all(fit.converged for fit in fits)
-        for j, fit in enumerate(fits):
-            (alone,) = fit_logistic_folds(_fold_alone(stack, j), ridge=0.0)
-            assert _fit_bytes(fit) == _fit_bytes(alone)
+        _assert_folds_fit_alone(stack, fits, ridge=0.0)
         assert fits[2].weights[0] == 0.0
 
     def test_fold_still_singular_after_three_bumps_stops_alone(self):
@@ -544,7 +541,7 @@ class TestWeightedFit:
         # saturates every sigmoid: its IRLS weights are all 0, so its system
         # stays singular through three ridge bumps and it stops there,
         # unconverged at the start.  The start loses on the other folds,
-        # which hold overlapping columns too, and they fit as they do alone.
+        # which hold overlapping columns too; every fold fits as it does alone.
         g = RngStream(64).generator()
         x = np.concatenate([-np.ones(20), np.ones(20), g.normal(size=40)])
         labels = np.concatenate([np.zeros(20), np.ones(20), (g.uniform(size=40) < 0.5).astype(float)])
@@ -553,32 +550,30 @@ class TestWeightedFit:
         stack = _unit_stack(x[None, :], labels, counts)
         start = DecisionFunction(0.0, np.array([1000.0]))
         with np.errstate(all="raise"):
-            fits = fit_logistic_folds(_copied(stack), start=start)
+            fits = fit_logistic_folds(stack, start=start)
         stuck = fits[1]
         assert not stuck.converged and stuck.iterations == 0
         assert stuck.ridge == pytest.approx(1e-3, rel=1e-12) and stuck.weights[0] == 1000.0
-        for j in (0, 2):
-            assert fits[j].converged and fits[j].ridge == DEFAULT_RIDGE
-            (alone,) = fit_logistic_folds(_fold_alone(stack, j), start=start)
-            assert _fit_bytes(fits[j]) == _fit_bytes(alone)
+        assert all(fits[j].converged and fits[j].ridge == DEFAULT_RIDGE for j in (0, 2))
+        _assert_folds_fit_alone(stack, fits, start=start)
 
     def test_start_whose_penalty_overflows_is_dropped(self):
         # At ridge 1e300 a start with weights of 1e5 has a penalty beyond
         # the float range, an objective of -inf: the start loses to beta = 0
         # in every fold, and no RuntimeWarning escapes.
-        stack, _ = _counted_design(65, k=2)
-        cold = fit_logistic_folds(_copied(stack), ridge=1e300)
-        warm = fit_logistic_folds(_copied(stack), ridge=1e300, start=DecisionFunction(0.0, np.array([1e5, 1e5])))
+        stack = _counted_design(65, k=2)
+        cold = fit_logistic_folds(stack, ridge=1e300)
+        warm = fit_logistic_folds(stack, ridge=1e300, start=DecisionFunction(0.0, np.array([1e5, 1e5])))
         assert [_fit_bytes(fit) for fit in warm] == [_fit_bytes(fit) for fit in cold]
 
     def test_fold_cut_at_max_iter_leaves_the_others(self, monkeypatch):
-        stack = _separable_fold_0(_counted_design(63, k=4)[0])
-        full = fit_logistic_folds(_copied(stack))
+        stack = _separable_fold_0(_counted_design(63, k=4))
+        full = fit_logistic_folds(stack)
         iterations = [fit.iterations for fit in full]
         assert all(fit.converged for fit in full) and len(set(iterations)) > 1
         cap = max(iterations) - 1
         monkeypatch.setattr(carmen.logistic, "MAX_ITER", cap)
-        cut = fit_logistic_folds(_copied(stack))
+        cut = fit_logistic_folds(stack)
         for fit, whole in zip(cut, full):
             if whole.iterations > cap:
                 assert not fit.converged and fit.iterations == cap
@@ -1021,6 +1016,18 @@ class TestCountClasses:
         else:
             assert np.all(vals[20:] > vals[:20])
 
+    @pytest.mark.parametrize("scenario", ["poisson-nb", "poisson-betabinom"])
+    def test_full_curve_folds_are_their_fits_alone(self, fold_fits, scenario):
+        # Every count CV call of a --full-curve run at default sizes, each
+        # warm-started from the level before: folds fitted together, which
+        # stop on different passes, are bit for bit their fits alone.
+        cfg = ScenarioConfig(scenario=scenario, seed=1, full_curve=True)
+        run_scenario(cfg)
+        assert len(fold_fits) == cfg.grid_count + 1  # one call per grid level, and one at t*
+        assert any(len({fit.iterations for fit in record.fits}) > 1 for record in fold_fits)
+        for record in fold_fits:
+            _assert_folds_fit_alone(record.stack, record.fits, ridge=cfg.ridge, start=record.start)
+
 
 def _row_major_fit(
     X: np.ndarray, y: np.ndarray, ridge: float, start, tol: float = TOL
@@ -1194,18 +1201,6 @@ class TestIrlsWorkspace:
         assert fit.converged and fit.iterations > 2
         # Less than one float64 n-vector over the whole fit.
         assert peak - before < 8 * n
-
-    def test_count_classes_take_no_workspace(self, fits, fold_fits):
-        # Point classes: k fits through one shared workspace.  Count
-        # classes: no fit_logistic call, and one batched fit.
-        g = RngStream(103).generator()
-        fm, k = FeatureMap(("x", "x2")), 5
-        cv_log_odds(Dataset(g.normal(size=200)), Dataset(g.normal(0.3, 1.2, 200)), fm, k, 1e-6, RngStream(104))
-        counts = (Dataset(g.poisson(3.0, 200).astype(float)), Dataset(g.poisson(4.0, 200).astype(float)))
-        cv_log_odds(*counts, fm, k, 1e-6, RngStream(105))
-        assert len(fits) == k and all(record.workspace is fits[0].workspace for record in fits)
-        (record,) = fold_fits
-        assert len(record.fits) == k
 
 
 def _mixed_layout_draw() -> tuple:
@@ -1436,7 +1431,9 @@ def _fit_coefficients(fit) -> np.ndarray:
 
 class TestGramBlocks:
     @pytest.mark.parametrize(
-        "make", [_overlapping_design, _separable_design, lambda: _counted_design(115, m=900)[1][0]],
+        "make",
+        [_overlapping_design, _separable_design,
+         lambda: LabeledDesign(*_repeated_rows(_counted_design(115, m=900), 0), np.zeros(2), np.ones(2))],
         ids=["overlapping", "separable", "repeated"],
     )
     def test_blocked_fit_takes_the_same_steps(self, monkeypatch, make):
