@@ -60,39 +60,6 @@ class ScenarioBinding:
     features: tuple[str, ...]
 
 
-SCENARIOS: dict[str, ScenarioBinding] = {
-    "gauss-gauss": ScenarioBinding(
-        model=GaussianKnownVarModel(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9),
-        truth=GaussianTruth(mean=0.0, sd=3.01),
-        features=("x", "x2"),
-    ),
-    "gauss-laplace": ScenarioBinding(
-        model=GaussianKnownVarModel(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9),
-        truth=LaplaceTruth(loc=0.0, scale=2.13),
-        features=("x", "x2", "ln_abs_x"),
-    ),
-    "poisson-nb": ScenarioBinding(
-        model=PoissonGammaModel(shape=3.0, rate=0.05),
-        truth=NegBinomialTruth(r=63.0, p=0.488),
-        features=("x", "x2", "x3", "x4"),
-    ),
-    "poisson-betabinom": ScenarioBinding(
-        model=PoissonGammaModel(shape=3.0, rate=0.05),
-        truth=BetaBinomialTruth(a=41.75, b=78.25, trials=80),
-        features=("x", "x2", "x3", "x4"),
-    ),
-    "reg-tnoise": ScenarioBinding(
-        model=NIGRegressionModel(coef_mean=0.0, precision_scale=1.0, shape=2.0, scale=2.0),
-        truth=TNoiseRegressionTruth(df=3.0, scale=1.22),
-        features=("abs_y", "y2", "ln_abs_y", "yx"),
-    ),
-    "reg-sigmoid": ScenarioBinding(
-        model=NIGRegressionModel(coef_mean=0.0, precision_scale=1.0, shape=2.0, scale=2.0),
-        truth=SigmoidRegressionTruth(amplitude=5.0, steepness=10.0, noise_sd=0.1),
-        features=("y", "abs_y", "y2", "yx", "abs_yx", "yx2"),
-    ),
-}
-
 _MODEL_FAMILIES = {
     "gaussian": GaussianKnownVarModel,
     "poisson-gamma": PoissonGammaModel,
@@ -110,6 +77,59 @@ _TRUTH_FAMILIES = {
 
 # Fields that only a custom scenario reads.
 _CUSTOM_FIELDS = ("model_family", "model_params", "truth_family", "truth_params", "features")
+
+
+def _bind(model_family: str | None, model_params: dict, truth_family: str | None, truth_params: dict,
+          features: tuple[str, ...] | None) -> ScenarioBinding:
+    """The binding that a custom scenario's fields name, each family and feature checked before any sampling."""
+    if not (model_family and truth_family and features):
+        raise ValueError("custom scenarios need a model, a truth and features")
+    FeatureMap(features)  # an unknown feature name fails here
+    model = _build_family(_MODEL_FAMILIES, model_family, model_params, "model")
+    truth = _build_family(_TRUTH_FAMILIES, truth_family, truth_params, "truth")
+    kinds = f"model {model_family!r} ({model.kind} data), truth {truth_family!r} ({truth.kind} data)"
+    if model.kind != truth.kind:
+        raise ValueError(f"the model and the truth take different kinds of data: {kinds}")
+    unsuited = [f for f in features if f in RESPONSE_TRANSFORMS and truth.kind != "regression"]
+    if unsuited:
+        raise ValueError(f"features {unsuited} need regression data: {kinds}")
+    return ScenarioBinding(model=model, truth=truth, features=tuple(features))
+
+
+def _build_family(registry: dict, family: str, params: dict, kind: str):
+    if family not in registry:
+        raise ValueError(f"unknown {kind} family {family!r}; choose from {', '.join(registry)}")
+    cls = registry[family]
+    unknown = set(params) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {kind} parameters {sorted(unknown)} for {family!r}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    if missing:
+        raise ValueError(f"missing {kind} parameters {missing} for {family!r}")
+    return cls(**{k: float(v) for k, v in params.items()})
+
+
+# Each named scenario is a custom scenario with known fields, bound by the same checks.
+_GAUSSIAN = dict(model_family="gaussian", model_params=dict(noise_sd=0.1, prior_mean=0.0, prior_sd=9.9))
+_POISSON = dict(model_family="poisson-gamma", model_params=dict(shape=3.0, rate=0.05))
+_NIG = dict(model_family="nig-regression",
+            model_params=dict(coef_mean=0.0, precision_scale=1.0, shape=2.0, scale=2.0))
+_PRESETS: dict[str, dict] = {
+    "gauss-gauss": dict(_GAUSSIAN, truth_family="gaussian", truth_params=dict(mean=0.0, sd=3.01),
+                        features=("x", "x2")),
+    "gauss-laplace": dict(_GAUSSIAN, truth_family="laplace", truth_params=dict(loc=0.0, scale=2.13),
+                          features=("x", "x2", "ln_abs_x")),
+    "poisson-nb": dict(_POISSON, truth_family="negbinom", truth_params=dict(r=63.0, p=0.488),
+                       features=("x", "x2", "x3", "x4")),
+    "poisson-betabinom": dict(_POISSON, truth_family="betabinom", truth_params=dict(a=41.75, b=78.25, trials=80),
+                              features=("x", "x2", "x3", "x4")),
+    "reg-tnoise": dict(_NIG, truth_family="reg-tnoise", truth_params=dict(df=3.0, scale=1.22),
+                       features=("abs_y", "y2", "ln_abs_y", "yx")),
+    "reg-sigmoid": dict(_NIG, truth_family="reg-sigmoid",
+                        truth_params=dict(amplitude=5.0, steepness=10.0, noise_sd=0.1),
+                        features=("y", "abs_y", "y2", "yx", "abs_yx", "yx2")),
+}
+SCENARIOS: dict[str, ScenarioBinding] = {name: _bind(**preset) for name, preset in _PRESETS.items()}
 
 
 @dataclass(frozen=True)
@@ -135,33 +155,17 @@ class ScenarioConfig:
         object.__setattr__(self, "features", tuple(self.features) if self.features else None)
 
     def binding(self) -> ScenarioBinding:
-        if self.scenario in SCENARIOS:
-            custom = [name for name in _CUSTOM_FIELDS if getattr(self, name)]
-            if custom:
-                raise ValueError(
-                    f"{', '.join(custom)} apply only to custom scenarios, not to {self.scenario!r}"
-                )
-            return SCENARIOS[self.scenario]
-        if self.scenario != "custom":
+        custom = {name: getattr(self, name) for name in _CUSTOM_FIELDS}
+        if self.scenario == "custom":
+            return _bind(**custom)
+        if self.scenario not in SCENARIOS:
             raise ValueError(
-                f"unknown scenario {self.scenario!r}; choose from "
-                f"{', '.join(SCENARIOS)} or 'custom'"
+                f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIOS)} or 'custom'"
             )
-        if not (self.model_family and self.truth_family and self.features):
-            raise ValueError("custom scenarios need a model, a truth and features")
-        FeatureMap(self.features)  # an unknown feature name fails here, before any sampling
-        model = _build_family(_MODEL_FAMILIES, self.model_family, self.model_params, "model")
-        truth = _build_family(_TRUTH_FAMILIES, self.truth_family, self.truth_params, "truth")
-        kinds = (
-            f"model {self.model_family!r} ({model.kind} data), "
-            f"truth {self.truth_family!r} ({truth.kind} data)"
-        )
-        if model.kind != truth.kind:
-            raise ValueError(f"the model and the truth take different kinds of data: {kinds}")
-        unsuited = [f for f in self.features if f in RESPONSE_TRANSFORMS and truth.kind != "regression"]
-        if unsuited:
-            raise ValueError(f"features {unsuited} need regression data: {kinds}")
-        return ScenarioBinding(model=model, truth=truth, features=tuple(self.features))
+        given = [name for name, value in custom.items() if value]
+        if given:
+            raise ValueError(f"{', '.join(given)} apply only to custom scenarios, not to {self.scenario!r}")
+        return SCENARIOS[self.scenario]
 
     def to_dict(self) -> dict:
         """The config echoed in summary.json; the custom fields only for a custom scenario."""
@@ -174,19 +178,6 @@ class ScenarioConfig:
         return cls(**{
             f.name: _SCALAR_FIELDS.get(f.name, lambda v: v)(d[f.name]) for f in fields(cls) if f.name in d
         })
-
-
-def _build_family(registry: dict, family: str, params: dict, kind: str):
-    if family not in registry:
-        raise ValueError(f"unknown {kind} family {family!r}; choose from {', '.join(registry)}")
-    cls = registry[family]
-    unknown = set(params) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {kind} parameters {sorted(unknown)} for {family!r}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
-    if missing:
-        raise ValueError(f"missing {kind} parameters {missing} for {family!r}")
-    return cls(**{k: float(v) for k, v in params.items()})
 
 
 @dataclass(frozen=True)

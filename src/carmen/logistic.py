@@ -452,6 +452,10 @@ def fit_logistic_folds(
         # Each product is C-contiguous, so its Hessian's weight diagonal is
         # every (d+2)-th element from d+2.
         products.reshape(k, -1)[:, d + 2 : (d + 1) ** 2 : d + 2] += lam[:, None]
+        # A stopped fold's system is the identity with a zero gradient, so a
+        # fold that stopped singular does not fail every later stacked solve.
+        hess[~live] = np.eye(d + 1)
+        grad[~live] = 0.0
         singular = np.zeros(k, dtype=bool)
         try:
             delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]

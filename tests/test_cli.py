@@ -13,6 +13,7 @@ import pytest
 
 from carmen import numerics
 from carmen.cli import (
+    _PRESETS,
     _RUN_OPTIONS,
     SCENARIOS,
     ScenarioConfig,
@@ -66,6 +67,23 @@ class TestScenarioRegistry:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="nope", seed=0).binding()
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_named_scenario_is_its_custom_preset(self, name):
+        # A custom config that carries the preset's keys binds an equal
+        # scenario, and at the golden sizes runs it bit for bit.
+        sizes = dict(seed=17, n_update=140, n_validate=140, folds=5, grid_lo=1e-7, grid_hi=1.0, grid_count=8,
+                     full_curve=True)
+        custom = ScenarioConfig(scenario="custom", **_PRESETS[name], **sizes)
+        assert custom.binding() == SCENARIOS[name]
+        assert type(custom.binding().truth) is type(SCENARIOS[name].truth)
+        named, preset = run_scenario(ScenarioConfig(scenario=name, **sizes)).curve, run_scenario(custom).curve
+        assert repr(preset.points) == repr(named.points)  # repr tells every float bit and nan from nan
+        assert (preset.t_star, preset.t_star_boundary) == (named.t_star, named.t_star_boundary)
+        for est in ("estimate_at_t_star", "true_at_t_star"):
+            a, b = getattr(preset, est), getattr(named, est)
+            assert a.per_point.tobytes() == b.per_point.tobytes()
+            assert (repr(a.sum), repr(a.mean)) == (repr(b.sum), repr(b.mean))
 
     @pytest.mark.parametrize(
         "custom",

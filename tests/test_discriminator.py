@@ -155,10 +155,17 @@ class TestSoftplusSigmoid:
         np.testing.assert_array_max_ulp(p, ref_p, maxulp=4)
 
     def test_saturated_values(self):
+        # Below eta = -37, e^eta is under half an ulp of 1, so the softplus
+        # log1p(e^eta) and the sigmoid exp(eta - softplus) are e^eta itself,
+        # subnormal band included; above 37, the softplus is eta and the
+        # sigmoid 1.  A kernel that clamps its exponentials breaks this.
+        eta = np.array([37.0, 40.0, 69.0, 300.0, 700.0, 708.5, 720.0, 744.0, 746.0, 1000.0])
         with np.errstate(all="raise", under="ignore"):
-            soft, p = _softplus_and_sigmoid(np.array([1000.0, -1000.0]))
-        assert np.array_equal(soft, [1000.0, 0.0])
-        assert np.array_equal(p, [1.0, 0.0])
+            soft, p = _softplus_and_sigmoid(np.concatenate([-eta, eta]))
+            tail = np.exp(-eta)
+        low, high = slice(0, eta.size), slice(eta.size, None)
+        assert soft[low].tobytes() == tail.tobytes() and p[low].tobytes() == tail.tobytes()
+        assert soft[high].tobytes() == eta.tobytes() and np.all(p[high] == 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1800, 18000])
     def test_zero_start_is_filled_exactly(self, monkeypatch, n):
@@ -424,6 +431,16 @@ def _repeated_rows(stack: FoldStack, j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(stack.design[j, 1:].T, repeat, axis=0), np.repeat(stack.labels, repeat)
 
 
+def _stuck_fold_stack() -> tuple[FoldStack, DecisionFunction]:
+    """Three folds and a start under which fold 1, its 40 separable columns alone, has all its IRLS weights 0."""
+    g = RngStream(64).generator()
+    x = np.concatenate([-np.ones(20), np.ones(20), g.normal(size=40)])
+    labels = np.concatenate([np.zeros(20), np.ones(20), (g.uniform(size=40) < 0.5).astype(float)])
+    counts = np.ones((3, 80))
+    counts[1, 40:] = 0.0
+    return _unit_stack(x[None, :], labels, counts), DecisionFunction(0.0, np.array([1000.0]))
+
+
 def _assert_folds_fit_alone(stack: FoldStack, fits: list, **kwargs) -> None:
     """Each fold's fit in ``fits`` is bit for bit ``fit_logistic_folds`` of that fold as a stack of its own."""
     for j, fit in enumerate(fits):
@@ -542,13 +559,7 @@ class TestWeightedFit:
         # stays singular through three ridge bumps and it stops there,
         # unconverged at the start.  The start loses on the other folds,
         # which hold overlapping columns too; every fold fits as it does alone.
-        g = RngStream(64).generator()
-        x = np.concatenate([-np.ones(20), np.ones(20), g.normal(size=40)])
-        labels = np.concatenate([np.zeros(20), np.ones(20), (g.uniform(size=40) < 0.5).astype(float)])
-        counts = np.ones((3, 80))
-        counts[1, 40:] = 0.0
-        stack = _unit_stack(x[None, :], labels, counts)
-        start = DecisionFunction(0.0, np.array([1000.0]))
+        stack, start = _stuck_fold_stack()
         with np.errstate(all="raise"):
             fits = fit_logistic_folds(stack, start=start)
         stuck = fits[1]
@@ -556,6 +567,32 @@ class TestWeightedFit:
         assert stuck.ridge == pytest.approx(1e-3, rel=1e-12) and stuck.weights[0] == 1000.0
         assert all(fits[j].converged and fits[j].ridge == DEFAULT_RIDGE for j in (0, 2))
         _assert_folds_fit_alone(stack, fits, start=start)
+
+    def test_stopped_singular_fold_leaves_the_stacked_solve(self, monkeypatch):
+        # Fold 1 is singular in the four passes it is live (three ridge bumps
+        # and the stop), and only those stacked solves fail and fall back to
+        # one solve per live fold; once it has stopped, its row is the
+        # identity and the other folds are solved together again.
+        stack, start = _stuck_fold_stack()
+        solve, stacked = np.linalg.solve, []
+
+        def counting(a, b):
+            try:
+                x = solve(a, b)
+            except np.linalg.LinAlgError:
+                if a.ndim == 3:
+                    stacked.append(False)
+                raise
+            if a.ndim == 3:
+                stacked.append(True)
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        fits = fit_logistic_folds(stack, start=start)
+        assert stacked.count(False) == 4 and stacked[:4] == [False] * 4
+        assert stacked.count(True) >= 1
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert [_fit_bytes(fit) for fit in fits] == [_fit_bytes(fit) for fit in fit_logistic_folds(stack, start=start)]
 
     def test_start_whose_penalty_overflows_is_dropped(self):
         # At ridge 1e300 a start with weights of 1e5 has a penalty beyond

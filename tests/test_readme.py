@@ -1,11 +1,12 @@
 """The README's documented library surface and command line against the package."""
 
 import argparse
+import json
 import re
 from pathlib import Path
 
 import carmen
-from carmen.cli import ScenarioConfig, _build_parser, load_config_file
+from carmen.cli import SCENARIOS, ScenarioConfig, _build_parser, emit_outputs, load_config_file, run_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +56,18 @@ def test_custom_scenario_block_loads_and_binds(tmp_path):
     assert cfg.scenario == "custom" and cfg.features
     binding = cfg.binding()
     assert (binding.model.kind, binding.truth.kind) == ("real", "real")
+
+
+def test_preset_block_runs_gauss_gauss(tmp_path):
+    cfg_file = tmp_path / "preset.cfg"
+    cfg_file.write_text(_code_block_after("A named scenario is a preset", "scenario = custom"))
+    custom = ScenarioConfig.from_dict(load_config_file(cfg_file))
+    assert custom.binding() == SCENARIOS["gauss-gauss"]
+    named = ScenarioConfig.from_dict({"scenario": "gauss-gauss", "seed": custom.seed})
+    outputs = [emit_outputs(run_scenario(cfg), tmp_path / cfg.scenario) for cfg in (custom, named)]
+    (custom_json, custom_csv), (named_json, named_csv) = outputs
+    assert custom_csv.read_bytes() == named_csv.read_bytes()
+    summaries = [json.loads(path.read_text()) for path in (custom_json, named_json)]
+    for doc in summaries:  # the scenario's name and its config echo differ
+        del doc["scenario"], doc["config"]
+    assert summaries[0] == summaries[1]
