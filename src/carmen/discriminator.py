@@ -18,6 +18,7 @@ from .data import Dataset
 from .logistic import (
     DecisionFunction,
     IrlsWorkspace,
+    LogisticFit,
     _fold_stack,
     _standardized_design,
     fit_logistic,
@@ -162,11 +163,9 @@ def _fit_folds(
     k: int,
     ridge: float,
     start: DecisionFunction | None,
-) -> tuple[np.ndarray, DecisionFunction]:
-    """Fit the k folds of ``cv_log_odds``.
+) -> list[LogisticFit]:
+    """Fit the k folds of ``cv_log_odds`` and return their fits, fold j's at j.
 
-    Returns the (k, d+1) table whose row j is fold j's decision function
-    ``[intercept, *weights]``, and the last fold's decision function.
     Everything the fits share (count tables, labels and the IRLS
     workspace) lives only in this call, so it is freed before the
     held-out points are scored.  A fold whose feature means or sds are
@@ -195,13 +194,13 @@ def _fit_folds(
     workspace = IrlsWorkspace(d, int(np.max(m_obs + m_sim)))
     labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
 
-    # Warm starts go through raw feature space into each fold's
-    # standardization.  Copying the standardized coefficients is not the
-    # same start: near separation a small shift in mean/sd makes it far
-    # worse than beta = 0 and the line search stalls there, which is also
-    # why fit_logistic ignores a start that does not beat beta = 0.
-    coef = np.empty((k, d + 1))
-    decision = start
+    # Each fold starts from the previous fold's function on raw features,
+    # which fit_logistic maps into the fold's own standardization.  Copying
+    # the standardized coefficients is not the same start: near separation
+    # a small shift in mean/sd makes it far worse than beta = 0 and the
+    # line search stalls there, which is also why fit_logistic ignores a
+    # start that does not beat beta = 0.
+    fits = []
     for j in range(k):
         m = m_obs[j] + m_sim[j]
         x_fold, y_fold = workspace.vectors(m)[:2]
@@ -220,16 +219,9 @@ def _fit_folds(
             design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]])
         if not all(map(math.isfinite, design.mean.tolist() + design.sd.tolist())):
             raise _non_finite_feature(fm, design.mean, design.sd, x_fold, y_fold, None, m_obs[j], j)
-        fit = fit_logistic(
-            design,
-            ridge=ridge,
-            start=None if decision is None else decision.start_for(design),
-            workspace=workspace,
-        )
-        decision = DecisionFunction.of(fit, design.mean, design.sd)
-        coef[j, 0] = decision.intercept
-        coef[j, 1:] = decision.weights
-    return coef, decision
+        start = fits[-1].decision if fits else start
+        fits.append(fit_logistic(design, ridge=ridge, start=start, workspace=workspace))
+    return fits
 
 
 def _fit_count_folds(
@@ -239,7 +231,7 @@ def _fit_count_folds(
     k: int,
     ridge: float,
     start: DecisionFunction | None,
-) -> tuple[np.ndarray, DecisionFunction]:
+) -> list[LogisticFit]:
     """``_fit_folds`` for two classes of whole counts: one column per distinct count, all folds fitted at once.
 
     The columns are the observed class's distinct counts, then the
@@ -261,13 +253,7 @@ def _fit_count_folds(
         keep = np.flatnonzero(counts[j] > 0.0)
         raise _non_finite_feature(fm, stack.mean[j], stack.sd[j], x[keep], None, counts[j, keep],
                                   int(np.count_nonzero(keep < u_obs)), j)
-    fits = fit_logistic_folds(stack, ridge=ridge, start=start)
-    coef = np.empty((k, len(fm.transforms) + 1))
-    for j, fit in enumerate(fits):
-        decision = DecisionFunction.of(fit, stack.mean[j], stack.sd[j])
-        coef[j, 0] = decision.intercept
-        coef[j, 1:] = decision.weights
-    return coef, decision
+    return fit_logistic_folds(stack, ridge=ridge, start=start)
 
 
 def cv_log_odds(
@@ -312,7 +298,7 @@ def cv_log_odds(
 
     g = rng.generator()
     fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
-    coef, decision = _fit_folds(observed, simulated, columns, fm, fold_of, k, ridge, start)
+    decisions = [fit.decision for fit in _fit_folds(observed, simulated, columns, fm, fold_of, k, ridge, start)]
 
     # Every point is scored by its fold's decision function, one term at a
     # time: row j of ``terms`` holds the k folds' coefficients of term j,
@@ -320,7 +306,7 @@ def cv_log_odds(
     # Each feature is computed for both classes, into one buffer, when its
     # term needs it.  The weighted features are summed in feature order,
     # then the intercept is added.
-    terms = np.ascontiguousarray(coef.T)
+    terms = np.column_stack([np.concatenate([[f.intercept], f.weights]) for f in decisions])
     n_obs = len(observed)
     odds, term, feature = (np.empty(n_obs + len(simulated)) for _ in range(3))
     parts = tuple(zip(columns, (feature[:n_obs], feature[n_obs:])))
@@ -331,4 +317,4 @@ def cv_log_odds(
             np.multiply(np.take(weights, fold_of, out=odds, mode="clip"), feature, out=odds)
         else:
             odds += np.multiply(np.take(weights, fold_of, out=term, mode="clip"), feature, out=term)
-    return np.add(np.take(terms[0], fold_of, out=term, mode="clip"), odds, out=odds), decision
+    return np.add(np.take(terms[0], fold_of, out=term, mode="clip"), odds, out=odds), decisions[-1]

@@ -4,8 +4,8 @@ The fits behind :mod:`carmen.discriminator`'s cross-validation: a small
 ridge penalty on the weights, a Newton-decrement stop and a halving line
 search.  ``fit_logistic`` fits one design of points; ``fit_logistic_folds``
 fits a stack of k designs over shared, count-weighted columns in one loop.
-A fit's coefficients are on its standardized features, and
-``DecisionFunction`` carries them to raw ones.
+Both take a start and return each fit's function on raw features, a
+``DecisionFunction``; a fit's coefficients are on its standardized ones.
 """
 
 from __future__ import annotations
@@ -153,43 +153,42 @@ class IrlsWorkspace:
 
 
 @dataclass(frozen=True)
-class LogisticFit:
-    intercept: float
-    weights: np.ndarray
-    ridge: float
-    converged: bool
-    iterations: int
-    objective_path: tuple[float, ...] = field(repr=False, default=())
-
-
-@dataclass(frozen=True)
 class DecisionFunction:
     """A fitted classifier on raw features: log-odds = intercept + weights @ x.
 
     A fit's coefficients hold only for the standardization of its own
     training rows; this form holds for any, so it is the one in which a
-    fit is carried to the next: fold to fold, and call to call.
+    fit starts and is carried to the next: fold to fold, and call to call.
     """
 
     intercept: float
     weights: np.ndarray
 
     @classmethod
-    def of(cls, fit: LogisticFit, mean: np.ndarray, sd: np.ndarray) -> "DecisionFunction":
-        """The function of a fit on features standardized by ``mean`` and ``sd``."""
+    def of(cls, fit: LogisticFit, mean: np.ndarray, sd: np.ndarray) -> DecisionFunction:
+        """The function of a fit on features standardized by ``mean`` and ``sd``: a kernel's fit's ``decision``."""
         weights = fit.weights / sd
         return cls(float(fit.intercept - weights @ mean), weights)
 
-    def start_for(self, design: LabeledDesign) -> np.ndarray:
-        """The same function as ``[intercept, *weights]`` on the design's standardized features."""
-        return np.concatenate([[self.intercept + self.weights @ design.mean], self.weights * design.sd])
+
+@dataclass(frozen=True)
+class LogisticFit:
+    """``[intercept, *weights]`` on the fit's standardized features; ``decision`` is that function on raw ones."""
+
+    intercept: float
+    weights: np.ndarray
+    ridge: float
+    converged: bool
+    iterations: int
+    decision: DecisionFunction = field(repr=False)
+    objective_path: tuple[float, ...] = field(repr=False, default=())
 
 
 @np.errstate(under="ignore")  # see _softplus_sigmoid
 def fit_logistic(
     design: LabeledDesign,
     ridge: float = DEFAULT_RIDGE,
-    start: np.ndarray | None = None,
+    start: DecisionFunction | None = None,
     workspace: IrlsWorkspace | None = None,
 ) -> LogisticFit:
     """Ridge-penalized logistic regression by IRLS.
@@ -211,7 +210,8 @@ def fit_logistic(
     singular after three 10x ridge bumps.  The last iterate is always
     returned.
 
-    ``start`` is an optional initial ``[intercept, *weights]``.  It is used
+    ``start`` is an optional function on raw features, mapped through the
+    design's ``mean`` and ``sd`` to its standardized features.  It is used
     only when its penalized objective beats that of the all-zero start;
     otherwise the fit is exactly the one without it.
 
@@ -271,9 +271,9 @@ def fit_logistic(
     soft.fill(_LN2)
     obj = value(eta, beta)
     if start is not None:
-        start = np.array(start, dtype=float)
-        if start.shape != beta.shape:
-            raise ValueError(f"start has shape {start.shape}, expected {beta.shape}")
+        if start.weights.shape != (d,):
+            raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
+        start = np.concatenate([[start.intercept + start.weights @ design.mean], start.weights * design.sd])
         np.matmul(start, AT, out=cand_eta)
         start_obj = objective(cand_eta, start, p)
         if start_obj > obj:
@@ -336,12 +336,14 @@ def fit_logistic(
         eta, cand_eta = cand_eta, eta
         path.append(obj)
 
+    weights = beta[1:] / design.sd  # the decision's, as DecisionFunction.of divides them
     return LogisticFit(
         intercept=float(beta[0]),
         weights=beta[1:].copy(),
         ridge=lam,
         converged=converged,
         iterations=iterations,
+        decision=DecisionFunction(float(beta[0] - weights @ design.mean), weights),
         objective_path=tuple(path),
     )
 
@@ -366,7 +368,8 @@ def fit_logistic_folds(
     magnitude, giving up after 30 halvings; on a singular system it
     multiplies its own ridge by 10, up to three times; and it stops at
     ``MAX_ITER`` steps.  Fold j's result is the ``LogisticFit`` on its
-    standardized features.
+    standardized features, its ``decision`` through ``mean[j]`` and
+    ``sd[j]``.
 
     Fold j keeps its state in row j of each array for the whole fit.  Each
     pass runs over all k rows: their weighted designs, one stacked product
@@ -415,7 +418,7 @@ def fit_logistic_folds(
     if start is not None:
         if start.weights.shape != (d,):
             raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
-        # start.start_for of each fold's standardization.  The einsum sums
+        # The start on each fold's standardized features.  The einsum sums
         # each fold's row alone, so a fold's start does not depend on how
         # many folds are fitted with it; ``stack.mean @ start.weights``
         # rounds one fold (numpy's dot) unlike several (BLAS gemv).
@@ -511,6 +514,7 @@ def fit_logistic_folds(
         live &= iterations < MAX_ITER
 
     paths = iterations + 1 - converged
+    weights = beta[:, 1:] / stack.sd  # the decisions', as DecisionFunction.of divides them
     return [
         LogisticFit(
             intercept=float(beta[j, 0]),
@@ -518,6 +522,7 @@ def fit_logistic_folds(
             ridge=float(lam[j]),
             converged=bool(converged[j]),
             iterations=int(iterations[j]),
+            decision=DecisionFunction(float(beta[j, 0] - weights[j] @ stack.mean[j]), weights[j]),
             objective_path=tuple(objectives[: paths[j], j].tolist()),
         )
         for j in range(k)

@@ -11,7 +11,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import carmen.discriminator  # noqa: E402
-from carmen.logistic import FoldStack, IrlsWorkspace, LabeledDesign, LogisticFit  # noqa: E402
+from carmen.logistic import DecisionFunction, FoldStack, IrlsWorkspace, LabeledDesign, LogisticFit  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class WatchedFit:
 
     design: LabeledDesign
     snapshot: LabeledDesign
-    start: np.ndarray | None
+    start: DecisionFunction | None
     workspace: IrlsWorkspace | None
     fit: LogisticFit
 
@@ -57,7 +57,7 @@ class WatchedFolds:
     """One ``fit_logistic_folds`` call: its stack, its start and its k fits."""
 
     stack: FoldStack
-    start: object
+    start: DecisionFunction | None
     fits: list[LogisticFit]
 
 

@@ -344,7 +344,6 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
     fold_of = np.concatenate([_fold_ids(n_obs, k, g), _fold_ids(len(simulated), k, g)])
     tables = [_count_table(observed), _count_table(simulated)]
     parts, folds = (raw[:, :n_obs], raw[:, n_obs:]), (fold_of[:n_obs], fold_of[n_obs:])
-    coef = np.empty((k, raw.shape[0] + 1))
     if all(table is not None for table in tables):
         columns, train, labels = [], [], []
         for label, table, part, fold in zip((0.0, 1.0), tables, parts, folds):
@@ -356,19 +355,16 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
             train.append(held.sum(axis=0) - held)
             labels.append(np.full(u, label))
         stack = _fold_stack(np.hstack(columns), np.concatenate(labels), np.hstack(train).astype(float))
-        for j, fit in enumerate(fit_logistic_folds(stack, ridge=ridge, start=start)):
-            decision = DecisionFunction.of(fit, stack.mean[j], stack.sd[j])
-            coef[j, 0], coef[j, 1:] = decision.intercept, decision.weights
-        return fold_scores(coef, fold_of, raw), decision
-    labels = np.concatenate([np.zeros(n_obs), np.ones(len(simulated))])
-    decision = start
-    for j in range(k):
-        keep = np.flatnonzero(fold_of != j)
-        design = _standardized_design(np.ascontiguousarray(raw[:, keep]), labels[keep])
-        fit = fit_logistic(design, ridge=ridge, start=None if decision is None else decision.start_for(design))
-        decision = DecisionFunction.of(fit, design.mean, design.sd)
-        coef[j, 0], coef[j, 1:] = decision.intercept, decision.weights
-    return fold_scores(coef, fold_of, raw), decision
+        fits = fit_logistic_folds(stack, ridge=ridge, start=start)
+    else:
+        labels = np.concatenate([np.zeros(n_obs), np.ones(len(simulated))])
+        fits = []
+        for j in range(k):
+            keep = np.flatnonzero(fold_of != j)
+            design = _standardized_design(np.ascontiguousarray(raw[:, keep]), labels[keep])
+            fits.append(fit_logistic(design, ridge=ridge, start=fits[-1].decision if fits else start))
+    coef = np.array([[fit.decision.intercept, *fit.decision.weights] for fit in fits])
+    return fold_scores(coef, fold_of, raw), fits[-1].decision
 
 
 # Exact nulls: each posterior predictive *is* its truth (KL = 0).  The

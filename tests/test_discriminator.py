@@ -240,7 +240,7 @@ class TestFitLogistic:
         labels = np.concatenate([np.zeros(20), np.ones(20)])
         design = LabeledDesign(feats, labels, np.zeros(1), np.ones(1))
         with np.errstate(all="raise"):
-            fit = fit_logistic(design, start=np.array([0.0, 1000.0]))
+            fit = fit_logistic(design, start=DecisionFunction(0.0, np.array([1000.0])))
         assert fit.weights[0] == 1000.0
         assert fit.ridge > 1e-6 and not fit.converged
 
@@ -361,7 +361,7 @@ class TestWarmStart:
     def test_start_worse_than_zero_gives_cold_fit(self):
         design = _overlapping_design()
         cold = fit_logistic(design)
-        warm = fit_logistic(design, start=np.array([3.0, -20.0, 20.0]))
+        warm = fit_logistic(design, start=DecisionFunction(3.0, np.array([-20.0, 20.0])))
         assert warm.intercept == cold.intercept
         assert np.array_equal(warm.weights, cold.weights)
         assert (warm.iterations, warm.converged, warm.ridge) == (cold.iterations, cold.converged, cold.ridge)
@@ -371,23 +371,22 @@ class TestWarmStart:
         design = _overlapping_design()
         cold = fit_logistic(design)
         assert cold.converged and cold.iterations > 2
-        warm = fit_logistic(design, start=np.concatenate([[cold.intercept], cold.weights]))
+        warm = fit_logistic(design, start=cold.decision)
         assert warm.converged and warm.iterations <= 2
         assert warm.intercept == pytest.approx(cold.intercept, abs=1e-8)
         assert np.allclose(warm.weights, cold.weights, rtol=0.0, atol=1e-8)
 
     def test_objective_path_non_decreasing_from_start(self):
         design = _overlapping_design()
-        start = np.array([0.1, 0.2, 0.2])
         cold = fit_logistic(design)
-        warm = fit_logistic(design, start=start)
+        warm = fit_logistic(design, start=DecisionFunction(0.1, np.array([0.2, 0.2])))
         path = np.array(warm.objective_path)
         assert path[0] > cold.objective_path[0]  # the start was taken
         assert np.all(np.diff(path) >= -1e-12)
 
     def test_start_shape_checked(self):
-        with pytest.raises(ValueError):
-            fit_logistic(_overlapping_design(), start=np.zeros(2))
+        with pytest.raises(ValueError, match=r"start has \(1,\) weights, expected \(2,\)"):
+            fit_logistic(_overlapping_design(), start=DecisionFunction(0.0, np.zeros(1)))
 
 
 def _unit_stack(features: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> FoldStack:
@@ -477,7 +476,7 @@ class TestWeightedFit:
         labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         plain = LabeledDesign(feats, labels, np.zeros(d), np.ones(d))
         for start in (None, DecisionFunction(0.1, np.full(d, 0.1))):
-            fit = fit_logistic(plain, start=None if start is None else start.start_for(plain))
+            fit = fit_logistic(plain, start=start)
             (unit,) = fit_logistic_folds(_unit_stack(feats.T, labels, np.ones((1, n))), start=start)
             assert (unit.iterations, unit.converged, unit.ridge) == (fit.iterations, fit.converged, fit.ridge)
             beta = np.concatenate([[unit.intercept], unit.weights])
@@ -536,7 +535,7 @@ class TestWeightedFit:
             # The fold's points, each column repeated by its count, take the
             # same steps to the same fit; the last fold's weights are near 130.
             points = LabeledDesign(*_repeated_rows(stack, j), stack.mean[j], stack.sd[j])
-            repeated = fit_logistic(points, start=None if start is None else start.start_for(points))
+            repeated = fit_logistic(points, start=start)
             assert (fit.iterations, fit.converged) == (repeated.iterations, repeated.converged)
             scale = max(1.0, np.max(np.abs(_fit_coefficients(repeated))))
             assert np.max(np.abs(_fit_coefficients(fit) - _fit_coefficients(repeated))) < 1e-9 * scale
@@ -617,6 +616,45 @@ class TestWeightedFit:
                 assert _fit_bytes(fit) == _fit_bytes(whole)
 
 
+def _off_centre_kernels(n: int = 500, d: int = 3) -> tuple[LabeledDesign, FoldStack]:
+    """One draw of off-centre raw features as a point design and as a one-fold stack with unit counts."""
+    g = RngStream(66).generator()
+    raw = g.normal(2.0, 3.0, size=(d, n))
+    labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-0.3 * (raw[0] - 2.0) + 0.2 * (raw[-1] - 2.0)))).astype(float)
+    design = _standardized_design(raw.copy(), labels)
+    return design, carmen.logistic._fold_stack(raw, labels, np.ones((1, n)))
+
+
+class TestKernelContract:
+    """Both IRLS kernels take a start on raw features and return each fit's ``decision`` on raw features."""
+
+    @pytest.mark.parametrize(
+        "start, taken",
+        [(DecisionFunction(-0.2, np.array([0.25, 0.0, -0.15])), True),
+         (DecisionFunction(5.0, np.array([-2.0, 0.0, 2.0])), False)],
+        ids=["taken", "dropped"],
+    )
+    def test_same_start_same_decision(self, start, taken):
+        design, stack = _off_centre_kernels()
+        cold = (fit_logistic(design), fit_logistic_folds(stack)[0])
+        point, (fold,) = fit_logistic(design, start=start), fit_logistic_folds(stack, start=start)
+        assert [warm.objective_path[0] > c.objective_path[0] for warm, c in zip((point, fold), cold)] == [taken] * 2
+        for fit, mean, sd in ((point, design.mean, design.sd), (fold, stack.mean[0], stack.sd[0])):
+            of = DecisionFunction.of(fit, mean, sd)
+            assert fit.decision.intercept == of.intercept and fit.decision.weights.tobytes() == of.weights.tobytes()
+        assert abs(point.decision.intercept - fold.decision.intercept) < 1e-9
+        assert np.max(np.abs(point.decision.weights - fold.decision.weights)) < 1e-9
+
+    def test_start_with_wrong_weights_rejected_alike(self):
+        design, stack = _off_centre_kernels()
+        start, messages = DecisionFunction(0.0, np.zeros(2)), []
+        for kernel, data in ((fit_logistic, design), (fit_logistic_folds, stack)):
+            with pytest.raises(ValueError) as error:
+                kernel(data, start=start)
+            messages.append(str(error.value))
+        assert messages == ["start has (2,) weights, expected (3,)"] * 2
+
+
 class TestLogOdds:
     def test_zero_fit_is_zero(self):
         design = LabeledDesign(np.zeros((4, 2)), np.array([0.0, 0, 1, 1]), np.zeros(2), np.ones(2))
@@ -626,7 +664,7 @@ class TestLogOdds:
     def test_intercept_only(self):
         from carmen.logistic import LogisticFit
 
-        fit = LogisticFit(math.log(3.0), np.zeros(2), 0.0, True, 1)
+        fit = LogisticFit(math.log(3.0), np.zeros(2), 0.0, True, 1, DecisionFunction(math.log(3.0), np.zeros(2)))
         assert log_odds(fit, np.array([5.0, -2.0])) == pytest.approx(math.log(3.0))
 
     def test_symmetric_classes_balanced_at_midpoint(self):
@@ -1148,7 +1186,7 @@ class TestFeatureMajorLayout:
         labels = (g.uniform(size=600) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         by_row, by_col = np.ascontiguousarray(feats), np.asfortranarray(feats)
         assert not by_col.flags.c_contiguous
-        for start in (None, np.array([0.1, 0.5, -0.2, 0.0])):
+        for start in (None, DecisionFunction(0.1, np.array([0.5, -0.2, 0.0]))):
             fits = [
                 fit_logistic(LabeledDesign(f, labels, np.zeros(3), np.ones(3)), start=start)
                 for f in (by_row, by_col)
@@ -1228,7 +1266,7 @@ class TestIrlsWorkspace:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            fit = fit_logistic(design, start=np.full(d + 1, 0.1), workspace=workspace)
+            fit = fit_logistic(design, start=DecisionFunction(0.1, np.full(d, 0.1)), workspace=workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1263,11 +1301,10 @@ class TestOutOfFoldScoring:
         if layout == "counts":
             assert not fits
             (record,) = fold_fits
-            stack = record.stack
-            decisions = [DecisionFunction.of(fit, stack.mean[j], stack.sd[j]) for j, fit in enumerate(record.fits)]
+            decisions = [fit.decision for fit in record.fits]
         else:
             assert len(fits) == k and not fold_fits
-            decisions = [DecisionFunction.of(record.fit, record.snapshot.mean, record.snapshot.sd) for record in fits]
+            decisions = [record.fit.decision for record in fits]
         coef = np.array([[decision.intercept, *decision.weights] for decision in decisions])
         raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
         assert vals.tobytes() == fold_scores(coef, fold_of, raw).tobytes()
