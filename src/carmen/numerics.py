@@ -195,24 +195,26 @@ def student_t_cdf(x: float, df: float) -> float:
     The lower tail P(T <= -|x|) is I_z(a, b) / 2, the regularized incomplete
     beta at z = df / (df + x^2), a = df/2 and b = 1/2.  Its continued fraction
     switches to the symmetric form 1 - I_{1-z}(b, a) at z = (a+1)/(a+b+2) for
-    numerical stability.
+    numerical stability.  That form takes 1 - z as x^2 / (df + x^2): z keeps
+    x^2 only to within about df * eps, so 1 - z would lose the digits of a
+    small x.
     """
     if not math.isfinite(x):
         raise ValueError("student_t_cdf requires finite x")
     if not (math.isfinite(df) and df > 0.0):
         raise ValueError("degrees of freedom must be positive")
-    z = df / (df + x * x)
-    if z == 0.0 or z == 1.0:  # x * x overflowed, or vanished beside df: I_z(a, b) is z
+    square = x * x
+    z = df / (df + square)
+    if z == 0.0 or square == 0.0:  # x * x overflowed, or is 0: I_z(a, b) is z
         tail = 0.5 * z
     else:
         a, b = 0.5 * df, 0.5
-        front = math.exp(
-            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(z) + b * math.log1p(-z)
-        )
+        log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(z)
         if z < (a + 1.0) / (a + b + 2.0):
-            tail = 0.5 * (front * _betacf(a, b, z) / a)
+            tail = 0.5 * (math.exp(log_front + b * math.log1p(-z)) * _betacf(a, b, z) / a)
         else:
-            tail = 0.5 * (1.0 - front * _betacf(b, a, 1.0 - z) / b)
+            w = square / (df + square)  # 1 - z
+            tail = 0.5 * (1.0 - math.exp(log_front + b * math.log(w)) * _betacf(b, a, w) / b)
     return tail if x <= 0.0 else 1.0 - tail
 
 
