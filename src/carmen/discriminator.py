@@ -195,11 +195,10 @@ def _fit_folds(
     labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
 
     # Each fold starts from the previous fold's function on raw features,
-    # which fit_logistic maps into the fold's own standardization.  Copying
-    # the standardized coefficients is not the same start: near separation
-    # a small shift in mean/sd makes it far worse than beta = 0 and the
-    # line search stalls there, which is also why fit_logistic ignores a
-    # start that does not beat beta = 0.
+    # which fit_logistic maps into its own standardization.  The standardized
+    # coefficients are not the same start: near separation a small shift in
+    # mean/sd makes them far worse than beta = 0 and the line search stalls
+    # there, which is also why fit_logistic drops a start that loses to it.
     fits = []
     for j in range(k):
         m = m_obs[j] + m_sim[j]
@@ -219,8 +218,8 @@ def _fit_folds(
             design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]])
         if not all(map(math.isfinite, design.mean.tolist() + design.sd.tolist())):
             raise _non_finite_feature(fm, design.mean, design.sd, x_fold, y_fold, None, m_obs[j], j)
-        start = fits[-1].decision if fits else start
         fits.append(fit_logistic(design, ridge=ridge, start=start, workspace=workspace))
+        start = fits[-1].decision
     return fits
 
 

@@ -362,7 +362,8 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
         for j in range(k):
             keep = np.flatnonzero(fold_of != j)
             design = _standardized_design(np.ascontiguousarray(raw[:, keep]), labels[keep])
-            fits.append(fit_logistic(design, ridge=ridge, start=fits[-1].decision if fits else start))
+            fits.append(fit_logistic(design, ridge=ridge, start=start))
+            start = fits[-1].decision
     coef = np.array([[fit.decision.intercept, *fit.decision.weights] for fit in fits])
     return fold_scores(coef, fold_of, raw), fits[-1].decision
 
