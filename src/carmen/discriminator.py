@@ -18,9 +18,9 @@ from .data import Dataset
 from .logistic import (
     DecisionFunction,
     IrlsWorkspace,
+    LabeledDesign,
     LogisticFit,
     _fold_stack,
-    _standardized_design,
     fit_logistic,
     fit_logistic_folds,
 )
@@ -94,13 +94,21 @@ class FeatureMap:
         return out
 
 
+def _fold_sizes(n: int, k: int) -> list[int]:
+    """The sizes of the ``k`` near-equal runs that ``n`` points are cut into, the larger ones first."""
+    return [n // k + (j < n % k) for j in range(k)]
+
+
+def _fold_of(order: np.ndarray, k: int) -> np.ndarray:
+    """The fold of each point of the permutation ``order`` cut into ``k`` near-equal runs, in point order."""
+    ids = np.empty(order.size, dtype=np.intp)
+    ids[order] = np.repeat(np.arange(k), _fold_sizes(order.size, k))
+    return ids
+
+
 def _fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
     """The fold of each of ``n`` points: one permutation of them, cut into ``k`` near-equal runs."""
-    sizes = np.full(k, n // k)
-    sizes[: n % k] += 1
-    ids = np.empty(n, dtype=np.intp)
-    ids[g.permutation(n)] = np.repeat(np.arange(k), sizes)
-    return ids
+    return _fold_of(g.permutation(n), k)
 
 
 def _count_table(data: Dataset) -> CountTable | None:
@@ -154,71 +162,149 @@ def _non_finite_feature(
     )
 
 
+def _fold_moments(rows: np.ndarray, runs: list[slice]) -> tuple[np.ndarray, np.ndarray]:
+    """Each fold's feature means and sds, with ``rows`` standardized in place by fold 0's.
+
+    ``rows`` is a (d, n) block of raw features whose columns the k
+    ``runs`` tile: run j holds the points of fold j, and the other runs
+    its training points.  Fold j's moments are sums over those
+    runs of per-run sums, each taken once: its mean from the runs' sums of
+    the raw features, its sd (population divisor) from their sums of
+    squared deviations from fold 0's mean, less the square of its own
+    mean's distance from fold 0's, which is small for folds drawn at
+    random.  A run left out of a fold is never multiplied into it, so a
+    value that is not finite only there leaves the fold's moments finite.
+    A feature that is constant on a fold's training points, or whose sd
+    there is 0, has sd 1.  Returns the (k, d) means and sds; the rows end
+    as (raw - mean[0]) / sd[0].
+    """
+    k, d = len(runs), rows.shape[0]
+    at = np.array([cols.start for cols in runs])
+    sizes = np.array([cols.stop - cols.start for cols in runs], dtype=float)
+    layout = np.argsort(at)  # the runs in column order, as reduceat takes them
+    held = np.eye(k, dtype=bool)[:, :, None]  # [j, r]: run r is fold j's own, left out of its training points
+    total = sizes.sum() - sizes
+
+    def per_run(ufunc: np.ufunc) -> np.ndarray:
+        """(k, d): ``ufunc`` reduced over each run's columns, fold j's run in row j."""
+        out = np.empty((k, d))
+        out[layout] = ufunc.reduceat(rows, at[layout], axis=1).T
+        return out
+
+    def per_fold(runs_values: np.ndarray) -> np.ndarray:
+        """(k, d): the sum of the (k, d) per-run rows over each fold's training runs."""
+        return np.where(held, 0.0, runs_values).sum(axis=1)
+
+    lo, hi = per_run(np.minimum), per_run(np.maximum)
+    constant = np.where(held, np.inf, lo).min(axis=1) == np.where(held, -np.inf, hi).max(axis=1)
+    mean = per_fold(per_run(np.add)) / total[:, None]
+    rows -= mean[0][:, None]
+    squares = np.empty((k, d))
+    for j, cols in enumerate(runs):
+        np.einsum("ij,ij->i", rows[:, cols], rows[:, cols], out=squares[j])
+    shift = per_fold(per_run(np.add)) / total[:, None]  # each fold's mean less fold 0's
+    sd = np.sqrt(np.maximum(per_fold(squares) / total[:, None] - np.square(shift), 0.0))
+    sd = np.where((sd > 0.0) & ~constant, sd, 1.0)
+    rows /= sd[0][:, None]
+    return mean, sd
+
+
 def _fit_folds(
     observed: Dataset,
     simulated: Dataset,
     columns: tuple,
     fm: FeatureMap,
-    fold_of: np.ndarray,
+    orders: tuple[np.ndarray, np.ndarray],
     k: int,
     ridge: float,
     start: DecisionFunction | None,
 ) -> list[LogisticFit]:
     """Fit the k folds of ``cv_log_odds`` and return their fits, fold j's at j.
 
-    Everything the fits share (count tables, labels and the IRLS
-    workspace) lives only in this call, so it is freed before the
-    held-out points are scored.  A fold whose feature means or sds are
-    not finite raises a ``ValueError`` naming the feature and the class.
+    ``orders`` holds each class's permutation of its points, cut into k
+    near-equal runs, fold j's the j-th.  Everything the fits share (count
+    tables, labels and the IRLS workspace) lives only in this call, so it
+    is freed before the held-out points are scored.  A fold whose feature
+    means or sds are not finite raises a ``ValueError`` naming the feature
+    and the class.
 
     When both classes are whole counts, ``_fit_count_folds`` fits all k
-    folds at once.  Otherwise a fold keeps the points outside it and the
-    folds are fitted in order.  ``columns`` holds each class's (x, y)
-    data columns.  A fold gathers the columns it keeps of each class, in
-    order, into two of the vectors of one workspace, sized for the largest
-    training fold, that all k fits share: the observed points at the
-    front, the simulated ones behind them.  It computes its features from
-    those vectors straight into the design rows; its labels are a view of
-    one label vector.
+    folds at once.  Otherwise every point gets one column of one (d+1, n)
+    design, that of a workspace whose vectors are sized for the largest
+    training fold, and each fold is fitted on a prefix of it, in order.
+    The columns are cut into one run per fold, fold j's observed points
+    then its simulated ones, each class in its permutation's order, and
+    laid out as [F1 ... F(k-1) | F0], so that fold 0's training points
+    come first.  ``columns`` holds each class's (x, y) data columns: the
+    points are gathered from them into two of the workspace's vectors in
+    that layout, and ``FeatureMap.fill`` computes the features from those
+    straight into the design rows.  ``_fold_moments`` then gives every
+    fold's own moments and standardizes all the columns once, by fold 0's.
+    Before fold j >= 1 is fitted, its run, never moved until then, is
+    swapped with the last columns, which all belong to fold j-1: runs
+    never grow with j.  Fold j's design is then the prefix that leaves its
+    run out, with the labels moved along in one label vector, and its
+    ``ridge_sd`` is its own sd, so each fold's penalized objective, as a
+    function of its decision, is that of its own standardization.
     """
     n_obs, n_sim = len(observed), len(simulated)
-    folds = (fold_of[:n_obs], fold_of[n_obs:])
     tables = (_count_table(observed), _count_table(simulated))
     if all(table is not None for table in tables):
+        folds = tuple(_fold_of(order, k) for order in orders)
         return _fit_count_folds(fm, tables, folds, k, ridge, start)
     d = len(fm.transforms)
-    m_obs = n_obs - np.bincount(folds[0], minlength=k)
-    m_sim = n_sim - np.bincount(folds[1], minlength=k)
+    sizes = (_fold_sizes(n_obs, k), _fold_sizes(n_sim, k))
+    runs = [m + s for m, s in zip(*sizes)]  # never growing with j
+    n = n_obs + n_sim
+    first, at = [0] * k, 0  # the column where fold j's run starts
+    for j in (*range(1, k), 0):
+        first[j], at = at, at + runs[j]
+    workspace = IrlsWorkspace(d, n - runs[-1], n)
+    design = workspace.design(n)
+    design[0] = 1.0
+    rows, labels = design[1:], np.empty(n)
+    # The vectors hold 4 (n - runs[-1]) >= 2n values: one length-n column each for x and y.
+    x_all, y_all = workspace.vectors(workspace.capacity).reshape(2, -1)[:, :n]
     # The classes are of one kind, so y is absent from both or from neither.
     regression = columns[0][1] is not None
-    workspace = IrlsWorkspace(d, int(np.max(m_obs + m_sim)))
-    labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
+    for label, ((x, y), order, class_sizes) in enumerate(zip(columns, orders, sizes)):
+        cut = 0
+        for j, size in enumerate(class_sizes):
+            at = first[j] + label * sizes[0][j]
+            part, points = slice(at, at + size), order[cut : cut + size]
+            # np.take with mode="raise" fills a copy of ``out`` and copies it
+            # back; the indices are in range, so "clip" gathers straight into it.
+            np.take(x, points, out=x_all[part], mode="clip")
+            if regression:
+                np.take(y, points, out=y_all[part], mode="clip")
+            labels[part] = label
+            cut += size
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
+        fm.fill(x_all, y_all if regression else None, rows)
+        mean, sd = _fold_moments(rows, [slice(first[j], first[j] + runs[j]) for j in range(k)])
+    finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        keep = [_fold_of(order, k) != j for order in orders]
+        x_fold = np.concatenate([x[f] for (x, _), f in zip(columns, keep)])
+        y_fold = np.concatenate([y[f] for (_, y), f in zip(columns, keep)]) if regression else None
+        raise _non_finite_feature(fm, mean[j], sd[j], x_fold, y_fold, None, n_obs - sizes[0][j], j)
 
     # Each fold starts from the previous fold's function on raw features,
-    # which fit_logistic maps into its own standardization.  The standardized
-    # coefficients are not the same start: near separation a small shift in
-    # mean/sd makes them far worse than beta = 0 and the line search stalls
-    # there, which is also why fit_logistic drops a start that loses to it.
-    fits = []
+    # which fit_logistic maps through the shared standardization, and which
+    # it drops when it loses to beta = 0: near separation such a start
+    # stalls the line search.
+    fits, basis = [], (mean[0], sd[0])
     for j in range(k):
-        m = m_obs[j] + m_sim[j]
-        x_fold, y_fold = workspace.vectors(m)[:2]
-        # np.take with mode="raise" fills a copy of ``out`` and copies it
-        # back; the indices are in range, so "clip" gathers straight into it.
-        parts = (slice(0, m_obs[j]), slice(m_obs[j], m))
-        for (x, y), fold, part in zip(columns, folds, parts):
-            keep = np.flatnonzero(fold != j)
-            np.take(x, keep, out=x_fold[part], mode="clip")
-            if regression:
-                np.take(y, keep, out=y_fold[part], mode="clip")
-            del keep  # so that two classes' indices are never held at once
-        y_fold = y_fold if regression else None
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
-            block = fm.fill(x_fold, y_fold, workspace.design(m)[1:])
-            design = _standardized_design(block, labels[n_obs - m_obs[j] : n_obs + m_sim[j]])
-        if not all(map(math.isfinite, design.mean.tolist() + design.sd.tolist())):
-            raise _non_finite_feature(fm, design.mean, design.sd, x_fold, y_fold, None, m_obs[j], j)
-        fits.append(fit_logistic(design, ridge=ridge, start=start, workspace=workspace))
+        m = n - runs[j]
+        if j:
+            held, scratch = slice(first[j], first[j] + runs[j]), workspace.vectors(runs[j])[0]
+            for row in (*rows, labels):
+                np.copyto(scratch, row[held])
+                np.copyto(row[held], row[m:])
+                np.copyto(row[m:], scratch)
+        fold = LabeledDesign(rows[:, :m].T, labels[:m], *basis, ridge_sd=sd[j])
+        fits.append(fit_logistic(fold, ridge=ridge, start=start, workspace=workspace))
         start = fits[-1].decision
     return fits
 
@@ -268,11 +354,11 @@ def cv_log_odds(
 
     Both classes are partitioned into ``k`` folds (stratified, so each fold
     is class-balanced up to rounding); each fold's points are scored by a
-    classifier fitted on the remaining folds, with standardization refit
-    on the training rows only.  Returns one value per point, the observed
-    points first and then the simulated ones, each class in its dataset
-    order, and the last fold's decision function.  Both classes must be
-    regression data, or neither.
+    classifier fitted on the remaining folds, whose ridge measures each
+    weight on the training rows' own standardization.  Returns one value
+    per point, the observed points first and then the simulated ones, each
+    class in its dataset order, and the last fold's decision function.
+    Both classes must be regression data, or neither.
 
     When both classes are univariate whole counts, they are fitted on
     their distinct counts, each weighted by the training points that take
@@ -280,8 +366,12 @@ def cv_log_odds(
     by ``fit_logistic_folds``, and each starts from ``start`` when given.
     Otherwise both are fitted on their points, one fold after another by
     ``fit_logistic``, each started from the previous fold's decision
-    function and the first from ``start``.  Either fit uses a start only
-    when it beats beta = 0.
+    function and the first from ``start``.  Those folds are prefixes of
+    one design, standardized once by fold 0's training moments, and each
+    fold's ridge is rescaled to its own sds, so that its fit is the one on
+    its own standardization up to rounding (at most 1e-9 of max(1, |value|)
+    per point on the tests' draws).  Either fit uses a start only when it
+    beats beta = 0.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -296,8 +386,10 @@ def cv_log_odds(
     columns = (fm.columns(observed), fm.columns(simulated))
 
     g = rng.generator()
-    fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
-    decisions = [fit.decision for fit in _fit_folds(observed, simulated, columns, fm, fold_of, k, ridge, start)]
+    orders = (g.permutation(len(observed)), g.permutation(len(simulated)))
+    decisions = [fit.decision for fit in _fit_folds(observed, simulated, columns, fm, orders, k, ridge, start)]
+    fold_of = np.concatenate([_fold_of(order, k) for order in orders])
+    del orders
 
     # Every point is scored by its fold's decision function, one term at a
     # time: row j of ``terms`` holds the k folds' coefficients of term j,

@@ -11,7 +11,7 @@ Both take a start and return each fit's function on raw features, a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -31,29 +31,21 @@ GRAM_BLOCK = 4096
 
 @dataclass(frozen=True)
 class LabeledDesign:
-    """Standardized feature rows with class labels (simulated = 1), one row per point."""
+    """Standardized feature rows with class labels (simulated = 1), one row per point.
+
+    ``features`` are the points' raw features less ``mean``, over ``sd``.
+    Without ``ridge_sd`` those are the points' own moments.  With it they
+    may be any standardization, such as one that a cross-validation's
+    folds share, and ``ridge_sd`` is the sd of the points' own features:
+    the ridge then measures weight i as it would on the points' own
+    standardization, penalizing it by ridge * (ridge_sd[i] / sd[i])^2.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
-
-
-def _standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
-    """Standardize a C-ordered (d, n) block of raw features in place.
-
-    Each feature row is centred on its mean, then divided by its sd, taken
-    from the centred row (population divisor); a zero-sd feature keeps
-    sd = 1.  ``features`` is the (n, d) transpose of ``block``, so
-    ``features.T`` is contiguous feature-major.
-    """
-    total = block.shape[1]
-    mu = np.add.reduce(block, axis=1) / total  # bitwise block.mean(axis=1)
-    block -= mu[:, None]
-    sd = np.sqrt(np.einsum("ij,ij->i", block, block) / total)
-    sd = np.where(sd > 0.0, sd, 1.0)
-    block /= sd[:, None]
-    return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
+    ridge_sd: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -78,11 +70,11 @@ class FoldStack:
 def _fold_stack(raw: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> FoldStack:
     """Standardize the (d, U) raw features of U columns for each row of the (k, U) ``counts``.
 
-    Fold j's moments are ``_standardized_design``'s over its points: the
-    mean, then the sd of the centred rows (population divisor), a zero sd
-    kept as 1.  A column absent from a fold is zeroed there before its
-    mean is taken, so a feature that is not finite only on the columns a
-    fold lacks leaves that fold's moments finite.
+    Fold j's moments are those of its points: the mean, then the sd of
+    the centred rows (population divisor), a zero sd kept as 1.  A column
+    absent from a fold is zeroed there before its mean is taken, so a
+    feature that is not finite only on the columns a fold lacks leaves
+    that fold's moments finite.
     """
     k, u = counts.shape
     design = np.empty((k, raw.shape[0] + 1, u))
@@ -122,26 +114,31 @@ class IrlsWorkspace:
 
     One workspace serves any number of fits, one after another, so that a
     cross-validated fit allocates (and the OS faults in) its large arrays
-    once rather than on every fold and iteration.  Each fit overwrites
-    all of it.  ``design(n)`` is the contiguous (d+1, n) design of an
+    once rather than on every fold and iteration.  The design is one
+    (d+1, ``columns``) array, ``columns`` >= ``capacity`` (by default
+    equal), and ``design(n)`` is its first n columns, the design of an
     n-point fit: row 0 the intercept's ones, rows 1..d the standardized
-    features; a caller may write those there before the fit, and may use
-    ``vectors(n)`` until the fit starts.  The fit keeps four length-n
-    vectors: the linear predictor, the candidate one, the softplus and the
-    sigmoid.  The weighted design holds one block of at most ``block`` =
-    min(capacity, GRAM_BLOCK) columns.
+    features.  A caller may write those there before the fit, and keep in
+    the columns past n what later fits read, as a cross-validation keeps
+    all of its points there and fits each fold on a prefix of them; a fit
+    writes only its own n columns.  It overwrites the rest of the
+    workspace, so a caller may use ``vectors(n)`` until the fit starts.
+    The fit keeps four length-n vectors: the linear predictor, the
+    candidate one, the softplus and the sigmoid.  The weighted design
+    holds one block of at most ``block`` = min(capacity, GRAM_BLOCK)
+    columns.
     """
 
-    def __init__(self, d: int, capacity: int) -> None:
+    def __init__(self, d: int, capacity: int, columns: int | None = None) -> None:
         self.d = d
         self.capacity = capacity
         self.block = min(capacity, GRAM_BLOCK)
-        self._design = np.empty((d + 1) * capacity)
+        self._design = np.empty((d + 1, max(capacity, columns or 0)))
         self._weighted = np.empty((d + 2) * self.block)
         self._vectors = np.empty((4, capacity))
 
     def design(self, n: int) -> np.ndarray:
-        return self._design[: (self.d + 1) * n].reshape(self.d + 1, n)
+        return self._design[:, :n]
 
     def weighted(self, n: int) -> np.ndarray:
         """(d+2, n) buffer for n <= ``block`` columns: IRLS-weighted design columns, then their residual."""
@@ -166,22 +163,31 @@ class DecisionFunction:
 
     @classmethod
     def of(cls, fit: LogisticFit, mean: np.ndarray, sd: np.ndarray) -> DecisionFunction:
-        """The function of a fit on features standardized by ``mean`` and ``sd``: a kernel's fit's ``decision``."""
+        """The function of a fit on features standardized by ``mean`` and ``sd``: every fit's ``decision``."""
         weights = fit.weights / sd
         return cls(float(fit.intercept - weights @ mean), weights)
 
 
 @dataclass(frozen=True)
 class LogisticFit:
-    """``[intercept, *weights]`` on the fit's standardized features; ``decision`` is that function on raw ones."""
+    """``[intercept, *weights]`` on the fit's standardized features; ``decision`` is that function on raw ones.
+
+    The fit is made with the standardization ``mean`` and ``sd``, from
+    which ``decision`` is ``DecisionFunction.of`` the fit.
+    """
 
     intercept: float
     weights: np.ndarray
     ridge: float
     converged: bool
     iterations: int
-    decision: DecisionFunction = field(repr=False)
+    mean: InitVar[np.ndarray]
+    sd: InitVar[np.ndarray]
     objective_path: tuple[float, ...] = field(repr=False, default=())
+    decision: DecisionFunction = field(init=False, repr=False)
+
+    def __post_init__(self, mean: np.ndarray, sd: np.ndarray) -> None:
+        object.__setattr__(self, "decision", DecisionFunction.of(self, mean, sd))
 
 
 @np.errstate(under="ignore")  # see _softplus_sigmoid
@@ -193,8 +199,14 @@ def fit_logistic(
 ) -> LogisticFit:
     """Ridge-penalized logistic regression by IRLS.
 
-    The penalty applies to the weights only, never the intercept.  Each
-    Newton step delta has the decrement lambda^2 = grad @ delta (Boyd &
+    The penalty applies to the weights only, never the intercept: weight
+    i costs 0.5 * ridge * w_i^2, times (ridge_sd[i] / sd[i])^2 for a
+    design with ``ridge_sd``.  As a function of the fit's ``decision``,
+    the penalized objective is then the one on the points' own
+    standardization, and Newton's method is affine-invariant (Boyd &
+    Vandenberghe, *Convex Optimization*, 9.5), so the fit is that one's up
+    to rounding; ``LogisticFit.ridge`` is ``ridge``, or its last bump.
+    Each Newton step delta has the decrement lambda^2 = grad @ delta (Boyd &
     Vandenberghe, *Convex Optimization*, 9.5.1); sqrt(lambda^2 / n) is the
     weighted RMS change the step would make to the linear predictor.  When
     0 <= lambda^2 <= n * TOL^2, the fit takes the full step without
@@ -254,11 +266,15 @@ def fit_logistic(
         cols = slice(lo, min(lo + workspace.block, n))
         weighted = workspace.weighted(cols.stop - lo)
         blocks.append((cols, weighted, weighted[1 : d + 1], AT[1:, cols], AT[:, cols].T, y[cols]))
+    # Each weight's share of the ridge; a scale of ones leaves every
+    # product with it bit for bit the plain ridge's.
+    scale = np.ones(d) if design.ridge_sd is None else np.square(design.ridge_sd / design.sd)
     lam = float(ridge)
+    penalty = lam * scale
 
     def value(eta: np.ndarray, b: np.ndarray) -> float:
         """Penalized log-likelihood at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
-        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ b[1:])
+        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ (scale * b[1:]))
 
     def objective(eta: np.ndarray, b: np.ndarray, sig: np.ndarray) -> float:
         """``value`` at eta, writing the sigmoid of eta into ``sig``."""
@@ -292,15 +308,22 @@ def fit_logistic(
             w, residual, p_block = weighted[0], weighted[d + 1], p[cols]
             np.multiply(p_block, np.subtract(1.0, p_block, out=w), out=w)
             np.subtract(y_block, p_block, out=residual)
-            np.multiply(features, w, out=scaled)
+            # For d >= 3, np.multiply buffers the broadcast weights and the
+            # strided design rows of a block narrower than 8192 / 3 columns
+            # (numpy 2.4), some 130 KB per step.  The einsum writes each
+            # product straight out, but takes twice as long on a full block.
+            if features.shape[1] < GRAM_BLOCK:
+                np.einsum("ij,j->ij", features, w, out=scaled)
+            else:
+                np.multiply(features, w, out=scaled)
             if i == 0:
                 products = weighted @ design_t
             else:
                 products += weighted @ design_t
         hess, grad = products[: d + 1], products[d + 1]
-        grad[1:] -= lam * beta[1:]
+        grad[1:] -= penalty * beta[1:]
         # hess is C-contiguous, so its weight diagonal is every (d+2)-th element from d+2.
-        hess.reshape(-1)[d + 2 :: d + 2] += lam
+        hess.reshape(-1)[d + 2 :: d + 2] += penalty
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -308,6 +331,7 @@ def fit_logistic(
                 break
             bumps += 1
             lam = lam * 10.0 if lam > 0.0 else 1e-6
+            penalty = lam * scale
             obj = objective(eta, beta, p)
             continue
         # lambda^2 = grad @ delta = delta @ hess @ delta: the w-weighted sum
@@ -336,14 +360,14 @@ def fit_logistic(
         eta, cand_eta = cand_eta, eta
         path.append(obj)
 
-    weights = beta[1:] / design.sd  # the decision's, as DecisionFunction.of divides them
     return LogisticFit(
         intercept=float(beta[0]),
         weights=beta[1:].copy(),
         ridge=lam,
         converged=converged,
         iterations=iterations,
-        decision=DecisionFunction(float(beta[0] - weights @ design.mean), weights),
+        mean=design.mean,
+        sd=design.sd,
         objective_path=tuple(path),
     )
 
@@ -514,7 +538,6 @@ def fit_logistic_folds(
         live &= iterations < MAX_ITER
 
     paths = iterations + 1 - converged
-    weights = beta[:, 1:] / stack.sd  # the decisions', as DecisionFunction.of divides them
     return [
         LogisticFit(
             intercept=float(beta[j, 0]),
@@ -522,7 +545,8 @@ def fit_logistic_folds(
             ridge=float(lam[j]),
             converged=bool(converged[j]),
             iterations=int(iterations[j]),
-            decision=DecisionFunction(float(beta[j, 0] - weights[j] @ stack.mean[j]), weights[j]),
+            mean=stack.mean[j],
+            sd=stack.sd[j],
             objective_path=tuple(objectives[: paths[j], j].tolist()),
         )
         for j in range(k)

@@ -43,9 +43,9 @@ from carmen.data import Dataset
 from carmen.discriminator import FeatureMap, _count_table, _fold_ids
 from carmen.logistic import (
     DecisionFunction,
+    LabeledDesign,
     LogisticFit,
     _fold_stack,
-    _standardized_design,
     fit_logistic,
     fit_logistic_folds,
 )
@@ -319,6 +319,23 @@ FEATURE_EXPRESSIONS = {
 }
 
 
+def standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
+    """Standardize a C-ordered (d, n) block of raw features in place, by its own moments.
+
+    Each feature row is centred on its mean, then divided by its sd, taken
+    from the centred row (population divisor); a zero-sd feature keeps
+    sd = 1.  ``features`` is the (n, d) transpose of ``block``, so
+    ``features.T`` is contiguous feature-major.
+    """
+    total = block.shape[1]
+    mu = np.add.reduce(block, axis=1) / total  # bitwise block.mean(axis=1)
+    block -= mu[:, None]
+    sd = np.sqrt(np.einsum("ij,ij->i", block, block) / total)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    block /= sd[:, None]
+    return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
+
+
 def raw_features(fm: FeatureMap, data: Dataset) -> np.ndarray:
     """The (d, n) raw features of ``data`` from ``FEATURE_EXPRESSIONS``, one row per transform."""
     x, y = (data.covariates, data.values) if data.is_regression else (data.values, None)
@@ -361,7 +378,7 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
         fits = []
         for j in range(k):
             keep = np.flatnonzero(fold_of != j)
-            design = _standardized_design(np.ascontiguousarray(raw[:, keep]), labels[keep])
+            design = standardized_design(np.ascontiguousarray(raw[:, keep]), labels[keep])
             fits.append(fit_logistic(design, ridge=ridge, start=start))
             start = fits[-1].decision
     coef = np.array([[fit.decision.intercept, *fit.decision.weights] for fit in fits])

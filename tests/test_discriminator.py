@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from carmen.logistic import (
     IrlsWorkspace,
     LabeledDesign,
     _softplus_sigmoid,
-    _standardized_design,
     fit_logistic,
     fit_logistic_folds,
 )
@@ -29,7 +29,7 @@ from carmen.numerics import RngStream
 from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
-from oracles import FEATURE_EXPRESSIONS, fold_scores, log_odds, raw_block_cv, raw_features
+from oracles import FEATURE_EXPRESSIONS, fold_scores, log_odds, raw_block_cv, raw_features, standardized_design
 
 
 def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
@@ -42,7 +42,7 @@ def _labeled_design(observed: Dataset, simulated: Dataset, fm: FeatureMap) -> La
     """Feature rows for both classes, standardization fitted on the union."""
     raw_t = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
     labels = np.concatenate([np.zeros(len(observed)), np.ones(len(simulated))])
-    return _standardized_design(raw_t, labels)
+    return standardized_design(raw_t, labels)
 
 
 def _filled(fm: FeatureMap, data: Dataset) -> np.ndarray:
@@ -117,7 +117,7 @@ class TestFeatureMap:
         g = RngStream(91).generator()
         raw_t = np.ascontiguousarray(g.normal(2.0, 3.0, size=(3, 40)))
         block = raw_t.copy()
-        design = _standardized_design(block, np.repeat([0.0, 1.0], 20))
+        design = standardized_design(block, np.repeat([0.0, 1.0], 20))
         assert np.shares_memory(design.features, block)
         assert design.features.T.flags.c_contiguous
         assert np.array_equal(design.mean, raw_t.mean(axis=1))
@@ -129,7 +129,7 @@ class TestFeatureMap:
         # sd is taken from the centred rows, so a large common offset
         # leaves it exact: population sd of (-1, 0, 1, 0) is sqrt(1/2).
         block = 1e9 + np.array([[-1.0, 0.0, 1.0, 0.0]])
-        design = _standardized_design(block, np.array([0.0, 0.0, 1.0, 1.0]))
+        design = standardized_design(block, np.array([0.0, 0.0, 1.0, 1.0]))
         assert design.mean[0] == 1e9
         assert design.sd[0] == math.sqrt(0.5)
         assert np.array_equal(design.features[:, 0], np.array([-1.0, 0.0, 1.0, 0.0]) / math.sqrt(0.5))
@@ -621,7 +621,7 @@ def _off_centre_kernels(n: int = 500, d: int = 3) -> tuple[LabeledDesign, FoldSt
     g = RngStream(66).generator()
     raw = g.normal(2.0, 3.0, size=(d, n))
     labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-0.3 * (raw[0] - 2.0) + 0.2 * (raw[-1] - 2.0)))).astype(float)
-    design = _standardized_design(raw.copy(), labels)
+    design = standardized_design(raw.copy(), labels)
     return design, carmen.logistic._fold_stack(raw, labels, np.ones((1, n)))
 
 
@@ -664,7 +664,7 @@ class TestLogOdds:
     def test_intercept_only(self):
         from carmen.logistic import LogisticFit
 
-        fit = LogisticFit(math.log(3.0), np.zeros(2), 0.0, True, 1, DecisionFunction(math.log(3.0), np.zeros(2)))
+        fit = LogisticFit(math.log(3.0), np.zeros(2), 0.0, True, 1, np.zeros(2), np.ones(2))
         assert log_odds(fit, np.array([5.0, -2.0])) == pytest.approx(math.log(3.0))
 
     def test_symmetric_classes_balanced_at_midpoint(self):
@@ -789,7 +789,8 @@ class TestCvLogOdds:
             X, y, result = record.snapshot.features, record.snapshot.labels, record.fit
             assert result.converged
             beta = np.concatenate([[result.intercept], result.weights])
-            ref, stopped = _row_major_fit(X, y, result.ridge, beta, tol=1e-12)
+            ridge = result.ridge * np.square(record.snapshot.ridge_sd / record.snapshot.sd)
+            ref, stopped = _row_major_fit(X, y, ridge, beta, tol=1e-12)
             assert stopped
             eta, ref_eta = beta[0] + X @ beta[1:], ref[0] + X @ ref[1:]
             assert np.max(np.abs(eta - ref_eta)) < 1e-6
@@ -841,7 +842,7 @@ class TestCvLogOdds:
         assert max(warm) <= cold
         assert sum(warm) <= share * (k - 1) * cold
 
-    def test_fold_designs_are_feature_major_complements(self, fits):
+    def test_fold_designs_are_prefixes_of_one_standardized_design(self, fits):
         g = RngStream(80).generator()
         n_obs, n_sim, k = 53, 47, 5
         # |y| = 1.5 everywhere: a feature that is constant in every fold.
@@ -852,25 +853,36 @@ class TestCvLogOdds:
         assert len(fits) == k
 
         raw = np.hstack([raw_features(fm, obs), raw_features(fm, sim)]).T
+        labels = np.concatenate([np.zeros(n_obs), np.ones(n_sim)])
         fold_rng = RngStream(81).generator()
         folds_obs = _fold_indices(n_obs, k, fold_rng)
         folds_sim = _fold_indices(n_sim, k, fold_rng)
         held_out = np.zeros(n_obs + n_sim, dtype=int)
+        # Every fold's features are standardized by fold 0's moments, the
+        # same arrays, and each is a prefix of one (d+1, n) design.
+        mu, sd = fits[0].design.mean, fits[0].design.sd
+        design = fits[0].workspace.design(n_obs + n_sim)
         for j, record in enumerate(fits):
-            assert record.design.features.T.flags.c_contiguous
-            at_fit = record.snapshot
-            feats, labels, mu, sd = at_fit.features, at_fit.labels, at_fit.mean, at_fit.sd
-            m_obs, m_sim = n_obs - folds_obs[j].size, n_sim - folds_sim[j].size
-            assert np.array_equal(labels, np.concatenate([np.zeros(m_obs), np.ones(m_sim)]))
+            assert record.design.mean is mu and record.design.sd is sd
+            feats = record.design.features
+            assert np.shares_memory(feats, design) and feats.strides == (8, design.strides[0])
             train = np.ones(n_obs + n_sim, dtype=bool)
             train[folds_obs[j]] = False
             train[n_obs + folds_sim[j]] = False
             held_out[~train] += 1
-            assert np.array_equal(feats, (raw[train] - mu) / sd)
-            assert np.allclose(mu, raw[train].mean(axis=0), rtol=1e-12, atol=1e-12)
-            assert np.allclose(feats.mean(axis=0), 0.0, rtol=0.0, atol=1e-12)
-            assert sd[0] == 1.0 and np.array_equal(feats[:, 0], np.zeros(m_obs + m_sim))
-            assert np.allclose(feats[:, 1:].std(axis=0), 1.0, rtol=0.0, atol=1e-12)
+            at_fit = record.snapshot
+            if j == 0:
+                assert np.allclose(mu, raw[train].mean(axis=0), rtol=1e-12, atol=1e-12)
+                assert sd[0] == 1.0 and np.allclose(sd[1:], raw[train][:, 1:].std(axis=0), rtol=1e-12, atol=0.0)
+            # The fold's own sd sets its ridge; abs_y's is 0, kept as 1.
+            own = np.where(np.arange(3) == 0, 1.0, raw[train].std(axis=0))
+            assert np.allclose(at_fit.ridge_sd, own, rtol=1e-12, atol=0.0)
+            # Its columns are its training points, in some order, with their labels.
+            got = np.column_stack([at_fit.labels, at_fit.features])
+            want = np.column_stack([labels[train], (raw[train] - mu) / sd])
+            got, want = (a[np.lexsort(a.T[::-1])] for a in (got, want))
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert not at_fit.features[:, 0].any()
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
 
     def test_fold_ids_are_the_array_split_folds(self):
@@ -1102,21 +1114,22 @@ class TestCountClasses:
 
 
 def _row_major_fit(
-    X: np.ndarray, y: np.ndarray, ridge: float, start, tol: float = TOL
+    X: np.ndarray, y: np.ndarray, ridge, start, tol: float = TOL
 ) -> tuple[np.ndarray, bool]:
     """IRLS on the row-major layout the package used before the feature-major one.
 
     Same start guard, line search and Newton-decrement stop as
     ``fit_logistic``, but with an (n, d+1) design, ``np.logaddexp`` and
-    ``A.T @ (w * A)``.  Returns the coefficients and whether the
-    decrement stop ended the fit.
+    ``A.T @ (w * A)``.  ``ridge`` is one penalty for every weight, or one
+    per weight.  Returns the coefficients and whether the decrement stop
+    ended the fit.
     """
     n, d = X.shape
     A = np.column_stack([np.ones(n), X])
 
     def objective(eta, b):
         soft = np.logaddexp(0.0, eta)
-        return float(y @ eta - soft.sum()) - 0.5 * ridge * float(b[1:] @ b[1:]), soft
+        return float(y @ eta - soft.sum()) - 0.5 * float(b[1:] @ (ridge * b[1:])), soft
 
     beta, eta = np.zeros(d + 1), np.zeros(n)
     obj, soft = objective(eta, beta)
@@ -1230,7 +1243,7 @@ class TestIrlsWorkspace:
 
         def recording(design, **kwargs):
             workspace = kwargs["workspace"]
-            fresh_design = LabeledDesign(design.features.copy(), design.labels, design.mean, design.sd)
+            fresh_design = replace(design, features=design.features.copy())
             fit = fit_logistic(design, **kwargs)
             del kwargs["workspace"]
             fresh = fit_logistic(fresh_design, **kwargs)
@@ -1395,6 +1408,18 @@ class TestNonFiniteFeatures:
         with pytest.raises(ValueError, match=message):
             cv_log_odds(data["observed"], data["simulated"], FeatureMap(("x", "x4")), 5, 1e-6, RngStream(113))
 
+    def test_overflow_held_out_of_fold_0_names_fold_1(self):
+        # One observed point of 1e80, held out of fold 0: fold 0's moments,
+        # the basis every fold is standardized by, are finite, and fold 1,
+        # the first fold to train on that point, is named.
+        g = RngStream(116).generator()
+        observed, simulated = g.normal(size=60), g.normal(size=60)
+        observed[int(np.argmax(_fold_ids(60, 5, RngStream(117).generator()) == 0))] = 1e80
+        message = (r"^feature 'x4' of the observed points has a non-finite mean \(inf\) "
+                   r"on the training points of fold 1$")
+        with pytest.raises(ValueError, match=message):
+            cv_log_odds(Dataset(observed), Dataset(simulated), FeatureMap(("x", "x4")), 5, 1e-6, RngStream(117))
+
     def test_spread_across_classes_names_both(self):
         # x2 is about 1e200 in one class and 1e198 in the other: each value
         # is finite, and so is each class's own spread, but every squared
@@ -1415,6 +1440,51 @@ def _columns_with_edge_values(n: int = 400) -> tuple[np.ndarray, np.ndarray]:
     y = np.concatenate([g.normal(1.0, 2.0, n), edges[::-1]])
     order = g.permutation(x.size)
     return x[order], y[::-1][order]
+
+
+# The largest change, relative to max(1, |value|), that fitting every fold
+# on one standardization makes to an out-of-fold log-odds value.
+_ONE_DESIGN_BOUND = 1e-9
+
+
+def _assert_within_one_design_bound(vals: np.ndarray, ref: np.ndarray) -> None:
+    assert np.all(np.abs(vals - ref) <= _ONE_DESIGN_BOUND * np.maximum(1.0, np.abs(ref)))
+
+
+def _unequal_folds_draw(seed: int) -> tuple:
+    """303 and 297 points in 7 folds: runs of 44 or 43 observed and 43 or 42 simulated points."""
+    g = RngStream(300 + seed).generator()
+    obs, sim = Dataset(g.normal(size=303)), Dataset(g.normal(0.4, 1.3, 297))
+    return (obs, sim, FeatureMap(("x", "x2", "x3")), 7, 1e-6, RngStream(310 + seed)), None
+
+
+def _constant_on_one_fold_draw(seed: int) -> tuple:
+    """Regression classes whose |y| is 1.5 outside fold 2, so abs_y is constant on that fold's training points."""
+    g = RngStream(320 + seed).generator()
+    rng, k = RngStream(330 + seed), 5
+    fold_rng = rng.generator()
+    data = []
+    for n, loc in ((203, 0.0), (197, 0.5)):
+        y = 1.5 * g.choice([-1.0, 1.0], n)
+        held = _fold_ids(n, k, fold_rng) == 2
+        y[held] = g.normal(0.0, 2.0, np.count_nonzero(held))
+        data.append(Dataset(y, g.normal(loc, 1.0, n)))
+    return (*data, FeatureMap(("abs_y", "x", "yx2")), k, 1e-6, rng), None
+
+
+def _losing_start_draw(seed: int) -> tuple:
+    """The unequal-folds draw with its own last decision negated: a start that loses to beta = 0."""
+    args, _ = _unequal_folds_draw(seed)
+    decision = cv_log_odds(*args)[1]
+    return args, DecisionFunction(-decision.intercept, -decision.weights)
+
+
+_ONE_DESIGN_CASES = {
+    "unequal-folds": _unequal_folds_draw,
+    "constant-on-one-fold": _constant_on_one_fold_draw,
+    "near-separable": lambda seed: (_grid_level_draw("reg-sigmoid", seed, 23)[1], None),
+    "losing-start": _losing_start_draw,
+}
 
 
 class TestDataColumnFeatures:
@@ -1455,15 +1525,36 @@ class TestDataColumnFeatures:
     )
     def test_cv_equals_raw_block_reference(self, layout, draw):
         # Every training fold here has at most 1,800 points, one Hessian
-        # block, so the values and the carried decision function are the
-        # raw-block computation's bit for bit, cold and from a start.
+        # block.  Count classes fit as the raw-block computation does, so
+        # their values and carried decision function are its bit for bit,
+        # cold and from a start.  Point classes fit every fold on one
+        # standardization, so they agree to _ONE_DESIGN_BOUND.
         args = draw()
         for start in (None, cv_log_odds(*args)[1]):
             vals, last = cv_log_odds(*args, start=start)
             ref, ref_last = raw_block_cv(*args, start=start)
-            assert vals.tobytes() == ref.tobytes()
-            assert last.intercept == ref_last.intercept
-            assert last.weights.tobytes() == ref_last.weights.tobytes()
+            if layout == "counts":
+                assert vals.tobytes() == ref.tobytes()
+                assert last.intercept == ref_last.intercept
+                assert last.weights.tobytes() == ref_last.weights.tobytes()
+            else:
+                _assert_within_one_design_bound(vals, ref)
+                raw = np.hstack([raw_features(args[2], data) for data in args[:2]])
+                _assert_within_one_design_bound(last.intercept + last.weights @ raw,
+                                                ref_last.intercept + ref_last.weights @ raw)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("case", ["unequal-folds", "constant-on-one-fold", "near-separable", "losing-start"])
+    def test_one_design_equals_per_fold_reference(self, case, seed):
+        # The point path standardizes once per call and gives each fold's
+        # ridge its own sds; the reference standardizes every fold on its
+        # own.  The bound was fixed on seeds 0-4 (largest 2.4e-10, on the
+        # constant feature) before seeds 5-9 were read (largest 3.4e-10).
+        args, start = _ONE_DESIGN_CASES[case](seed)
+        for start in [start] if start is not None else [None, cv_log_odds(*args)[1]]:
+            vals, _ = cv_log_odds(*args, start=start)
+            ref, _ = raw_block_cv(*args, start=start)
+            _assert_within_one_design_bound(vals, ref)
 
     @pytest.mark.parametrize("simulated_kind", ["univariate", "regression"])
     def test_classes_of_different_kinds_rejected_before_any_allocation(self, simulated_kind):
