@@ -99,16 +99,18 @@ def _fold_sizes(n: int, k: int) -> list[int]:
     return [n // k + (j < n % k) for j in range(k)]
 
 
-def _fold_of(order: np.ndarray, k: int) -> np.ndarray:
-    """The fold of each point of the permutation ``order`` cut into ``k`` near-equal runs, in point order."""
-    ids = np.empty(order.size, dtype=np.intp)
-    ids[order] = np.repeat(np.arange(k), _fold_sizes(order.size, k))
+def _fold_of(orders: np.ndarray, n_obs: int, k: int) -> np.ndarray:
+    """The fold of each point, observed first, given ``orders``: the observed class's
+    permutation of its points, then the simulated class's, each cut into ``k`` near-equal runs."""
+    ids = np.empty(orders.size, dtype=np.intp)
+    for cls in (slice(0, n_obs), slice(n_obs, orders.size)):
+        ids[cls][orders[cls]] = np.repeat(np.arange(k), _fold_sizes(cls.stop - cls.start, k))
     return ids
 
 
 def _fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
     """The fold of each of ``n`` points: one permutation of them, cut into ``k`` near-equal runs."""
-    return _fold_of(g.permutation(n), k)
+    return _fold_of(g.permutation(n), n, k)
 
 
 def _count_table(data: Dataset) -> CountTable | None:
@@ -214,30 +216,53 @@ def _fit_folds(
     simulated: Dataset,
     columns: tuple,
     fm: FeatureMap,
-    orders: tuple[np.ndarray, np.ndarray],
+    g: np.random.Generator,
+    k: int,
+    ridge: float,
+    start: DecisionFunction | None,
+) -> tuple[list[LogisticFit], np.ndarray]:
+    """Fit the k folds of ``cv_log_odds``: their fits, fold j's at j, and each point's fold.
+
+    Each class's points are permuted by ``g``, the observed class first,
+    and the permutation is cut into k near-equal runs, fold j's the j-th.
+    Everything the fits share (count tables, labels and the IRLS
+    workspace) lives only in this call, so it is freed before the held-out
+    points are scored.  A fold whose feature means or sds are not finite
+    raises a ``ValueError`` naming the feature and the class.  When both
+    classes are whole counts, ``_fit_count_folds`` fits all k folds at
+    once; otherwise ``_fit_point_folds`` fits them one after another.
+    """
+    n_obs = len(observed)
+    orders = np.concatenate([g.permutation(n_obs), g.permutation(len(simulated))])
+    tables = (_count_table(observed), _count_table(simulated))
+    if all(table is not None for table in tables):
+        fold_of = _fold_of(orders, n_obs, k)
+        del orders
+        return _fit_count_folds(fm, tables, (fold_of[:n_obs], fold_of[n_obs:]), k, ridge, start), fold_of
+    fits = _fit_point_folds(columns, fm, orders, n_obs, k, ridge, start)
+    return fits, _fold_of(orders, n_obs, k)
+
+
+def _fit_point_folds(
+    columns: tuple,
+    fm: FeatureMap,
+    orders: np.ndarray,
+    n_obs: int,
     k: int,
     ridge: float,
     start: DecisionFunction | None,
 ) -> list[LogisticFit]:
-    """Fit the k folds of ``cv_log_odds`` and return their fits, fold j's at j.
+    """``_fit_folds`` for classes fitted on their points: each fold on a prefix of one design, in order.
 
-    ``orders`` holds each class's permutation of its points, cut into k
-    near-equal runs, fold j's the j-th.  Everything the fits share (count
-    tables, labels and the IRLS workspace) lives only in this call, so it
-    is freed before the held-out points are scored.  A fold whose feature
-    means or sds are not finite raises a ``ValueError`` naming the feature
-    and the class.
-
-    When both classes are whole counts, ``_fit_count_folds`` fits all k
-    folds at once.  Otherwise every point gets one column of one (d+1, n)
-    design, that of a workspace whose vectors are sized for the largest
-    training fold, and each fold is fitted on a prefix of it, in order.
-    The columns are cut into one run per fold, fold j's observed points
-    then its simulated ones, each class in its permutation's order, and
-    laid out as [F1 ... F(k-1) | F0], so that fold 0's training points
-    come first.  ``columns`` holds each class's (x, y) data columns: the
-    points are gathered from them into two of the workspace's vectors in
-    that layout, and ``FeatureMap.fill`` computes the features from those
+    Every point gets one column of one (d+1, n) design, that of a
+    workspace whose vectors are sized for the largest training fold.  The
+    columns are cut into one run per fold, fold j's observed points then
+    its simulated ones, each class in the order of its permutation, the
+    first ``n_obs`` of ``orders`` and the rest, and laid out as
+    [F1 ... F(k-1) | F0], so that fold 0's training points come first.
+    ``columns`` holds each class's (x, y) data columns: the points are
+    gathered from them into two of the workspace's vectors in that
+    layout, and ``FeatureMap.fill`` computes the features from those
     straight into the design rows.  ``_fold_moments`` then gives every
     fold's own moments and standardizes all the columns once, by fold 0's.
     Before fold j >= 1 is fitted, its run, never moved until then, is
@@ -247,11 +272,7 @@ def _fit_folds(
     ``ridge_sd`` is its own sd, so each fold's penalized objective, as a
     function of its decision, is that of its own standardization.
     """
-    n_obs, n_sim = len(observed), len(simulated)
-    tables = (_count_table(observed), _count_table(simulated))
-    if all(table is not None for table in tables):
-        folds = tuple(_fold_of(order, k) for order in orders)
-        return _fit_count_folds(fm, tables, folds, k, ridge, start)
+    n_sim = orders.size - n_obs
     d = len(fm.transforms)
     sizes = (_fold_sizes(n_obs, k), _fold_sizes(n_sim, k))
     runs = [m + s for m, s in zip(*sizes)]  # never growing with j
@@ -267,7 +288,7 @@ def _fit_folds(
     x_all, y_all = workspace.vectors(workspace.capacity).reshape(2, -1)[:, :n]
     # The classes are of one kind, so y is absent from both or from neither.
     regression = columns[0][1] is not None
-    for label, ((x, y), order, class_sizes) in enumerate(zip(columns, orders, sizes)):
+    for label, ((x, y), order, class_sizes) in enumerate(zip(columns, (orders[:n_obs], orders[n_obs:]), sizes)):
         cut = 0
         for j, size in enumerate(class_sizes):
             at = first[j] + label * sizes[0][j]
@@ -285,7 +306,8 @@ def _fit_folds(
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
-        keep = [_fold_of(order, k) != j for order in orders]
+        keep = _fold_of(orders, n_obs, k) != j
+        keep = (keep[:n_obs], keep[n_obs:])
         x_fold = np.concatenate([x[f] for (x, _), f in zip(columns, keep)])
         y_fold = np.concatenate([y[f] for (_, y), f in zip(columns, keep)]) if regression else None
         raise _non_finite_feature(fm, mean[j], sd[j], x_fold, y_fold, None, n_obs - sizes[0][j], j)
@@ -385,11 +407,8 @@ def cv_log_odds(
         )
     columns = (fm.columns(observed), fm.columns(simulated))
 
-    g = rng.generator()
-    orders = (g.permutation(len(observed)), g.permutation(len(simulated)))
-    decisions = [fit.decision for fit in _fit_folds(observed, simulated, columns, fm, orders, k, ridge, start)]
-    fold_of = np.concatenate([_fold_of(order, k) for order in orders])
-    del orders
+    fits, fold_of = _fit_folds(observed, simulated, columns, fm, rng.generator(), k, ridge, start)
+    decisions = [fit.decision for fit in fits]
 
     # Every point is scored by its fold's decision function, one term at a
     # time: row j of ``terms`` holds the k folds' coefficients of term j,

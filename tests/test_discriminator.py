@@ -1374,13 +1374,15 @@ class TestOutOfFoldScoring:
 def _cv_workspace(d: int, m: int) -> int:
     """Bytes of the IRLS workspace of a CV call on d features whose largest training fold has m points.
 
-    The (d+1)-row design, the (d+2)-row weighted design of one 4,096-column
-    block and four vectors: at reg-sigmoid's d = 6 and m = 18,000 points,
-    1,846,144 B, 1.76 MiB.  The CV call's allowance of 2**19 B, 0.5 MiB,
-    holds its fold ids and labels (0.31 MiB at 2 x 10,000 points) and one
-    class's training indices, so it leaves no room for a copy of the data
-    columns (0.31 MiB), a fifth vector (0.14 MiB), the raw (d, 2n) feature
-    block (0.92 MiB) or a whole-fold weighted design (1.10 MiB).
+    A (d+1)-row design of m columns, the (d+2)-row weighted design of one
+    4,096-column block and four vectors: at reg-sigmoid's d = 6 and
+    m = 18,000 points, 1,846,144 B, 1.76 MiB.  The CV call's allowance of
+    2**19 B, 0.5 MiB, holds the design's columns past m, since its design
+    has one column per point (0.11 MiB at 2 x 10,000 points), the two
+    classes' fold permutations and the labels (0.31 MiB), so it leaves no
+    room for per-fold index arrays (0.07 MiB for one class), a copy of the
+    data columns (0.31 MiB), a fifth vector (0.14 MiB), the raw (d, 2n)
+    feature block (0.92 MiB) or a whole-fold weighted design (1.10 MiB).
     """
     return 8 * ((d + 1) * m + (d + 2) * 4096 + 4 * m)
 
@@ -1548,8 +1550,8 @@ class TestDataColumnFeatures:
     def test_one_design_equals_per_fold_reference(self, case, seed):
         # The point path standardizes once per call and gives each fold's
         # ridge its own sds; the reference standardizes every fold on its
-        # own.  The bound was fixed on seeds 0-4 (largest 2.4e-10, on the
-        # constant feature) before seeds 5-9 were read (largest 3.4e-10).
+        # own.  The bound was fixed on seeds 0-4 (largest 2.3e-10, on the
+        # constant feature) before seeds 5-9 were read (largest 6.1e-10).
         args, start = _ONE_DESIGN_CASES[case](seed)
         for start in [start] if start is not None else [None, cv_log_odds(*args)[1]]:
             vals, _ = cv_log_odds(*args, start=start)
