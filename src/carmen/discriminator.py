@@ -100,8 +100,11 @@ def _fold_sizes(n: int, k: int) -> list[int]:
 
 
 def _fold_of(orders: np.ndarray, n_obs: int, k: int) -> np.ndarray:
-    """The fold of each point, observed first, given ``orders``: the observed class's
-    permutation of its points, then the simulated class's, each cut into ``k`` near-equal runs."""
+    """The fold of each point, the ``n_obs`` observed ones first.
+
+    ``orders`` holds the observed class's permutation of its points, then
+    the simulated class's, each cut into ``k`` near-equal runs.
+    """
     ids = np.empty(orders.size, dtype=np.intp)
     for cls in (slice(0, n_obs), slice(n_obs, orders.size)):
         ids[cls][orders[cls]] = np.repeat(np.arange(k), _fold_sizes(cls.stop - cls.start, k))
@@ -169,12 +172,11 @@ def _fold_moments(rows: np.ndarray, runs: list[slice]) -> tuple[np.ndarray, np.n
 
     ``rows`` is a (d, n) block of raw features whose columns the k
     ``runs`` tile: run j holds the points of fold j, and the other runs
-    its training points.  Fold j's moments are sums over those
-    runs of per-run sums, each taken once: its mean from the runs' sums of
-    the raw features, its sd (population divisor) from their sums of
-    squared deviations from fold 0's mean, less the square of its own
-    mean's distance from fold 0's, which is small for folds drawn at
-    random.  A run left out of a fold is never multiplied into it, so a
+    its training points.  Fold j's moments add up per-run sums over those
+    runs, each sum taken once: its mean from the runs' sums of the raw
+    features, its sd (population divisor) from their sums of squared
+    deviations from fold 0's mean, less the square of its own mean's
+    distance from fold 0's, which is small for folds drawn at random.  A run left out of a fold is never multiplied into it, so a
     value that is not finite only there leaves the fold's moments finite.
     A feature that is constant on a fold's training points, or whose sd
     there is 0, has sd 1.  Returns the (k, d) means and sds; the rows end
@@ -272,11 +274,9 @@ def _fit_point_folds(
     ``ridge_sd`` is its own sd, so each fold's penalized objective, as a
     function of its decision, is that of its own standardization.
     """
-    n_sim = orders.size - n_obs
-    d = len(fm.transforms)
-    sizes = (_fold_sizes(n_obs, k), _fold_sizes(n_sim, k))
+    n, d = orders.size, len(fm.transforms)
+    sizes = (_fold_sizes(n_obs, k), _fold_sizes(n - n_obs, k))
     runs = [m + s for m, s in zip(*sizes)]  # never growing with j
-    n = n_obs + n_sim
     first, at = [0] * k, 0  # the column where fold j's run starts
     for j in (*range(1, k), 0):
         first[j], at = at, at + runs[j]
@@ -306,10 +306,10 @@ def _fit_point_folds(
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
-        keep = _fold_of(orders, n_obs, k) != j
-        keep = (keep[:n_obs], keep[n_obs:])
-        x_fold = np.concatenate([x[f] for (x, _), f in zip(columns, keep)])
-        y_fold = np.concatenate([y[f] for (_, y), f in zip(columns, keep)]) if regression else None
+        train = _fold_of(orders, n_obs, k) != j
+        parts = (train[:n_obs], train[n_obs:])
+        x_fold = np.concatenate([x[f] for (x, _), f in zip(columns, parts)])
+        y_fold = np.concatenate([y[f] for (_, y), f in zip(columns, parts)]) if regression else None
         raise _non_finite_feature(fm, mean[j], sd[j], x_fold, y_fold, None, n_obs - sizes[0][j], j)
 
     # Each fold starts from the previous fold's function on raw features,
