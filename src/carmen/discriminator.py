@@ -225,14 +225,13 @@ def _fit_folds(
 ) -> tuple[list[LogisticFit], np.ndarray]:
     """Fit the k folds of ``cv_log_odds``: their fits, fold j's at j, and each point's fold.
 
-    Each class's points are permuted by ``g``, the observed class first,
-    and the permutation is cut into k near-equal runs, fold j's the j-th.
-    Everything the fits share (count tables, labels and the IRLS
-    workspace) lives only in this call, so it is freed before the held-out
-    points are scored.  A fold whose feature means or sds are not finite
-    raises a ``ValueError`` naming the feature and the class.  When both
-    classes are whole counts, ``_fit_count_folds`` fits all k folds at
-    once; otherwise ``_fit_point_folds`` fits them one after another.
+    ``g`` permutes each class's points, the observed class first, and each
+    permutation is cut into k near-equal runs, fold j's the j-th.  What
+    the fits share (count tables, labels, the IRLS workspace) is freed
+    before the held-out points are scored.  A fold whose feature means or
+    sds are not finite raises a ``ValueError`` naming the feature and the
+    class.  Two classes of whole counts go to ``_fit_count_folds``, any
+    other pair to ``_fit_point_folds``.
     """
     n_obs = len(observed)
     orders = np.concatenate([g.permutation(n_obs), g.permutation(len(simulated))])
@@ -256,23 +255,22 @@ def _fit_point_folds(
 ) -> list[LogisticFit]:
     """``_fit_folds`` for classes fitted on their points: each fold on a prefix of one design, in order.
 
-    Every point gets one column of one (d+1, n) design, that of a
-    workspace whose vectors are sized for the largest training fold.  The
-    columns are cut into one run per fold, fold j's observed points then
-    its simulated ones, each class in the order of its permutation, the
-    first ``n_obs`` of ``orders`` and the rest, and laid out as
-    [F1 ... F(k-1) | F0], so that fold 0's training points come first.
-    ``columns`` holds each class's (x, y) data columns: the points are
-    gathered from them into two of the workspace's vectors in that
-    layout, and ``FeatureMap.fill`` computes the features from those
-    straight into the design rows.  ``_fold_moments`` then gives every
-    fold's own moments and standardizes all the columns once, by fold 0's.
-    Before fold j >= 1 is fitted, its run, never moved until then, is
-    swapped with the last columns, which all belong to fold j-1: runs
-    never grow with j.  Fold j's design is then the prefix that leaves its
-    run out, with the labels moved along in one label vector, and its
-    ``ridge_sd`` is its own sd, so each fold's penalized objective, as a
-    function of its decision, is that of its own standardization.
+    Every point is a column of one (d+1, n) design, in the workspace
+    whose vectors are sized for the largest training fold.  The columns
+    form one run per fold, its observed points then its simulated ones,
+    each class in its permutation's order (the first ``n_obs`` of
+    ``orders``, then the rest), laid out as [F1 ... F(k-1) | F0] so that
+    fold 0's training points come first.  The points are gathered from
+    ``columns``, each class's (x, y) data columns, into two workspace
+    vectors in that layout, ``FeatureMap.fill`` writes their features
+    into the design rows, and ``_fold_moments`` gives every fold's
+    moments and standardizes the rows once, by fold 0's.  Before fold
+    j >= 1 is fitted, its run, unmoved until then, is swapped with the
+    last columns, which all belong to fold j-1 as runs never grow with j,
+    so its design is the prefix that leaves its run out.  The labels move
+    along in one vector.  A fold's ``ridge_sd`` is its own sd, so its
+    penalized objective, as a function of its decision, is the one on its
+    own standardization.
     """
     n, d = orders.size, len(fm.transforms)
     sizes = (_fold_sizes(n_obs, k), _fold_sizes(n - n_obs, k))

@@ -842,7 +842,7 @@ class TestCvLogOdds:
         assert max(warm) <= cold
         assert sum(warm) <= share * (k - 1) * cold
 
-    def test_fold_designs_are_prefixes_of_one_standardized_design(self, fits):
+    def test_fold_designs_are_feature_major_complements(self, fits):
         g = RngStream(80).generator()
         n_obs, n_sim, k = 53, 47, 5
         # |y| = 1.5 everywhere: a feature that is constant in every fold.
