@@ -176,11 +176,12 @@ def _fold_moments(rows: np.ndarray, runs: list[slice]) -> tuple[np.ndarray, np.n
     runs, each sum taken once: its mean from the runs' sums of the raw
     features, its sd (population divisor) from their sums of squared
     deviations from fold 0's mean, less the square of its own mean's
-    distance from fold 0's, which is small for folds drawn at random.  A run left out of a fold is never multiplied into it, so a
-    value that is not finite only there leaves the fold's moments finite.
-    A feature that is constant on a fold's training points, or whose sd
-    there is 0, has sd 1.  Returns the (k, d) means and sds; the rows end
-    as (raw - mean[0]) / sd[0].
+    distance from fold 0's, which is small for folds drawn at random.  A
+    run left out of a fold is never multiplied into it, so a value that
+    is not finite only there leaves the fold's moments finite.  A feature
+    that is constant on a fold's training points, or whose sd there is
+    0, has sd 1.  Returns the (k, d) means and sds; the rows end as
+    (raw - mean[0]) / sd[0].
     """
     k, d = len(runs), rows.shape[0]
     at = np.array([cols.start for cols in runs])
@@ -278,6 +279,7 @@ def _fit_point_folds(
     first, at = [0] * k, 0  # the column where fold j's run starts
     for j in (*range(1, k), 0):
         first[j], at = at, at + runs[j]
+    run_columns = [slice(first[j], first[j] + runs[j]) for j in range(k)]
     workspace = IrlsWorkspace(d, n - runs[-1], n)
     design = workspace.design(n)
     design[0] = 1.0
@@ -289,8 +291,8 @@ def _fit_point_folds(
     for label, ((x, y), order, class_sizes) in enumerate(zip(columns, (orders[:n_obs], orders[n_obs:]), sizes)):
         cut = 0
         for j, size in enumerate(class_sizes):
-            at = first[j] + label * sizes[0][j]
-            part, points = slice(at, at + size), order[cut : cut + size]
+            lo = first[j] + label * sizes[0][j]
+            part, points = slice(lo, lo + size), order[cut : cut + size]
             # np.take with mode="raise" fills a copy of ``out`` and copies it
             # back; the indices are in range, so "clip" gathers straight into it.
             np.take(x, points, out=x_all[part], mode="clip")
@@ -300,7 +302,7 @@ def _fit_point_folds(
             cut += size
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
         fm.fill(x_all, y_all if regression else None, rows)
-        mean, sd = _fold_moments(rows, [slice(first[j], first[j] + runs[j]) for j in range(k)])
+        mean, sd = _fold_moments(rows, run_columns)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
@@ -318,7 +320,7 @@ def _fit_point_folds(
     for j in range(k):
         m = n - runs[j]
         if j:
-            held, scratch = slice(first[j], first[j] + runs[j]), workspace.vectors(runs[j])[0]
+            held, scratch = run_columns[j], workspace.vectors(runs[j])[0]
             for row in (*rows, labels):
                 np.copyto(scratch, row[held])
                 np.copyto(row[held], row[m:])
