@@ -111,11 +111,6 @@ def _fold_of(orders: np.ndarray, n_obs: int, k: int) -> np.ndarray:
     return ids
 
 
-def _fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
-    """The fold of each of ``n`` points: one permutation of them, cut into ``k`` near-equal runs."""
-    return _fold_of(g.permutation(n), n, k)
-
-
 def _count_table(data: Dataset) -> CountTable | None:
     """The distinct values of univariate data whose every value is a whole count, else None.
 
@@ -167,51 +162,59 @@ def _non_finite_feature(
     )
 
 
-def _fold_moments(rows: np.ndarray, runs: list[slice]) -> tuple[np.ndarray, np.ndarray]:
-    """Each fold's feature means and sds, with ``rows`` standardized in place by fold 0's.
+def _fold_moments(rows: np.ndarray, runs: list[slice], deviations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each fold's feature means and sds, pooled from moments taken once per run.
 
     ``rows`` is a (d, n) block of raw features whose columns the k
     ``runs`` tile: run j holds the points of fold j, and the other runs
-    its training points.  Fold j's moments add up per-run sums over those
-    runs, each sum taken once: its mean from the runs' sums of the raw
-    features, its sd (population divisor) from their sums of squared
-    deviations from fold 0's mean, less the square of its own mean's
-    distance from fold 0's, which is small for folds drawn at random.  A
-    run left out of a fold is never multiplied into it, so a value that
-    is not finite only there leaves the fold's moments finite.  A feature
-    that is constant on a fold's training points, or whose sd there is
-    0, has sd 1.  Returns the (k, d) means and sds; the rows end as
-    (raw - mean[0]) / sd[0].
+    its training points.  Each run's sum, least and greatest value, and
+    sum of squared deviations from its own mean are taken once, one
+    feature's deviations at a time in ``deviations``, a vector at least
+    as long as any run.  Fold j pools the runs other than its own (Chan,
+    Golub and LeVeque's update), so its sd (population divisor) is taken
+    about its own mean, and a value that is not finite only in run j
+    leaves fold j's moments finite.  A feature that is constant on a
+    fold's training points, or whose sd there is 0, has sd 1.  Returns
+    the (k, d) means and sds.
     """
     k, d = len(runs), rows.shape[0]
     at = np.array([cols.start for cols in runs])
-    sizes = np.array([cols.stop - cols.start for cols in runs], dtype=float)
+    size = np.array([[cols.stop - cols.start] for cols in runs], dtype=float)
     layout = np.argsort(at)  # the runs in column order, as reduceat takes them
-    held = np.eye(k, dtype=bool)[:, :, None]  # [j, r]: run r is fold j's own, left out of its training points
-    total = sizes.sum() - sizes
+    own = np.eye(k, dtype=bool)[:, :, None]  # [j, r]: run r is fold j's own, left out of its training points
 
     def per_run(ufunc: np.ufunc) -> np.ndarray:
-        """(k, d): ``ufunc`` reduced over each run's columns, fold j's run in row j."""
+        """(k, d): ``ufunc`` reduced over each run's columns, run r's in row r."""
         out = np.empty((k, d))
         out[layout] = ufunc.reduceat(rows, at[layout], axis=1).T
         return out
 
-    def per_fold(runs_values: np.ndarray) -> np.ndarray:
-        """(k, d): the sum of the (k, d) per-run rows over each fold's training runs."""
-        return np.where(held, 0.0, runs_values).sum(axis=1)
-
-    lo, hi = per_run(np.minimum), per_run(np.maximum)
-    constant = np.where(held, np.inf, lo).min(axis=1) == np.where(held, -np.inf, hi).max(axis=1)
-    mean = per_fold(per_run(np.add)) / total[:, None]
-    rows -= mean[0][:, None]
+    sums = per_run(np.add)
     squares = np.empty((k, d))
-    for j, cols in enumerate(runs):
-        np.einsum("ij,ij->i", rows[:, cols], rows[:, cols], out=squares[j])
-    shift = per_fold(per_run(np.add)) / total[:, None]  # each fold's mean less fold 0's
-    sd = np.sqrt(np.maximum(per_fold(squares) / total[:, None] - np.square(shift), 0.0))
-    sd = np.where((sd > 0.0) & ~constant, sd, 1.0)
-    rows /= sd[0][:, None]
-    return mean, sd
+    for cols, run_means, out in zip(runs, (sums / size).tolist(), squares):
+        run_deviations = deviations[: cols.stop - cols.start]
+        for i, (row, run_mean) in enumerate(zip(rows[:, cols], run_means)):
+            np.subtract(row, run_mean, out=run_deviations)
+            out[i] = run_deviations @ run_deviations
+    total = size.sum() - size
+    mean = np.where(own, 0.0, sums).sum(axis=1) / total
+    pooled = np.where(own, 0.0, squares + size * np.square(sums / size - mean[:, None])).sum(axis=1)
+    sd = np.sqrt(pooled / total)
+    lo, hi = np.where(own, np.inf, per_run(np.minimum)), np.where(own, -np.inf, per_run(np.maximum))
+    return mean, np.where((sd > 0.0) & (lo.min(axis=1) < hi.max(axis=1)), sd, 1.0)
+
+
+def _far_from(mean: np.ndarray, sd: np.ndarray, b: int) -> np.ndarray:
+    """Which folds' (k, d) moments are far from fold ``b``'s, as a basis to fit them on.
+
+    A fold is far when, for some feature, its mean is more than 10 of its
+    sds from fold b's, or its sd is more than 10 times or under a tenth
+    of fold b's.  On such a basis its standardized features would be
+    nearly constant or nearly all in one point, and its Newton steps
+    would lose the digits that a basis close to its own keeps.
+    """
+    ratio = sd / sd[b]
+    return ((np.abs(mean - mean[b]) > 10.0 * sd) | (ratio > 10.0) | (ratio < 0.1)).any(axis=1)
 
 
 def _fit_folds(
@@ -265,13 +268,16 @@ def _fit_point_folds(
     ``columns``, each class's (x, y) data columns, into two workspace
     vectors in that layout, ``FeatureMap.fill`` writes their features
     into the design rows, and ``_fold_moments`` gives every fold's
-    moments and standardizes the rows once, by fold 0's.  Before fold
-    j >= 1 is fitted, its run, unmoved until then, is swapped with the
-    last columns, which all belong to fold j-1 as runs never grow with j,
-    so its design is the prefix that leaves its run out.  The labels move
-    along in one vector.  A fold's ``ridge_sd`` is its own sd, so its
-    penalized objective, as a function of its decision, is the one on its
-    own standardization.
+    moments.  Before fold j >= 1 is fitted, its run, unmoved until then,
+    is swapped with the last columns, which all belong to fold j-1 as
+    runs never grow with j, so its design is the prefix that leaves its
+    run out.  The labels move along in one vector.  The rows are
+    standardized in place by fold 0's moments, the basis that the later
+    folds are fitted on until one whose moments are far from it
+    (``_far_from``), as a point far out in one fold's run makes them,
+    standardizes them by its own.  A fold's ``ridge_sd`` is its own sd,
+    so its penalized objective, as a function of its decision, is the
+    one on its own standardization.
     """
     n, d = orders.size, len(fm.transforms)
     sizes = (_fold_sizes(n_obs, k), _fold_sizes(n - n_obs, k))
@@ -302,7 +308,7 @@ def _fit_point_folds(
             cut += size
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
         fm.fill(x_all, y_all if regression else None, rows)
-        mean, sd = _fold_moments(rows, run_columns)
+        mean, sd = _fold_moments(rows, run_columns, x_all)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
@@ -313,10 +319,10 @@ def _fit_point_folds(
         raise _non_finite_feature(fm, mean[j], sd[j], x_fold, y_fold, None, n_obs - sizes[0][j], j)
 
     # Each fold starts from the previous fold's function on raw features,
-    # which fit_logistic maps through the shared standardization, and which
-    # it drops when it loses to beta = 0: near separation such a start
-    # stalls the line search.
-    fits, basis = [], (mean[0], sd[0])
+    # which fit_logistic maps through the basis, and which it drops when it
+    # loses to beta = 0: near separation such a start stalls the line
+    # search.  The rows start as raw features, the basis (0, 1).
+    fits, basis, far = [], (np.zeros(d), np.ones(d)), np.ones(k, dtype=bool)
     for j in range(k):
         m = n - runs[j]
         if j:
@@ -325,6 +331,10 @@ def _fit_point_folds(
                 np.copyto(scratch, row[held])
                 np.copyto(row[held], row[m:])
                 np.copyto(row[m:], scratch)
+        if far[j]:
+            rows -= ((mean[j] - basis[0]) / basis[1])[:, None]
+            rows /= (sd[j] / basis[1])[:, None]
+            basis, far = (mean[j], sd[j]), _far_from(mean, sd, j)
         fold = LabeledDesign(rows[:, :m].T, labels[:m], *basis, ridge_sd=sd[j])
         fits.append(fit_logistic(fold, ridge=ridge, start=start, workspace=workspace))
         start = fits[-1].decision
@@ -389,7 +399,8 @@ def cv_log_odds(
     Otherwise both are fitted on their points, one fold after another by
     ``fit_logistic``, each started from the previous fold's decision
     function and the first from ``start``.  Those folds are prefixes of
-    one design, standardized once by fold 0's training moments, and each
+    one design, standardized by fold 0's training moments (or, from a
+    fold whose moments are far from those, by that fold's), and each
     fold's ridge is rescaled to its own sds, so that its fit is the one on
     its own standardization up to rounding (at most 1e-9 of max(1, |value|)
     per point on the tests' draws).  Either fit uses a start only when it

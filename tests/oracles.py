@@ -40,7 +40,7 @@ from carmen.conjugate import (
     temper_update,
 )
 from carmen.data import Dataset
-from carmen.discriminator import FeatureMap, _count_table, _fold_ids
+from carmen.discriminator import FeatureMap, _count_table, _fold_of
 from carmen.logistic import (
     DecisionFunction,
     LabeledDesign,
@@ -342,6 +342,11 @@ def raw_features(fm: FeatureMap, data: Dataset) -> np.ndarray:
     return np.vstack([FEATURE_EXPRESSIONS[name](x, y) for name in fm.transforms])
 
 
+def fold_ids(n: int, k: int, g: np.random.Generator) -> np.ndarray:
+    """The fold of each of ``n`` points as ``cv_log_odds`` draws a class's: one permutation of them, cut into ``k`` near-equal runs."""
+    return _fold_of(g.permutation(n), n, k)
+
+
 def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, ridge: float,
                  rng: RngStream, start: DecisionFunction | None = None):
     """``cv_log_odds`` computed from one raw (d, n_obs + n_sim) feature block.
@@ -358,7 +363,7 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
     n_obs = len(observed)
     raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
     g = rng.generator()
-    fold_of = np.concatenate([_fold_ids(n_obs, k, g), _fold_ids(len(simulated), k, g)])
+    fold_of = np.concatenate([fold_ids(n_obs, k, g), fold_ids(len(simulated), k, g)])
     tables = [_count_table(observed), _count_table(simulated)]
     parts, folds = (raw[:, :n_obs], raw[:, n_obs:]), (fold_of[:n_obs], fold_of[n_obs:])
     if all(table is not None for table in tables):

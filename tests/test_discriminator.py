@@ -12,7 +12,7 @@ import carmen.logistic
 from carmen.cli import ScenarioConfig, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
-from carmen.discriminator import _LN_CLAMP, _TRANSFORMS, FeatureMap, _count_table, _fold_ids, cv_log_odds
+from carmen.discriminator import _LN_CLAMP, _TRANSFORMS, FeatureMap, _count_table, cv_log_odds
 from carmen.logistic import (
     DEFAULT_RIDGE,
     MAX_ITER,
@@ -29,7 +29,15 @@ from carmen.numerics import RngStream
 from carmen.ratio import _simulate
 from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
 from carmen.truths import GaussianTruth
-from oracles import FEATURE_EXPRESSIONS, fold_scores, log_odds, raw_block_cv, raw_features, standardized_design
+from oracles import (
+    FEATURE_EXPRESSIONS,
+    fold_ids,
+    fold_scores,
+    log_odds,
+    raw_block_cv,
+    raw_features,
+    standardized_design,
+)
 
 
 def _fold_indices(n: int, k: int, g: np.random.Generator) -> list[np.ndarray]:
@@ -881,13 +889,13 @@ class TestCvLogOdds:
             got = np.column_stack([at_fit.labels, at_fit.features])
             want = np.column_stack([labels[train], (raw[train] - mu) / sd])
             got, want = (a[np.lexsort(a.T[::-1])] for a in (got, want))
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(got, want)
             assert not at_fit.features[:, 0].any()
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
 
     def test_fold_ids_are_the_array_split_folds(self):
         for n, k in [(10, 2), (97, 5), (103, 10), (1000, 10), (11, 11)]:
-            ids = _fold_ids(n, k, RngStream(82, n).generator())
+            ids = fold_ids(n, k, RngStream(82, n).generator())
             folds = _fold_indices(n, k, RngStream(82, n).generator())
             assert [np.flatnonzero(ids == j).tolist() for j in range(k)] == [f.tolist() for f in folds]
 
@@ -1310,7 +1318,7 @@ class TestOutOfFoldScoring:
         observed, simulated, fm, k, ridge, rng = draw()
         vals, last = cv_log_odds(observed, simulated, fm, k, ridge, rng)
         g = rng.generator()
-        fold_of = np.concatenate([_fold_ids(len(observed), k, g), _fold_ids(len(simulated), k, g)])
+        fold_of = np.concatenate([fold_ids(len(observed), k, g), fold_ids(len(simulated), k, g)])
         if layout == "counts":
             assert not fits
             (record,) = fold_fits
@@ -1416,7 +1424,7 @@ class TestNonFiniteFeatures:
         # the first fold to train on that point, is named.
         g = RngStream(116).generator()
         observed, simulated = g.normal(size=60), g.normal(size=60)
-        observed[int(np.argmax(_fold_ids(60, 5, RngStream(117).generator()) == 0))] = 1e80
+        observed[int(np.argmax(fold_ids(60, 5, RngStream(117).generator()) == 0))] = 1e80
         message = (r"^feature 'x4' of the observed points has a non-finite mean \(inf\) "
                    r"on the training points of fold 1$")
         with pytest.raises(ValueError, match=message):
@@ -1468,7 +1476,7 @@ def _constant_on_one_fold_draw(seed: int) -> tuple:
     data = []
     for n, loc in ((203, 0.0), (197, 0.5)):
         y = 1.5 * g.choice([-1.0, 1.0], n)
-        held = _fold_ids(n, k, fold_rng) == 2
+        held = fold_ids(n, k, fold_rng) == 2
         y[held] = g.normal(0.0, 2.0, np.count_nonzero(held))
         data.append(Dataset(y, g.normal(loc, 1.0, n)))
     return (*data, FeatureMap(("abs_y", "x", "yx2")), k, 1e-6, rng), None
@@ -1481,11 +1489,27 @@ def _losing_start_draw(seed: int) -> tuple:
     return args, DecisionFunction(-decision.intercept, -decision.weights)
 
 
+def _heavy_tail_draw(seed: int) -> tuple:
+    """The unequal-folds sizes with one observed x of 100, held out by fold 3, on x, x2 and x4 under ridge 1.
+
+    That point's x4 of 1e8 sets fold 0's mean of x4, the shared basis,
+    some 1e4 of fold 3's own sds away from fold 3's mean: an sd taken as
+    a difference of squares about the basis keeps about half its digits
+    there, and a ridge of 1 carries that error into fold 3's values.
+    """
+    g = RngStream(340 + seed).generator()
+    obs, sim = g.normal(size=303), g.normal(0.4, 1.3, 297)
+    rng = RngStream(350 + seed)
+    obs[int(np.argmax(fold_ids(303, 7, rng.generator()) == 3))] = 100.0
+    return (Dataset(obs), Dataset(sim), FeatureMap(("x", "x2", "x4")), 7, 1.0, rng), None
+
+
 _ONE_DESIGN_CASES = {
     "unequal-folds": _unequal_folds_draw,
     "constant-on-one-fold": _constant_on_one_fold_draw,
     "near-separable": lambda seed: (_grid_level_draw("reg-sigmoid", seed, 23)[1], None),
     "losing-start": _losing_start_draw,
+    "heavy-tail": _heavy_tail_draw,
 }
 
 
@@ -1546,17 +1570,37 @@ class TestDataColumnFeatures:
                                                 ref_last.intercept + ref_last.weights @ raw)
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("case", ["unequal-folds", "constant-on-one-fold", "near-separable", "losing-start"])
+    @pytest.mark.parametrize("case", list(_ONE_DESIGN_CASES))
     def test_one_design_equals_per_fold_reference(self, case, seed):
         # The point path standardizes once per call and gives each fold's
         # ridge its own sds; the reference standardizes every fold on its
-        # own.  The bound was fixed on seeds 0-4 (largest 2.3e-10, on the
-        # constant feature) before seeds 5-9 were read (largest 6.1e-10).
+        # own.  The bound was fixed on seeds 0-4 (largest 2.4e-10, on the
+        # constant feature) before seeds 5-9 were read (largest 6.1e-10);
+        # the heavy tail's point was placed on seeds 0-4 (1.3e-10) before
+        # its seeds 5-9 were read (1.7e-10).
         args, start = _ONE_DESIGN_CASES[case](seed)
         for start in [start] if start is not None else [None, cv_log_odds(*args)[1]]:
             vals, _ = cv_log_odds(*args, start=start)
             ref, _ = raw_block_cv(*args, start=start)
             _assert_within_one_design_bound(vals, ref)
+
+    def test_fold_far_from_the_basis_is_standardized_by_its_own_moments(self, fits):
+        # The heavy tail's point, held out by fold 3, puts fold 0's mean of
+        # x4 far from fold 3's: fold 3 restandardizes the design by its own
+        # moments, and fold 4, which trains on the point again, by its own.
+        args, _ = _heavy_tail_draw(0)
+        cv_log_odds(*args)
+        assert len(fits) == 7
+        shared = [fits[j].design.mean is fits[j - 1].design.mean for j in range(1, 7)]
+        assert shared == [True, True, False, False, True, True]
+        raw = np.hstack([raw_features(args[2], data) for data in args[:2]])
+        g = args[5].generator()
+        fold_of = np.concatenate([fold_ids(303, 7, g), fold_ids(297, 7, g)])
+        for j in (0, 3, 4):
+            design, train = fits[j].design, raw[:, fold_of != j]
+            assert np.allclose(design.mean, train.mean(axis=1), rtol=1e-12, atol=0.0)
+            assert np.allclose(design.sd, train.std(axis=1), rtol=1e-12, atol=0.0)
+            assert np.array_equal(design.sd, design.ridge_sd)
 
     @pytest.mark.parametrize("simulated_kind", ["univariate", "regression"])
     def test_classes_of_different_kinds_rejected_before_any_allocation(self, simulated_kind):
