@@ -1576,8 +1576,8 @@ class TestDataColumnFeatures:
         # ridge its own sds; the reference standardizes every fold on its
         # own.  The bound was fixed on seeds 0-4 (largest 2.4e-10, on the
         # constant feature) before seeds 5-9 were read (largest 6.1e-10);
-        # the heavy tail's point was placed on seeds 0-4 (1.3e-10) before
-        # its seeds 5-9 were read (1.7e-10).
+        # the heavy tail's point was placed on seeds 0-4 before its seeds
+        # 5-9 were read (largest 8.9e-12 and 2.4e-11).
         args, start = _ONE_DESIGN_CASES[case](seed)
         for start in [start] if start is not None else [None, cv_log_odds(*args)[1]]:
             vals, _ = cv_log_odds(*args, start=start)
