@@ -20,7 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .numerics import CountTable, RngStream, require_finite_fields, require_gaussian_scales
+from .numerics import (
+    CountTable, RngStream, _student_t_log_norm, require_finite_fields, require_gaussian_scales,
+)
 
 
 def _reject_covariates(like: Dataset | None) -> None:
@@ -265,11 +267,6 @@ class NIGRegressionPosterior:
         theta = g.normal(self.coef, np.sqrt(sigma_sq / self.coef_precision))
         y = theta * x + g.normal(0.0, np.sqrt(sigma_sq))
         return Dataset(y, covariates=x)
-
-
-def _student_t_log_norm(df: float) -> float:
-    """ln G((df+1)/2) - ln G(df/2) - ln(df pi)/2, the log-normaliser of a unit-scale Student-t."""
-    return math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
 
 
 class _RegressionTerms:

@@ -130,8 +130,8 @@ def _training_counts(table: CountTable, fold_ids: np.ndarray, k: int) -> np.ndar
 
 
 def _non_finite_feature(
-    fm: FeatureMap, mean: np.ndarray, sd: np.ndarray, x: np.ndarray, y: np.ndarray | None,
-    counts: np.ndarray | None, m_obs: int, fold: int,
+    fm: FeatureMap, mean: np.ndarray, sd: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+    counts: np.ndarray | None, fold: int,
 ) -> ValueError:
     """The error of a fold whose standardization, ``mean`` and ``sd``, is not finite.
 
@@ -139,22 +139,21 @@ def _non_finite_feature(
     class whose training points make it so: a class whose own share of
     that moment's sum (of the feature's values for the mean, of their
     squared deviations from the mean for the sd) is not finite, or both
-    classes when only their total is not.  ``x`` and ``y`` are the fold's
-    columns, observed first, and ``counts`` the points each stands for
-    (one each when None).
+    classes when only their total is not.  ``rows`` are the raw (d, m)
+    features of the fold's training columns, ``labels`` their classes
+    (simulated = 1) and ``counts`` the points each stands for (one each
+    when None).
     """
     r = int(np.argmin(np.isfinite(mean) & np.isfinite(sd)))
     name = fm.transforms[r]
-    values = np.empty(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        _TRANSFORMS[name](x, y, values)
         if math.isfinite(mean[r]):
-            moment, value, terms = "sd", sd[r], np.square(values - mean[r])
+            moment, value, terms = "sd", sd[r], np.square(rows[r] - mean[r])
         else:
-            moment, value, terms = "mean", mean[r], values
+            moment, value, terms = "mean", mean[r], rows[r]
         if counts is not None:
             terms = terms * counts
-        shares = (terms[:m_obs].sum(), terms[m_obs:].sum())
+        shares = (terms[labels == 0.0].sum(), terms[labels == 1.0].sum())
     classes = [cls for cls, share in zip(("observed", "simulated"), shares) if not math.isfinite(share)]
     return ValueError(
         f"feature {name!r} of the {' and '.join(classes or ['observed', 'simulated'])} points "
@@ -202,19 +201,6 @@ def _fold_moments(rows: np.ndarray, runs: list[slice], deviations: np.ndarray) -
     sd = np.sqrt(pooled / total)
     lo, hi = np.where(own, np.inf, per_run(np.minimum)), np.where(own, -np.inf, per_run(np.maximum))
     return mean, np.where((sd > 0.0) & (lo.min(axis=1) < hi.max(axis=1)), sd, 1.0)
-
-
-def _far_from(mean: np.ndarray, sd: np.ndarray, b: int) -> np.ndarray:
-    """Which folds' (k, d) moments are far from fold ``b``'s, as a basis to fit them on.
-
-    A fold is far when, for some feature, its mean is more than 10 of its
-    sds from fold b's, or its sd is more than 10 times or under a tenth
-    of fold b's.  On such a basis its standardized features would be
-    nearly constant or nearly all in one point, and its Newton steps
-    would lose the digits that a basis close to its own keeps.
-    """
-    ratio = sd / sd[b]
-    return ((np.abs(mean - mean[b]) > 10.0 * sd) | (ratio > 10.0) | (ratio < 0.1)).any(axis=1)
 
 
 def _fit_folds(
@@ -272,12 +258,12 @@ def _fit_point_folds(
     is swapped with the last columns, which all belong to fold j-1 as
     runs never grow with j, so its design is the prefix that leaves its
     run out.  The labels move along in one vector.  The rows are
-    standardized in place by fold 0's moments, the basis that the later
-    folds are fitted on until one whose moments are far from it
-    (``_far_from``), as a point far out in one fold's run makes them,
-    standardizes them by its own.  A fold's ``ridge_sd`` is its own sd,
-    so its penalized objective, as a function of its decision, is the
-    one on its own standardization.
+    standardized once, in place, on one basis that every fold is fitted
+    on: each feature takes the mean and sd of the fold whose sd of it is
+    least, the fold that holds out the point spreading it most, so a
+    point far out in one run crushes no fold's features.  A fold's
+    ``ridge_sd`` is its own sd, so its penalized objective, as a function
+    of its decision, is the one on its own standardization.
     """
     n, d = orders.size, len(fm.transforms)
     sizes = (_fold_sizes(n_obs, k), _fold_sizes(n - n_obs, k))
@@ -312,17 +298,18 @@ def _fit_point_folds(
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
-        train = _fold_of(orders, n_obs, k) != j
-        parts = (train[:n_obs], train[n_obs:])
-        x_fold = np.concatenate([x[f] for (x, _), f in zip(columns, parts)])
-        y_fold = np.concatenate([y[f] for (_, y), f in zip(columns, parts)]) if regression else None
-        raise _non_finite_feature(fm, mean[j], sd[j], x_fold, y_fold, None, n_obs - sizes[0][j], j)
+        held = run_columns[j]
+        raise _non_finite_feature(fm, mean[j], sd[j], np.delete(rows, held, axis=1), np.delete(labels, held), None, j)
 
+    least = sd.argmin(axis=0)
+    basis = mean[least, np.arange(d)], sd[least, np.arange(d)]
+    rows -= basis[0][:, None]
+    rows /= basis[1][:, None]
     # Each fold starts from the previous fold's function on raw features,
     # which fit_logistic maps through the basis, and which it drops when it
     # loses to beta = 0: near separation such a start stalls the line
-    # search.  The rows start as raw features, the basis (0, 1).
-    fits, basis, far = [], (np.zeros(d), np.ones(d)), np.ones(k, dtype=bool)
+    # search.
+    fits = []
     for j in range(k):
         m = n - runs[j]
         if j:
@@ -331,10 +318,6 @@ def _fit_point_folds(
                 np.copyto(scratch, row[held])
                 np.copyto(row[held], row[m:])
                 np.copyto(row[m:], scratch)
-        if far[j]:
-            rows -= ((mean[j] - basis[0]) / basis[1])[:, None]
-            rows /= (sd[j] / basis[1])[:, None]
-            basis, far = (mean[j], sd[j]), _far_from(mean, sd, j)
         fold = LabeledDesign(rows[:, :m].T, labels[:m], *basis, ridge_sd=sd[j])
         fits.append(fit_logistic(fold, ridge=ridge, start=start, workspace=workspace))
         start = fits[-1].decision
@@ -363,13 +346,14 @@ def _fit_count_folds(
     labels[u_obs:] = 1.0
     counts = np.hstack([_training_counts(table, f, k) for table, f in zip(tables, folds)])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
-        stack = _fold_stack(fm.fill(x, None, np.empty((len(fm.transforms), x.size))), labels, counts)
+        raw = fm.fill(x, None, np.empty((len(fm.transforms), x.size)))
+        stack = _fold_stack(raw, labels, counts)
     finite = np.isfinite(stack.mean).all(axis=1) & np.isfinite(stack.sd).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite))
         keep = np.flatnonzero(counts[j] > 0.0)
-        raise _non_finite_feature(fm, stack.mean[j], stack.sd[j], x[keep], None, counts[j, keep],
-                                  int(np.count_nonzero(keep < u_obs)), j)
+        raise _non_finite_feature(fm, stack.mean[j], stack.sd[j], raw[:, keep], labels[keep], counts[j, keep], j)
+    del raw  # the fits read only the stack
     return fit_logistic_folds(stack, ridge=ridge, start=start)
 
 
@@ -399,12 +383,12 @@ def cv_log_odds(
     Otherwise both are fitted on their points, one fold after another by
     ``fit_logistic``, each started from the previous fold's decision
     function and the first from ``start``.  Those folds are prefixes of
-    one design, standardized by fold 0's training moments (or, from a
-    fold whose moments are far from those, by that fold's), and each
-    fold's ridge is rescaled to its own sds, so that its fit is the one on
-    its own standardization up to rounding (at most 1e-9 of max(1, |value|)
-    per point on the tests' draws).  Either fit uses a start only when it
-    beats beta = 0.
+    one design, standardized once, each feature by the training moments
+    of the fold whose sd of it is least, and each fold's ridge is rescaled
+    to its own sds, so that its fit is the one on its own standardization
+    up to rounding (at most 1e-9 of max(1, |value|) per point on the
+    tests' draws, far points included).  Either fit uses a start only when
+    it beats beta = 0.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -79,6 +79,11 @@ def log_gamma(x):
     return _LGAMMA(arr).astype(float)
 
 
+def _student_t_log_norm(df: float) -> float:
+    """ln G((df+1)/2) - ln G(df/2) - ln(df pi)/2, the log-normaliser of a unit-scale Student-t."""
+    return math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+
+
 def log_beta(a, b):
     """ln B(a, b) = ln G(a) + ln G(b) - ln G(a+b)."""
     return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a, float) + np.asarray(b, float))

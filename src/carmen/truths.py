@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import Dataset
 from .numerics import (
-    CountTable, RngStream, log_beta, log_gamma, normal_cdf, require_finite_fields, require_gaussian_scales,
+    CountTable, RngStream, _student_t_log_norm, log_beta, log_gamma, normal_cdf, require_finite_fields,
+    require_gaussian_scales,
 )
 
 
@@ -147,11 +148,7 @@ class TNoiseRegressionTruth:
     def logpdf(self, data: Dataset) -> np.ndarray:
         z = (data.values - _covariates(data)) / self.scale
         df = self.df
-        return (
-            log_gamma(0.5 * (df + 1.0)) - log_gamma(0.5 * df)
-            - 0.5 * math.log(df * math.pi) - math.log(self.scale)
-            - 0.5 * (df + 1.0) * np.log1p(z * z / df)
-        )
+        return _student_t_log_norm(df) - math.log(self.scale) - 0.5 * (df + 1.0) * np.log1p(z * z / df)
 
 
 @dataclass(frozen=True)

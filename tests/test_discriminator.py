@@ -9,7 +9,7 @@ import pytest
 
 import carmen.discriminator
 import carmen.logistic
-from carmen.cli import ScenarioConfig, run_scenario
+from carmen.cli import _PRESETS, ScenarioConfig, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
 from carmen.discriminator import _LN_CLAMP, _TRANSFORMS, FeatureMap, _count_table, cv_log_odds
@@ -712,12 +712,13 @@ class TestLogOdds:
         assert np.max(np.abs(base - rescaled)) < 1e-6
 
 
-def _grid_level_draw(scenario: str, seed: int, level: int):
+def _grid_level_draw(scenario: str, seed: int, level: int, **custom):
     """t and the ``cv_log_odds`` arguments of one grid level of a full-curve run.
 
-    The data are drawn as ``run_scenario`` and ``curve()`` draw them.
+    The data are drawn as ``run_scenario`` and ``curve()`` draw them;
+    ``custom`` holds a custom scenario's fields.
     """
-    cfg = ScenarioConfig(scenario=scenario, seed=seed, full_curve=True)
+    cfg = ScenarioConfig(scenario=scenario, seed=seed, full_curve=True, **custom)
     binding = cfg.binding()
     rng = RngStream(cfg.seed)
     data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
@@ -866,10 +867,11 @@ class TestCvLogOdds:
         folds_obs = _fold_indices(n_obs, k, fold_rng)
         folds_sim = _fold_indices(n_sim, k, fold_rng)
         held_out = np.zeros(n_obs + n_sim, dtype=int)
-        # Every fold's features are standardized by fold 0's moments, the
-        # same arrays, and each is a prefix of one (d+1, n) design.
+        # Every fold's features are standardized by one basis, the same
+        # arrays, and each is a prefix of one (d+1, n) design.
         mu, sd = fits[0].design.mean, fits[0].design.sd
         design = fits[0].workspace.design(n_obs + n_sim)
+        means, sds = [], []
         for j, record in enumerate(fits):
             assert record.design.mean is mu and record.design.sd is sd
             feats = record.design.features
@@ -879,12 +881,11 @@ class TestCvLogOdds:
             train[n_obs + folds_sim[j]] = False
             held_out[~train] += 1
             at_fit = record.snapshot
-            if j == 0:
-                assert np.allclose(mu, raw[train].mean(axis=0), rtol=1e-12, atol=1e-12)
-                assert sd[0] == 1.0 and np.allclose(sd[1:], raw[train][:, 1:].std(axis=0), rtol=1e-12, atol=0.0)
             # The fold's own sd sets its ridge; abs_y's is 0, kept as 1.
             own = np.where(np.arange(3) == 0, 1.0, raw[train].std(axis=0))
             assert np.allclose(at_fit.ridge_sd, own, rtol=1e-12, atol=0.0)
+            means.append(raw[train].mean(axis=0))
+            sds.append(own)
             # Its columns are its training points, in some order, with their labels.
             got = np.column_stack([at_fit.labels, at_fit.features])
             want = np.column_stack([labels[train], (raw[train] - mu) / sd])
@@ -892,6 +893,10 @@ class TestCvLogOdds:
             assert np.array_equal(got, want)
             assert not at_fit.features[:, 0].any()
         assert np.array_equal(held_out, np.ones(n_obs + n_sim, dtype=int))
+        # The basis is each feature's moments on the fold whose sd of it is least.
+        least = np.argmin(sds, axis=0)
+        assert np.allclose(mu, np.array(means)[least, np.arange(3)], rtol=1e-12, atol=1e-12)
+        assert sd[0] == 1.0 and np.allclose(sd, np.array(sds)[least, np.arange(3)], rtol=1e-12, atol=0.0)
 
     def test_fold_ids_are_the_array_split_folds(self):
         for n, k in [(10, 2), (97, 5), (103, 10), (1000, 10), (11, 11)]:
@@ -1419,9 +1424,9 @@ class TestNonFiniteFeatures:
             cv_log_odds(data["observed"], data["simulated"], FeatureMap(("x", "x4")), 5, 1e-6, RngStream(113))
 
     def test_overflow_held_out_of_fold_0_names_fold_1(self):
-        # One observed point of 1e80, held out of fold 0: fold 0's moments,
-        # the basis every fold is standardized by, are finite, and fold 1,
-        # the first fold to train on that point, is named.
+        # One observed point of 1e80, held out of fold 0: fold 0's moments
+        # are finite, and fold 1, the first fold to train on that point, is
+        # named.
         g = RngStream(116).generator()
         observed, simulated = g.normal(size=60), g.normal(size=60)
         observed[int(np.argmax(fold_ids(60, 5, RngStream(117).generator()) == 0))] = 1e80
@@ -1489,19 +1494,36 @@ def _losing_start_draw(seed: int) -> tuple:
     return args, DecisionFunction(-decision.intercept, -decision.weights)
 
 
-def _heavy_tail_draw(seed: int) -> tuple:
-    """The unequal-folds sizes with one observed x of 100, held out by fold 3, on x, x2 and x4 under ridge 1.
+def _heavy_tail_draw(seed: int, far: float = 100.0) -> tuple:
+    """The unequal-folds sizes with one observed x of ``far``, held out by fold 3, on x, x2 and x4 under ridge 1.
 
-    That point's x4 of 1e8 sets fold 0's mean of x4, the shared basis,
-    some 1e4 of fold 3's own sds away from fold 3's mean: an sd taken as
-    a difference of squares about the basis keeps about half its digits
-    there, and a ridge of 1 carries that error into fold 3's values.
+    That point's x4, 1e8 at x = 100 and 1e24 at x = 1e6, puts the mean of
+    x4 on the six folds that train on it some 1e4 to 1e20 of fold 3's own
+    sds from fold 3's mean.  An sd taken as a difference of squares about
+    another fold's mean keeps about half its digits there, and a basis
+    that the point moves crushes fold 3's features toward a constant, so
+    a ridge of 1 carries either error into fold 3's values.
     """
     g = RngStream(340 + seed).generator()
     obs, sim = g.normal(size=303), g.normal(0.4, 1.3, 297)
     rng = RngStream(350 + seed)
-    obs[int(np.argmax(fold_ids(303, 7, rng.generator()) == 3))] = 100.0
+    obs[int(np.argmax(fold_ids(303, 7, rng.generator()) == 3))] = far
     return (Dataset(obs), Dataset(sim), FeatureMap(("x", "x2", "x4")), 7, 1.0, rng), None
+
+
+def _far_in_both_classes_draw(seed: int) -> tuple:
+    """The heavy-tail draw with an observed x of 1e4 and a simulated x of -1e4, both held out by fold 3."""
+    (obs, sim, fm, k, ridge, rng), _ = _heavy_tail_draw(seed, 1e4)
+    g = rng.generator()
+    fold_ids(303, k, g)  # the observed class's folds, drawn first
+    values = sim.values.copy()
+    values[int(np.argmax(fold_ids(297, k, g) == 3))] = -1e4
+    return (obs, Dataset(values), fm, k, ridge, rng), None
+
+
+# reg-tnoise's scenario with Student-t noise of 0.3 degrees of freedom,
+# whose heaviest tails put a few points many orders of magnitude out.
+_TNOISE_DF_03 = dict(_PRESETS["reg-tnoise"], truth_params=dict(df=0.3, scale=1.22))
 
 
 _ONE_DESIGN_CASES = {
@@ -1510,6 +1532,11 @@ _ONE_DESIGN_CASES = {
     "near-separable": lambda seed: (_grid_level_draw("reg-sigmoid", seed, 23)[1], None),
     "losing-start": _losing_start_draw,
     "heavy-tail": _heavy_tail_draw,
+    "heavy-tail-1e3": lambda seed: _heavy_tail_draw(seed, 1e3),
+    "heavy-tail-1e4": lambda seed: _heavy_tail_draw(seed, 1e4),
+    "heavy-tail-1e6": lambda seed: _heavy_tail_draw(seed, 1e6),
+    "far-in-both-classes": _far_in_both_classes_draw,
+    "tnoise-df-0.3": lambda seed: (_grid_level_draw("custom", seed, 10, **_TNOISE_DF_03)[1], None),
 }
 
 
@@ -1572,35 +1599,41 @@ class TestDataColumnFeatures:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("case", list(_ONE_DESIGN_CASES))
     def test_one_design_equals_per_fold_reference(self, case, seed):
-        # The point path standardizes once per call and gives each fold's
-        # ridge its own sds; the reference standardizes every fold on its
-        # own.  The bound was fixed on seeds 0-4 (largest 2.4e-10, on the
-        # constant feature) before seeds 5-9 were read (largest 6.1e-10);
-        # the heavy tail's point was placed on seeds 0-4 before its seeds
-        # 5-9 were read (largest 8.9e-12 and 2.4e-11).
+        # The point path standardizes once per call, on the least-spread
+        # fold's moments, and gives each fold's ridge its own sds; the
+        # reference standardizes every fold on its own.  The bound was
+        # fixed on seeds 0-4 (largest 2.4e-10, on the constant feature)
+        # before seeds 5-9 were read (largest 6.1e-10).  The far points
+        # read at most 4.3e-14 and the df = 0.3 level 1.5e-10 (seeds 0-9);
+        # a basis that one far point moves fails them.
         args, start = _ONE_DESIGN_CASES[case](seed)
         for start in [start] if start is not None else [None, cv_log_odds(*args)[1]]:
             vals, _ = cv_log_odds(*args, start=start)
             ref, _ = raw_block_cv(*args, start=start)
             _assert_within_one_design_bound(vals, ref)
 
-    def test_fold_far_from_the_basis_is_standardized_by_its_own_moments(self, fits):
-        # The heavy tail's point, held out by fold 3, puts fold 0's mean of
-        # x4 far from fold 3's: fold 3 restandardizes the design by its own
-        # moments, and fold 4, which trains on the point again, by its own.
+    def test_every_fold_is_fitted_on_the_least_spread_folds_moments(self, fits):
+        # The heavy tail's point, held out by fold 3, spreads every feature
+        # of the folds that train on it: each feature's basis is fold 3's
+        # training moments, all seven folds share that one pair, and each
+        # fold's ridge_sd is its own training sd.
         args, _ = _heavy_tail_draw(0)
         cv_log_odds(*args)
         assert len(fits) == 7
-        shared = [fits[j].design.mean is fits[j - 1].design.mean for j in range(1, 7)]
-        assert shared == [True, True, False, False, True, True]
+        mean, sd = fits[0].design.mean, fits[0].design.sd
+        assert all(fit.design.mean is mean and fit.design.sd is sd for fit in fits)
         raw = np.hstack([raw_features(args[2], data) for data in args[:2]])
         g = args[5].generator()
         fold_of = np.concatenate([fold_ids(303, 7, g), fold_ids(297, 7, g)])
-        for j in (0, 3, 4):
-            design, train = fits[j].design, raw[:, fold_of != j]
-            assert np.allclose(design.mean, train.mean(axis=1), rtol=1e-12, atol=0.0)
-            assert np.allclose(design.sd, train.std(axis=1), rtol=1e-12, atol=0.0)
-            assert np.array_equal(design.sd, design.ridge_sd)
+        train_mean = np.array([raw[:, fold_of != j].mean(axis=1) for j in range(7)])
+        train_sd = np.array([raw[:, fold_of != j].std(axis=1) for j in range(7)])
+        least = train_sd.argmin(axis=0)
+        assert least.tolist() == [3, 3, 3]
+        features = np.arange(3)
+        assert np.allclose(mean, train_mean[least, features], rtol=1e-12, atol=0.0)
+        assert np.allclose(sd, train_sd[least, features], rtol=1e-12, atol=0.0)
+        for j, fit in enumerate(fits):
+            assert np.allclose(fit.design.ridge_sd, train_sd[j], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("simulated_kind", ["univariate", "regression"])
     def test_classes_of_different_kinds_rejected_before_any_allocation(self, simulated_kind):
