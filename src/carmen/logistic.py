@@ -91,21 +91,31 @@ def _fold_stack(raw: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> Fold
     return FoldStack(design, labels, counts, mean, sd)
 
 
-def _softplus_sigmoid(eta: np.ndarray, soft: np.ndarray, sig: np.ndarray) -> None:
-    """ln(1 + e^eta) and the sigmoid 1 / (1 + e^-eta), without overflow, written into ``soft`` and ``sig``.
+def _softplus_sigmoid(eta: np.ndarray, y: np.ndarray, soft: np.ndarray, sig: np.ndarray) -> None:
+    """ln(1 + e^z) for z = (1 - 2y) eta, and the sigmoid of eta, without overflow, written into ``soft`` and ``sig``.
 
-    The softplus is ``max(eta, 0) + log1p(e^-|eta|)``, where e^-|eta| <= 1,
-    and the sigmoid is ``exp(eta - softplus)``.  An exponential below
-    about e^-708 is subnormal or zero, which is its correctly rounded
-    value, so callers run this with underflow ignored.
+    For a label y of 0 or 1, -ln(1 + e^z) = y eta - ln(1 + e^eta) is a
+    point's log-likelihood.  The softplus of z is ``max(z, 0) +
+    log1p(e^-|eta|)``, where |z| = |eta|, e^-|eta| <= 1 and max(z, 0) =
+    max(eta, 0) - y eta exactly: two nonnegative terms, so a sum of them
+    over points keeps the digits of each, where ``y @ eta - sum of
+    softplus(eta)``, the difference of two sums that near separation are
+    far larger than it, would not.  The sigmoid is ``exp((1 - y) eta -
+    softplus)``.  At y = 0 both are eta's own.  An exponential below about
+    e^-708 is subnormal or zero, which is its correctly rounded value, so
+    callers run this with underflow ignored.
     """
+    np.multiply(y, eta, out=soft)
+    np.maximum(eta, 0.0, out=sig)
+    np.subtract(sig, soft, out=sig)
     np.abs(eta, out=soft)
     np.negative(soft, out=soft)
     np.exp(soft, out=soft)
     np.log1p(soft, out=soft)
-    np.maximum(eta, 0.0, out=sig)
     np.add(sig, soft, out=soft)
-    np.subtract(eta, soft, out=sig)
+    np.multiply(y, eta, out=sig)
+    np.subtract(eta, sig, out=sig)
+    np.subtract(sig, soft, out=sig)
     np.exp(sig, out=sig)
 
 
@@ -124,9 +134,9 @@ class IrlsWorkspace:
     writes only its own n columns.  It overwrites the rest of the
     workspace, so a caller may use ``vectors(n)`` until the fit starts.
     The fit keeps four length-n vectors: the linear predictor, the
-    candidate one, the softplus and the sigmoid.  The weighted design
-    holds one block of at most ``block`` = min(capacity, GRAM_BLOCK)
-    columns.
+    candidate one, each point's softplus term and the sigmoid.  The
+    weighted design holds one block of at most ``block`` =
+    min(capacity, GRAM_BLOCK) columns.
     """
 
     def __init__(self, d: int, capacity: int, columns: int | None = None) -> None:
@@ -190,7 +200,9 @@ class LogisticFit:
         object.__setattr__(self, "decision", DecisionFunction.of(self, mean, sd))
 
 
-@np.errstate(under="ignore")  # see _softplus_sigmoid
+# Underflow: see _softplus_sigmoid.  Overflow: a penalty lam |w|^2 beyond
+# the float range is an objective of -inf, which no start or step can beat.
+@np.errstate(under="ignore", over="ignore")
 def fit_logistic(
     design: LabeledDesign,
     ridge: float = DEFAULT_RIDGE,
@@ -266,26 +278,26 @@ def fit_logistic(
         cols = slice(lo, min(lo + workspace.block, n))
         weighted = workspace.weighted(cols.stop - lo)
         blocks.append((cols, weighted, weighted[1 : d + 1], AT[1:, cols], AT[:, cols].T, y[cols]))
-    # Each weight's share of the ridge; a scale of ones leaves every
-    # product with it bit for bit the plain ridge's.
+    # Each weight's share of the ridge, and each weight's penalty, formed
+    # again only when the ridge is bumped.
     scale = np.ones(d) if design.ridge_sd is None else np.square(design.ridge_sd / design.sd)
     lam = float(ridge)
     penalty = lam * scale
 
-    def value(eta: np.ndarray, b: np.ndarray) -> float:
-        """Penalized log-likelihood at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
-        return float(y @ eta - soft.sum()) - 0.5 * lam * float(b[1:] @ (scale * b[1:]))
+    def value(b: np.ndarray) -> float:
+        """Penalized log-likelihood at ``b``, given each point's softplus term in ``soft``."""
+        return -float(soft.sum()) - 0.5 * float(b[1:] @ (penalty * b[1:]))
 
     def objective(eta: np.ndarray, b: np.ndarray, sig: np.ndarray) -> float:
-        """``value`` at eta, writing the sigmoid of eta into ``sig``."""
-        _softplus_sigmoid(eta, soft, sig)
-        return value(eta, b)
+        """``value`` at ``b``, whose linear predictor is ``eta``, writing the sigmoid of eta into ``sig``."""
+        _softplus_sigmoid(eta, y, soft, sig)
+        return value(b)
 
     # At beta = 0, softplus(0) = ln 2 and sigmoid(0) = 1/2 exactly.
     beta = np.zeros(d + 1)
     eta.fill(0.0)
     soft.fill(_LN2)
-    obj = value(eta, beta)
+    obj = value(beta)
     if start is not None:
         if start.weights.shape != (d,):
             raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
@@ -372,18 +384,15 @@ def fit_logistic(
     )
 
 
-# Underflow: see _softplus_sigmoid.  Overflow: a penalty lam |w|^2 beyond
-# the float range is an objective of -inf, which no start or step can
-# beat, as in fit_logistic, whose penalty is a Python float.
-@np.errstate(under="ignore", over="ignore")
+@np.errstate(under="ignore", over="ignore")  # as fit_logistic
 def fit_logistic_folds(
     stack: FoldStack, ridge: float = DEFAULT_RIDGE, start: DecisionFunction | None = None
 ) -> list[LogisticFit]:
     """``fit_logistic`` on each fold of ``stack``, all k folds in one IRLS loop.
 
     Column u enters fold j's log-likelihood ``counts[j, u]`` times, so a
-    fold fits as its points would: the log-likelihood is sum c (y eta -
-    softplus eta), the gradient sum c (y - p) a, the Hessian sum
+    fold fits as its points would: the log-likelihood is -sum c softplus(z),
+    z = (1 - 2y) eta, the gradient sum c (y - p) a, the Hessian sum
     c p (1 - p) a a^T, and the decrement stop's n is the fold's points,
     sum c.  Each fold keeps ``fit_logistic``'s rules on its own: it starts
     from ``start``, mapped through its own standardization, only when that
@@ -429,16 +438,15 @@ def fit_logistic_folds(
     weighted = np.empty((k, d + 2, u))
     objectives = np.empty((MAX_ITER + 1, k))  # row i: each fold's objective after i line-searched steps
 
-    def value(eta: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Penalized log-likelihoods at ``eta = b @ AT``, given the softplus of eta in ``soft``."""
-        return (np.einsum("ij,ij->i", cy, eta) - np.einsum("ij,ij->i", c, soft)
-                - 0.5 * lam * np.einsum("ij,ij->i", b[:, 1:], b[:, 1:]))
+    def value(b: np.ndarray) -> np.ndarray:
+        """Penalized log-likelihoods at ``b``, given each column's softplus term in ``soft``."""
+        return -np.einsum("ij,ij->i", c, soft) - 0.5 * lam * np.einsum("ij,ij->i", b[:, 1:], b[:, 1:])
 
     # At beta = 0, softplus(0) = ln 2 and sigmoid(0) = 1/2 exactly.
     eta.fill(0.0)
     soft.fill(_LN2)
     p.fill(0.5)
-    obj = value(eta, beta)
+    obj = value(beta)
     if start is not None:
         if start.weights.shape != (d,):
             raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
@@ -450,8 +458,8 @@ def fit_logistic_folds(
         starts[:, 0] = start.intercept + np.einsum("ij,j->i", stack.mean, start.weights)
         np.multiply(start.weights, stack.sd, out=starts[:, 1:])
         np.matmul(starts[:, None, :], AT, out=cand_eta[:, None, :])
-        _softplus_sigmoid(cand_eta, soft, p)
-        start_obj = value(cand_eta, starts)
+        _softplus_sigmoid(cand_eta, y, soft, p)
+        start_obj = value(starts)
         taken = start_obj > obj
         beta[taken] = starts[taken]
         np.copyto(obj, start_obj, where=taken)
@@ -520,8 +528,8 @@ def fit_logistic_folds(
             # (step delta) @ A: step is a power of two, so bit for bit step (delta @ A).
             np.matmul(scaled[:, None, :], AT, out=cand_eta[:, None, :])
             np.add(eta, cand_eta, out=cand_eta)
-            _softplus_sigmoid(cand_eta, soft, p)
-            cand_obj = value(cand_eta, cand)
+            _softplus_sigmoid(cand_eta, y, soft, p)
+            cand_obj = value(cand)
             accepted = (cand_obj >= floor) | ~stepping
             if accepted.all():
                 break

@@ -277,6 +277,22 @@ _WRITER_CASES = {
     "ridge-1e300": ScenarioConfig(scenario="poisson-betabinom", seed=3, n_update=4, n_validate=4, folds=2,
                                   ridge=1e300, full_curve=True),
     "custom": _CUSTOM,
+    # 1,003 points per class in 7 folds of 144 or 143: the point path swaps
+    # runs of unequal sizes.
+    "unequal-folds": ScenarioConfig(scenario="reg-sigmoid", seed=2, n_validate=1003, folds=7, full_curve=True,
+                                    reverse_kl=True),
+    # Student-t noise of 0.3 degrees of freedom puts a few responses many
+    # orders of magnitude out, so single points spread the folds that train
+    # on them far beyond the folds that hold them out.
+    "heavy-tail": ScenarioConfig(scenario="custom", seed=1, full_curve=True, reverse_kl=True,
+                                 **dict(_PRESETS["reg-tnoise"], truth_params=dict(df=0.3, scale=1.22))),
+    # Counts near 1e12 are too sparse for a dense table of cumulative logs,
+    # so their levels are scored through log_gamma.
+    "counts-near-1e12": ScenarioConfig(scenario="custom", seed=1, model_family="poisson-gamma",
+                                       model_params=dict(shape=3.0, rate=0.05), truth_family="negbinom",
+                                       truth_params=dict(r=1e6, p=0.999999), features=("x", "x2", "x3", "x4")),
+    "golden-sizes": ScenarioConfig(scenario="reg-sigmoid", seed=17, n_update=140, n_validate=140, folds=5,
+                                   grid_lo=1e-7, grid_hi=1.0, grid_count=8, full_curve=True, reverse_kl=True),
 }
 
 
@@ -287,6 +303,8 @@ class TestSummaryWriter:
         json_path, _ = emit_outputs(result, tmp_path)
         doc = _load_dumped(json_path)
         assert doc["curve"] == [_strict(dataclasses.asdict(p)) for p in result.curve.points]
+        # The pair is written through temporaries renamed over it, and none is left.
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["curve.csv", "summary.json"]
 
     def test_non_finite_and_missing_curve_values(self, tmp_path):
         res = run_scenario(ScenarioConfig(scenario="gauss-gauss", seed=3, full_curve=True, **FAST))

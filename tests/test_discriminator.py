@@ -9,6 +9,7 @@ import pytest
 
 import carmen.discriminator
 import carmen.logistic
+import carmen.ratio
 from carmen.cli import _PRESETS, ScenarioConfig, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
@@ -144,9 +145,9 @@ class TestFeatureMap:
 
 
 def _softplus_and_sigmoid(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The softplus and sigmoid that ``_softplus_sigmoid`` writes for ``eta``."""
+    """The softplus and sigmoid that ``_softplus_sigmoid`` writes for ``eta`` at label 0, where z = eta."""
     soft, sig = np.empty_like(eta), np.empty_like(eta)
-    _softplus_sigmoid(eta, soft, sig)
+    _softplus_sigmoid(eta, np.zeros_like(eta), soft, sig)
     return soft, sig
 
 
@@ -188,7 +189,7 @@ class TestSoftplusSigmoid:
             feats = RngStream(96).generator().normal(size=(n, 2))
             monkeypatch.setattr(carmen.logistic, "MAX_ITER", 1)
             fit = fit_logistic(LabeledDesign(feats, labels, np.zeros(2), np.ones(2)))
-            evaluated = float(labels @ np.zeros(n) - soft.sum()) - 0.5 * 1e-6 * 0.0
+            evaluated = -float(soft.sum())  # less a ridge term of 0 at beta = 0
             assert np.float64(fit.objective_path[0]).tobytes() == np.float64(evaluated).tobytes()
 
 
@@ -340,13 +341,15 @@ class TestConvergence:
         ids=["points", "folds"],
     )
     def test_line_search_that_gives_up_is_not_converged(self, monkeypatch, fit_all):
-        # Every evaluated objective falls by n (a fold's points) below the
-        # zero start's, so no halving of the first step is accepted, and
-        # every fold stops where it started.
+        # The objective is minus the sum of the per-point softplus terms
+        # that _softplus_sigmoid writes; raised by 1 there, every evaluated
+        # objective falls by n (a fold's points) below the zero start's,
+        # which is filled, not evaluated, so no halving of the first step is
+        # accepted, and every fold stops where it started.
         softplus_sigmoid = carmen.logistic._softplus_sigmoid
 
-        def raised(eta, soft, sig):
-            softplus_sigmoid(eta, soft, sig)
+        def raised(eta, y, soft, sig):
+            softplus_sigmoid(eta, y, soft, sig)
             soft += 1.0
 
         monkeypatch.setattr(carmen.logistic, "_softplus_sigmoid", raised)
@@ -1610,6 +1613,32 @@ class TestDataColumnFeatures:
         for start in [start] if start is not None else [None, cv_log_odds(*args)[1]]:
             vals, _ = cv_log_odds(*args, start=start)
             ref, _ = raw_block_cv(*args, start=start)
+            _assert_within_one_design_bound(vals, ref)
+
+    def test_heavy_tail_chain_converges_where_rounding_stalled_it(self, fits, monkeypatch):
+        # Seed 6 of the df = 0.3 scenario's full-curve chain: near
+        # separation, a fold's log-likelihood is some -14 nats.  Formed as
+        # the difference of two sums near 4e5, it rounds by more than the
+        # line search's allowance, and fold 9 of level 38, fold 9 of level
+        # 45 and fold 3 of level 49 stop unconverged.  As a sum of
+        # like-signed per-point terms every fit of the run converges, and
+        # those levels, from the starts the chain carried into them, agree
+        # with the per-fold reference.
+        calls = []
+        cv = carmen.ratio.cv_log_odds
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return cv(*args, **kwargs)
+
+        monkeypatch.setattr(carmen.ratio, "cv_log_odds", recording)
+        run_scenario(ScenarioConfig(scenario="custom", seed=6, full_curve=True, **_TNOISE_DF_03))
+        assert len(calls) == 51 and len(fits) == 510
+        assert all(record.fit.converged for record in fits)
+        for level in (38, 45, 49):
+            args, kwargs = calls[level]
+            vals, _ = cv(*args, **kwargs)
+            ref, _ = raw_block_cv(*args, **kwargs)
             _assert_within_one_design_bound(vals, ref)
 
     def test_every_fold_is_fitted_on_the_least_spread_folds_moments(self, fits):

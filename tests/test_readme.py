@@ -6,7 +6,8 @@ import re
 from pathlib import Path
 
 import carmen
-from carmen.cli import SCENARIOS, ScenarioConfig, _build_parser, emit_outputs, load_config_file, run_scenario
+from carmen.cli import SCENARIOS, ScenarioConfig, _build_parser, emit_outputs, load_config_file, main, run_scenario
+from test_cli import _load_dumped
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,6 +57,17 @@ def test_custom_scenario_block_loads_and_binds(tmp_path):
     assert cfg.scenario == "custom" and cfg.features
     binding = cfg.binding()
     assert (binding.model.kind, binding.truth.kind) == ("real", "real")
+
+
+def test_custom_scenario_block_runs_through_config(tmp_path):
+    # As `carmen run --scenario custom --config <the block>`: the run writes
+    # summary.json as json.dumps(indent=2) writes it, and no temporary.
+    cfg_file = tmp_path / "custom.cfg"
+    cfg_file.write_text(_code_block_after("Custom scenarios use", "scenario = custom"))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "custom", "--config", str(cfg_file), "--out", str(out)]) == 0
+    _load_dumped(out / "summary.json")
+    assert sorted(path.name for path in out.iterdir()) == ["curve.csv", "summary.json"]
 
 
 def test_preset_block_runs_gauss_gauss(tmp_path):
