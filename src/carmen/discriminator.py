@@ -17,10 +17,10 @@ import numpy as np
 from .data import Dataset
 from .logistic import (
     DecisionFunction,
+    FoldStack,
     IrlsWorkspace,
     LabeledDesign,
     LogisticFit,
-    _fold_stack,
     fit_logistic,
     fit_logistic_folds,
 )
@@ -129,36 +129,47 @@ def _training_counts(table: CountTable, fold_ids: np.ndarray, k: int) -> np.ndar
     return (held.sum(axis=0) - held).astype(float)
 
 
-def _non_finite_feature(
-    fm: FeatureMap, mean: np.ndarray, sd: np.ndarray, rows: np.ndarray, labels: np.ndarray,
-    counts: np.ndarray | None, fold: int,
-) -> ValueError:
-    """The error of a fold whose standardization, ``mean`` and ``sd``, is not finite.
+def _standardize_once(
+    fm: FeatureMap, rows: np.ndarray, labels: np.ndarray, mean: np.ndarray, sd: np.ndarray, weights,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardize the raw (d, n) ``rows`` in place on the one basis every fold is fitted on, and return it.
 
-    It names the first feature whose mean or sd is not finite, and the
-    class whose training points make it so: a class whose own share of
-    that moment's sum (of the feature's values for the mean, of their
+    ``mean`` and ``sd`` are the k folds' (k, d) training moments.  Each
+    feature takes the mean and sd of the fold whose sd of it is least,
+    the fold that holds out the point spreading it most, so a point far
+    out in one fold crushes no fold's features.  A fold whose moments are
+    not finite raises a ``ValueError`` naming the first such feature and
+    the class whose training points make it so: a class whose own share
+    of that moment's sum (of the feature's values for the mean, of their
     squared deviations from the mean for the sd) is not finite, or both
-    classes when only their total is not.  ``rows`` are the raw (d, m)
-    features of the fold's training columns, ``labels`` their classes
-    (simulated = 1) and ``counts`` the points each stands for (one each
-    when None).
+    classes when only their total is not.  ``labels`` are the columns'
+    classes (simulated = 1), and ``weights(j)`` fold j's training points
+    in each column.
     """
-    r = int(np.argmin(np.isfinite(mean) & np.isfinite(sd)))
-    name = fm.transforms[r]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if math.isfinite(mean[r]):
-            moment, value, terms = "sd", sd[r], np.square(rows[r] - mean[r])
-        else:
-            moment, value, terms = "mean", mean[r], rows[r]
-        if counts is not None:
-            terms = terms * counts
-        shares = (terms[labels == 0.0].sum(), terms[labels == 1.0].sum())
-    classes = [cls for cls, share in zip(("observed", "simulated"), shares) if not math.isfinite(share)]
-    return ValueError(
-        f"feature {name!r} of the {' and '.join(classes or ['observed', 'simulated'])} points "
-        f"has a non-finite {moment} ({value}) on the training points of fold {fold}"
-    )
+    finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        r = int(np.argmin(np.isfinite(mean[j]) & np.isfinite(sd[j])))
+        fold = weights(j)
+        keep = fold > 0.0
+        row, labels = rows[r, keep], labels[keep]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(mean[j, r]):
+                moment, value, terms = "sd", sd[j, r], np.square(row - mean[j, r])
+            else:
+                moment, value, terms = "mean", mean[j, r], row
+            terms = terms * fold[keep]
+            shares = (terms[labels == 0.0].sum(), terms[labels == 1.0].sum())
+        classes = [cls for cls, share in zip(("observed", "simulated"), shares) if not math.isfinite(share)]
+        raise ValueError(
+            f"feature {fm.transforms[r]!r} of the {' and '.join(classes or ['observed', 'simulated'])} points "
+            f"has a non-finite {moment} ({value}) on the training points of fold {j}"
+        )
+    least, features = sd.argmin(axis=0), np.arange(sd.shape[1])
+    basis = mean[least, features], sd[least, features]
+    rows -= basis[0][:, None]
+    rows /= basis[1][:, None]
+    return basis
 
 
 def _fold_moments(rows: np.ndarray, runs: list[slice], deviations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,10 +269,7 @@ def _fit_point_folds(
     is swapped with the last columns, which all belong to fold j-1 as
     runs never grow with j, so its design is the prefix that leaves its
     run out.  The labels move along in one vector.  The rows are
-    standardized once, in place, on one basis that every fold is fitted
-    on: each feature takes the mean and sd of the fold whose sd of it is
-    least, the fold that holds out the point spreading it most, so a
-    point far out in one run crushes no fold's features.  A fold's
+    standardized once, in place, by ``_standardize_once``.  A fold's
     ``ridge_sd`` is its own sd, so its penalized objective, as a function
     of its decision, is the one on its own standardization.
     """
@@ -295,16 +303,11 @@ def _fit_point_folds(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
         fm.fill(x_all, y_all if regression else None, rows)
         mean, sd = _fold_moments(rows, run_columns, x_all)
-    finite = np.isfinite(mean).all(axis=1) & np.isfinite(sd).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        held = run_columns[j]
-        raise _non_finite_feature(fm, mean[j], sd[j], np.delete(rows, held, axis=1), np.delete(labels, held), None, j)
 
-    least = sd.argmin(axis=0)
-    basis = mean[least, np.arange(d)], sd[least, np.arange(d)]
-    rows -= basis[0][:, None]
-    rows /= basis[1][:, None]
+    def training(j: int) -> np.ndarray:  # fold j's training points per column: none in its run
+        return np.r_[np.ones(first[j]), np.zeros(runs[j]), np.ones(n - first[j] - runs[j])]
+
+    basis = _standardize_once(fm, rows, labels, mean, sd, training)
     # Each fold starts from the previous fold's function on raw features,
     # which fit_logistic maps through the basis, and which it drops when it
     # loses to beta = 0: near separation such a start stalls the line
@@ -337,7 +340,11 @@ def _fit_count_folds(
     The columns are the observed class's distinct counts, then the
     simulated class's, and row j of the (k, U) count table holds fold j's
     training points per count, 0 where the fold holds all of that count's
-    points.  The features are computed once, on the U counts, and
+    points.  The features are computed once, on the U counts, into one
+    (d+1, U) design.  Fold j's moments are its points' mean and their sd
+    about it (a zero sd kept as 1), taken with the columns it lacks
+    zeroed, so that a feature not finite only there leaves them finite.
+    The rows are standardized by ``_standardize_once``, and
     ``fit_logistic_folds`` fits every fold from ``start``.
     """
     u_obs = tables[0].counts.size
@@ -345,16 +352,19 @@ def _fit_count_folds(
     labels = np.zeros(x.size)
     labels[u_obs:] = 1.0
     counts = np.hstack([_training_counts(table, f, k) for table, f in zip(tables, folds)])
+    design = np.empty((len(fm.transforms) + 1, x.size))
+    design[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
-        raw = fm.fill(x, None, np.empty((len(fm.transforms), x.size)))
-        stack = _fold_stack(raw, labels, counts)
-    finite = np.isfinite(stack.mean).all(axis=1) & np.isfinite(stack.sd).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        keep = np.flatnonzero(counts[j] > 0.0)
-        raise _non_finite_feature(fm, stack.mean[j], stack.sd[j], raw[:, keep], labels[keep], counts[j, keep], j)
-    del raw  # the fits read only the stack
-    return fit_logistic_folds(stack, ridge=ridge, start=start)
+        rows = fm.fill(x, None, design[1:])
+        present = np.where((counts > 0.0)[:, None, :], rows, 0.0)
+        total = counts.sum(axis=1)[:, None]
+        mean = np.einsum("kiu,ku->ki", present, counts) / total
+        present -= mean[:, :, None]
+        sd = np.sqrt(np.einsum("kiu,kiu,ku->ki", present, present, counts) / total)
+    del present
+    sd = np.where(sd > 0.0, sd, 1.0)
+    basis = _standardize_once(fm, rows, labels, mean, sd, counts.__getitem__)
+    return fit_logistic_folds(FoldStack(design, labels, counts, *basis, ridge_sd=sd), ridge=ridge, start=start)
 
 
 def cv_log_odds(
@@ -382,13 +392,13 @@ def cv_log_odds(
     by ``fit_logistic_folds``, and each starts from ``start`` when given.
     Otherwise both are fitted on their points, one fold after another by
     ``fit_logistic``, each started from the previous fold's decision
-    function and the first from ``start``.  Those folds are prefixes of
-    one design, standardized once, each feature by the training moments
-    of the fold whose sd of it is least, and each fold's ridge is rescaled
-    to its own sds, so that its fit is the one on its own standardization
-    up to rounding (at most 1e-9 of max(1, |value|) per point on the
-    tests' draws, far points included).  Either fit uses a start only when
-    it beats beta = 0.
+    function and the first from ``start``; those folds are prefixes of one
+    design.  Either way every fold is fitted on one standardization, each
+    feature's by the training moments of the fold whose sd of it is least,
+    and each fold's ridge is rescaled to its own sds, so that its fit is
+    the one on its own standardization up to rounding (at most 1e-9 of
+    max(1, |value|) per point on the tests' draws, far points included).
+    Either fit uses a start only when it beats beta = 0.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -3,7 +3,7 @@
 The fits behind :mod:`carmen.discriminator`'s cross-validation: a small
 ridge penalty on the weights, a Newton-decrement stop and a halving line
 search.  ``fit_logistic`` fits one design of points; ``fit_logistic_folds``
-fits a stack of k designs over shared, count-weighted columns in one loop.
+fits the k folds of one design of count-weighted columns in one loop.
 Both take a start and return each fit's function on raw features, a
 ``DecisionFunction``; a fit's coefficients are on its standardized ones.
 """
@@ -54,10 +54,11 @@ class FoldStack:
 
     Column u stands for ``counts[j, u]`` training points of fold j, all
     with that column's features and label ``labels[u]`` (simulated = 1);
-    a column with count 0 is absent from fold j.  ``design[j]`` is fold
-    j's (d+1, U) design: row 0 the intercept's ones, rows 1..d the
-    features standardized by the count-weighted moments of fold j's
-    points, ``mean[j]`` and ``sd[j]``.
+    a column with count 0 is absent from fold j.  ``design`` is the (d+1,
+    U) design every fold shares: row 0 the intercept's ones, rows 1..d
+    the features less ``mean``, over ``sd``.  ``ridge_sd[j]`` is the sd
+    of fold j's own points, by which its ridge measures each weight, as
+    ``LabeledDesign.ridge_sd`` does.
     """
 
     design: np.ndarray
@@ -65,30 +66,7 @@ class FoldStack:
     counts: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
-
-
-def _fold_stack(raw: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> FoldStack:
-    """Standardize the (d, U) raw features of U columns for each row of the (k, U) ``counts``.
-
-    Fold j's moments are those of its points: the mean, then the sd of
-    the centred rows (population divisor), a zero sd kept as 1.  A column
-    absent from a fold is zeroed there before its mean is taken, so a
-    feature that is not finite only on the columns a fold lacks leaves
-    that fold's moments finite.
-    """
-    k, u = counts.shape
-    design = np.empty((k, raw.shape[0] + 1, u))
-    design[:, 0] = 1.0
-    rows = design[:, 1:]
-    rows[...] = raw
-    np.copyto(rows, 0.0, where=(counts == 0.0)[:, None, :])
-    total = counts.sum(axis=1)[:, None]
-    mean = np.einsum("kiu,ku->ki", rows, counts) / total
-    rows -= mean[:, :, None]
-    sd = np.sqrt(np.einsum("kiu,kiu,ku->ki", rows, rows, counts) / total)
-    sd = np.where(sd > 0.0, sd, 1.0)
-    rows /= sd[:, :, None]
-    return FoldStack(design, labels, counts, mean, sd)
+    ridge_sd: np.ndarray
 
 
 def _softplus_sigmoid(eta: np.ndarray, y: np.ndarray, soft: np.ndarray, sig: np.ndarray) -> None:
@@ -394,15 +372,15 @@ def fit_logistic_folds(
     fold fits as its points would: the log-likelihood is -sum c softplus(z),
     z = (1 - 2y) eta, the gradient sum c (y - p) a, the Hessian sum
     c p (1 - p) a a^T, and the decrement stop's n is the fold's points,
-    sum c.  Each fold keeps ``fit_logistic``'s rules on its own: it starts
-    from ``start``, mapped through its own standardization, only when that
-    beats beta = 0; it stops at 0 <= lambda^2 <= n TOL^2; it halves its
-    step until the penalized objective falls by at most 1e-13 of its
-    magnitude, giving up after 30 halvings; on a singular system it
-    multiplies its own ridge by 10, up to three times; and it stops at
-    ``MAX_ITER`` steps.  Fold j's result is the ``LogisticFit`` on its
-    standardized features, its ``decision`` through ``mean[j]`` and
-    ``sd[j]``.
+    sum c.  Fold j penalizes weight i by ridge * (ridge_sd[j, i] / sd[i])^2,
+    ``fit_logistic``'s rule.  Each fold keeps ``fit_logistic``'s rules on
+    its own: it starts from ``start``, mapped through the stack's ``mean``
+    and ``sd``, only when that beats beta = 0; it stops at 0 <= lambda^2
+    <= n TOL^2; it halves its step until the penalized objective falls by
+    at most 1e-13 of its magnitude, giving up after 30 halvings; on a
+    singular system it multiplies its own ridge by 10, up to three times;
+    and it stops at ``MAX_ITER`` steps.  Fold j's result is the
+    ``LogisticFit`` on the stack's standardized features.
 
     Fold j keeps its state in row j of each array for the whole fit.  Each
     pass runs over all k rows: their weighted designs, one stacked product
@@ -416,7 +394,7 @@ def fit_logistic_folds(
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
     AT, c = stack.design, stack.counts
-    k, d, u = AT.shape[0], AT.shape[1] - 1, AT.shape[2]
+    k, d, u = len(c), AT.shape[0] - 1, AT.shape[1]
     y = stack.labels
     if y.shape != (u,) or not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError(f"stack needs one label, 0 or 1, per column, got shape {y.shape}")
@@ -429,7 +407,11 @@ def fit_logistic_folds(
     limit = points * TOL * TOL  # the decrement stop's bound
 
     beta = np.zeros((k, d + 1))
+    # Each weight's share of its fold's ridge, and each weight's penalty,
+    # formed again only when a fold's ridge is bumped.
+    scale = np.square(stack.ridge_sd / stack.sd)
     lam = np.full(k, float(ridge))
+    penalty = lam[:, None] * scale
     bumps, iterations = np.zeros((2, k), dtype=int)
     converged = np.zeros(k, dtype=bool)
     # p holds the sigmoid of eta until the step's Hessians are formed; the
@@ -440,7 +422,7 @@ def fit_logistic_folds(
 
     def value(b: np.ndarray) -> np.ndarray:
         """Penalized log-likelihoods at ``b``, given each column's softplus term in ``soft``."""
-        return -np.einsum("ij,ij->i", c, soft) - 0.5 * lam * np.einsum("ij,ij->i", b[:, 1:], b[:, 1:])
+        return -np.einsum("ij,ij->i", c, soft) - 0.5 * np.einsum("ij,ij->i", b[:, 1:], penalty * b[:, 1:])
 
     # At beta = 0, softplus(0) = ln 2 and sigmoid(0) = 1/2 exactly.
     eta.fill(0.0)
@@ -450,14 +432,10 @@ def fit_logistic_folds(
     if start is not None:
         if start.weights.shape != (d,):
             raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
-        # The start on each fold's standardized features.  The einsum sums
-        # each fold's row alone, so a fold's start does not depend on how
-        # many folds are fitted with it; ``stack.mean @ start.weights``
-        # rounds one fold (numpy's dot) unlike several (BLAS gemv).
-        starts = np.empty((k, d + 1))
-        starts[:, 0] = start.intercept + np.einsum("ij,j->i", stack.mean, start.weights)
-        np.multiply(start.weights, stack.sd, out=starts[:, 1:])
-        np.matmul(starts[:, None, :], AT, out=cand_eta[:, None, :])
+        # The start on the standardized features: one vector, and one eta for every fold.
+        starts = np.concatenate([[start.intercept + start.weights @ stack.mean], start.weights * stack.sd])
+        starts = np.tile(starts, (k, 1))
+        cand_eta[1:] = np.matmul(starts[0], AT, out=cand_eta[0])
         _softplus_sigmoid(cand_eta, y, soft, p)
         start_obj = value(starts)
         taken = start_obj > obj
@@ -480,13 +458,13 @@ def fit_logistic_folds(
         np.multiply(c, p, out=c_p)
         np.multiply(c_p, np.subtract(1.0, p, out=w), out=w)
         np.subtract(cy, c_p, out=weighted[:, d + 1])
-        np.einsum("kiu,ku->kiu", AT, w, out=weighted[:, : d + 1])
-        products = np.matmul(weighted, AT.transpose(0, 2, 1))
+        np.einsum("iu,ku->kiu", AT, w, out=weighted[:, : d + 1])
+        products = np.matmul(weighted, AT.T)
         hess, grad = products[:, : d + 1], products[:, d + 1]
-        grad[:, 1:] -= lam[:, None] * beta[:, 1:]
+        grad[:, 1:] -= penalty * beta[:, 1:]
         # Each product is C-contiguous, so its Hessian's weight diagonal is
         # every (d+2)-th element from d+2.
-        products.reshape(k, -1)[:, d + 2 : (d + 1) ** 2 : d + 2] += lam[:, None]
+        products.reshape(k, -1)[:, d + 2 : (d + 1) ** 2 : d + 2] += penalty
         # A stopped fold's system is the identity with a zero gradient, so a
         # fold that stopped singular does not fail every later stacked solve.
         hess[~live] = np.eye(d + 1)
@@ -509,6 +487,7 @@ def fit_logistic_folds(
             singular &= live
             bumps += singular
             lam[singular] = np.where(lam[singular] > 0.0, lam[singular] * 10.0, 1e-6)
+            penalty = lam[:, None] * scale
         # lambda^2 = grad @ delta per fold, as in fit_logistic.
         decrement = np.einsum("ij,ij->i", grad, delta)
         done = live & ~singular & (0.0 <= decrement) & (decrement <= limit)
@@ -553,8 +532,8 @@ def fit_logistic_folds(
             ridge=float(lam[j]),
             converged=bool(converged[j]),
             iterations=int(iterations[j]),
-            mean=stack.mean[j],
-            sd=stack.sd[j],
+            mean=stack.mean,
+            sd=stack.sd,
             objective_path=tuple(objectives[: paths[j], j].tolist()),
         )
         for j in range(k)

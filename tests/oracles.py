@@ -43,9 +43,9 @@ from carmen.data import Dataset
 from carmen.discriminator import FeatureMap, _count_table, _fold_of
 from carmen.logistic import (
     DecisionFunction,
+    FoldStack,
     LabeledDesign,
     LogisticFit,
-    _fold_stack,
     fit_logistic,
     fit_logistic_folds,
 )
@@ -336,6 +336,23 @@ def standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
     return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
 
 
+def counted_fold(raw: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> FoldStack:
+    """One fold of weighted columns on its own moments: the columns of the raw (d, U) ``raw`` with positive ``counts``.
+
+    Its mean is the count-weighted mean of those columns, its sd that of
+    their deviations from it (population divisor), a zero sd kept as 1,
+    and that sd is its ``ridge_sd``.
+    """
+    keep = np.flatnonzero(counts > 0.0)
+    block, weights = raw[:, keep], counts[keep]
+    mean = block @ weights / weights.sum()
+    centred = block - mean[:, None]
+    sd = np.sqrt(np.square(centred) @ weights / weights.sum())
+    sd = np.where(sd > 0.0, sd, 1.0)
+    design = np.vstack([np.ones(keep.size), centred / sd[:, None]])
+    return FoldStack(design, labels[keep], weights[None], mean, sd, sd[None])
+
+
 def raw_features(fm: FeatureMap, data: Dataset) -> np.ndarray:
     """The (d, n) raw features of ``data`` from ``FEATURE_EXPRESSIONS``, one row per transform."""
     x, y = (data.covariates, data.values) if data.is_regression else (data.values, None)
@@ -353,12 +370,13 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
 
     Both classes' features are computed for every point up front.  When
     both classes are whole counts, each keeps one column per distinct
-    count, read from one of its points, weighted per fold by its training
-    points, and all folds are fitted at once from ``start``.  Otherwise
-    each class keeps one column per point, and each fold's columns are
-    copied out of the block, standardized and fitted from the previous
-    fold's decision function.  Every point is scored by ``fold_scores``.
-    Returns the out-of-fold values and the last fold's decision function.
+    count, read from one of its points and weighted per fold by its
+    training points, and each fold is fitted alone from ``start`` on its
+    own columns' moments (``counted_fold``).  Otherwise each class keeps
+    one column per point, and each fold's columns are copied out of the
+    block, standardized and fitted from the previous fold's decision
+    function.  Every point is scored by ``fold_scores``.  Returns the
+    out-of-fold values and the last fold's decision function.
     """
     n_obs = len(observed)
     raw = np.hstack([raw_features(fm, observed), raw_features(fm, simulated)])
@@ -376,8 +394,9 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
             held = np.bincount(fold * u + table.inverse, minlength=k * u).reshape(k, u)
             train.append(held.sum(axis=0) - held)
             labels.append(np.full(u, label))
-        stack = _fold_stack(np.hstack(columns), np.concatenate(labels), np.hstack(train).astype(float))
-        fits = fit_logistic_folds(stack, ridge=ridge, start=start)
+        columns, labels = np.hstack(columns), np.concatenate(labels)
+        fits = [fit_logistic_folds(counted_fold(columns, labels, counts), ridge=ridge, start=start)[0]
+                for counts in np.hstack(train).astype(float)]
     else:
         labels = np.concatenate([np.zeros(n_obs), np.ones(len(simulated))])
         fits = []

@@ -206,15 +206,20 @@ class TestEmitOutputs:
         }
 
     def test_non_finite_values_written_as_csv_tokens(self, tmp_path):
-        # A ridge of 1e300 pins every fit at zero: the log ratios are all
-        # equal, so the t statistics are infinite.  summary.json must stay
-        # strict JSON and write each as the token curve.csv writes.
+        # A ridge of 1e300 pins every fit at zero: the log ratios are nearly
+        # all equal, so t statistics are infinite, and summary.json must stay
+        # strict JSON and write each as the token curve.csv writes.  On
+        # gauss-gauss seed 1 the log ratios at t* are about 1e-301, so their
+        # spread underflows to 0 and the test's statistic is inf; the tiny
+        # poisson-betabinom run's curve has both infinities.
+        gauss = tmp_path / "gauss"
+        assert main(["run", "--scenario", "gauss-gauss", "--seed", "1", "--ridge", "1e300", "--out", str(gauss)]) == 0
+        assert _load_strict(gauss / "summary.json")["test"]["statistic"] == "inf"
         out = tmp_path / "ridge"
         argv = ["run", "--scenario", "poisson-betabinom", "--seed", "3", "--n-update", "4",
                 "--n-validate", "4", "--folds", "2", "--ridge", "1e300", "--full-curve", "--out", str(out)]
         assert main(argv) == 0
         summary = _load_strict(out / "summary.json")
-        assert summary["test"]["statistic"] == "inf"
         lines = (out / "curve.csv").read_text().splitlines()
         tokens = [line.split(",")[4] for line in lines[1:]]
         assert {"inf", "-inf"} <= set(tokens)
