@@ -228,11 +228,11 @@ def _fit_folds(
 
     ``g`` permutes each class's points, the observed class first, and each
     permutation is cut into k near-equal runs, fold j's the j-th.  What
-    the fits share (count tables, labels, the IRLS workspace) is freed
-    before the held-out points are scored.  A fold whose feature means or
-    sds are not finite raises a ``ValueError`` naming the feature and the
-    class.  Two classes of whole counts go to ``_fit_count_folds``, any
-    other pair to ``_fit_point_folds``.
+    the fits share (count tables, labels, the design, the IRLS workspace)
+    is freed before the held-out points are scored.  A fold whose feature
+    means or sds are not finite raises a ``ValueError`` naming the feature
+    and the class.  Two classes of whole counts go to
+    ``_fit_count_folds``, any other pair to ``_fit_point_folds``.
     """
     n_obs = len(observed)
     orders = np.concatenate([g.permutation(n_obs), g.permutation(len(simulated))])
@@ -256,22 +256,22 @@ def _fit_point_folds(
 ) -> list[LogisticFit]:
     """``_fit_folds`` for classes fitted on their points: each fold on a prefix of one design, in order.
 
-    Every point is a column of one (d+1, n) design, in the workspace
-    whose vectors are sized for the largest training fold.  The columns
-    form one run per fold, its observed points then its simulated ones,
-    each class in its permutation's order (the first ``n_obs`` of
-    ``orders``, then the rest), laid out as [F1 ... F(k-1) | F0] so that
-    fold 0's training points come first.  The points are gathered from
-    ``columns``, each class's (x, y) data columns, into two workspace
-    vectors in that layout, ``FeatureMap.fill`` writes their features
-    into the design rows, and ``_fold_moments`` gives every fold's
-    moments.  Before fold j >= 1 is fitted, its run, unmoved until then,
-    is swapped with the last columns, which all belong to fold j-1 as
-    runs never grow with j, so its design is the prefix that leaves its
-    run out.  The labels move along in one vector.  The rows are
-    standardized once, in place, by ``_standardize_once``.  A fold's
-    ``ridge_sd`` is its own sd, so its penalized objective, as a function
-    of its decision, is the one on its own standardization.
+    Every point is a column of one (d+1, n) design, and the fits share one
+    workspace sized for the largest training fold.  The columns form one
+    run per fold, its observed points then its simulated ones, each class
+    in its permutation's order (the first ``n_obs`` of ``orders``, then
+    the rest), laid out as [F1 ... F(k-1) | F0] so that fold 0's training
+    points come first.  The points are gathered from ``columns``, each
+    class's (x, y) data columns, into two workspace vectors in that
+    layout, ``FeatureMap.fill`` writes their features into the design
+    rows, and ``_fold_moments`` gives every fold's moments.  Before fold
+    j >= 1 is fitted, its run, unmoved until then, is swapped with the
+    last columns, which all belong to fold j-1 as runs never grow with j,
+    so its design is the prefix that leaves its run out.  The labels move
+    along in one vector.  The rows are standardized once, in place, by
+    ``_standardize_once``.  A fold's ``ridge_sd`` is its own sd, so its
+    penalized objective, as a function of its decision, is the one on its
+    own standardization.
     """
     n, d = orders.size, len(fm.transforms)
     sizes = (_fold_sizes(n_obs, k), _fold_sizes(n - n_obs, k))
@@ -280,8 +280,8 @@ def _fit_point_folds(
     for j in (*range(1, k), 0):
         first[j], at = at, at + runs[j]
     run_columns = [slice(first[j], first[j] + runs[j]) for j in range(k)]
-    workspace = IrlsWorkspace(d, n - runs[-1], n)
-    design = workspace.design(n)
+    workspace = IrlsWorkspace(d, n - runs[-1])
+    design = np.empty((d + 1, n))
     design[0] = 1.0
     rows, labels = design[1:], np.empty(n)
     # The vectors hold 4 (n - runs[-1]) >= 2n values: one length-n column each for x and y.
@@ -321,7 +321,7 @@ def _fit_point_folds(
                 np.copyto(scratch, row[held])
                 np.copyto(row[held], row[m:])
                 np.copyto(row[m:], scratch)
-        fold = LabeledDesign(rows[:, :m].T, labels[:m], *basis, ridge_sd=sd[j])
+        fold = LabeledDesign(design[:, :m], labels[:m], *basis, ridge_sd=sd[j])
         fits.append(fit_logistic(fold, ridge=ridge, start=start, workspace=workspace))
         start = fits[-1].decision
     return fits

@@ -11,7 +11,7 @@ Both take a start and return each fit's function on raw features, a
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,21 +31,27 @@ GRAM_BLOCK = 4096
 
 @dataclass(frozen=True)
 class LabeledDesign:
-    """Standardized feature rows with class labels (simulated = 1), one row per point.
+    """The (d+1, n) design of n points with their class labels (simulated = 1).
 
-    ``features`` are the points' raw features less ``mean``, over ``sd``.
-    Without ``ridge_sd`` those are the points' own moments.  With it they
-    may be any standardization, such as one that a cross-validation's
-    folds share, and ``ridge_sd`` is the sd of the points' own features:
-    the ridge then measures weight i as it would on the points' own
-    standardization, penalizing it by ridge * (ridge_sd[i] / sd[i])^2.
+    ``design`` is laid out as ``FoldStack.design``: row 0 the intercept's
+    ones, rows 1..d the points' raw features less ``mean``, over ``sd``,
+    one column per point.  That may be any standardization, such as one
+    that a cross-validation's folds share; ``ridge_sd`` is the sd of the
+    points' own features, and the ridge measures weight i as it would on
+    their own standardization, penalizing it by ridge * (ridge_sd[i] /
+    sd[i])^2.  A design on its own standardization passes its ``sd``.
     """
 
-    features: np.ndarray
+    design: np.ndarray
     labels: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
-    ridge_sd: np.ndarray | None = None
+    ridge_sd: np.ndarray
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (n, d) standardized features: a view of rows 1..d."""
+        return self.design[1:].T
 
 
 @dataclass(frozen=True)
@@ -98,35 +104,24 @@ def _softplus_sigmoid(eta: np.ndarray, y: np.ndarray, soft: np.ndarray, sig: np.
 
 
 class IrlsWorkspace:
-    """The arrays an IRLS fit of up to ``capacity`` points on ``d`` features writes into.
+    """The scratch arrays an IRLS fit of up to ``capacity`` points on ``d`` features writes into.
 
     One workspace serves any number of fits, one after another, so that a
     cross-validated fit allocates (and the OS faults in) its large arrays
-    once rather than on every fold and iteration.  The design is one
-    (d+1, ``columns``) array, ``columns`` >= ``capacity`` (by default
-    equal), and ``design(n)`` is its first n columns, the design of an
-    n-point fit: row 0 the intercept's ones, rows 1..d the standardized
-    features.  A caller may write those there before the fit, and keep in
-    the columns past n what later fits read, as a cross-validation keeps
-    all of its points there and fits each fold on a prefix of them; a fit
-    writes only its own n columns.  It overwrites the rest of the
-    workspace, so a caller may use ``vectors(n)`` until the fit starts.
-    The fit keeps four length-n vectors: the linear predictor, the
-    candidate one, each point's softplus term and the sigmoid.  The
-    weighted design holds one block of at most ``block`` =
-    min(capacity, GRAM_BLOCK) columns.
+    once rather than on every fold and iteration.  A fit overwrites all
+    of it, so a caller may use ``vectors(n)`` until the fit starts.  The
+    fit keeps four length-n vectors: the linear predictor, the candidate
+    one, each point's softplus term and the sigmoid.  The weighted design
+    holds one block of at most ``block`` = min(capacity, GRAM_BLOCK)
+    columns.
     """
 
-    def __init__(self, d: int, capacity: int, columns: int | None = None) -> None:
+    def __init__(self, d: int, capacity: int) -> None:
         self.d = d
         self.capacity = capacity
         self.block = min(capacity, GRAM_BLOCK)
-        self._design = np.empty((d + 1, max(capacity, columns or 0)))
         self._weighted = np.empty((d + 2) * self.block)
         self._vectors = np.empty((4, capacity))
-
-    def design(self, n: int) -> np.ndarray:
-        return self._design[:, :n]
 
     def weighted(self, n: int) -> np.ndarray:
         """(d+2, n) buffer for n <= ``block`` columns: IRLS-weighted design columns, then their residual."""
@@ -144,38 +139,36 @@ class DecisionFunction:
     A fit's coefficients hold only for the standardization of its own
     training rows; this form holds for any, so it is the one in which a
     fit starts and is carried to the next: fold to fold, and call to call.
+    ``of`` and ``on`` map it from and to coefficients on a standardization.
     """
 
     intercept: float
     weights: np.ndarray
 
     @classmethod
-    def of(cls, fit: LogisticFit, mean: np.ndarray, sd: np.ndarray) -> DecisionFunction:
-        """The function of a fit on features standardized by ``mean`` and ``sd``: every fit's ``decision``."""
-        weights = fit.weights / sd
-        return cls(float(fit.intercept - weights @ mean), weights)
+    def of(cls, coef: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> DecisionFunction:
+        """The function of ``[intercept, *weights]`` on features standardized by ``mean`` and ``sd``."""
+        weights = coef[1:] / sd
+        return cls(float(coef[0] - weights @ mean), weights)
+
+    def on(self, mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+        """``[intercept, *weights]`` of this function on features standardized by ``mean`` and ``sd``."""
+        if self.weights.shape != mean.shape:
+            raise ValueError(f"start has {self.weights.shape} weights, expected {mean.shape}")
+        return np.concatenate([[self.intercept + self.weights @ mean], self.weights * sd])
 
 
 @dataclass(frozen=True)
 class LogisticFit:
-    """``[intercept, *weights]`` on the fit's standardized features; ``decision`` is that function on raw ones.
-
-    The fit is made with the standardization ``mean`` and ``sd``, from
-    which ``decision`` is ``DecisionFunction.of`` the fit.
-    """
+    """``[intercept, *weights]`` on the fit's standardized features; ``decision`` is that function on raw ones."""
 
     intercept: float
     weights: np.ndarray
     ridge: float
     converged: bool
     iterations: int
-    mean: InitVar[np.ndarray]
-    sd: InitVar[np.ndarray]
+    decision: DecisionFunction = field(repr=False)
     objective_path: tuple[float, ...] = field(repr=False, default=())
-    decision: DecisionFunction = field(init=False, repr=False)
-
-    def __post_init__(self, mean: np.ndarray, sd: np.ndarray) -> None:
-        object.__setattr__(self, "decision", DecisionFunction.of(self, mean, sd))
 
 
 # Underflow: see _softplus_sigmoid.  Overflow: a penalty lam |w|^2 beyond
@@ -190,22 +183,22 @@ def fit_logistic(
     """Ridge-penalized logistic regression by IRLS.
 
     The penalty applies to the weights only, never the intercept: weight
-    i costs 0.5 * ridge * w_i^2, times (ridge_sd[i] / sd[i])^2 for a
-    design with ``ridge_sd``.  As a function of the fit's ``decision``,
-    the penalized objective is then the one on the points' own
-    standardization, and Newton's method is affine-invariant (Boyd &
-    Vandenberghe, *Convex Optimization*, 9.5), so the fit is that one's up
-    to rounding; ``LogisticFit.ridge`` is ``ridge``, or its last bump.
-    Each Newton step delta has the decrement lambda^2 = grad @ delta (Boyd &
-    Vandenberghe, *Convex Optimization*, 9.5.1); sqrt(lambda^2 / n) is the
-    weighted RMS change the step would make to the linear predictor.  When
-    0 <= lambda^2 <= n * TOL^2, the fit takes the full step without
-    evaluating the objective and returns ``converged=True``; a negative or
-    non-finite lambda^2 never does.  Any other step is halved until the
-    penalized log-likelihood falls by at most 1e-13 of its magnitude, a
-    rounding allowance, so ``objective_path`` (the start, then each
-    line-searched step) is non-decreasing up to rounding.  ``iterations``
-    counts the Newton steps taken, the final full step included.
+    i costs 0.5 * ridge * w_i^2 * (ridge_sd[i] / sd[i])^2.  As a function
+    of the fit's ``decision``, the penalized objective is then the one on
+    the points' own standardization, and Newton's method is
+    affine-invariant (Boyd & Vandenberghe, *Convex Optimization*, 9.5), so
+    the fit is that one's up to rounding; ``LogisticFit.ridge`` is
+    ``ridge``, or its last bump.  Each Newton step delta has the decrement
+    lambda^2 = grad @ delta (Boyd & Vandenberghe, *Convex Optimization*,
+    9.5.1); sqrt(lambda^2 / n) is the weighted RMS change the step would
+    make to the linear predictor.  When 0 <= lambda^2 <= n * TOL^2, the
+    fit takes the full step without evaluating the objective and returns
+    ``converged=True``; a negative or non-finite lambda^2 never does.  Any
+    other step is halved until the penalized log-likelihood falls by at
+    most 1e-13 of its magnitude, a rounding allowance, so
+    ``objective_path`` (the start, then each line-searched step) is
+    non-decreasing up to rounding.  ``iterations`` counts the Newton steps
+    taken, the final full step included.
 
     ``converged=False`` means the fit stopped after ``MAX_ITER`` steps,
     after 30 halvings found no acceptable step, or on a system still
@@ -217,7 +210,10 @@ def fit_logistic(
     only when its penalized objective beats that of the all-zero start;
     otherwise the fit is exactly the one without it.
 
-    ``workspace`` holds the fit's large arrays; a fit without one
+    The fit reads ``design.design`` in place and never writes to it, so
+    the last bits of a fit may depend on that array's memory layout: a
+    Fortran-ordered copy of one test design moved an intercept by two ulps.
+    ``workspace`` holds the fit's scratch arrays; a fit without one
     allocates its own.  Either way the result is the same.
     """
     if not 0.0 <= ridge < math.inf:
@@ -227,8 +223,8 @@ def fit_logistic(
     n_sim = np.count_nonzero(y == 1.0)
     if n_obs == 0 or n_sim == 0 or n_obs + n_sim != y.size:
         raise ValueError("design must contain both classes, labelled 0 and 1")
-    X = design.features
-    n, d = X.shape
+    AT = design.design
+    d, n = AT.shape[0] - 1, AT.shape[1]
     if workspace is None:
         workspace = IrlsWorkspace(d, n)
     elif workspace.d != d or workspace.capacity < n:
@@ -236,12 +232,6 @@ def fit_logistic(
             f"workspace holds {workspace.capacity} points of {workspace.d} features, "
             f"the design {n} of {d}"
         )
-    # Feature-major design: row 0 is the intercept, row j the j-th feature.
-    # Copying the features in is a no-op when they already are the
-    # workspace's.
-    AT = workspace.design(n)
-    AT[0] = 1.0
-    AT[1:] = X.T
     # p holds the sigmoid of eta until the step's Hessian is formed; the
     # line search then writes each candidate's sigmoid over it, which is
     # the sigmoid of eta again once the candidate is taken.
@@ -258,7 +248,7 @@ def fit_logistic(
         blocks.append((cols, weighted, weighted[1 : d + 1], AT[1:, cols], AT[:, cols].T, y[cols]))
     # Each weight's share of the ridge, and each weight's penalty, formed
     # again only when the ridge is bumped.
-    scale = np.ones(d) if design.ridge_sd is None else np.square(design.ridge_sd / design.sd)
+    scale = np.square(design.ridge_sd / design.sd)
     lam = float(ridge)
     penalty = lam * scale
 
@@ -277,9 +267,7 @@ def fit_logistic(
     soft.fill(_LN2)
     obj = value(beta)
     if start is not None:
-        if start.weights.shape != (d,):
-            raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
-        start = np.concatenate([[start.intercept + start.weights @ design.mean], start.weights * design.sd])
+        start = start.on(design.mean, design.sd)
         np.matmul(start, AT, out=cand_eta)
         start_obj = objective(cand_eta, start, p)
         if start_obj > obj:
@@ -356,8 +344,7 @@ def fit_logistic(
         ridge=lam,
         converged=converged,
         iterations=iterations,
-        mean=design.mean,
-        sd=design.sd,
+        decision=DecisionFunction.of(beta, design.mean, design.sd),
         objective_path=tuple(path),
     )
 
@@ -430,11 +417,8 @@ def fit_logistic_folds(
     p.fill(0.5)
     obj = value(beta)
     if start is not None:
-        if start.weights.shape != (d,):
-            raise ValueError(f"start has {start.weights.shape} weights, expected ({d},)")
         # The start on the standardized features: one vector, and one eta for every fold.
-        starts = np.concatenate([[start.intercept + start.weights @ stack.mean], start.weights * stack.sd])
-        starts = np.tile(starts, (k, 1))
+        starts = np.tile(start.on(stack.mean, stack.sd), (k, 1))
         cand_eta[1:] = np.matmul(starts[0], AT, out=cand_eta[0])
         _softplus_sigmoid(cand_eta, y, soft, p)
         start_obj = value(starts)
@@ -532,8 +516,7 @@ def fit_logistic_folds(
             ridge=float(lam[j]),
             converged=bool(converged[j]),
             iterations=int(iterations[j]),
-            mean=stack.mean,
-            sd=stack.sd,
+            decision=DecisionFunction.of(beta[j], stack.mean, stack.sd),
             objective_path=tuple(objectives[: paths[j], j].tolist()),
         )
         for j in range(k)

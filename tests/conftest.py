@@ -18,10 +18,10 @@ from carmen.logistic import DecisionFunction, FoldStack, IrlsWorkspace, LabeledD
 class WatchedFit:
     """One ``fit_logistic`` call: its arguments and its result.
 
-    ``design`` is the design as passed.  Its features and labels are
-    views of the call's workspace and label vector, which later folds
-    overwrite, so ``snapshot`` holds copies of them as they were at the
-    fit.
+    ``design`` is the design as passed.  Its design and labels are
+    views of the cross-validation's design and label vector, which later
+    folds overwrite, so ``snapshot`` holds copies of them as they were at
+    the fit.
     """
 
     design: LabeledDesign
@@ -44,7 +44,7 @@ def fits(monkeypatch) -> list[WatchedFit]:
     fit_logistic = carmen.discriminator.fit_logistic
 
     def recording(design, **kwargs):
-        snapshot = replace(design, features=design.features.copy(), labels=design.labels.copy())
+        snapshot = replace(design, design=design.design.copy(), labels=design.labels.copy())
         result = fit_logistic(design, **kwargs)
         records.append(WatchedFit(design, snapshot, kwargs.get("start"), kwargs.get("workspace"), result))
         return result

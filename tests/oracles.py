@@ -319,21 +319,39 @@ FEATURE_EXPRESSIONS = {
 }
 
 
-def standardized_design(block: np.ndarray, labels: np.ndarray) -> LabeledDesign:
-    """Standardize a C-ordered (d, n) block of raw features in place, by its own moments.
+def point_design(features: np.ndarray, labels: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> LabeledDesign:
+    """The design of (n, d) standardized ``features``, on its own standardization.
 
-    Each feature row is centred on its mean, then divided by its sd, taken
-    from the centred row (population divisor); a zero-sd feature keeps
-    sd = 1.  ``features`` is the (n, d) transpose of ``block``, so
-    ``features.T`` is contiguous feature-major.
+    Its ``design`` is a new C-ordered (d+1, n) array, row 0 the
+    intercept's ones and rows 1..d the features' transpose, and its
+    ``ridge_sd`` is ``sd``.
     """
+    design = np.empty((features.shape[1] + 1, features.shape[0]))
+    design[0] = 1.0
+    design[1:] = features.T
+    return LabeledDesign(design, labels, mean, sd, ridge_sd=sd)
+
+
+def standardized_design(raw: np.ndarray, labels: np.ndarray) -> LabeledDesign:
+    """The design of a (d, n) block of raw features, standardized by its own moments.
+
+    The block is copied into rows 1..d of a new C-ordered (d+1, n)
+    design, whose row 0 is the intercept's ones, and standardized there
+    in place.  Each feature row is centred on its mean, then divided by
+    its sd, taken from the centred row (population divisor); a zero-sd
+    feature keeps sd = 1, and that sd is the design's ``ridge_sd``.
+    """
+    design = np.empty((raw.shape[0] + 1, raw.shape[1]))
+    design[0] = 1.0
+    block = design[1:]
+    block[...] = raw
     total = block.shape[1]
     mu = np.add.reduce(block, axis=1) / total  # bitwise block.mean(axis=1)
     block -= mu[:, None]
     sd = np.sqrt(np.einsum("ij,ij->i", block, block) / total)
     sd = np.where(sd > 0.0, sd, 1.0)
     block /= sd[:, None]
-    return LabeledDesign(features=block.T, labels=labels, mean=mu, sd=sd)
+    return LabeledDesign(design, labels, mu, sd, ridge_sd=sd)
 
 
 def counted_fold(raw: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> FoldStack:
@@ -402,7 +420,7 @@ def raw_block_cv(observed: Dataset, simulated: Dataset, fm: FeatureMap, k: int, 
         fits = []
         for j in range(k):
             keep = np.flatnonzero(fold_of != j)
-            design = standardized_design(np.ascontiguousarray(raw[:, keep]), labels[keep])
+            design = standardized_design(raw[:, keep], labels[keep])
             fits.append(fit_logistic(design, ridge=ridge, start=start))
             start = fits[-1].decision
     coef = np.array([[fit.decision.intercept, *fit.decision.weights] for fit in fits])

@@ -273,7 +273,8 @@ def test_criterion_09_statistical_null_calibration():
     eta = 1.5 * feats[:, 0] - 0.7 * feats[:, 1]
     labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     mu, sd = feats.mean(axis=0), feats.std(axis=0)
-    fit = fit_logistic(LabeledDesign((feats - mu) / sd, labels, mu, sd), ridge=1e-6)
+    design = np.vstack([np.ones(n), ((feats - mu) / sd).T])
+    fit = fit_logistic(LabeledDesign(design, labels, mu, sd, ridge_sd=sd), ridge=1e-6)
     w = fit.weights / sd
     err = max(abs(w[0] - 1.5), abs(w[1] + 0.7))
     ok = ks < 0.05 and err < 0.1

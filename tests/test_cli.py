@@ -99,6 +99,25 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match=rf"^{', '.join(custom)} apply only to custom scenarios"):
             cfg.binding()
 
+    @pytest.mark.parametrize(
+        "custom, message",
+        [
+            (dict(features=None), "custom scenarios need a model, a truth and features"),
+            (dict(model_family="cauchy", model_params={}),
+             "unknown model family 'cauchy'; choose from gaussian, poisson-gamma, nig-regression"),
+            (dict(model_params={**_PRESETS["gauss-gauss"]["model_params"], "df": 3.0}),
+             "unknown model parameters ['df'] for 'gaussian'"),
+        ],
+        ids=["no-features", "unknown-family", "unknown-parameter"],
+    )
+    def test_custom_scenario_binding_errors(self, custom, message):
+        # Reached from the library: a config file or the command line names
+        # these before a ScenarioConfig is built.
+        cfg = ScenarioConfig(scenario="custom", seed=0, **{**_PRESETS["gauss-gauss"], **custom})
+        with pytest.raises(ValueError) as info:
+            cfg.binding()
+        assert str(info.value) == message
+
 
 class TestRunScenario:
     def test_fast_run_shape(self):
@@ -860,6 +879,38 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert "gauss-gauss" in proc.stdout
+
+    @staticmethod
+    def _closed_stdout(args: list[str], lines_read: int) -> tuple[int, bytes, list[bytes]]:
+        """``python -m carmen args`` with stdout closed after ``lines_read`` lines: exit code, stderr, the lines."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen([sys.executable, "-m", "carmen", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        read = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(), err, read
+
+    @pytest.mark.parametrize("lines_read", [0, 1], ids=["closed-at-once", "closed-after-one-line"])
+    def test_closed_stdout_ends_cleanly(self, tmp_path, lines_read):
+        # A reader that leaves early, as `| head -1` does, only cuts the
+        # report short: the outputs are written first, so the run exits 0
+        # with no traceback.  The pipe closed at once fails the report's
+        # first write for certain; one line read is head's case, where the
+        # unbuffered second line may or may not still be written.
+        out = tmp_path / "out"
+        code, err, read = self._closed_stdout(
+            ["run", "--scenario", "poisson-nb", "--seed", "1", "--out", str(out)], lines_read)
+        assert (code, err) == (0, b"")
+        assert all(line.startswith(b"poisson-nb seed=1: t*=") for line in read)
+        assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "summary.json"]
+        assert _load_strict(out / "summary.json")["config"]["scenario"] == "poisson-nb"
+
+    def test_list_to_a_closed_stdout_ends_cleanly(self):
+        assert self._closed_stdout(["list"], 0) == (0, b"", [])
 
     def test_custom_via_config_flag(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

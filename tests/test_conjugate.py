@@ -94,6 +94,28 @@ class TestTemperUpdate:
         with pytest.raises(ValueError):
             SufficientStats(n=10, sum_x=100.0, sum_xx=1.0)
 
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: SufficientStats(n=-1), ValueError, "n must be nonnegative"),
+            (lambda: SufficientStats(n=2, sum_x=math.inf), ValueError, "sum_x must be finite"),
+            (lambda: dataclasses.replace(POIS, shape=0.0), ValueError, "shape and rate must be positive"),
+            (lambda: dataclasses.replace(NIG, scale=0.0), ValueError,
+             "precision_scale, shape and scale must be positive"),
+            # sum_yy = 0 under sum_xy^2 / sum_xx = 100 leaves the noise a
+            # scale of 2 + (0 - 2 * 5^2) / 2 = -23.
+            (lambda: temper_update(NIG, SufficientStats(n=1, sum_xx=1.0, sum_xy=10.0), 1.0), RuntimeError,
+             "posterior scale collapsed to a nonpositive value"),
+            (lambda: predictive_sample(temper_update(GAUSS, SufficientStats(n=0), 1.0), RngStream(0), 0),
+             ValueError, "n must be >= 1"),
+        ],
+        ids=["negative-n", "non-finite-sum", "poisson-gamma", "nig", "nig-scale-collapsed", "no-draws"],
+    )
+    def test_bad_input_message(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
     def test_response_sum_does_not_widen_the_covariate_check(self):
         # The slack scales with sum_xx alone: sum_xx = 9 against
         # sum_x**2 / n = 10 was accepted once sum_yy = 1e12 widened it.

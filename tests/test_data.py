@@ -20,6 +20,17 @@ class TestDataset:
             Dataset(np.array([1.0, 2.0, 3.0]), covariates=np.array([0.5, 0.0, bad]))
 
 
+    def test_misaligned_covariates_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Dataset(np.zeros(3), covariates=np.zeros(2))
+        assert str(info.value) == "covariates must align with values"
+
+    @pytest.mark.parametrize("n", [0, 3, -1])
+    def test_split_point_outside_rejected(self, n):
+        with pytest.raises(ValueError) as info:
+            Dataset(np.zeros(3)).split(n)
+        assert str(info.value) == f"split point {n} outside (0, 3)"
+
     @pytest.mark.parametrize("regression", [False, True], ids=["univariate", "regression"])
     def test_split_halves_are_views_equal_to_takes(self, regression):
         g = np.random.default_rng(5)

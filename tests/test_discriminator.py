@@ -1,8 +1,10 @@
 """Feature maps, the IRLS logistic fit, and cross-validated log-odds."""
 
+import importlib.util
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from oracles import (
     fold_ids,
     fold_scores,
     log_odds,
+    point_design,
     raw_block_cv,
     raw_features,
     standardized_design,
@@ -123,17 +126,21 @@ class TestFeatureMap:
         assert FeatureMap(("x", "x2", "x3")).fill(np.array([1.0, 2.0]), None, out) is out
         assert np.array_equal(out, [[1.0, 2.0], [1.0, 4.0], [1.0, 8.0]])
 
-    def test_standardized_design_works_in_place(self):
+    def test_standardized_design_is_one_feature_major_block(self):
         g = RngStream(91).generator()
         raw_t = np.ascontiguousarray(g.normal(2.0, 3.0, size=(3, 40)))
         block = raw_t.copy()
         design = standardized_design(block, np.repeat([0.0, 1.0], 20))
-        assert np.shares_memory(design.features, block)
+        assert block.tobytes() == raw_t.tobytes()
+        assert design.design.shape == (4, 40) and design.design.flags.c_contiguous
+        assert np.shares_memory(design.features, design.design)
         assert design.features.T.flags.c_contiguous
+        assert np.array_equal(design.design[0], np.ones(40))
         assert np.array_equal(design.mean, raw_t.mean(axis=1))
         assert np.allclose(design.sd, raw_t.std(axis=1), rtol=1e-14, atol=0.0)
+        assert design.ridge_sd is design.sd
         ref = (raw_t - design.mean[:, None]) / design.sd[:, None]
-        assert np.allclose(block, ref, rtol=0.0, atol=1e-14)
+        assert np.allclose(design.design[1:], ref, rtol=0.0, atol=1e-14)
 
     def test_standardization_exact_under_large_offset(self):
         # sd is taken from the centred rows, so a large common offset
@@ -189,7 +196,7 @@ class TestSoftplusSigmoid:
             labels = (np.arange(n) % 2).astype(float)
             feats = RngStream(96).generator().normal(size=(n, 2))
             monkeypatch.setattr(carmen.logistic, "MAX_ITER", 1)
-            fit = fit_logistic(LabeledDesign(feats, labels, np.zeros(2), np.ones(2)))
+            fit = fit_logistic(point_design(feats, labels, np.zeros(2), np.ones(2)))
             evaluated = -float(soft.sum())  # less a ridge term of 0 at beta = 0
             assert np.float64(fit.objective_path[0]).tobytes() == np.float64(evaluated).tobytes()
 
@@ -198,7 +205,7 @@ class TestFitLogistic:
     def test_no_signal_gives_zero_fit(self):
         feats = np.zeros((40, 2))
         labels = np.array([0.0, 1.0] * 20)
-        design = LabeledDesign(feats, labels, np.zeros(2), np.ones(2))
+        design = point_design(feats, labels, np.zeros(2), np.ones(2))
         fit = fit_logistic(design)
         assert fit.intercept == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(fit.weights, 0.0, atol=1e-9)
@@ -210,7 +217,7 @@ class TestFitLogistic:
         eta = 1.5 * feats[:, 0] - 0.7 * feats[:, 1]
         labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         mu, sd = feats.mean(axis=0), feats.std(axis=0)
-        design = LabeledDesign((feats - mu) / sd, labels, mu, sd)
+        design = point_design((feats - mu) / sd, labels, mu, sd)
         fit = fit_logistic(design, ridge=1e-6)
         assert fit.converged
         # weights are on standardized columns; sd is ~1 here
@@ -226,7 +233,7 @@ class TestFitLogistic:
         g = RngStream(51).generator()
         feats = g.normal(size=(500, 3))
         labels = (g.uniform(size=500) < 0.5).astype(float)
-        design = LabeledDesign(feats, labels, np.zeros(3), np.ones(3))
+        design = point_design(feats, labels, np.zeros(3), np.ones(3))
         fit = fit_logistic(design)
         path = np.array(fit.objective_path)
         assert np.all(np.diff(path) >= -1e-12)
@@ -236,7 +243,7 @@ class TestFitLogistic:
         feats = np.concatenate([g.normal(-0.5, 1.0, 300), g.normal(0.5, 1.0, 300)])[:, None]
         labels = np.concatenate([np.zeros(300), np.ones(300)])
         mu, sd = feats.mean(axis=0), feats.std(axis=0)
-        design = LabeledDesign((feats - mu) / sd, labels, mu, sd)
+        design = point_design((feats - mu) / sd, labels, mu, sd)
         fit = fit_logistic(design)
         eta = fit.intercept + design.features @ fit.weights
         probs = 1.0 / (1.0 + np.exp(-eta))
@@ -248,7 +255,7 @@ class TestFitLogistic:
         # under one errstate that ignores exactly that.
         feats = np.concatenate([-np.ones(20), np.ones(20)])[:, None]
         labels = np.concatenate([np.zeros(20), np.ones(20)])
-        design = LabeledDesign(feats, labels, np.zeros(1), np.ones(1))
+        design = point_design(feats, labels, np.zeros(1), np.ones(1))
         with np.errstate(all="raise"):
             fit = fit_logistic(design, start=DecisionFunction(0.0, np.array([1000.0])))
         assert fit.weights[0] == 1000.0
@@ -273,7 +280,7 @@ class TestFitLogistic:
                 fit_logistic(design, workspace=workspace)
 
     def test_needs_both_classes(self):
-        design = LabeledDesign(np.zeros((5, 1)), np.zeros(5), np.zeros(1), np.ones(1))
+        design = point_design(np.zeros((5, 1)), np.zeros(5), np.zeros(1), np.ones(1))
         with pytest.raises(ValueError):
             fit_logistic(design)
 
@@ -283,7 +290,7 @@ class TestFitLogistic:
         ids=["one-class", "label-2", "label-nan"],
     )
     def test_labels_must_be_0_and_1(self, labels):
-        design = LabeledDesign(np.zeros((4, 1)), np.array(labels), np.zeros(1), np.ones(1))
+        design = point_design(np.zeros((4, 1)), np.array(labels), np.zeros(1), np.ones(1))
         with pytest.raises(ValueError):
             fit_logistic(design)
 
@@ -293,14 +300,14 @@ def _overlapping_design() -> LabeledDesign:
     feats = np.concatenate([g.normal(-0.5, 1.0, (300, 2)), g.normal(0.5, 1.0, (300, 2))])
     labels = np.concatenate([np.zeros(300), np.ones(300)])
     mu, sd = feats.mean(axis=0), feats.std(axis=0)
-    return LabeledDesign((feats - mu) / sd, labels, mu, sd)
+    return point_design((feats - mu) / sd, labels, mu, sd)
 
 
 def _separable_design() -> LabeledDesign:
     feats = np.concatenate([np.linspace(-3, -1, 25), np.linspace(1, 3, 25)])[:, None]
     labels = np.concatenate([np.zeros(25), np.ones(25)])
     mu, sd = feats.mean(axis=0), feats.std(axis=0)
-    return LabeledDesign((feats - mu) / sd, labels, mu, sd)
+    return point_design((feats - mu) / sd, labels, mu, sd)
 
 
 def _penalized_gradient(design: LabeledDesign, fit) -> np.ndarray:
@@ -491,7 +498,7 @@ class TestWeightedFit:
         feats = g.normal(size=(n, d))
         eta = 0.8 * feats[:, 0] - 0.4 * feats[:, 1]
         labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        plain = LabeledDesign(feats, labels, np.zeros(d), np.ones(d))
+        plain = point_design(feats, labels, np.zeros(d), np.ones(d))
         for start in (None, DecisionFunction(0.1, np.full(d, 0.1))):
             fit = fit_logistic(plain, start=start)
             (unit,) = fit_logistic_folds(_unit_stack(feats.T, labels, np.ones((1, n))), start=start)
@@ -514,6 +521,21 @@ class TestWeightedFit:
         bad = replace(stack, counts=stack.counts[:, : counts.size])
         with pytest.raises(ValueError, match="count"):
             fit_logistic_folds(bad)
+
+    @pytest.mark.parametrize(
+        "ridge, labels, message",
+        [(-1e-6, [0.0, 1.0, 0.0, 1.0], "ridge must be finite and nonnegative, got -1e-06"),
+         (math.nan, [0.0, 1.0, 0.0, 1.0], "ridge must be finite and nonnegative, got nan"),
+         (DEFAULT_RIDGE, [0.0, 1.0, 0.5, 1.0], "stack needs one label, 0 or 1, per column, got shape (4,)"),
+         (DEFAULT_RIDGE, [0.0, 1.0, 0.0], "stack needs one label, 0 or 1, per column, got shape (3,)")],
+        ids=["negative-ridge", "nan-ridge", "label-half", "labels-short"],
+    )
+    def test_bad_ridge_and_labels_rejected(self, ridge, labels, message):
+        stack = replace(_unit_stack(np.arange(4.0)[None, :], np.array([0.0, 1.0, 0.0, 1.0]), np.ones((2, 4))),
+                        labels=np.array(labels))
+        with pytest.raises(ValueError) as info:
+            fit_logistic_folds(stack, ridge=ridge)
+        assert str(info.value) == message
 
     def test_zero_count_leaves_the_column_out(self):
         # A column with count 0 in a fold fits as that fold without it.
@@ -553,7 +575,8 @@ class TestWeightedFit:
             assert warm == (fit.objective_path[0] > cold[j].objective_path[0])  # the start was taken
             # The fold's points, each column repeated by its count, take the
             # same steps to the same fit; the last fold's weights are near 130.
-            points = LabeledDesign(*_repeated_rows(stack, j), stack.mean, stack.sd, ridge_sd=stack.ridge_sd[j])
+            points = point_design(*_repeated_rows(stack, j), stack.mean, stack.sd)
+            points = replace(points, ridge_sd=stack.ridge_sd[j])
             repeated = fit_logistic(points, start=start)
             assert (fit.iterations, fit.converged) == (repeated.iterations, repeated.converged)
             scale = max(1.0, np.max(np.abs(_fit_coefficients(repeated))))
@@ -636,6 +659,59 @@ class TestWeightedFit:
                 assert _fit_bytes(fit) == _fit_bytes(whole)
 
 
+# The two count scenarios of one cycle of each bench workload (bench/workloads.py):
+# full-curve runs seed 0 along the whole curve, tstar seeds 0-9 at t* only, and
+# large-n seeds 0 and 1 at 10,000 validation points with the reverse estimate.
+_BENCH_COUNT_CYCLES = {
+    "full-curve": ([0], dict(full_curve=True), (102, 1_020, 5_888)),
+    "tstar": (range(10), {}, (20, 200, 803)),
+    "large-n": ([0, 1], dict(n_validate=10_000, reverse_kl=True), (8, 80, 288)),
+}
+
+
+class TestBenchCountFolds:
+    @pytest.mark.parametrize("workload", list(_BENCH_COUNT_CYCLES))
+    def test_one_cycle_of_counted_folds(self, fold_fits, workload):
+        # CI's traced bench step counts point fits only; these are the
+        # batched fits of the count scenarios of one cycle: stacks, folds
+        # and IRLS steps, none unconverged and no ridge bumped.
+        seeds, options, expected = _BENCH_COUNT_CYCLES[workload]
+        for seed in seeds:
+            for scenario in ("poisson-nb", "poisson-betabinom"):
+                run_scenario(ScenarioConfig(scenario=scenario, seed=seed, **options))
+        folds = [fit for record in fold_fits for fit in record.fits]
+        assert (len(fold_fits), len(folds), sum(fit.iterations for fit in folds)) == expected
+        assert all(fit.converged and fit.ridge == DEFAULT_RIDGE for fit in folds)
+
+
+def _bench_tracer_module():
+    """``bench/tracer.py``, loaded from its file without putting ``bench/`` on the import path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchTracer:
+    def test_tracer_reads_each_fits_design(self):
+        # The tracer records each point fit's (n, d) from
+        # ``design.features.shape``: a golden-size reg-sigmoid run with the
+        # reverse estimate makes two CV calls of 5 folds, each training on
+        # 224 of 2 x 140 points with six features.  The spans it finds no
+        # function for are those the run no longer calls by name.
+        tracer = _bench_tracer_module().Tracer()
+        tracer.install()
+        try:
+            run_scenario(ScenarioConfig(scenario="reg-sigmoid", seed=17, n_update=140, n_validate=140, folds=5,
+                                        grid_lo=1e-7, grid_hi=1.0, grid_count=8, reverse_kl=True))
+        finally:
+            tracer.uninstall()
+        assert [fit[:2] for fit in tracer.fits] == [(224, 6)] * 10
+        assert tracer.missing == ["truths.true_log_ratio", "conjugate.predictive_logpdf",
+                                  "tempering.optimize_t", "ratio.estimate_reverse_log_ratio"]
+
+
 def _off_centre_kernels(n: int = 500, d: int = 3) -> tuple[LabeledDesign, FoldStack]:
     """One draw of off-centre raw features as a point design and as a one-fold stack with unit counts."""
     g = RngStream(66).generator()
@@ -659,7 +735,7 @@ class TestKernelContract:
         point, (fold,) = fit_logistic(design, start=start), fit_logistic_folds(stack, start=start)
         assert [warm.objective_path[0] > c.objective_path[0] for warm, c in zip((point, fold), cold)] == [taken] * 2
         for fit, mean, sd in ((point, design.mean, design.sd), (fold, stack.mean, stack.sd)):
-            of = DecisionFunction.of(fit, mean, sd)
+            of = DecisionFunction.of(_fit_coefficients(fit), mean, sd)
             assert fit.decision.intercept == of.intercept and fit.decision.weights.tobytes() == of.weights.tobytes()
         assert abs(point.decision.intercept - fold.decision.intercept) < 1e-9
         assert np.max(np.abs(point.decision.weights - fold.decision.weights)) < 1e-9
@@ -676,14 +752,14 @@ class TestKernelContract:
 
 class TestLogOdds:
     def test_zero_fit_is_zero(self):
-        design = LabeledDesign(np.zeros((4, 2)), np.array([0.0, 0, 1, 1]), np.zeros(2), np.ones(2))
+        design = point_design(np.zeros((4, 2)), np.array([0.0, 0, 1, 1]), np.zeros(2), np.ones(2))
         fit = fit_logistic(design)
         assert log_odds(fit, np.zeros(2)) == pytest.approx(0.0, abs=1e-9)
 
     def test_intercept_only(self):
         from carmen.logistic import LogisticFit
 
-        fit = LogisticFit(math.log(3.0), np.zeros(2), 0.0, True, 1, np.zeros(2), np.ones(2))
+        fit = LogisticFit(math.log(3.0), np.zeros(2), 0.0, True, 1, DecisionFunction(math.log(3.0), np.zeros(2)))
         assert log_odds(fit, np.array([5.0, -2.0])) == pytest.approx(math.log(3.0))
 
     def test_symmetric_classes_balanced_at_midpoint(self):
@@ -696,7 +772,7 @@ class TestLogOdds:
         assert abs(log_odds(fit, mid[0])) < 0.15
 
     def test_dimension_mismatch(self):
-        design = LabeledDesign(np.zeros((4, 2)), np.array([0.0, 0, 1, 1]), np.zeros(2), np.ones(2))
+        design = point_design(np.zeros((4, 2)), np.array([0.0, 0, 1, 1]), np.zeros(2), np.ones(2))
         fit = fit_logistic(design)
         with pytest.raises(ValueError):
             log_odds(fit, np.zeros(3))
@@ -714,7 +790,7 @@ class TestLogOdds:
             raw = np.vstack([raw_obs, raw_sim]) * scale + shift
             labels = np.concatenate([np.zeros(400), np.ones(400)])
             mu, sd = raw.mean(axis=0), raw.std(axis=0)
-            design = LabeledDesign((raw - mu) / sd, labels, mu, sd)
+            design = point_design((raw - mu) / sd, labels, mu, sd)
             fit = fit_logistic(design, ridge=0.0)
             return log_odds(fit, (holdout * scale + shift - mu) / sd)
 
@@ -840,7 +916,7 @@ class TestCvLogOdds:
             labels = np.concatenate([np.zeros(len(train_obs)), np.ones(len(train_sim))])
             mu, sd = raw.mean(axis=0), raw.std(axis=0)
             sd = np.where(sd > 0.0, sd, 1.0)
-            design = LabeledDesign((raw - mu) / sd, labels, mu, sd)
+            design = point_design((raw - mu) / sd, labels, mu, sd)
             fit = fit_logistic(design, ridge=ridge)
             ref[held_obs] = log_odds(fit, (raw_obs[held_obs] - mu) / sd)
         assert ref.sum() < -1000.0
@@ -881,12 +957,14 @@ class TestCvLogOdds:
         # Every fold's features are standardized by one basis, the same
         # arrays, and each is a prefix of one (d+1, n) design.
         mu, sd = fits[0].design.mean, fits[0].design.sd
-        design = fits[0].workspace.design(n_obs + n_sim)
+        design = fits[0].design.design.base
+        assert design.shape == (4, n_obs + n_sim) and design.flags.c_contiguous
         means, sds = [], []
         for j, record in enumerate(fits):
             assert record.design.mean is mu and record.design.sd is sd
-            feats = record.design.features
-            assert np.shares_memory(feats, design) and feats.strides == (8, design.strides[0])
+            prefix = record.design.design
+            assert prefix.base is design and prefix.strides == design.strides
+            assert prefix.__array_interface__["data"] == design.__array_interface__["data"]
             train = np.ones(n_obs + n_sim, dtype=bool)
             train[folds_obs[j]] = False
             train[n_obs + folds_sim[j]] = False
@@ -1248,18 +1326,22 @@ def _row_major_cv(observed, simulated, fm, k, ridge, rng):
 
 
 class TestFeatureMajorLayout:
-    def test_fit_bitwise_equal_for_c_and_f_ordered_features(self):
+    @pytest.mark.parametrize("offset", [0, 1, 401])
+    def test_fit_bitwise_equal_for_a_design_and_a_column_run_of_a_wider_one(self, offset):
+        # A cross-validation fits each fold on the leading columns of one
+        # wider C-ordered design, read in place: its rows are contiguous,
+        # but lie at other strides and alignments than a design of its own.
         g = RngStream(90).generator()
         feats = g.normal(size=(600, 3))
         eta = 0.8 * feats[:, 0] - 0.4 * feats[:, 1] * feats[:, 2]
         labels = (g.uniform(size=600) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        by_row, by_col = np.ascontiguousarray(feats), np.asfortranarray(feats)
-        assert not by_col.flags.c_contiguous
+        own = point_design(feats, labels, np.zeros(3), np.ones(3))
+        wider = np.full((4, 1001), np.nan)
+        wider[:, offset : offset + 600] = own.design
+        run = replace(own, design=wider[:, offset : offset + 600])
+        assert not run.design.flags.c_contiguous
         for start in (None, DecisionFunction(0.1, np.array([0.5, -0.2, 0.0]))):
-            fits = [
-                fit_logistic(LabeledDesign(f, labels, np.zeros(3), np.ones(3)), start=start)
-                for f in (by_row, by_col)
-            ]
+            fits = [fit_logistic(design, start=start) for design in (own, run)]
             a, b = fits
             assert a.intercept == b.intercept
             assert a.weights.tobytes() == b.weights.tobytes()
@@ -1299,7 +1381,7 @@ class TestIrlsWorkspace:
 
         def recording(design, **kwargs):
             workspace = kwargs["workspace"]
-            fresh_design = replace(design, features=design.features.copy())
+            fresh_design = replace(design, design=design.design.copy())
             fit = fit_logistic(design, **kwargs)
             del kwargs["workspace"]
             fresh = fit_logistic(fresh_design, **kwargs)
@@ -1316,22 +1398,39 @@ class TestIrlsWorkspace:
         assert len(records) == 10 and len(set(sizes)) > 1
         assert all(r[1] is workspace for r in records)
         assert workspace.capacity == max(sizes)
-        buffers = (workspace.design(max(sizes)), workspace.weighted(max(sizes)), workspace.vectors(max(sizes)))
+        buffers = (workspace.weighted(max(sizes)), workspace.vectors(max(sizes)))
         for _, _, fit, at_return, fresh in records:
             # Later folds overwrote the whole workspace; this fit is as it was returned.
             assert _fit_bytes(fit) == at_return
             assert _fit_bytes(fit) == _fit_bytes(fresh)
             assert not any(np.shares_memory(fit.weights, b) for b in buffers)
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_fit_leaves_the_callers_design_as_it_was(self, monkeypatch, layout):
+        # Blocked products, a separable design's 18 steps, a taken start
+        # and ridge bumps all read the design; none writes to it, and none
+        # to the labels, the basis or the ridge's sds.
+        monkeypatch.setattr(carmen.logistic, "GRAM_BLOCK", 16)
+        cases = [(_separable_design(), None), (_overlapping_design(), DecisionFunction(0.1, np.array([0.2, -0.1])))]
+        feats = np.concatenate([-np.ones(20), np.ones(20)])[:, None]
+        cases.append((point_design(feats, np.repeat([0.0, 1.0], 20), np.zeros(1), np.ones(1)),
+                      DecisionFunction(0.0, np.array([1000.0]))))
+        for design, start in cases:
+            design = replace(design, design=np.array(design.design, order=layout))
+            arrays = (design.design, design.labels, design.mean, design.sd, design.ridge_sd)
+            before = [a.tobytes() for a in arrays]
+            fit = fit_logistic(design, start=start)
+            assert [a.tobytes() for a in arrays] == before
+        assert fit.ridge > DEFAULT_RIDGE  # the saturating start's system stayed singular
+
     def test_prepared_fit_allocates_no_n_vectors(self):
         n, d = 40_000, 3
         g = RngStream(99).generator()
         workspace = IrlsWorkspace(d, n)
-        rows = workspace.design(n)[1:]
-        rows[...] = g.normal(size=(d, n))
+        rows = g.normal(size=(d, n))
         eta = 0.8 * rows[0] - 0.5 * rows[1]
         labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        design = LabeledDesign(rows.T, labels, np.zeros(d), np.ones(d))
+        design = point_design(rows.T, labels, np.zeros(d), np.ones(d))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1428,17 +1527,18 @@ class TestOutOfFoldScoring:
 
 
 def _cv_workspace(d: int, m: int) -> int:
-    """Bytes of the IRLS workspace of a CV call on d features whose largest training fold has m points.
+    """Bytes of the design and IRLS workspace of a CV call on d features whose largest training fold has m points.
 
-    A (d+1)-row design of m columns, the (d+2)-row weighted design of one
-    4,096-column block and four vectors: at reg-sigmoid's d = 6 and
-    m = 18,000 points, 1,846,144 B, 1.76 MiB.  The CV call's allowance of
-    2**19 B, 0.5 MiB, holds the design's columns past m, since its design
-    has one column per point (0.11 MiB at 2 x 10,000 points), the two
-    classes' fold permutations and the labels (0.31 MiB), so it leaves no
-    room for per-fold index arrays (0.07 MiB for one class), a copy of the
-    data columns (0.31 MiB), a fifth vector (0.14 MiB), the raw (d, 2n)
-    feature block (0.92 MiB) or a whole-fold weighted design (1.10 MiB).
+    A (d+1)-row design of m columns, and the workspace: the (d+2)-row
+    weighted design of one 4,096-column block and four vectors.  At
+    reg-sigmoid's d = 6 and m = 18,000 points, 1,846,144 B, 1.76 MiB.
+    The CV call's allowance of 2**19 B, 0.5 MiB, holds the design's
+    columns past m, since it has one column per point (0.11 MiB at
+    2 x 10,000 points), the two classes' fold permutations and the labels
+    (0.31 MiB), so it leaves no room for per-fold index arrays (0.07 MiB
+    for one class), a copy of the data columns (0.31 MiB), a fifth vector
+    (0.14 MiB), the raw (d, 2n) feature block (0.92 MiB) or a whole-fold
+    weighted design (1.10 MiB).
     """
     return 8 * ((d + 1) * m + (d + 2) * 4096 + 4 * m)
 
@@ -1587,8 +1687,8 @@ _ONE_DESIGN_CASES = {
 
 class TestDataColumnFeatures:
     def test_transforms_write_the_expressions_bitwise(self):
-        # Whole columns, and a gathered subset written into rows of a
-        # workspace design, as a fold computes its features.
+        # Whole columns, and a gathered subset written into the feature
+        # rows of a design, as a cross-validation computes its features.
         assert set(_TRANSFORMS) == set(FEATURE_EXPRESSIONS)
         x, y = _columns_with_edge_values()
         keep = np.flatnonzero(RngStream(111).generator().uniform(size=x.size) < 0.7)
@@ -1597,7 +1697,8 @@ class TestDataColumnFeatures:
         np.take(x, keep, out=x_fold, mode="clip")
         np.take(y, keep, out=y_fold, mode="clip")
         with np.errstate(over="ignore"):  # 1e150 cubed and to the fourth
-            rows = FeatureMap(tuple(_TRANSFORMS)).fill(x_fold, y_fold, workspace.design(keep.size)[1:])
+            design = np.empty((len(_TRANSFORMS) + 1, keep.size))
+            rows = FeatureMap(tuple(_TRANSFORMS)).fill(x_fold, y_fold, design[1:])
             for name, row in zip(_TRANSFORMS, rows):
                 expected = FEATURE_EXPRESSIONS[name](x, y)
                 whole = np.empty(x.size)
@@ -1739,7 +1840,7 @@ class TestGramBlocks:
     @pytest.mark.parametrize(
         "make",
         [_overlapping_design, _separable_design,
-         lambda: LabeledDesign(*_repeated_rows(_counted_design(115, m=900), 0), np.zeros(2), np.ones(2))],
+         lambda: point_design(*_repeated_rows(_counted_design(115, m=900), 0), np.zeros(2), np.ones(2))],
         ids=["overlapping", "separable", "repeated"],
     )
     def test_blocked_fit_takes_the_same_steps(self, monkeypatch, make):
@@ -1785,8 +1886,7 @@ class TestGramBlocks:
         # one stacked matmul.
         cv_log_odds(*_grid_level_draw(scenario, seed, level)[1])
         for record in fits:
-            features = record.snapshot.features
-            AT, delta = np.vstack([np.ones(features.shape[0]), features.T]), _fit_coefficients(record.fit)
+            AT, delta = record.snapshot.design, _fit_coefficients(record.fit)
             base = delta @ AT
             for halvings in range(1, 31):
                 step = 0.5**halvings

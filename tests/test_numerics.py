@@ -293,6 +293,11 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
 
+    def test_negative_substream_rejected(self):
+        with pytest.raises(ValueError) as info:
+            RngStream(0).substream(-1)
+        assert str(info.value) == "substream index must be nonnegative"
+
 
 
 # Every Gaussian scale field with a valid value; the squares of these scales

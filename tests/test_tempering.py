@@ -1,6 +1,7 @@
 """Tempering grids, the t* search, and diagnostic curves."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from carmen.data import Dataset
 from carmen.discriminator import FeatureMap
 from carmen.numerics import RngStream
 from carmen.ratio import estimate_log_ratio
-from carmen.tempering import CurvePoint, TemperingGrid, curve
+from carmen.tempering import CurvePoint, TemperingGrid, _refine, curve
 from carmen.truths import GaussianTruth, SigmoidRegressionTruth
 from oracles import (
     betabinom_predictive_kl,
@@ -133,6 +134,12 @@ class TestTemperingGrid:
         with pytest.raises(ValueError):
             TemperingGrid.log_uniform(1e-2, 1e-3, 10)
 
+    @pytest.mark.parametrize("values", [np.array([[0.5, 1.0]]), np.array([])], ids=["2-D", "empty"])
+    def test_grid_must_be_a_non_empty_vector(self, values):
+        with pytest.raises(ValueError) as info:
+            TemperingGrid(values)
+        assert str(info.value) == "grid must be a non-empty 1-D array"
+
 
 class TestOptimizeT:
     """The t* search, through the ``curve`` headline."""
@@ -155,6 +162,14 @@ class TestOptimizeT:
         for t in grid.values:
             score = float(temper_update(GAUSS, stats, float(t)).predictive_logpdf(xv).sum())
             assert tc.log_predictive_at_t_star >= score - 1e-9
+
+    def test_refinement_that_scores_lower_keeps_the_best_grid_point(self):
+        # Every refined level scores -1 against the interior grid point's 10.
+        class Flat:
+            def sums(self, ts):
+                return [(SimpleNamespace(t=t), -1.0) for t in ts]
+
+        assert _refine(Flat(), np.array([1e-3, 1e-2, 1e-1]), np.array([0.0, 10.0, 0.0])) == (1e-2, 10.0, False)
 
     def test_sigmoid_setup_hits_boundary(self):
         truth = SigmoidRegressionTruth()

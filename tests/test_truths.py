@@ -78,6 +78,18 @@ class TestSamplers:
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             dataclasses.replace(truth, **{name: bad})
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [(lambda: LaplaceTruth(0.0, 0.0), "scale must be positive"),
+         (lambda: TNoiseRegressionTruth(df=0.0), "df and scale must be positive"),
+         (lambda: TNoiseRegressionTruth(scale=-1.0), "df and scale must be positive")],
+        ids=["laplace-scale", "tnoise-df", "tnoise-scale"],
+    )
+    def test_nonpositive_scale_message(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_trials_must_be_whole(self):
         with pytest.raises(ValueError, match="trials must be a whole number"):
             BetaBinomialTruth(41.75, 78.25, 80.5)
