@@ -416,45 +416,40 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(base)
 
 
-def _scenario_lines() -> list[str]:
-    lines = []
+def _print_scenarios() -> None:
     for name, b in SCENARIOS.items():
-        lines += [f"{name}:", f"  model:    {b.model}", f"  truth:    {b.truth}",
-                  f"  features: {', '.join(b.features)}"]
-    return lines
-
-
-def _print_lines(lines: list[str]) -> None:
-    """Print ``lines`` to stdout; a reader that has closed it (``| head -1``) just gets fewer of them.
-
-    On a closed pipe stdout is pointed at ``os.devnull``, so that the
-    interpreter's flush at exit finds nothing left to fail on.
-    """
-    try:
-        print("\n".join(lines), flush=True)
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"{name}:")
+        print(f"  model:    {b.model}")
+        print(f"  truth:    {b.truth}")
+        print(f"  features: {', '.join(b.features)}")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "list":
-            _print_lines(_scenario_lines())
+            _print_scenarios()
+            sys.stdout.flush()
             return 0
         cfg = _config_from_args(args)
         result = run_scenario(cfg)
         json_path, csv_path = emit_outputs(result, args.out)
+        tc = result.curve
+        print(
+            f"{cfg.scenario} seed={cfg.seed}: t*={tc.t_star:.6g}"
+            f"{' (boundary)' if tc.t_star_boundary else ''}"
+            f" logZ={tc.estimate_at_t_star.sum:.4f} p={tc.test_at_t_star.p_value:.4g}"
+        )
+        print(f"wrote {json_path} and {csv_path}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head -1``) after the outputs were
+        # written; with stdout on os.devnull the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, OSError) else 2
-    tc = result.curve
-    _print_lines([
-        f"{cfg.scenario} seed={cfg.seed}: t*={tc.t_star:.6g}"
-        f"{' (boundary)' if tc.t_star_boundary else ''}"
-        f" logZ={tc.estimate_at_t_star.sum:.4f} p={tc.test_at_t_star.p_value:.4g}",
-        f"wrote {json_path} and {csv_path}",
-    ])
     return 0
 
 

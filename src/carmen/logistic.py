@@ -210,11 +210,10 @@ def fit_logistic(
     only when its penalized objective beats that of the all-zero start;
     otherwise the fit is exactly the one without it.
 
-    The fit reads ``design.design`` in place and never writes to it, so
-    the last bits of a fit may depend on that array's memory layout: a
-    Fortran-ordered copy of one test design moved an intercept by two ulps.
-    ``workspace`` holds the fit's scratch arrays; a fit without one
-    allocates its own.  Either way the result is the same.
+    The fit never writes to ``design.design``; it reads a design whose rows
+    are contiguous in place and copies any other, so a fit's bits do not
+    depend on memory layout.  ``workspace`` holds the fit's scratch; a fit
+    without one allocates its own.  Either way the result is the same.
     """
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
@@ -224,6 +223,8 @@ def fit_logistic(
     if n_obs == 0 or n_sim == 0 or n_obs + n_sim != y.size:
         raise ValueError("design must contain both classes, labelled 0 and 1")
     AT = design.design
+    if AT.strides[1] != AT.itemsize:
+        AT = np.ascontiguousarray(AT)
     d, n = AT.shape[0] - 1, AT.shape[1]
     if workspace is None:
         workspace = IrlsWorkspace(d, n)

@@ -1326,6 +1326,22 @@ def _row_major_cv(observed, simulated, fm, k, ridge, rng):
 
 
 class TestFeatureMajorLayout:
+    def test_fit_bitwise_equal_for_c_and_f_ordered_features(self):
+        g = RngStream(90).generator()
+        feats = g.normal(size=(600, 3))
+        eta = 0.8 * feats[:, 0] - 0.4 * feats[:, 1] * feats[:, 2]
+        labels = (g.uniform(size=600) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        by_row = point_design(feats, labels, np.zeros(3), np.ones(3))
+        by_col = replace(by_row, design=np.asfortranarray(by_row.design))
+        assert not by_col.design.flags.c_contiguous
+        for start in (None, DecisionFunction(0.1, np.array([0.5, -0.2, 0.0]))):
+            fits = [fit_logistic(design, start=start) for design in (by_row, by_col)]
+            a, b = fits
+            assert a.intercept == b.intercept
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert (a.iterations, a.converged, a.ridge) == (b.iterations, b.converged, b.ridge)
+            assert a.objective_path == b.objective_path
+
     @pytest.mark.parametrize("offset", [0, 1, 401])
     def test_fit_bitwise_equal_for_a_design_and_a_column_run_of_a_wider_one(self, offset):
         # A cross-validation fits each fold on the leading columns of one
