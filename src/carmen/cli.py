@@ -29,6 +29,7 @@ from .conjugate import (
     NIGRegressionModel,
     PoissonGammaModel,
 )
+from .data import Dataset
 from .discriminator import RESPONSE_TRANSFORMS, FeatureMap
 from .logistic import DEFAULT_RIDGE
 from .numerics import RngStream
@@ -189,6 +190,13 @@ class ScenarioResult:
     meta: dict
 
 
+def run_draws(cfg: ScenarioConfig, truth: TruthSpec) -> tuple[Dataset, Dataset, RngStream]:
+    """The run's update and validation data, on substream 0 of its seed, and its classifier stream, substream 1."""
+    rng = RngStream(cfg.seed)
+    data = truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
+    return (*data.split(cfg.n_update), rng.substream(1))
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Execute one scenario end to end, deterministically in the seed."""
     binding = cfg.binding()
@@ -201,12 +209,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     grid = TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count)
     fm = FeatureMap(binding.features)
-    rng = RngStream(cfg.seed)
-    data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
-    x_update, x_valid = data.split(cfg.n_update)
+    x_update, x_valid, rng = run_draws(cfg, binding.truth)
 
     tc = curve(
-        binding.model, binding.truth, x_update, x_valid, grid, fm, cfg.folds, rng.substream(1),
+        binding.model, binding.truth, x_update, x_valid, grid, fm, cfg.folds, rng,
         ridge=cfg.ridge, full_curve=cfg.full_curve, reverse=cfg.reverse_kl,
     )
 

@@ -400,8 +400,8 @@ def cv_log_odds(
     max(1, |value|) per point on the tests' draws, far points included).
     Either fit uses a start only when it beats beta = 0.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if len(observed) < k or len(simulated) < k:
         raise ValueError("each class needs at least k points")
     if observed.is_regression != simulated.is_regression:

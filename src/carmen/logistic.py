@@ -29,6 +29,17 @@ _LN2 = math.log(2.0)  # softplus(0), correctly rounded
 GRAM_BLOCK = 4096
 
 
+def _check_shapes(owner, shapes) -> None:
+    """A ValueError naming ``owner``'s design unless it is 2-D, else its first field unlike ``shapes(d, n)``."""
+    design, owner_name = np.shape(owner.design), type(owner).__name__
+    if len(design) != 2:
+        raise ValueError(f"{owner_name}.design has shape {design}, expected a 2-D (d+1, n) design")
+    for name, shape in shapes(design[0] - 1, design[1]).items():
+        got = np.shape(getattr(owner, name))
+        if got != shape:
+            raise ValueError(f"{owner_name}.{name} has shape {got}, expected {shape} for a {design} design")
+
+
 @dataclass(frozen=True)
 class LabeledDesign:
     """The (d+1, n) design of n points with their class labels (simulated = 1).
@@ -47,6 +58,9 @@ class LabeledDesign:
     mean: np.ndarray
     sd: np.ndarray
     ridge_sd: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_shapes(self, lambda d, n: dict(labels=(n,), mean=(d,), sd=(d,), ridge_sd=(d,)))
 
     @property
     def features(self) -> np.ndarray:
@@ -73,6 +87,9 @@ class FoldStack:
     mean: np.ndarray
     sd: np.ndarray
     ridge_sd: np.ndarray
+
+    def __post_init__(self) -> None:  # the labels and counts are checked with their values, by the fit
+        _check_shapes(self, lambda d, u: dict(mean=(d,), sd=(d,), ridge_sd=(len(self.counts), d)))
 
 
 def _softplus_sigmoid(eta: np.ndarray, y: np.ndarray, soft: np.ndarray, sig: np.ndarray) -> None:

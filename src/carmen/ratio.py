@@ -27,7 +27,8 @@ class LogRatioEstimate:
     """Per-point log-ratio values with their sum, mean and count.
 
     A classifier-based estimate also keeps its last fold's ``decision``
-    function, which a later estimate can start from.
+    function, which a later estimate can start from, and the stream
+    ``rng`` it drew from, which no output holds.
     """
 
     per_point: np.ndarray
@@ -35,28 +36,31 @@ class LogRatioEstimate:
     mean: float
     n: int
     decision: DecisionFunction | None = field(default=None, repr=False)
+    rng: RngStream | None = None
 
     @classmethod
     def from_per_point(
-        cls, values: np.ndarray, decision: DecisionFunction | None = None
+        cls, values: np.ndarray, decision: DecisionFunction | None = None, rng: RngStream | None = None
     ) -> "LogRatioEstimate":
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("per-point values must be a non-empty 1-D array")
         total = float(values.sum())
-        return cls(per_point=values, sum=total, mean=total / values.size, n=values.size, decision=decision)
+        return cls(per_point=values, sum=total, mean=total / values.size, n=values.size, decision=decision, rng=rng)
 
 
-def _simulate(
+def estimate_draws(
     post: TemperedPosterior, x_valid: Dataset, n_sim: int, rng: RngStream
-) -> Dataset:
-    # a regression draw discriminates conditional response behavior: it
-    # reuses the observed covariates, resampled with replacement; a draw of
-    # values or counts takes no covariates
+) -> tuple[Dataset, RngStream]:
+    """An estimate's ``n_sim`` points simulated on ``rng``'s substream 1, and its fold stream, substream 2.
+
+    A regression draw reuses the observed covariates, resampled with replacement on
+    substream 0, so that the classifier discriminates conditional response behavior.
+    """
     like = None
     if x_valid.is_regression:
         like = x_valid.take(rng.substream(0).generator().integers(0, len(x_valid), size=n_sim))
-    return predictive_sample(post, rng.substream(1), n_sim, like=like)
+    return predictive_sample(post, rng.substream(1), n_sim, like=like), rng.substream(2)
 
 
 def estimate_log_ratio(
@@ -80,18 +84,18 @@ def estimate_log_ratio(
     -KL(truth || model).  The reverse estimate is the same log-ratio at
     each simulated point with its sign flipped, so its mean estimates
     -KL(model || truth) in the same orientation.  Both carry the last
-    fold's decision function, and each holds its own values, so a caller
-    that keeps one estimate frees the other's.
+    fold's decision function and ``rng``, and each holds its own values,
+    so a caller that keeps one estimate frees the other's.
     """
     n_obs = len(x_valid)
     if n_sim is None:
         n_sim = n_obs
     if n_sim < k:
         raise ValueError("n_sim must be at least the number of folds")
-    simulated = _simulate(post, x_valid, n_sim, rng)
-    odds, decision = cv_log_odds(x_valid, simulated, fm, k, ridge, rng.substream(2), start=start)
+    simulated, folds = estimate_draws(post, x_valid, n_sim, rng)
+    odds, decision = cv_log_odds(x_valid, simulated, fm, k, ridge, folds, start=start)
     odds += math.log(n_obs / n_sim)
     return (
-        LogRatioEstimate.from_per_point(odds[:n_obs].copy(), decision),
-        LogRatioEstimate.from_per_point(-odds[n_obs:], decision),
+        LogRatioEstimate.from_per_point(odds[:n_obs].copy(), decision, rng),
+        LogRatioEstimate.from_per_point(-odds[n_obs:], decision, rng),
     )

@@ -29,11 +29,16 @@ DEFAULT_GRID_LO = 1e-8
 DEFAULT_GRID_HI = 1.0
 DEFAULT_GRID_COUNT = 50
 
-# substream allocation inside curve(): 1 = estimate at t*, 2 = reverse
-# estimate at t*, 1000+i = grid point i
-_SUB_T_STAR = 1
-_SUB_REVERSE = 2
-_SUB_GRID_BASE = 1000
+
+def call_stream(rng: RngStream, level: int | None = None, reverse: bool = False) -> RngStream:
+    """The stream of one of ``curve``'s classifier calls, on the run's classifier stream ``rng``.
+
+    Grid level ``level`` takes substream 1000 + level, the estimate at t*
+    substream 1, and its ``reverse`` substream 2.
+    """
+    if level is not None:
+        return rng.substream(1000 + level)
+    return rng.substream(2 if reverse else 1)
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,7 @@ def curve(
             approx_sum = t_stat = p_value = None
             if full_curve:
                 est = estimate_log_ratio(
-                    post, x_valid, fm, k, rng.substream(_SUB_GRID_BASE + i), ridge=ridge, start=decision
+                    post, x_valid, fm, k, call_stream(rng, i), ridge=ridge, start=decision
                 )[0]
                 res = t_test_logz(est)
                 approx_sum = est.sum
@@ -232,13 +237,13 @@ def curve(
     nearest = int(np.argmin(np.abs(np.log(ts) - math.log(t_star))))
     # Only the forward half is kept, so the reverse half is freed here.
     est_star = estimate_log_ratio(
-        post_star, x_valid, fm, k, rng.substream(_SUB_T_STAR), ridge=ridge, start=carried[nearest]
+        post_star, x_valid, fm, k, call_stream(rng), ridge=ridge, start=carried[nearest]
     )[0]
     test_star = t_test_logz(est_star)
     reverse_star = None
     if reverse:
         _, reverse_star = estimate_log_ratio(
-            post_star, x_valid, fm, k, rng.substream(_SUB_REVERSE), ridge=ridge, start=est_star.decision
+            post_star, x_valid, fm, k, call_stream(rng, reverse=True), ridge=ridge, start=est_star.decision
         )
 
     return TemperingCurve(

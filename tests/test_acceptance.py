@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from carmen.cli import ScenarioConfig, emit_outputs, run_scenario
+from carmen.cli import ScenarioConfig, emit_outputs, run_draws, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, temper_update
 from carmen.discriminator import FeatureMap
 from carmen.logistic import LabeledDesign, fit_logistic
@@ -124,9 +124,7 @@ def test_criterion_04_poisson_betabinom_detection():
         cfg = r.config
         binding = cfg.binding()
         n_v = cfg.n_validate
-        # the run's own data, drawn exactly as run_scenario draws it
-        data = binding.truth.sample(RngStream(cfg.seed).substream(0), cfg.n_update + n_v)
-        x_update, x_valid = data.split(cfg.n_update)
+        x_update, x_valid, _ = run_draws(cfg, binding.truth)  # the run's own data
         stats = SufficientStats.from_dataset(x_update)
         for row in r.curve.points:
             post = temper_update(binding.model, stats, row.t)

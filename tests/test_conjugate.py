@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from carmen.cli import SCENARIOS
+from carmen.cli import SCENARIOS, ScenarioConfig, run_draws
 from carmen.conjugate import (
     GaussianKnownVarModel,
     GaussianPosterior,
@@ -347,7 +347,7 @@ class TestLevelSums:
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     def test_scenario_default_data(self, scenario):
         binding = SCENARIOS[scenario]
-        update, valid = binding.truth.sample(RngStream(0).substream(0), 2000).split(1000)
+        update, valid, _ = run_draws(ScenarioConfig(scenario=scenario, seed=0), binding.truth)
         _assert_sums_match_rows(binding.model, update, valid)
 
     @pytest.mark.parametrize(

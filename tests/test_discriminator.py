@@ -12,7 +12,7 @@ import pytest
 import carmen.discriminator
 import carmen.logistic
 import carmen.ratio
-from carmen.cli import _PRESETS, ScenarioConfig, run_scenario
+from carmen.cli import _PRESETS, ScenarioConfig, run_draws, run_scenario
 from carmen.conjugate import GaussianKnownVarModel, SufficientStats, predictive_sample, temper_update
 from carmen.data import Dataset
 from carmen.discriminator import _LN_CLAMP, _TRANSFORMS, FeatureMap, _count_table, cv_log_odds
@@ -29,8 +29,8 @@ from carmen.logistic import (
     fit_logistic_folds,
 )
 from carmen.numerics import RngStream
-from carmen.ratio import _simulate
-from carmen.tempering import _SUB_GRID_BASE, TemperingGrid
+from carmen.ratio import estimate_draws
+from carmen.tempering import TemperingGrid, call_stream
 from carmen.truths import GaussianTruth, NegBinomialTruth
 from oracles import (
     FEATURE_EXPRESSIONS,
@@ -294,6 +294,28 @@ class TestFitLogistic:
         with pytest.raises(ValueError):
             fit_logistic(design)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("labels", np.zeros(12), "LabeledDesign.labels has shape (12,), expected (10,) for a (2, 10) design"),
+            ("mean", np.zeros(2), "LabeledDesign.mean has shape (2,), expected (1,) for a (2, 10) design"),
+            ("sd", np.ones(2), "LabeledDesign.sd has shape (2,), expected (1,) for a (2, 10) design"),
+            ("ridge_sd", np.ones((1, 1)),
+             "LabeledDesign.ridge_sd has shape (1, 1), expected (1,) for a (2, 10) design"),
+            ("design", np.linspace(-1.0, 1.0, 10),
+             "LabeledDesign.design has shape (10,), expected a 2-D (d+1, n) design"),
+        ],
+        ids=["labels", "mean", "sd", "ridge_sd", "1-D-design"],
+    )
+    def test_shapes_checked_where_built(self, name, value, message):
+        # A 10-point, one-feature design, one field replaced: the design
+        # fails where it is built, not inside the fit.
+        fields = dict(design=np.vstack([np.ones(10), np.linspace(-1.0, 1.0, 10)]), labels=np.repeat([0.0, 1.0], 5),
+                      mean=np.zeros(1), sd=np.ones(1), ridge_sd=np.ones(1))
+        with pytest.raises(ValueError) as info:
+            LabeledDesign(**{**fields, name: value})
+        assert str(info.value) == message
+
 
 def _overlapping_design() -> LabeledDesign:
     g = RngStream(55).generator()
@@ -535,6 +557,25 @@ class TestWeightedFit:
                         labels=np.array(labels))
         with pytest.raises(ValueError) as info:
             fit_logistic_folds(stack, ridge=ridge)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("ridge_sd", np.ones((1, 1)),
+             "FoldStack.ridge_sd has shape (1, 1), expected (2, 1) for a (2, 4) design"),
+            ("mean", np.zeros(2), "FoldStack.mean has shape (2,), expected (1,) for a (2, 4) design"),
+            ("sd", np.ones((2, 1)), "FoldStack.sd has shape (2, 1), expected (1,) for a (2, 4) design"),
+            ("design", np.arange(4.0), "FoldStack.design has shape (4,), expected a 2-D (d+1, n) design"),
+        ],
+        ids=["one-fold-ridge-sd", "mean", "sd", "1-D-design"],
+    )
+    def test_shapes_checked_where_built(self, name, value, message):
+        # A k = 2 stack, one field replaced.  With one fold's ridge sds the
+        # fit used to broadcast them over both folds and report nothing.
+        stack = _unit_stack(np.arange(4.0)[None, :], np.array([0.0, 1.0, 0.0, 1.0]), np.ones((2, 4)))
+        with pytest.raises(ValueError) as info:
+            replace(stack, **{name: value})
         assert str(info.value) == message
 
     def test_zero_count_leaves_the_column_out(self):
@@ -800,24 +841,33 @@ class TestLogOdds:
 
 
 def _grid_level_draw(scenario: str, seed: int, level: int, **custom):
-    """t and the ``cv_log_odds`` arguments of one grid level of a full-curve run.
+    """t and the ``cv_log_odds`` arguments of one grid level of a full-curve run, drawn by the run's plan.
 
-    The data are drawn as ``run_scenario`` and ``curve()`` draw them;
-    ``custom`` holds a custom scenario's fields.
+    ``custom`` holds further config fields, such as a custom scenario's.
     """
     cfg = ScenarioConfig(scenario=scenario, seed=seed, full_curve=True, **custom)
     binding = cfg.binding()
-    rng = RngStream(cfg.seed)
-    data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
-    x_update, x_valid = data.split(cfg.n_update)
+    x_update, x_valid, rng = run_draws(cfg, binding.truth)
     t = float(TemperingGrid.log_uniform(cfg.grid_lo, cfg.grid_hi, cfg.grid_count).values[level])
     post = temper_update(binding.model, SufficientStats.from_dataset(x_update), t)
-    point = rng.substream(1).substream(_SUB_GRID_BASE + level)
-    sim = _simulate(post, x_valid, len(x_valid), point)
-    return t, (x_valid, sim, FeatureMap(binding.features), cfg.folds, cfg.ridge, point.substream(2))
+    sim, folds = estimate_draws(post, x_valid, len(x_valid), call_stream(rng, level))
+    return t, (x_valid, sim, FeatureMap(binding.features), cfg.folds, cfg.ridge, folds)
 
 
 class TestCvLogOdds:
+    @pytest.mark.parametrize("scenario", ["gauss-gauss", "poisson-nb", "reg-tnoise"])  # one of each data kind
+    def test_grid_levels_replay_bit_for_bit(self, scenario):
+        # A two-level full-curve run at default sizes: level 0 starts from
+        # none and level 1 from level 0's last fold, so the replayed chain
+        # gives each level's sum bit for bit.
+        points = run_scenario(ScenarioConfig(scenario=scenario, seed=4, full_curve=True, grid_count=2)).curve.points
+        start = None
+        for level, point in enumerate(points):
+            t, args = _grid_level_draw(scenario, 4, level, grid_count=2)
+            odds, start = cv_log_odds(*args, start=start)
+            assert t == point.t
+            assert float(odds[: len(args[0])].sum()) == point.logz_approx_sum
+
     def test_indistinguishable_classes_centered(self):
         obs = Dataset(RngStream(60, 0).generator().normal(size=1000))
         sim = Dataset(RngStream(60, 1).generator().normal(size=1000))
@@ -1045,6 +1095,17 @@ class TestCvLogOdds:
         x = np.array([[0.3, 0.09], [-2.0, 4.0]])
         expected = log_odds(last.fit, (x - last.snapshot.mean) / last.snapshot.sd)
         assert np.allclose(decision.intercept + x @ decision.weights, expected, rtol=0.0, atol=1e-12)
+
+    def test_non_integer_k_rejected_by_name_before_any_draw(self, monkeypatch):
+        obs, sim = Dataset(np.arange(10.0)), Dataset(np.arange(10.0) + 0.5)
+        args = (obs, sim, FeatureMap(("x",)))
+        with monkeypatch.context() as patch:
+            patch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before checking k"))
+            with pytest.raises(ValueError) as info:
+                cv_log_odds(*args, 2.5, 1e-6, RngStream(0))
+        assert str(info.value) == "k must be an integer >= 2, got 2.5"
+        odds, _ = cv_log_odds(*args, np.int64(3), 1e-6, RngStream(0))
+        assert np.array_equal(odds, cv_log_odds(*args, 3, 1e-6, RngStream(0))[0])
 
     def test_degenerate_folds_rejected(self):
         obs = Dataset(np.arange(5.0))

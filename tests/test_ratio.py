@@ -1,11 +1,15 @@
 """The classifier-driven log-ratio estimator, forward and reverse from one call."""
 
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from carmen.cli import SCENARIOS, ScenarioConfig, run_scenario
+from carmen import cli, ratio, tempering
+from carmen.cli import SCENARIOS, ScenarioConfig, run_draws, run_scenario
 from carmen.conjugate import (
     GaussianKnownVarModel,
     PoissonGammaModel,
@@ -15,8 +19,8 @@ from carmen.conjugate import (
 from carmen.data import Dataset
 from carmen.discriminator import FeatureMap
 from carmen.numerics import RngStream
-from carmen.ratio import LogRatioEstimate, _simulate, estimate_log_ratio
-from carmen.tempering import _SUB_REVERSE
+from carmen.ratio import LogRatioEstimate, estimate_draws, estimate_log_ratio
+from carmen.tempering import call_stream
 from carmen.truths import GaussianTruth, NegBinomialTruth
 from oracles import exact_log_ratio, exact_reverse, std_error
 
@@ -168,26 +172,23 @@ class TestEstimateLogRatio:
 def _reverse_at_t_star(scenario: str, seed: int) -> tuple[float, float]:
     """A default-size ``--reverse-kl`` run's reverse estimate at t* and the exact value at its draws, nat/pt.
 
-    The reverse call's draws are rebuilt as ``curve`` draws them, on the
-    ``_SUB_REVERSE`` substream of the run's classifier stream.  Estimating
-    again on that stream, from the same start, gives the run's reverse sum
-    bit for bit, so they are the run's draws.
+    The reverse call's draws are rebuilt on the stream its estimate keeps.
+    Estimating again on that stream, from the same start, gives the run's
+    reverse sum bit for bit, so they are the run's draws.
     """
     cfg = ScenarioConfig(scenario=scenario, seed=seed, reverse_kl=True)
     tc = run_scenario(cfg).curve
     binding = cfg.binding()
-    rng = RngStream(seed)
-    data = binding.truth.sample(rng.substream(0), cfg.n_update + cfg.n_validate)
-    x_update, x_valid = data.split(cfg.n_update)
+    x_update, x_valid, _ = run_draws(cfg, binding.truth)
     post = temper_update(binding.model, SufficientStats.from_dataset(x_update), tc.t_star)
-    reverse_rng = rng.substream(1).substream(_SUB_REVERSE)
+    reverse = tc.reverse_at_t_star
     _, again = estimate_log_ratio(
-        post, x_valid, FeatureMap(binding.features), cfg.folds, reverse_rng, ridge=cfg.ridge,
+        post, x_valid, FeatureMap(binding.features), cfg.folds, reverse.rng, ridge=cfg.ridge,
         start=tc.estimate_at_t_star.decision,
     )
-    assert again.sum == tc.reverse_at_t_star.sum
-    simulated = _simulate(post, x_valid, len(x_valid), reverse_rng)
-    return tc.reverse_at_t_star.mean, exact_reverse(post, binding.truth, simulated).mean
+    assert again.sum == reverse.sum
+    simulated, _ = estimate_draws(post, x_valid, len(x_valid), reverse.rng)
+    return reverse.mean, exact_reverse(post, binding.truth, simulated).mean
 
 
 def _report_reverse(scenario: str, pairs: list[tuple[float, float]]) -> None:
@@ -221,3 +222,72 @@ class TestReverseAgainstExact:
         pairs = [_reverse_at_t_star("reg-sigmoid", seed) for seed in range(10)]
         _report_reverse("reg-sigmoid", pairs)
         assert all(exact < est < 0.0 and est - exact >= 60.0 for est, exact in pairs)
+
+
+class TestDrawPlan:
+    """A run's draws, rebuilt through the functions that hold its plan.
+
+    ``cli.run_draws`` holds the run's data and classifier stream,
+    ``tempering.call_stream`` the stream of each classifier call, and
+    ``ratio.estimate_draws`` an estimate's simulated points and folds.
+    """
+
+    @pytest.mark.parametrize("scenario", ["gauss-gauss", "poisson-nb", "reg-tnoise"])  # one of each data kind
+    def test_forward_estimate_at_t_star_replays_bit_for_bit(self, scenario):
+        # A t*-only run fits no grid level, so its estimate at t* starts from none.
+        cfg = ScenarioConfig(scenario=scenario, seed=4)
+        tc = run_scenario(cfg).curve
+        binding = cfg.binding()
+        x_update, x_valid, rng = run_draws(cfg, binding.truth)
+        post = temper_update(binding.model, SufficientStats.from_dataset(x_update), tc.t_star)
+        stream = call_stream(rng)
+        fm = FeatureMap(binding.features)
+        again, _ = estimate_log_ratio(post, x_valid, fm, cfg.folds, stream, ridge=cfg.ridge)
+        assert tc.estimate_at_t_star.rng == stream
+        assert again.sum == tc.estimate_at_t_star.sum
+
+    def test_no_test_reaches_behind_the_plan(self):
+        # The names that number a run's substreams or draw for it stay
+        # behind the plan functions: a plan module's private ints, and the
+        # private functions of carmen.ratio.  A test that imported one
+        # would have to be edited with every change to the plan.
+        behind = {
+            (module.__name__, name)
+            for module in (cli, tempering, ratio)
+            for name, value in vars(module).items()
+            if name.startswith("_") and (type(value) is int or module is ratio and inspect.isfunction(value))
+        }
+        found = [
+            f"{path.name}:{line}: {name}"
+            for path in sorted(Path(__file__).parent.glob("*.py"))
+            for line, name in _references(ast.parse(path.read_text()), behind)
+        ]
+        assert not found
+
+
+def _references(tree: ast.Module, names: set[tuple[str, str]]) -> list[tuple[int, str]]:
+    """The line and dotted name of each import of, or attribute read of, one of the (module, name) ``names``."""
+    modules, found = {}, []  # local name -> the module it binds
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                if (node.module, alias.name) in names:
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:  # "import a.b" binds a, "import a.b as c" binds c to a.b
+                local = alias.asname or alias.name.split(".")[0]
+                modules[local] = alias.name if alias.asname else local
+
+    def dotted(node: ast.expr) -> str | None:
+        if isinstance(node, ast.Name):
+            return modules.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return None if base is None else f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (dotted(node.value), node.attr) in names:
+            found.append((node.lineno, f"{dotted(node.value)}.{node.attr}"))
+    return found

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from carmen import tempering
-from carmen.cli import SCENARIOS
+from carmen.cli import SCENARIOS, ScenarioConfig, run_draws
 from carmen.conjugate import (
     GaussianKnownVarModel,
     NIGRegressionModel,
@@ -463,7 +463,7 @@ class TestPopulationRegret:
         grid = TemperingGrid.log_uniform().values
         regrets, regrets_at_one, offsets = [], [], []
         for seed in range(10):
-            update, valid = binding.truth.sample(RngStream(seed).substream(0), 2000).split(1000)
+            update, valid, _ = run_draws(ScenarioConfig(scenario=scenario, seed=seed), binding.truth)
             stats = SufficientStats.from_dataset(update)
 
             def population_kl(log10_t):
