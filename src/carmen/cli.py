@@ -30,7 +30,7 @@ from .conjugate import (
     PoissonGammaModel,
 )
 from .data import Dataset
-from .discriminator import RESPONSE_TRANSFORMS, FeatureMap
+from .discriminator import RESPONSE_TRANSFORMS, FeatureMap, check_integer
 from .logistic import DEFAULT_RIDGE
 from .numerics import RngStream
 from .ratio import LogRatioEstimate
@@ -200,8 +200,9 @@ def run_draws(cfg: ScenarioConfig, truth: TruthSpec) -> tuple[Dataset, Dataset, 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Execute one scenario end to end, deterministically in the seed."""
     binding = cfg.binding()
-    if cfg.folds < 2:
-        raise ValueError(f"folds must be >= 2, got {cfg.folds!r}")
+    for f in fields(cfg):
+        if f.type == "int":
+            check_integer(f.name, getattr(cfg, f.name), 2 if f.name == "folds" else None)
     if cfg.n_update < 2 * cfg.folds or cfg.n_validate < 2 * cfg.folds:
         raise ValueError("n_update and n_validate must each be at least 2*folds")
     if not 0.0 <= cfg.ridge < math.inf:

@@ -18,7 +18,6 @@ from .data import Dataset
 from .logistic import (
     DecisionFunction,
     FoldStack,
-    IrlsWorkspace,
     LabeledDesign,
     LogisticFit,
     fit_logistic,
@@ -228,11 +227,11 @@ def _fit_folds(
 
     ``g`` permutes each class's points, the observed class first, and each
     permutation is cut into k near-equal runs, fold j's the j-th.  What
-    the fits share (count tables, labels, the design, the IRLS workspace)
-    is freed before the held-out points are scored.  A fold whose feature
-    means or sds are not finite raises a ``ValueError`` naming the feature
-    and the class.  Two classes of whole counts go to
-    ``_fit_count_folds``, any other pair to ``_fit_point_folds``.
+    the fits share (count tables, labels, the design) is freed before the
+    held-out points are scored.  A fold whose feature means or sds are not
+    finite raises a ``ValueError`` naming the feature and the class.  Two
+    classes of whole counts go to ``_fit_count_folds``, any other pair to
+    ``_fit_point_folds``.
     """
     n_obs = len(observed)
     orders = np.concatenate([g.permutation(n_obs), g.permutation(len(simulated))])
@@ -256,22 +255,21 @@ def _fit_point_folds(
 ) -> list[LogisticFit]:
     """``_fit_folds`` for classes fitted on their points: each fold on a prefix of one design, in order.
 
-    Every point is a column of one (d+1, n) design, and the fits share one
-    workspace sized for the largest training fold.  The columns form one
+    Every point is a column of one (d+1, n) design.  The columns form one
     run per fold, its observed points then its simulated ones, each class
     in its permutation's order (the first ``n_obs`` of ``orders``, then
     the rest), laid out as [F1 ... F(k-1) | F0] so that fold 0's training
     points come first.  The points are gathered from ``columns``, each
-    class's (x, y) data columns, into two workspace vectors in that
-    layout, ``FeatureMap.fill`` writes their features into the design
-    rows, and ``_fold_moments`` gives every fold's moments.  Before fold
-    j >= 1 is fitted, its run, unmoved until then, is swapped with the
-    last columns, which all belong to fold j-1 as runs never grow with j,
-    so its design is the prefix that leaves its run out.  The labels move
-    along in one vector.  The rows are standardized once, in place, by
-    ``_standardize_once``.  A fold's ``ridge_sd`` is its own sd, so its
-    penalized objective, as a function of its decision, is the one on its
-    own standardization.
+    class's (x, y) data columns, into a (2, n) array in that layout,
+    ``FeatureMap.fill`` writes their features into the design rows, and
+    ``_fold_moments`` gives every fold's moments; the array is freed
+    before the first fit.  Before fold j >= 1 is fitted, its run, unmoved
+    until then, is swapped with the last columns, which all belong to
+    fold j-1 as runs never grow with j, so its design is the prefix that
+    leaves its run out.  The labels move along in one vector.  The rows
+    are standardized once, in place, by ``_standardize_once``.  A fold's
+    ``ridge_sd`` is its own sd, so its penalized objective, as a function
+    of its decision, is the one on its own standardization.
     """
     n, d = orders.size, len(fm.transforms)
     sizes = (_fold_sizes(n_obs, k), _fold_sizes(n - n_obs, k))
@@ -280,12 +278,9 @@ def _fit_point_folds(
     for j in (*range(1, k), 0):
         first[j], at = at, at + runs[j]
     run_columns = [slice(first[j], first[j] + runs[j]) for j in range(k)]
-    workspace = IrlsWorkspace(d, n - runs[-1])
     design = np.empty((d + 1, n))
     design[0] = 1.0
-    rows, labels = design[1:], np.empty(n)
-    # The vectors hold 4 (n - runs[-1]) >= 2n values: one length-n column each for x and y.
-    x_all, y_all = workspace.vectors(workspace.capacity).reshape(2, -1)[:, :n]
+    rows, labels, gathered = design[1:], np.empty(n), np.empty((2, n))
     # The classes are of one kind, so y is absent from both or from neither.
     regression = columns[0][1] is not None
     for label, ((x, y), order, class_sizes) in enumerate(zip(columns, (orders[:n_obs], orders[n_obs:]), sizes)):
@@ -295,14 +290,15 @@ def _fit_point_folds(
             part, points = slice(lo, lo + size), order[cut : cut + size]
             # np.take with mode="raise" fills a copy of ``out`` and copies it
             # back; the indices are in range, so "clip" gathers straight into it.
-            np.take(x, points, out=x_all[part], mode="clip")
+            np.take(x, points, out=gathered[0, part], mode="clip")
             if regression:
-                np.take(y, points, out=y_all[part], mode="clip")
+                np.take(y, points, out=gathered[1, part], mode="clip")
             labels[part] = label
             cut += size
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is named below
-        fm.fill(x_all, y_all if regression else None, rows)
-        mean, sd = _fold_moments(rows, run_columns, x_all)
+        fm.fill(gathered[0], gathered[1] if regression else None, rows)
+        mean, sd = _fold_moments(rows, run_columns, gathered[0])
+    del gathered
 
     def training(j: int) -> np.ndarray:  # fold j's training points per column: none in its run
         return np.r_[np.ones(first[j]), np.zeros(runs[j]), np.ones(n - first[j] - runs[j])]
@@ -312,17 +308,17 @@ def _fit_point_folds(
     # which fit_logistic maps through the basis, and which it drops when it
     # loses to beta = 0: near separation such a start stalls the line
     # search.
-    fits = []
+    fits, swap = [], np.empty(runs[0])
     for j in range(k):
         m = n - runs[j]
         if j:
-            held, scratch = run_columns[j], workspace.vectors(runs[j])[0]
+            held, scratch = run_columns[j], swap[: runs[j]]
             for row in (*rows, labels):
                 np.copyto(scratch, row[held])
                 np.copyto(row[held], row[m:])
                 np.copyto(row[m:], scratch)
         fold = LabeledDesign(design[:, :m], labels[:m], *basis, ridge_sd=sd[j])
-        fits.append(fit_logistic(fold, ridge=ridge, start=start, workspace=workspace))
+        fits.append(fit_logistic(fold, ridge=ridge, start=start))
         start = fits[-1].decision
     return fits
 
@@ -367,6 +363,13 @@ def _fit_count_folds(
     return fit_logistic_folds(FoldStack(design, labels, counts, *basis, ridge_sd=sd), ridge=ridge, start=start)
 
 
+def check_integer(name: str, value, least: int | None = None) -> None:
+    """A ValueError naming ``name`` unless ``value`` is an integer, Python's or numpy's, of at least ``least`` if given."""
+    if not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def cv_log_odds(
     observed: Dataset,
     simulated: Dataset,
@@ -400,8 +403,7 @@ def cv_log_odds(
     max(1, |value|) per point on the tests' draws, far points included).
     Either fit uses a start only when it beats beta = 0.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    check_integer("k", k, 2)
     if len(observed) < k or len(simulated) < k:
         raise ValueError("each class needs at least k points")
     if observed.is_regression != simulated.is_regression:

@@ -29,8 +29,12 @@ _LN2 = math.log(2.0)  # softplus(0), correctly rounded
 GRAM_BLOCK = 4096
 
 
-def _check_shapes(owner, shapes) -> None:
-    """A ValueError naming ``owner``'s design unless it is 2-D, else its first field unlike ``shapes(d, n)``."""
+def _check_fields(owner, shapes) -> None:
+    """A ValueError naming ``owner``'s first bad field.
+
+    The design must be 2-D, each field of ``shapes(d, n)`` of that shape,
+    and every ``sd`` and ``ridge_sd`` finite and positive.
+    """
     design, owner_name = np.shape(owner.design), type(owner).__name__
     if len(design) != 2:
         raise ValueError(f"{owner_name}.design has shape {design}, expected a 2-D (d+1, n) design")
@@ -38,6 +42,10 @@ def _check_shapes(owner, shapes) -> None:
         got = np.shape(getattr(owner, name))
         if got != shape:
             raise ValueError(f"{owner_name}.{name} has shape {got}, expected {shape} for a {design} design")
+    for name in ("sd", "ridge_sd"):
+        bad = [sd for sd in np.ravel(getattr(owner, name)).tolist() if not 0.0 < sd < math.inf]
+        if bad:
+            raise ValueError(f"{owner_name}.{name} must be finite and positive, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class LabeledDesign:
     ridge_sd: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_shapes(self, lambda d, n: dict(labels=(n,), mean=(d,), sd=(d,), ridge_sd=(d,)))
+        _check_fields(self, lambda d, n: dict(labels=(n,), mean=(d,), sd=(d,), ridge_sd=(d,)))
 
     @property
     def features(self) -> np.ndarray:
@@ -89,7 +97,7 @@ class FoldStack:
     ridge_sd: np.ndarray
 
     def __post_init__(self) -> None:  # the labels and counts are checked with their values, by the fit
-        _check_shapes(self, lambda d, u: dict(mean=(d,), sd=(d,), ridge_sd=(len(self.counts), d)))
+        _check_fields(self, lambda d, u: dict(mean=(d,), sd=(d,), ridge_sd=(len(self.counts), d)))
 
 
 def _softplus_sigmoid(eta: np.ndarray, y: np.ndarray, soft: np.ndarray, sig: np.ndarray) -> None:
@@ -118,35 +126,6 @@ def _softplus_sigmoid(eta: np.ndarray, y: np.ndarray, soft: np.ndarray, sig: np.
     np.subtract(eta, sig, out=sig)
     np.subtract(sig, soft, out=sig)
     np.exp(sig, out=sig)
-
-
-class IrlsWorkspace:
-    """The scratch arrays an IRLS fit of up to ``capacity`` points on ``d`` features writes into.
-
-    One workspace serves any number of fits, one after another, so that a
-    cross-validated fit allocates (and the OS faults in) its large arrays
-    once rather than on every fold and iteration.  A fit overwrites all
-    of it, so a caller may use ``vectors(n)`` until the fit starts.  The
-    fit keeps four length-n vectors: the linear predictor, the candidate
-    one, each point's softplus term and the sigmoid.  The weighted design
-    holds one block of at most ``block`` = min(capacity, GRAM_BLOCK)
-    columns.
-    """
-
-    def __init__(self, d: int, capacity: int) -> None:
-        self.d = d
-        self.capacity = capacity
-        self.block = min(capacity, GRAM_BLOCK)
-        self._weighted = np.empty((d + 2) * self.block)
-        self._vectors = np.empty((4, capacity))
-
-    def weighted(self, n: int) -> np.ndarray:
-        """(d+2, n) buffer for n <= ``block`` columns: IRLS-weighted design columns, then their residual."""
-        return self._weighted[: (self.d + 2) * n].reshape(self.d + 2, n)
-
-    def vectors(self, n: int) -> np.ndarray:
-        """Four (n,) buffers, one per row."""
-        return self._vectors[:, :n]
 
 
 @dataclass(frozen=True)
@@ -195,7 +174,6 @@ def fit_logistic(
     design: LabeledDesign,
     ridge: float = DEFAULT_RIDGE,
     start: DecisionFunction | None = None,
-    workspace: IrlsWorkspace | None = None,
 ) -> LogisticFit:
     """Ridge-penalized logistic regression by IRLS.
 
@@ -229,8 +207,9 @@ def fit_logistic(
 
     The fit never writes to ``design.design``; it reads a design whose rows
     are contiguous in place and copies any other, so a fit's bits do not
-    depend on memory layout.  ``workspace`` holds the fit's scratch; a fit
-    without one allocates its own.  Either way the result is the same.
+    depend on memory layout.  Each fit allocates its own scratch, once:
+    four length-n vectors and a (d+2)-row weighted design of one block of
+    at most ``GRAM_BLOCK`` columns.
     """
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
@@ -243,26 +222,23 @@ def fit_logistic(
     if AT.strides[1] != AT.itemsize:
         AT = np.ascontiguousarray(AT)
     d, n = AT.shape[0] - 1, AT.shape[1]
-    if workspace is None:
-        workspace = IrlsWorkspace(d, n)
-    elif workspace.d != d or workspace.capacity < n:
-        raise ValueError(
-            f"workspace holds {workspace.capacity} points of {workspace.d} features, "
-            f"the design {n} of {d}"
-        )
-    # p holds the sigmoid of eta until the step's Hessian is formed; the
-    # line search then writes each candidate's sigmoid over it, which is
-    # the sigmoid of eta again once the candidate is taken.
-    eta, cand_eta, soft, p = workspace.vectors(n)
-    # The columns of each block of at most ``workspace.block``, its
-    # weighted design (row 0 the IRLS weights p (1 - p), then the scaled
-    # features, then the residual y - p) and the views of the design and
-    # the labels it reads.  The design's row 0 is all ones, so the
-    # weighted design's row 0 is the weights themselves.
+    # The linear predictor, the candidate one, each point's softplus term
+    # and p, which holds the sigmoid of eta until the step's Hessian is
+    # formed; the line search then writes each candidate's sigmoid over
+    # it, which is the sigmoid of eta again once the candidate is taken.
+    eta, cand_eta, soft, p = np.empty((4, n))
+    # The columns of each block of at most GRAM_BLOCK, its weighted design
+    # (row 0 the IRLS weights p (1 - p), then the scaled features, then the
+    # residual y - p) and the views of the design and the labels it reads.
+    # The design's row 0 is all ones, so the weighted design's row 0 is the
+    # weights themselves.  Every block's weighted design is a prefix of one
+    # buffer.
+    block = min(n, GRAM_BLOCK)
+    buffer = np.empty((d + 2) * block)
     blocks = []
-    for lo in range(0, n, workspace.block):
-        cols = slice(lo, min(lo + workspace.block, n))
-        weighted = workspace.weighted(cols.stop - lo)
+    for lo in range(0, n, block):
+        cols = slice(lo, min(lo + block, n))
+        weighted = buffer[: (d + 2) * (cols.stop - lo)].reshape(d + 2, -1)
         blocks.append((cols, weighted, weighted[1 : d + 1], AT[1:, cols], AT[:, cols].T, y[cols]))
     # Each weight's share of the ridge, and each weight's penalty, formed
     # again only when the ridge is bumped.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conjugate import TemperedPosterior, predictive_sample
 from .data import Dataset
-from .discriminator import FeatureMap, cv_log_odds
+from .discriminator import FeatureMap, check_integer, cv_log_odds
 from .logistic import DEFAULT_RIDGE, DecisionFunction
 from .numerics import RngStream
 
@@ -87,6 +87,7 @@ def estimate_log_ratio(
     fold's decision function and ``rng``, and each holds its own values,
     so a caller that keeps one estimate frees the other's.
     """
+    check_integer("k", k, 2)
     n_obs = len(x_valid)
     if n_sim is None:
         n_sim = n_obs

@@ -11,7 +11,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import carmen.discriminator  # noqa: E402
-from carmen.logistic import DecisionFunction, FoldStack, IrlsWorkspace, LabeledDesign, LogisticFit  # noqa: E402
+from carmen.logistic import DecisionFunction, FoldStack, LabeledDesign, LogisticFit  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class WatchedFit:
     design: LabeledDesign
     snapshot: LabeledDesign
     start: DecisionFunction | None
-    workspace: IrlsWorkspace | None
     fit: LogisticFit
 
 
@@ -46,7 +45,7 @@ def fits(monkeypatch) -> list[WatchedFit]:
     def recording(design, **kwargs):
         snapshot = replace(design, design=design.design.copy(), labels=design.labels.copy())
         result = fit_logistic(design, **kwargs)
-        records.append(WatchedFit(design, snapshot, kwargs.get("start"), kwargs.get("workspace"), result))
+        records.append(WatchedFit(design, snapshot, kwargs.get("start"), result))
         return result
 
     monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carmen import numerics
+from carmen import cli, numerics
 from carmen.cli import (
     _PRESETS,
     _RUN_OPTIONS,
@@ -139,13 +139,12 @@ class TestRunScenario:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("ridge", math.nan), ("ridge", math.inf), ("ridge", -1e-6), ("folds", 1), ("folds", 0)],
+        [("ridge", math.nan), ("ridge", math.inf), ("ridge", -1e-6), ("folds", 1), ("folds", 0),
+         # every int field of a library config, which numpy, or cv_log_odds as k, would reject only after the draw
+         ("seed", 1.5), ("n_update", 100.5), ("n_validate", 100.5), ("folds", 2.5), ("grid_count", 8.5)],
     )
     def test_bad_setting_rejected_before_sampling(self, monkeypatch, name, value):
-        def sample(*args, **kwargs):
-            raise AssertionError("sampled before the config was checked")
-
-        monkeypatch.setattr(GaussianTruth, "sample", sample)
+        monkeypatch.setattr(cli, "run_draws", lambda *args: pytest.fail("drew before the config was checked"))
         cfg = ScenarioConfig(
             scenario="gauss-gauss", seed=0, n_update=100, n_validate=100, grid_count=5, folds=5
         )

@@ -22,7 +22,6 @@ from carmen.logistic import (
     TOL,
     DecisionFunction,
     FoldStack,
-    IrlsWorkspace,
     LabeledDesign,
     _softplus_sigmoid,
     fit_logistic,
@@ -273,12 +272,6 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match=name):
             fit_logistic(_overlapping_design(), **setting)
 
-    def test_workspace_must_fit_the_design(self):
-        design = _overlapping_design()
-        for workspace in (IrlsWorkspace(3, 600), IrlsWorkspace(2, 599)):
-            with pytest.raises(ValueError, match="workspace"):
-                fit_logistic(design, workspace=workspace)
-
     def test_needs_both_classes(self):
         design = point_design(np.zeros((5, 1)), np.zeros(5), np.zeros(1), np.ones(1))
         with pytest.raises(ValueError):
@@ -315,6 +308,24 @@ class TestFitLogistic:
         with pytest.raises(ValueError) as info:
             LabeledDesign(**{**fields, name: value})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "owner, name", [(LabeledDesign, "sd"), (LabeledDesign, "ridge_sd"), (FoldStack, "sd"), (FoldStack, "ridge_sd")]
+    )
+    def test_sds_checked_where_built(self, owner, name, value):
+        # A two-feature design or k = 2 stack, its last sd replaced: a fit
+        # on an sd of 0 would divide by zero and decide nan.
+        labels = np.array([0.0, 1.0, 0.0, 1.0])
+        if owner is LabeledDesign:
+            built = point_design(np.zeros((4, 2)), labels, np.zeros(2), np.ones(2))
+        else:
+            built = _unit_stack(np.zeros((2, 4)), labels, np.ones((2, 4)))
+        sds = getattr(built, name).copy()
+        sds.flat[-1] = value
+        with pytest.raises(ValueError) as info:
+            replace(built, **{name: sds})
+        assert str(info.value) == f"{owner.__name__}.{name} must be finite and positive, got {value!r}"
 
 
 def _overlapping_design() -> LabeledDesign:
@@ -1452,17 +1463,17 @@ def _fit_bytes(fit) -> tuple:
     return floats.tobytes(), fit.weights.tobytes(), fit.converged, fit.iterations
 
 
-class TestIrlsWorkspace:
-    def test_shared_workspace_fits_equal_fresh_fits(self, monkeypatch):
+class TestFitScratch:
+    def test_cv_fold_fits_equal_fresh_fits_of_copies(self, monkeypatch):
+        # Each fold's design is a prefix of the one design whose columns
+        # later folds swap; its fit is bit for bit the fit of a copy.
         records = []
 
         def recording(design, **kwargs):
-            workspace = kwargs["workspace"]
             fresh_design = replace(design, design=design.design.copy())
             fit = fit_logistic(design, **kwargs)
-            del kwargs["workspace"]
             fresh = fit_logistic(fresh_design, **kwargs)
-            records.append((design.features.shape[0], workspace, fit, _fit_bytes(fit), fresh))
+            records.append((design.features.shape[0], fit, _fit_bytes(fit), fresh))
             return fit
 
         monkeypatch.setattr(carmen.discriminator, "fit_logistic", recording)
@@ -1471,16 +1482,11 @@ class TestIrlsWorkspace:
         sim = Dataset(g.normal(0.3, 1.2, 997))
         cv_log_odds(obs, sim, FeatureMap(("x", "x2")), 10, 1e-6, RngStream(98))
         sizes = [r[0] for r in records]
-        workspace = records[0][1]
         assert len(records) == 10 and len(set(sizes)) > 1
-        assert all(r[1] is workspace for r in records)
-        assert workspace.capacity == max(sizes)
-        buffers = (workspace.weighted(max(sizes)), workspace.vectors(max(sizes)))
-        for _, _, fit, at_return, fresh in records:
-            # Later folds overwrote the whole workspace; this fit is as it was returned.
+        for _, fit, at_return, fresh in records:
+            # Later folds overwrote the design; this fit is as it was returned.
             assert _fit_bytes(fit) == at_return
             assert _fit_bytes(fit) == _fit_bytes(fresh)
-            assert not any(np.shares_memory(fit.weights, b) for b in buffers)
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_fit_leaves_the_callers_design_as_it_was(self, monkeypatch, layout):
@@ -1500,10 +1506,11 @@ class TestIrlsWorkspace:
             assert [a.tobytes() for a in arrays] == before
         assert fit.ridge > DEFAULT_RIDGE  # the saturating start's system stayed singular
 
-    def test_prepared_fit_allocates_no_n_vectors(self):
+    def test_fit_holds_its_scratch_and_less_than_one_n_vector(self):
+        # Ten blocks of 4,096 columns: the scratch is allocated once per
+        # fit, and no step or line search allocates an n-vector.
         n, d = 40_000, 3
         g = RngStream(99).generator()
-        workspace = IrlsWorkspace(d, n)
         rows = g.normal(size=(d, n))
         eta = 0.8 * rows[0] - 0.5 * rows[1]
         labels = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
@@ -1511,13 +1518,13 @@ class TestIrlsWorkspace:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            fit = fit_logistic(design, start=DecisionFunction(0.1, np.full(d, 0.1)), workspace=workspace)
+            fit = fit_logistic(design, start=DecisionFunction(0.1, np.full(d, 0.1)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert fit.converged and fit.iterations > 2
-        # Less than one float64 n-vector over the whole fit.
-        assert peak - before < 8 * n
+        scratch = 8 * (4 * n + (d + 2) * carmen.logistic.GRAM_BLOCK)
+        assert peak - before < scratch + 8 * n
 
 
 def _mixed_layout_draw() -> tuple:
@@ -1555,7 +1562,7 @@ class TestOutOfFoldScoring:
         assert vals.tobytes() == fold_scores(coef, fold_of, raw).tobytes()
         assert last.intercept == coef[-1, 0] and last.weights.tobytes() == coef[-1, 1:].tobytes()
 
-    def test_working_set_is_the_workspace_and_the_data_columns(self):
+    def test_working_set_is_the_design_one_fits_scratch_and_the_data_columns(self):
         # reg-sigmoid's six features at n_obs = n_sim = 10,000, 10 folds.
         n, k = 10_000, 10
         binding = ScenarioConfig(scenario="reg-sigmoid", seed=0).binding()
@@ -1572,7 +1579,7 @@ class TestOutOfFoldScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < _cv_workspace(d, 2 * (n - n // k)) + 2**19
+        assert peak - before < _cv_working_set(d, 2 * (n - n // k)) + 2**19
 
     def test_large_n_run_holds_the_cv_call_and_what_it_still_reads(self):
         # One reg-sigmoid run at large-n's sizes: 1,000 update and 10,000
@@ -1588,7 +1595,7 @@ class TestOutOfFoldScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cv_call = _cv_workspace(6, 2 * (n - n // k)) + 2**19
+        cv_call = _cv_working_set(6, 2 * (n - n // k)) + 2**19
         # The sample's covariates and responses, held once: 176,000 B.
         sample = 8 * 2 * (n_update + n)
         # The simulated class's covariates and responses: 160,000 B.
@@ -1603,11 +1610,12 @@ class TestOutOfFoldScoring:
         assert peak - before < cv_call + sample + simulated + estimates + 2**16
 
 
-def _cv_workspace(d: int, m: int) -> int:
-    """Bytes of the design and IRLS workspace of a CV call on d features whose largest training fold has m points.
+def _cv_working_set(d: int, m: int) -> int:
+    """Bytes of the design and one fit's scratch of a CV call on d features whose largest training fold has m points.
 
-    A (d+1)-row design of m columns, and the workspace: the (d+2)-row
-    weighted design of one 4,096-column block and four vectors.  At
+    A (d+1)-row design of m columns, and the scratch of the largest
+    fold's fit: the (d+2)-row weighted design of one 4,096-column block
+    and four vectors.  At
     reg-sigmoid's d = 6 and m = 18,000 points, 1,846,144 B, 1.76 MiB.
     The CV call's allowance of 2**19 B, 0.5 MiB, holds the design's
     columns past m, since it has one column per point (0.11 MiB at
@@ -1769,8 +1777,7 @@ class TestDataColumnFeatures:
         assert set(_TRANSFORMS) == set(FEATURE_EXPRESSIONS)
         x, y = _columns_with_edge_values()
         keep = np.flatnonzero(RngStream(111).generator().uniform(size=x.size) < 0.7)
-        workspace = IrlsWorkspace(len(_TRANSFORMS), x.size)
-        x_fold, y_fold = workspace.vectors(keep.size)[:2]
+        x_fold, y_fold = np.empty((2, keep.size))
         np.take(x, keep, out=x_fold, mode="clip")
         np.take(y, keep, out=y_fold, mode="clip")
         with np.errstate(over="ignore"):  # 1e150 cubed and to the fourth
@@ -1925,9 +1932,11 @@ class TestGramBlocks:
         n = design.features.shape[0]
         one_block = fit_logistic(design)
         monkeypatch.setattr(carmen.logistic, "GRAM_BLOCK", 16)
-        workspace = IrlsWorkspace(design.features.shape[1], n)
-        assert workspace.block == 16 and n > 2 * 16
-        blocked = fit_logistic(design, workspace=workspace)
+        assert n > 2 * 16
+        blocked = fit_logistic(design)
+        # The fit reads GRAM_BLOCK when called: its sums over blocks of 16
+        # columns round otherwise than over one block.
+        assert _fit_bytes(blocked) != _fit_bytes(one_block)
         assert (blocked.iterations, blocked.converged, blocked.ridge) == (
             one_block.iterations, one_block.converged, one_block.ridge)
         a, b = _fit_coefficients(blocked), _fit_coefficients(one_block)

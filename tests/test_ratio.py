@@ -145,6 +145,14 @@ class TestEstimateLogRatio:
         with pytest.raises(ValueError):
             estimate_log_ratio(post, xv, FeatureMap(("x",)), 10, RngStream(115), n_sim=5)
 
+    def test_non_integer_k_rejected_before_the_draws(self, monkeypatch):
+        # cv_log_odds's own check, made before any point is simulated.
+        monkeypatch.setattr(ratio, "estimate_draws", lambda *args: pytest.fail("simulated before checking k"))
+        xv = GaussianTruth(0.0, 1.0).sample(RngStream(116), 100)
+        with pytest.raises(ValueError) as info:
+            estimate_log_ratio(_unit_gaussian_posterior(), xv, FeatureMap(("x",)), 2.5, RngStream(117))
+        assert str(info.value) == "k must be an integer >= 2, got 2.5"
+
     def test_univariate_simulation_takes_no_covariates(self, monkeypatch):
         # only a regression draw resamples the validation covariates
         def take(self, indices):
